@@ -69,6 +69,23 @@ class ColumnarContext:
             "cache_misses": self.misses,
         }
 
+    def evict(self, uids) -> None:
+        """Forget every cached table of the given relation uids.
+
+        Called when their owner (a session's engine, a magic evaluation)
+        is done with them: a dead relation's entries can never hit again,
+        and left behind they push the caches toward the wholesale
+        ``clear()`` that also throws the hot EDB tables away.
+        """
+        uids = set(uids)
+        if not uids:
+            return
+        for uid in uids:
+            self._rowsets.pop(uid, None)
+        for cache in (self._tables, self._glue_tables, self._bcast):
+            for key in [key for key in cache if key[0] in uids]:
+                del cache[key]
+
     # ------------------------------------------------------------------ #
     # NAIL! kernel state
     # ------------------------------------------------------------------ #
@@ -151,9 +168,9 @@ class ColumnarContext:
             self.hits += 1
             return entry[1]
         self.misses += 1
-        intern = self.atoms.intern
+        intern_column = self.atoms.intern_column
         rows = list(relation.rows())  # rows() is a one-pass iterator
-        cols = tuple([intern(row[c]) for row in rows] for c in extract_cols)
+        cols = tuple(intern_column(rows, c) for c in extract_cols)
         if len(self._bcast) > _MAX_TABLES:
             self._bcast.clear()
         self._bcast[key] = (version, cols)

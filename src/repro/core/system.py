@@ -29,7 +29,7 @@ from repro.core.result import QueryResult
 from repro.errors import GlueNailError, GlueRuntimeError
 from repro.lang.ast import Program
 from repro.lang.parser import parse_program, parse_query
-from repro.nail.engine import NailEngine, magic_query
+from repro.nail.engine import NailEngine, is_flat_query, magic_query
 from repro.obs.query_stats import QueryStats
 from repro.obs.tracer import CollectingSink, TraceSink, Tracer
 from repro.storage.database import Database
@@ -134,6 +134,7 @@ class GlueNailSystem:
         # Durable store / transaction manager (see repro.txn); attached by
         # GlueNailSystem.open() or enable_transactions().
         self.store = None
+        self._owns_store = False  # a server's sessions share its store
         self._txn = None
         if trace:
             self.enable_tracing(trace if isinstance(trace, TraceSink) else None)
@@ -155,6 +156,7 @@ class GlueNailSystem:
         store = DurableStore(directory, db=db, sync=sync)
         system = cls(db=store.db, **kwargs)
         system.store = store
+        system._owns_store = True
         return system
 
     # ------------------------------------------------------------------ #
@@ -435,8 +437,16 @@ class GlueNailSystem:
         return self.store.checkpoint()
 
     def close(self) -> None:
-        """Release the durable store and worker pool (if any); idempotent."""
-        if self.store is not None:
+        """Release compiled state and the engine's derived relations (a
+        later call recompiles), the durable store and the worker pool (if
+        any); idempotent."""
+        if self._engine is not None:
+            self._engine.close()
+        self._invalidate()
+        # The last result's lazy plan closes over this system: a cycle
+        # that would keep its rows until the collector's next pass.
+        self.last_result = None
+        if self.store is not None and self._owns_store:
             self.store.close()
             self.store = None
         if self.parallel is not None and self._owns_parallel:
@@ -608,11 +618,13 @@ class GlueNailSystem:
         self.compile()
         self._machine.run_script()
 
-    def query(self, text: str) -> QueryResult:
+    def query(self, text: str, subgoal=None) -> QueryResult:
         """Answer an ad-hoc query ``p(args)?`` against NAIL!, the EDB, or a
-        Glue procedure, in that resolution order."""
+        Glue procedure, in that resolution order.  ``subgoal`` is ``text``
+        already parsed, for callers that had to look at it first."""
         self.compile()
-        subgoal = parse_query(text)
+        if subgoal is None:
+            subgoal = parse_query(text)
 
         def runner():
             return self._resolve_query(subgoal)
@@ -684,23 +696,27 @@ class GlueNailSystem:
 
     @staticmethod
     def _match_rows(relation, args) -> List[Row]:
-        out = []
-        for row in relation.rows():
-            if match_tuple(tuple(args), row) is not None:
-                out.append(row)
-        return out
+        args = tuple(args)
+        if is_flat_query(args):
+            # Bound positions probe the relation's (adaptive) hash indexes
+            # and every scan is charged, exactly as NailEngine.query does
+            # for derived relations.
+            return list(relation.match_rows(args))
+        return [row for row in relation.rows() if match_tuple(args, row) is not None]
 
-    def query_magic(self, text: str) -> QueryResult:
+    def query_magic(self, text: str, subgoal=None) -> QueryResult:
         """Answer a NAIL! query demand-driven (magic sets).
 
         Queries outside the magic fragment (aggregates, negated IDB
         literals, compound-named predicates on the demand path) fall back
-        to ordinary evaluation transparently.
+        to ordinary evaluation transparently.  ``subgoal`` as for
+        :meth:`query`.
         """
         from repro.nail.magic import MagicTransformError
 
         self.compile()
-        subgoal = parse_query(text)
+        if subgoal is None:
+            subgoal = parse_query(text)
 
         def runner():
             try:

@@ -1170,16 +1170,41 @@ def eval_rule_body(
     return out
 
 
-def _derive_heads_batch(
-    decl: RuleDecl, batch: Batch
-) -> Optional[List[Tuple[Term, Row]]]:
-    """Columnar head derivation: decode each head column once.
+class HeadBatch:
+    """One rule's derived head rows for a ground-named predicate, still as
+    interned id columns (one per head argument; there is at least one).
 
-    Applies when the head predicate is ground and every head argument is
-    either a ground term or a plain variable bound by the batch; compound
-    head arguments fall back to per-binding instantiation (None).
+    What :func:`derive_heads` returns for a columnar batch, so the
+    seminaive merge can dedup on ids (``repro.storage.uniondiff_ids``)
+    and build Terms for new rows only.  Iterating decodes to the
+    ``(name, row)`` pairs every other head shape derives to.
     """
-    if not is_ground(decl.head_pred):
+
+    __slots__ = ("name", "cols", "atoms")
+
+    def __init__(self, name: Term, cols: List[list], atoms):
+        self.name = name
+        self.cols = cols
+        self.atoms = atoms
+
+    def __len__(self) -> int:
+        return len(self.cols[0])
+
+    def __iter__(self):
+        name = self.name
+        decode = self.atoms.decode
+        return iter([(name, row) for row in zip(*[decode(col) for col in self.cols])])
+
+
+def _derive_heads_batch(decl: RuleDecl, batch: Batch) -> Optional[HeadBatch]:
+    """Columnar head derivation: the head's id columns, nothing decoded.
+
+    Applies when the head predicate is ground and every head argument (at
+    least one) is either a ground term or a plain variable bound by the
+    batch; compound head arguments, HiLog head names and argument-less
+    heads fall back to per-binding instantiation (None).
+    """
+    if not decl.head_args or not is_ground(decl.head_pred):
         return None
     atoms = batch.atoms
     if atoms is None:
@@ -1189,21 +1214,20 @@ def _derive_heads_batch(
         if isinstance(arg, Var):
             if arg.name not in batch.vars:
                 return None
-            columns.append(atoms.decode(batch.col(arg.name)))
+            columns.append(batch.col(arg.name))
         elif isinstance(arg, Term) and is_ground(arg):
-            columns.append([arg] * batch.length)
+            columns.append([atoms.intern(arg)] * batch.length)
         else:
             return None
-    name = decl.head_pred
-    if not columns:
-        return [(name, ())] * batch.length
-    return [(name, row) for row in zip(*columns)]
+    return HeadBatch(decl.head_pred, columns, atoms)
 
 
 def derive_heads(
     rule: Union[RuleDecl, RuleInfo], bindings_list: Union[List[Bindings], Batch]
-) -> List[Tuple[Term, Row]]:
-    """Instantiate the rule head for each binding: (relation name, row)."""
+) -> Union[List[Tuple[Term, Row]], HeadBatch]:
+    """Instantiate the rule head for each binding: (relation name, row)
+    pairs, or -- for a columnar batch and a flat ground-named head -- a
+    :class:`HeadBatch` that iterates as such pairs."""
     decl = rule.rule if isinstance(rule, RuleInfo) else rule
     if isinstance(bindings_list, Batch):
         derived = _derive_heads_batch(decl, bindings_list)

@@ -39,7 +39,7 @@ from repro.terms.term import Term, Var, is_ground
 Row = Tuple[Term, ...]
 
 
-def _is_flat_query(args: Sequence[Term]) -> bool:
+def is_flat_query(args: Sequence[Term]) -> bool:
     """Flat pattern: every position is ground or a plain variable and the
     named variables are distinct -- the precondition of
     :meth:`~repro.storage.relation.Relation.match_rows`."""
@@ -115,6 +115,21 @@ class NailEngine:
         for support in self.supports:
             self._relevant_skels |= support.transitive
         self._any_universal = any(s.universal for s in self.supports)
+        # Per stratum, the strata whose extensions it reads (itself
+        # included), ascending: what a query on it has to materialize.  A
+        # stratum reading through predicate variables may name any lower
+        # relation at run time, so it needs every stratum below it.
+        self._needs: List[Tuple[int, ...]] = []
+        for stratum, support in zip(self.strata, self.supports):
+            if support.universal:
+                needs = set(range(stratum.index + 1))
+            else:
+                needs = {stratum.index}
+                for skeleton in support.direct:
+                    lower = self._stratum_of.get(skeleton)
+                    if lower is not None and lower < stratum.index:
+                        needs.update(self._needs[lower])
+            self._needs.append(tuple(sorted(needs)))
         # Which strata hold a valid cached extension right now.  The set is
         # not necessarily a prefix: invalidation clears exactly the strata
         # whose support changed plus their dependents.
@@ -146,6 +161,21 @@ class NailEngine:
         if listener in self.delta_listeners:
             self.delta_listeners.remove(listener)
 
+    def close(self) -> None:
+        """Drop every derived relation and forget them in the shared
+        columnar context (the engine's private ``extra_edb`` overlay
+        included).  The engine stays usable -- the next query recomputes
+        -- but a closed one holds no rows, so its owner's memory goes back
+        at once instead of waiting for the cycle collector."""
+        dead = [relation for _key, relation in self.idb.items()]
+        if self.extra_edb is not None:
+            dead.extend(relation for _key, relation in self.extra_edb.items())
+        self.db.columnar.evict(relation.uid for relation in dead)
+        for name, arity in list(self.idb.keys()):
+            self.idb.drop(name, arity)
+        self._demand_cache.clear()
+        self._stratum_computed = [False] * len(self.strata)
+
     # ------------------------------------------------------------------ #
     # public interface
     # ------------------------------------------------------------------ #
@@ -161,7 +191,8 @@ class NailEngine:
         if stratum_index is None:
             raise GlueRuntimeError(f"{name}/{arity} is not a NAIL! predicate")
         self._refresh()
-        if all(self._stratum_computed[: stratum_index + 1]):
+        needs = self._needs[stratum_index]
+        if all(self._stratum_computed[i] for i in needs):
             # Repeated references inside one EDB state cost nothing, and
             # the trace and stats should say so rather than show a gap.
             self.db.counters.idb_cache_hits += 1
@@ -174,13 +205,13 @@ class NailEngine:
                     epoch=self._stratum_epoch[stratum_index],
                     version=0 if relation is None else relation.version,
                 )
-        self._compute_through(stratum_index)
+        self._compute(needs)
         return self.idb.relation(name, arity)
 
     def materialize_all(self) -> Database:
         """Evaluate every stratum; returns the IDB database."""
         self._refresh()
-        self._compute_through(len(self.strata) - 1)
+        self._compute(range(len(self.strata)))
         return self.idb
 
     def query(self, pred: Term, args: Sequence[Term], arity: Optional[int] = None):
@@ -199,7 +230,7 @@ class NailEngine:
         if not self.can_materialize(pred, arity):
             return self.demand(pred, arity, args)
         relation = self.materialize(pred, arity)
-        if _is_flat_query(args):
+        if is_flat_query(args):
             # Bound positions route through the relation's hash indexes
             # (match_rows -> _candidate_rows) instead of a full scan.
             return list(relation.match_rows(args))
@@ -211,14 +242,14 @@ class NailEngine:
         return out
 
     def can_materialize(self, name: Term, arity: int) -> bool:
-        """Can this predicate be fully computed bottom-up (all strata up to
-        and including its own are range-restricted)?"""
+        """Can this predicate be fully computed bottom-up (its own stratum
+        and every stratum it depends on are range-restricted)?"""
         skeleton = pred_skeleton(name, arity)
         stratum_index = self._stratum_of.get(skeleton)
         if stratum_index is None:
             return False
         return all(
-            self._stratum_safety(i) is None for i in range(stratum_index + 1)
+            self._stratum_safety(i) is None for i in self._needs[stratum_index]
         )
 
     def demand(self, name: Term, arity: int, patterns: Sequence[Term]) -> List[Row]:
@@ -293,7 +324,7 @@ class NailEngine:
                 self.tracer.event(
                     "demand", f"{name}/{arity}", rows=len(answers), bound_positions=bound
                 )
-        if _is_flat_query(patterns):
+        if is_flat_query(patterns):
             return list(cache_rel.match_rows(patterns))
         return [
             row for row in cache_rel.rows() if match_tuple(patterns, row) is not None
@@ -560,11 +591,13 @@ class NailEngine:
             return error
         return cached
 
-    def _compute_through(self, stratum_index: int) -> None:
+    def _compute(self, indexes: Iterable[int]) -> None:
+        """Evaluate the not-yet-computed strata among ``indexes`` (ascending:
+        dependencies first)."""
         pending = [
-            stratum
-            for stratum in self.strata[: stratum_index + 1]
-            if not self._stratum_computed[stratum.index]
+            self.strata[index]
+            for index in indexes
+            if not self._stratum_computed[index]
         ]
         if not pending:
             return
@@ -624,8 +657,9 @@ class NailEngine:
         for source_db in sources:
             for name, arity in list(source_db.keys()):
                 if pred_skeleton(name, arity) in skeletons:
-                    # Bulk load: one version bump per relation, not per row.
-                    self.idb.relation(name, arity).insert_new(
+                    # Bulk load: one version bump per relation, not per row
+                    # (stored rows need no re-validation).
+                    self.idb.relation(name, arity).insert_trusted(
                         source_db.get(name, arity).rows()
                     )
 
@@ -737,10 +771,11 @@ def magic_query(
             relation = engine.materialize(program.answer_pred, len(args))
             span.rows = len(relation)
     args = tuple(args)
-    if _is_flat_query(args):
+    if is_flat_query(args):
         answers = list(relation.match_rows(args))
     else:
         answers = [
             row for row in relation.rows() if match_tuple(args, row) is not None
         ]
+    engine.close()  # the rewritten program's relations die with this call
     return answers, engine

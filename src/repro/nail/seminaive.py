@@ -18,11 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import PredSubgoal
-from repro.nail.bodyeval import RowsFn, derive_heads, eval_rule_body_batch
+from repro.nail.bodyeval import HeadBatch, RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
 from repro.storage.database import Database
 from repro.storage.stats import CostCounters
-from repro.storage.uniondiff import uniondiff
+from repro.storage.uniondiff import uniondiff, uniondiff_ids
 from repro.terms.term import Term
 
 Row = Tuple[Term, ...]
@@ -38,24 +38,39 @@ class DeltaRelation:
     same as relation scans), hash builds and probes to the index ledgers.
     """
 
-    __slots__ = ("rows", "counters", "_tables", "_set", "_id_cols")
+    __slots__ = ("rows", "counters", "_tables", "_set", "_atoms", "_ids")
 
     def __init__(self, counters: Optional[CostCounters] = None):
         self.rows: List[Row] = []
         self.counters = counters
         self._tables: Dict[Tuple[int, ...], dict] = {}
         self._set = None
-        # Interned broadcast columns (see broadcast_columns), invalidated
-        # whenever the delta grows -- like the lazy hash tables above.
-        self._id_cols: dict = {}
+        # Interned id columns (column -> ids under ``_atoms``), aligned
+        # with ``rows``: handed over by the id-space merge that produced
+        # the rows, or interned on first broadcast (see broadcast_columns).
+        self._atoms = None
+        self._ids: Dict[int, List[int]] = {}
 
-    def extend(self, rows: Iterable[Row]) -> None:
+    def extend(self, rows: Iterable[Row], atoms=None, id_cols=None) -> None:
+        """Append rows; ``id_cols`` (one id list per column, under
+        ``atoms``) keeps the delta in id space for the next round."""
+        had_rows = bool(self.rows)
         self.rows.extend(rows)
         if self._tables:
             self._tables = {}
         self._set = None
-        if self._id_cols:
-            self._id_cols = {}
+        if id_cols is not None and not had_rows:
+            self._atoms = atoms
+            self._ids = {col: list(ids) for col, ids in enumerate(id_cols)}
+        elif (
+            id_cols is not None
+            and self._atoms is atoms
+            and len(self._ids) == len(id_cols)
+        ):
+            for col, ids in enumerate(id_cols):
+                self._ids[col].extend(ids)
+        else:
+            self._ids = {}  # re-interned lazily, like the hash tables above
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -94,24 +109,24 @@ class DeltaRelation:
         """Interned id-columns for broadcasting this delta (see
         ``repro.col.kernels.run_broadcast``).
 
-        Every rule in a round that broadcasts the same (unchanged) delta
-        re-used to re-intern it from scratch -- pure overhead, since the
-        columns only change when the delta grows.  Each call still charges
-        one full scan, exactly like ``scan()``, so the cache never shows
-        up in the counters (parity with the row engine's per-group scan).
+        A delta produced by the id-space merge already carries them; any
+        other delta (a repair seed, a row-path merge) is interned once per
+        column and reused by every rule that broadcasts it this round.
+        Each call still charges one full scan, exactly like ``scan()``, so
+        neither shows up in the counters (parity with the row engine's
+        per-group scan).
         """
         if self.counters is not None:
             self.counters.tuples_scanned += len(self.rows)
         atoms = ctx.atoms
-        key = (id(atoms), extract_cols)
-        cached = self._id_cols.get(key)
-        if cached is None:
-            intern = atoms.intern
-            cached = tuple(
-                [intern(row[c]) for row in self.rows] for c in extract_cols
-            )
-            self._id_cols[key] = cached
-        return cached
+        if self._atoms is not atoms:
+            self._atoms = atoms
+            self._ids = {}
+        ids = self._ids
+        for col in extract_cols:
+            if col not in ids:
+                ids[col] = atoms.intern_column(self.rows, col)
+        return tuple(ids[col] for col in extract_cols)
 
     # Pre-builds for partition-parallel probing (see repro.par): the lazy
     # builds above are unsynchronized, so the coordinator forces them
@@ -154,24 +169,90 @@ def _delta_rows_fn(delta: DeltaStore) -> RowsFn:
     return rows
 
 
-def _merge_derivations(
-    derivations: Iterable[Tuple[Term, Row]], idb: Database, delta: DeltaStore
-) -> None:
-    """uniondiff the derivations into the IDB; new tuples extend the delta."""
-    grouped: Dict[Tuple[Term, int], List[Row]] = {}
-    for name, row in derivations:
-        grouped.setdefault((name, len(row)), []).append(row)
-    for (name, arity), rows in grouped.items():
-        new_rows = uniondiff(idb.relation(name, arity), rows)
-        if new_rows:
-            store = delta.get((name, arity))
-            if store is None:
-                store = delta[(name, arity)] = DeltaRelation(idb.counters)
-            store.extend(new_rows)
-
-
 def _delta_size(delta: DeltaStore) -> int:
     return sum(len(store) for store in delta.values())
+
+
+class _Fixpoint:
+    """One stratum's fixpoint in progress: how rules are evaluated, and
+    the id-space merge state that lives exactly as long as the fixpoint.
+
+    ``seen`` maps a head predicate to the id rows already known to be in
+    its relation -- everything this fixpoint derived for it so far.  A
+    derivation whose id row is in there is a duplicate without a Term ever
+    being built; the set is dropped with this object when the stratum is
+    done, so nothing per-session is parked in the shared columnar context.
+    """
+
+    __slots__ = ("rows_fn", "idb", "tracer", "modes", "seen")
+
+    def __init__(self, rows_fn: RowsFn, idb: Database, tracer, **modes):
+        self.rows_fn = rows_fn
+        self.idb = idb
+        self.tracer = tracer
+        self.modes = modes
+        self.seen: Dict[Tuple[Term, int], set] = {}
+
+    def round(self, kind: str, label: str, jobs, out: DeltaStore, **attrs) -> None:
+        """Run one round's ``(rule index, rule, delta position, delta
+        source)`` jobs, merging every derivation into ``out``."""
+        if self.tracer is None:
+            for job in jobs:
+                self._fire(*job, out)
+            return
+        with self.tracer.span(kind, label, **attrs) as span:
+            for job in jobs:
+                self._fire(*job, out)
+            span.rows = _delta_size(out)
+
+    def _fire(self, index, info, position, delta_fn, out: DeltaStore) -> None:
+        tracer = self.tracer
+        if tracer is None:
+            bindings = eval_rule_body_batch(
+                info, self.rows_fn, delta_index=position,
+                delta_rows_fn=delta_fn, **self.modes,
+            )
+            self._merge(derive_heads(info, bindings), out)
+            return
+        attrs = {} if position is None else {"delta_pos": position}
+        with tracer.span("rule", _rule_label(index, info), **attrs) as span:
+            bindings = eval_rule_body_batch(
+                info, self.rows_fn, delta_index=position,
+                delta_rows_fn=delta_fn, tracer=tracer, **self.modes,
+            )
+            self._merge(derive_heads(info, bindings), out)
+            span.rows = len(bindings)
+
+    def _merge(self, derived, out: DeltaStore) -> None:
+        """uniondiff the derivations into the IDB; new tuples extend the
+        delta.  Head batches stay on ids end to end (only genuinely new
+        rows are decoded, and the delta keeps their id columns for the
+        next round's broadcast); ``(name, row)`` lists -- compound or
+        HiLog heads, aggregates, the row engine -- merge as Term rows."""
+        idb = self.idb
+        if isinstance(derived, HeadBatch):
+            key = (derived.name, len(derived.cols))
+            new_rows, new_cols = uniondiff_ids(
+                idb.relation(*key), derived.cols, derived.atoms,
+                self.seen.setdefault(key, set()),
+            )
+            if new_rows:
+                _delta_for(out, key, idb).extend(new_rows, derived.atoms, new_cols)
+            return
+        grouped: Dict[Tuple[Term, int], List[Row]] = {}
+        for name, row in derived:
+            grouped.setdefault((name, len(row)), []).append(row)
+        for key, rows in grouped.items():
+            new_rows = uniondiff(idb.relation(*key), rows)
+            if new_rows:
+                _delta_for(out, key, idb).extend(new_rows)
+
+
+def _delta_for(delta: DeltaStore, key: Tuple[Term, int], idb: Database) -> DeltaRelation:
+    store = delta.get(key)
+    if store is None:
+        store = delta[key] = DeltaRelation(idb.counters)
+    return store
 
 
 def seminaive_eval(
@@ -196,81 +277,50 @@ def seminaive_eval(
     ``join_mode`` and ``batch_mode`` are forwarded to the body evaluator.
     """
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
-    delta: DeltaStore = {}
-
+    fixpoint = _Fixpoint(
+        rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
+        parallel=parallel, batch_mode=batch_mode,
+    )
     # Round 0: evaluate every rule in full (base facts plus anything the
     # lower strata already provide).
-    if tracer is None:
-        for info in relevant:
-            bindings_list = eval_rule_body_batch(
-                info, rows_fn, join_mode=join_mode, order_mode=order_mode,
-                parallel=parallel, batch_mode=batch_mode,
-            )
-            _merge_derivations(derive_heads(info, bindings_list), idb, delta)
-    else:
-        with tracer.span("round", "round 0", rules=len(relevant)) as span:
-            for i, info in enumerate(relevant):
-                with tracer.span("rule", _rule_label(i, info)) as rule_span:
-                    bindings_list = eval_rule_body_batch(
-                        info, rows_fn, tracer=tracer, join_mode=join_mode,
-                        order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                    )
-                    _merge_derivations(derive_heads(info, bindings_list), idb, delta)
-                    rule_span.rows = len(bindings_list)
-            span.rows = _delta_size(delta)
-
+    delta: DeltaStore = {}
+    fixpoint.round(
+        "round", "round 0",
+        [(i, info, None, None) for i, info in enumerate(relevant)],
+        delta, rules=len(relevant),
+    )
     rounds = 1
-    recursive = [
-        (info, positions)
-        for info in relevant
-        if (positions := _recursive_positions(info, stratum))
-    ]
+    recursive = _recursive_jobs(relevant, stratum)
     if not recursive:
         return rounds
-
     while delta:
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError("seminaive evaluation did not converge")
         delta_fn = _delta_rows_fn(delta)
         new_delta: DeltaStore = {}
-        if tracer is None:
-            for info, positions in recursive:
-                for position in positions:
-                    bindings_list = eval_rule_body_batch(
-                        info,
-                        rows_fn,
-                        delta_index=position,
-                        delta_rows_fn=delta_fn,
-                        join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                    )
-                    _merge_derivations(
-                        derive_heads(info, bindings_list), idb, new_delta
-                    )
-        else:
-            with tracer.span(
-                "round", f"round {rounds - 1}", delta_in=_delta_size(delta)
-            ) as span:
-                for i, (info, positions) in enumerate(recursive):
-                    for position in positions:
-                        with tracer.span(
-                            "rule", _rule_label(i, info), delta_pos=position
-                        ) as rule_span:
-                            bindings_list = eval_rule_body_batch(
-                                info,
-                                rows_fn,
-                                delta_index=position,
-                                delta_rows_fn=delta_fn,
-                                tracer=tracer,
-                                join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                            )
-                            _merge_derivations(
-                                derive_heads(info, bindings_list), idb, new_delta
-                            )
-                            rule_span.rows = len(bindings_list)
-                span.rows = _delta_size(new_delta)
+        fixpoint.round(
+            "round", f"round {rounds - 1}",
+            [(i, info, position, delta_fn) for i, info, position in recursive],
+            new_delta, delta_in=_delta_size(delta),
+        )
         delta = new_delta
     return rounds
+
+
+def _recursive_jobs(relevant: Sequence[RuleInfo], stratum: Set[Skeleton]):
+    """``(index among the recursive rules, rule, delta position)`` for
+    every body occurrence of a predicate of the current stratum."""
+    recursive = [
+        (info, positions)
+        for info in relevant
+        if (positions := _recursive_positions(info, stratum))
+    ]
+    return [
+        (i, info, position)
+        for i, (info, positions) in enumerate(recursive)
+        for position in positions
+    ]
 
 
 def incremental_eval(
@@ -309,7 +359,6 @@ def incremental_eval(
         pred_skeleton(name, arity) for (name, arity) in seed_delta
     }
     seed_fn = _delta_rows_fn(seed_delta)
-    delta: DeltaStore = {}
 
     def _seed_positions(info: RuleInfo):
         for position, subgoal in enumerate(info.rule.body):
@@ -322,47 +371,23 @@ def incremental_eval(
                 continue
             yield position
 
-    if tracer is None:
-        for info in relevant:
-            for position in _seed_positions(info):
-                bindings_list = eval_rule_body_batch(
-                    info,
-                    rows_fn,
-                    delta_index=position,
-                    delta_rows_fn=seed_fn,
-                    join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                )
-                _merge_derivations(derive_heads(info, bindings_list), idb, delta)
-    else:
-        with tracer.span(
-            "incremental_round", "seed", delta_in=_delta_size(seed_delta)
-        ) as span:
-            for i, info in enumerate(relevant):
-                for position in _seed_positions(info):
-                    with tracer.span(
-                        "rule", _rule_label(i, info), delta_pos=position
-                    ) as rule_span:
-                        bindings_list = eval_rule_body_batch(
-                            info,
-                            rows_fn,
-                            delta_index=position,
-                            delta_rows_fn=seed_fn,
-                            tracer=tracer,
-                            join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                        )
-                        _merge_derivations(
-                            derive_heads(info, bindings_list), idb, delta
-                        )
-                        rule_span.rows = len(bindings_list)
-            span.rows = _delta_size(delta)
-
+    fixpoint = _Fixpoint(
+        rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
+        parallel=parallel, batch_mode=batch_mode,
+    )
+    delta: DeltaStore = {}
+    fixpoint.round(
+        "incremental_round", "seed",
+        [
+            (i, info, position, seed_fn)
+            for i, info in enumerate(relevant)
+            for position in _seed_positions(info)
+        ],
+        delta, delta_in=_delta_size(seed_delta),
+    )
     rounds = 1
     new_rows: Dict[Tuple[Term, int], List[Row]] = {}
-    recursive = [
-        (info, positions)
-        for info in relevant
-        if (positions := _recursive_positions(info, stratum))
-    ]
+    recursive = _recursive_jobs(relevant, stratum)
     while delta:
         for key, store in delta.items():
             new_rows.setdefault(key, []).extend(store.rows)
@@ -373,43 +398,11 @@ def incremental_eval(
             raise RuntimeError("incremental evaluation did not converge")
         delta_fn = _delta_rows_fn(delta)
         new_delta: DeltaStore = {}
-        if tracer is None:
-            for info, positions in recursive:
-                for position in positions:
-                    bindings_list = eval_rule_body_batch(
-                        info,
-                        rows_fn,
-                        delta_index=position,
-                        delta_rows_fn=delta_fn,
-                        join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                    )
-                    _merge_derivations(
-                        derive_heads(info, bindings_list), idb, new_delta
-                    )
-        else:
-            with tracer.span(
-                "incremental_round",
-                f"round {rounds - 1}",
-                delta_in=_delta_size(delta),
-            ) as span:
-                for i, (info, positions) in enumerate(recursive):
-                    for position in positions:
-                        with tracer.span(
-                            "rule", _rule_label(i, info), delta_pos=position
-                        ) as rule_span:
-                            bindings_list = eval_rule_body_batch(
-                                info,
-                                rows_fn,
-                                delta_index=position,
-                                delta_rows_fn=delta_fn,
-                                tracer=tracer,
-                                join_mode=join_mode, order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
-                            )
-                            _merge_derivations(
-                                derive_heads(info, bindings_list), idb, new_delta
-                            )
-                            rule_span.rows = len(bindings_list)
-                span.rows = _delta_size(new_delta)
+        fixpoint.round(
+            "incremental_round", f"round {rounds - 1}",
+            [(i, info, position, delta_fn) for i, info, position in recursive],
+            new_delta, delta_in=_delta_size(delta),
+        )
         delta = new_delta
     return rounds, new_rows
 

@@ -205,10 +205,11 @@ class Session:
             classify_write()  # re-validate against the post-upgrade catalog
             return run()
 
-    def _query_is_readonly(self, text: str) -> bool:
-        """True unless the query could fall back to a (mutating) procedure."""
+    def _query_is_readonly(self, query) -> bool:
+        """True unless the query (text, or an already parsed subgoal) could
+        fall back to a (mutating) procedure."""
         try:
-            subgoal = parse_query(text)
+            subgoal = parse_query(query) if isinstance(query, str) else query
             self.system.compile()
             skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
             if self.system._engine.defines(skeleton):
@@ -261,10 +262,13 @@ class Session:
 
     def op_query(self, request: dict) -> dict:
         text = request.get("q", "")
-        magic = bool(request.get("magic"))
+        entry = self.system.query_magic if request.get("magic") else self.system.query
+        # Parsed once per request: the classifier (which may run up to
+        # three times around the pin) and the entry point share the subgoal.
+        subgoal = parse_query(text)
         result = self._run_classified(
-            lambda: not self._query_is_readonly(text),
-            lambda: self.system.query_magic(text) if magic else self.system.query(text),
+            lambda: not self._query_is_readonly(subgoal),
+            lambda: entry(text, subgoal),
         )
         payload = rows_payload(result)
         if result.trace:
@@ -526,6 +530,7 @@ class Session:
             self.server.subscriptions.unsubscribe_owner(self)
             self._subs.clear()
         self.system.disable_tracing()
+        self.system.close()  # frees the engine's rows; the store is the server's
         self.server.db.tracer.set_session(None)
         self.closed = True
         self._push_event.set()  # wake the pusher so it can exit

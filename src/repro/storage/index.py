@@ -84,11 +84,20 @@ class HashIndex:
             yield from buckets.get(key, ())
 
     def bulk_load(self, rows: Iterable[Row]) -> int:
-        """Load all rows; returns the number loaded (the build cost in tuples)."""
+        """Add a batch of rows; returns the number loaded (the build cost
+        in tuples, when the batch is the whole relation)."""
+        buckets = self._buckets
+        columns = self.columns
         count = 0
-        for row in rows:
-            self.add(row)
-            count += 1
+        if len(columns) == 1:
+            (c,) = columns
+            for row in rows:
+                buckets.setdefault((row[c],), []).append(row)
+                count += 1
+        else:
+            for row in rows:
+                buckets.setdefault(tuple([row[c] for c in columns]), []).append(row)
+                count += 1
         return count
 
     def clear(self) -> None:

@@ -265,7 +265,11 @@ class Relation:
         clone.index_policy = self.index_policy
         clone.tracer = self.tracer
         clone.journal = None
-        clone.stats = RelationStats()
+        # Scan-cost ledgers are shared across generations: an index verdict
+        # the adaptive policy reached on one published clone holds for the
+        # next, instead of costing one more full scan after every commit.
+        # The column profile stays per clone (it is version-stamped).
+        clone.stats = RelationStats(ledgers=self.stats.ledgers)
         clone._rows = self._rows
         clone._indexes = {}
         clone._index_lock = threading.RLock()
@@ -316,7 +320,7 @@ class Relation:
             self.journal.record_insert(self, row)
         return True
 
-    def _profile_add(self, rows) -> None:
+    def _profile_add(self, rows, column_values=None) -> None:
         """Keep a live column profile current across an insert.
 
         Growing the per-column distinct sets here costs the same set-adds
@@ -324,13 +328,22 @@ class Relation:
         but skips re-netting the log -- the planner's every-round refresh
         on seminaive-growing relations becomes a version check.  Deletes
         drop the profile instead (distinct counts cannot shrink a set).
+
+        ``column_values``, when given, is one iterable per column covering
+        every value ``rows`` holds there (the id-space merge passes each
+        column's *distinct* values, so a round hashes a Term once per
+        distinct value instead of once per row).
         """
         profile = self.stats.profile
         if profile is not None and profile.column_values is not None:
             columns = profile.column_values
-            for row in rows:
-                for col, value in enumerate(row):
-                    columns[col].add(value)
+            if column_values is not None:
+                for column, values in zip(columns, column_values):
+                    column.update(values)
+            else:
+                for row in rows:
+                    for col, value in enumerate(row):
+                        columns[col].add(value)
             profile.version = self._version
 
     def insert_many(self, rows: Iterable[Row]) -> int:
@@ -345,37 +358,53 @@ class Relation:
     def insert_new(self, rows: Iterable[Row]) -> list:
         """Bulk-load: insert many rows, returning the genuinely new ones.
 
-        Equivalent to calling :meth:`insert` per row (duplicates skipped,
-        indexes maintained, journal notified per row) but with one version
-        bump and one listener notification per batch -- the hot path behind
-        ``uniondiff`` and IDB seeding, where the seminaive evaluator loads
-        whole deltas at once.
+        Equivalent to calling :meth:`insert` per row (rows validated,
+        duplicates skipped, indexes maintained, journal notified per row)
+        but with one version bump and one listener notification per batch.
+        The whole batch is validated before anything is stored.
+        """
+        check = self._check_row
+        return self.insert_trusted([check(row) for row in rows])
+
+    def insert_trusted(self, rows: Iterable[Row], column_values=None) -> list:
+        """:meth:`insert_new` without the per-value re-check.
+
+        The caller guarantees every row is a tuple of ground Terms of this
+        relation's arity -- rows decoded from interned ids (the seminaive
+        merge, ``uniondiff``) or already validated.  Everything else is
+        the bulk path: one copy-on-write barrier, duplicates skipped in
+        first-occurrence order, indexes and journal maintained per new
+        row, then one version bump, one listener notification, one profile
+        update (see :meth:`_profile_add` for ``column_values``) and one
+        change-log entry for the batch.
         """
         self._cow()
         new: list = []
         append = new.append
-        check = self._check_row
         stored = self._rows
-        indexes = list(self._indexes.values())
         journal = self.journal
-        duplicates = 0
+        size = len(stored)
+        total = 0
         for row in rows:
-            row = check(row)
-            if row in stored:
-                duplicates += 1
-                continue
+            total += 1
+            # One hash per row: storing an existing key changes nothing
+            # (the dict keeps its first key object and order), so an
+            # unchanged length is the duplicate test.
             stored[row] = None
+            if len(stored) == size:
+                continue
+            size += 1
             append(row)
-            for index in indexes:
-                index.add(row)
             if journal is not None:
                 journal.record_insert(self, row)
-        if duplicates:
-            self.counters.duplicate_inserts += duplicates
+        if total != len(new):
+            self.counters.duplicate_inserts += total - len(new)
         if new:
+            for index in list(self._indexes.values()):
+                index.bulk_load(new)
             self.counters.inserts += len(new)
             self._changed()
-            self._profile_add(new)
+            self._profile_add(new, column_values)
             if self._changelog is not None:
                 self._changelog.record(self._version, "+", new)
         return new
@@ -432,7 +461,7 @@ class Relation:
         if new_set.keys() == self._rows.keys():
             return
         self.clear()
-        self.insert_many(new_set)
+        self.insert_trusted(new_set)  # validated above
 
     def __contains__(self, row: Row) -> bool:
         return tuple(row) in self._rows
@@ -636,7 +665,14 @@ class Relation:
                 self.counters.index_probe_tuples += 1
                 yield patterns
             return
-        for row in self._candidate_rows(tuple(patterns)):
+        candidates = self._candidate_rows(tuple(patterns))
+        if len(checks) == 1:
+            # The point-lookup shape; on a learning scan of a large
+            # relation the plain comparison is ~4x the generic test below.
+            ((i, value),) = checks
+            yield from [row for row in candidates if row[i] == value]
+            return
+        for row in candidates:
             if all(row[i] == value for i, value in checks):
                 yield row
 
@@ -651,7 +687,10 @@ class Relation:
             index = self._usable_index(bound)
             if index is None and self.index_policy is not None:
                 ledger = self.stats.ledger(bound)
-                if self.index_policy.should_build(ledger, len(self._rows)):
+                if ledger.earned_index or self.index_policy.should_build(
+                    ledger, len(self._rows)
+                ):
+                    ledger.earned_index = True
                     index = self.build_index(bound)
             if index is None:
                 # Fall back to a scan; charge it to the adaptive ledger.

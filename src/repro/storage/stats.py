@@ -212,6 +212,12 @@ class ScanCostLedger:
 
     cumulative_scan_cost: float = 0.0
     scans: int = 0
+    # The policy has already decided these columns earn an index.  Frozen
+    # MVCC clones share their relation's ledgers but start without
+    # indexes: the verdict lets each new generation build at its first
+    # lookup instead of re-learning it by scanning (the relation may have
+    # outgrown the accumulated cost by then).
+    earned_index: bool = False
 
     def record_scan(self, tuples: int) -> None:
         self.cumulative_scan_cost += tuples

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine
 from repro.storage.database import Database
-from repro.terms.term import Atom
+from repro.terms.term import Atom, Var
 
 PATH = """
 path(X, Y) :- edge(X, Y).
@@ -150,3 +150,128 @@ def test_property_stratified_negation_agrees(edges, starts):
         frontier = {b for a, b in edges if a in frontier} - reach
     expected = sorted(set(range(6)) - reach)
     assert [r[0].value for r in left] == expected
+
+
+# ---------------------------------------------------------------------- #
+# the id-space merge (batch_mode="columnar") against the Term-row merge
+# ---------------------------------------------------------------------- #
+
+NONLINEAR = """
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y) & path(Y, Z).
+"""
+
+MUTUAL = """
+even(X) :- zero(X).
+even(Y) :- odd(X) & edge(X, Y).
+odd(Y) :- even(X) & edge(X, Y).
+"""
+
+
+def _fixpoint(source, edges, batch_mode):
+    db = edge_db(edges)
+    db.facts("zero", [(0,)])
+    engine = NailEngine(db, rules_of(source), batch_mode=batch_mode)
+    idb = engine.materialize_all()
+    rows = {key: list(relation.rows()) for key, relation in idb.items()}
+    return rows, db.counters.as_tuple(), engine.rounds_run
+
+
+@given(
+    st.sampled_from([PATH, NONLINEAR, MUTUAL, SAME_GEN.replace("parent", "edge")
+                     .replace("person(X)", "edge(X, _)")]),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_id_space_merge_equals_row_merge(source, edges):
+    """Same rows in the same insertion order (hence the same deltas, round
+    by round), the same number of rounds and every counter field equal."""
+    assert _fixpoint(source, edges, "columnar") == _fixpoint(source, edges, "row")
+
+
+class TestIdSpaceRounds:
+    def test_deltas_are_never_re_interned(self, monkeypatch):
+        """A columnar fixpoint hands each round's delta to the next as id
+        columns: only stored relations are ever encoded."""
+        from repro.col.atoms import AtomTable
+
+        encoded = []
+        original = AtomTable.intern_column
+
+        def spy(self, rows, col):
+            encoded.append(len(rows))
+            return original(self, rows, col)
+
+        monkeypatch.setattr(AtomTable, "intern_column", spy)
+        db = edge_db([(i, i + 1) for i in range(12)])
+        engine = NailEngine(db, rules_of(PATH))
+        assert len(engine.materialize(Atom("path"), 2)) == 12 * 13 // 2
+        assert engine.rounds_run > 10
+        # Round 0 scans two stored relations (edge/2, then path/2 as rule 1
+        # left it), two columns each; the ten delta rounds encode nothing.
+        assert encoded == [12, 12, 12, 12]
+
+    def test_fixpoint_leaves_nothing_in_the_shared_context(self):
+        db = edge_db([(i, i + 1) for i in range(6)])
+        engine = NailEngine(db, rules_of(PATH))
+        engine.materialize(Atom("path"), 2)
+        path = engine.idb.get(Atom("path"), 2)
+        ctx = db.columnar
+        assert path.uid not in ctx._rowsets
+        engine.close()
+        assert not any(key[0] == path.uid for key in ctx._bcast)
+        assert len(engine.idb) == 0
+
+
+class TestDependencyClosure:
+    SOURCE = PATH + """
+    cited(Y) :- edge(_, Y).
+    root(X) :- edge(X, _) & !cited(X).
+    """
+
+    def engine(self):
+        db = edge_db([(0, 1), (1, 2), (2, 3)])
+        return db, NailEngine(db, rules_of(self.SOURCE))
+
+    def computed(self, engine):
+        return {
+            next(iter(stratum.skeletons))[0]
+            for stratum in engine.strata
+            if engine._stratum_computed[stratum.index]
+        }
+
+    def test_query_materializes_only_what_it_depends_on(self):
+        db, engine = self.engine()
+        engine.query(Atom("path"), (Var("X"), Var("Y")))
+        assert self.computed(engine) == {"path"}
+        assert engine.idb.get(Atom("cited"), 1) is None
+        assert db.counters.inserts == 3 + 6  # the EDB load plus path/2
+        engine.materialize(Atom("root"), 1)
+        assert self.computed(engine) == {"path", "cited", "root"}
+
+    def test_cache_hit_ignores_unrelated_pending_strata(self):
+        db, engine = self.engine()
+        engine.materialize(Atom("path"), 2)
+        hits = db.counters.idb_cache_hits
+        engine.materialize(Atom("path"), 2)  # cited/root still uncomputed
+        assert db.counters.idb_cache_hits == hits + 1
+
+    def test_unsafe_unrelated_stratum_does_not_block(self):
+        db = edge_db([(0, 1)])
+        engine = NailEngine(
+            db, rules_of("a_open(X, Y) :- edge(X, _)." + PATH), check_safety=False
+        )
+        assert not engine.can_materialize(Atom("a_open"), 2)
+        assert engine.can_materialize(Atom("path"), 2)
+        assert len(engine.materialize(Atom("path"), 2)) == 1
+
+    def test_predicate_variable_strata_need_everything_below(self):
+        db = edge_db([(0, 1)])
+        db.facts("names", [("edge",)])
+        engine = NailEngine(
+            db, rules_of(PATH + "any(X) :- names(R) & R(X, _)."), check_safety=False
+        )
+        index = engine._stratum_of[("any", (), 1)]
+        assert engine._needs[index] == tuple(range(index + 1))
+        engine.materialize_all()
+        assert all(engine._stratum_computed)

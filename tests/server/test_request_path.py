@@ -1,0 +1,134 @@
+"""What one request costs on the way to the engine, and what a closed
+session leaves behind: EDB lookups probe instead of walking, a query is
+parsed once, and a released session's memory goes back at once."""
+
+import gc
+
+import pytest
+
+from repro.core.system import GlueNailSystem
+from repro.server.server import GlueNailServer
+
+PATH_RULES = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z)."
+
+
+def lookup_costs(system, text):
+    c = system.query(text).stats.counters
+    return c["tuples_scanned"], c["index_builds"], c["index_lookups"]
+
+
+class TestEdbPointLookups:
+    def test_one_scan_one_build_then_probes(self):
+        system = GlueNailSystem()
+        system.facts("wrote", [(f"a{i % 7}", f"p{i}") for i in range(50)])
+        assert lookup_costs(system, "wrote(A, p3)?") == (50, 0, 0)
+        assert lookup_costs(system, "wrote(A, p4)?") == (0, 1, 1)
+        result = system.query("wrote(A, p5)?")
+        assert lookup_costs(system, "wrote(A, p5)?") == (0, 0, 1)
+        assert result.to_python() == [("a5", "p5")]
+        # Non-flat patterns (a repeated variable) still match row by row.
+        assert system.query("wrote(X, X)?").to_python() == []
+
+    def test_index_verdict_survives_commits_on_snapshots(self):
+        """Each commit publishes a new frozen clone with no indexes; the
+        scan-cost ledger it shares with its predecessors says "build" at
+        once, so no generation pays the learning scan again."""
+        system = GlueNailSystem()
+        system.facts("wrote", [(f"a{i % 7}", f"p{i}") for i in range(50)])
+        with system.snapshot():
+            assert lookup_costs(system, "wrote(A, p3)?") == (50, 0, 0)
+            assert lookup_costs(system, "wrote(A, p4)?") == (0, 1, 1)
+        for n in range(3):
+            system.facts("wrote", [("a0", f"q{n}")])
+            with system.snapshot():
+                assert lookup_costs(system, f"wrote(A, q{n})?") == (0, 1, 1)
+                assert lookup_costs(system, "wrote(A, p9)?") == (0, 0, 1)
+
+
+class TestParseOnce:
+    def test_op_query_parses_the_text_once(self, monkeypatch):
+        import repro.core.system as system_module
+        import repro.server.server as server_module
+        from repro.lang.parser import parse_query
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_query(text)
+
+        monkeypatch.setattr(server_module, "parse_query", counting)
+        monkeypatch.setattr(system_module, "parse_query", counting)
+        with GlueNailServer(program=PATH_RULES).start() as server:
+            session = server._new_session()
+            session.dispatch({"op": "facts", "name": "edge", "rows": [[1, 2], [2, 3]]})
+            for request in (
+                {"op": "query", "q": "path(1, X)?"},
+                {"op": "query", "q": "path(1, X)?", "magic": True},
+                {"op": "query", "q": "edge(1, X)?"},
+            ):
+                calls.clear()
+                response = session.dispatch(request)
+                assert response["ok"] and response["rows"]
+                assert calls == [request["q"]]
+            bad = session.dispatch({"op": "query", "q": "path(1, X"})
+            assert not bad["ok"] and bad["kind"] == "ParseError"
+            session.release()
+
+
+class TestClosedSessions:
+    @pytest.fixture
+    def server(self):
+        program = PATH_RULES + "sink(X) :- edge(X, _) & !path(X, 0)."
+        with GlueNailServer(program=program).start() as server:
+            first = server._new_session()
+            first.dispatch(
+                {"op": "facts", "name": "edge",
+                 "rows": [[i, i + 1] for i in range(40)]}
+            )
+            first.release()
+            yield server
+
+    @staticmethod
+    def cycle(server):
+        session = server._new_session()
+        for q in ("path(0, X)?", "sink(X)?"):  # broadcasts, a rowset, a probe table
+            assert session.dispatch({"op": "query", "q": q})["ok"]
+        magic = session.dispatch({"op": "query", "q": "path(3, X)?", "magic": True})
+        assert magic["ok"]
+        session.release()
+
+    def test_cycles_leave_context_and_collector_flat(self, server):
+        ctx = server.db.columnar
+
+        def cache_sizes():
+            return (len(ctx._tables), len(ctx._rowsets), len(ctx._bcast))
+
+        self.cycle(server)
+        baseline = cache_sizes()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                self.cycle(server)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        # Only tables of live (EDB) relations remain, however many
+        # sessions and magic evaluations came and went ...
+        assert cache_sizes() == baseline
+        # ... and what the cycle collector finds is the sessions' compiled
+        # programs (a few hundred objects each), not their derived rows:
+        # path/2 alone is 820 row tuples per session.
+        assert unreachable < 5 * 600
+
+    def test_release_keeps_the_shared_store_open(self, tmp_path):
+        with GlueNailServer(db_dir=str(tmp_path), program=PATH_RULES).start() as server:
+            session = server._new_session()
+            session.dispatch({"op": "facts", "name": "edge", "rows": [[1, 2]]})
+            session.release()
+            assert server.store is not None and server.store.wal is not None
+            again = server._new_session()
+            assert again.dispatch({"op": "facts", "name": "edge", "rows": [[2, 3]]})["ok"]
+            assert len(again.dispatch({"op": "query", "q": "path(1, X)?"})["rows"]) == 2
+            again.release()

@@ -442,3 +442,81 @@ class TestColumnProfileDeletePath:
             GateAtom.release.set()
         profiler.join(5)
         assert distincts == [(9, 9)]
+
+
+class TestTrustedBulkInsert:
+    """``insert_trusted`` -- the seminaive merge's load path -- skips the
+    per-value re-check and nothing else: everything that watches a relation
+    sees one batch, exactly as ``insert_new`` would show it."""
+
+    class Journal:
+        def __init__(self):
+            self.inserted = []
+
+        def record_insert(self, relation, row):
+            self.inserted.append(row)
+
+    def test_matches_insert_new_on_rows_order_and_counters(self):
+        batch = [row(3, 4), row(1, 2), row(3, 4), row(5, 6), row(1, 2)]
+        outcomes = []
+        for method in ("insert_new", "insert_trusted"):
+            counters = CostCounters()
+            r = rel(counters=counters)
+            r.insert(row(5, 6))
+            new = getattr(r, method)(list(batch))
+            outcomes.append((new, list(r.rows()), counters.as_tuple(), r.version))
+        assert outcomes[0] == outcomes[1]
+        new, stored, _counters, _version = outcomes[1]
+        assert new == [row(3, 4), row(1, 2)]  # first-occurrence order, no repeats
+        assert stored == [row(5, 6), row(3, 4), row(1, 2)]
+
+    def test_one_version_bump_listener_call_and_changelog_entry(self):
+        calls = []
+        r = rel(listener=calls.append)
+        r.track_changes()
+        v = r.version
+        r.insert_trusted([row(1, 2), row(2, 3), row(1, 2)])
+        assert r.version == v + 1
+        assert calls == [r]
+        assert len(r._changelog.entries) == 1
+        assert r.changes_since(v) == ([row(1, 2), row(2, 3)], [])
+        r.insert_trusted([row(1, 2)])  # nothing new: nothing announced
+        assert r.version == v + 1 and calls == [r]
+
+    def test_indexes_journal_and_profile_stay_current(self):
+        r = rel()
+        r.insert(row(1, 2))
+        index = r.build_index((0,))
+        assert r.column_profile() == (1, 1)
+        r.journal = self.Journal()
+        r.insert_trusted([row(1, 3), row(2, 3), row(1, 2)])
+        assert index.bucket((Num(1),)) == [row(1, 2), row(1, 3)]
+        assert index.bucket((Num(2),)) == [row(2, 3)]
+        assert r.journal.inserted == [row(1, 3), row(2, 3)]
+        assert r.column_profile() == (2, 2)
+        assert r.stats.profile.version == r.version  # refreshed, not rebuilt
+
+    def test_profile_fed_from_distinct_column_values(self):
+        r = rel()
+        r.insert(row(1, 2))
+        r.column_profile()
+        fed = iter([[Num(7), Num(8)], [Num(9)]])
+        r.insert_trusted([row(7, 9), row(8, 9)], column_values=fed)
+        assert r.column_profile() == (3, 2)
+
+    def test_frozen_clone_is_copied_on_write_and_refuses_writes(self):
+        r = rel()
+        r.insert(row(1, 2))
+        frozen = r.freeze()
+        r.insert_trusted([row(2, 3)])
+        assert list(frozen.rows()) == [row(1, 2)]
+        assert list(r.rows()) == [row(1, 2), row(2, 3)]
+        assert r.freeze() is not frozen
+        with pytest.raises(ValueError):
+            frozen.insert_trusted([row(9, 9)])
+
+    def test_insert_new_validates_the_whole_batch_first(self):
+        r = rel()
+        with pytest.raises(ValueError):
+            r.insert_new([row(1, 2), (Num(1), Var("X"))])
+        assert len(r) == 0 and r.version == 0

@@ -46,3 +46,35 @@ class TestUniondiff:
         new = uniondiff(r, delta)
         assert set(new) == set(delta) - set(old)
         assert set(r.rows()) == set(old) | set(delta)
+
+
+class TestUniondiffIds:
+    """The id-space form: same contract, duplicates found on int tuples."""
+
+    def setup_method(self):
+        from repro.col.atoms import AtomTable
+
+        self.atoms = AtomTable()
+
+    def ids(self, *values):
+        return [self.atoms.intern(Num(v)) for v in values]
+
+    def test_union_and_diff_with_aligned_id_columns(self):
+        from repro.storage.uniondiff import uniondiff_ids
+
+        r = Relation(Atom("r"), 2)
+        r.insert((Num(1), Num(2)))  # held before the fixpoint's id set knew
+        seen = set()
+        cols = [self.ids(3, 1, 3, 5), self.ids(4, 2, 4, 6)]
+        new, new_cols = uniondiff_ids(r, cols, self.atoms, seen)
+        assert new == [(Num(3), Num(4)), (Num(5), Num(6))]
+        assert [self.atoms.decode(c) for c in new_cols] == [
+            [Num(3), Num(5)], [Num(4), Num(6)],
+        ]
+        assert len(seen) == 3  # the pre-existing row is known from now on
+        assert (r.counters.inserts, r.counters.duplicate_inserts) == (3, 2)
+        # A second round: everything is a duplicate on ids alone.
+        version = r.version
+        assert uniondiff_ids(r, cols, self.atoms, seen) == ([], [])
+        assert r.version == version
+        assert r.counters.duplicate_inserts == 6
