@@ -1016,6 +1016,7 @@ def _run_mvcc_mode(mvcc, txns, rows_per_txn, readers, hold_s):
     """
     import threading
 
+    from repro.server.protocol import decode_values
     from repro.server.server import GlueNailServer
 
     batches_per_txn = 3
@@ -1036,7 +1037,7 @@ def _run_mvcc_mode(mvcc, txns, rows_per_txn, readers, hold_s):
                         {"op": "rows", "name": "edge", "arity": 2}
                     )
                     local_lat.append(time.perf_counter() - t0)
-                    local_obs.append(len(reply["rows"]))
+                    local_obs.append(reply["count"])
                     # Paced arrivals: without this, a reader stalled
                     # behind the write lock stops sampling while fast
                     # between-window reads pile up -- coordinated
@@ -1071,11 +1072,9 @@ def _run_mvcc_mode(mvcc, txns, rows_per_txn, readers, hold_s):
         for t in threads:
             t.join(timeout=30)
         assert not failures, failures
-        final = sorted(
-            tuple(v) for v in writer.dispatch(
-                {"op": "rows", "name": "edge", "arity": 2}
-            )["values"]
-        )
+        final = sorted(decode_values(writer.dispatch(
+            {"op": "rows", "name": "edge", "arity": 2}
+        )))
         mvcc_stats = server.mvcc_store.stats() if server.mvcc_store else {}
     return latencies, observed, final, mvcc_stats
 

@@ -8,7 +8,8 @@
         client.facts("edge", [(1, 2), (2, 3)])
         client.load("path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z).")
         result = client.query("path(1, X)?")
-        result.values        # [(1, 2), (1, 3)]
+        result               # [(1, 2), (1, 3)] -- value tuples
+        result.facts         # ["(1, 2)", "(1, 3)"] -- fact syntax, on demand
         result.stats         # per-session QueryStats payload (dict)
 
 One request / one response per call, JSON lines over a TCP socket; errors
@@ -25,9 +26,12 @@ further frames off the socket directly.
 from __future__ import annotations
 
 import socket
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.server.protocol import MAX_LINE, decode, encode
+from repro.server.protocol import MAX_LINE, decode, decode_values, encode
+from repro.terms.printer import tuple_to_str
+from repro.terms.term import mk
 
 DEFAULT_PORT = 7411
 
@@ -45,26 +49,26 @@ class ConnectionClosed(ConnectionError):
 
 
 class RemoteResult(list):
-    """Rows from the server: a list of pretty-printed tuples, plus
-    ``values`` (JSON-lowered rows as tuples), ``stats`` and ``resolution``
-    mirroring :class:`~repro.core.result.QueryResult`."""
+    """Rows from the server as value tuples -- atoms as str, numbers as
+    int/float, compound terms as nested tuples: the shape of
+    :meth:`~repro.core.result.QueryResult.to_python`.  ``values`` is the
+    list itself; ``facts`` renders fact syntax on demand; ``stats``,
+    ``resolution`` and ``trace`` mirror :class:`~repro.core.result.QueryResult`."""
 
     def __init__(self, payload: dict):
-        super().__init__(payload.get("rows", []))
-        self.values: List[tuple] = [
-            tuple(_listed_to_tuple(v) for v in row)
-            for row in payload.get("values", [])
-        ]
+        super().__init__(decode_values(payload))
         self.stats: Optional[dict] = payload.get("stats")
         self.resolution: Optional[str] = payload.get("resolution")
         self.trace: List[dict] = payload.get("trace", [])
 
+    @property
+    def values(self) -> List[tuple]:
+        return self
 
-def _listed_to_tuple(value):
-    """JSON arrays (compound terms) back to nested tuples."""
-    if isinstance(value, list):
-        return tuple(_listed_to_tuple(v) for v in value)
-    return value
+    @cached_property
+    def facts(self) -> List[str]:
+        """Each row in fact syntax, e.g. ``"(1, 'New York')"``."""
+        return [tuple_to_str(map(mk, row)) for row in self]
 
 
 class ClientNotification:
@@ -83,10 +87,7 @@ class ClientNotification:
         self.seq: int = frame.get("seq", 0)
         self.predicate: str = frame.get("predicate", "")
         self.op: str = frame.get("op", "")
-        self.rows: List[tuple] = [
-            tuple(_listed_to_tuple(v) for v in row)
-            for row in frame.get("rows", [])
-        ]
+        self.rows: List[tuple] = decode_values(frame)
         self.txn: int = frame.get("txn", 0)
         self.version: int = frame.get("version", 0)
         self.dropped: int = frame.get("dropped", 0)
@@ -323,12 +324,7 @@ class Client:
         if snapshot:
             fields["snapshot"] = True
         response = self.request("subscribe", **fields)
-        rows = None
-        if snapshot:
-            rows = [
-                tuple(_listed_to_tuple(v) for v in row)
-                for row in response.get("snapshot", [])
-            ]
+        rows = decode_values(response["snapshot"]) if snapshot else None
         sub = ClientSubscription(
             self, response["sub"], response["predicate"], response["kind"],
             snapshot=rows,

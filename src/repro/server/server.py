@@ -35,9 +35,9 @@ from repro.analysis.scope import pred_skeleton
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_query
-from repro.core.query import rows_to_python
 from repro.server.protocol import (
     ProtocolError,
+    columns_payload,
     decode,
     encode,
     error_response,
@@ -398,7 +398,7 @@ class Session:
         self._ensure_pusher()
         fields = {"sub": sub.id, "predicate": sub.predicate, "kind": sub.kind}
         if snapshot:
-            fields["snapshot"] = rows_to_python(sub.snapshot_rows or [])
+            fields["snapshot"] = columns_payload(sub.snapshot_rows or [])
         return fields
 
     def op_unsubscribe(self, request: dict) -> dict:

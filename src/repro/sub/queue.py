@@ -51,8 +51,8 @@ class Notification:
     extra: dict = field(default_factory=dict, compare=False)
 
     def payload(self) -> dict:
-        """The JSON-able wire shape (rows still as Terms; the server maps
-        them through :func:`repro.server.protocol.rows_to_python`)."""
+        """The JSON-able wire shape, rows left out (the server adds them as
+        columns through :func:`repro.server.protocol.notification_frame`)."""
         return {
             "sub": self.sub_id,
             "seq": self.seq,

@@ -7,6 +7,7 @@ matters."""
 import pytest
 
 from repro.server.client import Client
+from repro.server.protocol import decode_values
 from repro.server.server import GlueNailServer
 
 PROC_PROGRAM = """
@@ -31,7 +32,7 @@ class TestSnapshotRouting:
         session.dispatch({"op": "facts", "name": "edge", "rows": [[1, 2]]})
         before = server.mvcc_store.stats()["publishes"]
         reply = session.dispatch({"op": "rows", "name": "edge", "arity": 2})
-        assert reply["values"] == [[1, 2]] or reply["values"] == [(1, 2)]
+        assert decode_values(reply) == [(1, 2)]
         stats = session.dispatch({"op": "stats"})
         assert stats["counters"]["snapshot_pins"] >= 1
         assert stats["mvcc"]["publishes"] >= before
@@ -49,7 +50,7 @@ class TestSnapshotRouting:
         session = server._new_session()
         session.dispatch({"op": "facts", "name": "edge", "rows": [[1, 2]]})
         reply = session.dispatch({"op": "query", "q": "edge(1, X)?"})
-        assert reply["values"] == [(1, 2)]
+        assert decode_values(reply) == [(1, 2)]
         counters = session.dispatch({"op": "stats"})["counters"]
         assert counters["snapshot_reads"] >= 1
 
@@ -59,7 +60,7 @@ class TestSnapshotRouting:
             session = srv._new_session()
             session.dispatch({"op": "facts", "name": "edge", "rows": [[1, 2]]})
             reply = session.dispatch({"op": "rows", "name": "edge", "arity": 2})
-            assert reply["values"] == [(1, 2)]
+            assert decode_values(reply) == [(1, 2)]
             stats = session.dispatch({"op": "stats"})
             assert "mvcc" not in stats
             assert stats["counters"].get("snapshot_pins", 0) == 0
@@ -105,7 +106,7 @@ class TestClassifyUpgradeRace:
 
         assert state["fired"], "the classify hook never ran"
         assert reply["resolution"] == "procedure"
-        assert reply["values"] == [(1,)]
+        assert decode_values(reply) == [(1,)]
         assert state["write_acquires"] >= 1, (
             "a mutating fallback ran outside the write lock"
         )
@@ -120,7 +121,7 @@ class TestClassifyUpgradeRace:
         reply = session.dispatch({"op": "query", "q": "q(1)?"})
         assert state["fired"]
         assert reply["resolution"] == "none"
-        assert reply["values"] == []
+        assert decode_values(reply) == []
 
 
 class TestNotificationVersions:

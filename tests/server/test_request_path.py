@@ -7,6 +7,7 @@ import gc
 import pytest
 
 from repro.core.system import GlueNailSystem
+from repro.server.protocol import decode_values
 from repro.server.server import GlueNailServer
 
 PATH_RULES = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z)."
@@ -69,7 +70,7 @@ class TestParseOnce:
             ):
                 calls.clear()
                 response = session.dispatch(request)
-                assert response["ok"] and response["rows"]
+                assert response["ok"] and decode_values(response)
                 assert calls == [request["q"]]
             bad = session.dispatch({"op": "query", "q": "path(1, X"})
             assert not bad["ok"] and bad["kind"] == "ParseError"
@@ -130,5 +131,6 @@ class TestClosedSessions:
             assert server.store is not None and server.store.wal is not None
             again = server._new_session()
             assert again.dispatch({"op": "facts", "name": "edge", "rows": [[2, 3]]})["ok"]
-            assert len(again.dispatch({"op": "query", "q": "path(1, X)?"})["rows"]) == 2
+            reply = again.dispatch({"op": "query", "q": "path(1, X)?"})
+            assert sorted(decode_values(reply)) == [(1, 2), (1, 3)]
             again.release()

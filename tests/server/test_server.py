@@ -5,6 +5,7 @@ The ``stress`` marker selects the multi-threaded smoke test (its own CI
 job); everything else here is fast enough for tier 1.
 """
 
+import json
 import socket
 import threading
 
@@ -37,6 +38,7 @@ class TestBasicOps:
         client.load(PATH_RULES)
         result = client.query("path(1, X)?")
         assert sorted(result.values) == [(1, 2), (1, 3)]
+        assert sorted(result.facts) == ["(1, 2)", "(1, 3)"]
         assert result.resolution == "nail"
         assert result.stats["rows"] == 2
 
@@ -59,6 +61,35 @@ class TestBasicOps:
             with Client(port=srv.port) as c:
                 c.facts("edge", [(1, 2), (2, 3)])
                 assert len(c.query("path(1, X)?")) == 2
+
+    def test_large_reply_carries_each_value_once(self, server, client):
+        client.facts("big", [(f"author{i % 997}", i, f"p{i}") for i in range(20_000)])
+        lines = []
+        read_line = client._read_line
+
+        def recording(timeout):
+            line = read_line(timeout)
+            lines.append(line)
+            return line
+
+        client._read_line = recording
+        result = client.query("big(A, N, P)?")
+        session = server._new_session()
+        try:
+            expected = session.system.query("big(A, N, P)?").to_python()
+        finally:
+            session.release()
+        assert len(expected) == 20_000 and result.values == expected
+        once = sum(len(json.dumps(v)) + 1 for row in expected for v in row)
+        assert once <= len(lines[-1]) <= once + 4096
+
+    def test_nullary_and_empty_answers_cross_the_wire(self, client):
+        client.fact("flag")
+        client.facts("edge", [(1, 2)])
+        assert client.query("flag()?") == [()]
+        assert client.query("nope()?") == []
+        empty = client.query("edge(5, X)?")
+        assert empty == [] and empty.facts == [] and empty.resolution == "edb"
 
     def test_trace_round_trip(self, client):
         client.facts("edge", [(1, 2)])
