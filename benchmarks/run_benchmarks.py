@@ -671,114 +671,6 @@ def main_subscriptions(args) -> int:
     return 0
 
 
-def _run_closure_once(edges, workers):
-    """One closure materialization through the system facade.
-
-    ``workers > 1`` turns on ``parallel_mode="partition"``; the stats also
-    carry the full counter snapshot so the differential check can assert
-    counter-exactness, not just result equality.
-    """
-    from repro.core.system import GlueNailSystem
-    from repro.storage.stats import COUNTER_FIELDS
-
-    if workers > 1:
-        system = GlueNailSystem(parallel_mode="partition", workers=workers)
-    else:
-        system = GlueNailSystem()
-    system.load(PATH_RULES)
-    system.facts("edge", edges)
-    system.compile()
-    system.reset_counters()
-    t0 = time.perf_counter()
-    rows = set(system.rows("path", 2).rows)
-    wall = time.perf_counter() - t0
-    counters = dict(zip(COUNTER_FIELDS, system.db.counters.as_tuple()))
-    stats = {
-        "rows": len(rows),
-        "wall_s": round(wall, 4),
-        "tuples_scanned": counters["tuples_scanned"],
-        "index_lookups": counters["index_lookups"],
-        "index_probe_tuples": counters["index_probe_tuples"],
-        "parallel_joins": counters["parallel_joins"],
-        "parallel_tasks": counters["parallel_tasks"],
-    }
-    core = {k: v for k, v in counters.items() if not k.startswith("parallel_")}
-    system.close()
-    return stats, rows, core
-
-
-def main_parallel(args) -> int:
-    """The partition-parallel workload: the transitive-closure fixpoints
-    evaluated serially and across worker pools of increasing size.
-
-    Numbers are honest about the runtime: the pool is thread-based, so on
-    a box where ``os.cpu_count()`` is 1 (or under the GIL generally) the
-    interesting columns are the *overhead* of partitioning and the
-    ``--check`` differential -- a parallel run must produce the identical
-    row set and identical non-``parallel_*`` counters as the serial run.
-    """
-    import os
-
-    worker_counts = [int(w) for w in args.workers.split(",")]
-    if args.quick:
-        sizes = {"par-chain-150": chain_edges(150),
-                 "par-random-50n-200e": random_graph(50, 200)}
-    else:
-        sizes = {"par-chain-300": chain_edges(300),
-                 "par-random-80n-400e": random_graph(80, 400)}
-    results = {}
-    divergences = []
-    for name, edges in sizes.items():
-        serial_stats, serial_rows, serial_core = _run_closure_once(edges, 1)
-        entry = {"edges": len(edges), **_runtime_info(), "workers": {}}
-        entry["workers"]["1"] = serial_stats
-        line = f"{name:28s} rows={serial_stats['rows']:<7d} serial={serial_stats['wall_s']:<8.4f}"
-        for workers in worker_counts:
-            if workers <= 1:
-                continue
-            par_stats, par_rows, par_core = _run_closure_once(edges, workers)
-            par_stats["speedup_vs_serial"] = round(
-                serial_stats["wall_s"] / max(par_stats["wall_s"], 1e-9), 2
-            )
-            entry["workers"][str(workers)] = par_stats
-            line += f" w{workers}={par_stats['wall_s']:<8.4f}"
-            if args.check:
-                ok = par_rows == serial_rows and par_core == serial_core
-                if not ok:
-                    divergences.append(f"{name} (workers={workers})")
-        if args.check:
-            line += "  check=" + ("DIVERGED" if any(
-                d.startswith(name) for d in divergences) else "OK")
-        results[name] = entry
-        print(line)
-
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["cores"] = os.cpu_count()
-    doc["workloads"] = results
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": results}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-    if divergences:
-        print(f"DIVERGENCE parallel vs serial on: {', '.join(divergences)}")
-        return 1
-    return 0
-
-
 def _run_batchmode_once(source, facts, goal, arity, batch_mode, reps=2):
     """Materializations through the system facade under one batch mode.
 
@@ -1203,14 +1095,6 @@ def main(argv=None) -> int:
         "verifies a subscriber's replayed deltas against recomputation",
     )
     parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run the partition-parallel workload instead (closure "
-        "fixpoints serial vs across worker pools); writes "
-        "BENCH_parallel.json by default; --check asserts parallel == "
-        "serial on rows and all non-parallel_* counters",
-    )
-    parser.add_argument(
         "--columnar",
         action="store_true",
         help="run the columnar batch-execution workload instead "
@@ -1227,11 +1111,6 @@ def main(argv=None) -> int:
         "snapshot pins vs the read/write-lock baseline); writes "
         "BENCH_mvcc.json by default; --check asserts readers only ever "
         "saw committed states and both modes converge to identical rows",
-    )
-    parser.add_argument(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated worker counts for --parallel (default 1,2,4,8)",
     )
     parser.add_argument(
         "--out",
@@ -1255,8 +1134,6 @@ def main(argv=None) -> int:
         return main_ordering(args)
     if args.subscriptions:
         return main_subscriptions(args)
-    if args.parallel:
-        return main_parallel(args)
     if args.columnar:
         return main_columnar(args)
     if args.mvcc:

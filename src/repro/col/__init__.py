@@ -8,7 +8,7 @@ specialized batch operators instead of per-tuple ``dict[var, Term]``
 shuffling.  ``batch_mode="row"`` keeps the row engine as the differential
 baseline; a columnar run charges bit-identical cost counters (see
 :mod:`repro.col.kernels` for the parity contract) so the two modes are
-interchangeable everywhere, including under ``parallel_mode="partition"``.
+interchangeable everywhere.
 """
 
 from repro.col.atoms import AtomTable

@@ -62,24 +62,6 @@ class Batch:
         decoded = [atoms.decode(col) for col in self.cols]
         return [dict(zip(names, values)) for values in zip(*decoded)]
 
-    def concat(self, other: "Batch") -> "Batch":
-        """Append another batch with the same variable set (parallel merge)."""
-        if other.vars != self.vars:
-            raise ValueError("cannot concat batches with different variables")
-        return Batch(
-            self.vars,
-            [a + b for a, b in zip(self.cols, other.cols)],
-            self.length + other.length,
-            self.atoms,
-        )
-
-    def slices(self, bounds: Sequence[Tuple[int, int]]) -> List["Batch"]:
-        """Contiguous row slices (the batch-aware partition split)."""
-        return [
-            Batch(self.vars, [col[lo:hi] for col in self.cols], hi - lo, self.atoms)
-            for lo, hi in bounds
-        ]
-
 
 def encode_dicts(bindings_list, atoms) -> Optional[Batch]:
     """Encode homogeneous binding dicts into a batch; None if mixed.

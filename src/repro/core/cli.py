@@ -30,7 +30,6 @@ from repro.terms.printer import tuple_to_str
 
 
 def _build_system(args) -> GlueNailSystem:
-    workers = getattr(args, "workers", None)
     options = dict(
         strict=args.strict,
         optimize=not args.no_optimize,
@@ -39,8 +38,6 @@ def _build_system(args) -> GlueNailSystem:
         join_mode=getattr(args, "join_mode", "hash"),
         order_mode=getattr(args, "order_mode", "cost"),
         batch_mode=getattr(args, "batch_mode", "columnar"),
-        parallel_mode="partition" if workers is not None and workers > 1 else "serial",
-        workers=workers,
     )
     if getattr(args, "db", None):
         system = GlueNailSystem.open(args.db, **options)
@@ -143,12 +140,7 @@ def cmd_repl(args) -> int:
     from repro.core.repl import Repl
     from repro.core.system import GlueNailSystem
 
-    workers = getattr(args, "workers", None)
-    options = dict(
-        parallel_mode="partition" if workers is not None and workers > 1 else "serial",
-        workers=workers,
-        batch_mode=getattr(args, "batch_mode", "columnar"),
-    )
+    options = dict(batch_mode=getattr(args, "batch_mode", "columnar"))
     if getattr(args, "db", None):
         system = GlueNailSystem.open(args.db, **options)
     else:
@@ -176,7 +168,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         sync=not args.no_sync,
-        workers=args.workers,
         batch_mode=getattr(args, "batch_mode", "columnar"),
         mvcc=not args.no_mvcc,
     )
@@ -312,11 +303,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--batch-mode", choices=("columnar", "row"), default="columnar",
         help="how bodies execute: columnar batch kernels or the row baseline",
     )
-    parser.add_argument(
-        "--workers", type=int, metavar="N",
-        help="evaluate large joins across N worker threads "
-             "(partition-parallel mode; 1 or unset = serial)",
-    )
     parser.add_argument("--stats", action="store_true", help="print cost counters")
     parser.add_argument(
         "--trace-json",
@@ -372,8 +358,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_repl.add_argument("--edb", help="EDB dump to load first")
     p_repl.add_argument("--db", metavar="DIR",
                         help="durable database directory (recovered on open)")
-    p_repl.add_argument("--workers", type=int, metavar="N",
-                        help="partition-parallel evaluation across N threads")
     p_repl.add_argument("--batch-mode", choices=("columnar", "row"),
                         default="columnar",
                         help="columnar batch kernels or the row baseline")
@@ -388,8 +372,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--port", type=int, default=7411)
     p_serve.add_argument("--no-sync", action="store_true",
                          help="skip fsync on commit (faster, less durable)")
-    p_serve.add_argument("--workers", type=int, metavar="N",
-                        help="partition-parallel evaluation across N threads")
     p_serve.add_argument("--batch-mode", choices=("columnar", "row"),
                         default="columnar",
                         help="columnar batch kernels or the row baseline")

@@ -45,7 +45,6 @@ Commands:
   .last                stats (and trace, with .profile on) of the last query
   .strategy NAME       pipelined | materialized
   .batch columnar|row  columnar batch kernels or the row baseline
-  .workers N           partition-parallel evaluation across N threads (1 = serial)
   .stats               cost counters since the last .stats
   .save FILE / .load FILE   EDB persistence
   .begin / .commit / .rollback   transaction boundaries
@@ -221,7 +220,6 @@ class Repl:
             ".last": self._cmd_last,
             ".strategy": self._cmd_strategy,
             ".batch": self._cmd_batch,
-            ".workers": self._cmd_workers,
             ".stats": self._cmd_stats,
             ".save": self._cmd_save,
             ".load": self._cmd_load,
@@ -300,9 +298,7 @@ class Repl:
     def _cmd_profile(self, arg: str) -> None:
         if arg == "on":
             self.system.enable_tracing()
-            parallel = self.system.parallel
-            workers = parallel.workers if parallel is not None else 1
-            self._print(f"profiling on (workers = {workers})")
+            self._print("profiling on")
         elif arg == "off":
             self.system.disable_tracing()
             self._print("profiling off")
@@ -336,28 +332,6 @@ class Repl:
         self.system.batch_mode = arg
         self.system._invalidate()
         self._print(f"batch mode = {arg}")
-
-    def _cmd_workers(self, arg: str) -> None:
-        if not arg:
-            parallel = self.system.parallel
-            if parallel is None:
-                self._print("workers = 1 (serial)")
-            else:
-                stats = parallel.stats()
-                self._print(
-                    f"workers = {stats['workers']} (partition mode, "
-                    f"{stats['parallel_joins']} parallel join(s), "
-                    f"{stats['parallel_tasks']} task(s))"
-                )
-            return
-        try:
-            workers = int(arg)
-        except ValueError:
-            self._print("usage: .workers N")
-            return
-        self.system.set_workers(workers)
-        mode = self.system.parallel_mode
-        self._print(f"workers = {max(1, workers)} ({mode} mode)")
 
     def _cmd_stats(self, _arg: str) -> None:
         snapshot = {k: v for k, v in self.system.counters.snapshot().items() if v}

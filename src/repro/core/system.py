@@ -63,9 +63,6 @@ class GlueNailSystem:
         join_mode: str = "hash",
         order_mode: str = "cost",
         batch_mode: str = "columnar",
-        parallel_mode: str = "serial",
-        workers: Optional[int] = None,
-        parallel: Optional[object] = None,
         trace: Union[bool, TraceSink] = False,
     ):
         self.db = db if db is not None else Database()
@@ -97,28 +94,6 @@ class GlueNailSystem:
         if batch_mode not in ("columnar", "row"):
             raise ValueError(f"unknown batch mode {batch_mode!r}")
         self.batch_mode = batch_mode
-        # Partition-parallel evaluation (repro.par): "partition" runs
-        # seminaive joins and Glue statement bodies across a worker pool,
-        # hash-partitioned on the planner's probe keys; "serial" is the
-        # single-threaded baseline with zero parallel machinery attached.
-        if parallel_mode not in ("serial", "partition"):
-            raise ValueError(f"unknown parallel mode {parallel_mode!r}")
-        self.parallel_mode = parallel_mode
-        self.parallel = None
-        if parallel is not None:
-            # An externally owned ParallelContext (the query server shares
-            # one across sessions); adopt it without taking ownership.
-            self.parallel_mode = "partition"
-            self.parallel = parallel
-            self.parallel.adopt(self.db)
-            self._owns_parallel = False
-        elif parallel_mode == "partition":
-            from repro.par import ParallelContext
-
-            self.parallel = ParallelContext(workers=workers, db=self.db)
-            self._owns_parallel = True
-        else:
-            self._owns_parallel = False
 
         self._programs: List[Program] = []
         self._foreign: List[Tuple[ForeignSig, ForeignProc]] = []
@@ -238,7 +213,6 @@ class GlueNailSystem:
             adaptive_reorder=self.adaptive_reorder,
             join_mode=self.join_mode,
             order_mode=self.order_mode,
-            parallel=self.parallel,
             batch_mode=self.batch_mode,
         )
         for _, proc in self._foreign:
@@ -249,7 +223,7 @@ class GlueNailSystem:
         engine = NailEngine(
             self.db, compiled.rules, strategy=self.nail_strategy, check_safety=False,
             join_mode=self.join_mode, order_mode=self.order_mode,
-            parallel=self.parallel, batch_mode=self.batch_mode,
+            batch_mode=self.batch_mode,
         )
         ctx.nail_engine = engine
         for name, arity in compiled.edb_decls:
@@ -438,8 +412,7 @@ class GlueNailSystem:
 
     def close(self) -> None:
         """Release compiled state and the engine's derived relations (a
-        later call recompiles), the durable store and the worker pool (if
-        any); idempotent."""
+        later call recompiles) and the durable store (if owned); idempotent."""
         if self._engine is not None:
             self._engine.close()
         self._invalidate()
@@ -449,36 +422,6 @@ class GlueNailSystem:
         if self.store is not None and self._owns_store:
             self.store.close()
             self.store = None
-        if self.parallel is not None and self._owns_parallel:
-            self.parallel.shutdown()
-
-    def set_workers(self, workers: Optional[int]) -> "GlueNailSystem":
-        """Resize (or enable/disable) the partition-parallel worker pool.
-
-        ``workers`` <= 1 (or None with one core) drops back to serial
-        evaluation; anything larger builds a fresh :class:`ParallelContext`
-        and recompiles so the engine and VM pick it up.  The REPL's
-        ``.workers N`` and the CLI's ``--workers`` land here.
-        """
-        if self.parallel is not None and self._owns_parallel:
-            self.parallel.shutdown()
-        self.parallel = None
-        self._owns_parallel = False
-        if workers is not None and workers <= 1:
-            self.parallel_mode = "serial"
-        else:
-            from repro.par import ParallelContext
-
-            context = ParallelContext(workers=workers, db=self.db)
-            if context.workers > 1:
-                self.parallel = context
-                self._owns_parallel = True
-                self.parallel_mode = "partition"
-            else:
-                context.shutdown()
-                self.parallel_mode = "serial"
-        self._invalidate()
-        return self
 
     # ------------------------------------------------------------------ #
     # tracing
@@ -723,8 +666,7 @@ class GlueNailSystem:
                 answers, _engine = magic_query(
                     self.db, self._compiled.rules, subgoal.pred, subgoal.args,
                     strategy=self.nail_strategy, join_mode=self.join_mode,
-                    order_mode=self.order_mode, parallel=self.parallel,
-                    batch_mode=self.batch_mode,
+                    order_mode=self.order_mode, batch_mode=self.batch_mode,
                 )
             except MagicTransformError:
                 return self._resolve_query(subgoal)

@@ -43,7 +43,6 @@ from repro.lang.ast import (
 from repro.nail.rules import JoinPlanner, RuleInfo
 from repro.opt import LiteralPlan, Plan
 from repro.opt import optimize as _optimize
-from repro.par.partition import chunk_bounds
 from repro.terms.matching import instantiate, match, match_tuple, substitute
 from repro.terms.term import Atom, Num, Term, Var, is_ground
 
@@ -176,21 +175,6 @@ class _IterSource:
         if self._set is None:
             self._set = set(self.rows)
         return tuple(row) in self._set
-
-    # Pre-builds for partition-parallel probing (see repro.par): probe()
-    # and contains() build lazily without synchronization, so the
-    # coordinator forces the state before fanning out.
-
-    def ensure_table(self, cols: Tuple[int, ...]) -> None:
-        if cols not in self._tables:
-            table: dict = {}
-            for row in self.rows:
-                table.setdefault(tuple(row[c] for c in cols), []).append(row)
-            self._tables[cols] = table
-
-    def ensure_set(self) -> None:
-        if self._set is None:
-            self._set = set(self.rows)
 
 
 def _as_source(obj):
@@ -356,91 +340,6 @@ def _antijoin_group(
     return "anti-static"
 
 
-def _run_partition(runner, chunk, source, plan):
-    """One worker's share of a grouped join: a private output list."""
-    out: List[Bindings] = []
-    strategy = runner(chunk, source, plan, out)
-    return out, strategy
-
-
-def _parallel_group(
-    parallel, group, source, plan: LiteralPlan, runner, out, tracer, label
-) -> Optional[str]:
-    """Try to run one homogeneous binding group split across the pool.
-
-    Returns the strategy label on success, or None to fall back to the
-    serial join.  Only per-binding strategies split (probe / probe+match /
-    member / anti-probe / anti-match / scan+match): each worker runs the
-    *same* ``runner`` code over its share of the bindings, so a parallel
-    join performs exactly the probes a serial join performs and the cost
-    counters come out identical.  The group-level strategies (broadcast /
-    anti-static compute one shared fragment set) and HiLog
-    predicate-variable literals stay serial -- see the fallback matrix in
-    docs/PERFORMANCE.md.
-    """
-    if not parallel.active or len(group) < 2 * parallel.min_partition_rows:
-        return None
-    residual = bool(plan.complex_cols) and (plan.complex_has_bound or plan.has_var_keys)
-    if not plan.has_var_keys and not residual:
-        return None  # broadcast / anti-static: group-level work
-    from repro.par import (
-        Partitioner,
-        choose_exchange,
-        prepare_contains_source,
-        prepare_probe_source,
-    )
-
-    anti = runner is _antijoin_group
-    member = anti and not residual and plan.covers_all_columns
-    if member:
-        if not prepare_contains_source(source):
-            return None
-    elif not prepare_probe_source(source, plan.probe_cols):
-        return None
-    decision = choose_exchange(
-        source, () if member else plan.probe_cols, parallel.broadcast_rows
-    )
-    partitioner = Partitioner(parallel.partition_count(len(group)))
-    if decision.strategy == "shuffle":
-        key_cols = plan.key_cols
-        parts = [
-            p
-            for p in partitioner.hash_split(
-                group, lambda b: _probe_key(key_cols, b)
-            )
-            if p
-        ]
-    else:
-        parts = partitioner.chunk_split(group)
-    if len(parts) < 2:
-        return None
-    if tracer is not None and tracer.enabled:
-        tracer.event(
-            "exchange",
-            label,
-            strategy=decision.strategy,
-            source=len(source),
-            bindings=len(group),
-            partitions=len(parts),
-            est_rows=decision.est_matches,
-        )
-    results = parallel.run_region(
-        [
-            (lambda chunk=chunk: _run_partition(runner, chunk, source, plan))
-            for chunk in parts
-        ],
-        label=label,
-        tracer=tracer,
-        strategy=decision.strategy,
-        partition_rows=[len(p) for p in parts],
-    )
-    strategy = None
-    for chunk_out, chunk_strategy in results:
-        out.extend(chunk_out)
-        strategy = chunk_strategy
-    return f"{strategy}+{decision.strategy}"
-
-
 def _grouped_literal(
     bindings_list: List[Bindings],
     index: int,
@@ -450,7 +349,6 @@ def _grouped_literal(
     tracer,
     runner,
     est_rows: Optional[float] = None,
-    parallel=None,
 ) -> List[Bindings]:
     """Run ``runner`` (join or anti-join) per homogeneous binding group.
 
@@ -506,14 +404,7 @@ def _grouped_literal(
         else:
             source = _as_source(rows_fn(subgoal.pred, plan.arity))
             before = len(out)
-            strategy = None
-            if parallel is not None:
-                strategy = _parallel_group(
-                    parallel, group, source, plan, runner, out, tracer,
-                    f"{subgoal.pred}/{plan.arity}",
-                )
-            if strategy is None:
-                strategy = runner(group, source, plan, out)
+            strategy = runner(group, source, plan, out)
             if tracer is not None and tracer.enabled:
                 added = len(out) - before
                 tracer.event(
@@ -729,56 +620,6 @@ def _empty_batch(batch: Batch, plan: LiteralPlan) -> Batch:
     return Batch(names, [[] for _ in names], 0, batch.atoms)
 
 
-def _parallel_probe_kernel(
-    parallel, batch: Batch, plan, table, counters, atoms, tracer, label, source_size
-) -> Optional[Batch]:
-    """Batch-aware partition split: the probe kernel over column slices.
-
-    The coordinator builds (or reuses) the kernel table, splits the batch
-    into contiguous column slices, and runs the same ``run_probe`` code per
-    slice on the worker pool -- so a parallel columnar join performs
-    exactly the probes a serial one performs and the folded cost counters
-    come out identical.  Returns None (serial fallback) below the
-    partition floor.
-    """
-    n = batch.length
-    parts = parallel.partition_count(n)
-    if parts < 2:
-        return None
-    bounds = chunk_bounds(n, parts)
-    if len(bounds) < 2:
-        return None
-    # Pre-intern constant key components on the coordinator: worker-side
-    # kernel runs then only *read* the shared atom table.
-    for _col, kind, value in plan.key_cols:
-        if kind == "const":
-            atoms.intern(value)
-    slices = batch.slices(bounds)
-    if tracer is not None and tracer.enabled:
-        tracer.event(
-            "exchange",
-            label,
-            strategy="broadcast",
-            source=source_size,
-            bindings=n,
-            partitions=len(slices),
-        )
-    outs = parallel.run_region(
-        [
-            (lambda s=s: run_probe(s, plan, table, counters, atoms))
-            for s in slices
-        ],
-        label=label,
-        tracer=tracer,
-        strategy="chunked",
-        partition_rows=[len(s) for s in slices],
-    )
-    out = outs[0]
-    for chunk in outs[1:]:
-        out = out.concat(chunk)
-    return out
-
-
 def _columnar_literal(
     batch: Batch,
     index: int,
@@ -788,7 +629,6 @@ def _columnar_literal(
     ctx,
     tracer,
     est_rows: Optional[float],
-    parallel,
 ) -> Optional[Batch]:
     """Evaluate one literal against a batch with a specialized kernel.
 
@@ -806,7 +646,6 @@ def _columnar_literal(
     source = _as_source(fn(subgoal.pred, plan.arity))
     atoms = ctx.atoms
     cached: Optional[bool] = None
-    parallel_label = None
     if subgoal.negated:
         if isinstance(source, _EmptySource):
             # Nothing to match: every binding survives, nothing is charged
@@ -846,21 +685,7 @@ def _columnar_literal(
                 return None  # delta/iterable probes keep the row engine
             relation = source.relation
             table, cached = ctx.probe_table(relation, plan)
-            out = None
-            if (
-                parallel is not None
-                and parallel.active
-                and batch.length >= 2 * parallel.min_partition_rows
-            ):
-                parallel_label = f"{subgoal.pred}/{plan.arity}"
-                out = _parallel_probe_kernel(
-                    parallel, batch, plan, table, relation.counters, atoms,
-                    tracer, parallel_label, len(source),
-                )
-                if out is None:
-                    parallel_label = None
-            if out is None:
-                out = run_probe(batch, plan, table, relation.counters, atoms)
+            out = run_probe(batch, plan, table, relation.counters, atoms)
         strategy = "probe"
     else:
         # Broadcast: candidates come through the source's own probe/scan
@@ -875,7 +700,7 @@ def _columnar_literal(
             "join",
             label,
             rows=added,
-            strategy=strategy + "+chunked" if parallel_label else strategy,
+            strategy=strategy,
             bindings=batch.length,
             source=len(source),
             key=list(plan.probe_cols),
@@ -943,7 +768,6 @@ def eval_rule_body_batch(
     tracer=None,
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> Union[List[Bindings], Batch]:
     """Evaluate a rule body; the result may still be a columnar batch.
@@ -969,8 +793,6 @@ def eval_rule_body_batch(
         raise ValueError(f"unknown order mode {order_mode!r}")
     if batch_mode not in ("columnar", "row"):
         raise ValueError(f"unknown batch mode {batch_mode!r}")
-    if parallel is not None and isinstance(rule, RuleInfo) and rule.has_aggregate:
-        parallel = None  # serial fallback: multiplicity-sensitive bodies
     var_order = planner.var_order if planner is not None else ()
 
     # Columnar batches apply to planned (hash) bodies without aggregates;
@@ -1061,7 +883,7 @@ def eval_rule_body_batch(
                 )
                 stepped = _columnar_literal(
                     bindings_list, index, subgoal, fn, planner, col_ctx,
-                    tracer, est_of.get(index), parallel,
+                    tracer, est_of.get(index),
                 )
             if stepped is not None:
                 bindings_list = stepped
@@ -1086,7 +908,7 @@ def eval_rule_body_batch(
                 if planner is not None:
                     bindings_list = _grouped_literal(
                         bindings_list, index, subgoal, rows_fn, planner, tracer,
-                        _antijoin_group, est_of.get(index), parallel,
+                        _antijoin_group, est_of.get(index),
                     )
                 else:
                     bindings_list = _filter_negation(bindings_list, subgoal, rows_fn)
@@ -1095,7 +917,7 @@ def eval_rule_body_batch(
                 if planner is not None:
                     bindings_list = _grouped_literal(
                         bindings_list, index, subgoal, fn, planner, tracer,
-                        _join_group, est_of.get(index), parallel,
+                        _join_group, est_of.get(index),
                     )
                 else:
                     bindings_list = _join_literal(bindings_list, subgoal, fn)
@@ -1126,7 +948,6 @@ def eval_rule_body(
     tracer=None,
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> List[Bindings]:
     """Evaluate a rule body left to right; returns the final binding set.
@@ -1147,11 +968,7 @@ def eval_rule_body(
     differential baseline); both charge identical cost counters.
     ``tracer``, when given and enabled, receives one ``join`` event per
     (literal, binding group) with the strategy the engine chose and
-    estimated vs. actual rows.  ``parallel`` (a
-    :class:`repro.par.ParallelContext`, or None) splits large binding
-    groups -- and columnar batches -- across the worker pool; aggregate
-    rules, where binding multiplicity and order carry meaning, always
-    evaluate serially.
+    estimated vs. actual rows.
     """
     out = eval_rule_body_batch(
         rule,
@@ -1162,7 +979,6 @@ def eval_rule_body(
         tracer=tracer,
         join_mode=join_mode,
         order_mode=order_mode,
-        parallel=parallel,
         batch_mode=batch_mode,
     )
     if isinstance(out, Batch):

@@ -78,7 +78,6 @@ class NailEngine:
         extra_edb: Optional[Database] = None,
         join_mode: str = "hash",
         order_mode: str = "cost",
-        parallel=None,
         batch_mode: str = "columnar",
     ):
         if strategy not in ("seminaive", "naive"):
@@ -94,9 +93,6 @@ class NailEngine:
         self.strategy = strategy
         self.join_mode = join_mode
         self.order_mode = order_mode
-        # A repro.par.ParallelContext (or None): partition-parallel join
-        # execution, threaded through exactly like the mode flags above.
-        self.parallel = parallel
         self.batch_mode = batch_mode
         self.rule_infos: List[RuleInfo] = prepare_rules(rules, check_safety=check_safety)
         self.dep = build_dependency_graph([info.rule for info in self.rule_infos])
@@ -301,7 +297,6 @@ class NailEngine:
                         strategy=self.strategy,
                         join_mode=self.join_mode,
                         order_mode=self.order_mode,
-                        parallel=self.parallel,
                         batch_mode=self.batch_mode,
                     )
                 except MagicTransformError as exc:
@@ -516,7 +511,7 @@ class NailEngine:
                 rounds, new_rows = incremental_eval(
                     relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
                     join_mode=self.join_mode, order_mode=self.order_mode,
-                    parallel=self.parallel, batch_mode=self.batch_mode,
+                    batch_mode=self.batch_mode,
                 )
             else:
                 with tracer.span(
@@ -525,8 +520,7 @@ class NailEngine:
                     rounds, new_rows = incremental_eval(
                         relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
                         tracer=tracer, join_mode=self.join_mode,
-                        order_mode=self.order_mode, parallel=self.parallel,
-                        batch_mode=self.batch_mode,
+                        order_mode=self.order_mode, batch_mode=self.batch_mode,
                     )
                     span.attrs["rounds"] = rounds
             counters.idb_delta_repairs += 1
@@ -634,7 +628,7 @@ class NailEngine:
             self.rounds_run = naive_eval(
                 relevant, rows_fn, self.idb, tracer=tracer,
                 join_mode=self.join_mode, order_mode=self.order_mode,
-                parallel=self.parallel, batch_mode=self.batch_mode,
+                batch_mode=self.batch_mode,
             )
         else:
             self.rounds_run = seminaive_eval(
@@ -645,7 +639,6 @@ class NailEngine:
                 tracer=tracer,
                 join_mode=self.join_mode,
                 order_mode=self.order_mode,
-                parallel=self.parallel,
                 batch_mode=self.batch_mode,
             )
 
@@ -731,7 +724,6 @@ def magic_query(
     strategy: str = "seminaive",
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> Tuple[List[Row], "NailEngine"]:
     """Answer ``pred(args)`` demand-driven via the magic-sets rewrite.
@@ -758,7 +750,6 @@ def magic_query(
         extra_edb=seed_db,
         join_mode=join_mode,
         order_mode=order_mode,
-        parallel=parallel,
         batch_mode=batch_mode,
     )
     tracer = db.tracer

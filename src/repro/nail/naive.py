@@ -25,7 +25,6 @@ def naive_eval(
     tracer=None,
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> int:
     """Run all rules to fixpoint, full re-derivation each pass.
@@ -44,13 +43,13 @@ def naive_eval(
         if tracer is None:
             added = _run_pass(
                 rule_infos, rows_fn, idb, join_mode, order_mode,
-                parallel=parallel, batch_mode=batch_mode,
+                batch_mode=batch_mode,
             )
         else:
             with tracer.span("pass", f"pass {passes}") as span:
                 added = _run_pass(
                     rule_infos, rows_fn, idb, join_mode, order_mode, tracer,
-                    parallel=parallel, batch_mode=batch_mode,
+                    batch_mode=batch_mode,
                 )
                 span.rows = added
         if added == 0:
@@ -64,14 +63,13 @@ def _run_pass(
     join_mode: str = "hash",
     order_mode: str = "cost",
     tracer=None,
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> int:
     added = 0
     for info in rule_infos:
         bindings_list = eval_rule_body_batch(
             info, rows_fn, tracer=tracer, join_mode=join_mode,
-            order_mode=order_mode, parallel=parallel, batch_mode=batch_mode,
+            order_mode=order_mode, batch_mode=batch_mode,
         )
         for name, row in derive_heads(info, bindings_list):
             if idb.relation(name, len(row)).insert(row):

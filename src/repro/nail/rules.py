@@ -11,7 +11,6 @@ work in the evaluator is then key build + hash probe instead of a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -28,9 +27,7 @@ from repro.lang.ast import (
     RuleDecl,
     UnaryOp,
 )
-from repro.opt.literal import LiteralPlan
-from repro.opt.literal import classify_join_columns as _classify_join_columns
-from repro.opt.literal import compile_literal_plan as _compile_literal_plan
+from repro.opt.literal import LiteralPlan, compile_literal_plan
 from repro.terms.term import Term, Var, variables
 
 __all__ = [
@@ -39,41 +36,11 @@ __all__ = [
     "RuleInfo",
     "StratumSupport",
     "check_rule_safety",
-    "classify_join_columns",
-    "compile_literal_plan",
     "compute_stratum_supports",
     "order_body_for_evaluation",
     "prepare_rules",
     "terms_free",
 ]
-
-
-def classify_join_columns(
-    pred: Term, args: Sequence[Term], bound: FrozenSet[str]
-) -> LiteralPlan:
-    """Deprecated shim: moved to :func:`repro.opt.classify_join_columns`
-    (it is now a pass of the shared planner).  Import it from ``repro.opt``
-    -- this re-export will be removed next release."""
-    warnings.warn(
-        "repro.nail.rules.classify_join_columns moved to repro.opt; "
-        "import it from there (this shim will be removed next release)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _classify_join_columns(pred, args, bound)
-
-
-def compile_literal_plan(subgoal: PredSubgoal, bound: FrozenSet[str]) -> LiteralPlan:
-    """Deprecated shim: moved to :func:`repro.opt.compile_literal_plan`.
-    Import it from ``repro.opt`` -- this re-export will be removed next
-    release."""
-    warnings.warn(
-        "repro.nail.rules.compile_literal_plan moved to repro.opt; "
-        "import it from there (this shim will be removed next release)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _compile_literal_plan(subgoal, bound)
 
 
 def _expr_var_occurrences(expr) -> List[str]:
@@ -141,7 +108,7 @@ class JoinPlanner:
         key = (index, bound)
         plan = self._plans.get(key)
         if plan is None:
-            plan = _compile_literal_plan(self.rule.body[index], bound)
+            plan = compile_literal_plan(self.rule.body[index], bound)
             self._plans[key] = plan
         return plan
 

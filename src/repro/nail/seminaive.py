@@ -128,25 +128,6 @@ class DeltaRelation:
                 ids[col] = atoms.intern_column(self.rows, col)
         return tuple(ids[col] for col in extract_cols)
 
-    # Pre-builds for partition-parallel probing (see repro.par): the lazy
-    # builds above are unsynchronized, so the coordinator forces them
-    # before fanning a join out.  Charges match a first serial probe.
-
-    def ensure_table(self, cols: Tuple[int, ...]) -> None:
-        if cols in self._tables:
-            return
-        table: dict = {}
-        for row in self.rows:
-            table.setdefault(tuple(row[c] for c in cols), []).append(row)
-        self._tables[cols] = table
-        if self.counters is not None:
-            self.counters.index_builds += 1
-            self.counters.index_build_tuples += len(self.rows)
-
-    def ensure_set(self) -> None:
-        if self._set is None:
-            self._set = set(self.rows)
-
 
 DeltaStore = Dict[Tuple[Term, int], DeltaRelation]
 
@@ -264,7 +245,6 @@ def seminaive_eval(
     tracer=None,
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> int:
     """Evaluate one stratum to fixpoint with seminaive iteration.
@@ -279,7 +259,7 @@ def seminaive_eval(
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
     fixpoint = _Fixpoint(
         rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
-        parallel=parallel, batch_mode=batch_mode,
+        batch_mode=batch_mode,
     )
     # Round 0: evaluate every rule in full (base facts plus anything the
     # lower strata already provide).
@@ -333,7 +313,6 @@ def incremental_eval(
     tracer=None,
     join_mode: str = "hash",
     order_mode: str = "cost",
-    parallel=None,
     batch_mode: str = "columnar",
 ) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
     """Repair one *already-computed* stratum after monotone growth.
@@ -373,7 +352,7 @@ def incremental_eval(
 
     fixpoint = _Fixpoint(
         rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
-        parallel=parallel, batch_mode=batch_mode,
+        batch_mode=batch_mode,
     )
     delta: DeltaStore = {}
     fixpoint.round(

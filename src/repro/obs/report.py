@@ -116,42 +116,6 @@ def render_batch_kernel_table(events: Sequence[TraceEvent]) -> List[str]:
     return lines
 
 
-def render_parallel_table(events: Sequence[TraceEvent]) -> List[str]:
-    """Per-region partition fan-out, one row per ``parallel_partition``.
-
-    Shows how each parallel region split its work (partition count and
-    rows per partition) and how evenly it landed: ``touches`` is the
-    per-worker tuple-touch share, the skew signal for the partitioner.
-    """
-    regions = [
-        e for e in sorted(events, key=lambda e: e.seq)
-        if e.kind == "parallel_partition"
-    ]
-    if not regions:
-        return []
-    table = [("region", "strategy", "workers", "parts", "rows/part", "touches")]
-    for event in regions:
-        attrs = event.attrs
-        touches = attrs.get("worker_touches") or []
-        per_part = attrs.get("partition_rows") or []
-        table.append(
-            (
-                event.name,
-                str(attrs.get("strategy", "?")),
-                str(attrs.get("workers", "?")),
-                str(attrs.get("partitions", "?")),
-                "/".join(str(r) for r in per_part) if per_part else "?",
-                "/".join(str(t) for t in touches) if touches else "?",
-            )
-        )
-    widths = [max(len(row[col]) for row in table) for col in range(len(table[0]))]
-    lines = ["Parallel regions (partitions and per-worker skew)",
-             "-------------------------------------------------"]
-    for row in table:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return lines
-
-
 def render_explain_analyze(
     text: str,
     stats: QueryStats,
@@ -185,10 +149,6 @@ def render_explain_analyze(
     if kernels:
         lines.append("")
         lines.extend(kernels)
-    par = render_parallel_table(events)
-    if par:
-        lines.append("")
-        lines.extend(par)
     lines.append("")
     lines.append("Execution")
     lines.append("---------")

@@ -21,7 +21,7 @@ Event schema (deterministic in structure; wall-clock fields vary):
            ``round`` | ``incremental_round`` | ``pass`` | ``rule`` |
            ``idb_cache_hit`` | ``idb_stale`` | ``demand`` | ``magic`` |
            ``idb_resync`` | ``subscription`` | ``join`` |
-           ``exchange`` | ``parallel_partition``
+           ``batch_kernel``
 ``name``   human-readable label (plan-step text, predicate name, ...)
 ``rows``   rows produced by the traced unit (``None`` when n/a)
 ``dur_ms`` wall-clock duration in milliseconds (0 for instant events)

@@ -7,9 +7,9 @@ propagation, projection push-down) over a small logical plan, costed
 against consistent per-relation statistics snapshots.  Program order stays
 available as the differential baseline via ``order_mode="program"``.
 
-Migration note (PR 6): ``classify_join_columns``, ``compile_literal_plan``
-and :class:`LiteralPlan` moved here from ``repro.nail.rules``, where they
-remain importable as deprecated shims for one release.
+``classify_join_columns``, ``compile_literal_plan`` and
+:class:`LiteralPlan` live here (they used to be in ``repro.nail.rules``);
+import them from ``repro.opt``.
 """
 
 from repro.opt.literal import (

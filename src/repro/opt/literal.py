@@ -9,8 +9,7 @@ a hash join needs at run time.
 Moved here from ``repro.nail.rules`` so both engines -- the NAIL!
 evaluator's :class:`~repro.nail.rules.JoinPlanner` and the Glue VM
 compiler's scan-step builder -- reach it through the shared ``repro.opt``
-planner.  The old names remain importable from ``repro.nail.rules`` as
-deprecated shims for one release.
+planner.
 """
 
 from __future__ import annotations

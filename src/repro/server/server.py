@@ -81,9 +81,7 @@ class Session:
         self.name = f"session-{session_id}"
         self.closed = False
         self._holds_write = False
-        self.system = GlueNailSystem(
-            db=server.db, parallel=server.parallel, batch_mode=server.batch_mode
-        )
+        self.system = GlueNailSystem(db=server.db, batch_mode=server.batch_mode)
         self.system.store = server.store
         self.system._txn = server.txn
         if server.mvcc_store is not None:
@@ -317,10 +315,8 @@ class Session:
             payload["wal_commits"] = self.server.store.wal.commits
             payload["wal_fsyncs"] = self.server.store.wal.fsyncs
         payload["subscriptions"] = self.server.subscriptions.stats()
-        if self.server.parallel is not None:
-            payload["parallel"] = self.server.parallel.stats()
-        else:
-            payload["parallel"] = {"mode": "serial", "workers": 1}
+        # Constant: bench/workloads.py connect() reads ["parallel"]["workers"].
+        payload["parallel"] = {"mode": "serial", "workers": 1}
         return payload
 
     def op_trace(self, request: dict) -> dict:
@@ -591,7 +587,6 @@ class GlueNailServer:
         port: int = 0,
         sync: bool = True,
         db: Optional[Database] = None,
-        workers: Optional[int] = None,
         batch_mode: str = "columnar",
         mvcc: bool = True,
     ):
@@ -599,16 +594,8 @@ class GlueNailServer:
             db = Database(counters=ThreadLocalCounters())
         self.db = db
         # Body-execution mode for every session's system (columnar batch
-        # kernels or the row baseline), mirroring the worker-pool sharing.
+        # kernels or the row baseline).
         self.batch_mode = batch_mode
-        # One shared worker pool for every session (partition-parallel
-        # evaluation); the server's counters are already thread-local, so
-        # adoption is a no-op conversion.
-        self.parallel = None
-        if workers is not None and workers > 1:
-            from repro.par import ParallelContext
-
-            self.parallel = ParallelContext(workers=workers, db=self.db)
         if db_dir is not None:
             from repro.txn.store import DurableStore
 
@@ -707,8 +694,6 @@ class GlueNailServer:
         if self.store is not None:
             self.store.close()
             self.store = None
-        if self.parallel is not None:
-            self.parallel.shutdown()
 
     def __enter__(self) -> "GlueNailServer":
         return self

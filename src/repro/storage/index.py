@@ -66,9 +66,8 @@ class HashIndex:
     def buckets_view(self) -> dict:
         """The live ``{key: rows}`` bucket mapping (read-only by contract).
 
-        The parallel partitioner assigns whole buckets to partitions by
-        hashing the bucket *keys* -- this accessor is what lets it do that
-        without re-hashing any stored row.
+        The columnar kernels (``repro.col.kernels``) build their probe
+        tables bucket by bucket from it, without re-hashing any stored row.
         """
         return self._buckets
 

@@ -51,10 +51,6 @@ class CostCounters:
     # Push-based subscriptions (see repro.sub): notifications delivered to
     # subscriber sinks/queues, including resync markers.
     notifications_pushed: int = 0
-    # Partition-parallel execution (see repro.par): joins that ran split
-    # across the worker pool, and the partition tasks dispatched for them.
-    parallel_joins: int = 0
-    parallel_tasks: int = 0
     # MVCC snapshot reads (see repro.mvcc): read-only requests served from
     # a pinned published version (no read-lock acquisition), catalog pins
     # taken, and requests that had to fall back to the read lock because
@@ -83,31 +79,6 @@ class CostCounters:
         for f in fields(self):
             setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
         return merged
-
-    def merge(self, other) -> None:
-        """Fold another counter block (or an ``as_tuple`` snapshot, or a
-        ``counter_delta`` dict) into this one, in place.
-
-        This is the worker-fold primitive for partition-parallel execution
-        (see :mod:`repro.par`): each pool worker counts into its own
-        thread-local block, and the coordinating thread merges the
-        per-task deltas back so the query's before/after accounting holds.
-        The caller is responsible for any locking; :class:`CostCounters`
-        itself is not synchronized.
-        """
-        if isinstance(other, tuple):
-            for name, value in zip(COUNTER_FIELDS, other):
-                if value:
-                    setattr(self, name, getattr(self, name) + value)
-        elif isinstance(other, dict):
-            for name, value in other.items():
-                if value:
-                    setattr(self, name, getattr(self, name) + value)
-        else:
-            for name in COUNTER_FIELDS:
-                value = getattr(other, name)
-                if value:
-                    setattr(self, name, getattr(self, name) + value)
 
     @property
     def total_tuple_touches(self) -> int:
@@ -173,10 +144,6 @@ class ThreadLocalCounters:
         for block in blocks:
             total = total + block
         return total
-
-    def merge(self, other) -> None:
-        """Merge another block/snapshot into the *calling thread's* block."""
-        self._mine().merge(other)
 
     def reset_all(self) -> None:
         """Reset every thread's block (``reset()`` is per-thread)."""

@@ -69,7 +69,6 @@ class ExecContext:
         adaptive_reorder: bool = False,
         join_mode: str = "hash",
         order_mode: str = "cost",
-        parallel=None,
         batch_mode: str = "columnar",
     ):
         if strategy not in ("pipelined", "materialized"):
@@ -82,9 +81,6 @@ class ExecContext:
             raise ValueError(f"unknown batch mode {batch_mode!r}")
         self.db = db if db is not None else Database()
         self.counters: CostCounters = self.db.counters
-        # A repro.par.ParallelContext (or None): statement-body joins split
-        # large supplementary batches across its worker pool.
-        self.parallel = parallel
         self.strategy = strategy
         self.dedup_on_break = dedup_on_break
         self.out = out if out is not None else sys.stdout

@@ -52,7 +52,7 @@ class StmtJoinShape:
     """The positional join shape of one scan step.
 
     Computed once at compile time by running the shared literal classifier
-    (:func:`repro.nail.rules.classify_join_columns`) over the subgoal with
+    (:func:`repro.opt.classify_join_columns`) over the subgoal with
     the statement's already-bound columns as the bound-variable set, then
     mapping variable names onto supplementary-row positions.  At run time
     the step uses the shape to execute as a planned hash join -- build (or
@@ -99,64 +99,6 @@ def _joinable_relation(relation):
     if joinable is not None:
         return joinable()
     return None
-
-
-# The join strategies whose emit closures are pure per-row reads over
-# prepared state -- safe to fan out across the worker pool.  Excluded:
-# select/anti-select (may trigger demand-driven NAIL! evaluation),
-# broadcast/anti-static (build shared lazy state on first call).
-_PARALLEL_EMIT_STRATEGIES = frozenset(
-    {"member", "probe", "probe+match", "scan+match"}
-)
-_PARALLEL_FILTER_STRATEGIES = frozenset(
-    {"anti-member", "anti-probe", "anti-probe+match", "anti-scan+match"}
-)
-
-
-def _batched(rows, size: int):
-    """Accumulate a row generator into lists of at most ``size`` rows."""
-    batch: List[Row] = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def _parallel_emit(par, emit, batch, tracer, label, source_size):
-    """Run ``emit`` over a batch split into contiguous chunks on the pool.
-
-    Returns the per-row output lists in input order (the chunked split is
-    order-preserving, which Glue's keyed-update semantics require), or
-    None when the batch does not split into at least two chunks.
-    """
-    from repro.par import Partitioner
-
-    parts = Partitioner(par.partition_count(len(batch))).chunk_split(batch)
-    if len(parts) < 2:
-        return None
-    if tracer.enabled:
-        tracer.event(
-            "exchange",
-            label,
-            strategy="broadcast",
-            source=source_size,
-            bindings=len(batch),
-            partitions=len(parts),
-        )
-    results = par.run_region(
-        [(lambda chunk=chunk: [emit(row) for row in chunk]) for chunk in parts],
-        label=label,
-        tracer=tracer,
-        strategy="chunked",
-        partition_rows=[len(p) for p in parts],
-    )
-    out: List[list] = []
-    for chunk_outs in results:
-        out.extend(chunk_outs)
-    return out
 
 
 class Step:
@@ -223,17 +165,6 @@ class ScanStep(Step):
         probe -- not a relation-wide match -- per supplementary row."""
         ref = self.ref
         name_fn = self.name_fn
-        parallel = rt.ctx.parallel
-        if parallel is not None and name_fn is None and parallel.active:
-            # Static-name scans batch their supplementary rows and split
-            # each batch across the worker pool; dynamic-name (HiLog)
-            # scans stay serial -- see docs/PERFORMANCE.md.
-            return self._iterate_hash_parallel(rows, rt, frame, parallel)
-        return self._iterate_hash_serial(rows, rt, frame)
-
-    def _iterate_hash_serial(self, rows, rt, frame):
-        ref = self.ref
-        name_fn = self.name_fn
         tracer = rt.ctx.tracer
         states: Dict[Term, list] = {}
         try:
@@ -265,61 +196,6 @@ class ScanStep(Step):
                         est_rows=self.est_rows,
                         actual_rows=rows_out,
                     )
-
-    def _iterate_hash_parallel(self, rows, rt, frame, parallel):
-        """Chunked set-at-a-time execution across the worker pool.
-
-        The supplementary stream is gathered into batches; each batch of a
-        partitionable strategy is split into contiguous chunks whose
-        outputs are re-concatenated in input order, so downstream steps
-        (including keyed updates, where collision order is semantics) see
-        exactly the serial row sequence.
-        """
-        ref = self.ref
-        tracer = rt.ctx.tracer
-        # Join state is built on the first batch, like the serial path's
-        # first-row initialization: an empty supplementary stream charges
-        # nothing (same counters as serial).
-        emit = strategy = source_size = None
-        splittable = False
-        label = f"{ref.pred}/{ref.arity}"
-        rows_in = rows_out = 0
-        split_used = False
-        try:
-            for batch in _batched(rows, parallel.glue_batch):
-                if emit is None:
-                    relation = rt.resolve_relation(ref, ref.pred, frame)
-                    emit, strategy, source_size = self._join_state(relation, rt)
-                    splittable = strategy in _PARALLEL_EMIT_STRATEGIES
-                rows_in += len(batch)
-                outs = None
-                if splittable and len(batch) >= 2 * parallel.min_partition_rows:
-                    outs = _parallel_emit(
-                        parallel, emit, batch, tracer, label, source_size
-                    )
-                if outs is None:
-                    for row in batch:
-                        out = emit(row)
-                        rows_out += len(out)
-                        yield from out
-                else:
-                    split_used = True
-                    for out in outs:
-                        rows_out += len(out)
-                        yield from out
-        finally:
-            if tracer.enabled and emit is not None:
-                tracer.event(
-                    "join",
-                    label,
-                    rows=rows_out,
-                    strategy=strategy + "+chunked" if split_used else strategy,
-                    bindings=rows_in,
-                    source=source_size,
-                    key=list(self.join_shape.probe_cols),
-                    est_rows=self.est_rows,
-                    actual_rows=rows_out,
-                )
 
     def _join_state(self, relation, rt):
         """Pick a join strategy for one resolved source.
@@ -526,12 +402,6 @@ class NegScanStep(Step):
 
     def _iterate_hash(self, rows, rt, frame):
         """Hash anti-join: keep rows whose probe finds no witness."""
-        parallel = rt.ctx.parallel
-        if parallel is not None and self.name_fn is None and parallel.active:
-            return self._iterate_hash_parallel(rows, rt, frame, parallel)
-        return self._iterate_hash_serial(rows, rt, frame)
-
-    def _iterate_hash_serial(self, rows, rt, frame):
         ref = self.ref
         name_fn = self.name_fn
         tracer = rt.ctx.tracer
@@ -563,53 +433,6 @@ class NegScanStep(Step):
                         est_rows=self.est_rows,
                         actual_rows=rows_out,
                     )
-
-    def _iterate_hash_parallel(self, rows, rt, frame, parallel):
-        """Chunked anti-join: the ScanStep batching with a filter emit."""
-        ref = self.ref
-        tracer = rt.ctx.tracer
-        # Lazily initialized on the first batch, like the serial path.
-        survives = emit = strategy = source_size = None
-        splittable = False
-        label = f"{ref.pred}/{ref.arity}"
-        rows_in = rows_out = 0
-        split_used = False
-        try:
-            for batch in _batched(rows, parallel.glue_batch):
-                if survives is None:
-                    relation = rt.resolve_relation(ref, ref.pred, frame)
-                    survives, strategy, source_size = self._join_state(relation, rt)
-                    splittable = strategy in _PARALLEL_FILTER_STRATEGIES
-                    emit = lambda row: (row,) if survives(row) else ()  # noqa: B023,E731
-                rows_in += len(batch)
-                outs = None
-                if splittable and len(batch) >= 2 * parallel.min_partition_rows:
-                    outs = _parallel_emit(
-                        parallel, emit, batch, tracer, label, source_size
-                    )
-                if outs is None:
-                    for row in batch:
-                        if survives(row):
-                            rows_out += 1
-                            yield row
-                else:
-                    split_used = True
-                    for out in outs:
-                        rows_out += len(out)
-                        yield from out
-        finally:
-            if tracer.enabled and survives is not None:
-                tracer.event(
-                    "join",
-                    label,
-                    rows=rows_out,
-                    strategy=strategy + "+chunked" if split_used else strategy,
-                    bindings=rows_in,
-                    source=source_size,
-                    key=list(self.join_shape.probe_cols),
-                    est_rows=self.est_rows,
-                    actual_rows=rows_out,
-                )
 
     def _join_state(self, relation, rt):
         """Pick an anti-join strategy: ``(survives(row) -> bool, name, size)``."""

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.core.query import rows_to_python
 from repro.core.system import GlueNailSystem
-from repro.par import ParallelContext
 from repro.storage.stats import COUNTER_FIELDS
 
 PATH = """
@@ -205,37 +204,6 @@ class TestGlueDifferential:
             [("out", 2)],
             script=True,
         )
-
-
-# ------------------------------------------------------------------ #
-# parallel + columnar
-# ------------------------------------------------------------------ #
-
-
-class TestParallelColumnar:
-    def test_partition_parallel_composes(self):
-        # Columnar batches under the partition-parallel pool: parallel
-        # chunking splits the batch, each chunk runs the same kernels, so
-        # rows and all non-parallel_* counters still match the serial row
-        # engine.
-        edges = random_edges(50, 250, seed=9)
-        row = make_system(PATH, batch_mode="row")
-        col = make_system(
-            PATH,
-            batch_mode="columnar",
-            parallel=ParallelContext(workers=4, min_partition_rows=2),
-        )
-        for system in (row, col):
-            system.facts("edge", edges)
-        first = sorted(rows_to_python(row.rows("path", 2).rows))
-        second = sorted(rows_to_python(col.rows("path", 2).rows))
-        assert first == second
-        core = lambda s: {
-            k: v for k, v in all_counters(s).items()
-            if not k.startswith("parallel_")
-        }
-        assert core(col) == core(row)
-        col.close()
 
 
 # ------------------------------------------------------------------ #

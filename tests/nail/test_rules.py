@@ -101,44 +101,3 @@ class TestPrepareRules:
         (info,) = prepare_rules([parse_rule("p(X, f(Y)) :- e(X, Y).")])
         assert info.head_vars == {"X", "Y"}
 
-
-class TestDeprecatedShims:
-    """The PR-6 planner extraction left warn-and-delegate re-exports in
-    ``repro.nail.rules``; they must keep warning and keep returning plans
-    identical to the shared ``repro.opt`` implementations until removed."""
-
-    def _subgoal(self):
-        rule = parse_rule("p(X, Z) :- e(X, Y, Z, a).")
-        return rule.body[0]
-
-    def test_classify_join_columns_warns_and_delegates(self):
-        import repro.opt as opt
-        from repro.nail.rules import classify_join_columns
-
-        subgoal = self._subgoal()
-        bound = frozenset({"X"})
-        with pytest.warns(DeprecationWarning, match="moved to repro.opt"):
-            shim_plan = classify_join_columns(subgoal.pred, subgoal.args, bound)
-        direct_plan = opt.classify_join_columns(subgoal.pred, subgoal.args, bound)
-        assert shim_plan == direct_plan
-
-    def test_compile_literal_plan_warns_and_delegates(self):
-        import repro.opt as opt
-        from repro.nail.rules import compile_literal_plan
-
-        subgoal = self._subgoal()
-        bound = frozenset({"X", "Y"})
-        with pytest.warns(DeprecationWarning, match="moved to repro.opt"):
-            shim_plan = compile_literal_plan(subgoal, bound)
-        direct_plan = opt.compile_literal_plan(subgoal, bound)
-        assert shim_plan == direct_plan
-
-    def test_direct_import_does_not_warn(self):
-        import warnings
-
-        import repro.opt as opt
-
-        subgoal = self._subgoal()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            opt.compile_literal_plan(subgoal, frozenset({"X"}))

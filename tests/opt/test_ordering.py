@@ -14,16 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang.parser import parse_program
-from repro.opt import (
-    LiteralPlan,
-    Plan,
-    RelationSnapshot,
-    classify_join_columns,
-    compile_literal_plan,
-    optimize,
-)
+from repro.opt import Plan, RelationSnapshot, optimize
 from repro.storage.relation import Relation
-from repro.terms.term import Atom, Num, Var
+from repro.terms.term import Atom, Num
 from tests.conftest import make_system
 
 # --------------------------------------------------------------------- #
@@ -297,28 +290,3 @@ class TestStatsSnapshot:
         relation = _rel([(i, i) for i in range(5)])
         assert relation.stats_snapshot() == relation.stats_snapshot()
 
-
-# --------------------------------------------------------------------- #
-# deprecated shims
-# --------------------------------------------------------------------- #
-
-
-class TestDeprecatedShims:
-    def test_classify_join_columns_shim_warns_and_delegates(self):
-        from repro.nail.rules import classify_join_columns as shim
-
-        args = (Var("X"), Num(1))
-        with pytest.warns(DeprecationWarning, match="moved to repro.opt"):
-            via_shim = shim(Atom("p"), args, frozenset())
-        direct = classify_join_columns(Atom("p"), args, frozenset())
-        assert isinstance(via_shim, LiteralPlan)
-        assert via_shim == direct
-
-    def test_compile_literal_plan_shim_warns_and_delegates(self):
-        from repro.lang.ast import PredSubgoal
-        from repro.nail.rules import compile_literal_plan as shim
-
-        subgoal = PredSubgoal(pred=Atom("p"), args=(Var("X"), Var("Y")))
-        with pytest.warns(DeprecationWarning, match="moved to repro.opt"):
-            via_shim = shim(subgoal, frozenset({"X"}))
-        assert via_shim == compile_literal_plan(subgoal, frozenset({"X"}))

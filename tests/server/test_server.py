@@ -91,6 +91,12 @@ class TestBasicOps:
         empty = client.query("edge(5, X)?")
         assert empty == [] and empty.facts == [] and empty.resolution == "edb"
 
+    def test_stats_parallel_block_is_the_serial_constant(self, client):
+        # bench/workloads.py reads stats()["parallel"]["workers"]; the block
+        # stays byte-for-byte what a serial server has always reported.
+        block = client.stats()["parallel"]
+        assert json.dumps(block) == '{"mode": "serial", "workers": 1}'
+
     def test_trace_round_trip(self, client):
         client.facts("edge", [(1, 2)])
         client.trace(True)

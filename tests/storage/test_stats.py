@@ -1,6 +1,14 @@
 """Unit tests for the cost-counter blocks."""
 
-from repro.storage.stats import CostCounters, RelationStats, ScanCostLedger
+import sys
+import threading
+
+from repro.storage.stats import (
+    CostCounters,
+    RelationStats,
+    ScanCostLedger,
+    ThreadLocalCounters,
+)
 
 
 class TestCostCounters:
@@ -43,6 +51,49 @@ class TestCostCounters:
         # Pure event counters (breaks, lookups, calls) are not touches.
         counters = CostCounters(pipeline_breaks=7, index_lookups=9, proc_calls=3)
         assert counters.total_tuple_touches == 0
+
+
+class TestThreadLocalCounters:
+    def test_concurrent_increments_lose_nothing(self):
+        """Eight threads count into one shared facade at once.
+
+        Each ``+=`` lands on the calling thread's private block, so the
+        read-modify-writes never race (the query server relies on this for
+        per-session counting); ``aggregate`` must see every increment and
+        each thread's own view only its own.
+        """
+        shared = ThreadLocalCounters()
+        threads_n, rounds = 8, 500
+        barrier = threading.Barrier(threads_n)
+        views = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                shared.inserts += 1
+                shared.tuples_scanned += 2
+                shared.index_lookups += 3
+            views.append(shared.as_tuple())
+
+        threads = [threading.Thread(target=worker) for _ in range(threads_n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid read-modify-write
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        total = shared.aggregate()
+        assert total.inserts == threads_n * rounds
+        assert total.tuples_scanned == 2 * threads_n * rounds
+        assert total.index_lookups == 3 * threads_n * rounds
+        own = CostCounters(
+            inserts=rounds, tuples_scanned=2 * rounds, index_lookups=3 * rounds
+        ).as_tuple()
+        assert views == [own] * threads_n
 
 
 class TestLedgers:
