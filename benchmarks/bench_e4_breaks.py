@@ -22,6 +22,8 @@ end
 BODIES = {
     "none (control)": ("out(X, Y) := a(X, V) & b(V, Y).", 0),
     "aggregator": ("out(X, M) := a(X, V) & b(V, Y) & M = max(Y).", 1),
+    # Nothing after the aggregate reads X, V or Y: one row leaves the break.
+    "aggregator, group-only head": ("out(M) := a(X, V) & b(V, Y) & M = max(Y).", 1),
     "update": ("out(X, Y) := a(X, V) & ++log(V) & b(V, Y).", 1),
     "procedure call": ("out(X, Y) := a(X, V) & ident(V, W) & b(W, Y).", 1),
     "all three": (

@@ -65,6 +65,31 @@ def expr_vars(expr) -> Set[str]:
     raise TypeError(f"not an expression: {expr!r}")
 
 
+def subgoal_vars(subgoal) -> Set[str]:
+    """Every named variable a subgoal mentions (not just the new binds)."""
+    if isinstance(subgoal, PredSubgoal):
+        return term_vars(subgoal.pred) | terms_vars(subgoal.args)
+    if isinstance(subgoal, CompareSubgoal):
+        return expr_vars(subgoal.left) | expr_vars(subgoal.right)
+    if isinstance(subgoal, GroupBySubgoal):
+        return terms_vars(subgoal.terms)
+    if isinstance(subgoal, UnionSubgoal):
+        return {
+            name
+            for alt in subgoal.alternatives
+            for inner in alt
+            for name in subgoal_vars(inner)
+        }
+    pred = getattr(subgoal, "pred", None)
+    out: Set[str] = set()
+    if pred is not None:
+        out |= term_vars(pred)
+    args = getattr(subgoal, "args", None)
+    if args is not None:
+        out |= terms_vars(args)
+    return out
+
+
 def expr_has_agg(expr) -> bool:
     if isinstance(expr, AggCall):
         return True

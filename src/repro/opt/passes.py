@@ -33,19 +33,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.analysis.bindings import (
     BindingError,
     check_subgoal_safety,
-    expr_vars,
     subgoal_binds,
+    subgoal_vars,
     term_vars,
     terms_vars,
 )
 from repro.analysis.fixedness import CallFixedness, is_fixed_subgoal
-from repro.lang.ast import (
-    CompareSubgoal,
-    EmptyCond,
-    GroupBySubgoal,
-    PredSubgoal,
-    UnionSubgoal,
-)
+from repro.lang.ast import CompareSubgoal, EmptyCond, PredSubgoal
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan, PlanStep, filter_selectivity
 from repro.opt.stats import StatsContext
@@ -93,31 +87,6 @@ def _admissible(subgoal, bound: Set[str], ctx: PassContext) -> bool:
             if terms_vars(subgoal.args[:bound_arity]) - bound:
                 return False
     return True
-
-
-def _subgoal_vars(subgoal) -> Set[str]:
-    """Every named variable a subgoal mentions (not just the new binds)."""
-    if isinstance(subgoal, PredSubgoal):
-        return term_vars(subgoal.pred) | terms_vars(subgoal.args)
-    if isinstance(subgoal, CompareSubgoal):
-        return expr_vars(subgoal.left) | expr_vars(subgoal.right)
-    if isinstance(subgoal, GroupBySubgoal):
-        return terms_vars(subgoal.terms)
-    if isinstance(subgoal, UnionSubgoal):
-        return {
-            name
-            for alt in subgoal.alternatives
-            for inner in alt
-            for name in _subgoal_vars(inner)
-        }
-    pred = getattr(subgoal, "pred", None)
-    out: Set[str] = set()
-    if pred is not None:
-        out |= term_vars(pred)
-    args = getattr(subgoal, "args", None)
-    if args is not None:
-        out |= terms_vars(args)
-    return out
 
 
 def _scan_estimate(subgoal: PredSubgoal, bound: Set[str], ctx: PassContext):
@@ -281,7 +250,7 @@ def push_projections(state: PlanState, ctx: PassContext) -> None:
     needed: Set[str] = set(ctx.required_vars)
     for pos in range(len(order) - 1, -1, -1):
         needed_after[pos] = set(needed)
-        needed |= _subgoal_vars(body[order[pos]])
+        needed |= subgoal_vars(body[order[pos]])
     bound: Set[str] = set(ctx.bound)
     for pos, i in enumerate(order):
         subgoal = body[i]

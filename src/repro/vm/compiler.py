@@ -18,7 +18,9 @@ from repro.analysis.bindings import (
     analyze_bindings,
     expr_has_agg,
     expr_vars,
+    subgoal_vars,
     term_vars,
+    terms_vars,
 )
 from repro.analysis.fixedness import is_fixed_subgoal
 from repro.analysis.reorder import reorder_body
@@ -162,6 +164,31 @@ def _join_shape(
         eq_checks=lit.eq_checks,
         residual_bound=lit.complex_has_bound,
     )
+
+
+def _mark_per_group_aggregates(
+    plan: Sequence[Step], body: Sequence[object], head_reads: Set[str]
+) -> None:
+    """Decide, per aggregate, whether its output may collapse to one row
+    per group (:attr:`AggStep.per_group`).
+
+    Walks the plan backwards, accumulating every variable read after each
+    step (``plan[i]`` compiles ``body[i]``).  An aggregate collapses when
+    no later subgoal aggregates -- a later aggregator counts the
+    multiplicity of every column -- and every variable read after it that
+    was bound at or before it is a group column or its own bound variable.
+    """
+    reads = set(head_reads)
+    later_agg = False
+    for step, subgoal in zip(reversed(plan), reversed(body)):
+        if isinstance(step, AggStep):
+            cols = step.columns_out
+            allowed = {cols[p] for p in step.group_positions}
+            if step.binds:
+                allowed.add(cols[-1])
+            step.per_group = not later_agg and (reads & set(cols)) <= allowed
+            later_agg = True
+        reads |= subgoal_vars(subgoal)
 
 
 def _ordered_new_vars(terms: Sequence[Term], known: Set[str]) -> List[str]:
@@ -622,6 +649,12 @@ class ProgramCompiler:
                     f"modify keys {sorted(missing)} do not appear in the head"
                 )
             key_positions = tuple(positions)
+
+        # ``+=[K]`` keys are head arguments (checked above), so the head
+        # covers them.
+        _mark_per_group_aggregates(
+            plan, ordered_body, term_vars(head_pred) | terms_vars(head_args)
+        )
 
         fixed = any(step.is_barrier or isinstance(step, UpdateStep) for step in plan)
         if head_ref.info is None or head_ref.info.klass is PredClass.EDB:

@@ -81,6 +81,8 @@ def explain_step(step: Step) -> str:
     elif isinstance(step, AggStep):
         kind = "AGGREGATE"
         mode = "bind" if step.binds else f"filter '{step.compare_op}'"
+        if step.per_group:
+            mode += ", per group"
         groups = f" groups@{list(step.group_positions)}" if step.group_positions else ""
         detail = f"{step.agg_op} ({mode}){groups}"
     elif isinstance(step, GroupByStep):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.scope import PredInfo
@@ -85,6 +86,10 @@ class StmtJoinShape:
 
 def _probe_key(key_build, row: Row) -> Row:
     return tuple(row[pos] if pos is not None else const for pos, const in key_build)
+
+
+def _no_group(row: Row) -> Row:
+    return ()
 
 
 def _joinable_relation(relation):
@@ -548,8 +553,7 @@ class TruthStep(Step):
     columns_out: Tuple[str, ...] = ()
 
     def iterate(self, rows, rt, frame):
-        if self.value:
-            yield from rows
+        return iter(rows) if self.value else iter(())
 
 
 @dataclass
@@ -565,7 +569,7 @@ class GroupByStep(Step):
     columns_out: Tuple[str, ...] = ()
 
     def iterate(self, rows, rt, frame):
-        yield from rows
+        return iter(rows)
 
 
 @dataclass
@@ -576,6 +580,14 @@ class AggStep(Step):
     group (``group_positions`` select the grouping columns fixed by earlier
     group_by subgoals).  If ``binds`` the result extends each row as a new
     column; otherwise rows are filtered by ``compare_op(left_fn(row), agg)``.
+
+    ``per_group`` is set by the compiler when nothing after the step reads
+    a column other than the group columns and the bound variable, and no
+    later subgoal aggregates (paper Section 9: shrink the supplementary
+    relation at a break).  The step then emits one row per group -- the
+    first member (binding form) or the first member that passes the filter
+    (filter form) -- in first-occurrence order.  The aggregator itself
+    still ranges over every input tuple.
     """
 
     agg_op: str
@@ -585,6 +597,7 @@ class AggStep(Step):
     left_fn: Optional[RowFn] = None
     group_positions: Tuple[int, ...] = ()
     columns_out: Tuple[str, ...] = ()
+    per_group: bool = False
 
     is_barrier = True
 
@@ -593,27 +606,47 @@ class AggStep(Step):
 
         if not rows:
             return []
-        # Aggregation is over the supplementary *relation*: dedup first.
-        rows = list(dict.fromkeys(rows))
-        groups: Dict[Row, List[Row]] = {}
+        # Aggregation is over the supplementary *relation*.  The machine
+        # already deduplicated it at the break unless that is switched off.
+        if not rt.ctx.dedup_on_break:
+            rows = list(dict.fromkeys(rows))
+        # A group key is the row's group-column tuple, or the bare value
+        # when there is one group column (itemgetter's shape).
+        positions = self.group_positions
+        key_of = itemgetter(*positions) if positions else _no_group
+        arg_fn = self.arg_fn
+        values: Dict[object, List[Term]] = {}
+        first: Dict[object, Row] = {}
         for row in rows:
-            key = tuple(row[p] for p in self.group_positions)
-            groups.setdefault(key, []).append(row)
-        agg_of: Dict[Row, Term] = {
-            key: apply_aggregate(self.agg_op, [self.arg_fn(r) for r in members])
-            for key, members in groups.items()
+            key = key_of(row)
+            group = values.get(key)
+            if group is None:
+                values[key] = [arg_fn(row)]
+                first[key] = row
+            else:
+                group.append(arg_fn(row))
+        agg_of: Dict[object, Term] = {
+            key: apply_aggregate(self.agg_op, group) for key, group in values.items()
         }
-        out: List[Row] = []
         if self.binds:
+            if self.per_group:
+                return [row + (agg_of[key],) for key, row in first.items()]
+            return [row + (agg_of[key_of(row)],) for row in rows]
+        compare_op, left_fn = self.compare_op, self.left_fn
+        if self.per_group:
+            first_pass: Dict[object, Row] = {}
             for row in rows:
-                key = tuple(row[p] for p in self.group_positions)
-                out.append(row + (agg_of[key],))
-            return out
-        for row in rows:
-            key = tuple(row[p] for p in self.group_positions)
-            if compare_terms(self.compare_op, self.left_fn(row), agg_of[key]):
-                out.append(row)
-        return out
+                key = key_of(row)
+                if key not in first_pass and compare_terms(
+                    compare_op, left_fn(row), agg_of[key]
+                ):
+                    first_pass[key] = row
+            return list(first_pass.values())
+        return [
+            row
+            for row in rows
+            if compare_terms(compare_op, left_fn(row), agg_of[key_of(row)])
+        ]
 
 
 @dataclass

@@ -64,3 +64,28 @@ class TestExplain:
         system = make_system("out(X) := a(X).")
         text = explain_program(system.compile())
         assert "script:" in text
+
+
+class TestAggregateCollapseLabel:
+    def _aggregate_line(self, source):
+        text = explain_program(make_system(source).compile())
+        return next(line for line in text.splitlines() if "AGGREGATE" in line)
+
+    def test_collapsing_aggregate_says_per_group(self):
+        line = self._aggregate_line(
+            "out(C, M) := grades(C, P, G) & group_by(C) & M = mean(G)."
+        )
+        assert "mean (bind, per group) groups@[0]" in line
+
+    def test_collapsing_filter_says_per_group(self):
+        line = self._aggregate_line(
+            "out(C) := grades(C, P, G) & group_by(C) & G > mean(G)."
+        )
+        assert "mean (filter '>', per group) groups@[0]" in line
+
+    def test_head_reading_a_member_column_keeps_every_row(self):
+        line = self._aggregate_line(
+            "out(C, P, M) := grades(C, P, G) & group_by(C) & M = mean(G)."
+        )
+        assert "mean (bind) groups@[0]" in line
+        assert "per group" not in line

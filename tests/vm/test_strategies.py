@@ -147,6 +147,46 @@ class TestDedupAtBreaks:
         assert system.counters.dedup_removed > 0
 
 
+class TestPerGroupCounters:
+    """A ``venue_report``-shaped procedure: two group_by aggregates whose
+    heads read only group columns and the aggregate, so each break emits
+    one row per group instead of widening every member row."""
+
+    SOURCE = """
+    proc venue_report(:V, Papers, Authorships)
+    rels per_venue(V, N);
+      per_venue(V, N) := paper(P, V, _) & group_by(V) & N = count(P).
+      return(:V, Papers, Authorships) :=
+        per_venue(V, Papers) & paper(P, V, _) & wrote(A, P) &
+        group_by(V, Papers) & Authorships = count(A).
+    end
+    """
+    PAPERS = [(f"p{i}", f"v{i % 5}", 1990 + i % 7) for i in range(32)]
+    WROTE = [(f"a{(i * 7 + j) % 11}", f"p{i}") for i in range(32) for j in range(1 + (i * i) % 4)]
+
+    def test_break_rows_plus_one_row_per_group(self):
+        system = make_system(self.SOURCE)
+        system.facts("paper", self.PAPERS)
+        system.facts("wrote", self.WROTE)
+        system.compile()
+        system.reset_counters()
+        rows = rows_to_python(system.call("venue_report").rows)
+        venue_of = {p: v for p, v, _y in self.PAPERS}
+        papers = {v: sum(1 for x in venue_of.values() if x == v) for v in set(venue_of.values())}
+        authorships = {v: sum(1 for _a, p in self.WROTE if venue_of[p] == v) for v in papers}
+        assert sorted(rows) == sorted((v, papers[v], authorships[v]) for v in papers)
+        counters = system.counters.snapshot()
+        venues = len(papers)
+        # Statement 1: every paper at the break, one row per venue after;
+        # statement 2: every authorship at the break, one row per venue.
+        assert counters["materialized_tuples"] == (32 + venues) + (48 + venues) == 90
+        # Unchanged from the row-per-member plan.
+        assert counters["index_lookups"] == 80
+        assert counters["index_probe_tuples"] == 96
+        assert counters["glue_hash_joins"] == 5
+        assert counters["pipeline_breaks"] == 2
+
+
 class TestPlanShapes:
     def test_plan_step_kinds(self):
         system = make_system(
