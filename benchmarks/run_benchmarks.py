@@ -399,126 +399,6 @@ def main_glue(args) -> int:
     return 0
 
 
-ORDERING_NAIL_SOURCE = "q(X, Z) :- big_a(X, Y) & big_b(Y, Z) & tiny(Z)."
-ORDERING_GLUE_SOURCE = "out(X, Z) := big_a(X, Y) & big_b(Y, Z) & tiny(Z)."
-
-
-def _ordering_facts(n, k):
-    """A skewed star join written in the worst order: two big relations
-    (fan-in k on the join column) first, the single-row selector last."""
-    return {
-        "big_a": [(i, i % k) for i in range(n)],
-        "big_b": [(j % k, j) for j in range(n)],
-        "tiny": [(7,)],
-    }
-
-
-def _run_ordering_once(engine, n, k, order_mode):
-    """One run of the star join: returns (stats, result rows).
-
-    ``engine`` picks the runtime: ``"nail"`` evaluates the rule through the
-    NAIL! engine, ``"glue"`` the same body as a Glue statement through the
-    VM.  Adaptive indexing is disabled so the numbers compare the body
-    *order* alone -- both modes still join with planned hash joins.
-    """
-    from repro.core.system import GlueNailSystem
-    from repro.storage.adaptive import NeverIndexPolicy
-
-    source = ORDERING_NAIL_SOURCE if engine == "nail" else ORDERING_GLUE_SOURCE
-    system = GlueNailSystem(
-        db=Database(index_policy=NeverIndexPolicy()), order_mode=order_mode
-    )
-    system.load(source)
-    for name, rows in _ordering_facts(n, k).items():
-        system.facts(name, rows)
-    system.compile()
-    counters = system.db.counters
-    counters.reset()
-    t0 = time.perf_counter()
-    if engine == "nail":
-        rows = set(system.rows("q", 2))
-    else:
-        system.run_script()
-        rows = set(system.db.relation(Atom("out"), 2).rows())
-    wall = time.perf_counter() - t0
-    stats = {
-        "rows": len(rows),
-        "wall_s": round(wall, 4),
-        "tuples_scanned": counters.tuples_scanned,
-        "index_probe_tuples": counters.index_probe_tuples,
-        "index_build_tuples": counters.index_build_tuples,
-        "total_tuple_touches": counters.total_tuple_touches,
-    }
-    return stats, rows
-
-
-def main_ordering(args) -> int:
-    """The join-ordering workload: the same skewed star join evaluated by
-    both engines under ``order_mode="cost"`` and the ``"program"``
-    baseline.  Program order materializes the big-by-big intermediate
-    before the one-row selector prunes it; the cost planner starts from
-    the selector and probes backwards through the join keys."""
-    sizes = [(400, 20)] if args.quick else [(800, 20), (1500, 30)]
-    results = {}
-    divergences = []
-    for n, k in sizes:
-        for engine in ("nail", "glue"):
-            name = f"ordering-{engine}-star-{n}"
-            cost_stats, cost_rows = _run_ordering_once(engine, n, k, "cost")
-            program_stats, program_rows = _run_ordering_once(engine, n, k, "program")
-            touch_x = round(
-                program_stats["total_tuple_touches"]
-                / max(cost_stats["total_tuple_touches"], 1),
-                1,
-            )
-            entry = {
-                "edb_rows": n,
-                "fan_in": k,
-                "cost": cost_stats,
-                "program": program_stats,
-                "touch_improvement": touch_x,
-            }
-            results[name] = entry
-            line = (
-                f"{name:28s} rows={cost_stats['rows']:<7d} "
-                f"cost={cost_stats['wall_s']:<8.4f} "
-                f"program={program_stats['wall_s']:<8.4f} "
-                f"touches {cost_stats['total_tuple_touches']} vs "
-                f"{program_stats['total_tuple_touches']} ({touch_x}x)"
-            )
-            if args.check:
-                ok = cost_rows == program_rows
-                line += "  check=" + ("OK" if ok else "DIVERGED")
-                if not ok:
-                    divergences.append(name)
-            print(line)
-
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_ordering.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = results
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": results}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-    if divergences:
-        print(f"DIVERGENCE cost vs program order on: {', '.join(divergences)}")
-        return 1
-    return 0
-
-
 def run_subscriptions(quick: bool, check: bool):
     """The continuous-query workload: N subscribers over a mixed stream.
 
@@ -1079,14 +959,6 @@ def main(argv=None) -> int:
         "the two modes",
     )
     parser.add_argument(
-        "--ordering",
-        action="store_true",
-        help="run the join-ordering workload instead (skewed star join, "
-        "cost-based order vs the program-order baseline, through both "
-        "engines); writes BENCH_ordering.json by default; --check "
-        "cross-validates the two modes",
-    )
-    parser.add_argument(
         "--subscriptions",
         action="store_true",
         help="run the continuous-query workload instead (N push subscribers "
@@ -1117,8 +989,8 @@ def main(argv=None) -> int:
         default=None,
         help="output JSON path (history in an existing file is preserved); "
         "default BENCH_joins.json, BENCH_incremental.json with --mixed, "
-        "BENCH_glue_joins.json with --glue, BENCH_ordering.json with "
-        "--ordering, or BENCH_subscriptions.json with --subscriptions",
+        "BENCH_glue_joins.json with --glue, or BENCH_subscriptions.json "
+        "with --subscriptions",
     )
     parser.add_argument(
         "--label", default=None, help="history label for this run (default: none, "
@@ -1130,8 +1002,6 @@ def main(argv=None) -> int:
         return main_mixed(args)
     if args.glue:
         return main_glue(args)
-    if args.ordering:
-        return main_ordering(args)
     if args.subscriptions:
         return main_subscriptions(args)
     if args.columnar:

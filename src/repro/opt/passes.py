@@ -27,6 +27,7 @@ it replaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -38,8 +39,12 @@ from repro.analysis.bindings import (
     term_vars,
     terms_vars,
 )
-from repro.analysis.fixedness import CallFixedness, is_fixed_subgoal
-from repro.lang.ast import CompareSubgoal, EmptyCond, PredSubgoal
+from repro.analysis.fixedness import (
+    CallFixedness,
+    is_aggregating_subgoal,
+    is_fixed_subgoal,
+)
+from repro.lang.ast import CompareSubgoal, EmptyCond, GroupBySubgoal, PredSubgoal
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan, PlanStep, filter_selectivity
 from repro.opt.stats import StatsContext
@@ -289,13 +294,26 @@ def _compare_binds(subgoal: CompareSubgoal, bound: Set[str]) -> bool:
     return False
 
 
-def _annotate(state: PlanState, ctx: PassContext) -> Tuple[PlanStep, ...]:
-    """Walk the schedule once, propagating bound vars and row estimates."""
+def _annotate(
+    state: PlanState, ctx: PassContext
+) -> Tuple[Tuple[PlanStep, ...], Dict[str, float]]:
+    """Walk the schedule once, propagating bound vars, row estimates and
+    per-variable distinct-count estimates.
+
+    A scan binding a fresh variable at column ``c`` gives it
+    ``distinct(c)``, capped by the running estimate.  ``group_by`` caps the
+    estimate at the product of its (cumulative) group variables' distinct
+    counts -- one binding per group -- when every factor is known, and
+    keeps the input estimate as an upper bound otherwise; an aggregate
+    comparison keeps that per-group estimate.
+    """
     body = state.body
     bound: Set[str] = set(ctx.bound)
     est: Optional[float] = (
         float(ctx.input_size) if ctx.input_size is not None else None
     )
+    distinct: Dict[str, float] = {}
+    group_vars: Set[str] = set()
     steps: List[PlanStep] = []
     for i in state.order:
         subgoal = body[i]
@@ -303,9 +321,17 @@ def _annotate(state: PlanState, ctx: PassContext) -> Tuple[PlanStep, ...]:
         kind = "other"
         source_rows: Optional[int] = None
         probe_cols: Tuple[int, ...] = ()
-        if is_fixed_subgoal(subgoal, ctx.call_fixedness):
+        if isinstance(subgoal, GroupBySubgoal):
             kind = "fixed"
-            est = None  # aggregation or side effects: size unknowable here
+            group_vars |= {t.name for t in subgoal.terms if isinstance(t, Var)}
+            if group_vars <= distinct.keys():
+                groups = math.prod(distinct[name] for name in group_vars)
+                est = groups if est is None else min(est, groups)
+        elif is_aggregating_subgoal(subgoal):
+            kind = "fixed"  # one value per group: the estimate stands
+        elif is_fixed_subgoal(subgoal, ctx.call_fixedness):
+            kind = "fixed"
+            est = None  # side effects or a call: size unknowable here
         elif isinstance(subgoal, PredSubgoal):
             lit = classify_join_columns(
                 subgoal.pred, subgoal.args, frozenset(bound)
@@ -322,6 +348,16 @@ def _annotate(state: PlanState, ctx: PassContext) -> Tuple[PlanStep, ...]:
                     source_rows = snap.rows
                     if est is not None:
                         est = est * snap.est_matches(probe_cols)
+                    for col, arg in enumerate(subgoal.args):
+                        d = snap.distinct(col)
+                        if (
+                            d is not None
+                            and isinstance(arg, Var)
+                            and not arg.is_anonymous
+                            and arg.name not in bound
+                        ):
+                            d = d if est is None else min(d, est)
+                            distinct[arg.name] = min(d, distinct.get(arg.name, d))
                 else:
                     est = None
         elif isinstance(subgoal, CompareSubgoal):
@@ -348,7 +384,7 @@ def _annotate(state: PlanState, ctx: PassContext) -> Tuple[PlanStep, ...]:
                 project=state.project.get(i),
             )
         )
-    return tuple(steps)
+    return tuple(steps), distinct
 
 
 def optimize(
@@ -397,4 +433,5 @@ def optimize(
     )
     for name in names:
         PASSES[name](state, ctx)
-    return Plan(body=state.body, steps=_annotate(state, ctx), passes=tuple(names))
+    steps, distinct = _annotate(state, ctx)
+    return Plan(body=state.body, steps=steps, passes=tuple(names), distinct=distinct)

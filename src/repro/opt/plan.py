@@ -12,8 +12,8 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional, Tuple
 
 #: Selectivity assumed for a filter comparison when nothing better is
 #: known: ``=`` keeps ~1 in 10 bindings, any other operator ~1 in 2.
@@ -73,11 +73,16 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class Plan:
-    """A scheduled body: steps in execution order plus the passes that ran."""
+    """A scheduled body: steps in execution order plus the passes that ran.
+
+    ``distinct`` maps each variable the body binds from a relation with
+    known statistics to its estimated number of distinct values.
+    """
 
     body: Tuple
     steps: Tuple[PlanStep, ...]
     passes: Tuple[str, ...]
+    distinct: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     @property
     def order(self) -> Tuple[int, ...]:

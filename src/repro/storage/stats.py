@@ -242,7 +242,7 @@ class RelationSnapshot:
     arity: int
     rows: int
     version: int = -1
-    distincts: Optional[Tuple[int, ...]] = None
+    distincts: Optional[Tuple[Optional[int], ...]] = None
     indexed: FrozenSet[Tuple[int, ...]] = frozenset()
     scan_costs: Mapping = field(default_factory=dict)
 

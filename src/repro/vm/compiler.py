@@ -10,6 +10,7 @@ their heads are declared so Glue code can reference them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,6 +51,8 @@ from repro.lang.ast import (
 )
 from repro.opt import optimize as plan_body
 from repro.opt.literal import classify_join_columns
+from repro.opt.plan import Plan as OptPlan
+from repro.storage.stats import RelationSnapshot
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 from repro.vm.exprs import compile_expr, compile_pattern, compile_term_code
 from repro.vm.plan import (
@@ -191,6 +194,44 @@ def _mark_per_group_aggregates(
         reads |= subgoal_vars(subgoal)
 
 
+def _sizable_locals(decl: ProcDecl) -> Set[Tuple[str, int]]:
+    """The procedure's locals whose every write is a procedure-level
+    ``:=`` with a static head -- the ones a compile-time estimate of the
+    assigning statement describes until the next such assignment.
+
+    ``+=``, ``-=``, ``+=[K]``, ``++``/``--`` subgoals and any write inside
+    a ``repeat`` disqualify the local; a HiLog head (or update) whose name
+    is a variable disqualifies every local of its arity.
+    """
+    unsizable: Set[Tuple[str, int]] = set()
+    dynamic_arities: Set[int] = set()
+
+    def written(pred, arity: int, sizable: bool) -> None:
+        if isinstance(pred, Var):
+            dynamic_arities.add(arity)
+        elif isinstance(pred, Atom) and not sizable:
+            unsizable.add((pred.name, arity))
+
+    def walk(stmts, top: bool) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, RepeatStmt):
+                walk(stmt.body, False)
+                subgoals = [s for alt in stmt.until.alternatives for s in alt]
+            else:
+                written(stmt.head_pred, len(stmt.head_args), top and stmt.op == ":=")
+                subgoals = stmt.body
+            for subgoal in subgoals:
+                if isinstance(subgoal, UpdateSubgoal):
+                    written(subgoal.pred, len(subgoal.args), False)
+
+    walk(decl.body, True)
+    return {
+        (d.name, d.arity)
+        for d in decl.locals
+        if (d.name, d.arity) not in unsizable and d.arity not in dynamic_arities
+    }
+
+
 def _ordered_new_vars(terms: Sequence[Term], known: Set[str]) -> List[str]:
     """First-occurrence order of named variables not already bound."""
     out: List[str] = []
@@ -227,6 +268,10 @@ class ProgramCompiler:
         self.deref_at_compile_time = deref_at_compile_time
         self.foreign_sigs = {(sig.module, sig.name, sig.arity): sig for sig in foreign_sigs}
         self._fixed_procs: Set[Tuple[Optional[str], str, int]] = set()
+        # While a procedure compiles: its sizable locals and the snapshot
+        # of each one's latest procedure-level ``:=`` (see _record_local_size).
+        self._sizable_locals: Set[Tuple[str, int]] = set()
+        self._local_sizes: Dict[Tuple[str, int], RelationSnapshot] = {}
 
     # ------------------------------------------------------------------ #
     # entry point
@@ -553,7 +598,12 @@ class ProgramCompiler:
             ),
             allow_override=True,
         )
-        body = [self._compile_any_stmt(stmt, proc_scope, decl) for stmt in decl.body]
+        self._sizable_locals = _sizable_locals(decl)
+        try:
+            body = [self._compile_any_stmt(stmt, proc_scope, decl) for stmt in decl.body]
+        finally:
+            self._sizable_locals = set()
+            self._local_sizes = {}
         key = (module, decl.name, decl.arity)
         return CompiledProc(
             module=module,
@@ -617,7 +667,7 @@ class ProgramCompiler:
         reorder_input = tuple(body)
         if body_override is not None:
             body = list(body_override)
-        plan, state, ordered_body = self._compile_body(
+        plan, state, ordered_body, annotated = self._compile_body(
             body, scope, proc, context="body", stmt=stmt,
             preordered=body_override is not None,
         )
@@ -660,6 +710,9 @@ class ProgramCompiler:
         if head_ref.info is None or head_ref.info.klass is PredClass.EDB:
             fixed = True
 
+        if body_override is None:
+            self._record_local_size(stmt, head_ref, state.group_cols, annotated)
+
         return CompiledStmt(
             plan=plan,
             head_ref=head_ref,
@@ -675,6 +728,40 @@ class ProgramCompiler:
             ordered_body=ordered_body,
             source_scope=scope,
             source_proc=proc,
+        )
+
+    def _record_local_size(
+        self, stmt: AssignStmt, head_ref: PredRef, group_cols, annotated
+    ) -> None:
+        """Size a local from the ``:=`` statement that just compiled, so
+        later statements of the procedure plan against it.
+
+        Rows are the statement's final estimate; a head argument that is a
+        group column gets ``min(its distinct estimate, rows)`` distinct
+        values, any other argument an unknown count.  An unknown final
+        estimate forgets the local's previous size.
+        """
+        info = head_ref.info
+        if info is None or info.klass is not PredClass.LOCAL or stmt.op != ":=":
+            return
+        key = (info.skeleton[0], info.arity)
+        if key not in self._sizable_locals:
+            return
+        rows = annotated.steps[-1].est_rows if annotated and annotated.steps else None
+        if rows is None:
+            self._local_sizes.pop(key, None)
+            return
+        rows = math.ceil(rows)
+        distincts = tuple(
+            min(math.ceil(annotated.distinct[arg.name]), rows)
+            if isinstance(arg, Var)
+            and arg.name in group_cols
+            and arg.name in annotated.distinct
+            else None
+            for arg in stmt.head_args
+        )
+        self._local_sizes[key] = RelationSnapshot(
+            name=head_ref.pred, arity=info.arity, rows=rows, distincts=distincts
         )
 
     def recompile_with_order(
@@ -760,7 +847,7 @@ class ProgramCompiler:
         context: str = "body",
         stmt: Optional[AssignStmt] = None,
         preordered: bool = False,
-    ) -> Tuple[List[Step], _ColumnState, Tuple[object, ...]]:
+    ) -> Tuple[List[Step], _ColumnState, Tuple[object, ...], Optional[OptPlan]]:
         if self.optimize and not preordered:
             body = self._order_body(body, scope)
         line = stmt.line if stmt is not None else 0
@@ -769,15 +856,15 @@ class ProgramCompiler:
         except BindingError as exc:
             raise CompileError(f"line {line}: {exc}") from exc
 
-        est_of = self._body_estimates(body, scope)
+        annotated = self._annotate_body(body, scope)
         state = _ColumnState()
         plan: List[Step] = []
         for pos, subgoal in enumerate(body):
             step = self._compile_subgoal(subgoal, scope, state, line)
-            if isinstance(step, (ScanStep, NegScanStep)):
-                step.est_rows = est_of.get(pos)
+            if annotated is not None and isinstance(step, (ScanStep, NegScanStep)):
+                step.est_rows = annotated.steps[pos].est_rows
             plan.append(step)
-        return plan, state, tuple(body)
+        return plan, state, tuple(body), annotated
 
     def _order_body(self, body: List[object], scope: Scope) -> List[object]:
         """Choose the body's evaluation order per ``order_mode``.
@@ -817,7 +904,9 @@ class ProgramCompiler:
 
         SPECIAL relations (``in``/``return``) are sized at one tuple -- the
         unit-seed default for per-invocation relations -- so an unknowable
-        input does not turn every downstream estimate unknown."""
+        input does not turn every downstream estimate unknown.  A LOCAL
+        relation is sized by the procedure-level ``:=`` that last assigned
+        it (:meth:`_record_local_size`), and unknown otherwise."""
         if self.stats_source is None:
             return None
         stats_source = self.stats_source
@@ -826,25 +915,26 @@ class ProgramCompiler:
             info = self._try_resolve(pred, arity, scope)
             if info is not None and info.klass is PredClass.SPECIAL:
                 return 1
+            if info is not None and info.klass is PredClass.LOCAL:
+                return self._local_sizes.get((info.skeleton[0], arity))
             return stats_source(pred, arity)
 
         return source
 
-    def _body_estimates(self, body: Sequence[object], scope: Scope) -> Dict[int, object]:
-        """Planner row estimates for ``body`` in its final order, keyed by
-        position.  Empty without a statistics source (estimates are then
-        unknown, not zero)."""
+    def _annotate_body(self, body: Sequence[object], scope: Scope) -> Optional[OptPlan]:
+        """The planner's estimates for ``body`` in its final order (one
+        step per subgoal).  None without a statistics source: estimates are
+        then unknown, not zero."""
         stats = self._scoped_stats(scope)
         if stats is None:
-            return {}
-        annotated = plan_body(
+            return None
+        return plan_body(
             tuple(body),
             stats=stats,
             order_mode="program",
             call_fixedness=self._call_fixedness(scope),
             call_bound_arity=self._call_bound_arity(scope),
         )
-        return {pos: step.est_rows for pos, step in enumerate(annotated.steps)}
 
     def _compile_subgoal(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
         colindex = state.colindex

@@ -17,6 +17,7 @@ from repro.lang.parser import parse_program
 from repro.opt import Plan, RelationSnapshot, optimize
 from repro.storage.relation import Relation
 from repro.terms.term import Atom, Num
+from repro.vm.plan import ScanStep
 from tests.conftest import make_system
 
 # --------------------------------------------------------------------- #
@@ -72,6 +73,53 @@ class TestOptimizeFacade:
         assert step_b.est_rows == pytest.approx(10 * 100 / 5)
         assert "est~" in plan.describe()[0]
 
+    def test_group_by_estimates_one_binding_per_group(self):
+        body = _body("per(V, N) := item(I, V) & group_by(V) & N = count(I).")
+        stats = {"item": RelationSnapshot(name="item", arity=2, rows=1000, distincts=(1000, 10))}
+        plan = optimize(body, stats=lambda pred, arity: stats.get(str(pred)))
+        scan, group, agg = plan.steps
+        assert scan.est_rows == 1000
+        assert plan.distinct == {"I": 1000, "V": 10}
+        assert group.kind == "fixed" and group.est_rows == 10
+        # The aggregate bind keeps the per-group estimate.
+        assert agg.kind == "fixed" and agg.est_in == agg.est_rows == 10
+
+    def test_group_by_without_distincts_keeps_the_upper_bound(self):
+        body = _body("per(V, N) := item(I, V) & group_by(V) & N = count(I).")
+        plan = optimize(body, stats=lambda pred, arity: 1000, order_mode="program")
+        assert plan.distinct == {}
+        assert [step.est_rows for step in plan.steps] == [1000, 1000, 1000]
+
+    def test_group_by_is_capped_by_the_running_estimate(self):
+        # Four bindings reach the group_by; V x W could form 50 groups.
+        body = _body(
+            "per(V, W, N) := tiny(I) & item(I, V, W) & group_by(V, W) & N = count(I)."
+        )
+        stats = {
+            "tiny": RelationSnapshot(name="tiny", arity=1, rows=4, distincts=(4,)),
+            "item": RelationSnapshot(
+                name="item", arity=3, rows=1000, distincts=(1000, 10, 5)
+            ),
+        }
+        plan = optimize(
+            body, stats=lambda pred, arity: stats.get(str(pred)), order_mode="program"
+        )
+        assert plan.steps[1].est_rows == pytest.approx(4.0)
+        # A fresh variable's distinct count is capped by the bindings so far.
+        assert plan.distinct["V"] == pytest.approx(4.0)
+        assert plan.steps[2].est_rows == pytest.approx(4.0)
+
+    def test_unknown_group_variable_keeps_the_upper_bound(self):
+        body = _body(
+            "per(V, Z, N) := item(I, V) & Z = V + 1 & group_by(V, Z) & N = count(I)."
+        )
+        stats = {"item": RelationSnapshot(name="item", arity=2, rows=1000, distincts=(1000, 10))}
+        plan = optimize(
+            body, stats=lambda pred, arity: stats.get(str(pred)), order_mode="program"
+        )
+        assert "Z" not in plan.distinct  # bound by an expression, not a scan
+        assert plan.steps[2].est_rows == 1000
+
     def test_pipeline_override_runs_named_passes_only(self):
         body = _body("q(X, Z) :- big(X, Y) & tiny(Y, Z).")
         sizes = {"big": 10_000, "tiny": 2}
@@ -82,6 +130,87 @@ class TestOptimizeFacade:
         )
         assert plan.order == (0, 1)  # the join-order pass was not requested
         assert plan.passes == ("pull-selections",)
+
+
+# --------------------------------------------------------------------- #
+# procedure-local relations are sized by the := that assigns them
+# --------------------------------------------------------------------- #
+
+ITEMS = [(f"i{n}", f"v{n % 4}") for n in range(40)]
+TAGS = [(f"t{n % 7}", f"i{n % 40}") for n in range(60)]
+REPORT_RETURN = (
+    "  return(:V, N, M) := per(V, N) & item(I, V) & tag(T, I) &\n"
+    "    group_by(V, N) & M = count(T).\n"
+)
+
+
+def _local_scan(source, stmt_index, name="per"):
+    """The compiled scan of local ``name`` in statement ``stmt_index`` of
+    the only procedure, plus the statement's scan order."""
+    system = make_system(source)
+    system.facts("item", ITEMS)
+    system.facts("tag", TAGS)
+    system.facts("extra", [("v9", 1)])
+    (proc,) = system.compile().procs.values()
+    plan = proc.body[stmt_index].plan
+    scans = [step for step in plan if isinstance(step, ScanStep)]
+    order = [str(step.ref.pred) for step in scans]
+    (local,) = [step for step in scans if str(step.ref.pred) == name]
+    return local, order
+
+
+class TestLocalEstimates:
+    def test_assigned_local_is_sized_and_scheduled_first(self):
+        source = (
+            "proc report(:V, N, M)\nrels per(V, N);\n"
+            "  per(V, N) := item(I, V) & group_by(V) & N = count(I).\n"
+            + REPORT_RETURN + "end\n"
+        )
+        local, order = _local_scan(source, 1)
+        assert local.est_rows == 4  # one row per venue
+        assert order == ["in", "per", "item", "tag"]
+
+    def test_local_extended_by_plus_equals_stays_unknown(self):
+        source = (
+            "proc report(:V, N, M)\nrels per(V, N);\n"
+            "  per(V, N) := item(I, V) & group_by(V) & N = count(I).\n"
+            "  per(V, N) += extra(V, N).\n"
+            + REPORT_RETURN + "end\n"
+        )
+        local, order = _local_scan(source, 2)
+        assert local.est_rows is None
+        assert order[-1] == "per"  # unknown sizes rank after known ones
+
+    def test_local_assigned_inside_repeat_stays_unknown(self):
+        source = (
+            "proc report(:V, N, M)\nrels per(V, N);\n"
+            "  repeat\n"
+            "    per(V, N) := item(I, V) & group_by(V) & N = count(I).\n"
+            "  until unchanged(per(_, _));\n"
+            + REPORT_RETURN + "end\n"
+        )
+        local, _order = _local_scan(source, 1)
+        assert local.est_rows is None
+
+    def test_local_read_before_its_assignment_stays_unknown(self):
+        source = (
+            "proc report(:V, N, M)\nrels per(V, N);\n"
+            + REPORT_RETURN
+            + "  per(V, N) := item(I, V) & group_by(V) & N = count(I).\n"
+            "end\n"
+        )
+        local, _order = _local_scan(source, 0)
+        assert local.est_rows is None
+
+    def test_hilog_head_leaves_locals_of_its_arity_unknown(self):
+        source = (
+            "proc report(:V, N, M)\nrels per(V, N);\n"
+            "  per(V, N) := item(I, V) & group_by(V) & N = count(I).\n"
+            "  R(V, N) := extra(V, N) & R = per.\n"
+            + REPORT_RETURN + "end\n"
+        )
+        local, _order = _local_scan(source, 2)
+        assert local.est_rows is None
 
 
 # --------------------------------------------------------------------- #
@@ -133,6 +262,29 @@ class TestDifferential:
         program = _answers("program", body, e_rows, f_rows, g_rows)
         assert cost == program
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        perm=st.permutations(("f(K, Z)", "per(K, N)", "e(Z, W)")),
+        e_rows=pairs,
+        f_rows=pairs,
+    )
+    def test_glue_local_sized_by_group_by(self, perm, e_rows, f_rows):
+        # The local is sized at compile time from its group_by statement,
+        # so cost mode may schedule it anywhere in the later join.
+        source = (
+            "proc rep(:K, N, Z, W)\nrels per(K, N);\n"
+            "  per(K, N) := e(X, K) & group_by(K) & N = count(X).\n"
+            "  return(:K, N, Z, W) := " + " & ".join(perm) + ".\n"
+            "end\n"
+        )
+        results = {}
+        for mode in ("cost", "program"):
+            system = make_system(source, order_mode=mode)
+            system.facts("e", e_rows)
+            system.facts("f", f_rows)
+            results[mode] = sorted(system.call("rep").to_python())
+        assert results["cost"] == results["program"]
+
     def test_glue_statement_differential(self):
         source = "out(X, Z) := big_a(X, Y) & big_b(Y, Z) & tiny(Z)."
         results = {}
@@ -155,26 +307,32 @@ class TestDifferential:
 class TestCostCollapse:
     N = 800
     K = 20
+    BODY = "big_a(X, Y) & big_b(Y, Z) & tiny(Z)"
 
-    def _run(self, order_mode):
+    def _run(self, engine, order_mode):
         # Program order joins the two big relations first (N*N/K
         # intermediate bindings) before the single-row tiny(Z) prunes; cost
         # order starts from tiny and probes backwards through the keys.
-        system = make_system(
-            "q(X, Z) :- big_a(X, Y) & big_b(Y, Z) & tiny(Z).",
-            order_mode=order_mode,
-        )
+        # The same body runs as a NAIL! rule and as a Glue statement.
+        if engine == "nail":
+            source = f"q(X, Z) :- {self.BODY}."
+        else:
+            source = f"q(X, Z) := {self.BODY}."
+        system = make_system(source, order_mode=order_mode)
         system.facts("big_a", [(i, i % self.K) for i in range(self.N)])
         system.facts("big_b", [(j % self.K, j) for j in range(self.N)])
         system.facts("tiny", [(7,)])
         system.compile()
         system.reset_counters()
+        if engine == "glue":
+            system.run_script()
         rows = sorted(system.rows("q", 2).to_python())
         return rows, system.counters.total_tuple_touches
 
-    def test_cost_order_touches_5x_fewer_tuples(self):
-        cost_rows, cost_touches = self._run("cost")
-        program_rows, program_touches = self._run("program")
+    @pytest.mark.parametrize("engine", ["nail", "glue"])
+    def test_cost_order_touches_5x_fewer_tuples(self, engine):
+        cost_rows, cost_touches = self._run(engine, "cost")
+        program_rows, program_touches = self._run(engine, "program")
         assert cost_rows == program_rows
         assert cost_rows  # the join is non-empty
         assert cost_touches * 5 <= program_touches, (

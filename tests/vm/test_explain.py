@@ -89,3 +89,26 @@ class TestAggregateCollapseLabel:
         )
         assert "mean (bind) groups@[0]" in line
         assert "per group" not in line
+
+
+class TestLocalRelationEstimates:
+    SOURCE = """
+    proc venue_report(:V, Papers, Authorships)
+    rels per_venue(V, N);
+      per_venue(V, N) := paper(P, V, _) & group_by(V) & N = count(P).
+      return(:V, Papers, Authorships) :=
+        per_venue(V, Papers) & paper(P, V, _) & wrote(A, P) &
+        group_by(V, Papers) & Authorships = count(A).
+    end
+    """
+
+    def test_sized_local_is_scanned_first_with_its_estimate(self):
+        system = make_system(self.SOURCE)
+        system.facts("paper", [(f"p{i}", f"v{i % 5}", 1990 + i % 7) for i in range(32)])
+        system.facts("wrote", [(f"a{i % 11}", f"p{i % 32}") for i in range(48)])
+        text = explain_proc(system.compile().find_proc("venue_report", 3))
+        body = text.split("ASSIGN return/3", 1)[1]
+        scans = [line.split() for line in body.splitlines() if "SCAN" in line]
+        assert [scan[1] for scan in scans] == ["in/0", "per_venue/2", "paper/3", "wrote/2"]
+        assert "est~5" in scans[1]  # one row per venue
+        assert "est~32" in scans[2] and "est~48" in scans[3]

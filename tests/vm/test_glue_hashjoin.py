@@ -297,3 +297,38 @@ class TestAdaptiveVariantRace:
         assert not errors
         assert len(stmt.variants) == 1
         assert sorted(rows_to_python(system.relation_rows("out", 2)))
+
+
+class TestFrameKernelTables:
+    """Every call gets fresh local/in/return relations; a probe table built
+    over one of them must leave the shared kernel cache with the frame,
+    or 256 calls later the cache's wholesale clear drops the EDB tables."""
+
+    SOURCE = """
+    proc pick(:X, Y, Z)
+    rels t(X, Y);
+      t(X, Y) := big(X, Y).
+      return(:X, Y, Z) := small(X) & t(X, Y) & label(Y, Z).
+    end
+    """
+    FACTS = {
+        "big": [(i % 5, i) for i in range(40)],
+        "small": [(1,), (3,)],
+        "label": [(i, f"l{i}") for i in range(40)],
+    }
+
+    def test_frame_tables_are_evicted_per_call(self):
+        system = build(self.SOURCE, self.FACTS)
+        columnar = system.db.columnar
+        expected = sorted(rows_to_python(system.call("pick").rows))
+        assert len(expected) == 16
+        edb_tables = dict(columnar._glue_tables)
+        assert edb_tables, "the EDB side was not probed through a kernel table"
+        misses = columnar.misses
+        for _ in range(299):
+            assert sorted(rows_to_python(system.call("pick").rows)) == expected
+        assert len(columnar._glue_tables) == len(edb_tables)
+        for key, entry in edb_tables.items():
+            assert columnar._glue_tables[key] is entry  # never rebuilt
+        # The only miss per call is the frame's own fresh local t/2.
+        assert columnar.misses - misses == 299

@@ -180,9 +180,12 @@ class TestPerGroupCounters:
         # Statement 1: every paper at the break, one row per venue after;
         # statement 2: every authorship at the break, one row per venue.
         assert counters["materialized_tuples"] == (32 + venues) + (48 + venues) == 90
-        # Unchanged from the row-per-member plan.
-        assert counters["index_lookups"] == 80
-        assert counters["index_probe_tuples"] == 96
+        # per_venue is sized at compile time (5 rows, one per venue), so the
+        # return body starts from it: 5 venue probes into paper's V column
+        # plus 32 paper probes into wrote's P column make 37 lookups, and
+        # the probed buckets hold 32 papers + 48 authorships = 80 tuples.
+        assert counters["index_lookups"] == 5 + 32 == 37
+        assert counters["index_probe_tuples"] == 32 + 48 == 80
         assert counters["glue_hash_joins"] == 5
         assert counters["pipeline_breaks"] == 2
 
