@@ -167,117 +167,6 @@ def _magic_workload(chain, source):
     return run
 
 
-def run_mixed(quick: bool, check: bool):
-    """The incremental-maintenance workload: a transactional mixed stream.
-
-    One long-lived engine materializes the transitive closure of a chain,
-    then the stream alternates single-fact EDB writes with closure
-    re-queries.  Insert steps are timed twice -- the cached engine's
-    incremental repair vs. a from-scratch materialization on a fresh
-    engine -- and under ``--check`` every step (insert, delete, and a
-    rolled-back transaction) is differentially validated against the
-    from-scratch answer.
-    """
-    import statistics
-
-    from repro.txn.manager import TransactionManager
-
-    chain = 60 if quick else 120
-    steps = 5 if quick else 15
-    rules = rules_of(PATH_RULES)
-    db = db_with({"edge": chain_edges(chain)})
-    manager = TransactionManager(db)
-    db.attach_journal(manager)
-    engine = NailEngine(db, rules)
-    pred = Atom("path")
-
-    t0 = time.perf_counter()
-    engine.materialize(pred, 2)
-    cold_wall = time.perf_counter() - t0
-
-    incremental, scratch = [], []
-    divergences = []
-    tip = chain
-    for step in range(steps):
-        op = ("insert", "insert", "delete", "insert", "rollback")[step % 5]
-        if op == "insert":
-            db.fact("edge", tip, tip + 1)
-            tip += 1
-        elif op == "delete":
-            db.get("edge", 2).delete((Num(tip - 1), Num(tip)))
-            tip -= 1
-        else:  # a transaction that nets to nothing
-            manager.begin()
-            db.fact("edge", 9000 + step, 9001 + step)
-            manager.rollback()
-        t0 = time.perf_counter()
-        relation = engine.materialize(pred, 2)
-        dt_incremental = time.perf_counter() - t0
-        fresh_engine = NailEngine(db, rules)
-        t0 = time.perf_counter()
-        fresh = fresh_engine.materialize(pred, 2)
-        dt_scratch = time.perf_counter() - t0
-        if op == "insert":
-            incremental.append(dt_incremental)
-            scratch.append(dt_scratch)
-        if check and set(relation.rows()) != set(fresh.rows()):
-            divergences.append(f"step {step} ({op})")
-
-    counters = db.counters
-    incr_median = statistics.median(incremental)
-    scratch_median = statistics.median(scratch)
-    stats = {
-        "chain": chain,
-        "steps": steps,
-        "rows": len(engine.materialize(pred, 2)),
-        "cold_wall_s": round(cold_wall, 5),
-        "incremental_median_s": round(incr_median, 6),
-        "scratch_median_s": round(scratch_median, 6),
-        "speedup": round(scratch_median / max(incr_median, 1e-9), 1),
-        "delta_repairs": counters.idb_delta_repairs,
-        "delta_rounds": counters.idb_delta_rounds,
-        "invalidations": counters.idb_invalidations,
-        "cache_hits": counters.idb_cache_hits,
-    }
-    return stats, divergences
-
-
-def main_mixed(args) -> int:
-    stats, divergences = run_mixed(args.quick, args.check)
-    name = f"mixed-chain-{stats['chain']}"
-    print(
-        f"{name:28s} rows={stats['rows']:<7d} cold={stats['cold_wall_s']:<8.5f} "
-        f"incr={stats['incremental_median_s']:<9.6f} "
-        f"scratch={stats['scratch_median_s']:<9.6f} speedup={stats['speedup']}x "
-        f"repairs={stats['delta_repairs']} invalidations={stats['invalidations']}"
-        + ("  check=" + ("DIVERGED" if divergences else "OK") if args.check else "")
-    )
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = {name: stats}
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": {name: stats}}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-    if divergences:
-        print(f"DIVERGENCE incremental vs from-scratch at: {', '.join(divergences)}")
-        return 1
-    return 0
-
-
 GLUE_SOURCE = """
 joined(A, D) := r(A, B) & s(B, C) & t(C, D).
 far(A, D) := joined(A, D) & !near(A, D).
@@ -944,13 +833,6 @@ def main(argv=None) -> int:
         "exit nonzero on divergence",
     )
     parser.add_argument(
-        "--mixed",
-        action="store_true",
-        help="run the incremental-maintenance workload instead (single-fact "
-        "writes alternating with closure queries; incremental repair vs "
-        "from-scratch); writes BENCH_incremental.json by default",
-    )
-    parser.add_argument(
         "--glue",
         action="store_true",
         help="run the Glue VM workload instead (join-heavy statement "
@@ -988,9 +870,8 @@ def main(argv=None) -> int:
         "--out",
         default=None,
         help="output JSON path (history in an existing file is preserved); "
-        "default BENCH_joins.json, BENCH_incremental.json with --mixed, "
-        "BENCH_glue_joins.json with --glue, or BENCH_subscriptions.json "
-        "with --subscriptions",
+        "default BENCH_joins.json, BENCH_glue_joins.json with --glue, or "
+        "BENCH_subscriptions.json with --subscriptions",
     )
     parser.add_argument(
         "--label", default=None, help="history label for this run (default: none, "
@@ -998,8 +879,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.mixed:
-        return main_mixed(args)
     if args.glue:
         return main_glue(args)
     if args.subscriptions:

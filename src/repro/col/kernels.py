@@ -38,13 +38,16 @@ class ColumnarContext:
     against it (the NAIL! engine's IDB adopts its EDB's context), because
     ids from different relations meet in join keys.  Cached state is keyed
     by the relation's ``(uid, version)`` fingerprint -- ``uid`` is globally
-    unique, so frame-local Glue relations cache safely too -- and a version
-    bump invalidates by key miss (full re-encode, no changelog replay).
+    unique, so frame-local Glue relations cache safely too.  After a version
+    bump, probe tables follow the relation's change log when every change
+    since was an insert (only the touched buckets are re-encoded) and are
+    re-encoded in full otherwise; row sets and broadcast columns always
+    re-encode.
     """
 
     __slots__ = (
         "atoms", "_tables", "_rowsets", "_glue_tables", "_bcast",
-        "hits", "misses",
+        "hits", "misses", "extends",
     )
 
     def __init__(self):
@@ -59,6 +62,9 @@ class ColumnarContext:
         self._bcast: dict = {}
         self.hits = 0
         self.misses = 0
+        # Probe tables brought up to date from the change log; an extension
+        # is neither a hit nor a miss.
+        self.extends = 0
 
     def stats(self) -> dict:
         return {
@@ -67,6 +73,7 @@ class ColumnarContext:
             "rowsets": len(self._rowsets),
             "cache_hits": self.hits,
             "cache_misses": self.misses,
+            "cache_extends": self.extends,
         }
 
     def evict(self, uids) -> None:
@@ -90,7 +97,7 @@ class ColumnarContext:
     # NAIL! kernel state
     # ------------------------------------------------------------------ #
 
-    def probe_table(self, relation, plan) -> Tuple[dict, bool]:
+    def probe_table(self, relation, plan) -> Tuple[dict, str]:
         """The probe-side hash state for one (relation, literal plan).
 
         Maps a probe key (scalar id for single-column keys, id tuple
@@ -98,25 +105,16 @@ class ColumnarContext:
         with eq-checks pre-applied.  Built by iterating the relation's own
         persistent ``HashIndex`` buckets, so the index build is charged
         (once) exactly as a row-engine probe would charge it, and bucket
-        insertion order -- hence output order -- is identical.
+        insertion order -- hence output order -- is identical.  Returns the
+        table and how the cache served it (see :meth:`_probe_state`).
         """
         extract_cols = tuple(col for col, _name in plan.extract)
-        key = (relation.uid, plan.probe_cols, extract_cols, plan.eq_checks)
-        version = relation.fingerprint[1]
-        entry = self._tables.get(key)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1], True
-        self.misses += 1
-        index = relation.build_index(plan.probe_cols)
-        atoms = self.atoms
-        intern = atoms.intern
-        intern_row = atoms.intern_row
         eq_checks = plan.eq_checks
+        intern = self.atoms.intern
+        intern_row = self.atoms.intern_row
         scalar = len(plan.probe_cols) == 1
-        table: dict = {}
-        for bucket_key, rows in index.buckets_view().items():
-            raw = len(rows)
+
+        def encode(bucket_key, rows):
             new_cols: list = [[] for _ in extract_cols]
             matched = 0
             for row in rows:
@@ -126,13 +124,61 @@ class ColumnarContext:
                     new_cols[j].append(intern(row[c]))
                 matched += 1
             k = intern(bucket_key[0]) if scalar else intern_row(bucket_key)
-            table[k] = (raw, matched, new_cols)
-        if len(self._tables) > _MAX_TABLES:
-            self._tables.clear()
-        self._tables[key] = (version, table)
-        return table, False
+            return k, (len(rows), matched, new_cols)
 
-    def rowset(self, relation) -> Tuple[set, bool]:
+        key = (relation.uid, plan.probe_cols, extract_cols, eq_checks)
+        return self._probe_state(
+            self._tables, _MAX_TABLES, key, relation, plan.probe_cols, encode
+        )
+
+    def _probe_state(self, cache, limit, key, relation, probe_cols, encode):
+        """Look up, extend or build one cached probe table.
+
+        ``encode(bucket_key, rows)`` turns one index bucket into a
+        ``(table_key, entry)`` pair.  Returns ``(table, status)``:
+
+        - ``"hit"``: cached at the relation's version;
+        - ``"extend"``: cached at an older version, and every change since
+          was an insert (:meth:`Relation.inserts_since`).  The new table is
+          a shallow copy of the old one with the touched buckets encoded
+          afresh; the old table is never mutated, because a reader pinned
+          at the older version may still be probing it;
+        - ``"miss"``: built from every bucket (no entry, deletes since, an
+          exhausted change log, or an entry newer than the caller).
+
+        ``relation.build_index`` runs on every extend and miss, as the row
+        engine's probe would call it, so counters match in either mode.
+        """
+        version = relation.fingerprint[1]
+        entry = cache.get(key)
+        if entry is not None and entry[0] == version:
+            self.hits += 1
+            return entry[1], "hit"
+        index = relation.build_index(probe_cols)
+        added = None
+        if entry is not None and entry[0] < version:
+            added = relation.inserts_since(entry[0])
+        if added is None:
+            self.misses += 1
+            status = "miss"
+            table = dict(
+                encode(bucket_key, rows)
+                for bucket_key, rows in index.buckets_view().items()
+            )
+        else:
+            self.extends += 1
+            status = "extend"
+            table = dict(entry[1])
+            bucket = index.bucket
+            for bucket_key in dict.fromkeys(map(index.key_of, added)):
+                k, value = encode(bucket_key, bucket(bucket_key))
+                table[k] = value
+        if len(cache) > limit:
+            cache.clear()
+        cache[key] = (version, table)
+        return table, status
+
+    def rowset(self, relation) -> Tuple[set, str]:
         """The relation's rows as a set of id tuples (membership kernel).
 
         Building charges nothing, mirroring the row engine's ``contains``
@@ -142,14 +188,14 @@ class ColumnarContext:
         entry = self._rowsets.get(relation.uid)
         if entry is not None and entry[0] == version:
             self.hits += 1
-            return entry[1], True
+            return entry[1], "hit"
         self.misses += 1
         intern_row = self.atoms.intern_row
         rows = frozenset(intern_row(row) for row in relation.rows())
         if len(self._rowsets) > _MAX_TABLES:
             self._rowsets.clear()
         self._rowsets[relation.uid] = (version, rows)
-        return rows, False
+        return rows, "miss"
 
     def broadcast_columns(self, relation, extract_cols: Tuple[int, ...]):
         """Interned id-columns for a full-relation broadcast.
@@ -180,7 +226,7 @@ class ColumnarContext:
     # Glue kernel state
     # ------------------------------------------------------------------ #
 
-    def glue_probe_table(self, target, shape) -> Tuple[dict, bool]:
+    def glue_probe_table(self, target, shape) -> Tuple[dict, str]:
         """Suffix table for a Glue scan step: probe key -> suffix rows.
 
         Keys are Term tuples (scalar Terms for single-column keys) and the
@@ -189,20 +235,13 @@ class ColumnarContext:
         is one lookup and one list comprehension per supplementary row.
         Term-level (no interning): frame-local relations need no shared id
         space, and the emitted rows feed straight into Term-tuple storage.
+        Cached, extended and rebuilt as :meth:`_probe_state` describes.
         """
         extract = shape.extract_cols
-        key = (target.uid, shape.probe_cols, extract, shape.eq_checks)
-        version = target.fingerprint[1]
-        entry = self._glue_tables.get(key)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1], True
-        self.misses += 1
-        index = target.build_index(shape.probe_cols)
         eq_checks = shape.eq_checks
         scalar = len(shape.probe_cols) == 1
-        table: dict = {}
-        for bucket_key, rows in index.buckets_view().items():
+
+        def encode(bucket_key, rows):
             if eq_checks:
                 suffixes = [
                     tuple(row[c] for c in extract)
@@ -211,11 +250,12 @@ class ColumnarContext:
                 ]
             else:
                 suffixes = [tuple(row[c] for c in extract) for row in rows]
-            table[bucket_key[0] if scalar else bucket_key] = (len(rows), suffixes)
-        if len(self._glue_tables) > _MAX_GLUE_TABLES:
-            self._glue_tables.clear()
-        self._glue_tables[key] = (version, table)
-        return table, False
+            return (bucket_key[0] if scalar else bucket_key), (len(rows), suffixes)
+
+        key = (target.uid, shape.probe_cols, extract, eq_checks)
+        return self._probe_state(
+            self._glue_tables, _MAX_GLUE_TABLES, key, target, shape.probe_cols, encode
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -645,7 +645,7 @@ def _columnar_literal(
         return None
     source = _as_source(fn(subgoal.pred, plan.arity))
     atoms = ctx.atoms
-    cached: Optional[bool] = None
+    cached: Optional[str] = None  # kernel-cache status, for the trace
     if subgoal.negated:
         if isinstance(source, _EmptySource):
             # Nothing to match: every binding survives, nothing is charged
@@ -713,7 +713,7 @@ def _columnar_literal(
             rows=added,
             kernel=strategy,
             batch=batch.length,
-            cache=(None if cached is None else ("hit" if cached else "miss")),
+            cache=cached,
         )
     return out
 

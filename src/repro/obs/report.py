@@ -87,8 +87,9 @@ def render_batch_kernel_table(events: Sequence[TraceEvent]) -> List[str]:
     Shows which specialized kernel ran each literal (probe / broadcast /
     member / anti-static), the batch width it consumed, the rows it
     produced, and whether the kernel's hash state came out of the
-    per-database cache (``hit``) or was rebuilt for a new relation
-    version (``miss``; ``-`` for stateless kernels).
+    per-database cache (``hit``), was brought forward from an older
+    version by appending inserted rows (``extend``), or was rebuilt
+    (``miss``; ``-`` for stateless kernels).
     """
     kernels = [
         e for e in sorted(events, key=lambda e: e.seq) if e.kind == "batch_kernel"

@@ -533,6 +533,10 @@ class Session:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # A notification frame written right behind a reply would otherwise
+    # wait for the client's delayed ACK (~40 ms) under Nagle's algorithm.
+    disable_nagle_algorithm = True
+
     def handle(self):  # pragma: no cover - exercised via live-server tests
         server: GlueNailServer = self.server.core
         session = server._new_session()

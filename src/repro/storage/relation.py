@@ -10,6 +10,8 @@ representation guarantees by construction.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -87,20 +89,9 @@ class ChangeLog:
         """
         if version < self.horizon:
             return None
-        # Entry versions are strictly increasing; bisect to the first entry
-        # past ``version`` so a reader that polls every round (the planner's
-        # column profile) pays for its delta, not the whole window.
-        entries = self.entries
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid][0] <= version:
-                lo = mid + 1
-            else:
-                hi = mid
         first: dict = {}
         last: dict = {}
-        for _entry_version, kind, rows in entries[lo:]:
+        for _entry_version, kind, rows in self._entries_after(version):
             for row in rows:
                 if row not in first:
                     first[row] = kind
@@ -114,6 +105,32 @@ class ChangeLog:
                 deleted.append(row)  # present before, absent now
             # "+..-" and "-..+" sequences net to zero.
         return inserted, deleted
+
+    def inserts_since(self, version: int) -> Optional[list]:
+        """Rows inserted after ``version``, in insertion order, or ``None``
+        when the window no longer reaches back that far or any change since
+        was a delete.
+
+        Stricter than an insert-only :meth:`net_since`: insert -> delete ->
+        re-insert nets to one insert but moves the row to the end of its
+        index bucket, so only an unbroken run of inserts means "the old
+        buckets, with these rows appended".
+        """
+        if version < self.horizon:
+            return None
+        added: list = []
+        for _entry_version, kind, rows in self._entries_after(version):
+            if kind != "+":
+                return None
+            added.extend(rows)
+        return added
+
+    def _entries_after(self, version: int) -> list:
+        # Entry versions are strictly increasing; bisect to the first entry
+        # past ``version`` so a reader that polls every round (the planner's
+        # column profile) pays for its delta, not the whole window.
+        entries = self.entries
+        return entries[bisect_right(entries, version, key=itemgetter(0)):]
 
 
 class Relation:
@@ -209,6 +226,14 @@ class Relation:
             return None
         return self._changelog.net_since(version)
 
+    def inserts_since(self, version: int) -> Optional[list]:
+        """The rows inserted after ``version`` when nothing else happened
+        since (see :meth:`ChangeLog.inserts_since`); ``None`` otherwise,
+        including for untracked relations and a ``version`` in the future."""
+        if self._changelog is None or version > self._version:
+            return None
+        return self._changelog.inserts_since(version)
+
     def _changed(self) -> None:
         self._version += 1
         if self._listener is not None:
@@ -268,8 +293,16 @@ class Relation:
         # Scan-cost ledgers are shared across generations: an index verdict
         # the adaptive policy reached on one published clone holds for the
         # next, instead of costing one more full scan after every commit.
-        # The column profile stays per clone (it is version-stamped).
+        # A current live column profile hands the clone its distinct counts
+        # (the clone never changes, so counts are all it needs); otherwise
+        # the clone profiles itself on its first stats read.
         clone.stats = RelationStats(ledgers=self.stats.ledgers)
+        with self._index_lock:
+            profile = self.stats.profile
+            if profile is not None and profile.version == self._version:
+                clone.stats.profile = CardinalityProfile(
+                    version=self._version, counts=profile.distincts()
+                )
         clone._rows = self._rows
         clone._indexes = {}
         clone._index_lock = threading.RLock()
@@ -572,10 +605,10 @@ class Relation:
         """The cheap profile paths (version hit, insert-only log replay);
         None when a full rebuild is needed.  Caller holds ``_index_lock``."""
         profile = self.stats.profile
-        if profile is not None and profile.column_values is not None:
+        if profile is not None:
             if profile.version == self._version:
                 return profile.distincts()
-            if self._changelog is not None:
+            if profile.column_values is not None and self._changelog is not None:
                 net = self._changelog.net_since(profile.version)
                 if net is not None and not net[1]:
                     for row in net[0]:

@@ -201,12 +201,18 @@ class CardinalityProfile:
     since ``v``.  Insert-only nets extend the value sets in place; nets
     containing deletes (or an exhausted change-log window) force a rebuild,
     since a distinct count cannot be decremented without per-value counts.
+
+    A frozen MVCC clone never changes, so it carries only ``counts``, the
+    distinct counts its live relation had at freeze time.
     """
 
     version: int = -1
     column_values: Optional[list] = None  # one set of values per column
+    counts: Optional[Tuple[int, ...]] = None
 
     def distincts(self) -> Tuple[int, ...]:
+        if self.counts is not None:
+            return self.counts
         return tuple(len(values) for values in self.column_values or ())
 
 

@@ -98,7 +98,7 @@ class Subscription:
         callback=None,
         capacity: int = 1024,
         owner: object = None,
-        counters=None,
+        manager: Optional["SubscriptionManager"] = None,
     ):
         self.id = sub_id
         self.name = name
@@ -117,7 +117,7 @@ class Subscription:
         self.snapshot_rows: Optional[List[Row]] = None
         #: Called after each queue push (server wakes its pusher here).
         self.notify_hook = None
-        self._counters = counters
+        self._manager = manager
         self._seq_lock = threading.Lock()
         self._next_seq = 0
         self.resyncs = 0  # resync notifications this subscription received
@@ -177,8 +177,10 @@ class Subscription:
             txn_id=txn_id,
             version=self.version,
         )
-        if self._counters is not None:
-            self._counters.notifications_pushed += 1
+        manager = self._manager
+        if manager is not None:  # emit runs under the manager's lock
+            manager.db.counters.notifications_pushed += 1
+            manager.notifications_pushed += 1
         if self.callback is not None:
             try:
                 self.callback(note)
@@ -234,6 +236,10 @@ class SubscriptionManager:
         # by their subscription ids so a recompile can replace them.
         self._watch_sub_ids: List[int] = []
         self.resyncs = 0  # resync events delivered to subscribers, total
+        # Notifications delivered by every thread.  The database counter
+        # of the same name is per-thread under the server's
+        # ThreadLocalCounters, so only the committing connection sees it.
+        self.notifications_pushed = 0
 
     # ------------------------------------------------------------------ #
     # registration
@@ -249,7 +255,7 @@ class SubscriptionManager:
             subs = list(self._subs.values())
         return {
             "subscriptions_active": len(subs),
-            "notifications_pushed": self.db.counters.notifications_pushed,
+            "notifications_pushed": self.notifications_pushed,
             "resyncs": self.resyncs,
             "queued": sum(len(s.queue) for s in subs if s.queue is not None),
             "dropped": sum(s.queue.dropped for s in subs if s.queue is not None),
@@ -322,7 +328,7 @@ class SubscriptionManager:
                 callback=callback,
                 capacity=capacity,
                 owner=owner,
-                counters=self.db.counters,
+                manager=self,
             )
             self._next_id += 1
             self._subs[sub.id] = sub

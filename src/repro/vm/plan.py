@@ -256,7 +256,7 @@ class ScanStep(Step):
                         f"glue:{target.name}/{target.arity}",
                         kernel="probe",
                         batch=len(target),
-                        cache="hit" if cached else "miss",
+                        cache=cached,
                         rows=sum(len(sfx) for _raw, sfx in table.values()),
                     )
                 if len(key_build) == 1:

@@ -97,6 +97,26 @@ class TestBasicOps:
         block = client.stats()["parallel"]
         assert json.dumps(block) == '{"mode": "serial", "workers": 1}'
 
+    def test_accepted_sockets_disable_nagle(self, monkeypatch):
+        # A notification frame written right behind a reply must not wait
+        # for the client's delayed ACK.
+        from repro.server.server import _Handler
+
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with GlueNailServer(port=0).start() as srv:
+            with Client(port=srv.port) as c:
+                c.ping()
+        assert seen and all(seen)
+
     def test_trace_round_trip(self, client):
         client.facts("edge", [(1, 2)])
         client.trace(True)

@@ -84,6 +84,17 @@ class TestSubscribeNotify:
         assert stats["subscriptions_active"] == 1
         assert stats["notifications_pushed"] >= 1
 
+    def test_notifications_pushed_is_server_wide(self, server, writer, watcher):
+        sub = watcher.subscribe("edge", 2)
+        writer.facts("edge", [(1, 2)])
+        writer.facts("edge", [(2, 3)])
+        assert len(drain(sub, timeout=0.5)) == 2
+        with Client(port=server.port, timeout=10.0) as other:
+            assert other.stats()["subscriptions"]["notifications_pushed"] == 2
+        assert watcher.stats()["subscriptions"]["notifications_pushed"] == 2
+        # The per-session counter still counts only this connection's pushes.
+        assert watcher.stats()["counters"].get("notifications_pushed", 0) == 0
+
     def test_unsubscribe_unknown_id_is_remote_error(self, watcher):
         with pytest.raises(RemoteError):
             watcher.request("unsubscribe", sub=999)
