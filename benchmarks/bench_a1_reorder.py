@@ -3,9 +3,10 @@
     "A Glue system is free to reorder the non-fixed subgoals..."
 
 DESIGN.md calls the optimizer out as a design choice worth ablating: the
-bench runs bodies written in a deliberately bad order with the optimizer
-on and off, asserting identical answers and measuring the scanning saved
-by hoisting evaluable filters and most-bound scans.
+bench runs bodies written in a deliberately bad order with the cost planner
+(``order_mode="cost"``) and in written order (``order_mode="program"``),
+asserting identical answers and measuring the scanning saved by hoisting
+evaluable filters and most-bound scans.
 """
 
 import pytest
@@ -25,23 +26,23 @@ def make_facts(n):
     }
 
 
-def run(optimize, n):
-    system = system_with(SOURCE, make_facts(n), optimize=optimize)
+def run(order_mode, n):
+    system = system_with(SOURCE, make_facts(n), order_mode=order_mode)
     system.run_script()
     return system
 
 
-@pytest.mark.parametrize("optimize", [True, False])
-def test_bad_order_body(benchmark, optimize):
-    system = benchmark(run, optimize, 300)
+@pytest.mark.parametrize("order_mode", ["cost", "program"])
+def test_bad_order_body(benchmark, order_mode):
+    system = benchmark(run, order_mode, 300)
     assert system.rows("out", 2)
 
 
 def test_shape_optimizer_cuts_scanning(benchmark):
     rows = []
     for n in (100, 400):
-        on = run(True, n)
-        off = run(False, n)
+        on = run("cost", n)
+        off = run("program", n)
         assert on.rows("out", 2) == off.rows("out", 2)
         rows.append(
             (n, on.counters.tuples_scanned, off.counters.tuples_scanned,
@@ -49,10 +50,10 @@ def test_shape_optimizer_cuts_scanning(benchmark):
         )
     print_series(
         "A1: subgoal reordering ablation (tuples scanned, same answers)",
-        ("wide rows", "optimizer on", "optimizer off", "off/on"),
+        ("wide rows", "cost order", "program order", "program/cost"),
         rows,
     )
-    on_cost = run(True, 400).counters.tuples_scanned
-    off_cost = run(False, 400).counters.tuples_scanned
+    on_cost = run("cost", 400).counters.tuples_scanned
+    off_cost = run("program", 400).counters.tuples_scanned
     assert on_cost < off_cost
-    benchmark(run, True, 300)
+    benchmark(run, "cost", 300)

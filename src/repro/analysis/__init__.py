@@ -3,8 +3,8 @@
 The Glue compiler's stated aim is "to do as much as possible at compile
 time": resolving which predicate class a subgoal refers to (EDB relation,
 local relation, NAIL! predicate, Glue procedure, builtin), determining when
-variables become bound, identifying *fixed* subgoals that may not be
-reordered, and reordering the remaining subgoals.
+variables become bound, and identifying *fixed* subgoals that may not be
+reordered.  Reordering the remaining subgoals is :mod:`repro.opt`'s job.
 """
 
 from repro.analysis.scope import (
@@ -15,7 +15,6 @@ from repro.analysis.scope import (
 )
 from repro.analysis.bindings import BindingError, analyze_bindings, expr_vars, term_vars
 from repro.analysis.fixedness import is_fixed_subgoal
-from repro.analysis.reorder import reorder_body
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.stratify import StratificationError, stratify
 
@@ -31,7 +30,6 @@ __all__ = [
     "expr_vars",
     "is_fixed_subgoal",
     "pred_skeleton",
-    "reorder_body",
     "stratify",
     "term_vars",
 ]

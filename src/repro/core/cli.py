@@ -32,7 +32,6 @@ from repro.terms.printer import tuple_to_str
 def _build_system(args) -> GlueNailSystem:
     options = dict(
         strict=args.strict,
-        optimize=not args.no_optimize,
         strategy=args.strategy,
         dedup_on_break=not args.no_dedup,
         join_mode=getattr(args, "join_mode", "hash"),
@@ -285,7 +284,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--facts-dir", help="directory of .facts TSV files to load")
     parser.add_argument("--strict", action="store_true", help="require declarations")
-    parser.add_argument("--no-optimize", action="store_true", help="disable reordering")
     parser.add_argument("--no-dedup", action="store_true",
                         help="disable duplicate elimination at pipeline breaks")
     parser.add_argument(

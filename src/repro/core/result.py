@@ -1,7 +1,7 @@
 """Query results: rows plus execution metadata.
 
 :class:`QueryResult` is the return type of every facade entry point
-(``query``, ``query_magic``, ``call``, ``rows``, ``idb_rows``).  It is a
+(``query``, ``query_magic``, ``call``, ``rows``).  It is a
 ``list`` subclass, so every existing call site -- indexing, ``len``,
 iteration, equality against a plain list -- keeps working unchanged,
 while new code can read ``.stats``, ``.plan``, ``.trace`` and

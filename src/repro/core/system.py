@@ -20,7 +20,6 @@ engine's version check).
 
 from __future__ import annotations
 
-import warnings
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -51,7 +50,6 @@ class GlueNailSystem:
         self,
         db: Optional[Database] = None,
         strict: bool = False,
-        optimize: bool = True,
         strategy: str = "pipelined",
         dedup_on_break: bool = True,
         deref_at_compile_time: bool = True,
@@ -59,7 +57,6 @@ class GlueNailSystem:
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
-        adaptive_reorder: bool = False,
         join_mode: str = "hash",
         order_mode: str = "cost",
         batch_mode: str = "columnar",
@@ -67,7 +64,6 @@ class GlueNailSystem:
     ):
         self.db = db if db is not None else Database()
         self.strict = strict
-        self.optimize = optimize
         self.strategy = strategy
         self.dedup_on_break = dedup_on_break
         self.deref_at_compile_time = deref_at_compile_time
@@ -75,7 +71,6 @@ class GlueNailSystem:
         self.out = out
         self.inp = inp
         self.max_loop_iterations = max_loop_iterations
-        self.adaptive_reorder = adaptive_reorder
         # One join optimizer for the whole program: the mode drives both
         # the NAIL! rule evaluator and the Glue VM's statement bodies
         # ("nested" is the differential/costing baseline).
@@ -191,12 +186,12 @@ class GlueNailSystem:
 
         def stats_source(pred, arity):
             # Live EDB statistics for the planner; resolved at plan time so
-            # the adaptive recompile path sees current cardinalities.
+            # statements compiled before their relations loaded re-plan by
+            # current cardinalities.
             return db.get(pred, arity)
 
         compiler = ProgramCompiler(
             strict=self.strict,
-            optimize=self.optimize,
             deref_at_compile_time=self.deref_at_compile_time,
             foreign_sigs=[sig for sig, _ in self._foreign],
             order_mode=self.order_mode,
@@ -210,9 +205,7 @@ class GlueNailSystem:
             out=self.out,
             inp=self.inp,
             max_loop_iterations=self.max_loop_iterations,
-            adaptive_reorder=self.adaptive_reorder,
             join_mode=self.join_mode,
-            order_mode=self.order_mode,
             batch_mode=self.batch_mode,
         )
         for _, proc in self._foreign:
@@ -728,39 +721,6 @@ class GlueNailSystem:
             )
 
         return self._instrumented_entry("rows", label, runner)
-
-    def relation_rows(self, name, arity: int) -> List[Row]:
-        """Deprecated: use :meth:`rows`.  Reads the EDB only (no compile)."""
-        warnings.warn(
-            "GlueNailSystem.relation_rows() is deprecated; use rows()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        relation = self.db.get(name, arity)
-        if relation is None:
-            return []
-        return relation.sorted_rows()
-
-    def idb_rows(self, name, arity: int) -> QueryResult:
-        """Deprecated: use :meth:`rows`.
-
-        The current extension of a NAIL! predicate (forces evaluation);
-        raises for names no rule defines, as it always has.
-        """
-        warnings.warn(
-            "GlueNailSystem.idb_rows() is deprecated; use rows()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.compile()
-        name_term = mk(name) if not isinstance(name, Term) else name
-        skeleton = pred_skeleton(name_term, arity)
-
-        def runner():
-            out = self._engine.materialize(name_term, arity).sorted_rows()
-            return out, "nail", lambda: self._nail_plan(skeleton)
-
-        return self._instrumented_entry("rows", f"{name_term}/{arity}", runner)
 
     def save_edb(self, path: str) -> int:
         return save_database(self.db, path)

@@ -211,9 +211,9 @@ def order_body_for_evaluation(rule: RuleDecl) -> RuleDecl:
     e.g. in ``tc(G)(X, Z) :- tc(G)(X, Y) & e(G, Y, Z)`` the EDB literal
     runs first to bind the family parameter ``G``.
     """
-    from repro.analysis.reorder import reorder_body
+    from repro.opt import optimize
 
-    ordered = tuple(reorder_body(list(rule.body)))
+    ordered = optimize(rule.body).ordered_body
     if ordered == rule.body:
         return rule
     return RuleDecl(

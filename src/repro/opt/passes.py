@@ -21,8 +21,10 @@ Admissibility reuses the engine-neutral machinery in
 ``repro.analysis.bindings`` (safety) and ``repro.analysis.fixedness``
 (fixed subgoals keep their positions; nothing moves past an aggregator),
 plus the caller's procedure-call oracles for Glue bodies.  A stuck
-schedule degrades to source order, exactly like the heuristic reorderer
-it replaces.
+schedule degrades to source order.  Without statistics the ``join-order``
+pass is the plain greedy schedule by unbound-argument ratio, which is how
+NAIL! rule bodies are made evaluable (``repro.nail.rules``) and what the
+Glue compiler falls back to when a planned order does not bind-check.
 """
 
 from __future__ import annotations

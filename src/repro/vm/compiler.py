@@ -24,7 +24,6 @@ from repro.analysis.bindings import (
     terms_vars,
 )
 from repro.analysis.fixedness import is_fixed_subgoal
-from repro.analysis.reorder import reorder_body
 from repro.analysis.scope import PredClass, PredInfo, Scope, ScopeError, pred_skeleton
 from repro.errors import CompileError
 from repro.glue.builtins import BUILTIN_PROCS
@@ -69,6 +68,7 @@ from repro.vm.plan import (
     GroupByStep,
     NegScanStep,
     PredRef,
+    Replan,
     ScanStep,
     Step,
     StmtJoinShape,
@@ -249,7 +249,6 @@ class ProgramCompiler:
     def __init__(
         self,
         strict: bool = False,
-        optimize: bool = True,
         deref_at_compile_time: bool = True,
         foreign_sigs: Sequence[ForeignSig] = (),
         order_mode: str = "cost",
@@ -258,12 +257,10 @@ class ProgramCompiler:
         if order_mode not in ("cost", "program"):
             raise ValueError(f"unknown order mode {order_mode!r}")
         self.strict = strict
-        self.optimize = optimize
         self.order_mode = order_mode
         # (pred, arity) -> something repro.opt.coerce_snapshot understands
         # (a Relation, a snapshot, a row count, or None for unknown).
-        # Resolved per compile, so the adaptive recompile path sees live
-        # cardinalities.
+        # Resolved per plan, so run-time re-planning sees live cardinalities.
         self.stats_source = stats_source
         self.deref_at_compile_time = deref_at_compile_time
         self.foreign_sigs = {(sig.module, sig.name, sig.arity): sig for sig in foreign_sigs}
@@ -664,7 +661,7 @@ class ProgramCompiler:
         elif stmt.head_bound is not None:
             raise CompileError("':' in a head is only meaningful for return")
 
-        reorder_input = tuple(body)
+        unordered = tuple(body)
         if body_override is not None:
             body = list(body_override)
         plan, state, ordered_body, annotated = self._compile_body(
@@ -710,8 +707,11 @@ class ProgramCompiler:
         if head_ref.info is None or head_ref.info.klass is PredClass.EDB:
             fixed = True
 
+        replan = None
         if body_override is None:
             self._record_local_size(stmt, head_ref, state.group_cols, annotated)
+            if self._compiled_blind(plan, annotated):
+                replan = Replan(body=unordered, ordered=ordered_body, scope=scope, proc=proc)
 
         return CompiledStmt(
             plan=plan,
@@ -724,10 +724,7 @@ class ProgramCompiler:
             fixed=fixed,
             columns_final=tuple(state.columns),
             source=stmt,
-            reorder_input=reorder_input,
-            ordered_body=ordered_body,
-            source_scope=scope,
-            source_proc=proc,
+            replan=replan,
         )
 
     def _record_local_size(
@@ -764,15 +761,56 @@ class ProgramCompiler:
             name=head_ref.pred, arity=info.arity, rows=rows, distincts=distincts
         )
 
-    def recompile_with_order(
-        self, stmt: CompiledStmt, ordered_body: Tuple[object, ...]
-    ) -> CompiledStmt:
-        """Re-compile a statement with an explicit body order -- the
-        adaptive run-time re-optimization hook (paper Section 10)."""
-        return self._compile_stmt(
-            stmt.source, stmt.source_scope, stmt.source_proc,
-            body_override=ordered_body,
+    def _compiled_blind(self, plan: Sequence[Step], annotated: Optional[OptPlan]) -> bool:
+        """Whether a statement re-plans at run time (paper Section 10:
+        "Glue programs create and update many relations at run-time").
+
+        It does when the cost planner ordered it without the size of some
+        relation it scans -- an unsized local or a relation the statistics
+        source did not know -- since the live frame or database can supply
+        that size later.  NAIL! predicates stay unsized at run time too,
+        and a plan carrying ``unchanged`` history keeps its compiled form:
+        a variant would start a fresh history.
+        """
+        if self.order_mode != "cost" or annotated is None:
+            return False
+        if any(isinstance(step, UnchangedStep) for step in plan):
+            return False
+        return any(
+            isinstance(step, ScanStep)
+            and step.name_fn is None
+            and planned.source_rows is None
+            and (step.ref.info is None or step.ref.info.klass is not PredClass.NAIL)
+            for step, planned in zip(plan, annotated.steps)
         )
+
+    def replanned(self, stmt: CompiledStmt, frame_locals) -> CompiledStmt:
+        """The form of a statement marked for re-planning that suits the
+        current sizes: the statement itself when the planner, given the
+        live database and ``frame_locals``, picks its compiled order, else
+        a variant compiled once per ordering and cached on ``stmt.replan``.
+        """
+        replan = stmt.replan
+        ordered = self._planned_order(
+            replan.body, replan.scope, self._scoped_stats(replan.scope, frame_locals)
+        )
+        if ordered == replan.ordered:
+            return stmt
+        variant = replan.variants.get(ordered)
+        if variant is None:
+            with replan.lock:
+                variant = replan.variants.get(ordered)
+                if variant is None:
+                    try:
+                        variant = self._compile_stmt(
+                            stmt.source, replan.scope, replan.proc, body_override=ordered
+                        )
+                    except CompileError:
+                        # The planned order does not bind-check; keep the
+                        # compiled plan rather than fail at run time.
+                        variant = stmt
+                    replan.variants[ordered] = variant
+        return variant
 
     def _compile_head_target(
         self,
@@ -848,7 +886,7 @@ class ProgramCompiler:
         stmt: Optional[AssignStmt] = None,
         preordered: bool = False,
     ) -> Tuple[List[Step], _ColumnState, Tuple[object, ...], Optional[OptPlan]]:
-        if self.optimize and not preordered:
+        if not preordered:
             body = self._order_body(body, scope)
         line = stmt.line if stmt is not None else 0
         try:
@@ -871,20 +909,13 @@ class ProgramCompiler:
 
         ``"cost"`` runs the shared :mod:`repro.opt` pass pipeline;
         ``"program"`` keeps the written order.  Both fall back to the
-        heuristic :func:`reorder_body` when their order does not
-        bind-check -- some bodies only compile reordered, and program
-        mode must not reject programs that cost mode accepts.
+        statistics-free plan (the greedy unbound-argument-ratio schedule)
+        when their order does not bind-check -- some bodies only compile
+        reordered, and program mode must not reject programs that cost
+        mode accepts.
         """
-        call_fix = self._call_fixedness(scope)
-        call_ba = self._call_bound_arity(scope)
         if self.order_mode == "cost":
-            planned = plan_body(
-                tuple(body),
-                stats=self._scoped_stats(scope),
-                call_fixedness=call_fix,
-                call_bound_arity=call_ba,
-            )
-            candidate = list(planned.ordered_body)
+            candidate = list(self._planned_order(body, scope, self._scoped_stats(scope)))
         else:
             candidate = list(body)
         try:
@@ -892,31 +923,38 @@ class ProgramCompiler:
             return candidate
         except BindingError:
             pass
-        return reorder_body(
-            body,
-            initially_bound=set(),
-            call_fixedness=call_fix,
-            call_bound_arity=call_ba,
-        )
+        return list(self._planned_order(body, scope, None))
 
-    def _scoped_stats(self, scope: Scope):
-        """The compile-time statistics source, scope-aware.
+    def _planned_order(self, body: Sequence[object], scope: Scope, stats) -> Tuple[object, ...]:
+        return plan_body(
+            tuple(body),
+            stats=stats,
+            call_fixedness=self._call_fixedness(scope),
+            call_bound_arity=self._call_bound_arity(scope),
+        ).ordered_body
+
+    def _scoped_stats(self, scope: Scope, frame_locals=None):
+        """The statistics source, scope-aware; one resolver for compile
+        time and run time.
 
         SPECIAL relations (``in``/``return``) are sized at one tuple -- the
         unit-seed default for per-invocation relations -- so an unknowable
         input does not turn every downstream estimate unknown.  A LOCAL
-        relation is sized by the procedure-level ``:=`` that last assigned
-        it (:meth:`_record_local_size`), and unknown otherwise."""
+        relation is read from ``frame_locals`` (a live frame's relations)
+        when given, else sized by the procedure-level ``:=`` that last
+        assigned it (:meth:`_record_local_size`), and unknown otherwise.
+        Everything else goes to the statistics source."""
         if self.stats_source is None:
             return None
         stats_source = self.stats_source
+        local_sizes = self._local_sizes if frame_locals is None else frame_locals
 
         def source(pred, arity):
             info = self._try_resolve(pred, arity, scope)
             if info is not None and info.klass is PredClass.SPECIAL:
                 return 1
             if info is not None and info.klass is PredClass.LOCAL:
-                return self._local_sizes.get((info.skeleton[0], arity))
+                return local_sizes.get((info.skeleton[0], arity))
             return stats_source(pred, arity)
 
         return source

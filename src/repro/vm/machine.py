@@ -66,17 +66,13 @@ class ExecContext:
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
-        adaptive_reorder: bool = False,
         join_mode: str = "hash",
-        order_mode: str = "cost",
         batch_mode: str = "columnar",
     ):
         if strategy not in ("pipelined", "materialized"):
             raise ValueError(f"unknown strategy {strategy!r}")
         if join_mode not in ("hash", "nested"):
             raise ValueError(f"unknown join mode {join_mode!r}")
-        if order_mode not in ("cost", "program"):
-            raise ValueError(f"unknown order mode {order_mode!r}")
         if batch_mode not in ("columnar", "row"):
             raise ValueError(f"unknown batch mode {batch_mode!r}")
         self.db = db if db is not None else Database()
@@ -86,9 +82,7 @@ class ExecContext:
         self.out = out if out is not None else sys.stdout
         self.inp = inp if inp is not None else sys.stdin
         self.max_loop_iterations = max_loop_iterations
-        self.adaptive_reorder = adaptive_reorder
         self.join_mode = join_mode
-        self.order_mode = order_mode
         # "columnar" precomputes cached suffix tables for hash-join scan
         # steps (repro.col); "row" is the per-probe baseline.
         self.batch_mode = batch_mode
@@ -310,8 +304,10 @@ class Machine:
             self._exec_assign(stmt, frame, span)
 
     def _exec_assign(self, stmt: CompiledStmt, frame: Frame, span=None) -> None:
-        if self.ctx.adaptive_reorder:
-            stmt = self._adapted_variant(stmt, frame)
+        if stmt.replan is not None:
+            # Compiled without some relation's size: plan again by the live
+            # sizes (paper Section 10).
+            stmt = self.program.compiler.replanned(stmt, frame.locals)
         rows = self.run_plan(stmt.plan, frame)
         head_rows = list(dict.fromkeys(tuple(fn(r) for fn in stmt.head_fns) for r in rows))
         if span is not None:
@@ -371,77 +367,6 @@ class Machine:
             target.insert_many(by_key.values())
         else:  # pragma: no cover - parser prevents this
             raise GlueRuntimeError(f"unknown assignment operator {op}")
-
-    def _adapted_variant(self, stmt: CompiledStmt, frame: Frame) -> CompiledStmt:
-        """Adaptive run-time re-optimization (paper Section 10): re-order
-        the statement body by the *current* relation cardinalities and run
-        a cached re-compiled variant.
-
-        "Because Glue programs create and update many relations at
-        run-time, queries involving those relations are difficult to
-        optimize at compile-time."  Statements whose plans carry
-        ``unchanged`` history are left alone (re-compiling would reset it).
-        """
-        from repro.analysis.scope import Scope
-        from repro.errors import CompileError
-        from repro.opt import optimize as plan_body
-        from repro.terms.term import is_ground
-        from repro.vm.plan import UnchangedStep
-
-        if (
-            self.ctx.order_mode != "cost"  # program order is the baseline
-            or stmt.source is None
-            or stmt.reorder_input is None
-            or stmt.source_scope is None
-            or any(isinstance(step, UnchangedStep) for step in stmt.plan)
-        ):
-            return stmt
-        scope: Scope = stmt.source_scope
-        compiler = self.program.compiler
-        if compiler is None:
-            return stmt
-
-        def stats_source(pred, arity):
-            # Live cardinalities: resolve like the VM would, including the
-            # frame's local relations (which the compile-time source can't
-            # see).  NAIL! predicates and procedures stay unknown.
-            if not is_ground(pred):
-                return None
-            info = compiler._try_resolve(pred, arity, scope)
-            if info is None or info.klass is PredClass.EDB:
-                relation = self.ctx.db.get(pred, arity)
-                return relation if relation is not None else 0
-            if info.klass is PredClass.LOCAL:
-                relation = frame.locals.get((info.skeleton[0], arity))
-                return relation if relation is not None else 0
-            return None
-
-        planned = plan_body(
-            stmt.reorder_input,
-            stats=stats_source,
-            call_fixedness=compiler._call_fixedness(scope),
-            call_bound_arity=compiler._call_bound_arity(scope),
-        )
-        ordered = planned.ordered_body
-        if ordered == stmt.ordered_body:
-            return stmt
-        variant = stmt.variants.get(ordered)
-        if variant is None:
-            # Two sessions executing the same compiled statement must not
-            # recompile concurrently: recompile_with_order mutates the
-            # shared compile-time scope, and an unguarded get/recompile/put
-            # can publish two variants for one ordering.
-            with stmt.variants_lock:
-                variant = stmt.variants.get(ordered)
-                if variant is None:
-                    try:
-                        variant = compiler.recompile_with_order(stmt, ordered)
-                    except CompileError:
-                        # The planned order does not bind-check; keep the
-                        # compiled plan rather than fail at run time.
-                        variant = stmt
-                    stmt.variants[ordered] = variant
-        return variant
 
     def _exec_repeat(self, stmt: CompiledRepeat, frame: Frame) -> None:
         tracer = self.ctx.tracer

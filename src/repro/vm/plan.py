@@ -843,14 +843,25 @@ Plan = List[Step]
 
 
 @dataclass
-class CompiledStmt:
-    """One compiled assignment statement.
+class Replan:
+    """What a statement compiled without some relation's size keeps so it
+    can be re-planned by live sizes at run time (paper Section 10; see
+    :meth:`repro.vm.compiler.ProgramCompiler.replanned`)."""
 
-    ``reorder_input`` / ``ordered_body`` / ``variants`` support adaptive
-    run-time re-optimization (paper Section 10): the machine may re-order
-    the body by current relation cardinalities and cache a re-compiled
-    variant per ordering.
-    """
+    body: tuple     # the body after the implicit-in prepend, unordered
+    ordered: tuple  # the order compiled ahead of time
+    scope: object   # the compile-time Scope
+    proc: Optional[ProcDecl]  # the enclosing procedure; None for a script
+    variants: Dict[tuple, "CompiledStmt"] = field(default_factory=dict)
+    # Concurrent sessions executing one statement must not recompile the
+    # same ordering twice: the recompile mutates the shared scope.
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+
+
+@dataclass
+class CompiledStmt:
+    """One compiled assignment statement.  ``replan`` is set only on
+    statements the compiler marked for run-time re-planning."""
 
     plan: Plan
     head_ref: PredRef
@@ -862,17 +873,7 @@ class CompiledStmt:
     fixed: bool = False
     columns_final: Tuple[str, ...] = ()
     source: Optional[AssignStmt] = None
-    reorder_input: Optional[tuple] = None  # body after implicit-in prepend
-    ordered_body: Optional[tuple] = None   # body order actually compiled
-    source_scope: object = None            # compile-time Scope for variants
-    source_proc: object = None             # enclosing ProcDecl (or None)
-    variants: Dict[tuple, "CompiledStmt"] = field(default_factory=dict)
-    # Serializes adaptive recompilation: concurrent sessions executing the
-    # same compiled statement race on reading/populating ``variants`` and
-    # on the (scope-mutating) recompile itself (see Machine._adapted_variant).
-    variants_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    replan: Optional[Replan] = None
 
 
 @dataclass

@@ -1,10 +1,10 @@
-"""Tests for fixedness analysis and the subgoal-reordering optimizer."""
+"""Tests for fixedness analysis, and that reordering never changes results.
+
+The ordering rules themselves are tested against ``repro.opt.optimize`` in
+tests/opt/test_ordering.py."""
 
 from repro.analysis.fixedness import is_aggregating_subgoal, is_fixed_subgoal
-from repro.analysis.reorder import reorder_body
-from repro.lang.ast import CompareSubgoal, GroupBySubgoal, PredSubgoal, UpdateSubgoal
 from repro.lang.parser import parse_statement
-from repro.lang.pretty import pretty_subgoal
 
 
 def body_of(text):
@@ -46,65 +46,6 @@ class TestFixedness:
         assert not is_fixed_subgoal(body[0], call_fixedness)
 
 
-class TestReorder:
-    def test_filters_move_before_scans_when_evaluable(self):
-        body = body_of("p(X) := q(X) & r(Y) & X < 5.")
-        ordered = reorder_body(body)
-        texts = [pretty_subgoal(s) for s in ordered]
-        # X < 5 can run right after q(X); the optimizer hoists it past r(Y).
-        assert texts.index("X < 5") < texts.index("r(Y)")
-
-    def test_negation_scheduled_when_bound(self):
-        body = body_of("p(X) := big(Y) & q(X) & !r(X).")
-        ordered = reorder_body(body)
-        texts = [pretty_subgoal(s) for s in ordered]
-        assert texts.index("!r(X)") > texts.index("q(X)")
-
-    def test_fixed_subgoals_keep_position(self):
-        body = body_of("p(X) := q(X) & ++log(X) & r(X, Y) & s(Y).")
-        ordered = reorder_body(body)
-        assert isinstance(ordered[1], UpdateSubgoal)
-
-    def test_nothing_moves_past_aggregator(self):
-        body = body_of("p(M, Y) := q(T) & M = max(T) & r(M, Y).")
-        ordered = reorder_body(body)
-        agg_pos = next(
-            i for i, s in enumerate(ordered) if isinstance(s, CompareSubgoal)
-        )
-        r_pos = next(
-            i
-            for i, s in enumerate(ordered)
-            if isinstance(s, PredSubgoal) and s.pred.name == "r"
-        )
-        assert r_pos > agg_pos
-
-    def test_procedure_inputs_stay_bound(self):
-        body = body_of("p(Y) := source(X) & f(X, Y).")
-
-        def call_bound_arity(subgoal):
-            return 1 if subgoal.pred.name == "f" else None
-
-        ordered = reorder_body(body, call_bound_arity=call_bound_arity)
-        texts = [pretty_subgoal(s) for s in ordered]
-        assert texts.index("source(X)") < texts.index("f(X, Y)")
-
-    def test_deterministic(self):
-        body = body_of("p(X) := a(X) & b(X) & c(X) & X != 1.")
-        assert reorder_body(body) == reorder_body(body)
-
-    def test_same_multiset_of_subgoals(self):
-        body = body_of("p(X) := a(X, Y) & b(Y, Z) & c(Z) & Z < 4 & !d(X).")
-        ordered = reorder_body(body)
-        assert sorted(map(pretty_subgoal, ordered)) == sorted(map(pretty_subgoal, body))
-
-    def test_bound_scan_preferred(self):
-        # After a(X), the scan b(X, Y) (1 bound arg) beats c(Z, W) (0 bound).
-        body = body_of("p(X) := a(X) & c(Z, W) & b(X, Y) & d(Y, Z).")
-        ordered = reorder_body(body)
-        texts = [pretty_subgoal(s) for s in ordered]
-        assert texts.index("b(X, Y)") < texts.index("c(Z, W)")
-
-
 class TestReorderProperties:
     """Hypothesis: reordering never changes results, only order/cost."""
 
@@ -124,13 +65,13 @@ class TestReorderProperties:
         def check(a_rows, b_rows, limit):
             source = f"out(X, Z) := a(X, Y) & b(Y, Z) & X != Z & Z <= {limit} & !skip(X)."
             results = []
-            for optimize in (True, False):
-                system = make_system(source, optimize=optimize)
+            for order_mode in ("cost", "program"):
+                system = make_system(source, order_mode=order_mode)
                 system.facts("a", a_rows)
                 system.facts("b", b_rows)
                 system.facts("skip", [(0,)])
                 system.run_script()
-                results.append(rows_to_python(system.relation_rows("out", 2)))
+                results.append(rows_to_python(system.rows("out", 2)))
             assert results[0] == results[1]
 
         check()

@@ -112,7 +112,7 @@ class TestVisibility:
         rows = rows_to_python(system.call("probe"))
         assert rows == [(1,)]  # the local, not the EDB tuple
         # And the EDB relation is untouched.
-        assert rows_to_python(system.relation_rows("data", 1)) == [(99,)]
+        assert rows_to_python(system.rows("data", 1)) == [(99,)]
 
     def test_mixed_glue_and_nail_in_one_module(self):
         # "a module can contain both Glue procedures and NAIL! rules".

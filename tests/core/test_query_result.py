@@ -82,8 +82,6 @@ class TestListCompatibility:
             system.rows("path", 2),
             system.rows("edge", 2),
         ]
-        with pytest.warns(DeprecationWarning):
-            results.append(system.idb_rows("path", 2))
         for result in results:
             assert isinstance(result, QueryResult)
             assert isinstance(result, list)
@@ -111,7 +109,7 @@ class TestUnifiedRows:
         result = system.rows("path", 2)
         assert result.resolution == "nail"
         assert len(result) == 6
-        # Canonical order, exactly what idb_rows always returned.
+        # Canonical order: the engine's sorted extension.
         assert result == system.engine.materialize(mk("path"), 2).sorted_rows()
 
     def test_rows_resolves_edb(self):
@@ -122,24 +120,6 @@ class TestUnifiedRows:
     def test_rows_unknown_name_is_empty(self):
         result = _system().rows("ghost", 2)
         assert result == [] and result.resolution == "none"
-
-    def test_relation_rows_alias_warns_and_matches(self):
-        system = _system()
-        with pytest.warns(DeprecationWarning, match="rows\\(\\)"):
-            old = system.relation_rows("edge", 2)
-        assert old == system.rows("edge", 2)
-
-    def test_idb_rows_alias_warns_and_matches(self):
-        system = _system()
-        with pytest.warns(DeprecationWarning, match="rows\\(\\)"):
-            old = system.idb_rows("path", 2)
-        assert old == system.rows("path", 2)
-
-    def test_idb_rows_still_raises_for_non_nail_names(self):
-        system = _system()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(GlueRuntimeError, match="not a NAIL! predicate"):
-                system.idb_rows("edge", 2)
 
 
 class TestCallModuleFilter:

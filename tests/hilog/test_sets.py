@@ -109,9 +109,9 @@ class TestClassInfoExample:
 
     def test_implied_idb_tuples(self):
         system = self._system()
-        students = system.idb_rows(set_name("students", "cs99"), 1)
+        students = system.rows(set_name("students", "cs99"), 1)
         assert sorted(str(r[0]) for r in students) == ["green", "wilson"]
-        tas = system.idb_rows(set_name("tas", "cs99"), 1)
+        tas = system.rows(set_name("tas", "cs99"), 1)
         assert [str(r[0]) for r in tas] == ["jones"]
 
     def test_class_info_carries_set_names(self):

@@ -120,7 +120,7 @@ class TestLibraryApp:
         system, clock = app
         clock.now = 250
         system.call("checkout", [("ann", "emma")])
-        rows = rows_to_python(system.relation_rows("loan", 3))
+        rows = rows_to_python(system.rows("loan", 3))
         assert rows == [("c3", "ann", 264)]
 
     def test_overdue_report(self, app):

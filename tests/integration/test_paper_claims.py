@@ -77,7 +77,7 @@ class TestNoDuplicates:
         system.facts("a", [(1, i) for i in range(5)])
         system.facts("b", [(1, i) for i in range(5)])
         system.run_script()
-        assert len(system.relation_rows("out", 1)) == 1
+        assert len(system.rows("out", 1)) == 1
 
 
 class TestStringsFirstClass:
@@ -109,7 +109,7 @@ class TestOperationalNotLogical:
         system.facts("live", [(1,)])
         system.run_script()
         system.facts("live", [(2,)])
-        assert rows_to_python(system.relation_rows("snapshot", 1)) == [(1,)]
+        assert rows_to_python(system.rows("snapshot", 1)) == [(1,)]
 
     def test_left_to_right_side_effects(self):
         # Fixed subgoals run in order: the write happens between updates.
@@ -124,7 +124,7 @@ class TestOperationalNotLogical:
         )
         system.call("steps")
         assert out.getvalue() == "mid"
-        assert system.relation_rows("first", 1) and system.relation_rows("second", 1)
+        assert system.rows("first", 1) and system.rows("second", 1)
 
 
 class TestMatchingNotUnification:

@@ -26,7 +26,7 @@ def run_generated(rules_text, facts):
         system.facts(name, rows)
     system.call(result.driver_proc)
     return {
-        (name, arity): system.relation_rows(name, arity)
+        (name, arity): system.rows(name, arity)
         for name, arity in result.output_preds
     }, result
 

@@ -1,10 +1,11 @@
 """Tests for the shared cost-based planner (``repro.opt``).
 
-Covers the public ``optimize()`` facade, the differential guarantee that
-``order_mode="cost"`` and ``order_mode="program"`` agree on results, the
-cost collapse on adversarially ordered bodies, the unified join-event
-schema both engines emit, the consistent statistics snapshot, and the
-deprecated re-export shims left in ``repro.nail.rules``.
+Covers the public ``optimize()`` facade, the ordering rules every plan
+obeys, the differential guarantees that ``order_mode="cost"`` and
+``order_mode="program"`` agree on results and that a statement compiled
+before its facts load agrees with one compiled after, the cost collapse on
+adversarially ordered bodies, the unified join-event schema both engines
+emit, and the consistent statistics snapshot.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.parser import parse_program
+from repro.lang.ast import UpdateSubgoal
+from repro.lang.parser import parse_program, parse_statement
+from repro.lang.pretty import pretty_subgoal
 from repro.opt import Plan, RelationSnapshot, optimize
 from repro.storage.relation import Relation
 from repro.terms.term import Atom, Num
@@ -130,6 +133,61 @@ class TestOptimizeFacade:
         )
         assert plan.order == (0, 1)  # the join-order pass was not requested
         assert plan.passes == ("pull-selections",)
+
+
+# --------------------------------------------------------------------- #
+# the rules every order obeys (paper Section 3.1), without statistics:
+# how NAIL! rule bodies are made evaluable and the Glue compiler's
+# fallback when a planned order does not bind-check
+# --------------------------------------------------------------------- #
+
+
+def _order(source, **kwargs):
+    plan = optimize(parse_statement(source).body, **kwargs)
+    return [pretty_subgoal(s) for s in plan.ordered_body]
+
+
+class TestOrderingRules:
+    def test_filters_move_before_scans_when_evaluable(self):
+        texts = _order("p(X) := q(X) & r(Y) & X < 5.")
+        # X < 5 can run right after q(X); the planner hoists it past r(Y).
+        assert texts.index("X < 5") < texts.index("r(Y)")
+
+    def test_negation_scheduled_when_bound(self):
+        texts = _order("p(X) := big(Y) & !r(X) & q(X).")
+        assert texts.index("!r(X)") > texts.index("q(X)")
+
+    def test_fixed_subgoals_keep_position(self):
+        body = parse_statement("p(X) := q(X) & ++log(X) & r(X, Y) & s(Y).").body
+        ordered = optimize(body).ordered_body
+        assert isinstance(ordered[1], UpdateSubgoal)
+
+    def test_nothing_moves_past_aggregator(self):
+        texts = _order("p(M, Y) := q(T) & M = max(T) & r(M, Y).")
+        assert texts.index("r(M, Y)") > texts.index("M = max(T)")
+
+    def test_procedure_inputs_stay_bound(self):
+        # Written first, the call would otherwise lead: the scans tie on
+        # their unbound-argument ratio and ties keep source order.
+        texts = _order(
+            "p(Y) := f(X, Y) & source(X).",
+            call_bound_arity=lambda subgoal: 1 if subgoal.pred.name == "f" else None,
+        )
+        assert texts == ["source(X)", "f(X, Y)"]
+
+    def test_deterministic(self):
+        source = "p(X) := a(X) & b(X) & c(X) & X != 1."
+        assert _order(source) == _order(source)
+
+    def test_same_multiset_of_subgoals(self):
+        source = "p(X) := a(X, Y) & b(Y, Z) & c(Z) & Z < 4 & !d(X)."
+        written = [pretty_subgoal(s) for s in parse_statement(source).body]
+        assert sorted(_order(source)) == sorted(written)
+
+    def test_bound_scan_preferred(self):
+        # After a(X), the scan b(X, Y) (1 bound arg) beats c(Z, W) (0 bound).
+        texts = _order("p(X) := a(X) & c(Z, W) & b(X, Y) & d(Y, Z).")
+        assert texts.index("b(X, Y)") < texts.index("c(Z, W)")
 
 
 # --------------------------------------------------------------------- #
@@ -297,6 +355,31 @@ class TestDifferential:
             results[mode] = sorted(system.rows("out", 2).to_python())
         assert results["cost"] == results["program"]
         assert results["cost"]  # non-vacuous
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        perm=st.permutations(LITERALS + ("X < Z",)),
+        e_rows=pairs,
+        f_rows=pairs,
+        g_rows=units,
+    )
+    def test_compiled_before_facts_equals_compiled_after(self, perm, e_rows, f_rows, g_rows):
+        # Compiled first, the statement has no sizes and re-plans at run
+        # time; compiled after the load, it is planned once from the facts.
+        source = "q(X, Z) := " + " & ".join(perm) + "."
+        results = {}
+        for compile_first in (True, False):
+            system = make_system(source)
+            if compile_first:
+                (stmt,) = system.compile().script
+                assert stmt.replan is not None
+            system.facts("e", e_rows)
+            system.facts("f", f_rows)
+            system.facts("g", g_rows)
+            system.run_script()
+            system.run_script()
+            results[compile_first] = sorted(system.rows("q", 2).to_python())
+        assert results[True] == results[False]
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ def run(source, facts=None, **kwargs):
 
 
 def rel(system, name, arity):
-    return sorted(rows_to_python(system.relation_rows(name, arity)))
+    return sorted(rows_to_python(system.rows(name, arity)))
 
 
 class TestAggregateEdges:

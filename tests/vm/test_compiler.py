@@ -1,4 +1,4 @@
-"""Tests for the compiler: plan structure, optimization flags, errors."""
+"""Tests for the compiler: plan structure, cost vs program order, errors."""
 
 import pytest
 
@@ -34,7 +34,7 @@ class TestPlanStructure:
             """,
             "p",
             2,
-            optimize=False,
+            order_mode="program",
         )
         # Paper Section 3.2's supplementary columns (after the implicit in()).
         columns = [step.columns_out for step in plan if isinstance(step, ScanStep)]
@@ -65,7 +65,7 @@ class TestPlanStructure:
             """,
             "p",
             2,
-            optimize=False,
+            order_mode="program",
         )
         kinds = [type(s).__name__ for s in plan]
         assert "BindStep" in kinds and "CompareStep" in kinds
@@ -119,8 +119,8 @@ class TestOptimizerFlag:
     end
     """
 
-    def _run(self, optimize):
-        system = make_system(self.SOURCE, optimize=optimize)
+    def _run(self, order_mode):
+        system = make_system(self.SOURCE, order_mode=order_mode)
         system.facts("big", [(i,) for i in range(50)])
         system.facts("a", [(1,), (2,), (5,)])
         system.facts("bad", [(2,)])
@@ -130,13 +130,13 @@ class TestOptimizerFlag:
         return rows_to_python(rows), system.counters.tuples_scanned
 
     def test_same_results_either_way(self):
-        opt_rows, opt_cost = self._run(True)
-        raw_rows, raw_cost = self._run(False)
+        opt_rows, opt_cost = self._run("cost")
+        raw_rows, raw_cost = self._run("program")
         assert sorted(opt_rows) == sorted(raw_rows) == [(1,)]
 
     def test_optimizer_reduces_scanning(self):
-        _, opt_cost = self._run(True)
-        _, raw_cost = self._run(False)
+        _, opt_cost = self._run("cost")
+        _, raw_cost = self._run("program")
         # Hoisting the X < 3 filter before joining against big/1 cuts work.
         assert opt_cost <= raw_cost
 
@@ -210,4 +210,4 @@ class TestErrors:
         end
         """
         with pytest.raises(CompileError):
-            make_system(source, optimize=False).compile()
+            make_system(source, order_mode="program").compile()

@@ -9,6 +9,7 @@ threaded regression test for adaptive-variant recompilation.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -32,7 +33,7 @@ def run_one(source, facts, join_mode, out_preds, **kwargs):
     system = build(source, facts, join_mode=join_mode, **kwargs)
     system.run_script()
     return {
-        (name, arity): sorted(rows_to_python(system.relation_rows(name, arity)))
+        (name, arity): sorted(rows_to_python(system.rows(name, arity)))
         for name, arity in out_preds
     }
 
@@ -235,7 +236,7 @@ class TestCostCollapse:
             db=Database(index_policy=NeverIndexPolicy()),
         )
         hashed.run_script()
-        rows_to_python(nested.relation_rows("out", 2))  # sanity: both ran
+        rows_to_python(nested.rows("out", 2))  # sanity: both ran
         # The nested baseline re-matches s and t per accumulated row; the
         # planned join probes buckets, so full-relation scans collapse.
         assert hashed.counters.tuples_scanned * 5 < nested.counters.tuples_scanned
@@ -263,20 +264,29 @@ class TestCostCollapse:
 
 class TestAdaptiveVariantRace:
     def test_concurrent_adaptation_single_variant(self):
-        # Regression: _adapted_variant used to read/populate the shared
-        # variants cache and call recompile_with_order without a lock, so
-        # concurrent sessions could recompile the same ordering twice (and
-        # race on the compile-time scope).  With the per-statement lock
-        # exactly one variant per ordering may ever be published.
-        system = make_system(
-            "out(X, Y) := big(X, V) & small(V, Y).", adaptive_reorder=True
-        )
-        # Compile before the facts load so the compile-time planner can't
-        # already pick the good order -- adaptation must kick in at run time.
+        # Regression: run-time re-planning used to read/populate the shared
+        # variants cache and recompile without a lock, so concurrent
+        # sessions could recompile the same ordering twice (and race on the
+        # compile-time scope).  With the per-statement lock exactly one
+        # variant per ordering may ever be published.
+        system = make_system("out(X, Y) := big(X, V) & small(V, Y).")
+        # Compile before the facts load: the compiler has no sizes, marks
+        # the statement, and the good order is found at run time.
         compiled = system.compile()
         (stmt,) = compiled.script
+        assert stmt.replan is not None
         system.facts("big", [(i, i % 50) for i in range(2000)])
         system.facts("small", [(3, "hit"), (7, "hit2")])
+        # Count the variant compiles: a lost lock compiles one ordering twice.
+        compiler = compiled.compiler
+        recompiles = []
+        compile_stmt = compiler._compile_stmt
+
+        def counting_compile(*args, **kwargs):
+            recompiles.append(kwargs.get("body_override"))
+            return compile_stmt(*args, **kwargs)
+
+        compiler._compile_stmt = counting_compile
 
         start = threading.Barrier(8)
         errors = []
@@ -289,14 +299,21 @@ class TestAdaptiveVariantRace:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert len(stmt.variants) == 1
-        assert sorted(rows_to_python(system.relation_rows("out", 2)))
+        assert len(recompiles) == 1
+        assert len(stmt.replan.variants) == 1
+        assert sorted(rows_to_python(system.rows("out", 2)))
 
 
 class TestFrameKernelTables:

@@ -27,7 +27,7 @@ class TestFrames:
         system = make_system("out(X) := in(X).")
         system.facts("in", [(7,)])
         system.run_script()
-        assert rows_to_python(system.relation_rows("out", 1)) == [(7,)]
+        assert rows_to_python(system.rows("out", 1)) == [(7,)]
 
     def test_return_head_outside_procedure_rejected(self):
         from repro.errors import CompileError
@@ -63,7 +63,7 @@ class TestUpdateEdges:
         system = make_system("out(X) := a(X, _) & ++log(X).")
         system.facts("a", [(1, 10), (1, 20), (2, 30)])
         system.run_script()
-        assert len(system.relation_rows("log", 1)) == 2
+        assert len(system.rows("log", 1)) == 2
 
     def test_update_on_local_relation(self):
         system = make_system(
@@ -127,7 +127,7 @@ class TestNailViewFromGlue:
         from repro.errors import UnsafeRuleError
 
         with pytest.raises(UnsafeRuleError):
-            system.idb_rows("shifted", 2)
+            system.rows("shifted", 2)
 
     def test_demand_cache_invalidated_on_edb_change(self):
         system = make_system(
@@ -162,7 +162,7 @@ class TestZeroArity:
             """
         )
         assert system.call("both") == [()]
-        assert len(system.relation_rows("step", 1)) == 2
+        assert len(system.rows("step", 1)) == 2
 
     def test_failed_zero_arity_call_stops_chain(self):
         system = make_system(
@@ -184,4 +184,4 @@ class TestZeroArity:
         )
         assert system.call("chain") == []
         # after() never ran: the empty result stopped the conjunction.
-        assert system.relation_rows("marker", 1) == []
+        assert system.rows("marker", 1) == []

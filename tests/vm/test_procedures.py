@@ -81,7 +81,7 @@ class TestProcSemantics:
         system.facts("a", [(5,)])
         assert call(system, "early") == [(5,)]
         # The statement after return never ran.
-        assert system.relation_rows("marker", 1) == []
+        assert system.rows("marker", 1) == []
 
     def test_fall_off_end_returns_empty(self):
         system = make_system(
@@ -196,7 +196,7 @@ class TestRepeatUntil:
         )
         system.facts("queue", [(1,), (2,)])
         assert call(system, "drain") == [(1,), (2,)]
-        assert system.relation_rows("queue", 1) == []
+        assert system.rows("queue", 1) == []
 
     def test_nested_repeat(self):
         system = make_system(

@@ -76,7 +76,7 @@ class TestUnchangedSemantics:
         system.facts("feed", [(1,), (2,), (3,)])
         rows = sorted(rows_to_python(system.call("drain_to_fixpoint")))
         assert rows == [(1,), (2,), (3,)]
-        assert system.relation_rows("feed", 1) == []
+        assert system.rows("feed", 1) == []
 
 
 class TestUntilConditions:
@@ -140,4 +140,4 @@ class TestUntilConditions:
         )
         system.facts("item", [("red", 1), ("red", 2), ("blue", 3)])
         assert sorted(rows_to_python(system.call("drain_reds"))) == [(1,), (2,)]
-        assert len(system.relation_rows("item", 2)) == 1  # blue survives
+        assert len(system.rows("item", 2)) == 1  # blue survives

@@ -26,7 +26,7 @@ def run_both(source, facts, check_rel, arity, procs=()):
             system.call(proc, inputs)
         if not procs:
             system.run_script()
-        results[strategy] = sorted(rows_to_python(system.relation_rows(check_rel, arity)))
+        results[strategy] = sorted(rows_to_python(system.rows(check_rel, arity)))
         counters[strategy] = system.counters.snapshot()
     return results, counters
 
@@ -135,7 +135,7 @@ class TestDedupAtBreaks:
             system = make_system(self.SOURCE, dedup_on_break=dedup)
             system.facts("pairs", facts["pairs"])
             system.run_script()
-            assert rows_to_python(system.relation_rows("out", 1)) == [(2,)]
+            assert rows_to_python(system.rows("out", 1)) == [(2,)]
 
     def test_dedup_removes_duplicates_at_break(self):
         facts = [(1, i) for i in range(6)]

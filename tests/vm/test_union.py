@@ -26,7 +26,7 @@ class TestUnionSemantics:
                 "phone": [("ann", "555"), ("bob", "666")],
             },
         )
-        assert sorted(rows_to_python(system.relation_rows("contact", 2))) == [
+        assert sorted(rows_to_python(system.rows("contact", 2))) == [
             ("ann", "555"), ("ann", "a@x"), ("bob", "666"),
         ]
 
@@ -35,14 +35,14 @@ class TestUnionSemantics:
             "out(X) := seed(X) & { a(X) | b(X) }.",
             facts={"seed": [(1,), (2,)], "a": [(1,)], "b": [(1,), (2,)]},
         )
-        assert rows_to_python(system.relation_rows("out", 1)) == [(1,), (2,)]
+        assert rows_to_python(system.rows("out", 1)) == [(1,), (2,)]
 
     def test_alternatives_with_filters(self):
         system = run(
             "sized(X, C) := n(X) & { X < 5 & C = small(X) | X >= 5 & C = big(X) }.",
             facts={"n": [(1,), (9,)]},
         )
-        rows = sorted(rows_to_python(system.relation_rows("sized", 2)))
+        rows = sorted(rows_to_python(system.rows("sized", 2)))
         assert rows == [(1, ("small", 1)), (9, ("big", 9))]
 
     def test_union_then_join(self):
@@ -50,7 +50,7 @@ class TestUnionSemantics:
             "out(X, Y) := { a(X) | b(X) } & follow(X, Y).",
             facts={"a": [(1,)], "b": [(2,)], "follow": [(1, 10), (2, 20), (3, 30)]},
         )
-        assert sorted(rows_to_python(system.relation_rows("out", 2))) == [
+        assert sorted(rows_to_python(system.rows("out", 2))) == [
             (1, 10), (2, 20),
         ]
 
@@ -59,14 +59,14 @@ class TestUnionSemantics:
             "out(X) := { a(X) | b(X) | c(X) }.",
             facts={"a": [(1,)], "b": [(2,)], "c": [(3,)]},
         )
-        assert len(system.relation_rows("out", 1)) == 3
+        assert len(system.rows("out", 1)) == 3
 
     def test_empty_alternative_contributes_nothing(self):
         system = run(
             "out(X) := { a(X) | never(X) }.",
             facts={"a": [(1,)]},
         )
-        assert rows_to_python(system.relation_rows("out", 1)) == [(1,)]
+        assert rows_to_python(system.rows("out", 1)) == [(1,)]
 
     def test_strategies_agree(self):
         source = "out(X, V) := seed(X) & { a(X, V) | b(X, V) & V != 0 }."
@@ -77,21 +77,21 @@ class TestUnionSemantics:
         }
         left = run(source, facts, strategy="pipelined")
         right = run(source, facts, strategy="materialized")
-        assert left.relation_rows("out", 2) == right.relation_rows("out", 2)
+        assert left.rows("out", 2) == right.rows("out", 2)
 
     def test_nested_union(self):
         system = run(
             "out(X) := { a(X) | { b(X) | c(X) } }.",
             facts={"a": [(1,)], "b": [(2,)], "c": [(3,)]},
         )
-        assert len(system.relation_rows("out", 1)) == 3
+        assert len(system.rows("out", 1)) == 3
 
     def test_negation_inside_alternative(self):
         system = run(
             "out(X) := n(X) & { even_marker(X) | !even_marker(X) & X > 5 }.",
             facts={"n": [(2,), (3,), (7,)], "even_marker": [(2,)]},
         )
-        assert sorted(rows_to_python(system.relation_rows("out", 1))) == [(2,), (7,)]
+        assert sorted(rows_to_python(system.rows("out", 1))) == [(2,), (7,)]
 
 
 class TestUnionErrors:
@@ -112,4 +112,4 @@ class TestUnionErrors:
 
         system = make_system("p(X) :- { a(X) | b(X) }.")
         with pytest.raises(UnsafeRuleError):
-            system.idb_rows("p", 1)
+            system.rows("p", 1)
