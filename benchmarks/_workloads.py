@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
+from repro.baselines.reference import reference_system
 from repro.core.system import GlueNailSystem
 from repro.storage.database import Database
 
@@ -82,7 +83,10 @@ end
 
 
 def system_with(source: str, facts: Dict[str, Sequence[tuple]], **kwargs) -> GlueNailSystem:
-    system = GlueNailSystem(**kwargs)
+    """A compiled system with ``facts`` loaded and counters reset; oracle
+    flags such as ``written_order=True`` select a baseline (see
+    :mod:`repro.baselines.reference`)."""
+    system = reference_system(**kwargs)
     if source:
         system.load(source)
     for name, rows in facts.items():

@@ -4,7 +4,7 @@
 
 DESIGN.md calls the optimizer out as a design choice worth ablating: the
 bench runs bodies written in a deliberately bad order with the cost planner
-(``order_mode="cost"``) and in written order (``order_mode="program"``),
+and in written order (``reference_system(written_order=True)``),
 asserting identical answers and measuring the scanning saved by hoisting
 evaluable filters and most-bound scans.
 """
@@ -27,7 +27,7 @@ def make_facts(n):
 
 
 def run(order_mode, n):
-    system = system_with(SOURCE, make_facts(n), order_mode=order_mode)
+    system = system_with(SOURCE, make_facts(n), written_order=order_mode == "program")
     system.run_script()
     return system
 

@@ -20,12 +20,12 @@ Two shapes the compiler cannot see, each body written big-first:
 * ``+= in repeat`` -- a procedure local filled by ``+=`` inside ``repeat``
   and then joined; no compile-time estimate exists for it.
 
-The baseline is ``order_mode="program"`` (the written order).  Work is
+The baseline is the written order (``reference_system(written_order=True)``).  Work is
 ``tuples_scanned + index_probe_tuples``.
 """
 
 from benchmarks._workloads import print_series
-from repro.core.system import GlueNailSystem
+from repro.baselines.reference import reference_system
 
 LOADED = "out(X, Y) := big(X, V) & small(V, Y)."
 
@@ -49,9 +49,9 @@ def work(system):
     return counters.tuples_scanned + counters.index_probe_tuples
 
 
-def run_loaded(big_n, order_mode="cost", compile_first=True):
+def run_loaded(big_n, written_order=False, compile_first=True):
     """Returns (rows, work, the compiled statement)."""
-    system = GlueNailSystem(order_mode=order_mode)
+    system = reference_system(written_order=written_order)
     system.load(LOADED)
     if compile_first:
         system.compile()
@@ -63,9 +63,9 @@ def run_loaded(big_n, order_mode="cost", compile_first=True):
     return system.rows("out", 2), work(system), stmt
 
 
-def run_repeat(big_n, order_mode="cost"):
+def run_repeat(big_n, written_order=False):
     """Returns (rows, work, the compiled return statement)."""
-    system = GlueNailSystem(order_mode=order_mode)
+    system = reference_system(written_order=written_order)
     system.load(REPEAT)
     system.facts("big", big_rows(big_n))
     system.facts("seed", [(3,), (7,)])
@@ -84,7 +84,7 @@ def test_bad_static_order(benchmark):
 def test_shape_runtime_sizes_beat_static_guess(benchmark):
     table = []
     for big_n in (500, 2000, 8000):
-        written_rows, written, _ = run_loaded(big_n, order_mode="program")
+        written_rows, written, _ = run_loaded(big_n, written_order=True)
         blind_rows, blind, stmt = run_loaded(big_n)
         sighted_rows, sighted, sighted_stmt = run_loaded(big_n, compile_first=False)
         # Same answers; re-planning scans less than the written order and
@@ -95,7 +95,7 @@ def test_shape_runtime_sizes_beat_static_guess(benchmark):
         table.append(("loaded after compile", big_n, written, blind, sighted,
                       f"{written / blind:.1f}x"))
 
-        written_rows, written, _ = run_repeat(big_n, order_mode="program")
+        written_rows, written, _ = run_repeat(big_n, written_order=True)
         blind_rows, blind, stmt = run_repeat(big_n)
         assert blind_rows == written_rows and len(blind_rows) == 2 * big_n // 50
         assert blind * 2 < written
@@ -108,7 +108,7 @@ def test_shape_runtime_sizes_beat_static_guess(benchmark):
         table,
     )
     # One compiled variant is cached, not one per execution.
-    system = GlueNailSystem()
+    system = reference_system()
     system.load(LOADED)
     (stmt,) = system.compile().script
     system.facts("big", big_rows(2000))

@@ -26,7 +26,7 @@ def make_facts(n):
 
 
 def run_chain(strategy, n):
-    system = system_with(SOURCE, make_facts(n), strategy=strategy, order_mode="program")
+    system = system_with(SOURCE, make_facts(n), strategy=strategy, written_order=True)
     system.run_script()
     return system
 

@@ -18,8 +18,8 @@ from benchmarks._workloads import (
     print_series,
     random_graph,
 )
+from repro.baselines.reference import reference_engine
 from repro.lang.parser import parse_program
-from repro.nail.engine import NailEngine
 from repro.terms.term import Atom
 
 RULES = list(parse_program(PATH_RULES).items)
@@ -27,7 +27,7 @@ RULES = list(parse_program(PATH_RULES).items)
 
 def evaluate(strategy, edges):
     db = db_with({"edge": edges})
-    engine = NailEngine(db, RULES, strategy=strategy)
+    engine = reference_engine(db, RULES, naive_fixpoint=strategy == "naive")
     relation = engine.materialize(Atom("path"), 2)
     return len(relation), db.counters.tuples_scanned, engine.rounds_run
 

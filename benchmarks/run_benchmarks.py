@@ -1,22 +1,20 @@
 #!/usr/bin/env python
-"""Join-engine benchmark harness: measures the NAIL! evaluator and records
-the trajectory across PRs.
-
-Each workload materializes a recursive program bottom-up and reports rows,
-wall-clock time, ``tuples_scanned`` (full-scan touches), index probe
-counts, and fixpoint rounds.  Results are written to ``BENCH_joins.json``;
-existing history entries in that file are preserved and the new run is
-appended, so the file accumulates the before/after trajectory of evaluator
-changes (see docs/PERFORMANCE.md).
+"""Benchmark harness for the two A/B workloads that are not differential
+tests: push subscriptions vs polling, and MVCC snapshot reads vs the
+read/write lock.  Each run is written to a ``BENCH_*.json`` file; existing
+history entries there are preserved and ``--label`` appends the new run,
+so the file accumulates a trajectory across changes.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --quick --check
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --subscriptions --quick --check
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --mvcc --quick --check
 
-``--quick`` shrinks the workloads for CI smoke runs.  ``--check``
-cross-validates every workload three ways -- hash-join seminaive (the
-engine under test) against naive evaluation and against the nested-loop
-baseline -- and exits nonzero on any divergence.
+``--quick`` shrinks the workloads for CI smoke runs.  ``--check`` verifies
+the workload's invariant and exits nonzero on a divergence.  The join
+engines' differentials are tests (``tests/nail/test_hashjoin.py``,
+``tests/vm/test_glue_hashjoin.py``, ``tests/col/test_columnar.py``), and
+end-to-end time is measured by ``bench/``.
 """
 
 from __future__ import annotations
@@ -30,37 +28,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from benchmarks._workloads import (  # noqa: E402
-    PATH_RULES,
-    STAR_RULES,
-    binary_tree_edges,
-    chain_edges,
-    db_with,
-    layered_chain_edges,
-    random_graph,
-    skewed_star_facts,
-)
-from repro.lang.parser import parse_program  # noqa: E402
-from repro.nail.engine import NailEngine, magic_query  # noqa: E402
-from repro.storage.database import Database  # noqa: E402
-from repro.terms.term import Atom, Compound, Num, Var  # noqa: E402
-
-NEGATION_RULES = """
-path(X, Y) :- edge(X, Y).
-path(X, Z) :- path(X, Y) & edge(Y, Z).
-node(X) :- edge(X, _).
-node(Y) :- edge(_, Y).
-unreachable(X, Y) :- node(X) & node(Y) & !path(X, Y).
-"""
-
-HILOG_RULES = """
-tc(G)(X, Y) :- e(G, X, Y).
-tc(G)(X, Z) :- tc(G)(X, Y) & e(G, Y, Z).
-"""
-
-
-def rules_of(text):
-    return list(parse_program(text).items)
+from benchmarks._workloads import PATH_RULES  # noqa: E402
 
 
 def _runtime_info() -> dict:
@@ -81,211 +49,6 @@ def _runtime_info() -> dict:
         "gil_enabled": bool(is_gil()) if is_gil is not None else True,
         "cores": os.cpu_count(),
     }
-
-
-
-def _materialize(db, rules, pred, arity, strategy="seminaive", join_mode="hash"):
-    """Materialize ``pred`` and capture cost deltas for exactly that run."""
-    engine = NailEngine(db, rules, strategy=strategy, join_mode=join_mode)
-    counters = db.counters
-    counters.reset()
-    t0 = time.perf_counter()
-    relation = engine.materialize(pred, arity)
-    wall = time.perf_counter() - t0
-    return {
-        "rows": len(relation),
-        "wall_s": round(wall, 4),
-        "tuples_scanned": counters.tuples_scanned,
-        "index_lookups": counters.index_lookups,
-        "index_probe_tuples": counters.index_probe_tuples,
-        "rounds": engine.rounds_run,
-    }, set(relation.rows())
-
-
-def _tc_workload(edges, pred=None, arity=2, rules=None):
-    rules = rules_of(rules or PATH_RULES)
-    pred = pred or Atom("path")
-
-    def run(strategy="seminaive", join_mode="hash"):
-        db = db_with({"edge": edges})
-        return _materialize(db, rules, pred, arity, strategy, join_mode)
-
-    return run
-
-
-def _hilog_workload(families=3, chain=30):
-    facts = [
-        (f"g{f}", f * 1000 + i, f * 1000 + i + 1)
-        for f in range(families)
-        for i in range(chain)
-    ]
-    rules = rules_of(HILOG_RULES)
-    pred = Compound(Atom("tc"), (Atom("g0"),))
-
-    def run(strategy="seminaive", join_mode="hash"):
-        db = Database()
-        db.facts("e", facts)
-        return _materialize(db, rules, pred, 2, strategy, join_mode)
-
-    return run
-
-
-def _negation_workload(nodes, edges):
-    graph = random_graph(nodes, edges)
-    rules = rules_of(NEGATION_RULES)
-
-    def run(strategy="seminaive", join_mode="hash"):
-        db = db_with({"edge": graph})
-        return _materialize(db, rules, Atom("unreachable"), 2, strategy, join_mode)
-
-    return run
-
-
-def _magic_workload(chain, source):
-    edges = chain_edges(chain)
-    rules = rules_of(PATH_RULES)
-
-    def run(strategy="seminaive", join_mode="hash"):
-        db = db_with({"edge": edges})
-        counters = db.counters
-        counters.reset()
-        t0 = time.perf_counter()
-        answers, engine = magic_query(
-            db, rules, Atom("path"), (Num(source), Var("Y")),
-            strategy=strategy, join_mode=join_mode,
-        )
-        wall = time.perf_counter() - t0
-        return {
-            "rows": len(answers),
-            "wall_s": round(wall, 4),
-            "tuples_scanned": counters.tuples_scanned,
-            "index_lookups": counters.index_lookups,
-            "index_probe_tuples": counters.index_probe_tuples,
-            "rounds": engine.rounds_run,
-        }, set(answers)
-
-    return run
-
-
-GLUE_SOURCE = """
-joined(A, D) := r(A, B) & s(B, C) & t(C, D).
-far(A, D) := joined(A, D) & !near(A, D).
-latest(B, A) +=[B] r(A, B).
-"""
-
-GLUE_OUT_PREDS = (("joined", 2), ("far", 2), ("latest", 2))
-
-
-def _glue_facts(n):
-    return {
-        "r": [(i, i % 40) for i in range(n)],
-        "s": [(i % 40, (i * 7) % 40) for i in range(n)],
-        "t": [((i * 7) % 40, i) for i in range(n)],
-        "near": [(i, i) for i in range(n)],
-    }
-
-
-def _run_glue_once(n, join_mode):
-    """One Glue VM run: returns (stats, result-set per output predicate).
-
-    Both modes run with the adaptive index policy disabled so the numbers
-    compare the *statement planner* against the true per-row nested
-    baseline (the hash path builds its indexes explicitly; the reactive
-    policy would otherwise partially rescue the nested path).
-    """
-    from repro.core.system import GlueNailSystem
-    from repro.storage.adaptive import NeverIndexPolicy
-
-    system = GlueNailSystem(
-        db=Database(index_policy=NeverIndexPolicy()), join_mode=join_mode
-    )
-    system.load(GLUE_SOURCE)
-    for name, rows in _glue_facts(n).items():
-        system.facts(name, rows)
-    system.compile()
-    counters = system.db.counters
-    counters.reset()
-    t0 = time.perf_counter()
-    system.run_script()
-    wall = time.perf_counter() - t0
-    results = {
-        f"{name}/{arity}": set(system.db.relation(Atom(name), arity).rows())
-        for name, arity in GLUE_OUT_PREDS
-    }
-    stats = {
-        "rows": len(results["joined/2"]),
-        "wall_s": round(wall, 4),
-        "tuples_scanned": counters.tuples_scanned,
-        "index_lookups": counters.index_lookups,
-        "index_probe_tuples": counters.index_probe_tuples,
-        "total_tuple_touches": counters.total_tuple_touches,
-        "glue_hash_joins": counters.glue_hash_joins,
-    }
-    return stats, results
-
-
-def main_glue(args) -> int:
-    """The Glue VM workload: a join-heavy statement pipeline (3-way join,
-    anti-join, keyed update) over growing EDBs, run twice -- planned hash
-    joins vs the ``join_mode="nested"`` per-row baseline."""
-    sizes = [100, 200] if args.quick else [100, 200, 400]
-    results = {}
-    divergences = []
-    for n in sizes:
-        name = f"glue-3way-{n}"
-        hash_stats, hash_rows = _run_glue_once(n, "hash")
-        nested_stats, nested_rows = _run_glue_once(n, "nested")
-        touch_x = round(
-            nested_stats["total_tuple_touches"]
-            / max(hash_stats["total_tuple_touches"], 1),
-            1,
-        )
-        wall_x = round(nested_stats["wall_s"] / max(hash_stats["wall_s"], 1e-9), 1)
-        entry = {
-            "edb_rows": n,
-            "hash": hash_stats,
-            "nested": nested_stats,
-            "touch_improvement": touch_x,
-            "wall_improvement": wall_x,
-        }
-        results[name] = entry
-        line = (
-            f"{name:28s} rows={hash_stats['rows']:<7d} "
-            f"hash={hash_stats['wall_s']:<8.4f} nested={nested_stats['wall_s']:<8.4f} "
-            f"touches {hash_stats['total_tuple_touches']} vs "
-            f"{nested_stats['total_tuple_touches']} ({touch_x}x)"
-        )
-        if args.check:
-            ok = hash_rows == nested_rows
-            line += "  check=" + ("OK" if ok else "DIVERGED")
-            if not ok:
-                divergences.append(name)
-        print(line)
-
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_glue_joins.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = results
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": results}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-    if divergences:
-        print(f"DIVERGENCE hash vs nested Glue execution on: {', '.join(divergences)}")
-        return 1
-    return 0
 
 
 def run_subscriptions(quick: bool, check: bool):
@@ -403,21 +166,11 @@ def run_subscriptions(quick: bool, check: bool):
     }
     return stats, divergences
 
-
-def main_subscriptions(args) -> int:
-    stats, divergences = run_subscriptions(args.quick, args.check)
-    name = f"subs-{stats['subscribers']}x-chain-{stats['chain']}"
-    print(
-        f"{name:28s} rows={stats['rows']:<7d} pushed={stats['notifications_pushed']:<7d} "
-        f"push={stats['push_wall_s']:<8.5f} poll={stats['poll_wall_s']:<8.5f} "
-        f"speedup={stats['speedup_vs_poll']}x "
-        f"latency={stats['latency_median_us']}us"
-        + ("  check=" + ("DIVERGED" if divergences else "OK") if args.check else "")
-    )
+def _record(args, default_file: str, name: str, stats: dict) -> None:
+    """Write ``{name: stats}`` as the document's current workloads,
+    keeping its history and appending this run under ``--label``."""
     out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_subscriptions.json"
+        args.out if args.out else Path(__file__).resolve().parent.parent / default_file
     )
     doc = {"workloads": {}, "history": []}
     if out_path.exists():
@@ -434,229 +187,23 @@ def main_subscriptions(args) -> int:
         )
     out_path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"\nwrote {out_path}")
+
+
+def main_subscriptions(args) -> int:
+    stats, divergences = run_subscriptions(args.quick, args.check)
+    name = f"subs-{stats['subscribers']}x-chain-{stats['chain']}"
+    print(
+        f"{name:28s} rows={stats['rows']:<7d} pushed={stats['notifications_pushed']:<7d} "
+        f"push={stats['push_wall_s']:<8.5f} poll={stats['poll_wall_s']:<8.5f} "
+        f"speedup={stats['speedup_vs_poll']}x "
+        f"latency={stats['latency_median_us']}us"
+        + ("  check=" + ("DIVERGED" if divergences else "OK") if args.check else "")
+    )
+    _record(args, "BENCH_subscriptions.json", name, stats)
     if divergences:
         print(f"DIVERGENCE push replay vs recomputation: {', '.join(divergences)}")
         return 1
     return 0
-
-
-def _run_batchmode_once(source, facts, goal, arity, batch_mode, reps=2):
-    """Materializations through the system facade under one batch mode.
-
-    Times ``engine.materialize`` only: row fetching and sorting are shared
-    presentation costs identical in both modes, and folding them into the
-    timer flattens the kernel-speedup ratio the workload exists to
-    measure.  Best wall of ``reps`` fresh runs (each run is a fresh
-    system, so rows and counters are deterministic across reps).  The full
-    counter snapshot rides along so ``--check`` can assert
-    counter-exactness, not just result equality.
-    """
-    from repro.core.system import GlueNailSystem
-    from repro.storage.stats import COUNTER_FIELDS
-
-    best_wall = None
-    for _ in range(reps):
-        system = GlueNailSystem(batch_mode=batch_mode)
-        system.load(source)
-        for name, rows in facts.items():
-            system.facts(name, rows)
-        system.compile()
-        system.reset_counters()
-        t0 = time.perf_counter()
-        relation = system.engine.materialize(Atom(goal), arity)
-        wall = time.perf_counter() - t0
-        rows = set(relation.rows())
-        counters = dict(zip(COUNTER_FIELDS, system.db.counters.as_tuple()))
-        system.close()
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-    stats = {
-        "rows": len(rows),
-        "wall_s": round(best_wall, 4),
-        "tuples_scanned": counters["tuples_scanned"],
-        "index_lookups": counters["index_lookups"],
-        "index_probe_tuples": counters["index_probe_tuples"],
-    }
-    return stats, rows, counters
-
-
-def _kernel_microbench(quick: bool) -> dict:
-    """Per-tuple overhead of the join hot path, kernels vs row engine.
-
-    Evaluates the skewed-star body directly through
-    :func:`~repro.nail.bodyeval.eval_rule_body_batch` -- no head
-    materialization, no fixpoint bookkeeping -- so the wall clock divided
-    by tuple touches (scans + lookups + probed tuples, identical across
-    modes by the counter-parity contract) is the interpreter overhead per
-    tuple of actual join work.  Best of three runs per mode.
-    """
-    from repro.col import Batch
-    from repro.nail.bodyeval import eval_rule_body_batch
-    from repro.nail.rules import prepare_rules
-
-    n, hubs = (1200, 20) if quick else (4000, 40)
-    db = Database()
-    facts = skewed_star_facts(n, hubs)
-    for name, rows in facts.items():
-        db.declare(name, 2).insert_many(
-            tuple(Num(v) for v in row) for row in rows
-        )
-    info = prepare_rules([parse_program(STAR_RULES).items[0]])[0]
-
-    def rows_fn(pred, arity):
-        return db.get(pred.name, arity)
-
-    touch_keys = ("tuples_scanned", "index_lookups", "index_probe_tuples")
-
-    def best_of(mode, reps=3):
-        best = None
-        for _ in range(reps):
-            db.counters.reset()
-            t0 = time.perf_counter()
-            out = eval_rule_body_batch(info, rows_fn, batch_mode=mode)
-            wall = time.perf_counter() - t0
-            length = out.length if isinstance(out, Batch) else len(out)
-            touches = sum(getattr(db.counters, k) for k in touch_keys)
-            if best is None or wall < best[0]:
-                best = (wall, length, touches)
-        return best
-
-    row_wall, row_n, row_touches = best_of("row")
-    col_wall, col_n, col_touches = best_of("columnar")
-    assert row_n == col_n and row_touches == col_touches
-    return {
-        "workload": f"star-{n}x{hubs}-body",
-        "bindings": row_n,
-        "tuple_touches": row_touches,
-        "row_wall_s": round(row_wall, 4),
-        "columnar_wall_s": round(col_wall, 4),
-        "row_ns_per_tuple": round(row_wall / row_touches * 1e9, 1),
-        "columnar_ns_per_tuple": round(col_wall / col_touches * 1e9, 1),
-        "overhead_reduction": round(row_wall / max(col_wall, 1e-9), 2),
-    }
-
-
-def main_columnar(args) -> int:
-    """The columnar batch-execution workload: batch-friendly closures and
-    joins under ``batch_mode="columnar"`` vs the row engine, plus the
-    kernel microbenchmark isolating per-tuple interpreter overhead.
-
-    ``--check`` asserts the differential contract: identical row sets AND
-    identical values on every counter field between the two modes.
-    """
-    # The star head projects the join down to its spokes: the 100-way hub
-    # fan-out is full join work for both modes, but the output dedup runs
-    # over id arrays in the columnar engine and over binding dicts in the
-    # row engine.  (A head keeping all 400k bindings is insert-bound --
-    # inserts are shared storage cost -- and measures storage, not the
-    # kernels; see docs/PERFORMANCE.md.)
-    star_proj = "q(X) :- big_a(X, Y) & big_b(Y, Z).\n"
-    if args.quick:
-        macro = {
-            "chain-closure-12x6": (PATH_RULES,
-                                   {"edge": layered_chain_edges(12, 6)},
-                                   "path", 2),
-            "star-skewed-800x16": (star_proj, skewed_star_facts(800, 16),
-                                   "q", 1),
-        }
-    else:
-        macro = {
-            "chain-closure-30x10": (PATH_RULES,
-                                    {"edge": layered_chain_edges(30, 10)},
-                                    "path", 2),
-            "star-skewed-4000x40": (star_proj, skewed_star_facts(4000, 40),
-                                    "q", 1),
-        }
-    results = {}
-    divergences = []
-    for name, (source, facts, goal, arity) in macro.items():
-        row_stats, row_rows, row_counters = _run_batchmode_once(
-            source, facts, goal, arity, "row"
-        )
-        col_stats, col_rows, col_counters = _run_batchmode_once(
-            source, facts, goal, arity, "columnar"
-        )
-        entry = {
-            "rows": col_stats["rows"],
-            "row_wall_s": row_stats["wall_s"],
-            "columnar_wall_s": col_stats["wall_s"],
-            "speedup": round(
-                row_stats["wall_s"] / max(col_stats["wall_s"], 1e-9), 2
-            ),
-            "tuples_scanned": col_stats["tuples_scanned"],
-            "index_lookups": col_stats["index_lookups"],
-            "index_probe_tuples": col_stats["index_probe_tuples"],
-        }
-        line = (
-            f"{name:28s} rows={entry['rows']:<7d} row={entry['row_wall_s']:<8.4f} "
-            f"col={entry['columnar_wall_s']:<8.4f} speedup={entry['speedup']:.2f}x"
-        )
-        if args.check:
-            ok = row_rows == col_rows and row_counters == col_counters
-            line += "  check=" + ("OK" if ok else "DIVERGED")
-            if not ok:
-                divergences.append(name)
-        results[name] = entry
-        print(line)
-
-    micro = _kernel_microbench(args.quick)
-    print(
-        f"{micro['workload']:28s} bindings={micro['bindings']:<7d} "
-        f"row={micro['row_ns_per_tuple']}ns/tuple "
-        f"col={micro['columnar_ns_per_tuple']}ns/tuple "
-        f"reduction={micro['overhead_reduction']:.2f}x"
-    )
-
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = results
-    doc["kernel_microbench"] = micro
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": results,
-             "kernel_microbench": micro}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-    if divergences:
-        print(f"DIVERGENCE columnar vs row on: {', '.join(divergences)}")
-        return 1
-    return 0
-
-
-def workloads(quick: bool):
-    if quick:
-        return {
-            "chain-60": _tc_workload(chain_edges(60)),
-            "tree-d6": _tc_workload(binary_tree_edges(6)),
-            "random-40n-80e": _tc_workload(random_graph(40, 80)),
-            "negation-20n-50e": _negation_workload(20, 50),
-            "hilog-3x20": _hilog_workload(3, 20),
-            "magic-chain-100": _magic_workload(100, 49),
-            "chain-60-naive-baseline": _tc_workload(chain_edges(60)),
-        }
-    return {
-        "chain-60": _tc_workload(chain_edges(60)),
-        "chain-120": _tc_workload(chain_edges(120)),
-        "tree-d7": _tc_workload(binary_tree_edges(7)),
-        "random-40n-80e": _tc_workload(random_graph(40, 80)),
-        "random-60n-180e": _tc_workload(random_graph(60, 180)),
-        "negation-30n-90e": _negation_workload(30, 90),
-        "hilog-3x30": _hilog_workload(3, 30),
-        "magic-chain-200": _magic_workload(200, 99),
-        "chain-60-naive-baseline": _tc_workload(chain_edges(60)),
-    }
 
 
 def _percentile(values, q):
@@ -786,7 +333,6 @@ def run_mvcc(quick, check):
     }
     return stats, divergences
 
-
 def main_mvcc(args) -> int:
     stats, divergences = run_mvcc(args.quick, args.check)
     name = f"mvcc-readers-{stats['readers']}x"
@@ -797,26 +343,7 @@ def main_mvcc(args) -> int:
         f"speedup={stats['p99_speedup']}x"
         + ("  check=" + ("DIVERGED" if divergences else "OK") if args.check else "")
     )
-    out_path = Path(
-        args.out
-        if args.out
-        else Path(__file__).resolve().parent.parent / "BENCH_mvcc.json"
-    )
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = {name: stats}
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": {name: stats}}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
+    _record(args, "BENCH_mvcc.json", name, stats)
     if divergences:
         print(f"DIVERGENCE lock vs snapshot reads: {', '.join(divergences)}")
         return 1
@@ -825,114 +352,41 @@ def main_mvcc(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small CI-sized workloads")
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="cross-validate hash-join vs naive vs nested-loop results; "
-        "exit nonzero on divergence",
-    )
-    parser.add_argument(
-        "--glue",
-        action="store_true",
-        help="run the Glue VM workload instead (join-heavy statement "
-        "pipeline, planned hash joins vs the nested per-row baseline); "
-        "writes BENCH_glue_joins.json by default; --check cross-validates "
-        "the two modes",
-    )
-    parser.add_argument(
+    workload = parser.add_mutually_exclusive_group(required=True)
+    workload.add_argument(
         "--subscriptions",
         action="store_true",
-        help="run the continuous-query workload instead (N push subscribers "
-        "over a mixed insert/delete stream vs the poll-and-requery "
-        "baseline); writes BENCH_subscriptions.json by default; --check "
-        "verifies a subscriber's replayed deltas against recomputation",
+        help="the continuous-query workload (N push subscribers over a mixed "
+        "insert/delete stream vs the poll-and-requery baseline); writes "
+        "BENCH_subscriptions.json by default; --check verifies a "
+        "subscriber's replayed deltas against recomputation",
     )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help="run the columnar batch-execution workload instead "
-        "(batch-friendly chain closure and skewed star under the columnar "
-        "kernels vs the row engine, plus the per-tuple kernel "
-        "microbenchmark); writes BENCH_columnar.json by default; --check "
-        "asserts identical rows and identical counters across modes",
-    )
-    parser.add_argument(
+    workload.add_argument(
         "--mvcc",
         action="store_true",
-        help="run the snapshot-read workload instead (reader sessions "
-        "timing requests while a writer holds chunky transactions; MVCC "
-        "snapshot pins vs the read/write-lock baseline); writes "
-        "BENCH_mvcc.json by default; --check asserts readers only ever "
-        "saw committed states and both modes converge to identical rows",
+        help="the snapshot-read workload (reader sessions timing requests "
+        "while a writer holds chunky transactions; MVCC snapshot pins vs the "
+        "read/write-lock baseline); writes BENCH_mvcc.json by default; "
+        "--check asserts readers only ever saw committed states and both "
+        "modes converge to identical rows",
+    )
+    parser.add_argument("--quick", action="store_true", help="small CI-sized workloads")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="verify the workload's invariant; exit nonzero on divergence",
     )
     parser.add_argument(
         "--out",
         default=None,
         help="output JSON path (history in an existing file is preserved); "
-        "default BENCH_joins.json, BENCH_glue_joins.json with --glue, or "
-        "BENCH_subscriptions.json with --subscriptions",
+        "default BENCH_subscriptions.json or BENCH_mvcc.json",
     )
     parser.add_argument(
         "--label", default=None, help="history label for this run (default: none, "
         "run is not appended to history)"
     )
     args = parser.parse_args(argv)
-
-    if args.glue:
-        return main_glue(args)
-    if args.subscriptions:
-        return main_subscriptions(args)
-    if args.columnar:
-        return main_columnar(args)
-    if args.mvcc:
-        return main_mvcc(args)
-    if args.out is None:
-        args.out = str(Path(__file__).resolve().parent.parent / "BENCH_joins.json")
-
-    results = {}
-    divergences = []
-    for name, run in workloads(args.quick).items():
-        if name.endswith("-naive-baseline"):
-            stats, rows = run(strategy="naive")
-        else:
-            stats, rows = run()
-        results[name] = stats
-        line = (
-            f"{name:28s} rows={stats['rows']:<7d} wall={stats['wall_s']:<8.4f} "
-            f"scanned={stats['tuples_scanned']:<9d} probes={stats['index_lookups']:<7d} "
-            f"rounds={stats['rounds']}"
-        )
-        if args.check and not name.endswith("-naive-baseline"):
-            _, naive_rows = run(strategy="naive")
-            _, nested_rows = run(join_mode="nested")
-            ok = rows == naive_rows == nested_rows
-            line += "  check=" + ("OK" if ok else "DIVERGED")
-            if not ok:
-                divergences.append(name)
-        print(line)
-
-    out_path = Path(args.out)
-    doc = {"workloads": {}, "history": []}
-    if out_path.exists():
-        try:
-            doc = json.loads(out_path.read_text())
-        except json.JSONDecodeError:
-            pass
-    doc["quick"] = args.quick
-    doc.update(_runtime_info())
-    doc["workloads"] = results
-    if args.label:
-        doc.setdefault("history", []).append(
-            {"label": args.label, "quick": args.quick, "workloads": results}
-        )
-    out_path.write_text(json.dumps(doc, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-
-    if divergences:
-        print(f"DIVERGENCE between evaluators on: {', '.join(divergences)}")
-        return 1
-    return 0
+    return main_subscriptions(args) if args.subscriptions else main_mvcc(args)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ Run:  python examples/graph_analysis.py
 """
 
 from repro import Database, GlueNailSystem, rows_to_python
+from repro.baselines.reference import reference_engine
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine, magic_query
 from repro.terms.term import Atom, Num, Var
@@ -56,7 +57,7 @@ def main() -> None:
     db = Database()
     db.facts("edge", edges)
     db.counters.reset()
-    engine = NailEngine(db, rules, strategy="seminaive")
+    engine = NailEngine(db, rules)
     results["seminaive (full)"] = {
         r[1].value for r in engine.query(Atom("path"), (Num(0), Var("Y")))
     }
@@ -66,7 +67,7 @@ def main() -> None:
     db = Database()
     db.facts("edge", edges)
     db.counters.reset()
-    engine = NailEngine(db, rules, strategy="naive")
+    engine = reference_engine(db, rules, naive_fixpoint=True)
     results["naive (full)"] = {
         r[1].value for r in engine.query(Atom("path"), (Num(0), Var("Y")))
     }

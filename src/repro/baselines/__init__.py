@@ -8,8 +8,11 @@ runnable:
 * :mod:`repro.baselines.runtime_dispatch` -- predicate-variable subgoals
   resolved by a run-time four-way class check instead of compile-time
   dereferencing; experiment E8.
-* the ``naive`` strategy of :class:`repro.nail.engine.NailEngine` -- full
-  re-derivation instead of seminaive/uniondiff; experiment E6.
+* :mod:`repro.baselines.reference` -- the product's own replaced paths as
+  whole configurations: the naive fixpoint (full re-derivation instead of
+  seminaive/uniondiff; experiment E6), nested-loop joins, the row engine
+  and written body order (ablation A1).  The only way to reach them: no
+  product constructor, CLI flag or REPL command selects one.
 * :class:`repro.storage.adaptive.NeverIndexPolicy` /
   :class:`~repro.storage.adaptive.AlwaysIndexPolicy` -- the degenerate
   indexing policies around the adaptive one; experiment E5.
@@ -25,14 +28,24 @@ from repro.baselines.extensional_sets import (
     set_unify,
     sets_equal_extensional,
 )
+from repro.baselines.reference import (
+    Oracles,
+    reference_engine,
+    reference_server,
+    reference_system,
+)
 from repro.baselines.runtime_dispatch import make_runtime_dispatch_system
 
 __all__ = [
     "ExtensionalSetError",
+    "Oracles",
     "flatten_set_of_sets",
     "ldl_group",
     "make_set",
     "make_runtime_dispatch_system",
+    "reference_engine",
+    "reference_server",
+    "reference_system",
     "set_member",
     "set_union",
     "set_unify",

@@ -5,10 +5,11 @@ Flat relations are encoded as parallel arrays of interned term ids (one
 :class:`Batch` objects, and the dominant join kernels -- hash build,
 probe/extract, eq-check filter, dedup, membership -- run as plan-
 specialized batch operators instead of per-tuple ``dict[var, Term]``
-shuffling.  ``batch_mode="row"`` keeps the row engine as the differential
-baseline; a columnar run charges bit-identical cost counters (see
-:mod:`repro.col.kernels` for the parity contract) so the two modes are
-interchangeable everywhere.
+shuffling.  The binding-dict row engine stays as the differential
+baseline (``reference_system(row_engine=True)`` in
+:mod:`repro.baselines.reference`); a columnar run charges bit-identical
+cost counters (see :mod:`repro.col.kernels` for the parity contract), so
+the two are interchangeable everywhere.
 """
 
 from repro.col.atoms import AtomTable

@@ -34,9 +34,6 @@ def _build_system(args) -> GlueNailSystem:
         strict=args.strict,
         strategy=args.strategy,
         dedup_on_break=not args.no_dedup,
-        join_mode=getattr(args, "join_mode", "hash"),
-        order_mode=getattr(args, "order_mode", "cost"),
-        batch_mode=getattr(args, "batch_mode", "columnar"),
     )
     if getattr(args, "db", None):
         system = GlueNailSystem.open(args.db, **options)
@@ -139,11 +136,10 @@ def cmd_repl(args) -> int:
     from repro.core.repl import Repl
     from repro.core.system import GlueNailSystem
 
-    options = dict(batch_mode=getattr(args, "batch_mode", "columnar"))
     if getattr(args, "db", None):
-        system = GlueNailSystem.open(args.db, **options)
+        system = GlueNailSystem.open(args.db)
     else:
-        system = GlueNailSystem(**options)
+        system = GlueNailSystem()
     if args.program:
         system.load_file(args.program)
     if args.edb:
@@ -167,7 +163,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         sync=not args.no_sync,
-        batch_mode=getattr(args, "batch_mode", "columnar"),
         mvcc=not args.no_mvcc,
     )
     if args.edb:
@@ -289,18 +284,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy", choices=("pipelined", "materialized"), default="pipelined"
     )
-    parser.add_argument(
-        "--join-mode", choices=("hash", "nested"), default="hash",
-        help="how bodies join: planned hash joins or the nested-loop baseline",
-    )
-    parser.add_argument(
-        "--order-mode", choices=("cost", "program"), default="cost",
-        help="how bodies are ordered: the cost-based planner or program order",
-    )
-    parser.add_argument(
-        "--batch-mode", choices=("columnar", "row"), default="columnar",
-        help="how bodies execute: columnar batch kernels or the row baseline",
-    )
     parser.add_argument("--stats", action="store_true", help="print cost counters")
     parser.add_argument(
         "--trace-json",
@@ -356,9 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_repl.add_argument("--edb", help="EDB dump to load first")
     p_repl.add_argument("--db", metavar="DIR",
                         help="durable database directory (recovered on open)")
-    p_repl.add_argument("--batch-mode", choices=("columnar", "row"),
-                        default="columnar",
-                        help="columnar batch kernels or the row baseline")
     p_repl.set_defaults(fn=cmd_repl)
 
     p_serve = sub.add_parser("serve", help="run the concurrent TCP query server")
@@ -370,9 +350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--port", type=int, default=7411)
     p_serve.add_argument("--no-sync", action="store_true",
                          help="skip fsync on commit (faster, less durable)")
-    p_serve.add_argument("--batch-mode", choices=("columnar", "row"),
-                        default="columnar",
-                        help="columnar batch kernels or the row baseline")
     p_serve.add_argument("--no-mvcc", action="store_true",
                          help="serve reads under the read/write lock instead "
                               "of MVCC snapshots (the serialized baseline)")

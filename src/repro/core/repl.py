@@ -44,7 +44,6 @@ Commands:
   .profile on|off      trace queries (`.last` then shows the trace tree)
   .last                stats (and trace, with .profile on) of the last query
   .strategy NAME       pipelined | materialized
-  .batch columnar|row  columnar batch kernels or the row baseline
   .stats               cost counters since the last .stats
   .save FILE / .load FILE   EDB persistence
   .begin / .commit / .rollback   transaction boundaries
@@ -154,13 +153,7 @@ class Repl:
                 )
                 immediate.append("fact")
             elif isinstance(item, (AssignStmt, RepeatStmt)):
-                runner = GlueNailSystem(db=self.system.db, out=self.out)
-                runner._programs = list(self.system._programs)
-                runner._foreign = list(self.system._foreign)
-                from repro.lang.ast import Program
-
-                runner._programs.append(Program(items=(item,)))
-                runner.run_script()
+                self._run_statement(item)
                 immediate.append("ran")
             else:
                 to_load_items.append(item)
@@ -182,6 +175,27 @@ class Repl:
                 self._print(f"rejected: {exc}")
         elif immediate:
             self._print("ok")
+
+    def _run_statement(self, item) -> None:
+        """Run one Glue statement now, under the session's settings, on a
+        system that sees everything loaded so far."""
+        from repro.lang.ast import Program
+
+        system = self.system
+        runner = GlueNailSystem(
+            db=system.db,
+            strict=system.strict,
+            strategy=system.strategy,
+            dedup_on_break=system.dedup_on_break,
+            deref_at_compile_time=system.deref_at_compile_time,
+            out=self.out,
+            inp=system.inp,
+            max_loop_iterations=system.max_loop_iterations,
+        )
+        runner._oracles = system._oracles
+        runner._programs = list(system._programs) + [Program(items=(item,))]
+        runner._foreign = list(system._foreign)
+        runner.run_script()
 
     def _query(self, text: str) -> None:
         try:
@@ -219,7 +233,6 @@ class Repl:
             ".profile": self._cmd_profile,
             ".last": self._cmd_last,
             ".strategy": self._cmd_strategy,
-            ".batch": self._cmd_batch,
             ".stats": self._cmd_stats,
             ".save": self._cmd_save,
             ".load": self._cmd_load,
@@ -321,17 +334,6 @@ class Repl:
         self.system.strategy = arg
         self.system._invalidate()
         self._print(f"strategy = {arg}")
-
-    def _cmd_batch(self, arg: str) -> None:
-        if not arg:
-            self._print(f"batch mode = {self.system.batch_mode}")
-            return
-        if arg not in ("columnar", "row"):
-            self._print("usage: .batch columnar|row")
-            return
-        self.system.batch_mode = arg
-        self.system._invalidate()
-        self._print(f"batch mode = {arg}")
 
     def _cmd_stats(self, _arg: str) -> None:
         snapshot = {k: v for k, v in self.system.counters.snapshot().items() if v}

@@ -31,6 +31,7 @@ from repro.lang.parser import parse_program, parse_query
 from repro.nail.engine import NailEngine, is_flat_query, magic_query
 from repro.obs.query_stats import QueryStats
 from repro.obs.tracer import CollectingSink, TraceSink, Tracer
+from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.persist import load_database, save_database
 from repro.storage.stats import CostCounters, counter_delta
@@ -46,6 +47,11 @@ Row = Tuple[Term, ...]
 class GlueNailSystem:
     """A complete Glue-Nail instance: EDB + compiler + VM + NAIL! engine."""
 
+    # One configuration for the whole program, handed to the compiler, the
+    # VM and the NAIL! engine alike; repro.baselines.reference overrides it
+    # to run the differential baselines.
+    _oracles: Oracles = PRODUCT
+
     def __init__(
         self,
         db: Optional[Database] = None,
@@ -53,13 +59,9 @@ class GlueNailSystem:
         strategy: str = "pipelined",
         dedup_on_break: bool = True,
         deref_at_compile_time: bool = True,
-        nail_strategy: str = "seminaive",
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
-        join_mode: str = "hash",
-        order_mode: str = "cost",
-        batch_mode: str = "columnar",
         trace: Union[bool, TraceSink] = False,
     ):
         self.db = db if db is not None else Database()
@@ -67,28 +69,9 @@ class GlueNailSystem:
         self.strategy = strategy
         self.dedup_on_break = dedup_on_break
         self.deref_at_compile_time = deref_at_compile_time
-        self.nail_strategy = nail_strategy
         self.out = out
         self.inp = inp
         self.max_loop_iterations = max_loop_iterations
-        # One join optimizer for the whole program: the mode drives both
-        # the NAIL! rule evaluator and the Glue VM's statement bodies
-        # ("nested" is the differential/costing baseline).
-        if join_mode not in ("hash", "nested"):
-            raise ValueError(f"unknown join mode {join_mode!r}")
-        self.join_mode = join_mode
-        # One body-ordering mode for the whole program, mirroring
-        # join_mode: "cost" plans through repro.opt, "program" keeps the
-        # written subgoal order (the differential baseline).
-        if order_mode not in ("cost", "program"):
-            raise ValueError(f"unknown order mode {order_mode!r}")
-        self.order_mode = order_mode
-        # One batch-execution mode for the whole program: "columnar" runs
-        # rule bodies and Glue probes through the repro.col batch kernels,
-        # "row" keeps the binding-dict engine (the differential baseline).
-        if batch_mode not in ("columnar", "row"):
-            raise ValueError(f"unknown batch mode {batch_mode!r}")
-        self.batch_mode = batch_mode
 
         self._programs: List[Program] = []
         self._foreign: List[Tuple[ForeignSig, ForeignProc]] = []
@@ -194,7 +177,7 @@ class GlueNailSystem:
             strict=self.strict,
             deref_at_compile_time=self.deref_at_compile_time,
             foreign_sigs=[sig for sig, _ in self._foreign],
-            order_mode=self.order_mode,
+            oracles=self._oracles,
             stats_source=stats_source,
         )
         compiled = compiler.compile_program(self.program)
@@ -205,8 +188,7 @@ class GlueNailSystem:
             out=self.out,
             inp=self.inp,
             max_loop_iterations=self.max_loop_iterations,
-            join_mode=self.join_mode,
-            batch_mode=self.batch_mode,
+            oracles=self._oracles,
         )
         for _, proc in self._foreign:
             ctx.register_foreign(proc)
@@ -214,9 +196,7 @@ class GlueNailSystem:
         # bindings (magic evaluation) are legal until someone asks for
         # their full extension.
         engine = NailEngine(
-            self.db, compiled.rules, strategy=self.nail_strategy, check_safety=False,
-            join_mode=self.join_mode, order_mode=self.order_mode,
-            batch_mode=self.batch_mode,
+            self.db, compiled.rules, check_safety=False, oracles=self._oracles
         )
         ctx.nail_engine = engine
         for name, arity in compiled.edb_decls:
@@ -615,7 +595,7 @@ class GlueNailSystem:
         head = f"{skeleton[0]}/{skeleton[-1]}"
         if index is not None:
             lines.append(f"NAIL! predicate {head} (stratum {index}, "
-                         f"{self.nail_strategy} evaluation)")
+                         f"{self._oracles.fixpoint} evaluation)")
         for info in self._engine.rule_infos:
             if info.head_skeleton == skeleton:
                 lines.append("  " + pretty_rule(info.rule).strip())
@@ -658,8 +638,7 @@ class GlueNailSystem:
             try:
                 answers, _engine = magic_query(
                     self.db, self._compiled.rules, subgoal.pred, subgoal.args,
-                    strategy=self.nail_strategy, join_mode=self.join_mode,
-                    order_mode=self.order_mode, batch_mode=self.batch_mode,
+                    oracles=self._oracles,
                 )
             except MagicTransformError:
                 return self._resolve_query(subgoal)

@@ -17,8 +17,9 @@ incrementally-maintained hash indexes), a seminaive
 :class:`~repro.nail.seminaive.DeltaRelation` (per-key hash maps built once
 per round), or any plain iterable (hashed on first probe).  Negation runs
 as a hash anti-join, and a fully-ground negated literal is a single
-membership test.  The pre-hash-join nested-loop evaluator is retained
-under ``join_mode="nested"`` as a differential/costing baseline.
+membership test.  The pre-hash-join nested-loop evaluator and the
+binding-dict row engine stay as differential baselines, reachable only
+through :mod:`repro.baselines.reference` (see :mod:`repro.oracles`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.lang.ast import (
 from repro.nail.rules import JoinPlanner, RuleInfo
 from repro.opt import LiteralPlan, Plan
 from repro.opt import optimize as _optimize
+from repro.oracles import PRODUCT, Oracles
 from repro.terms.matching import instantiate, match, match_tuple, substitute
 from repro.terms.term import Atom, Num, Term, Var, is_ground
 
@@ -590,7 +592,7 @@ def _apply_aggregate_compare(
 
 
 # ---------------------------------------------------------------------- #
-# columnar batch execution (batch_mode="columnar", see repro.col)
+# columnar batch execution (see repro.col)
 # ---------------------------------------------------------------------- #
 
 
@@ -766,14 +768,12 @@ def eval_rule_body_batch(
     delta_rows_fn: Optional[RowsFn] = None,
     seeds: Optional[List[Bindings]] = None,
     tracer=None,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> Union[List[Bindings], Batch]:
     """Evaluate a rule body; the result may still be a columnar batch.
 
-    The engine-facing variant of :func:`eval_rule_body`: under
-    ``batch_mode="columnar"`` the returned bindings may be a
+    The engine-facing variant of :func:`eval_rule_body`: unless
+    ``oracles.row_engine`` is set the returned bindings may be a
     :class:`~repro.col.batch.Batch` (decode with ``to_dicts()``, or hand
     it straight to :func:`derive_heads`, which consumes batches without
     materializing binding dicts).  Everything else matches
@@ -785,14 +785,8 @@ def eval_rule_body_batch(
     else:
         decl = rule
         planner = JoinPlanner(decl)
-    if join_mode == "nested":
+    if oracles.nested_joins:
         planner = None
-    elif join_mode != "hash":
-        raise ValueError(f"unknown join mode {join_mode!r}")
-    if order_mode not in ("cost", "program"):
-        raise ValueError(f"unknown order mode {order_mode!r}")
-    if batch_mode not in ("columnar", "row"):
-        raise ValueError(f"unknown batch mode {batch_mode!r}")
     var_order = planner.var_order if planner is not None else ()
 
     # Columnar batches apply to planned (hash) bodies without aggregates;
@@ -801,7 +795,7 @@ def eval_rule_body_batch(
     # matrix in docs/PERFORMANCE.md.
     col_ctx = None
     if (
-        batch_mode == "columnar"
+        not oracles.row_engine
         and planner is not None
         and not (isinstance(rule, RuleInfo) and rule.has_aggregate)
     ):
@@ -814,7 +808,7 @@ def eval_rule_body_batch(
     # docs/PERFORMANCE.md.
     plan: Optional[Plan] = None
     if (
-        order_mode == "cost"
+        not oracles.written_order
         and planner is not None
         and isinstance(rule, RuleInfo)
         and not rule.has_aggregate
@@ -946,9 +940,7 @@ def eval_rule_body(
     delta_rows_fn: Optional[RowsFn] = None,
     seeds: Optional[List[Bindings]] = None,
     tracer=None,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> List[Bindings]:
     """Evaluate a rule body left to right; returns the final binding set.
 
@@ -956,16 +948,12 @@ def eval_rule_body(
     :class:`~repro.nail.rules.RuleInfo` (whose cached join planner is then
     reused across calls).  ``delta_index`` (an index into the body)
     redirects that single positive literal to ``delta_rows_fn`` -- the
-    seminaive trick.  ``join_mode`` selects ``"hash"`` (the planned
-    hash-join engine) or ``"nested"`` (the pre-hash-join nested-loop
-    baseline, kept for differential testing and cost comparisons).
-    ``order_mode`` selects ``"cost"`` (the shared ``repro.opt`` planner
-    chooses the join order per call, with projection push-down) or
-    ``"program"`` (the written order plus the legacy delta-first rotation
-    -- the differential baseline).  ``batch_mode`` selects ``"columnar"``
-    (plan-specialized batch kernels over interned id arrays, see
-    ``repro.col``) or ``"row"`` (the dict-per-binding engine, kept as the
-    differential baseline); both charge identical cost counters.
+    seminaive trick.  The product plans hash joins, orders the body with
+    the shared ``repro.opt`` planner (with projection push-down) and runs
+    the columnar batch kernels of ``repro.col``; ``oracles`` swaps in the
+    differential baselines instead -- nested-loop joins, the written order
+    plus the delta-first rotation, the dict-per-binding row engine (which
+    charges identical cost counters).
     ``tracer``, when given and enabled, receives one ``join`` event per
     (literal, binding group) with the strategy the engine chose and
     estimated vs. actual rows.
@@ -977,9 +965,7 @@ def eval_rule_body(
         delta_rows_fn=delta_rows_fn,
         seeds=seeds,
         tracer=tracer,
-        join_mode=join_mode,
-        order_mode=order_mode,
-        batch_mode=batch_mode,
+        oracles=oracles,
     )
     if isinstance(out, Batch):
         return out.to_dicts()

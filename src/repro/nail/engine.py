@@ -31,6 +31,7 @@ from repro.nail.bodyeval import RowsFn
 from repro.nail.naive import naive_eval
 from repro.nail.rules import RuleInfo, compute_stratum_supports, prepare_rules
 from repro.nail.seminaive import DeltaRelation, incremental_eval, seminaive_eval
+from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.storage.uniondiff import uniondiff
@@ -56,44 +57,26 @@ def is_flat_query(args: Sequence[Term]) -> bool:
 class NailEngine:
     """Evaluates a NAIL! rule set against an EDB.
 
-    ``strategy`` selects the fixpoint algorithm: ``"seminaive"`` (the
-    paper's uniondiff-based design) or ``"naive"`` (the baseline).
-    ``join_mode`` selects how rule bodies are joined: ``"hash"`` (planned
-    hash joins over indexed sources) or ``"nested"`` (the nested-loop
-    baseline, kept for differential testing and cost comparisons).
-    ``order_mode`` selects how rule bodies are ordered: ``"cost"`` (the
-    :mod:`repro.opt` pass pipeline) or ``"program"`` (source order, the
-    differential baseline).  ``batch_mode`` selects the body executor:
-    ``"columnar"`` (plan-specialized batch kernels over interned id
-    arrays, :mod:`repro.col`) or ``"row"`` (the binding-dict engine, the
-    differential baseline); both charge identical cost counters.
+    Strata run to fixpoint with the paper's uniondiff-based seminaive
+    iteration; rule bodies are planned hash joins over indexed sources,
+    ordered by the :mod:`repro.opt` pass pipeline and executed by the
+    plan-specialized batch kernels of :mod:`repro.col`.  ``oracles``
+    swaps in the differential baselines instead (naive fixpoint,
+    nested-loop joins, written order, the binding-dict row engine); only
+    :mod:`repro.baselines.reference` passes anything but the product.
     """
 
     def __init__(
         self,
         db: Database,
         rules: Sequence[RuleDecl],
-        strategy: str = "seminaive",
         check_safety: bool = True,
         extra_edb: Optional[Database] = None,
-        join_mode: str = "hash",
-        order_mode: str = "cost",
-        batch_mode: str = "columnar",
+        oracles: Oracles = PRODUCT,
     ):
-        if strategy not in ("seminaive", "naive"):
-            raise ValueError(f"unknown NAIL! strategy {strategy!r}")
-        if join_mode not in ("hash", "nested"):
-            raise ValueError(f"unknown NAIL! join mode {join_mode!r}")
-        if order_mode not in ("cost", "program"):
-            raise ValueError(f"unknown NAIL! order mode {order_mode!r}")
-        if batch_mode not in ("columnar", "row"):
-            raise ValueError(f"unknown NAIL! batch mode {batch_mode!r}")
         self.db = db
         self.extra_edb = extra_edb
-        self.strategy = strategy
-        self.join_mode = join_mode
-        self.order_mode = order_mode
-        self.batch_mode = batch_mode
+        self.oracles = oracles
         self.rule_infos: List[RuleInfo] = prepare_rules(rules, check_safety=check_safety)
         self.dep = build_dependency_graph([info.rule for info in self.rule_infos])
         self.strata: List[Stratum] = stratify(self.dep)
@@ -294,10 +277,7 @@ class NailEngine:
                         [info.rule for info in self.rule_infos],
                         name,
                         query_args,
-                        strategy=self.strategy,
-                        join_mode=self.join_mode,
-                        order_mode=self.order_mode,
-                        batch_mode=self.batch_mode,
+                        oracles=self.oracles,
                     )
                 except MagicTransformError as exc:
                     if self.can_materialize(name, arity):
@@ -473,7 +453,7 @@ class NailEngine:
                 continue
             repair = (
                 not touched_rebuild
-                and self.strategy == "seminaive"
+                and not self.oracles.naive_fixpoint
                 and support.repairable(touched_grow)
             )
             if tracer is not None:
@@ -510,8 +490,7 @@ class NailEngine:
             if tracer is None:
                 rounds, new_rows = incremental_eval(
                     relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
-                    join_mode=self.join_mode, order_mode=self.order_mode,
-                    batch_mode=self.batch_mode,
+                    oracles=self.oracles,
                 )
             else:
                 with tracer.span(
@@ -519,8 +498,7 @@ class NailEngine:
                 ) as span:
                     rounds, new_rows = incremental_eval(
                         relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
-                        tracer=tracer, join_mode=self.join_mode,
-                        order_mode=self.order_mode, batch_mode=self.batch_mode,
+                        tracer=tracer, oracles=self.oracles,
                     )
                     span.attrs["rounds"] = rounds
             counters.idb_delta_repairs += 1
@@ -615,7 +593,7 @@ class NailEngine:
             else:
                 with tracer.span(
                     "stratum", f"stratum {stratum.index}",
-                    rules=len(relevant), strategy=self.strategy,
+                    rules=len(relevant), strategy=self.oracles.fixpoint,
                 ) as span:
                     self._eval_stratum(stratum, relevant, rows_fn, tracer)
                     span.attrs["rounds"] = self.rounds_run
@@ -624,22 +602,14 @@ class NailEngine:
     def _eval_stratum(self, stratum, relevant, rows_fn, tracer) -> None:
         self._declare_heads(relevant)
         self._seed_from_edb(stratum.skeletons)
-        if self.strategy == "naive":
+        if self.oracles.naive_fixpoint:
             self.rounds_run = naive_eval(
-                relevant, rows_fn, self.idb, tracer=tracer,
-                join_mode=self.join_mode, order_mode=self.order_mode,
-                batch_mode=self.batch_mode,
+                relevant, rows_fn, self.idb, tracer=tracer, oracles=self.oracles
             )
         else:
             self.rounds_run = seminaive_eval(
-                relevant,
-                set(stratum.skeletons),
-                rows_fn,
-                self.idb,
-                tracer=tracer,
-                join_mode=self.join_mode,
-                order_mode=self.order_mode,
-                batch_mode=self.batch_mode,
+                relevant, set(stratum.skeletons), rows_fn, self.idb,
+                tracer=tracer, oracles=self.oracles,
             )
 
     def _seed_from_edb(self, skeletons) -> None:
@@ -721,10 +691,7 @@ def magic_query(
     rules: Sequence[RuleDecl],
     pred: Term,
     args: Sequence[Term],
-    strategy: str = "seminaive",
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> Tuple[List[Row], "NailEngine"]:
     """Answer ``pred(args)`` demand-driven via the magic-sets rewrite.
 
@@ -745,12 +712,9 @@ def magic_query(
     engine = NailEngine(
         db,
         list(program.rules),
-        strategy=strategy,
         check_safety=True,
         extra_edb=seed_db,
-        join_mode=join_mode,
-        order_mode=order_mode,
-        batch_mode=batch_mode,
+        oracles=oracles,
     )
     tracer = db.tracer
     if not tracer.enabled:

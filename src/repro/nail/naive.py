@@ -7,11 +7,12 @@ evaluation (paper Section 10) is designed to avoid.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.nail.bodyeval import RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
-from repro.storage.database import Database, pred_key
+from repro.oracles import PRODUCT, Oracles
+from repro.storage.database import Database
 from repro.terms.term import Term
 
 Row = Tuple[Term, ...]
@@ -23,9 +24,7 @@ def naive_eval(
     idb: Database,
     max_passes: int = 1_000_000,
     tracer=None,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> int:
     """Run all rules to fixpoint, full re-derivation each pass.
 
@@ -33,7 +32,7 @@ def naive_eval(
     (which ``rows_fn`` must consult for IDB names).  Returns the number of
     passes run.  ``tracer``, when given, receives one ``pass`` span per
     pass whose ``rows`` is the number of genuinely new tuples.
-    ``join_mode`` and ``batch_mode`` are forwarded to the body evaluator.
+    ``oracles`` is forwarded to the body evaluator.
     """
     passes = 0
     while True:
@@ -41,16 +40,10 @@ def naive_eval(
         if passes > max_passes:
             raise RuntimeError("naive evaluation did not converge")
         if tracer is None:
-            added = _run_pass(
-                rule_infos, rows_fn, idb, join_mode, order_mode,
-                batch_mode=batch_mode,
-            )
+            added = _run_pass(rule_infos, rows_fn, idb, None, oracles)
         else:
             with tracer.span("pass", f"pass {passes}") as span:
-                added = _run_pass(
-                    rule_infos, rows_fn, idb, join_mode, order_mode, tracer,
-                    batch_mode=batch_mode,
-                )
+                added = _run_pass(rule_infos, rows_fn, idb, tracer, oracles)
                 span.rows = added
         if added == 0:
             return passes
@@ -60,17 +53,12 @@ def _run_pass(
     rule_infos: Sequence[RuleInfo],
     rows_fn: RowsFn,
     idb: Database,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    tracer=None,
-    batch_mode: str = "columnar",
+    tracer,
+    oracles: Oracles,
 ) -> int:
     added = 0
     for info in rule_infos:
-        bindings_list = eval_rule_body_batch(
-            info, rows_fn, tracer=tracer, join_mode=join_mode,
-            order_mode=order_mode, batch_mode=batch_mode,
-        )
+        bindings_list = eval_rule_body_batch(info, rows_fn, tracer=tracer, oracles=oracles)
         for name, row in derive_heads(info, bindings_list):
             if idb.relation(name, len(row)).insert(row):
                 added += 1

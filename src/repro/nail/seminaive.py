@@ -20,6 +20,7 @@ from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import PredSubgoal
 from repro.nail.bodyeval import HeadBatch, RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
+from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.stats import CostCounters
 from repro.storage.uniondiff import uniondiff, uniondiff_ids
@@ -165,13 +166,13 @@ class _Fixpoint:
     done, so nothing per-session is parked in the shared columnar context.
     """
 
-    __slots__ = ("rows_fn", "idb", "tracer", "modes", "seen")
+    __slots__ = ("rows_fn", "idb", "tracer", "oracles", "seen")
 
-    def __init__(self, rows_fn: RowsFn, idb: Database, tracer, **modes):
+    def __init__(self, rows_fn: RowsFn, idb: Database, tracer, oracles: Oracles):
         self.rows_fn = rows_fn
         self.idb = idb
         self.tracer = tracer
-        self.modes = modes
+        self.oracles = oracles
         self.seen: Dict[Tuple[Term, int], set] = {}
 
     def round(self, kind: str, label: str, jobs, out: DeltaStore, **attrs) -> None:
@@ -191,7 +192,7 @@ class _Fixpoint:
         if tracer is None:
             bindings = eval_rule_body_batch(
                 info, self.rows_fn, delta_index=position,
-                delta_rows_fn=delta_fn, **self.modes,
+                delta_rows_fn=delta_fn, oracles=self.oracles,
             )
             self._merge(derive_heads(info, bindings), out)
             return
@@ -199,7 +200,7 @@ class _Fixpoint:
         with tracer.span("rule", _rule_label(index, info), **attrs) as span:
             bindings = eval_rule_body_batch(
                 info, self.rows_fn, delta_index=position,
-                delta_rows_fn=delta_fn, tracer=tracer, **self.modes,
+                delta_rows_fn=delta_fn, tracer=tracer, oracles=self.oracles,
             )
             self._merge(derive_heads(info, bindings), out)
             span.rows = len(bindings)
@@ -243,9 +244,7 @@ def seminaive_eval(
     idb: Database,
     max_rounds: int = 1_000_000,
     tracer=None,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> int:
     """Evaluate one stratum to fixpoint with seminaive iteration.
 
@@ -254,13 +253,10 @@ def seminaive_eval(
     and the current stratum's accumulating relations in ``idb``).  Returns
     the number of rounds.  ``tracer``, when given, receives one ``round``
     span per fixpoint round with per-rule ``rule`` events inside it.
-    ``join_mode`` and ``batch_mode`` are forwarded to the body evaluator.
+    ``oracles`` is forwarded to the body evaluator.
     """
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
-    fixpoint = _Fixpoint(
-        rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
-        batch_mode=batch_mode,
-    )
+    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles)
     # Round 0: evaluate every rule in full (base facts plus anything the
     # lower strata already provide).
     delta: DeltaStore = {}
@@ -311,9 +307,7 @@ def incremental_eval(
     seed_delta: DeltaStore,
     max_rounds: int = 1_000_000,
     tracer=None,
-    join_mode: str = "hash",
-    order_mode: str = "cost",
-    batch_mode: str = "columnar",
+    oracles: Oracles = PRODUCT,
 ) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
     """Repair one *already-computed* stratum after monotone growth.
 
@@ -350,10 +344,7 @@ def incremental_eval(
                 continue
             yield position
 
-    fixpoint = _Fixpoint(
-        rows_fn, idb, tracer, join_mode=join_mode, order_mode=order_mode,
-        batch_mode=batch_mode,
-    )
+    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles)
     delta: DeltaStore = {}
     fixpoint.round(
         "incremental_round", "seed",

@@ -4,8 +4,11 @@ One public facade -- :func:`optimize` -- plans NAIL! rule bodies and Glue
 VM statement bodies alike: an ordered pass pipeline (constant-selection
 pull-forward, greedy cost-based join ordering with bound-variable
 propagation, projection push-down) over a small logical plan, costed
-against consistent per-relation statistics snapshots.  Program order stays
-available as the differential baseline via ``order_mode="program"``.
+against consistent per-relation statistics snapshots.  ``optimize(body,
+pipeline=())`` keeps the written order and only annotates estimates; the
+engines run written order only as the differential baseline
+(``reference_system(written_order=True)`` in
+:mod:`repro.baselines.reference`).
 
 ``classify_join_columns``, ``compile_literal_plan`` and
 :class:`LiteralPlan` live here (they used to be in ``repro.nail.rules``);

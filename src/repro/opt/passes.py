@@ -395,8 +395,7 @@ def optimize(
     bound=frozenset(),
     *,
     input_size: Optional[float] = 1.0,
-    order_mode: str = "cost",
-    pipeline: Optional[Tuple[str, ...]] = None,
+    pipeline: Tuple[str, ...] = DEFAULT_COST_PIPELINE,
     call_fixedness: Optional[CallFixedness] = None,
     call_bound_arity: Optional[CallBoundArity] = None,
     pinned_first: Optional[int] = None,
@@ -409,14 +408,11 @@ def optimize(
     :class:`~repro.opt.stats.StatsContext` or a ``(pred, arity) ->
     Relation | RelationSnapshot | int | sized | None`` source; ``bound``
     names the variables ground before the body runs (seed/demand
-    bindings).  With ``order_mode="cost"`` the default pipeline runs
-    (``pull-selections``, ``join-order``, ``push-projections``); with
-    ``"program"`` the body keeps its written order and only the estimate
-    annotation runs -- the differential baseline.  ``pipeline`` overrides
-    the pass list by name (see :data:`PASSES`).
+    bindings).  ``pipeline`` names the passes to run (see :data:`PASSES`);
+    the default runs ``pull-selections``, ``join-order`` and
+    ``push-projections``, and ``pipeline=()`` keeps the written order and
+    only annotates estimates.
     """
-    if order_mode not in ("cost", "program"):
-        raise ValueError(f"unknown order mode {order_mode!r}")
     ctx = PassContext(
         stats=stats if isinstance(stats, StatsContext) else StatsContext(stats),
         bound=set(bound),
@@ -428,12 +424,7 @@ def optimize(
         allow_projection=allow_projection,
     )
     state = PlanState(body=tuple(body), order=list(range(len(body))))
-    names = (
-        pipeline
-        if pipeline is not None
-        else (DEFAULT_COST_PIPELINE if order_mode == "cost" else ())
-    )
-    for name in names:
+    for name in pipeline:
         PASSES[name](state, ctx)
     steps, distinct = _annotate(state, ctx)
-    return Plan(body=state.body, steps=steps, passes=tuple(names), distinct=distinct)
+    return Plan(body=state.body, steps=steps, passes=tuple(pipeline), distinct=distinct)

@@ -81,7 +81,7 @@ class Session:
         self.name = f"session-{session_id}"
         self.closed = False
         self._holds_write = False
-        self.system = GlueNailSystem(db=server.db, batch_mode=server.batch_mode)
+        self.system = server.system_factory(db=server.db)
         self.system.store = server.store
         self.system._txn = server.txn
         if server.mvcc_store is not None:
@@ -583,6 +583,10 @@ class GlueNailServer:
     release.  ``mvcc=False`` is the lock-serialized baseline.
     """
 
+    # Builds every session's system and the subscription host;
+    # repro.baselines.reference swaps in a baseline configuration.
+    system_factory = GlueNailSystem
+
     def __init__(
         self,
         db_dir: Optional[str] = None,
@@ -591,15 +595,11 @@ class GlueNailServer:
         port: int = 0,
         sync: bool = True,
         db: Optional[Database] = None,
-        batch_mode: str = "columnar",
         mvcc: bool = True,
     ):
         if db is None:
             db = Database(counters=ThreadLocalCounters())
         self.db = db
-        # Body-execution mode for every session's system (columnar batch
-        # kernels or the row baseline).
-        self.batch_mode = batch_mode
         if db_dir is not None:
             from repro.txn.store import DurableStore
 
@@ -627,7 +627,7 @@ class GlueNailServer:
         # and its lazy ``subscriptions`` property is the same manager a
         # base-program ``watch`` declaration registers on -- one manager,
         # never two.
-        self.sub_system = GlueNailSystem(db=self.db, batch_mode=batch_mode)
+        self.sub_system = self.system_factory(db=self.db)
         self.sub_system.store = self.store
         self.sub_system._txn = self.txn
         if self.base_program:

@@ -51,6 +51,7 @@ from repro.lang.ast import (
 from repro.opt import optimize as plan_body
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan as OptPlan
+from repro.oracles import PRODUCT, Oracles
 from repro.storage.stats import RelationSnapshot
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 from repro.vm.exprs import compile_expr, compile_pattern, compile_term_code
@@ -251,13 +252,11 @@ class ProgramCompiler:
         strict: bool = False,
         deref_at_compile_time: bool = True,
         foreign_sigs: Sequence[ForeignSig] = (),
-        order_mode: str = "cost",
+        oracles: Oracles = PRODUCT,
         stats_source=None,
     ):
-        if order_mode not in ("cost", "program"):
-            raise ValueError(f"unknown order mode {order_mode!r}")
         self.strict = strict
-        self.order_mode = order_mode
+        self.oracles = oracles
         # (pred, arity) -> something repro.opt.coerce_snapshot understands
         # (a Relation, a snapshot, a row count, or None for unknown).
         # Resolved per plan, so run-time re-planning sees live cardinalities.
@@ -772,7 +771,7 @@ class ProgramCompiler:
         and a plan carrying ``unchanged`` history keeps its compiled form:
         a variant would start a fresh history.
         """
-        if self.order_mode != "cost" or annotated is None:
+        if self.oracles.written_order or annotated is None:
             return False
         if any(isinstance(step, UnchangedStep) for step in plan):
             return False
@@ -905,19 +904,19 @@ class ProgramCompiler:
         return plan, state, tuple(body), annotated
 
     def _order_body(self, body: List[object], scope: Scope) -> List[object]:
-        """Choose the body's evaluation order per ``order_mode``.
+        """Choose the body's evaluation order.
 
-        ``"cost"`` runs the shared :mod:`repro.opt` pass pipeline;
-        ``"program"`` keeps the written order.  Both fall back to the
-        statistics-free plan (the greedy unbound-argument-ratio schedule)
-        when their order does not bind-check -- some bodies only compile
-        reordered, and program mode must not reject programs that cost
-        mode accepts.
+        The shared :mod:`repro.opt` pass pipeline orders it; the
+        ``written_order`` oracle keeps the written order.  Both fall back
+        to the statistics-free plan (the greedy unbound-argument-ratio
+        schedule) when their order does not bind-check -- some bodies only
+        compile reordered, and the oracle must not reject programs that
+        the planner accepts.
         """
-        if self.order_mode == "cost":
-            candidate = list(self._planned_order(body, scope, self._scoped_stats(scope)))
-        else:
+        if self.oracles.written_order:
             candidate = list(body)
+        else:
+            candidate = list(self._planned_order(body, scope, self._scoped_stats(scope)))
         try:
             analyze_bindings(candidate)
             return candidate
@@ -969,7 +968,7 @@ class ProgramCompiler:
         return plan_body(
             tuple(body),
             stats=stats,
-            order_mode="program",
+            pipeline=(),
             call_fixedness=self._call_fixedness(scope),
             call_bound_arity=self._call_bound_arity(scope),
         )

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analysis.scope import PredClass, pred_skeleton
 from repro.errors import GlueRuntimeError
 from repro.glue.builtins import BUILTIN_PROCS
+from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.storage.stats import COUNTER_FIELDS, CostCounters
@@ -66,15 +67,10 @@ class ExecContext:
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
-        join_mode: str = "hash",
-        batch_mode: str = "columnar",
+        oracles: Oracles = PRODUCT,
     ):
         if strategy not in ("pipelined", "materialized"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        if join_mode not in ("hash", "nested"):
-            raise ValueError(f"unknown join mode {join_mode!r}")
-        if batch_mode not in ("columnar", "row"):
-            raise ValueError(f"unknown batch mode {batch_mode!r}")
         self.db = db if db is not None else Database()
         self.counters: CostCounters = self.db.counters
         self.strategy = strategy
@@ -82,10 +78,10 @@ class ExecContext:
         self.out = out if out is not None else sys.stdout
         self.inp = inp if inp is not None else sys.stdin
         self.max_loop_iterations = max_loop_iterations
-        self.join_mode = join_mode
-        # "columnar" precomputes cached suffix tables for hash-join scan
-        # steps (repro.col); "row" is the per-probe baseline.
-        self.batch_mode = batch_mode
+        # Scan steps run planned hash joins over the cached suffix tables
+        # of repro.col; the oracles swap in the nested-loop and per-probe
+        # row baselines.
+        self.oracles = oracles
         self.tracer = self.db.tracer
         self.foreign: Dict[Tuple[str, int], ForeignProc] = {}
         self.nail_engine = None  # wired by repro.core.system

@@ -140,7 +140,7 @@ class ScanStep(Step):
     est_rows: Optional[float] = None  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
-        if self.join_shape is not None and rt.ctx.join_mode == "hash":
+        if self.join_shape is not None and not rt.ctx.oracles.nested_joins:
             return self._iterate_hash(rows, rt, frame)
         return self._iterate_nested(rows, rt, frame)
 
@@ -240,7 +240,7 @@ class ScanStep(Step):
                 return member, "member", len(target)
             if (
                 extract is not None
-                and rt.ctx.batch_mode == "columnar"
+                and not rt.ctx.oracles.row_engine
                 and hasattr(target, "uid")
             ):
                 # Columnar kernel: the suffix table pre-applies eq-checks
@@ -385,7 +385,7 @@ class NegScanStep(Step):
     est_rows: Optional[float] = None  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
-        if self.join_shape is not None and rt.ctx.join_mode == "hash":
+        if self.join_shape is not None and not rt.ctx.oracles.nested_joins:
             return self._iterate_hash(rows, rt, frame)
         return self._iterate_nested(rows, rt, frame)
 

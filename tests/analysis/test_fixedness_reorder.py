@@ -65,8 +65,8 @@ class TestReorderProperties:
         def check(a_rows, b_rows, limit):
             source = f"out(X, Z) := a(X, Y) & b(Y, Z) & X != Z & Z <= {limit} & !skip(X)."
             results = []
-            for order_mode in ("cost", "program"):
-                system = make_system(source, order_mode=order_mode)
+            for written_order in (False, True):
+                system = make_system(source, written_order=written_order)
                 system.facts("a", a_rows)
                 system.facts("b", b_rows)
                 system.facts("skip", [(0,)])

@@ -1,4 +1,4 @@
-"""Differential tests: ``batch_mode="columnar"`` vs the row engine.
+"""Differential tests: the columnar kernels vs the row engine.
 
 The columnar layer promises *exactness*: kernels charge the same cost
 counters the row engine charges for the same logical work (kernel-cache
@@ -13,8 +13,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_system
 from repro.core.query import rows_to_python
-from repro.core.system import GlueNailSystem
 from repro.storage.stats import COUNTER_FIELDS
 
 PATH = """
@@ -33,8 +33,8 @@ deg(X, N) :- edge(X, _) & group_by(X) & N = count(X).
 """
 
 
-def make_system(source="", batch_mode="columnar", **kwargs):
-    system = GlueNailSystem(batch_mode=batch_mode, **kwargs)
+def make_system(source="", row_engine=False, **kwargs):
+    system = reference_system(row_engine=row_engine, **kwargs)
     if source:
         system.load(source)
     return system
@@ -59,7 +59,7 @@ def run_pair(source, facts, out_preds, script=False, **kwargs):
     results = {}
     systems = {}
     for mode in ("row", "columnar"):
-        system = make_system(source, batch_mode=mode, **kwargs)
+        system = make_system(source, row_engine=mode == "row", **kwargs)
         for name, rows in facts.items():
             system.facts(name, rows)
         if script:
@@ -137,8 +137,8 @@ linked(X, Z) :- holds(pair(X, Y)) & edge(Y, Z).
         assert results[("deg", 2)]
 
     def test_incremental_repair(self):
-        row = make_system(PATH, batch_mode="row")
-        col = make_system(PATH, batch_mode="columnar")
+        row = make_system(PATH, row_engine=True)
+        col = make_system(PATH)
         base = random_edges(40, 150, seed=13)
         extra = [(i + 40, i + 41) for i in range(80)]
         for system in (row, col):
@@ -215,7 +215,7 @@ class TestBatchKernelTracing:
     def test_batch_kernel_events_fire(self):
         from repro.obs import CollectingSink
 
-        system = make_system(PATH, batch_mode="columnar")
+        system = make_system(PATH)
         system.facts("edge", [(i, i + 1) for i in range(20)])
         sink = CollectingSink()
         system.tracer.add_sink(sink)
@@ -235,7 +235,7 @@ class TestBatchKernelTracing:
     def test_row_mode_emits_no_kernel_events(self):
         from repro.obs import CollectingSink
 
-        system = make_system(PATH, batch_mode="row")
+        system = make_system(PATH, row_engine=True)
         system.facts("edge", [(i, i + 1) for i in range(20)])
         sink = CollectingSink()
         system.tracer.add_sink(sink)
@@ -246,7 +246,7 @@ class TestBatchKernelTracing:
         assert not [e for e in sink.events if e.kind == "batch_kernel"]
 
     def test_explain_analyze_renders_kernel_table(self):
-        system = make_system(PATH, batch_mode="columnar")
+        system = make_system(PATH)
         system.facts("edge", [(i, i + 1) for i in range(10)])
         report = system.explain_analyze("path(X, Y)?")
         assert "Batch kernels (columnar execution)" in report
@@ -254,7 +254,7 @@ class TestBatchKernelTracing:
     def test_glue_probe_kernel_event(self):
         from repro.obs import CollectingSink
 
-        system = make_system(batch_mode="columnar")
+        system = make_system()
         system.facts("r", random_edges(10, 30, seed=2))
         system.facts("s", random_edges(10, 30, seed=6))
         system.load("out(X, Z) := r(X, Y) & s(Y, Z).")

@@ -1,10 +1,11 @@
 """Differential tests for the id-space seminaive merge.
 
-Under ``batch_mode="columnar"`` a fixpoint round is ids in, ids out:
-flat ground-named heads stay id columns, ``uniondiff_ids`` dedups them as
-int tuples, only genuinely new rows are decoded and bulk-loaded, and the
-delta carries its id columns into the next round.  ``batch_mode="row"``
-keeps the Term-row merge and is the oracle: both must agree on the rows,
+Under the columnar kernels a fixpoint round is ids in, ids out: flat
+ground-named heads stay id columns, ``uniondiff_ids`` dedups them as int
+tuples, only genuinely new rows are decoded and bulk-loaded, and the
+delta carries its id columns into the next round.  The row engine
+(``reference_system(row_engine=True)``) keeps the Term-row merge and is
+the oracle: both must agree on the rows,
 on the *order* rows were inserted in (it is the delta order of every
 round), on every counter field, and on what a subscriber is told.
 """
@@ -12,6 +13,7 @@ round), on every counter field, and on what a subscriber is told.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import Oracles, reference_system
 from repro.core.system import GlueNailSystem
 from repro.nail.bodyeval import HeadBatch, derive_heads, eval_rule_body_batch
 from repro.nail.rules import prepare_rules
@@ -88,7 +90,7 @@ def run_modes(source, preds, steps):
     on the first predicate received."""
     out = {}
     for mode in ("row", "columnar"):
-        system = GlueNailSystem(batch_mode=mode)
+        system = reference_system(row_engine=mode == "row")
         system.load(source)
         notes = []
         system.subscribe(
@@ -179,8 +181,8 @@ def test_head_batch_covers_flat_ground_heads_only():
         check_safety=False,
     )
 
-    def heads(info, batch_mode="columnar"):
-        bindings = eval_rule_body_batch(info, system.db.get, batch_mode=batch_mode)
+    def heads(info, oracles=Oracles()):
+        bindings = eval_rule_body_batch(info, system.db.get, oracles=oracles)
         return derive_heads(info, bindings)
 
     flat = heads(rules[0])
@@ -193,4 +195,4 @@ def test_head_batch_covers_flat_ground_heads_only():
     ]
     for info in rules[1:]:
         assert isinstance(heads(info), list)  # compound argument, HiLog name
-    assert isinstance(heads(rules[0], batch_mode="row"), list)
+    assert isinstance(heads(rules[0], Oracles(row_engine=True)), list)

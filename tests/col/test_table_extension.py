@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_server
 from repro.col.kernels import ColumnarContext
 from repro.server.client import Client
-from repro.server.server import GlueNailServer
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.storage.stats import COUNTER_FIELDS
@@ -275,11 +275,11 @@ class TestFrozenProfiles:
 COAUTHOR = "coauthor(A, B) :- wrote(A, P) & wrote(B, P) & A != B."
 
 
-def run_commits(batch_mode, commits=20):
+def run_commits(row_engine, commits=20):
     """A writer commits insert-only batches to ``wrote`` while a subscriber
     follows ``coauthor`` and a reader queries it; returns the server-wide
     counters and the columnar cache counts the commits added."""
-    server = GlueNailServer(port=0, program=COAUTHOR, batch_mode=batch_mode)
+    server = reference_server(row_engine=row_engine, port=0, program=COAUTHOR)
     with server.start():
         with Client(port=server.port, timeout=10.0) as writer, \
                 Client(port=server.port, timeout=10.0) as watcher, \
@@ -304,7 +304,7 @@ class TestServerCommits:
     def test_commits_extend_tables_with_row_engine_counters(self):
         counters = {}
         for mode in ("row", "columnar"):
-            counters[mode], cache = run_commits(mode)
+            counters[mode], cache = run_commits(mode == "row")
         hits, misses, extends = cache
         assert misses == 0, "a commit rebuilt a probe table"
         assert extends >= 20

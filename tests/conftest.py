@@ -66,10 +66,12 @@ def chain_db() -> Database:
 
 
 def make_system(source: str = "", **kwargs):
-    """Build a compiled GlueNailSystem from source (test helper)."""
-    from repro.core.system import GlueNailSystem
+    """Build a GlueNailSystem from source (test helper).  Oracle flags such
+    as ``written_order=True`` select a baseline (see
+    :mod:`repro.baselines.reference`); without them it is the product."""
+    from repro.baselines.reference import reference_system
 
-    system = GlueNailSystem(**kwargs)
+    system = reference_system(**kwargs)
     if source:
         system.load(source)
     return system

@@ -129,6 +129,41 @@ class TestCommands:
         assert repl.done
 
 
+class TestStatementSettings:
+    """A Glue statement typed at the prompt runs under the session's
+    settings, exactly as one in a loaded program would."""
+
+    STMT = "p(X, Z) := edge(X, Y) & edge(Y, Z)."
+
+    def test_statement_follows_dot_strategy(self):
+        from repro.core.system import GlueNailSystem
+
+        _, repl = run_session(
+            "edge(1, 2).", "edge(2, 3).", ".strategy materialized", ".stats", self.STMT
+        )
+        counters = repl.system.counters
+        assert (counters.materializations, counters.materialized_tuples) == (2, 3)
+        # The same numbers as a system built materialized.
+        direct = GlueNailSystem(strategy="materialized")
+        direct.facts("edge", [(1, 2), (2, 3)])
+        direct.load(self.STMT)
+        direct.compile()
+        direct.reset_counters()
+        direct.run_script()
+        assert (
+            direct.counters.materializations, direct.counters.materialized_tuples
+        ) == (2, 3)
+
+    def test_statement_follows_strict(self):
+        from repro.core.system import GlueNailSystem
+
+        out = io.StringIO()
+        repl = Repl(system=GlueNailSystem(strict=True, out=out), out=out)
+        for line in ("edge(1, 2).", "copy(X, Y) := edge(X, Y)."):
+            repl.feed(line + "\n")
+        assert "undeclared predicate edge/2 (strict mode)" in out.getvalue()
+
+
 class TestErrorHardening:
     def test_load_missing_file_reports_error(self):
         out, repl = run_session(".load /no/such/file.gnd", "edge(1, 2).", "edge(1, X)?")

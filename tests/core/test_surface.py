@@ -1,0 +1,82 @@
+"""The product is one configuration: no entry point selects an oracle mode.
+
+Nested-loop joins, the row engine, written body order and the naive
+fixpoint are differential baselines.  They are reachable only through
+``repro.baselines.reference``; the layers below take one ``oracles``
+value instead of a string per mode.
+"""
+
+import inspect
+import io
+
+import pytest
+
+from repro.core.cli import main
+from repro.core.repl import Repl
+from repro.core.system import GlueNailSystem
+from repro.nail.bodyeval import eval_rule_body, eval_rule_body_batch
+from repro.nail.engine import NailEngine, magic_query
+from repro.nail.naive import naive_eval
+from repro.nail.seminaive import incremental_eval, seminaive_eval
+from repro.opt import optimize
+from repro.server.server import GlueNailServer
+from repro.vm.compiler import ProgramCompiler
+from repro.vm.machine import ExecContext
+
+RETIRED = {"join_mode", "order_mode", "batch_mode", "nail_strategy"}
+
+
+def parameters(fn):
+    return set(inspect.signature(fn).parameters)
+
+
+@pytest.mark.parametrize("entry", [GlueNailSystem, GlueNailServer])
+def test_product_constructors_take_no_oracle_mode(entry):
+    assert not (RETIRED | {"oracles"}) & parameters(entry)
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        NailEngine, magic_query, seminaive_eval, incremental_eval, naive_eval,
+        eval_rule_body, eval_rule_body_batch, ExecContext, ProgramCompiler,
+    ],
+)
+def test_layers_take_one_oracles_value(layer):
+    params = parameters(layer)
+    assert not RETIRED & params
+    assert "oracles" in params
+    if layer in (NailEngine, magic_query):
+        assert "strategy" not in params  # the fixpoint is an oracle too
+
+
+def test_optimize_takes_a_pipeline_not_an_order_mode():
+    assert "order_mode" not in parameters(optimize)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "PROGRAM", "--join-mode", "hash"],
+        ["query", "PROGRAM", "p(X)?", "--order-mode", "program"],
+        ["check", "PROGRAM", "--batch-mode", "row"],
+        # An unusable --db: were the flag accepted, the command would fail
+        # to open it instead of starting a session or a server.
+        ["repl", "--batch-mode", "row", "--db", "BADDIR"],
+        ["serve", "--batch-mode", "row", "--db", "BADDIR", "--port", "0"],
+    ],
+)
+def test_cli_mode_flags_are_argparse_errors(argv, tmp_path, capsys):
+    program = tmp_path / "p.glue"
+    program.write_text("p(1).\n")
+    paths = {"PROGRAM": str(program), "BADDIR": str(program / "db")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(arg, arg) for arg in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_repl_answers_batch_as_an_unknown_command():
+    out = io.StringIO()
+    Repl(out=out).feed(".batch row\n")
+    assert "unknown command .batch" in out.getvalue()

@@ -7,11 +7,13 @@ checks the system-level invariants across evaluation routes:
 * pipelined == materialized (Glue strategy identity)
 * NAIL!->Glue generated code == native engine
 * magic == full evaluation restricted to the query
+* the product == every baseline at once (``repro.baselines.reference``)
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_engine, reference_system
 from repro.core.query import rows_to_python
 from repro.core.system import GlueNailSystem
 from repro.lang.parser import parse_program
@@ -71,8 +73,8 @@ def idb_snapshot(engine: NailEngine):
 @settings(max_examples=25, deadline=None)
 def test_seminaive_equals_naive_random_programs(source, e0, e1):
     rules = list(parse_program(source).items)
-    left = idb_snapshot(NailEngine(load_db(e0, e1), rules, strategy="seminaive"))
-    right = idb_snapshot(NailEngine(load_db(e0, e1), rules, strategy="naive"))
+    left = idb_snapshot(NailEngine(load_db(e0, e1), rules))
+    right = idb_snapshot(reference_engine(load_db(e0, e1), rules, naive_fixpoint=True))
     assert left == right
 
 
@@ -113,13 +115,13 @@ chain(A, D) := e0(A, B) & e0(B, C) & e0(C, D) & A != D.
 """
 
 
-@given(edb_rows, edb_rows, st.sampled_from(("cost", "program")), st.booleans())
+@given(edb_rows, edb_rows, st.booleans(), st.booleans())
 @settings(max_examples=25, deadline=None)
-def test_strategies_and_optimizer_agree_random_edb(e0, e1, order_mode, dedup):
+def test_strategies_and_optimizer_agree_random_edb(e0, e1, written_order, dedup):
     snapshots = []
     for strategy in ("pipelined", "materialized"):
-        system = GlueNailSystem(
-            strategy=strategy, order_mode=order_mode, dedup_on_break=dedup
+        system = reference_system(
+            written_order=written_order, strategy=strategy, dedup_on_break=dedup
         )
         system.load(GLUE_BODY_TEMPLATE)
         system.facts("e0", e0)
@@ -132,6 +134,30 @@ def test_strategies_and_optimizer_agree_random_edb(e0, e1, order_mode, dedup):
             )
         )
     assert snapshots[0] == snapshots[1]
+
+
+ALL_ORACLES = dict(
+    nested_joins=True, row_engine=True, written_order=True, naive_fixpoint=True
+)
+ALL_PREDS = (("p", 2), ("q", 1), ("r", 1), ("out", 2), ("agg", 2), ("chain", 2))
+
+
+@given(datalog_programs(), edb_rows, edb_rows, st.integers(0, 5))
+@settings(max_examples=25, deadline=None)
+def test_product_equals_all_oracles_random_programs(source, e0, e1, node):
+    """The product against every baseline switched on at once -- nested
+    joins, the row engine, written order and the naive fixpoint -- through
+    the facade: a random NAIL! program plus the Glue statements."""
+    results = []
+    for system in (GlueNailSystem(), reference_system(**ALL_ORACLES)):
+        system.load(source + GLUE_BODY_TEMPLATE)
+        system.facts("e0", e0)
+        system.facts("e1", e1)
+        system.run_script()
+        rows = [tuple(system.rows(name, arity)) for name, arity in ALL_PREDS]
+        rows.append(sorted(map(str, system.query_magic(f"p({node}, Y)?"))))
+        results.append(rows)
+    assert results[0] == results[1]
 
 
 @given(edb_rows, edb_rows)

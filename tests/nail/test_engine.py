@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.reference import reference_engine
 from repro.errors import GlueRuntimeError, UnsafeRuleError
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine
@@ -55,16 +56,12 @@ class TestBasics:
     def test_naive_and_seminaive_agree(self):
         db = Database()
         db.facts("edge", [(1, 2), (2, 3), (3, 1), (3, 4)])
-        semi = NailEngine(db, rules_of(PATH), strategy="seminaive")
-        naive = NailEngine(db, rules_of(PATH), strategy="naive")
+        semi = NailEngine(db, rules_of(PATH))
+        naive = reference_engine(db, rules_of(PATH), naive_fixpoint=True)
         assert (
             semi.materialize(Atom("path"), 2).sorted_rows()
             == naive.materialize(Atom("path"), 2).sorted_rows()
         )
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            NailEngine(Database(), [], strategy="quantum")
 
 
 class TestCaching:
@@ -316,13 +313,13 @@ class TestIncrementalMaintenance:
 
     def test_naive_strategy_never_repairs(self):
         db = self.chain_db()
-        engine = NailEngine(db, rules_of(PATH), strategy="naive")
+        engine = reference_engine(db, rules_of(PATH), naive_fixpoint=True)
         engine.materialize(Atom("path"), 2)
         db.fact("edge", 0, 1)
         repaired = engine.materialize(Atom("path"), 2)
         assert db.counters.idb_delta_repairs == 0
         assert db.counters.idb_invalidations >= 1
-        fresh = NailEngine(db, rules_of(PATH), strategy="naive")
+        fresh = reference_engine(db, rules_of(PATH), naive_fixpoint=True)
         assert set(repaired.rows()) == set(fresh.materialize(Atom("path"), 2).rows())
 
     def test_rollback_style_churn_is_no_change(self):

@@ -1,8 +1,9 @@
 """Differential tests for the hash-join engine.
 
-Every workload is evaluated three ways -- hash-join seminaive (the
-default), hash-join naive, and the nested-loop baseline -- and the result
-sets must agree exactly.  A second group asserts the *point* of the
+Every workload is evaluated four ways -- the product (hash-join
+seminaive) and, through ``repro.baselines.reference``, the naive fixpoint,
+the nested-loop baseline and both together -- and the result sets must
+agree exactly.  A second group asserts the *point* of the
 engine: ``tuples_scanned`` collapses on indexed joins.
 """
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import Oracles, reference_engine
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine, magic_query
 from repro.storage.database import Database
@@ -67,22 +69,23 @@ def random_edges(nodes, edges, seed):
     return sorted(out)
 
 
-def materialize_rows(edges, rules_text, pred, arity, strategy, join_mode, fact="edge"):
+def materialize_rows(edges, rules_text, pred, arity, naive, nested, fact="edge"):
     db = Database()
     db.facts(fact, edges)
-    engine = NailEngine(db, rules_of(rules_text), strategy=strategy, join_mode=join_mode)
+    engine = reference_engine(
+        db, rules_of(rules_text), naive_fixpoint=naive, nested_joins=nested
+    )
     return set(engine.materialize(pred, arity).rows())
+
+
+# (naive fixpoint, nested joins): the product first, then every baseline.
+ALL_WAYS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 def all_ways(edges, rules_text, pred, arity, fact="edge"):
     return [
-        materialize_rows(edges, rules_text, pred, arity, strategy, join_mode, fact)
-        for strategy, join_mode in [
-            ("seminaive", "hash"),
-            ("naive", "hash"),
-            ("seminaive", "nested"),
-            ("naive", "nested"),
-        ]
+        materialize_rows(edges, rules_text, pred, arity, naive, nested, fact)
+        for naive, nested in ALL_WAYS
     ]
 
 
@@ -130,17 +133,17 @@ class TestDifferential:
 
     def test_magic_agrees_across_join_modes(self):
         edges = chain_edges(40) + [(500 + i, 501 + i) for i in range(10)]
-        answers = {}
-        for join_mode in ("hash", "nested"):
+        answers = []
+        for naive, nested in ALL_WAYS:
             db = Database()
             db.facts("edge", edges)
             rows, _ = magic_query(
                 db, rules_of(PATH), Atom("path"), (Num(7), Var("Y")),
-                join_mode=join_mode,
+                oracles=Oracles(nested_joins=nested, naive_fixpoint=naive),
             )
-            answers[join_mode] = set(rows)
-        assert answers["hash"] == answers["nested"]
-        assert len(answers["hash"]) == 33
+            answers.append(set(rows))
+        assert all(a == answers[0] for a in answers)
+        assert len(answers[0]) == 33
 
     @given(
         st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
@@ -154,10 +157,10 @@ class TestDifferential:
 class TestCostCollapse:
     """The hash-join engine must scan dramatically less than nested loops."""
 
-    def _cost(self, edges, join_mode):
+    def _cost(self, edges, nested):
         db = Database()
         db.facts("edge", edges)
-        engine = NailEngine(db, rules_of(PATH), join_mode=join_mode)
+        engine = reference_engine(db, rules_of(PATH), nested_joins=nested)
         db.counters.reset()
         engine.materialize(Atom("path"), 2)
         return db.counters.tuples_scanned
@@ -165,14 +168,14 @@ class TestCostCollapse:
     def test_random_graph_scans_drop_5x(self):
         # The acceptance workload: transitive closure of random_graph(40, 80).
         edges = random_edges(40, 80, seed=7)
-        nested = self._cost(edges, "nested")
-        hashed = self._cost(edges, "hash")
+        nested = self._cost(edges, True)
+        hashed = self._cost(edges, False)
         assert hashed * 5 <= nested, (hashed, nested)
 
     def test_chain_scans_drop_5x(self):
         edges = chain_edges(60)
-        nested = self._cost(edges, "nested")
-        hashed = self._cost(edges, "hash")
+        nested = self._cost(edges, True)
+        hashed = self._cost(edges, False)
         assert hashed * 5 <= nested, (hashed, nested)
 
     def test_probes_replace_scans(self):

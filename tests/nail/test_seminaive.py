@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_engine
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine
 from repro.storage.database import Database
@@ -81,10 +82,10 @@ class TestCosts:
     def test_seminaive_cheaper_than_naive(self):
         db = edge_db([(i, i + 1) for i in range(40)])
         db.counters.reset()
-        NailEngine(db, rules_of(PATH), strategy="seminaive").materialize(Atom("path"), 2)
+        NailEngine(db, rules_of(PATH)).materialize(Atom("path"), 2)
         semi = db.counters.tuples_scanned
         db.counters.reset()
-        NailEngine(db, rules_of(PATH), strategy="naive").materialize(Atom("path"), 2)
+        reference_engine(db, rules_of(PATH), naive_fixpoint=True).materialize(Atom("path"), 2)
         naive = db.counters.tuples_scanned
         assert semi < naive
 
@@ -96,7 +97,7 @@ class TestCosts:
             NailEngine(db, rules_of(PATH)).materialize(Atom("path"), 2)
             semi = db.counters.tuples_scanned
             db.counters.reset()
-            NailEngine(db, rules_of(PATH), strategy="naive").materialize(Atom("path"), 2)
+            reference_engine(db, rules_of(PATH), naive_fixpoint=True).materialize(Atom("path"), 2)
             ratios.append(db.counters.tuples_scanned / max(semi, 1))
         assert ratios[1] > ratios[0]
 
@@ -114,8 +115,8 @@ class TestCosts:
 @settings(max_examples=30, deadline=None)
 def test_property_seminaive_equals_naive(edges):
     db = edge_db(edges)
-    semi = NailEngine(db, rules_of(PATH), strategy="seminaive")
-    naive = NailEngine(db, rules_of(PATH), strategy="naive")
+    semi = NailEngine(db, rules_of(PATH))
+    naive = reference_engine(db, rules_of(PATH), naive_fixpoint=True)
     assert (
         semi.materialize(Atom("path"), 2).sorted_rows()
         == naive.materialize(Atom("path"), 2).sorted_rows()
@@ -137,8 +138,8 @@ def test_property_stratified_negation_agrees(edges, starts):
     db.facts("node", [(i,) for i in range(6)])
     db.facts("edge", edges)
     db.facts("start", [(s,) for s in starts])
-    semi = NailEngine(db, rules_of(source), strategy="seminaive")
-    naive = NailEngine(db, rules_of(source), strategy="naive")
+    semi = NailEngine(db, rules_of(source))
+    naive = reference_engine(db, rules_of(source), naive_fixpoint=True)
     left = semi.materialize(Atom("unreach"), 1).sorted_rows()
     right = naive.materialize(Atom("unreach"), 1).sorted_rows()
     assert left == right
@@ -153,7 +154,7 @@ def test_property_stratified_negation_agrees(edges, starts):
 
 
 # ---------------------------------------------------------------------- #
-# the id-space merge (batch_mode="columnar") against the Term-row merge
+# the id-space merge (columnar) against the row engine's Term-row merge
 # ---------------------------------------------------------------------- #
 
 NONLINEAR = """
@@ -168,10 +169,10 @@ odd(Y) :- even(X) & edge(X, Y).
 """
 
 
-def _fixpoint(source, edges, batch_mode):
+def _fixpoint(source, edges, row_engine):
     db = edge_db(edges)
     db.facts("zero", [(0,)])
-    engine = NailEngine(db, rules_of(source), batch_mode=batch_mode)
+    engine = reference_engine(db, rules_of(source), row_engine=row_engine)
     idb = engine.materialize_all()
     rows = {key: list(relation.rows()) for key, relation in idb.items()}
     return rows, db.counters.as_tuple(), engine.rounds_run
@@ -186,7 +187,7 @@ def _fixpoint(source, edges, batch_mode):
 def test_property_id_space_merge_equals_row_merge(source, edges):
     """Same rows in the same insertion order (hence the same deltas, round
     by round), the same number of rounds and every counter field equal."""
-    assert _fixpoint(source, edges, "columnar") == _fixpoint(source, edges, "row")
+    assert _fixpoint(source, edges, False) == _fixpoint(source, edges, True)
 
 
 class TestIdSpaceRounds:

@@ -1,8 +1,9 @@
 """Tests for the shared cost-based planner (``repro.opt``).
 
 Covers the public ``optimize()`` facade, the ordering rules every plan
-obeys, the differential guarantees that ``order_mode="cost"`` and
-``order_mode="program"`` agree on results and that a statement compiled
+obeys, the differential guarantees that cost order and written order
+(``reference_system(written_order=True)``) agree on results and that a
+statement compiled
 before its facts load agrees with one compiled after, the cost collapse on
 adversarially ordered bodies, the unified join-event schema both engines
 emit, and the consistent statistics snapshot.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_system
 from repro.lang.ast import UpdateSubgoal
 from repro.lang.parser import parse_program, parse_statement
 from repro.lang.pretty import pretty_subgoal
@@ -37,16 +39,11 @@ def _body(source: str):
 class TestOptimizeFacade:
     def test_program_mode_keeps_source_order(self):
         body = _body("q(X, Z) :- a(X, Y) & b(Y, Z) & X < Z.")
-        plan = optimize(body, order_mode="program")
+        plan = optimize(body, pipeline=())
         assert isinstance(plan, Plan)
         assert plan.order == (0, 1, 2)
         assert plan.ordered_body == tuple(body)
         assert plan.passes == ()
-
-    def test_unknown_order_mode_rejected(self):
-        body = _body("q(X) :- a(X).")
-        with pytest.raises(ValueError):
-            optimize(body, order_mode="fastest")
 
     def test_cost_mode_schedules_small_relation_first(self):
         body = _body("q(X, Z) :- big(X, Y) & tiny(Y, Z).")
@@ -89,7 +86,7 @@ class TestOptimizeFacade:
 
     def test_group_by_without_distincts_keeps_the_upper_bound(self):
         body = _body("per(V, N) := item(I, V) & group_by(V) & N = count(I).")
-        plan = optimize(body, stats=lambda pred, arity: 1000, order_mode="program")
+        plan = optimize(body, stats=lambda pred, arity: 1000, pipeline=())
         assert plan.distinct == {}
         assert [step.est_rows for step in plan.steps] == [1000, 1000, 1000]
 
@@ -105,7 +102,7 @@ class TestOptimizeFacade:
             ),
         }
         plan = optimize(
-            body, stats=lambda pred, arity: stats.get(str(pred)), order_mode="program"
+            body, stats=lambda pred, arity: stats.get(str(pred)), pipeline=()
         )
         assert plan.steps[1].est_rows == pytest.approx(4.0)
         # A fresh variable's distinct count is capped by the bindings so far.
@@ -118,7 +115,7 @@ class TestOptimizeFacade:
         )
         stats = {"item": RelationSnapshot(name="item", arity=2, rows=1000, distincts=(1000, 10))}
         plan = optimize(
-            body, stats=lambda pred, arity: stats.get(str(pred)), order_mode="program"
+            body, stats=lambda pred, arity: stats.get(str(pred)), pipeline=()
         )
         assert "Z" not in plan.distinct  # bound by an expression, not a scan
         assert plan.steps[2].est_rows == 1000
@@ -278,9 +275,16 @@ class TestLocalEstimates:
 LITERALS = ("e(X, Y)", "f(Y, Z)", "g(Z)")
 
 
-def _answers(order_mode, body_literals, e_rows, f_rows, g_rows):
+def make_ordered(source, mode):
+    """The product (``"cost"``) or the written-order baseline (``"program"``)."""
+    system = reference_system(written_order=mode == "program")
+    system.load(source)
+    return system
+
+
+def _answers(mode, body_literals, e_rows, f_rows, g_rows):
     source = "q(X, Z) :- " + " & ".join(body_literals) + "."
-    system = make_system(source, order_mode=order_mode)
+    system = make_ordered(source, mode)
     system.facts("e", e_rows)
     system.facts("f", f_rows)
     system.facts("g", g_rows)
@@ -337,7 +341,7 @@ class TestDifferential:
         )
         results = {}
         for mode in ("cost", "program"):
-            system = make_system(source, order_mode=mode)
+            system = make_ordered(source, mode)
             system.facts("e", e_rows)
             system.facts("f", f_rows)
             results[mode] = sorted(system.call("rep").to_python())
@@ -347,7 +351,7 @@ class TestDifferential:
         source = "out(X, Z) := big_a(X, Y) & big_b(Y, Z) & tiny(Z)."
         results = {}
         for mode in ("cost", "program"):
-            system = make_system(source, order_mode=mode)
+            system = make_ordered(source, mode)
             system.facts("big_a", [(i, i % 5) for i in range(60)])
             system.facts("big_b", [(j % 5, j) for j in range(60)])
             system.facts("tiny", [(7,)])
@@ -392,7 +396,7 @@ class TestCostCollapse:
     K = 20
     BODY = "big_a(X, Y) & big_b(Y, Z) & tiny(Z)"
 
-    def _run(self, engine, order_mode):
+    def _run(self, engine, mode):
         # Program order joins the two big relations first (N*N/K
         # intermediate bindings) before the single-row tiny(Z) prunes; cost
         # order starts from tiny and probes backwards through the keys.
@@ -401,7 +405,7 @@ class TestCostCollapse:
             source = f"q(X, Z) :- {self.BODY}."
         else:
             source = f"q(X, Z) := {self.BODY}."
-        system = make_system(source, order_mode=order_mode)
+        system = make_ordered(source, mode)
         system.facts("big_a", [(i, i % self.K) for i in range(self.N)])
         system.facts("big_b", [(j % self.K, j) for j in range(self.N)])
         system.facts("tiny", [(7,)])

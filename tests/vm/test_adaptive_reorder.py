@@ -53,7 +53,7 @@ class TestAdaptiveReorder:
         # The body names the big relation first; at run time the small
         # relation is 1000x smaller, so the re-planned statement flips the
         # join.  Program order is the written order.
-        written = build(BIG, SMALL, index=False, order_mode="program")
+        written = build(BIG, SMALL, index=False, written_order=True)
         written.run_script()
         replanned = build(BIG, SMALL, index=False)
         replanned.run_script()
@@ -158,15 +158,15 @@ class TestAdaptiveReorder:
         end
         """
         runs = {}
-        for order_mode in ("cost", "program"):
-            system = make_system(source, order_mode=order_mode)
+        for mode in ("cost", "program"):
+            system = make_system(source, written_order=mode == "program")
             system.facts("big", BIG)
             system.facts("seed", [(3,), (7,)])
             system.facts("label", [(v, f"l{v}") for v in range(50)])
             proc = system.compile().find_proc("pick", 2)
             system.reset_counters()
             rows = sorted(rows_to_python(system.call("pick")))
-            runs[order_mode] = (rows, work(system), proc.body[-1])
+            runs[mode] = (rows, work(system), proc.body[-1])
         (cost_rows, cost_work, stmt), (program_rows, program_work, _) = (
             runs["cost"], runs["program"],
         )

@@ -34,7 +34,7 @@ class TestPlanStructure:
             """,
             "p",
             2,
-            order_mode="program",
+            written_order=True,
         )
         # Paper Section 3.2's supplementary columns (after the implicit in()).
         columns = [step.columns_out for step in plan if isinstance(step, ScanStep)]
@@ -65,7 +65,7 @@ class TestPlanStructure:
             """,
             "p",
             2,
-            order_mode="program",
+            written_order=True,
         )
         kinds = [type(s).__name__ for s in plan]
         assert "BindStep" in kinds and "CompareStep" in kinds
@@ -119,8 +119,8 @@ class TestOptimizerFlag:
     end
     """
 
-    def _run(self, order_mode):
-        system = make_system(self.SOURCE, order_mode=order_mode)
+    def _run(self, mode):
+        system = make_system(self.SOURCE, written_order=mode == "program")
         system.facts("big", [(i,) for i in range(50)])
         system.facts("a", [(1,), (2,), (5,)])
         system.facts("bad", [(2,)])
@@ -210,4 +210,4 @@ class TestErrors:
         end
         """
         with pytest.raises(CompileError):
-            make_system(source, order_mode="program").compile()
+            make_system(source, written_order=True).compile()

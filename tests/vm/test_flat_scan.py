@@ -84,7 +84,7 @@ class TestFlatSemantics:
         # one.  Same answers.
         facts = [(1, 1), (1, 2), (2, 2), (3, 1)]
         a = make_system("out(X) := data(X, X).")
-        b = make_system("out(X) := data(X, Y) & X = Y.", order_mode="program")
+        b = make_system("out(X) := data(X, Y) & X = Y.", written_order=True)
         for system in (a, b):
             system.facts("data", facts)
             system.run_script()

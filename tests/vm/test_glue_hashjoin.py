@@ -1,8 +1,8 @@
 """Differential tests for the Glue VM's statement-level hash joins.
 
-Every workload runs twice -- ``join_mode="hash"`` (the default, planned
-set-at-a-time probing) and ``join_mode="nested"`` (the per-row baseline)
--- and the resulting relations must agree exactly.  A second group asserts
+Every workload runs twice -- the product (planned set-at-a-time probing)
+and ``reference_system(nested_joins=True)`` (the per-row baseline) -- and
+the resulting relations must agree exactly.  A second group asserts
 the *point* of the planner: ``tuples_scanned`` collapses on keyed joins,
 and ``glue_hash_joins`` records the planned scans.  A final group is the
 threaded regression test for adaptive-variant recompilation.
@@ -16,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reference import reference_system
 from repro.core.query import rows_to_python
+from repro.storage.adaptive import NeverIndexPolicy
+from repro.storage.database import Database
 from tests.conftest import make_system
 
 
-def build(source, facts=None, join_mode="hash", **kwargs):
-    system = make_system(source, join_mode=join_mode, **kwargs)
+def build(source, facts=None, nested=False, **kwargs):
+    system = reference_system(nested_joins=nested, **kwargs)
+    system.load(source)
     for name, rows in (facts or {}).items():
         system.facts(name, rows)
     system.compile()
@@ -29,8 +33,8 @@ def build(source, facts=None, join_mode="hash", **kwargs):
     return system
 
 
-def run_one(source, facts, join_mode, out_preds, **kwargs):
-    system = build(source, facts, join_mode=join_mode, **kwargs)
+def run_one(source, facts, nested, out_preds, **kwargs):
+    system = build(source, facts, nested=nested, **kwargs)
     system.run_script()
     return {
         (name, arity): sorted(rows_to_python(system.rows(name, arity)))
@@ -39,10 +43,18 @@ def run_one(source, facts, join_mode, out_preds, **kwargs):
 
 
 def assert_modes_agree(source, facts, out_preds, **kwargs):
-    hash_result = run_one(source, facts, "hash", out_preds, **kwargs)
-    nested_result = run_one(source, facts, "nested", out_preds, **kwargs)
+    hash_result = run_one(source, facts, False, out_preds, **kwargs)
+    nested_result = run_one(source, facts, True, out_preds, **kwargs)
     assert hash_result == nested_result
     return hash_result
+
+
+def three_way_facts(n):
+    return {
+        "r": [(i, i % 40) for i in range(n)],
+        "s": [(i % 40, (i * 7) % 40) for i in range(n)],
+        "t": [((i * 7) % 40, i) for i in range(n)],
+    }
 
 
 def random_edges(nodes, edges, seed):
@@ -170,8 +182,8 @@ class TestDifferential:
         """
         edges = [(i, i + 1) for i in range(12)]
         results = []
-        for mode in ("hash", "nested"):
-            system = build(source, {"edge": edges}, join_mode=mode)
+        for nested in (False, True):
+            system = build(source, {"edge": edges}, nested=nested)
             results.append(sorted(rows_to_python(system.call("close", [(0,)]))))
         assert results[0] == results[1]
         assert len(results[0]) == 12
@@ -182,6 +194,27 @@ class TestDifferential:
             {"m": [(1, "old"), (2, "old")], "delta": [(2, "new"), (3, "new")]},
             [("m", 2)],
         )
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_join_antijoin_keyed_update_pipeline(self, n):
+        # A 3-way join feeding an anti-join, then a keyed update, with the
+        # adaptive index policy off so the nested baseline gets no help.
+        source = """
+        joined(A, D) := r(A, B) & s(B, C) & t(C, D).
+        far(A, D) := joined(A, D) & !near(A, D).
+        latest(B, A) +=[B] r(A, B).
+        """
+        facts = dict(three_way_facts(n), near=[(i, i) for i in range(n)])
+        out_preds = [("joined", 2), ("far", 2), ("latest", 2)]
+        hashed, nested = (
+            run_one(
+                source, facts, mode, out_preds,
+                db=Database(index_policy=NeverIndexPolicy()),
+            )
+            for mode in (False, True)
+        )
+        assert hashed == nested
+        assert hashed[("far", 2)] and len(hashed[("latest", 2)]) == 40
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -203,36 +236,26 @@ class TestDifferential:
             "mark": sorted({(m,) for m in marks}),
         }
         out_preds = [("hop", 2), ("marked_hop", 2), ("lonely", 1)]
-        assert run_one(source, facts, "hash", out_preds) == run_one(
-            source, facts, "nested", out_preds
+        assert run_one(source, facts, False, out_preds) == run_one(
+            source, facts, True, out_preds
         )
 
 
 class TestCostCollapse:
     SOURCE = "out(A, D) := r(A, B) & s(B, C) & t(C, D)."
 
-    def _facts(self, n):
-        return {
-            "r": [(i, i % 40) for i in range(n)],
-            "s": [(i % 40, (i * 7) % 40) for i in range(n)],
-            "t": [((i * 7) % 40, i) for i in range(n)],
-        }
-
     def test_tuples_scanned_collapse(self):
         # The adaptive *index* policy eventually rescues the nested path on
         # its own; pinning NeverIndexPolicy isolates what the statement
         # planner contributes (explicit build_index calls are unaffected).
-        from repro.storage.adaptive import NeverIndexPolicy
-        from repro.storage.database import Database
-
         n = 400
         nested = build(
-            self.SOURCE, self._facts(n), join_mode="nested",
+            self.SOURCE, three_way_facts(n), nested=True,
             db=Database(index_policy=NeverIndexPolicy()),
         )
         nested.run_script()
         hashed = build(
-            self.SOURCE, self._facts(n), join_mode="hash",
+            self.SOURCE, three_way_facts(n),
             db=Database(index_policy=NeverIndexPolicy()),
         )
         hashed.run_script()
@@ -246,20 +269,16 @@ class TestCostCollapse:
         )
 
     def test_glue_hash_joins_counted(self):
-        system = build(self.SOURCE, self._facts(100), join_mode="hash")
+        system = build(self.SOURCE, three_way_facts(100))
         system.run_script()
         # r is a broadcast source, s and t are keyed probes: every scan
         # step builds exactly one join state.
         assert system.counters.glue_hash_joins == 3
 
     def test_nested_mode_counts_nothing(self):
-        system = build(self.SOURCE, self._facts(100), join_mode="nested")
+        system = build(self.SOURCE, three_way_facts(100), nested=True)
         system.run_script()
         assert system.counters.glue_hash_joins == 0
-
-    def test_bad_join_mode_rejected(self):
-        with pytest.raises(ValueError):
-            make_system("out(X) := r(X).", join_mode="sideways")
 
 
 class TestAdaptiveVariantRace:
