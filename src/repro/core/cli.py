@@ -163,7 +163,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         sync=not args.no_sync,
-        mvcc=not args.no_mvcc,
     )
     if args.edb:
         from repro.storage.persist import load_database
@@ -350,9 +349,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--port", type=int, default=7411)
     p_serve.add_argument("--no-sync", action="store_true",
                          help="skip fsync on commit (faster, less durable)")
-    p_serve.add_argument("--no-mvcc", action="store_true",
-                         help="serve reads under the read/write lock instead "
-                              "of MVCC snapshots (the serialized baseline)")
     p_serve.set_defaults(fn=cmd_serve)
 
     p_connect = sub.add_parser("connect", help="REPL against a live server")

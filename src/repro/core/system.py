@@ -207,12 +207,13 @@ class GlueNailSystem:
         self._machine = Machine(compiled, ctx)
         # Register the program's ``watch`` declarations as active rules;
         # a recompile replaces the previous set (and clears it when the
-        # new program has none).
-        watches = getattr(compiled, "watches", ())
-        if watches:
-            self.subscriptions.set_watch_rules(watches)
-        elif self._subscriptions is not None and self._subscriptions._watch_sub_ids:
-            self._subscriptions.set_watch_rules(())
+        # new program has none).  Only the system hosting the subscription
+        # manager installs them: a server session shares its server's
+        # manager, whose own system already runs the base program's watches.
+        manager = self._subscriptions
+        if manager is None or manager.system is self:
+            if compiled.watches or (manager is not None and manager._watch_sub_ids):
+                self.subscriptions.set_watch_rules(compiled.watches)
         return compiled
 
     @property
@@ -341,14 +342,8 @@ class GlueNailSystem:
         use): ``with system.snapshot() as snap: system.query(...)`` runs
         the block's queries against one immutable version, regardless of
         concurrent writers."""
-        store = self.enable_snapshots()
-        snapshot = store.pin()
-        if snapshot is None:
-            raise GlueRuntimeError(
-                "no published snapshot available (a write window is open "
-                "and nothing was published yet)"
-            )
-        return self.db.pinned(snapshot)
+        store = self.enable_snapshots()  # swaps in the routing ``self.db``
+        return self.db.pinned(store.pin())
 
     # ------------------------------------------------------------------ #
     # subscriptions (see repro.sub and docs/SUBSCRIPTIONS.md)
@@ -385,9 +380,13 @@ class GlueNailSystem:
 
     def close(self) -> None:
         """Release compiled state and the engine's derived relations (a
-        later call recompiles) and the durable store (if owned); idempotent."""
+        later call recompiles), the subscription manager (if hosted here)
+        and the durable store (if owned); idempotent."""
         if self._engine is not None:
             self._engine.close()
+        if self._subscriptions is not None and self._subscriptions.system is self:
+            self._subscriptions.close()
+        self._subscriptions = None
         self._invalidate()
         # The last result's lazy plan closes over this system: a cycle
         # that would keep its rows until the collector's next pass.

@@ -7,7 +7,7 @@ of the EDB catalog instead: writers prepare against the live relations
 copy-on-write, see ``Relation.freeze``) and *publish* atomically when the
 write window closes; readers *pin* the latest published catalog and
 evaluate against it without touching the lock at all, so the RWLock
-degenerates to writer-writer serialization.
+serializes writers only.  It is the server's only read path.
 
 - ``VersionStore``   -- publishes catalogs of frozen relations, hands out pins
 - ``Snapshot``       -- one published catalog: ``{(name, arity): frozen Relation}``

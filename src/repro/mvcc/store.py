@@ -68,23 +68,23 @@ class Snapshot:
 class VersionStore:
     """Publishes catalog snapshots of one database; hands out pins.
 
-    ``pin()`` is the reader entry point: it returns the newest published
-    ``Snapshot``, rebuilding one first if the database moved while no
-    write window was open (embedded single-threaded use therefore gets
-    snapshot-now semantics without ever calling ``begin_window``).  While
-    a window *is* open, ``pin`` serves the previous published version --
-    copy-on-write keeps its contents consistent even as the writer runs --
-    or returns ``None`` when nothing was ever published, in which case the
-    caller falls back to a read-locked pass (counted
-    ``snapshot_fallbacks``).
+    The store publishes when it is created, so there is always a snapshot
+    to pin.  ``pin()`` is the reader entry point: it returns the newest
+    published ``Snapshot``, rebuilding one first if the database moved
+    while no write window was open (embedded single-threaded use therefore
+    gets snapshot-now semantics without ever calling ``begin_window``).
+    While a window *is* open, ``pin`` serves the previous published
+    version -- copy-on-write keeps its contents consistent even as the
+    writer runs.
     """
 
     def __init__(self, db: Database):
         self.db = db
         self._lock = threading.Lock()
-        self._published: Optional[Snapshot] = None
         self._window_depth = 0
         self.publishes = 0
+        self._published: Optional[Snapshot] = None
+        self._rebuild_locked()  # readers always find a snapshot to pin
 
     # ------------------------------------------------------------------ #
     # writer side
@@ -98,7 +98,7 @@ class VersionStore:
         with self._lock:
             self._window_depth += 1
 
-    def publish(self) -> Optional[Snapshot]:
+    def publish(self) -> Snapshot:
         """Close the window; on the outermost close, publish the current
         database state as the new read snapshot (when it actually moved).
 
@@ -121,23 +121,17 @@ class VersionStore:
     # reader side
     # ------------------------------------------------------------------ #
 
-    def pin(self) -> Optional[Snapshot]:
-        """The newest published snapshot, or None when the caller must
-        fall back to the read lock (window open, nothing published yet)."""
-        counters = self.db.counters
+    def pin(self) -> Snapshot:
+        """The newest published snapshot."""
         with self._lock:
             snapshot = self._published
-            if self._window_depth == 0:
-                if snapshot is None or snapshot.db_version != self.db.version:
-                    # The database moved outside any window (embedded use,
-                    # or reader compiles declaring relations): publish on
-                    # demand.  No window can open mid-build -- that path
-                    # also needs ``_lock``.
-                    snapshot = self._rebuild_locked()
-            if snapshot is None:
-                counters.snapshot_fallbacks += 1
-                return None
-        counters.snapshot_pins += 1
+            if self._window_depth == 0 and snapshot.db_version != self.db.version:
+                # The database moved outside any window (embedded use, or
+                # reader compiles declaring relations): publish on demand.
+                # No window can open mid-build -- that path also needs
+                # ``_lock``.
+                snapshot = self._rebuild_locked()
+        self.db.counters.snapshot_pins += 1
         tracer = self.db.tracer
         if tracer.enabled:
             tracer.event(
@@ -151,8 +145,8 @@ class VersionStore:
         with self._lock:
             snapshot = self._published
             return {
-                "published_version": None if snapshot is None else snapshot.db_version,
-                "published_relations": 0 if snapshot is None else len(snapshot),
+                "published_version": snapshot.db_version,
+                "published_relations": len(snapshot),
                 "publishes": self.publishes,
                 "window_open": self._window_depth > 0,
             }
@@ -162,11 +156,12 @@ class VersionStore:
     def _rebuild_locked(self) -> Snapshot:
         """Freeze the live catalog into a new published snapshot.
 
-        Caller holds ``_lock`` with no window open, so no mutation races
-        the freezes.  ``freeze()`` reuses its cached clone for relations
-        that did not change, so republishing after a small write costs one
-        dict build plus one real freeze per *written* relation.  The
-        version is read before the catalog: a reader-compile declare
+        Caller holds ``_lock`` with no window open (or is the constructor),
+        so no mutation races the freezes.  ``freeze()`` reuses its cached
+        clone for relations that did not change, so republishing after a
+        small write costs one dict build plus one real freeze per *written*
+        relation.  The version is read before the catalog: a reader-compile
+        declare
         landing in between leaves the snapshot one declare behind its
         stamp, which only costs an extra rebuild on the next pin.
         """

@@ -230,9 +230,9 @@ def _join_group(
     if plan.has_var_keys:
         # The hot path: hash probe on the shared-variable key, then flat
         # extraction of the new variables straight off each matching row.
+        # (Compound arguments took the residual path above.)
         extract = plan.extract
         eq_checks = plan.eq_checks
-        complex_cols = plan.complex_cols
         for b in group:
             key = _probe_key(key_cols, b)
             for row in source.probe(probe_cols, key):
@@ -241,16 +241,6 @@ def _join_group(
                 extended = dict(b)
                 for col, name in extract:
                     extended[name] = row[col]
-                if complex_cols:
-                    ok = True
-                    for col, pat in complex_cols:
-                        matched = match(pat, row[col], extended)
-                        if matched is None:
-                            ok = False
-                            break
-                        extended = matched
-                    if not ok:
-                        continue
                 out.append(extended)
         return "probe"
     # No shared variables: every binding matches the same candidate rows,

@@ -27,7 +27,7 @@ from repro.lang.ast import (
     RuleDecl,
     UnaryOp,
 )
-from repro.opt.literal import LiteralPlan, compile_literal_plan
+from repro.opt.literal import LiteralPlan, classify_join_columns
 from repro.terms.term import Term, Var, variables
 
 __all__ = [
@@ -108,7 +108,8 @@ class JoinPlanner:
         key = (index, bound)
         plan = self._plans.get(key)
         if plan is None:
-            plan = compile_literal_plan(self.rule.body[index], bound)
+            subgoal = self.rule.body[index]
+            plan = classify_join_columns(subgoal.pred, subgoal.args, bound)
             self._plans[key] = plan
         return plan
 

@@ -10,16 +10,11 @@ engines run written order only as the differential baseline
 (``reference_system(written_order=True)`` in
 :mod:`repro.baselines.reference`).
 
-``classify_join_columns``, ``compile_literal_plan`` and
-:class:`LiteralPlan` live here (they used to be in ``repro.nail.rules``);
-import them from ``repro.opt``.
+``classify_join_columns`` and :class:`LiteralPlan` live here (they used
+to be in ``repro.nail.rules``); import them from ``repro.opt``.
 """
 
-from repro.opt.literal import (
-    LiteralPlan,
-    classify_join_columns,
-    compile_literal_plan,
-)
+from repro.opt.literal import LiteralPlan, classify_join_columns
 from repro.opt.passes import (
     DEFAULT_COST_PIPELINE,
     PASSES,
@@ -42,7 +37,6 @@ __all__ = [
     "StatsContext",
     "classify_join_columns",
     "coerce_snapshot",
-    "compile_literal_plan",
     "filter_selectivity",
     "fmt_est",
     "optimize",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.analysis.bindings import term_vars
-from repro.lang.ast import PredSubgoal
 from repro.terms.term import Term, Var, is_ground, variables
 
 
@@ -114,9 +113,3 @@ def classify_join_columns(
         complex_has_bound=complex_has_bound,
         patterns=tuple(args),
     )
-
-
-def compile_literal_plan(subgoal: PredSubgoal, bound: FrozenSet[str]) -> LiteralPlan:
-    """Classify each argument position of ``subgoal`` given that the
-    variables in ``bound`` are ground at evaluation time."""
-    return classify_join_columns(subgoal.pred, subgoal.args, bound)

@@ -2,8 +2,9 @@
 
 Turns the embedded, single-user engine of the paper into a multi-client
 server: a threaded JSON-lines TCP front end (:mod:`repro.server.server`),
-a readers-writer lock that runs read-only queries concurrently while EDB
-updates serialize (:mod:`repro.server.rwlock`), the wire protocol
+MVCC snapshot reads that run read-only queries concurrently and lock-free
+(:mod:`repro.mvcc`) while EDB updates serialize on the write side of a
+readers-writer lock (:mod:`repro.server.rwlock`), the wire protocol
 (:mod:`repro.server.protocol`), and a small blocking client
 (:mod:`repro.server.client`).  ``gluenail serve`` / ``gluenail connect``
 are the CLI entry points.

@@ -9,8 +9,10 @@ embedded engine into a multi-client service:
   (program, compiler, NAIL! engine) over the *shared*
   :class:`~repro.storage.database.Database`, so loaded rules are private
   while the EDB is common;
-* a readers-writer lock lets read-only queries run concurrently while
-  mutations (fact loads, procedure calls, transactions) serialize;
+* read-only requests pin the latest published MVCC snapshot (see
+  :mod:`repro.mvcc`) and take no lock; mutations (fact loads, procedure
+  calls, transactions) serialize on the write side of a lock and publish
+  a new snapshot when they finish;
 * per-session stats ride on thread-local cost counters
   (:class:`~repro.storage.stats.ThreadLocalCounters`) and session-tagged
   trace events, so concurrent queries never corrupt each other's deltas;
@@ -35,6 +37,7 @@ from repro.analysis.scope import pred_skeleton
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_query
+from repro.mvcc import VersionStore
 from repro.server.protocol import (
     ProtocolError,
     columns_payload,
@@ -60,7 +63,7 @@ _READONLY_DOT = {
 
 
 class _NullLock:
-    """Stands in for the RWLock when the session already holds the write side."""
+    """Stands in for a bracket the session's open transaction already holds."""
 
     def __enter__(self):
         return self
@@ -84,11 +87,13 @@ class Session:
         self.system = server.system_factory(db=server.db)
         self.system.store = server.store
         self.system._txn = server.txn
-        if server.mvcc_store is not None:
-            # Route this session's reads through the shared version store:
-            # read-only requests pin a published snapshot instead of
-            # taking the read lock (see repro.mvcc).
-            self.system.enable_snapshots(store=server.mvcc_store)
+        # One subscription manager per server: the program's `watch`
+        # declarations run once per commit on the server's subscription
+        # system, not once per session.
+        self.system._subscriptions = server.subscriptions
+        # Route this session's reads through the shared version store:
+        # read-only requests pin a published snapshot (see repro.mvcc).
+        self.system.enable_snapshots(store=server.mvcc_store)
         if server.base_program:
             self.system.load(server.base_program)
         self._repl = None
@@ -108,97 +113,44 @@ class Session:
     # locking
     # -------------------------------------------------------------- #
 
-    def _locked(self, write: bool):
+    def _write_window(self):
+        """The write-side bracket: the server's write window, or nothing
+        when this session's open transaction already holds it."""
+        return _NULL_LOCK if self._holds_write else self.server.write_window()
+
+    def _read_context(self):
+        """The read-side bracket: a pinned published snapshot, no lock."""
         if self._holds_write:
             return _NULL_LOCK
-        if write:
-            return self.server.write_window()
-        return self.server.lock.read_locked()
-
-    def _acquire_write(self) -> None:
-        """Take the write lock and open a write window (explicit txn)."""
-        self.server.lock.acquire_write()
-        store = self.server.mvcc_store
-        if store is not None:
-            store.begin_window()
-
-    def _release_write(self) -> None:
-        """Publish the window's result and release the write lock."""
-        store = self.server.mvcc_store
-        if store is not None:
-            store.publish()
-        self.server.lock.release_write()
-
-    @contextmanager
-    def _read_context(self):
-        """The read-side bracket: a pinned snapshot when the version store
-        can hand one out (no lock at all), the read lock otherwise."""
-        if self._holds_write:
-            yield
-            return
-        store = self.server.mvcc_store
-        snapshot = store.pin() if store is not None else None
-        if snapshot is None:
-            with self.server.lock.read_locked():
-                yield
-        else:
-            with self.system.db.pinned(snapshot):
-                yield
+        return self.system.db.pinned(self.server.mvcc_store.pin())
 
     def _run_classified(self, classify_write, run):
         """Classify a request, then run it read-side or write-side.
 
-        With the version store (snapshot mode) classification takes no
-        lock: compile-time declares are safe against concurrent writers
-        (the catalog lock serializes them, and the transaction manager
-        autocommits foreign-thread mutations instead of journaling them
-        into another session's open transaction).  A read verdict pins a
-        published snapshot and *re-validates* under the pin -- the
-        classifier looked at the live catalog, and a concurrent drop can
-        flip a read-only query onto the mutating procedure-fallback path,
-        which must never run outside the write lock.  A write verdict (or
-        a flipped one) runs inside a write window; the classifier is
-        re-run there so it observes the post-upgrade catalog rather than
-        whatever it compiled against before the gap.
-
-        In lock mode (``mvcc=False``) the classifier runs under the read
-        lock and a read verdict executes without releasing it, so
-        classification and execution are atomic; a write verdict upgrades
-        and likewise re-validates after the gap.
+        Classification takes no lock: compile-time declares are safe
+        against concurrent writers (the catalog lock serializes them, and
+        the transaction manager autocommits foreign-thread mutations
+        instead of journaling them into another session's open
+        transaction).  A read verdict pins a published snapshot and
+        *re-validates* under the pin -- the classifier looked at the live
+        catalog, and a concurrent drop can flip a read-only query onto the
+        mutating procedure-fallback path, which must never run outside the
+        write lock.  A write verdict (or a flipped one) runs inside a write
+        window; the classifier is re-run there so it observes the
+        post-upgrade catalog rather than whatever it compiled against
+        before the gap.
         """
         if self._holds_write:
             return run()
-        store = self.server.mvcc_store
-        if store is not None:
-            if not classify_write():
-                hook = self.server._classify_hook
-                if hook is not None:
-                    hook(self)  # test injection point: the classify->pin gap
-                snapshot = store.pin()
-                if snapshot is None:
-                    # Mid-window with nothing published yet: fall back to
-                    # the read lock (counted as snapshot_fallbacks).
-                    lock = self.server.lock
-                    lock.acquire_read()
-                    try:
-                        if not classify_write():
-                            return run()
-                    finally:
-                        lock.release_read()
-                else:
-                    with self.system.db.pinned(snapshot):
-                        if not classify_write():
-                            return run()
-                    # The verdict flipped under the pinned catalog; fall
-                    # through to the write path.
-        else:
-            lock = self.server.lock
-            lock.acquire_read()
-            try:
+        if not classify_write():
+            hook = self.server._classify_hook
+            if hook is not None:
+                hook(self)  # test injection point: the classify->pin gap
+            with self._read_context():
                 if not classify_write():
                     return run()
-            finally:
-                lock.release_read()
+            # The verdict flipped under the pinned catalog; fall through
+            # to the write path.
         with self.server.write_window():
             classify_write()  # re-validate against the post-upgrade catalog
             return run()
@@ -309,8 +261,7 @@ class Session:
             # engine (and its stratum caches) are per-session state.
             with self._read_context():
                 payload["idb_cache"] = self.system.idb_cache_info()
-        if self.server.mvcc_store is not None:
-            payload["mvcc"] = self.server.mvcc_store.stats()
+        payload["mvcc"] = self.server.mvcc_store.stats()
         if self.server.store is not None:
             payload["wal_commits"] = self.server.store.wal.commits
             payload["wal_fsyncs"] = self.server.store.wal.fsyncs
@@ -337,13 +288,13 @@ class Session:
     def op_facts(self, request: dict) -> dict:
         name = request.get("name", "")
         rows = request.get("rows", [])
-        with self._locked(True):
+        with self._write_window():
             inserted = self.system.facts(name, [tuple(row) for row in rows])
         return {"inserted": inserted}
 
     def op_load(self, request: dict) -> dict:
         source = request.get("source", "")
-        with self._locked(True):
+        with self._write_window():
             self.system.load(source)
             self.system.compile()
         return {"loaded": True}
@@ -353,12 +304,12 @@ class Session:
         inputs = [tuple(row) for row in request.get("inputs", [[]])]
         module = request.get("module")
         arity = request.get("arity")
-        with self._locked(True):
+        with self._write_window():
             result = self.system.call(name, inputs, module=module, arity=arity)
         return rows_payload(result)
 
     def op_checkpoint(self, request: dict) -> dict:
-        with self._locked(True):
+        with self._write_window():
             count = self.system.checkpoint()
         return {"checkpointed": count}
 
@@ -377,7 +328,7 @@ class Session:
         # commit flush, and `source` mutates the shared subscription
         # system's program (IDB watches evaluate there, not on this
         # session's private rule set).
-        with self._locked(True):
+        with self._write_window():
             if source:
                 self.server.sub_system.load(source)
                 self.server.sub_system.compile()
@@ -448,11 +399,11 @@ class Session:
     def op_begin(self, request: dict) -> dict:
         if self._holds_write:
             raise GlueNailError("this session already holds a transaction")
-        self._acquire_write()
+        self.server.open_window()
         try:
             self.system.begin()
         except BaseException:
-            self._release_write()
+            self.server.close_window()
             raise
         self._holds_write = True
         return {"transaction": "open"}
@@ -464,7 +415,7 @@ class Session:
             self.system.commit()
         finally:
             self._holds_write = False
-            self._release_write()
+            self.server.close_window()
         return {"transaction": "committed"}
 
     def op_rollback(self, request: dict) -> dict:
@@ -474,7 +425,7 @@ class Session:
             self.system.rollback()
         finally:
             self._holds_write = False
-            self._release_write()
+            self.server.close_window()
         return {"transaction": "rolled back"}
 
     # -------------------------------------------------------------- #
@@ -514,17 +465,22 @@ class Session:
 
     def release(self) -> None:
         """Connection teardown: abort any open transaction, free the lock,
-        and remove this session's subscriptions (no leaked queues)."""
+        and remove this session's subscriptions and REPL watches (no
+        leaked queues or callbacks)."""
         if self._holds_write:
             try:
                 if self.system.txn is not None and self.system.txn.in_transaction:
                     self.system.rollback()
             finally:
                 self._holds_write = False
-                self._release_write()
+                self.server.close_window()
+        subscriptions = self.server.subscriptions
         if self._subs:
-            self.server.subscriptions.unsubscribe_owner(self)
+            subscriptions.unsubscribe_owner(self)
             self._subs.clear()
+        if self._repl is not None:
+            for sub_id in self._repl._watches:
+                subscriptions.unsubscribe(sub_id)
         self.system.disable_tracing()
         self.system.close()  # frees the engine's rows; the store is the server's
         self.server.db.tracer.set_session(None)
@@ -576,11 +532,10 @@ class GlueNailServer:
     still transactional.  ``program`` is Glue-Nail source preloaded into
     every session.  ``port=0`` binds an ephemeral port (see ``.port``).
 
-    ``mvcc=True`` (the default) serves read-only requests from immutable
-    published snapshots (see :mod:`repro.mvcc`): readers never touch the
-    RWLock, which degenerates to writer-writer serialization; writers
-    bracket their mutations in a *write window* and publish atomically on
-    release.  ``mvcc=False`` is the lock-serialized baseline.
+    Read-only requests are served from immutable published snapshots (see
+    :mod:`repro.mvcc`): readers never touch the RWLock, which serializes
+    writers only; writers bracket their mutations in a *write window* and
+    publish atomically on release.
     """
 
     # Builds every session's system and the subscription host;
@@ -595,7 +550,6 @@ class GlueNailServer:
         port: int = 0,
         sync: bool = True,
         db: Optional[Database] = None,
-        mvcc: bool = True,
     ):
         if db is None:
             db = Database(counters=ThreadLocalCounters())
@@ -610,13 +564,6 @@ class GlueNailServer:
             self.txn = TransactionManager(self.db)
             self.db.attach_journal(self.txn)
         self.lock = RWLock()
-        # The MVCC version store: one per server, shared by every session's
-        # SnapshotRouter so all readers pin the same published versions.
-        self.mvcc_store = None
-        if mvcc:
-            from repro.mvcc import VersionStore
-
-            self.mvcc_store = VersionStore(self.db)
         # Test injection point: called (with the session) after a request
         # is classified read-only, before it pins -- the window a
         # conflicting DDL/write can race into (see tests/server).
@@ -637,6 +584,11 @@ class GlueNailServer:
             except GlueNailError:
                 pass  # sessions surface program errors on first use
         self.subscriptions = self.sub_system.subscriptions
+        # The MVCC version store: one per server, shared by every session's
+        # SnapshotRouter so all readers pin the same published versions.
+        # Created after recovery and the base program's compile, so its
+        # first snapshot is the state sessions start from.
+        self.mvcc_store = VersionStore(self.db)
         self.sessions_started = 0
         self._session_lock = threading.Lock()
         self._session_ids = itertools.count(1)
@@ -651,24 +603,27 @@ class GlueNailServer:
             self.sessions_started += 1
         return Session(self, session_id)
 
+    def open_window(self) -> None:
+        """Take the write lock and open an MVCC write window."""
+        self.lock.acquire_write()
+        self.mvcc_store.begin_window()
+
+    def close_window(self) -> None:
+        """Publish the window's result, then release the write lock -- so
+        a reader can never pin a half-applied window."""
+        self.mvcc_store.publish()
+        self.lock.release_write()
+
     @contextmanager
     def write_window(self):
-        """The writer bracket: write lock + MVCC write window.
-
-        Mutations inside run against the live relations (copy-on-write
-        keeps pinned snapshots unaffected); on exit the result is
-        published as the new read snapshot, then the lock is released --
-        so a reader can never pin a half-applied window.
-        """
-        self.lock.acquire_write()
-        if self.mvcc_store is not None:
-            self.mvcc_store.begin_window()
+        """The writer bracket: mutations inside run against the live
+        relations (copy-on-write keeps pinned snapshots unaffected) and
+        are published as the new read snapshot on exit."""
+        self.open_window()
         try:
             yield
         finally:
-            if self.mvcc_store is not None:
-                self.mvcc_store.publish()
-            self.lock.release_write()
+            self.close_window()
 
     # -------------------------------------------------------------- #
 
@@ -690,11 +645,11 @@ class GlueNailServer:
 
     def close(self) -> None:
         """Stop serving, close the socket, and release the durable store."""
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for a serving loop
+            self._tcp.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._tcp.server_close()
         if self.store is not None:
             self.store.close()
             self.store = None

@@ -168,7 +168,7 @@ class Relation:
         self._indexes: dict = {}  # tuple[int, ...] -> HashIndex
         # Guards index creation/lookup and the scan-cost ledgers: adaptive
         # index builds fire from *read* paths, which the query server runs
-        # concurrently under its read lock.
+        # concurrently on pinned snapshots.
         self._index_lock = threading.RLock()
         self._version = 0
         self._listener = listener

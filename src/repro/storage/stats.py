@@ -52,12 +52,10 @@ class CostCounters:
     # subscriber sinks/queues, including resync markers.
     notifications_pushed: int = 0
     # MVCC snapshot reads (see repro.mvcc): read-only requests served from
-    # a pinned published version (no read-lock acquisition), catalog pins
-    # taken, and requests that had to fall back to the read lock because
-    # no published catalog was available mid-window.
+    # a pinned published version (no read-lock acquisition), and catalog
+    # pins taken.
     snapshot_reads: int = 0
     snapshot_pins: int = 0
-    snapshot_fallbacks: int = 0
 
     def reset(self) -> None:
         for f in fields(self):

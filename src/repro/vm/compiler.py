@@ -110,34 +110,6 @@ class _ColumnState:
                 self.columns.append(name)
 
 
-def _flat_extract(
-    args: Sequence[Term], known: Set[str], new_vars: Sequence[str]
-) -> Optional[Tuple[int, ...]]:
-    """Stored-row positions of ``new_vars`` when the pattern is *flat*.
-
-    Flat means every argument is a ground term, a bound plain variable, an
-    anonymous variable, or a distinct fresh plain variable -- the cases
-    where matching degenerates to positional equality and the VM can skip
-    building a bindings dict per matched row.  Returns None otherwise.
-    """
-    positions: Dict[str, int] = {}
-    for i, arg in enumerate(args):
-        if isinstance(arg, Var):
-            if arg.is_anonymous or arg.name in known:
-                continue
-            if arg.name in positions:
-                return None  # repeated fresh variable: needs a consistency check
-            positions[arg.name] = i
-        elif not is_ground(arg):
-            # A compound containing variables needs real matching (even a
-            # bound one could repeat variables inside); stay conservative.
-            return None
-    try:
-        return tuple(positions[name] for name in new_vars)
-    except KeyError:
-        return None
-
-
 def _join_shape(
     subgoal: PredSubgoal,
     known: Set[str],
@@ -1097,7 +1069,6 @@ class ProgramCompiler:
                 pattern_fn=compile_pattern(subgoal.args, colindex),
                 name_fn=name_fn,
                 columns_out=tuple(state.columns),
-                flat=_flat_extract(subgoal.args, known, ()) is not None,
                 join_shape=_join_shape(subgoal, known, colindex, ()),
             )
 
@@ -1117,7 +1088,6 @@ class ProgramCompiler:
                 pattern_fn=compile_pattern(subgoal.args, colindex),
                 new_vars=tuple(new_vars),
                 columns_out=tuple(state.columns),
-                flat_extract=_flat_extract(subgoal.args, known, new_vars),
                 join_shape=_join_shape(subgoal, known, colindex, new_vars),
             )
 
@@ -1141,7 +1111,6 @@ class ProgramCompiler:
                 new_vars=tuple(new_vars),
                 name_fn=name_fn,
                 columns_out=tuple(state.columns),
-                flat_extract=_flat_extract(subgoal.args, known, new_vars),
                 join_shape=_join_shape(subgoal, known, colindex, new_vars),
             )
         return DynamicStep(

@@ -122,27 +122,20 @@ class Step:
 
 @dataclass
 class ScanStep(Step):
-    """Join the supplementary relation with a stored/derived relation.
-
-    When the compiler proves the argument pattern *flat* (each position a
-    constant, a bound variable, or a distinct fresh variable) it sets
-    ``flat_extract`` to the stored-row positions of the new variables and
-    the step skips the per-row bindings dict entirely.
-    """
+    """Join the supplementary relation with a stored/derived relation."""
 
     ref: PredRef
     pattern_fn: PatternFn
     new_vars: Tuple[str, ...]
+    join_shape: StmtJoinShape
     name_fn: Optional[RowFn] = None  # dynamic predicate-name instantiation
     columns_out: Tuple[str, ...] = ()
-    flat_extract: Optional[Tuple[int, ...]] = None
-    join_shape: Optional[StmtJoinShape] = None
     est_rows: Optional[float] = None  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
-        if self.join_shape is not None and not rt.ctx.oracles.nested_joins:
-            return self._iterate_hash(rows, rt, frame)
-        return self._iterate_nested(rows, rt, frame)
+        if rt.ctx.oracles.nested_joins:
+            return self._iterate_nested(rows, rt, frame)
+        return self._iterate_hash(rows, rt, frame)
 
     def _iterate_nested(self, rows, rt, frame):
         ref = self.ref
@@ -150,7 +143,11 @@ class ScanStep(Step):
         if self.name_fn is None:
             static_rel = rt.resolve_relation(ref, ref.pred, frame)
         new_vars = self.new_vars
-        extract = self.flat_extract
+        # A flat pattern (each position a constant, a bound variable, or a
+        # distinct fresh variable) matches positionally, skipping the
+        # per-row bindings dict.
+        shape = self.join_shape
+        extract = None if shape.eq_checks else shape.extract_cols
         for row in rows:
             if static_rel is None:
                 relation = rt.resolve_relation(ref, self.name_fn(row), frame)
@@ -369,36 +366,35 @@ class ScanStep(Step):
 
 @dataclass
 class NegScanStep(Step):
-    """Anti-join: keep rows with no matching tuple (safe negation).
-
-    ``flat`` marks patterns that need no real matching (every position
-    ground or anonymous): the existence check is a membership test / a
-    positional filter with no bindings dict.
-    """
+    """Anti-join: keep rows with no matching tuple (safe negation)."""
 
     ref: PredRef
     pattern_fn: PatternFn
+    join_shape: StmtJoinShape
     name_fn: Optional[RowFn] = None
     columns_out: Tuple[str, ...] = ()
-    flat: bool = False
-    join_shape: Optional[StmtJoinShape] = None
     est_rows: Optional[float] = None  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
-        if self.join_shape is not None and not rt.ctx.oracles.nested_joins:
-            return self._iterate_hash(rows, rt, frame)
-        return self._iterate_nested(rows, rt, frame)
+        if rt.ctx.oracles.nested_joins:
+            return self._iterate_nested(rows, rt, frame)
+        return self._iterate_hash(rows, rt, frame)
 
     def _iterate_nested(self, rows, rt, frame):
         static_rel = None
         if self.name_fn is None:
             static_rel = rt.resolve_relation(self.ref, self.ref.pred, frame)
+        # A flat pattern (no compound with variables, no repeated fresh
+        # variable) needs no real matching: the existence check is a
+        # positional filter.
+        shape = self.join_shape
+        flat = shape.extract_cols is not None and not shape.eq_checks
         for row in rows:
             relation = static_rel
             if relation is None:
                 relation = rt.resolve_relation(self.ref, self.name_fn(row), frame)
             patterns = self.pattern_fn(row)
-            if self.flat and hasattr(relation, "match_rows"):
+            if flat and hasattr(relation, "match_rows"):
                 matched = next(iter(relation.match_rows(patterns)), None)
             else:
                 matched = next(iter(relation.select(patterns)), None)

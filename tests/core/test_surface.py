@@ -3,7 +3,8 @@
 Nested-loop joins, the row engine, written body order and the naive
 fixpoint are differential baselines.  They are reachable only through
 ``repro.baselines.reference``; the layers below take one ``oracles``
-value instead of a string per mode.
+value instead of a string per mode.  The server has one read path (a
+published MVCC snapshot), so it has no lock-serialized read mode either.
 """
 
 import inspect
@@ -50,6 +51,10 @@ def test_layers_take_one_oracles_value(layer):
         assert "strategy" not in params  # the fixpoint is an oracle too
 
 
+def test_server_has_no_lock_read_mode():
+    assert "mvcc" not in parameters(GlueNailServer)
+
+
 def test_optimize_takes_a_pipeline_not_an_order_mode():
     assert "order_mode" not in parameters(optimize)
 
@@ -64,6 +69,7 @@ def test_optimize_takes_a_pipeline_not_an_order_mode():
         # to open it instead of starting a session or a server.
         ["repl", "--batch-mode", "row", "--db", "BADDIR"],
         ["serve", "--batch-mode", "row", "--db", "BADDIR", "--port", "0"],
+        ["serve", "--no-mvcc", "--db", "BADDIR", "--port", "0"],
     ],
 )
 def test_cli_mode_flags_are_argparse_errors(argv, tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import GlueNailSystem
-from repro.errors import GlueRuntimeError
 from repro.mvcc import SnapshotRouter, VersionStore
 from repro.storage.relation import Relation
 from repro.storage.stats import COUNTER_FIELDS
@@ -103,14 +102,17 @@ class TestVersionStore:
         assert after is not before
         assert len(after.get("edge", 2)) == 3
 
-    def test_pin_with_nothing_published_falls_back(self):
+    def test_store_publishes_when_created(self):
+        # A window opened before any pin still has a snapshot to serve:
+        # the state the store was created over.
         system = self.system()
         store = VersionStore(system.db)
+        assert store.stats()["publishes"] == 1
         store.begin_window()
-        assert store.pin() is None
-        assert system.counters.snapshot_fallbacks == 1
+        system.facts("edge", [(3, 4)])
+        assert store.pin().get("edge", 2).sorted_rows() == [lift(1, 2), lift(2, 3)]
         store.publish()
-        assert store.pin() is not None
+        assert len(store.pin().get("edge", 2)) == 3
 
     def test_windows_nest(self):
         system = self.system()
@@ -191,22 +193,6 @@ class TestSystemSnapshots:
         assert set(system.query("path(1, X)?")) == {
             lift(1, 2), lift(1, 3), lift(1, 4),
         }
-
-    def test_snapshot_raises_while_a_window_is_open_unpublished(self):
-        system = GlueNailSystem()
-        system.facts("edge", [(1, 2)])
-        store = system.enable_snapshots()
-        # Drain the published snapshot, then open a window before anything
-        # else publishes: nothing consistent exists to pin.
-        store.begin_window()
-        system.facts("edge", [(2, 3)])
-        store._published = None
-        with pytest.raises(GlueRuntimeError):
-            with system.snapshot():
-                pass
-        store.publish()
-        with system.snapshot():
-            assert len(system.rows("edge", 2)) == 2
 
 
 class TestDifferential:

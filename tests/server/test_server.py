@@ -188,28 +188,6 @@ class TestTransactionsOverTheWire:
             with Client(port=server.port) as reader:
                 assert sorted(reader.rows("edge", 2).values) == [(1, 2), (2, 3)]
 
-    def test_writer_transaction_blocks_readers_in_lock_mode(self):
-        # mvcc=False is the lock-serialized baseline: the old behavior.
-        with GlueNailServer(port=0, mvcc=False).start() as server:
-            with Client(port=server.port) as writer:
-                writer.facts("edge", [(1, 2)])
-                writer.begin()
-                writer.facts("edge", [(2, 3)])
-                seen = []
-                done = threading.Event()
-
-                def read():
-                    with Client(port=server.port) as reader:
-                        seen.extend(reader.rows("edge", 2).values)
-                    done.set()
-
-                thread = threading.Thread(target=read)
-                thread.start()
-                assert not done.wait(0.2), "reader should block behind the transaction"
-                writer.commit()
-                thread.join(timeout=5)
-                assert sorted(seen) == [(1, 2), (2, 3)]
-
     def test_disconnect_rolls_back(self, server):
         abandoned = Client(port=server.port)
         abandoned.facts("edge", [(1, 2)])

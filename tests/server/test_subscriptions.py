@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.server.client import Client, ConnectionClosed, RemoteError
+from repro.server.protocol import decode_values
 from repro.server.server import GlueNailServer
 
 PATH_RULES = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z)."
@@ -258,3 +259,33 @@ class TestSubscriptionSoak:
                 t.join()
             for client, _ in subscribers:
                 client.close()
+
+
+WATCH_PROGRAM = """
+watch edge(X, Y) call on_edge;
+
+proc on_edge(Op, X, Y:)
+edge_log(Op, X, Y) += in(Op, X, Y).
+end
+"""
+
+
+class TestBaseProgramWatches:
+    def test_watch_fires_once_per_commit_whatever_the_session_count(self):
+        with GlueNailServer(port=0, program=WATCH_PROGRAM).start() as server:
+            sessions = [server._new_session() for _ in range(3)]
+            for session in sessions:  # each compiles the base program
+                reply = session.dispatch({"op": "query", "q": "edge_log(O, X, Y)?"})
+                assert reply["ok"], reply
+            assert len(server.txn._observers) == 1
+            counters = server.db.counters  # this thread's block
+            before = counters.notifications_pushed
+            assert sessions[0].dispatch(
+                {"op": "facts", "name": "edge", "rows": [[1, 2]]}
+            )["ok"]
+            assert counters.notifications_pushed - before == 1
+            reply = sessions[1].dispatch({"op": "query", "q": "edge_log(O, X, Y)?"})
+            assert decode_values(reply) == [("insert", 1, 2)]
+            for session in sessions:
+                session.release()
+            assert len(server.txn._observers) == 1

@@ -1,9 +1,9 @@
 """Tests for the SubscriptionManager: transaction-consistent delivery of
 EDB and IDB deltas, pattern filters, resync fallbacks and active rules."""
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueRuntimeError
@@ -11,6 +11,7 @@ from repro.sub.queue import OP_DELETE, OP_INSERT, OP_RESYNC
 from repro.terms.term import mk
 
 PATH_RULES = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z)."
+EDGE = st.tuples(st.integers(0, 9), st.integers(0, 9))
 
 
 def lift(*values):
@@ -176,37 +177,70 @@ class TestIdbDelivery:
         inserted = {row for op, rows, _ in notes if op == OP_INSERT for row in rows}
         assert lift(2, 3) in inserted and lift(1, 3) in inserted
 
-    def test_replay_matches_recomputation(self, system):
-        """The differential guarantee: applying pushed deltas in order
-        reproduces the recomputed extension, under a random workload."""
-        system.load(PATH_RULES)
-        shadow = set()
+    @given(
+        chain=st.integers(0, 8),
+        steps=st.lists(
+            st.one_of(
+                # autocommitted insert of one or more rows
+                st.tuples(st.just("insert"), st.lists(EDGE, min_size=1, max_size=3)),
+                # autocommitted delete of a live row, picked by index
+                st.tuples(st.just("delete"), st.integers(0, 63)),
+                # a rolled-back transaction
+                st.tuples(st.just("rollback"), st.lists(EDGE, min_size=1, max_size=3)),
+                # a committed transaction mixing inserts and deletes
+                st.tuples(
+                    st.just("commit"),
+                    st.lists(st.tuples(st.booleans(), EDGE), min_size=2, max_size=4),
+                ),
+            ),
+            max_size=30,
+        ),
+        subscribers=st.integers(1, 4),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_replay_matches_recomputation(self, chain, steps, subscribers):
+        """The differential guarantee: applying pushed deltas in order,
+        from the registration snapshot on, reproduces the recomputed
+        extension -- for every subscriber, under a random workload."""
+        system = GlueNailSystem().load(PATH_RULES)
+        system.facts("edge", [(n, n + 1) for n in range(chain)])
+        system.query("path(X, Y)?")  # a warm engine, as a live server has
+        replicas = []
+        for _ in range(subscribers):
+            replica = set()
 
-        def apply(note):
-            assert note.op != OP_RESYNC, "workload should stay in-window"
-            if note.op == OP_INSERT:
-                shadow.update(note.rows)
-            else:
-                shadow.difference_update(note.rows)
+            def apply(note, replica=replica):
+                assert note.op != OP_RESYNC, "workload should stay in-window"
+                if note.op == OP_INSERT:
+                    replica.update(note.rows)
+                else:
+                    replica.difference_update(note.rows)
 
-        system.subscribe("path", 2, callback=apply)
-        rng = random.Random(7)
-        live = []
+            sub = system.subscribe("path", 2, callback=apply, snapshot=True)
+            replica.update(sub.snapshot_rows)
+            replicas.append(replica)
+
         relation = system.db.relation(mk("edge"), 2)
-        for step in range(120):
-            action = rng.random()
-            if action < 0.6 or not live:
-                row = (rng.randrange(8), rng.randrange(8))
-                system.facts("edge", [row])
-                live.append(row)
-            elif action < 0.85:
-                row = live.pop(rng.randrange(len(live)))
-                relation.delete(lift(*row))
-            else:
+        for action, arg in steps:
+            if action == "insert":
+                system.facts("edge", arg)
+            elif action == "delete" and len(relation):
+                relation.delete(relation.sorted_rows()[arg % len(relation)])
+            elif action == "rollback":
                 system.begin()
-                system.facts("edge", [(rng.randrange(8), rng.randrange(8))])
+                system.facts("edge", arg)
                 system.rollback()
-        assert shadow == set(system.query("path(X, Y)?"))
+            elif action == "commit":
+                system.begin()
+                for insert, row in arg:
+                    if insert:
+                        system.fact("edge", *row)
+                    else:
+                        relation.delete(lift(*row))
+                system.commit()
+        recomputed = set(system.query("path(X, Y)?"))
+        for replica in replicas:
+            assert replica == recomputed
 
 
 class TestSubscribeValidation:

@@ -13,6 +13,13 @@ def scan_steps(system, proc_name, arity):
     return [s for s in proc.body[0].plan if isinstance(s, ScanStep)]
 
 
+def is_flat(step):
+    """A flat pattern extracts positionally: no compound with variables
+    (``extract_cols`` set) and no repeated fresh variable (no eq-checks)."""
+    shape = step.join_shape
+    return shape.extract_cols is not None and not shape.eq_checks
+
+
 class TestFlatDetection:
     def test_plain_vars_are_flat(self):
         system = make_system(
@@ -24,7 +31,7 @@ class TestFlatDetection:
         )
         steps = scan_steps(system, "p", 2)
         data_scan = steps[-1]
-        assert data_scan.flat_extract is not None
+        assert is_flat(data_scan)
 
     def test_constants_and_bound_vars_are_flat(self):
         system = make_system(
@@ -35,7 +42,7 @@ class TestFlatDetection:
             """
         )
         data_scan = scan_steps(system, "p", 2)[-1]
-        assert data_scan.flat_extract is not None
+        assert is_flat(data_scan)
 
     def test_anonymous_vars_are_flat(self):
         system = make_system(
@@ -45,7 +52,7 @@ class TestFlatDetection:
             end
             """
         )
-        assert scan_steps(system, "p", 1)[-1].flat_extract is not None
+        assert is_flat(scan_steps(system, "p", 1)[-1])
 
     def test_repeated_fresh_var_not_flat(self):
         system = make_system(
@@ -55,7 +62,7 @@ class TestFlatDetection:
             end
             """
         )
-        assert scan_steps(system, "p", 1)[-1].flat_extract is None
+        assert not is_flat(scan_steps(system, "p", 1)[-1])
 
     def test_compound_with_vars_not_flat(self):
         system = make_system(
@@ -65,7 +72,7 @@ class TestFlatDetection:
             end
             """
         )
-        assert scan_steps(system, "p", 2)[-1].flat_extract is None
+        assert not is_flat(scan_steps(system, "p", 2)[-1])
 
     def test_ground_compound_is_flat(self):
         system = make_system(
@@ -75,7 +82,7 @@ class TestFlatDetection:
             end
             """
         )
-        assert scan_steps(system, "p", 1)[-1].flat_extract is not None
+        assert is_flat(scan_steps(system, "p", 1)[-1])
 
 
 class TestFlatSemantics:
