@@ -29,9 +29,6 @@ def fact_to_line(name: Term, row: tuple) -> str:
     return f"{head}({args})."
 
 
-_fact_to_line = fact_to_line  # backward-compatible alias
-
-
 def fsync_directory(directory: str) -> None:
     """Flush a directory's entry table; best-effort on non-POSIX systems."""
     try:
@@ -83,12 +80,47 @@ def save_database(db: Database, path: str) -> int:
     return count
 
 
+class InsertBatches:
+    """Rows held back per relation, then inserted as one batch each.
+
+    Rows are ground Term tuples.  Each goes to the relation of its name and
+    length, declared on first sight, so the catalog order and each
+    relation's row order are those of inserting the rows one at a time.
+    """
+
+    def __init__(self, db: Database):
+        self.db = db
+        self._held: dict = {}  # (name, arity) -> (relation, rows)
+
+    def add(self, name: Term, row: tuple) -> None:
+        batch = self._held.get((name, len(row)))
+        if batch is None:
+            batch = self._held[name, len(row)] = (self.db.relation(name, len(row)), [])
+        batch[1].append(row)
+
+    def flush(self, key=None) -> None:
+        """Insert the rows held for ``key`` = ``(name, arity)``, or for every
+        relation when ``key`` is None."""
+        for each in list(self._held) if key is None else [key]:
+            batch = self._held.pop(each, None)
+            if batch is not None:
+                batch[0].insert_trusted(batch[1])
+
+
 def load_database(path: str, db: Optional[Database] = None) -> Database:
-    """Load a dump produced by :func:`save_database` into ``db`` (or a new one)."""
-    from repro.lang.parser import parse_directive_rel, parse_ground_fact
+    """Load a dump produced by :func:`save_database` into ``db`` (or a new one).
+
+    Fact lines are read by one :class:`~repro.lang.facts.FactScanner`, and
+    each relation receives its rows as one batch once the whole file has
+    been read, so a bad line raises before any row is inserted.
+    """
+    from repro.lang.facts import FactScanner
+    from repro.lang.parser import parse_directive_rel
 
     if db is None:
         db = Database()
+    scan = FactScanner().scan
+    batches = InsertBatches(db)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -101,8 +133,9 @@ def load_database(path: str, db: Optional[Database] = None) -> Database:
                     db.declare(name, arity)
                 continue
             try:
-                name, row = parse_ground_fact(line)
+                name, row = scan(line)
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: bad fact line: {line!r}") from exc
-            db.relation(name, len(row)).insert(row)
+            batches.add(name, row)
+    batches.flush()
     return db

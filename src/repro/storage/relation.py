@@ -406,16 +406,15 @@ class Relation:
         relation's arity -- rows decoded from interned ids (the seminaive
         merge, ``uniondiff``) or already validated.  Everything else is
         the bulk path: one copy-on-write barrier, duplicates skipped in
-        first-occurrence order, indexes and journal maintained per new
-        row, then one version bump, one listener notification, one profile
-        update (see :meth:`_profile_add` for ``column_values``) and one
-        change-log entry for the batch.
+        first-occurrence order, indexes maintained per new row, then one
+        version bump, one listener notification, one profile update (see
+        :meth:`_profile_add` for ``column_values``) and one change-log entry
+        for the batch, and last the journal, per new row.
         """
         self._cow()
         new: list = []
         append = new.append
         stored = self._rows
-        journal = self.journal
         size = len(stored)
         total = 0
         for row in rows:
@@ -428,8 +427,6 @@ class Relation:
                 continue
             size += 1
             append(row)
-            if journal is not None:
-                journal.record_insert(self, row)
         if total != len(new):
             self.counters.duplicate_inserts += total - len(new)
         if new:
@@ -440,6 +437,13 @@ class Relation:
             self._profile_add(new, column_values)
             if self._changelog is not None:
                 self._changelog.record(self._version, "+", new)
+            # Journal last, as insert() does: an autocommitted row reaches
+            # commit observers only once the batch's version and change-log
+            # entry exist, so their caches see the rows as a change.
+            journal = self.journal
+            if journal is not None:
+                for row in new:
+                    journal.record_insert(self, row)
         return new
 
     def delete(self, row: Row) -> bool:

@@ -1,11 +1,13 @@
 """Rendering terms back to Glue-Nail surface syntax.
 
 The printer and the parser are inverses: ``parse_term(term_to_str(t)) == t``
-for every ground term, a property the test suite checks with hypothesis.
+for every ground term (NaN, which has no literal, aside), a property the test
+suite checks with hypothesis.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable
 
@@ -48,9 +50,14 @@ def term_to_str(term: Term) -> str:
     if isinstance(term, Atom):
         return _quote_atom(term.name)
     if isinstance(term, Num):
-        if isinstance(term.value, float):
-            return repr(term.value)
-        return str(term.value)
+        value = term.value
+        if isinstance(value, float):
+            if math.isinf(value):
+                # repr() says "inf", which would read back as an atom; a
+                # literal past the float range reads back as infinity.
+                return "1e999" if value > 0 else "-1e999"
+            return repr(value)
+        return str(value)
     if isinstance(term, Var):
         return term.name
     if isinstance(term, Compound):

@@ -38,7 +38,7 @@ import threading
 from typing import List, Optional, Tuple
 
 from repro.storage.database import Database
-from repro.storage.persist import fact_to_line, fsync_directory
+from repro.storage.persist import InsertBatches, fact_to_line, fsync_directory
 from repro.terms.printer import term_to_str
 
 WAL_HEADER = "% Glue-Nail WAL (format 1)"
@@ -225,22 +225,21 @@ def _last_tid(path: str) -> int:
     return last
 
 
-def _parse_op(line: str) -> Optional[Op]:
-    """Parse one WAL op line; None for unrecognized/comment lines.
+def _parse_op(line: str, scan) -> Optional[Op]:
+    """Parse one WAL op line with fact scanner ``scan``; None for
+    unrecognized/comment lines.
 
     Raises on a syntactically broken ``+``/``-`` line (a torn tail), which
     the replay loop treats as "abandon this batch".
     """
-    from repro.lang.parser import parse_directive_rel, parse_ground_fact
+    from repro.lang.parser import parse_directive_rel, parse_term
 
     if line.startswith("+ ") or line.startswith("- "):
-        name, row = parse_ground_fact(line[2:].strip())
+        name, row = scan(line[2:].strip())
         return ("insert" if line[0] == "+" else "delete", name, row)
     if line.startswith("%"):
         dropped = _DROP_RE.match(line.strip())
         if dropped:
-            from repro.lang.parser import parse_term
-
             return ("drop", parse_term(dropped.group(1)), int(dropped.group(2)))
         declared = parse_directive_rel(line)
         if declared is not None:
@@ -265,6 +264,18 @@ def apply_op(db: Database, op: Op) -> None:
         raise ValueError(f"unknown journal op {kind!r}")
 
 
+def _redo(db: Database, batches: InsertBatches, ops: List[Op]) -> None:
+    """Apply one committed batch, holding its inserts back in ``batches``."""
+    for op in ops:
+        kind, name, detail = op
+        if kind == "insert":
+            batches.add(name, detail)
+        else:
+            # Held rows go in before anything else touches their relation.
+            batches.flush((name, len(detail) if kind == "delete" else detail))
+            apply_op(db, op)
+
+
 def replay_wal(path: str, db: Database) -> Tuple[int, int]:
     """Replay every *complete* committed batch of ``path`` into ``db``.
 
@@ -273,7 +284,16 @@ def replay_wal(path: str, db: Database) -> Tuple[int, int]:
     skipped silently: they are precisely the uncommitted work a crash is
     allowed to lose.  Any journal attached to ``db`` is suspended for the
     duration so recovery does not re-log itself.
+
+    Fact lines are read by one :class:`~repro.lang.facts.FactScanner`.
+    Committed inserts are held back per relation until another op touches
+    that relation or the log ends, so a run of inserts costs one bulk
+    insert per relation; the result is that of applying each op in turn.
     """
+    from repro.lang.facts import FactScanner
+
+    scan = FactScanner().scan
+    batches = InsertBatches(db)
     journal = db.journal
     if journal is not None:
         db.attach_journal(None)
@@ -294,8 +314,7 @@ def replay_wal(path: str, db: Database) -> Tuple[int, int]:
                 committed = _COMMIT_RE.match(line)
                 if committed:
                     if pending_tid is not None and int(committed.group(1)) == pending_tid:
-                        for op in pending_ops:
-                            apply_op(db, op)
+                        _redo(db, batches, pending_ops)
                         txns += 1
                         ops_applied += len(pending_ops)
                     pending_tid = None
@@ -304,7 +323,7 @@ def replay_wal(path: str, db: Database) -> Tuple[int, int]:
                 if pending_tid is None:
                     continue  # op outside any batch: stale tail, skip
                 try:
-                    op = _parse_op(line)
+                    op = _parse_op(line, scan)
                 except Exception:
                     # A torn line can only be the crash-interrupted tail;
                     # its batch has no commit marker, so drop it.
@@ -313,6 +332,7 @@ def replay_wal(path: str, db: Database) -> Tuple[int, int]:
                     continue
                 if op is not None:
                     pending_ops.append(op)
+        batches.flush()
     finally:
         if journal is not None:
             db.attach_journal(journal)

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.storage.database import Database
 from repro.storage.persist import load_database, save_database
 from repro.terms.term import Atom, Compound, Num
@@ -78,10 +80,27 @@ class TestRoundTrip:
         path = str(tmp_path / "bad.gnd")
         with open(path, "w") as handle:
             handle.write("% Glue-Nail EDB dump (format 1)\nedge(1, 2).\n???\n")
-        import pytest
-
         with pytest.raises(ValueError, match="bad.gnd:3"):
             load_database(path)
+
+    def test_bad_line_loads_no_row(self, tmp_path):
+        path = str(tmp_path / "bad.gnd")
+        with open(path, "w") as handle:
+            handle.write("edge(1, 2).\nedge(2, 3).\nedge(X, 4).\n")
+        target = Database()
+        with pytest.raises(ValueError, match="bad.gnd:3"):
+            load_database(path, target)
+        assert target.total_rows() == 0
+
+    def test_each_relation_loads_as_one_batch(self, tmp_path, db):
+        db.facts("edge", [(i, i + 1) for i in range(50)])
+        db.facts("node", [(i,) for i in range(50)])
+        path = str(tmp_path / "edb.gnd")
+        save_database(db, path)
+        loaded = load_database(path)
+        assert loaded.get("edge", 2).version == loaded.get("node", 1).version == 1
+        assert loaded.counters.inserts == 100
+        assert list(loaded.get("edge", 2).rows()) == db.get("edge", 2).sorted_rows()
 
     def test_creates_directories(self, tmp_path, db):
         db.fact("edge", 1, 2)

@@ -130,6 +130,27 @@ class TestVersioning:
         r.insert(row(1))
         assert events == [Atom("r")]
 
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_journal_sees_each_insert_after_the_version_moved(self, bulk):
+        """An autocommitting journal hands each row to commit observers at
+        once; by then the relation's version must already count it."""
+        r = rel()
+        seen = []
+
+        class Journal:
+            def record_insert(self, relation, inserted):
+                seen.append((inserted, relation.version, inserted in relation))
+
+        r.journal = Journal()
+        rows = [row(1, 2), row(2, 3)]
+        if bulk:
+            r.insert_many(rows)
+        else:
+            for one in rows:
+                r.insert(one)
+        assert [inserted for inserted, _, _ in seen] == rows
+        assert all(version > 0 and present for _, version, present in seen)
+
 
 class TestSelect:
     def setup_method(self):

@@ -131,6 +131,24 @@ class TestIdbDelivery:
         assert op == OP_INSERT
         assert set(rows) == {lift(2, 3), lift(1, 3)}
 
+    def test_autocommitted_bulk_insert_notifies_every_derived_row(self, system):
+        """A Glue ``+=`` outside a transaction autocommits row by row from
+        one bulk insert; the path/2 subscriber must get all of it then, not
+        at some later, unrelated commit."""
+        system.load(PATH_RULES + """
+            proc grow(:)
+              edge(X, Y) += seed(X, Y).
+              return(:) := true.
+            end
+        """)
+        system.facts("seed", [(1, 2), (2, 3), (3, 4)])
+        notes = []
+        system.subscribe("path", 2, callback=collect(notes))
+        system.call("grow")
+        replica = {row for op, rows, _ in notes if op == OP_INSERT for row in rows}
+        assert replica == set(system.query("path(X, Y)?").rows)
+        assert len(replica) == 6
+
     def test_delete_falls_back_to_exact_snapshot_diff(self, system):
         system.load(PATH_RULES)
         system.facts("edge", [(1, 2), (2, 3), (3, 4)])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.lang.parser import parse_term
 from repro.terms.matching import match, substitute
 from repro.terms.printer import term_to_str
-from repro.terms.term import Compound, Term, Var, is_ground, sort_key
+from repro.terms.term import Compound, Num, Term, Var, is_ground, sort_key
 from tests.conftest import ground_terms
 
 
@@ -14,6 +14,11 @@ from tests.conftest import ground_terms
 def test_printer_parser_roundtrip(term):
     """parse(print(t)) == t for every ground term."""
     assert parse_term(term_to_str(term)) == term
+
+
+def test_infinities_print_as_numbers():
+    for value in (float("inf"), float("-inf")):
+        assert parse_term(term_to_str(Num(value))) == Num(value)
 
 
 @given(ground_terms)

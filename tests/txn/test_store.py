@@ -159,3 +159,21 @@ class TestCrashRecovery:
         assert len(fresh.query("path(1, X)?")) == 2
         assert fresh.checkpoint() == 2
         fresh.close()
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_infinities_survive_restart(self, tmp_path, checkpoint):
+        """An infinite number used to be written as ``inf`` / ``-inf``: the
+        first recovered as an atom, and the second made its whole
+        transaction unreadable, so recovery dropped it."""
+        store = DurableStore(str(tmp_path))
+        rows = [(Num(float("inf")),), (Num(float("-inf")),), (Num(2.5),)]
+        with store.transaction():
+            store.db.relation("m", 1).insert_many(rows)
+        if checkpoint:
+            store.checkpoint()
+        store.close()
+        fresh = reopen(tmp_path)
+        assert [repr(r) for r in fresh.db.get("m", 1).sorted_rows()] == [
+            repr(r) for r in sorted(rows, key=lambda r: r[0].value)
+        ]
+        fresh.close()

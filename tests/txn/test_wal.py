@@ -3,10 +3,12 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.database import Database
 from repro.terms.term import Atom, Num
-from repro.txn.wal import WAL_HEADER, WriteAheadLog, format_op, replay_wal
+from repro.txn.wal import WAL_HEADER, WriteAheadLog, apply_op, format_op, replay_wal
 
 
 @pytest.fixture
@@ -139,6 +141,68 @@ class TestReplay:
         assert wal.append_commit([]) is None
         wal.close()
         assert os.path.getsize(wal_path) == len(WAL_HEADER) + 1
+
+
+# Ops over r/1, r/2 (one name, two arities) and s/1 with few values, so
+# scripts re-insert, delete, drop and re-create the same rows.
+_RELATIONS = [(Atom("r"), 1), (Atom("r"), 2), (Atom("s"), 1)]
+_values = st.sampled_from([Num(0), Num(1), Atom("a"), Num(2.0)])
+
+
+@st.composite
+def _ops(draw):
+    name, arity = draw(st.sampled_from(_RELATIONS))
+    kind = draw(st.sampled_from(["insert"] * 4 + ["delete"] * 2 + ["declare", "drop"]))
+    if kind in ("declare", "drop"):
+        return (kind, name, arity)
+    return (kind, name, tuple(draw(_values) for _ in range(arity)))
+
+
+# (ops, how the batch ends): "commit", "open" (no commit marker, the next
+# batch starts over it) or "torn" (a half-written op line, then no marker).
+_batches = st.lists(st.tuples(st.lists(_ops(), max_size=8),
+                              st.sampled_from(["commit"] * 4 + ["open", "torn"])),
+                    max_size=8)
+
+
+class TestBatchedReplay:
+    @given(_batches)
+    @settings(max_examples=200, deadline=None)
+    def test_replay_equals_applying_each_committed_op(self, tmp_path_factory, batches):
+        """Held-back insert batches leave the catalog, each relation's rows
+        in order, and the work counters as applying every committed op
+        one at a time does."""
+        path = str(tmp_path_factory.mktemp("wal") / "wal.log")
+        reference = Database()
+        lines = [WAL_HEADER]
+        for tid, (ops, end) in enumerate(batches, start=1):
+            lines.append(f"% txn {tid}")
+            lines.extend(format_op(op) for op in ops)
+            if end == "commit":
+                lines.append(f"% commit {tid}")
+                for op in ops:
+                    apply_op(reference, op)
+            elif end == "torn":
+                lines.append("+ r(1")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        replayed = Database()
+        committed = [ops for ops, end in batches if end == "commit"]
+        assert replay_wal(path, replayed) == (len(committed), sum(map(len, committed)))
+        assert list(replayed.keys()) == list(reference.keys())
+        for key, relation in reference.items():
+            assert list(replayed.get(*key).rows()) == list(relation.rows())
+        assert replayed.counters.snapshot() == reference.counters.snapshot()
+
+    def test_an_insert_run_is_one_batch_per_relation(self, wal_path):
+        wal = WriteAheadLog(wal_path, sync=False)
+        for i in range(5):
+            wal.append_commit([("insert", Atom("edge"), (Num(i), Num(i + 1))),
+                               ("insert", Atom("node"), (Num(i),))])
+        wal.close()
+        db = Database()
+        assert replay_wal(wal_path, db) == (5, 10)
+        assert db.get("edge", 2).version == db.get("node", 1).version == 1
 
 
 class TestTidContinuity:
