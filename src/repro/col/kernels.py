@@ -1,11 +1,11 @@
 """Plan-specialized batch kernels and their per-database cache.
 
 The kernel generator specializes the generic join interpreter against the
-plan shapes both engines already compute -- a NAIL!
-:class:`~repro.opt.literal.LiteralPlan` or a Glue
-:class:`~repro.vm.plan.StmtJoinShape`: key columns, constant positions,
-extraction templates and eq-checks are baked in as tuple indexes, and the
-per-tuple work becomes one dict lookup plus list appends over id arrays.
+:class:`~repro.opt.literal.LiteralPlan` both engines run a literal from
+(a NAIL! rule literal or a Glue scan step): key columns, constant
+positions, extraction templates and eq-checks are baked in as tuple
+indexes, and the per-tuple work becomes one dict lookup plus list appends
+over id arrays.
 
 **Counter parity is the contract.**  Every kernel charges exactly the
 :class:`~repro.storage.stats.CostCounters` increments the row engine
@@ -108,7 +108,7 @@ class ColumnarContext:
         insertion order -- hence output order -- is identical.  Returns the
         table and how the cache served it (see :meth:`_probe_state`).
         """
-        extract_cols = tuple(col for col, _name in plan.extract)
+        extract_cols = plan.extract_cols
         eq_checks = plan.eq_checks
         intern = self.atoms.intern
         intern_row = self.atoms.intern_row
@@ -226,7 +226,7 @@ class ColumnarContext:
     # Glue kernel state
     # ------------------------------------------------------------------ #
 
-    def glue_probe_table(self, target, shape) -> Tuple[dict, str]:
+    def glue_probe_table(self, target, plan) -> Tuple[dict, str]:
         """Suffix table for a Glue scan step: probe key -> suffix rows.
 
         Keys are Term tuples (scalar Terms for single-column keys) and the
@@ -237,9 +237,9 @@ class ColumnarContext:
         space, and the emitted rows feed straight into Term-tuple storage.
         Cached, extended and rebuilt as :meth:`_probe_state` describes.
         """
-        extract = shape.extract_cols
-        eq_checks = shape.eq_checks
-        scalar = len(shape.probe_cols) == 1
+        extract = plan.extract_cols
+        eq_checks = plan.eq_checks
+        scalar = len(plan.probe_cols) == 1
 
         def encode(bucket_key, rows):
             if eq_checks:
@@ -252,9 +252,9 @@ class ColumnarContext:
                 suffixes = [tuple(row[c] for c in extract) for row in rows]
             return (bucket_key[0] if scalar else bucket_key), (len(rows), suffixes)
 
-        key = (target.uid, shape.probe_cols, extract, eq_checks)
+        key = (target.uid, plan.probe_cols, extract, eq_checks)
         return self._probe_state(
-            self._glue_tables, _MAX_GLUE_TABLES, key, target, shape.probe_cols, encode
+            self._glue_tables, _MAX_GLUE_TABLES, key, target, plan.probe_cols, encode
         )
 
 

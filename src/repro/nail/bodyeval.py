@@ -24,7 +24,7 @@ through :mod:`repro.baselines.reference` (see :mod:`repro.oracles`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.bindings import expr_has_agg
 from repro.col import Batch, encode_dicts, project_batch, run_broadcast, run_member, run_probe
@@ -42,7 +42,7 @@ from repro.lang.ast import (
     UnaryOp,
 )
 from repro.nail.rules import JoinPlanner, RuleInfo
-from repro.opt import LiteralPlan, Plan
+from repro.opt import LiteralPlan, Plan, trace_join
 from repro.opt import optimize as _optimize
 from repro.oracles import PRODUCT, Oracles
 from repro.terms.matching import instantiate, match, match_tuple, substitute
@@ -203,34 +203,26 @@ def _probe_key(key_cols, b: Bindings) -> Row:
     )
 
 
+def _candidates(source, plan: LiteralPlan, b: Bindings):
+    """The source rows a binding's key selects: a hash probe when the
+    literal has key columns, else a full scan."""
+    if plan.probe_cols:
+        return source.probe(plan.probe_cols, _probe_key(plan.key_cols, b))
+    return source.scan()
+
+
 def _join_group(
     group: List[Bindings], source, plan: LiteralPlan, out: List[Bindings]
-) -> str:
-    """Join one homogeneously-bound group of bindings against a source.
-
-    Returns the strategy label used (for the tracer).
-    """
-    key_cols = plan.key_cols
-    probe_cols = plan.probe_cols
-    if plan.complex_cols and (plan.complex_has_bound or plan.has_var_keys):
-        # Residual path: some argument is a compound containing variables,
-        # so candidates (narrowed by the hash probe when a key exists)
-        # still go through general matching.
-        for b in group:
-            patterns = tuple(substitute(arg, b) for arg in plan.patterns)
-            if probe_cols:
-                candidates = source.probe(probe_cols, _probe_key(key_cols, b))
-            else:
-                candidates = source.scan()
-            for row in candidates:
-                extended = match_tuple(patterns, row, b)
-                if extended is not None:
-                    out.append(extended)
-        return "probe+match" if probe_cols else "scan+match"
-    if plan.has_var_keys:
+) -> None:
+    """Join one homogeneously-bound group of bindings against a source,
+    by the literal's strategy (``probe``, ``probe+match`` /
+    ``scan+match`` or ``broadcast``)."""
+    strategy = plan.strategy
+    if strategy == "probe":
         # The hot path: hash probe on the shared-variable key, then flat
         # extraction of the new variables straight off each matching row.
-        # (Compound arguments took the residual path above.)
+        key_cols = plan.key_cols
+        probe_cols = plan.probe_cols
         extract = plan.extract
         eq_checks = plan.eq_checks
         for b in group:
@@ -242,30 +234,16 @@ def _join_group(
                 for col, name in extract:
                     extended[name] = row[col]
                 out.append(extended)
-        return "probe"
-    # No shared variables: every binding matches the same candidate rows,
-    # so compute the extension fragments once and broadcast them.
-    if probe_cols:
-        candidates = source.probe(probe_cols, _probe_key(key_cols, {}))
-    else:
-        candidates = source.scan()
-    fragments: List[Bindings] = []
-    for row in candidates:
-        if plan.eq_checks and any(row[c] != row[c0] for c, c0 in plan.eq_checks):
-            continue
-        fragment: Bindings = {}
-        for col, name in plan.extract:
-            fragment[name] = row[col]
-        ok = True
-        for col, pat in plan.complex_cols:
-            matched = match(pat, row[col], fragment)
-            if matched is None:
-                ok = False
-                break
-            fragment = matched
-        if ok:
-            fragments.append(fragment)
-    if fragments:
+    elif strategy == "broadcast":
+        # No shared variables: every binding matches the same candidate
+        # rows, so compute the extension fragments once and broadcast them.
+        fragments: List[Bindings] = []
+        for row in _candidates(source, plan, {}):
+            fragment = _fragment(row, plan)
+            if fragment is not None:
+                fragments.append(fragment)
+        if not fragments:
+            return
         for b in group:
             for fragment in fragments:
                 if fragment:
@@ -274,62 +252,69 @@ def _join_group(
                     out.append(extended)
                 else:
                     out.append(b)
-    return "broadcast"
+    else:
+        # probe+match / scan+match: compound residue.  Candidates (narrowed
+        # by the hash probe when a key exists) go through general matching.
+        for b in group:
+            patterns = tuple(substitute(arg, b) for arg in plan.patterns)
+            for row in _candidates(source, plan, b):
+                extended = match_tuple(patterns, row, b)
+                if extended is not None:
+                    out.append(extended)
+
+
+def _fragment(row: Row, plan: LiteralPlan) -> Optional[Bindings]:
+    """The new variables a candidate row binds, or None when it fails the
+    literal's residual constraints (eq-checks, compound patterns)."""
+    if plan.eq_checks and any(row[c] != row[c0] for c, c0 in plan.eq_checks):
+        return None
+    fragment: Bindings = {}
+    for col, name in plan.extract:
+        fragment[name] = row[col]
+    for col, pat in plan.complex_cols:
+        fragment = match(pat, row[col], fragment)
+        if fragment is None:
+            return None
+    return fragment
 
 
 def _row_survives(row: Row, plan: LiteralPlan) -> bool:
-    """Does a probed candidate satisfy the literal's residual constraints?
-    (Negation treats new variables as existential wildcards.)"""
+    """Does a candidate satisfy the literal's residual constraints?"""
     if plan.eq_checks and any(row[c] != row[c0] for c, c0 in plan.eq_checks):
         return False
-    if plan.complex_cols:
-        fragment: Bindings = {}
-        for col, name in plan.extract:
-            fragment[name] = row[col]
-        for col, pat in plan.complex_cols:
-            matched = match(pat, row[col], fragment)
-            if matched is None:
-                return False
-            fragment = matched
-    return True
+    return not plan.complex_cols or _fragment(row, plan) is not None
 
 
 def _antijoin_group(
     group: List[Bindings], source, plan: LiteralPlan, out: List[Bindings]
-) -> str:
-    """Keep the bindings with *no* matching row: a hash anti-join."""
-    key_cols = plan.key_cols
-    probe_cols = plan.probe_cols
-    if plan.complex_cols and (plan.complex_has_bound or plan.has_var_keys):
+) -> None:
+    """Keep the bindings with *no* matching row: a hash anti-join, by the
+    literal's strategy.  New variables of a negated literal are
+    existential wildcards."""
+    strategy = plan.strategy
+    if strategy == "anti-member":
+        # Fully ground after substitution: one membership test each.
+        key_cols = plan.key_cols
+        for b in group:
+            if not source.contains(_probe_key(key_cols, b)):
+                out.append(b)
+    elif strategy == "anti-probe":
+        for b in group:
+            if not any(_row_survives(row, plan) for row in _candidates(source, plan, b)):
+                out.append(b)
+    elif strategy == "anti-static":
+        # No bound variables at all: one answer for the whole group.
+        if not any(_row_survives(row, plan) for row in _candidates(source, plan, {})):
+            out.extend(group)
+    else:
+        # anti-probe+match / anti-scan+match: compound residue.
         for b in group:
             patterns = tuple(substitute(arg, b) for arg in plan.patterns)
-            if probe_cols:
-                candidates = source.probe(probe_cols, _probe_key(key_cols, b))
-            else:
-                candidates = source.scan()
-            if not any(match_tuple(patterns, row, b) is not None for row in candidates):
+            if not any(
+                match_tuple(patterns, row, b) is not None
+                for row in _candidates(source, plan, b)
+            ):
                 out.append(b)
-        return "anti-match"
-    if plan.has_var_keys:
-        if plan.covers_all_columns:
-            # Fully ground after substitution: one membership test each.
-            for b in group:
-                if not source.contains(_probe_key(key_cols, b)):
-                    out.append(b)
-            return "member"
-        for b in group:
-            hits = source.probe(probe_cols, _probe_key(key_cols, b))
-            if not any(_row_survives(row, plan) for row in hits):
-                out.append(b)
-        return "anti-probe"
-    # No bound variables at all: the test has one answer for the whole group.
-    if probe_cols:
-        candidates = source.probe(probe_cols, _probe_key(key_cols, {}))
-    else:
-        candidates = source.scan()
-    if not any(_row_survives(row, plan) for row in candidates):
-        out.extend(group)
-    return "anti-static"
 
 
 def _grouped_literal(
@@ -339,16 +324,15 @@ def _grouped_literal(
     rows_fn: RowsFn,
     planner: JoinPlanner,
     tracer,
-    runner,
     est_rows: Optional[float] = None,
 ) -> List[Bindings]:
-    """Run ``runner`` (join or anti-join) per homogeneous binding group.
+    """Join or anti-join a literal per homogeneous binding group.
 
     Bindings are grouped by their bound-variable signature (plans depend on
     it; lists are almost always one group) and, for HiLog literals, by the
     value of the predicate-name variables -- so a predicate-variable
-    literal costs one source resolution per distinct name, not one per
-    binding.
+    literal costs one name substitution and one source resolution per
+    distinct name, not one per binding.
     """
     out: List[Bindings] = []
     groups: Dict[frozenset, List[Bindings]] = {}
@@ -356,60 +340,31 @@ def _grouped_literal(
         groups.setdefault(frozenset(b), []).append(b)
     for sig, group in groups.items():
         plan = planner.plan_for(index, sig)
+        by_name: Dict[tuple, List[Bindings]] = {(): group}
         if plan.pred_vars:
-            by_name: Dict[tuple, List[Bindings]] = {}
+            by_name = {}
             for b in group:
                 by_name.setdefault(
                     tuple(b.get(v) for v in plan.pred_vars), []
                 ).append(b)
-            for values, sub in by_name.items():
-                if any(v is None for v in values):
-                    raise GlueRuntimeError(
-                        f"predicate variable in {subgoal.pred} not bound at "
-                        "evaluation time"
-                    )
-                name = substitute(subgoal.pred, dict(zip(plan.pred_vars, values)))
+        runner = _antijoin_group if plan.negated else _join_group
+        for values, sub in by_name.items():
+            name = subgoal.pred
+            if values:
+                if all(v is not None for v in values):
+                    name = substitute(name, dict(zip(plan.pred_vars, values)))
                 if not is_ground(name):
                     raise GlueRuntimeError(
                         f"predicate variable in {subgoal.pred} not bound at "
                         "evaluation time"
                     )
-                source = _as_source(rows_fn(name, plan.arity))
-                before = len(out)
-                strategy = runner(sub, source, plan, out)
-                if tracer is not None and tracer.enabled:
-                    # Unified join-event schema, shared with the Glue VM's
-                    # scan steps (see repro.vm.plan): strategy, key
-                    # columns, est_rows, actual_rows.
-                    added = len(out) - before
-                    tracer.event(
-                        "join",
-                        f"{name}/{plan.arity}",
-                        rows=added,
-                        strategy=strategy,
-                        bindings=len(sub),
-                        source=len(source),
-                        key=list(plan.probe_cols),
-                        est_rows=est_rows,
-                        actual_rows=added,
-                    )
-        else:
-            source = _as_source(rows_fn(subgoal.pred, plan.arity))
+            source = _as_source(rows_fn(name, plan.arity))
             before = len(out)
-            strategy = runner(group, source, plan, out)
-            if tracer is not None and tracer.enabled:
-                added = len(out) - before
-                tracer.event(
-                    "join",
-                    f"{subgoal.pred}/{plan.arity}",
-                    rows=added,
-                    strategy=strategy,
-                    bindings=len(group),
-                    source=len(source),
-                    key=list(plan.probe_cols),
-                    est_rows=est_rows,
-                    actual_rows=added,
-                )
+            runner(sub, source, plan, out)
+            trace_join(
+                tracer, name, plan, plan.strategy, len(sub), len(source),
+                len(out) - before, est_rows,
+            )
     return out
 
 
@@ -607,11 +562,6 @@ def _find_columnar_context(decl: RuleDecl, rows_fn: RowsFn):
     return None
 
 
-def _empty_batch(batch: Batch, plan: LiteralPlan) -> Batch:
-    names = batch.vars + tuple(name for _col, name in plan.extract)
-    return Batch(names, [[] for _ in names], 0, batch.atoms)
-
-
 def _columnar_literal(
     batch: Batch,
     index: int,
@@ -624,8 +574,9 @@ def _columnar_literal(
 ) -> Optional[Batch]:
     """Evaluate one literal against a batch with a specialized kernel.
 
-    Returns the output batch, or None when this literal falls back to the
-    row engine (HiLog predicate variables, compound-term residue, delta /
+    Dispatches on the literal's strategy, as the row path does.  Returns
+    the output batch, or None when this literal falls back to the row
+    engine (HiLog predicate variables, compound-term residue, delta /
     iterable probes, anti-probes) -- the caller then decodes the batch and
     continues on the row path.  Kernels charge exactly the counters the
     row strategies charge and emit the same unified ``join`` trace events,
@@ -633,76 +584,48 @@ def _columnar_literal(
     detail.
     """
     plan = planner.plan_for(index, frozenset(batch.vars))
-    if plan.pred_vars or plan.complex_cols:
+    if plan.pred_vars or plan.extract_cols is None:
         return None
     source = _as_source(fn(subgoal.pred, plan.arity))
-    atoms = ctx.atoms
+    strategy = plan.strategy
+    relation = None
+    if isinstance(source, _RelationSource) and source.relation.columnar is ctx:
+        relation = source.relation
     cached: Optional[str] = None  # kernel-cache status, for the trace
-    if subgoal.negated:
-        if isinstance(source, _EmptySource):
-            # Nothing to match: every binding survives, nothing is charged
-            # (the row strategies agree on both points for absent sources).
+    if strategy == "broadcast":
+        # Candidates come through the source's own probe/scan (one call
+        # per batch), so delta scans charge ``tuples_scanned`` exactly as
+        # the row engine's group-level scan does.
+        out = run_broadcast(batch, plan, source, ctx.atoms, ctx)
+    elif strategy == "anti-static":
+        # Group-level test: one probe/scan decides for the whole batch.
+        if any(_row_survives(row, plan) for row in _candidates(source, plan, {})):
+            out = batch.take(())
+        else:
             out = batch
-            strategy = (
-                ("member" if plan.covers_all_columns else "anti-probe")
-                if plan.has_var_keys
-                else "anti-static"
-            )
-        elif plan.has_var_keys:
-            if not plan.covers_all_columns:
-                return None  # anti-probe keeps the row engine's residual checks
-            if not isinstance(source, _RelationSource) or source.relation.columnar is not ctx:
-                return None
-            rowset, cached = ctx.rowset(source.relation)
-            out = run_member(batch, plan, rowset, source.relation.counters, atoms)
-            strategy = "member"
-        else:
-            # Group-level test: one probe/scan decides for the whole batch.
-            if plan.probe_cols:
-                candidates = source.probe(
-                    plan.probe_cols, _probe_key(plan.key_cols, {})
-                )
-            else:
-                candidates = source.scan()
-            if any(_row_survives(row, plan) for row in candidates):
-                out = Batch(batch.vars, [[] for _ in batch.vars], 0, batch.atoms)
-            else:
-                out = batch
-            strategy = "anti-static"
-    elif plan.has_var_keys:
-        if isinstance(source, _EmptySource):
-            out = _empty_batch(batch, plan)
-        else:
-            if not isinstance(source, _RelationSource) or source.relation.columnar is not ctx:
-                return None  # delta/iterable probes keep the row engine
-            relation = source.relation
-            table, cached = ctx.probe_table(relation, plan)
-            out = run_probe(batch, plan, table, relation.counters, atoms)
-        strategy = "probe"
-    else:
-        # Broadcast: candidates come through the source's own probe/scan
-        # (one call per batch), so delta scans charge ``tuples_scanned``
-        # exactly as the row engine's group-level scan does.
-        out = run_broadcast(batch, plan, source, atoms, ctx)
-        strategy = "broadcast"
+    elif source is _EMPTY_SOURCE:
+        # Nothing to match, nothing charged (the row strategies agree on
+        # both points for absent sources).
+        names = batch.vars + tuple(name for _col, name in plan.extract)
+        out = Batch(names, [[] for _ in names], 0, batch.atoms) if strategy == "probe" else batch
+    elif relation is None or strategy == "anti-probe":
+        # Delta/iterable probes and anti-probes keep the row engine.
+        return None
+    elif strategy == "probe":
+        table, cached = ctx.probe_table(relation, plan)
+        out = run_probe(batch, plan, table, relation.counters, ctx.atoms)
+    else:  # anti-member
+        rowset, cached = ctx.rowset(relation)
+        out = run_member(batch, plan, rowset, relation.counters, ctx.atoms)
+    trace_join(
+        tracer, subgoal.pred, plan, strategy, batch.length, len(source),
+        out.length, est_rows,
+    )
     if tracer is not None and tracer.enabled:
-        label = f"{subgoal.pred}/{plan.arity}"
-        added = out.length
-        tracer.event(
-            "join",
-            label,
-            rows=added,
-            strategy=strategy,
-            bindings=batch.length,
-            source=len(source),
-            key=list(plan.probe_cols),
-            est_rows=est_rows,
-            actual_rows=added,
-        )
         tracer.event(
             "batch_kernel",
-            label,
-            rows=added,
+            f"{subgoal.pred}/{plan.arity}",
+            rows=out.length,
             kernel=strategy,
             batch=batch.length,
             cache=cached,
@@ -892,7 +815,7 @@ def eval_rule_body_batch(
                 if planner is not None:
                     bindings_list = _grouped_literal(
                         bindings_list, index, subgoal, rows_fn, planner, tracer,
-                        _antijoin_group, est_of.get(index),
+                        est_of.get(index),
                     )
                 else:
                     bindings_list = _filter_negation(bindings_list, subgoal, rows_fn)
@@ -901,7 +824,7 @@ def eval_rule_body_batch(
                 if planner is not None:
                     bindings_list = _grouped_literal(
                         bindings_list, index, subgoal, fn, planner, tracer,
-                        _join_group, est_of.get(index),
+                        est_of.get(index),
                     )
                 else:
                     bindings_list = _join_literal(bindings_list, subgoal, fn)

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.analysis.bindings import expr_has_agg, expr_vars, term_vars
 from repro.analysis.scope import pred_skeleton
 from repro.lang.ast import CompareSubgoal, GroupBySubgoal, PredSubgoal, RuleDecl
-from repro.terms.term import Atom, Term, Var, is_ground
+from repro.terms.term import Atom, Term, Var, is_ground, variables
 
 Adornment = str  # e.g. "bbf"
 
@@ -64,11 +64,13 @@ def _magic_name(name: str, adornment: Adornment) -> Atom:
 
 
 def _literal_adornment(args: Sequence[Term], bound: Set[str]) -> Adornment:
-    out = []
-    for arg in args:
-        free = term_vars(arg) - bound
-        out.append("f" if free else "b")
-    return "".join(out)
+    """``b`` for an argument every variable of which is bound; an anonymous
+    variable is never bound, so its position is ``f``."""
+    return "".join(
+        "b" if all(not v.is_anonymous and v.name in bound for v in variables(arg))
+        else "f"
+        for arg in args
+    )
 
 
 def _bound_args(args: Sequence[Term], adornment: Adornment) -> Tuple[Term, ...]:

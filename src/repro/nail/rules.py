@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.bindings import expr_has_agg, expr_vars, term_vars
+from repro.analysis.bindings import (
+    BindingError,
+    check_subgoal_safety,
+    expr_has_agg,
+    subgoal_binds,
+    term_vars,
+)
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.errors import UnsafeRuleError
 from repro.lang.ast import (
@@ -32,7 +38,6 @@ from repro.terms.term import Term, Var, variables
 
 __all__ = [
     "JoinPlanner",
-    "LiteralPlan",
     "RuleInfo",
     "StratumSupport",
     "check_rule_safety",
@@ -109,7 +114,9 @@ class JoinPlanner:
         plan = self._plans.get(key)
         if plan is None:
             subgoal = self.rule.body[index]
-            plan = classify_join_columns(subgoal.pred, subgoal.args, bound)
+            plan = classify_join_columns(
+                subgoal.pred, subgoal.args, bound, subgoal.negated
+            )
             self._plans[key] = plan
         return plan
 
@@ -169,21 +176,13 @@ def check_rule_safety(rule: RuleDecl, demand_bound: Set[str] = frozenset()) -> N
                 for arg in subgoal.args:
                     bound |= term_vars(arg)
         elif isinstance(subgoal, CompareSubgoal):
-            if subgoal.op == "=" and isinstance(subgoal.left, Var) and (
-                subgoal.left.name not in bound
-            ):
-                free = expr_vars(subgoal.right) - bound
-                if free:
-                    raise UnsafeRuleError(
-                        f"binding comparison uses unbound variables {sorted(free)}"
-                    )
-                bound.add(subgoal.left.name)
-            else:
-                free = (expr_vars(subgoal.left) | expr_vars(subgoal.right)) - bound
-                if free:
-                    raise UnsafeRuleError(
-                        f"comparison uses unbound variables {sorted(free)}"
-                    )
+            # The same rule the planner schedules by: ``=`` binds a fresh
+            # variable on either side.
+            try:
+                check_subgoal_safety(subgoal, bound)
+            except BindingError as exc:
+                raise UnsafeRuleError(str(exc)) from exc
+            bound |= subgoal_binds(subgoal, bound)
         elif isinstance(subgoal, GroupBySubgoal):
             free = terms_free(subgoal.terms, bound)
             if free:

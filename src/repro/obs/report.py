@@ -85,7 +85,7 @@ def render_batch_kernel_table(events: Sequence[TraceEvent]) -> List[str]:
     """Columnar kernel activity, one row per ``batch_kernel`` event.
 
     Shows which specialized kernel ran each literal (probe / broadcast /
-    member / anti-static), the batch width it consumed, the rows it
+    anti-member / anti-static), the batch width it consumed, the rows it
     produced, and whether the kernel's hash state came out of the
     per-database cache (``hit``), was brought forward from an older
     version by appending inserted rows (``extend``), or was rebuilt

@@ -10,11 +10,17 @@ engines run written order only as the differential baseline
 (``reference_system(written_order=True)`` in
 :mod:`repro.baselines.reference`).
 
-``classify_join_columns`` and :class:`LiteralPlan` live here (they used
-to be in ``repro.nail.rules``); import them from ``repro.opt``.
+The leaf analysis, :func:`classify_join_columns`, returns one
+:class:`LiteralPlan` per (literal, bound-variable set); both engines run
+the literal from it and name its strategy from :data:`JOIN_STRATEGIES`.
 """
 
-from repro.opt.literal import LiteralPlan, classify_join_columns
+from repro.opt.literal import (
+    JOIN_STRATEGIES,
+    LiteralPlan,
+    classify_join_columns,
+    trace_join,
+)
 from repro.opt.passes import (
     DEFAULT_COST_PIPELINE,
     PASSES,
@@ -27,6 +33,7 @@ from repro.opt.stats import RelationSnapshot, StatsContext, coerce_snapshot
 
 __all__ = [
     "DEFAULT_COST_PIPELINE",
+    "JOIN_STRATEGIES",
     "LiteralPlan",
     "PASSES",
     "PassContext",
@@ -40,4 +47,5 @@ __all__ = [
     "filter_selectivity",
     "fmt_est",
     "optimize",
+    "trace_join",
 ]

@@ -4,21 +4,29 @@ Given one body literal and the set of variables already bound, classify
 each argument position into probe-key columns (constants and bound
 variables), flat extraction targets (new variables), repeated-variable
 equality checks, and residual complex patterns.  The result is everything
-a hash join needs at run time.
-
-Moved here from ``repro.nail.rules`` so both engines -- the NAIL!
-evaluator's :class:`~repro.nail.rules.JoinPlanner` and the Glue VM
-compiler's scan-step builder -- reach it through the shared ``repro.opt``
-planner.
+a hash join needs at run time, and it names the join strategy both
+engines run -- the NAIL! evaluator through its
+:class:`~repro.nail.rules.JoinPlanner`, the Glue VM through the scan and
+anti-join steps its compiler builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bindings import term_vars
 from repro.terms.term import Term, Var, is_ground, variables
+
+#: Every ``strategy`` a ``join`` trace event can carry, in both engines.
+#: ``select`` / ``anti-select`` are the VM's per-row fallback for a
+#: demand-driven NAIL! view, which has no stored extension to hash.
+JOIN_STRATEGIES = frozenset({
+    "probe", "probe+match", "scan+match", "broadcast", "member", "select",
+    "anti-probe", "anti-probe+match", "anti-scan+match", "anti-static",
+    "anti-member", "anti-select",
+})
 
 
 @dataclass(frozen=True)
@@ -32,25 +40,31 @@ class LiteralPlan:
     usable as a :class:`~repro.storage.index.HashIndex` column set.
 
     ``extract`` positions bind new variables straight off the row (a flat
-    extraction template -- no bindings-dict matching); ``eq_checks`` pins a
-    repeated new variable to its first occurrence; ``complex_cols`` holds
-    argument patterns (compounds containing variables) that still need
-    general matching per candidate row.
+    extraction template -- no bindings-dict matching); ``extract_cols`` is
+    the same template as bare columns (new variables in first-appearance
+    order), or None when the literal has compound residue.  ``eq_checks``
+    pins a repeated new variable to its first occurrence; ``complex_cols``
+    holds argument patterns (compounds containing variables) that still
+    need general matching per candidate row.
     """
 
     pred: Term
     pred_vars: Tuple[str, ...]  # vars in the predicate name, first-appearance
     arity: int
     key_cols: Tuple[Tuple[int, str, object], ...]
+    probe_cols: Tuple[int, ...]
     extract: Tuple[Tuple[int, str], ...]
     eq_checks: Tuple[Tuple[int, int], ...]
     complex_cols: Tuple[Tuple[int, Term], ...]
     complex_has_bound: bool  # some complex pattern mentions a bound var
     patterns: Tuple[Term, ...]  # the literal's original argument terms
+    negated: bool
 
     @property
-    def probe_cols(self) -> Tuple[int, ...]:
-        return tuple(col for col, _, _ in self.key_cols)
+    def extract_cols(self) -> Optional[Tuple[int, ...]]:
+        if self.complex_cols:
+            return None
+        return tuple(col for col, _ in self.extract)
 
     @property
     def has_var_keys(self) -> bool:
@@ -65,17 +79,52 @@ class LiteralPlan:
             and not self.complex_cols
         )
 
+    def key_build(self, colindex: Mapping[str, int]):
+        """The probe key positionally: per key column, ``(position, None)``
+        for a bound variable at ``colindex[var]`` of the incoming row or
+        ``(None, const)`` for a ground argument."""
+        return tuple(
+            (None, value) if kind == "const" else (colindex[value], None)
+            for _col, kind, value in self.key_cols
+        )
+
+    @cached_property
+    def strategy(self) -> str:
+        """How the literal runs against one group of bindings (a label in
+        :data:`JOIN_STRATEGIES`).  The NAIL! evaluator dispatches on it."""
+        return self._strategy(keyed=self.has_var_keys, positive_member=False)
+
+    @cached_property
+    def vm_strategy(self) -> str:
+        """The Glue VM's label: :attr:`strategy` except for two VM-only
+        choices -- constant-only keys probe once per row (NAIL! probes
+        once per group and broadcasts), and a fully bound positive
+        literal is a ``member`` test (NAIL! ``probe``s it)."""
+        return self._strategy(keyed=bool(self.key_cols), positive_member=True)
+
+    def _strategy(self, keyed: bool, positive_member: bool) -> str:
+        anti = "anti-" if self.negated else ""
+        if self.complex_cols and (keyed or self.complex_has_bound):
+            # Compound residue: general matching per candidate row.
+            return anti + ("probe+match" if self.key_cols else "scan+match")
+        if not keyed:
+            # One candidate set serves every binding.
+            return "anti-static" if self.negated else "broadcast"
+        if self.covers_all_columns and (self.negated or positive_member):
+            return anti + "member"
+        return anti + "probe"
+
 
 def classify_join_columns(
-    pred: Term, args: Sequence[Term], bound: FrozenSet[str]
+    pred: Term, args: Sequence[Term], bound: FrozenSet[str], negated: bool
 ) -> LiteralPlan:
     """Classify each argument position of a literal given that the
     variables in ``bound`` are ground at evaluation time.
 
     Shared between the NAIL! evaluator (whose :class:`JoinPlanner` memoizes
-    the result per bound-set) and the Glue VM compiler (which maps the
-    bound-variable names onto supplementary-row columns and bakes the
-    result into each scan step).
+    the result per bound-set) and the Glue VM compiler (which keeps the
+    result, with the bound variables mapped onto supplementary-row
+    columns, in each scan and anti-join step).
     """
     pred_vars: List[str] = []
     for v in variables(pred):
@@ -107,9 +156,32 @@ def classify_join_columns(
         pred_vars=tuple(pred_vars),
         arity=len(args),
         key_cols=tuple(key_cols),
+        probe_cols=tuple(col for col, _, _ in key_cols),
         extract=tuple(extract),
         eq_checks=tuple(eq_checks),
         complex_cols=tuple(complex_cols),
         complex_has_bound=complex_has_bound,
         patterns=tuple(args),
+        negated=negated,
     )
+
+
+def trace_join(
+    tracer, name: Term, plan: LiteralPlan, strategy: str, bindings: int,
+    source: Optional[int], rows: int, est_rows: Optional[float],
+) -> None:
+    """Emit the ``join`` trace event both engines write per (literal,
+    resolved source): the strategy, the probe-key columns, the input
+    sizes, and the planner's estimate against the actual output rows."""
+    if tracer is not None and tracer.enabled:
+        tracer.event(
+            "join",
+            f"{name}/{plan.arity}",
+            rows=rows,
+            strategy=strategy,
+            bindings=bindings,
+            source=source,
+            key=list(plan.probe_cols),
+            est_rows=est_rows,
+            actual_rows=rows,
+        )

@@ -103,7 +103,9 @@ def _scan_estimate(subgoal: PredSubgoal, bound: Set[str], ctx: PassContext):
     snap = ctx.stats.lookup(subgoal.pred, len(subgoal.args))
     if snap is None:
         return None
-    lit = classify_join_columns(subgoal.pred, subgoal.args, frozenset(bound))
+    lit = classify_join_columns(
+        subgoal.pred, subgoal.args, frozenset(bound), subgoal.negated
+    )
     return snap.est_matches(lit.probe_cols)
 
 
@@ -336,7 +338,7 @@ def _annotate(
             est = None  # side effects or a call: size unknowable here
         elif isinstance(subgoal, PredSubgoal):
             lit = classify_join_columns(
-                subgoal.pred, subgoal.args, frozenset(bound)
+                subgoal.pred, subgoal.args, frozenset(bound), subgoal.negated
             )
             probe_cols = lit.probe_cols
             if subgoal.negated:

@@ -18,7 +18,6 @@ from repro.analysis.bindings import (
     BindingError,
     analyze_bindings,
     expr_has_agg,
-    expr_vars,
     subgoal_vars,
     term_vars,
     terms_vars,
@@ -31,12 +30,9 @@ from repro.lang.ast import (
     AggCall,
     AssignStmt,
     CompareSubgoal,
-    CondDisjunction,
     EdbDecl,
     EmptyCond,
-    ExportDecl,
     GroupBySubgoal,
-    ImportDecl,
     ModuleDecl,
     PredSubgoal,
     ProcDecl,
@@ -72,7 +68,6 @@ from repro.vm.plan import (
     Replan,
     ScanStep,
     Step,
-    StmtJoinShape,
     TruthStep,
     UnchangedStep,
     UnionStep,
@@ -108,38 +103,6 @@ class _ColumnState:
         for name in names:
             if name not in self.columns:
                 self.columns.append(name)
-
-
-def _join_shape(
-    subgoal: PredSubgoal,
-    known: Set[str],
-    colindex: Dict[str, int],
-    new_vars: Sequence[str],
-) -> StmtJoinShape:
-    """The statement-level join plan of one scan: classify the subgoal's
-    argument pattern with the shared NAIL! literal classifier, then map the
-    bound variable names onto supplementary-row positions so the VM can
-    build probe keys positionally."""
-    lit = classify_join_columns(subgoal.pred, subgoal.args, frozenset(known))
-    key_build = []
-    for _col, kind, value in lit.key_cols:
-        if kind == "const":
-            key_build.append((None, value))
-        else:
-            key_build.append((colindex[value], None))
-    extract_cols: Optional[Tuple[int, ...]] = None
-    if not lit.complex_cols:
-        positions = {name: col for col, name in lit.extract}
-        if all(name in positions for name in new_vars):
-            extract_cols = tuple(positions[name] for name in new_vars)
-    return StmtJoinShape(
-        key_build=tuple(key_build),
-        probe_cols=lit.probe_cols,
-        covers_all=lit.covers_all_columns,
-        extract_cols=extract_cols,
-        eq_checks=lit.eq_checks,
-        residual_bound=lit.complex_has_bound,
-    )
 
 
 def _mark_per_group_aggregates(
@@ -1064,12 +1027,16 @@ class ProgramCompiler:
             ref, name_fn = self._relation_ref(subgoal.pred, arity, scope, colindex)
             if ref.info is not None and ref.info.is_callable:
                 raise CompileError(f"line {line}: cannot negate a procedure call")
+            lit = classify_join_columns(
+                subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
+            )
             return NegScanStep(
                 ref=ref,
                 pattern_fn=compile_pattern(subgoal.args, colindex),
+                lit=lit,
+                key_build=lit.key_build(colindex),
                 name_fn=name_fn,
                 columns_out=tuple(state.columns),
-                join_shape=_join_shape(subgoal, known, colindex, ()),
             )
 
         if is_ground(subgoal.pred):
@@ -1083,12 +1050,16 @@ class ProgramCompiler:
             ref = PredRef(pred=subgoal.pred, arity=arity, info=info)
             new_vars = _ordered_new_vars(subgoal.args, known)
             state.add(new_vars)
+            lit = classify_join_columns(
+                subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
+            )
             return ScanStep(
                 ref=ref,
                 pattern_fn=compile_pattern(subgoal.args, colindex),
+                lit=lit,
+                key_build=lit.key_build(colindex),
                 new_vars=tuple(new_vars),
                 columns_out=tuple(state.columns),
-                join_shape=_join_shape(subgoal, known, colindex, new_vars),
             )
 
         # Predicate-variable (HiLog) subgoal: name instantiated per row.
@@ -1105,13 +1076,17 @@ class ProgramCompiler:
         if self.deref_at_compile_time and not any_callable:
             # Every candidate is a stored/derived relation: go straight to
             # storage at run time (the compile-time dereferencing win).
+            lit = classify_join_columns(
+                subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
+            )
             return ScanStep(
                 ref=ref,
                 pattern_fn=compile_pattern(subgoal.args, colindex),
+                lit=lit,
+                key_build=lit.key_build(colindex),
                 new_vars=tuple(new_vars),
                 name_fn=name_fn,
                 columns_out=tuple(state.columns),
-                join_shape=_join_shape(subgoal, known, colindex, new_vars),
             )
         return DynamicStep(
             ref=ref,

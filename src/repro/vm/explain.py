@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.scope import PredClass
 from repro.opt.plan import fmt_est
 from repro.vm.plan import (
     AggStep,
@@ -44,12 +43,12 @@ def _ref_text(ref: PredRef) -> str:
     return f"{name}/{ref.arity} [dynamic]"
 
 
-def _join_text(shape) -> str:
+def _join_text(step) -> str:
     """The hash-join annotation of a scan: its probe-key columns (empty
     keys mean a broadcast / one-shot test, so nothing is shown)."""
-    if shape is None or not shape.probe_cols:
+    if not step.lit.probe_cols:
         return ""
-    return f" key@{list(shape.probe_cols)}"
+    return f" key@{list(step.lit.probe_cols)}"
 
 
 def _est_text(step: Step) -> str:
@@ -68,10 +67,10 @@ def explain_step(step: Step) -> str:
         detail = _ref_text(step.ref)
         if step.new_vars:
             detail += f" binds({','.join(step.new_vars)})"
-        detail += _join_text(step.join_shape) + _est_text(step)
+        detail += _join_text(step) + _est_text(step)
     elif isinstance(step, NegScanStep):
         kind = "ANTIJOIN"
-        detail = "!" + _ref_text(step.ref) + _join_text(step.join_shape) + _est_text(step)
+        detail = "!" + _ref_text(step.ref) + _join_text(step) + _est_text(step)
     elif isinstance(step, CompareStep):
         kind = "FILTER"
         detail = f"op '{step.op}'"

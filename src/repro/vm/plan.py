@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -21,6 +22,7 @@ from repro.analysis.scope import PredInfo
 from repro.errors import GlueRuntimeError
 from repro.glue.builtins import compare_terms
 from repro.lang.ast import AssignStmt, ProcDecl, RuleDecl
+from repro.opt.literal import LiteralPlan, trace_join
 from repro.terms.matching import match_tuple
 from repro.terms.term import Term, is_ground
 
@@ -46,42 +48,6 @@ class PredRef:
     @property
     def is_dynamic(self) -> bool:
         return not is_ground(self.pred)
-
-
-@dataclass(frozen=True)
-class StmtJoinShape:
-    """The positional join shape of one scan step.
-
-    Computed once at compile time by running the shared literal classifier
-    (:func:`repro.opt.classify_join_columns`) over the subgoal with
-    the statement's already-bound columns as the bound-variable set, then
-    mapping variable names onto supplementary-row positions.  At run time
-    the step uses the shape to execute as a planned hash join -- build (or
-    reuse) the stored side's persistent hash index once, probe it per
-    supplementary row -- instead of re-matching the whole stored relation
-    per accumulated row.
-
-    ``key_build`` produces the probe key from an incoming row: each entry
-    is ``(sup_position, None)`` for a bound variable or ``(None, const)``
-    for a ground argument, listed in stored-column order.  ``probe_cols``
-    are the corresponding stored-side columns (sorted, so they are directly
-    a :class:`~repro.storage.index.HashIndex` column set).  ``covers_all``
-    marks keys that determine the entire stored row (the probe degenerates
-    to a membership test).  ``extract_cols`` is the flat extraction
-    template -- stored positions in new-variable order -- or ``None`` when
-    some argument is a compound containing variables (those keep general
-    per-candidate matching).  ``eq_checks`` are repeated-fresh-variable
-    equalities ``(col, first_col)`` checked on the stored row.
-    ``residual_bound`` marks non-key arguments that mention bound
-    variables (compounds), which make the probe pattern row-dependent.
-    """
-
-    key_build: Tuple[Tuple[Optional[int], Optional[Term]], ...]
-    probe_cols: Tuple[int, ...]
-    covers_all: bool
-    extract_cols: Optional[Tuple[int, ...]]
-    eq_checks: Tuple[Tuple[int, int], ...]
-    residual_bound: bool
 
 
 def _probe_key(key_build, row: Row) -> Row:
@@ -120,14 +86,50 @@ class Step:
         raise NotImplementedError
 
 
+def _candidates_fn(target, lit: LiteralPlan, key_build, counters):
+    """Candidate rows per supplementary row: a bucket of the stored side's
+    persistent hash index when the literal has key columns, else a full
+    scan."""
+    if not lit.probe_cols:
+
+        def scan(row):
+            counters.tuples_scanned += len(target)
+            return target.rows()
+
+        return scan
+    index = target.build_index(lit.probe_cols)
+
+    def probe(row):
+        hits = index.bucket(_probe_key(key_build, row))
+        counters.index_lookups += 1
+        counters.index_probe_tuples += len(hits)
+        return hits
+
+    return probe
+
+
+def _passes_eq_checks(stored: Row, eq_checks) -> bool:
+    return all(stored[c] == stored[c0] for c, c0 in eq_checks)
+
+
 @dataclass
-class ScanStep(Step):
-    """Join the supplementary relation with a stored/derived relation."""
+class _LiteralStep(Step):
+    """A scan or anti-join over one stored/derived relation.
+
+    ``lit`` is the literal's :class:`~repro.opt.literal.LiteralPlan`,
+    classified once at compile time against the statement's bound columns,
+    and ``key_build`` its probe key positionally
+    (:meth:`~repro.opt.literal.LiteralPlan.key_build`).  At run time the
+    step keeps one join state per resolved source (dynamic-name scans get
+    one per distinct name) and runs it per supplementary row: a hash probe,
+    not a relation-wide match.
+    """
 
     ref: PredRef
     pattern_fn: PatternFn
-    new_vars: Tuple[str, ...]
-    join_shape: StmtJoinShape
+    lit: LiteralPlan
+    key_build: Tuple[Tuple[Optional[int], Optional[Term]], ...]
+    new_vars: Tuple[str, ...] = ()
     name_fn: Optional[RowFn] = None  # dynamic predicate-name instantiation
     columns_out: Tuple[str, ...] = ()
     est_rows: Optional[float] = None  # planner's output-size estimate
@@ -137,22 +139,61 @@ class ScanStep(Step):
             return self._iterate_nested(rows, rt, frame)
         return self._iterate_hash(rows, rt, frame)
 
-    def _iterate_nested(self, rows, rt, frame):
-        ref = self.ref
+    def _relations(self, rows, rt, frame):
+        """``(row, relation)`` pairs for the nested oracle: a static name
+        resolves once, a dynamic one per row."""
+        ref, name_fn = self.ref, self.name_fn
         static_rel = None
-        if self.name_fn is None:
+        if name_fn is None:
             static_rel = rt.resolve_relation(ref, ref.pred, frame)
+        for row in rows:
+            if static_rel is None:
+                yield row, rt.resolve_relation(ref, name_fn(row), frame)
+            else:
+                yield row, static_rel
+
+    def _iterate_hash(self, rows, rt, frame):
+        ref = self.ref
+        name_fn = self.name_fn
+        # name -> [emit(row) -> output rows, strategy, source size,
+        #          rows in, rows out]
+        states: Dict[Term, list] = {}
+        try:
+            for row in rows:
+                name = ref.pred if name_fn is None else name_fn(row)
+                state = states.get(name)
+                if state is None:
+                    relation = rt.resolve_relation(ref, name, frame)
+                    state = states[name] = [*self._join_state(relation, rt), 0, 0]
+                state[3] += 1
+                out = state[0](row)
+                state[4] += len(out)
+                yield from out
+        finally:
+            for name, (_emit, strategy, source, rows_in, rows_out) in states.items():
+                trace_join(
+                    rt.ctx.tracer, name, self.lit, strategy, rows_in, source,
+                    rows_out, self.est_rows,
+                )
+
+    def _join_state(self, relation, rt):
+        """``(emit(row) -> output rows, strategy, source size)`` for one
+        resolved source, dispatched on the literal's strategy label."""
+        raise NotImplementedError
+
+
+@dataclass
+class ScanStep(_LiteralStep):
+    """Join the supplementary relation with a stored/derived relation."""
+
+    def _iterate_nested(self, rows, rt, frame):
         new_vars = self.new_vars
         # A flat pattern (each position a constant, a bound variable, or a
         # distinct fresh variable) matches positionally, skipping the
         # per-row bindings dict.
-        shape = self.join_shape
-        extract = None if shape.eq_checks else shape.extract_cols
-        for row in rows:
-            if static_rel is None:
-                relation = rt.resolve_relation(ref, self.name_fn(row), frame)
-            else:
-                relation = static_rel
+        lit = self.lit
+        extract = None if lit.eq_checks else lit.extract_cols
+        for row, relation in self._relations(rows, rt, frame):
             patterns = self.pattern_fn(row)
             if extract is not None and hasattr(relation, "match_rows"):
                 for stored in relation.match_rows(patterns):
@@ -161,52 +202,8 @@ class ScanStep(Step):
             for bindings in relation.select(patterns):
                 yield row + tuple(bindings[v] for v in new_vars)
 
-    def _iterate_hash(self, rows, rt, frame):
-        """Planned set-at-a-time execution: one join state per resolved
-        source (dynamic-name scans get one per distinct name), then a hash
-        probe -- not a relation-wide match -- per supplementary row."""
-        ref = self.ref
-        name_fn = self.name_fn
-        tracer = rt.ctx.tracer
-        states: Dict[Term, list] = {}
-        try:
-            for row in rows:
-                name = ref.pred if name_fn is None else name_fn(row)
-                state = states.get(name)
-                if state is None:
-                    relation = rt.resolve_relation(ref, name, frame)
-                    emit, strategy, source_size = self._join_state(relation, rt)
-                    state = [emit, strategy, source_size, 0, 0]
-                    states[name] = state
-                state[3] += 1
-                out = state[0](row)
-                state[4] += len(out)
-                yield from out
-        finally:
-            if tracer.enabled and states:
-                # Unified join-event schema shared with the NAIL! body
-                # evaluator: strategy, bindings, source, key, est vs actual.
-                for name, (_e, strategy, source_size, rows_in, rows_out) in states.items():
-                    tracer.event(
-                        "join",
-                        f"{name}/{ref.arity}",
-                        rows=rows_out,
-                        strategy=strategy,
-                        bindings=rows_in,
-                        source=source_size,
-                        key=list(self.join_shape.probe_cols),
-                        est_rows=self.est_rows,
-                        actual_rows=rows_out,
-                    )
-
     def _join_state(self, relation, rt):
-        """Pick a join strategy for one resolved source.
-
-        Returns ``(emit(row) -> list[Row], strategy_name, source_size)``.
-        Mirrors the NAIL! body evaluator's strategy menu (member / probe /
-        probe+match / broadcast / scan+match), positionally compiled.
-        """
-        shape = self.join_shape
+        lit = self.lit
         counters = rt.ctx.counters
         new_vars = self.new_vars
         pattern_fn = self.pattern_fn
@@ -214,128 +211,53 @@ class ScanStep(Step):
         if target is None:
             # Demand-driven NAIL! view: no stored extension to hash.
             def select_rows(row):
-                patterns = pattern_fn(row)
                 return [
                     row + tuple(b[v] for v in new_vars)
-                    for b in relation.select(patterns)
+                    for b in relation.select(pattern_fn(row))
                 ]
 
             return select_rows, "select", None
         counters.glue_hash_joins += 1
-        key_build = shape.key_build
-        eq_checks = shape.eq_checks
-        extract = shape.extract_cols
-        if shape.probe_cols:
-            if shape.covers_all:
-                # Fully determined flat pattern: membership test per row.
-                def member(row):
-                    if _probe_key(key_build, row) in target:
-                        counters.index_probe_tuples += 1
-                        return (row,)
-                    return ()
+        strategy = lit.vm_strategy
+        key_build = self.key_build
+        eq_checks = lit.eq_checks
+        extract = lit.extract_cols
+        if strategy == "member":
 
-                return member, "member", len(target)
-            if (
-                extract is not None
-                and not rt.ctx.oracles.row_engine
-                and hasattr(target, "uid")
-            ):
-                # Columnar kernel: the suffix table pre-applies eq-checks
-                # and the extraction template once per (relation version,
-                # shape), so the per-row work is one dict lookup plus a
-                # concatenation.  Counter charges match the row probe
-                # exactly: one lookup per row, probe tuples by raw bucket.
-                table, cached = rt.ctx.db.columnar.glue_probe_table(target, shape)
-                tracer = rt.ctx.tracer
-                if tracer.enabled:
-                    tracer.event(
-                        "batch_kernel",
-                        f"glue:{target.name}/{target.arity}",
-                        kernel="probe",
-                        batch=len(target),
-                        cache=cached,
-                        rows=sum(len(sfx) for _raw, sfx in table.values()),
-                    )
-                if len(key_build) == 1:
-                    pos, const = key_build[0]
-                    if pos is None:
+            def member(row):
+                if _probe_key(key_build, row) in target:
+                    counters.index_probe_tuples += 1
+                    return (row,)
+                return ()
 
-                        def probe_const(row):
-                            counters.index_lookups += 1
-                            entry = table.get(const)
-                            if entry is None:
-                                return ()
-                            raw, suffixes = entry
-                            counters.index_probe_tuples += raw
-                            return [row + sfx for sfx in suffixes]
+            return member, strategy, len(target)
+        if strategy.endswith("+match"):
+            # Compound residue: general matching per candidate row.
+            candidates = _candidates_fn(target, lit, key_build, counters)
 
-                        return probe_const, "probe", len(target)
-
-                    def probe_scalar(row):
-                        counters.index_lookups += 1
-                        entry = table.get(row[pos])
-                        if entry is None:
-                            return ()
-                        raw, suffixes = entry
-                        counters.index_probe_tuples += raw
-                        return [row + sfx for sfx in suffixes]
-
-                    return probe_scalar, "probe", len(target)
-
-                def probe_wide(row):
-                    counters.index_lookups += 1
-                    entry = table.get(_probe_key(key_build, row))
-                    if entry is None:
-                        return ()
-                    raw, suffixes = entry
-                    counters.index_probe_tuples += raw
-                    return [row + sfx for sfx in suffixes]
-
-                return probe_wide, "probe", len(target)
-            index = target.build_index(shape.probe_cols)
-            if extract is not None:
-
-                def probe(row):
-                    hits = index.bucket(_probe_key(key_build, row))
-                    counters.index_lookups += 1
-                    counters.index_probe_tuples += len(hits)
-                    if eq_checks:
-                        return [
-                            row + tuple(stored[c] for c in extract)
-                            for stored in hits
-                            if all(stored[c] == stored[c0] for c, c0 in eq_checks)
-                        ]
-                    return [row + tuple(stored[c] for c in extract) for stored in hits]
-
-                return probe, "probe", len(target)
-
-            def probe_match(row):
-                hits = index.bucket(_probe_key(key_build, row))
-                counters.index_lookups += 1
-                counters.index_probe_tuples += len(hits)
+            def match_rows(row):
                 patterns = pattern_fn(row)
                 out = []
-                for stored in hits:
+                for stored in candidates(row):
                     bindings = match_tuple(patterns, stored)
                     if bindings is not None:
                         out.append(row + tuple(bindings[v] for v in new_vars))
                 return out
 
-            return probe_match, "probe+match", len(target)
-        if shape.residual_bound:
-            # Compounds mention bound variables: the pattern is
-            # row-dependent even without key columns.
-            def scan_match(row):
-                patterns = pattern_fn(row)
-                counters.tuples_scanned += len(target)
-                out = []
-                for stored in target.rows():
-                    bindings = match_tuple(patterns, stored)
-                    if bindings is not None:
-                        out.append(row + tuple(bindings[v] for v in new_vars))
-                return out
+            return match_rows, strategy, len(target)
+        if strategy == "probe":
+            if not rt.ctx.oracles.row_engine and hasattr(target, "uid"):
+                return self._kernel_probe(target, rt), strategy, len(target)
+            probe_hits = _candidates_fn(target, lit, key_build, counters)
 
-            return scan_match, "scan+match", len(target)
+            def probe(row):
+                return [
+                    row + tuple(stored[c] for c in extract)
+                    for stored in probe_hits(row)
+                    if not eq_checks or _passes_eq_checks(stored, eq_checks)
+                ]
+
+            return probe, strategy, len(target)
 
         # No key columns and a row-independent pattern: compute the new
         # column fragments once and broadcast them across all rows.
@@ -345,54 +267,87 @@ class ScanStep(Step):
             nonlocal fragments
             if fragments is None:
                 counters.tuples_scanned += len(target)
-                fragments = []
                 if extract is not None:
-                    for stored in target.rows():
-                        if eq_checks and not all(
-                            stored[c] == stored[c0] for c, c0 in eq_checks
-                        ):
-                            continue
-                        fragments.append(tuple(stored[c] for c in extract))
+                    fragments = [
+                        tuple(stored[c] for c in extract)
+                        for stored in target.rows()
+                        if not eq_checks or _passes_eq_checks(stored, eq_checks)
+                    ]
                 else:
                     patterns = pattern_fn(row)
+                    fragments = []
                     for stored in target.rows():
                         bindings = match_tuple(patterns, stored)
                         if bindings is not None:
                             fragments.append(tuple(bindings[v] for v in new_vars))
             return [row + fragment for fragment in fragments]
 
-        return broadcast, "broadcast", len(target)
+        return broadcast, strategy, len(target)
+
+    def _kernel_probe(self, target, rt):
+        """The columnar probe: the suffix table pre-applies eq-checks and
+        the extraction template once per (relation version, literal), so
+        the per-row work is one dict lookup plus a concatenation.  Counter
+        charges match the row probe exactly: one lookup per row, probe
+        tuples by raw bucket."""
+        counters = rt.ctx.counters
+        table, cached = rt.ctx.db.columnar.glue_probe_table(target, self.lit)
+        tracer = rt.ctx.tracer
+        if tracer.enabled:
+            tracer.event(
+                "batch_kernel",
+                f"glue:{target.name}/{target.arity}",
+                kernel="probe",
+                batch=len(target),
+                cache=cached,
+                rows=sum(len(sfx) for _raw, sfx in table.values()),
+            )
+        key_build = self.key_build
+        pos, const = key_build[0]
+        if len(key_build) == 1 and pos is not None:
+
+            def probe_scalar(row):
+                counters.index_lookups += 1
+                entry = table.get(row[pos])
+                if entry is None:
+                    return ()
+                raw, suffixes = entry
+                counters.index_probe_tuples += raw
+                return [row + sfx for sfx in suffixes]
+
+            return probe_scalar
+        if len(key_build) > 1:
+            key_of = partial(_probe_key, key_build)
+        else:
+            # A one-column table is keyed by the bare value; a constant-only
+            # key is the same lookup for every row (VM-only: NAIL! probes
+            # once and broadcasts).
+            def key_of(_row):
+                return const
+
+        def probe_keyed(row):
+            counters.index_lookups += 1
+            entry = table.get(key_of(row))
+            if entry is None:
+                return ()
+            raw, suffixes = entry
+            counters.index_probe_tuples += raw
+            return [row + sfx for sfx in suffixes]
+
+        return probe_keyed
 
 
 @dataclass
-class NegScanStep(Step):
+class NegScanStep(_LiteralStep):
     """Anti-join: keep rows with no matching tuple (safe negation)."""
 
-    ref: PredRef
-    pattern_fn: PatternFn
-    join_shape: StmtJoinShape
-    name_fn: Optional[RowFn] = None
-    columns_out: Tuple[str, ...] = ()
-    est_rows: Optional[float] = None  # planner's output-size estimate
-
-    def iterate(self, rows, rt, frame):
-        if rt.ctx.oracles.nested_joins:
-            return self._iterate_nested(rows, rt, frame)
-        return self._iterate_hash(rows, rt, frame)
-
     def _iterate_nested(self, rows, rt, frame):
-        static_rel = None
-        if self.name_fn is None:
-            static_rel = rt.resolve_relation(self.ref, self.ref.pred, frame)
         # A flat pattern (no compound with variables, no repeated fresh
         # variable) needs no real matching: the existence check is a
         # positional filter.
-        shape = self.join_shape
-        flat = shape.extract_cols is not None and not shape.eq_checks
-        for row in rows:
-            relation = static_rel
-            if relation is None:
-                relation = rt.resolve_relation(self.ref, self.name_fn(row), frame)
+        lit = self.lit
+        flat = lit.extract_cols is not None and not lit.eq_checks
+        for row, relation in self._relations(rows, rt, frame):
             patterns = self.pattern_fn(row)
             if flat and hasattr(relation, "match_rows"):
                 matched = next(iter(relation.match_rows(patterns)), None)
@@ -401,99 +356,52 @@ class NegScanStep(Step):
             if matched is None:
                 yield row
 
-    def _iterate_hash(self, rows, rt, frame):
-        """Hash anti-join: keep rows whose probe finds no witness."""
-        ref = self.ref
-        name_fn = self.name_fn
-        tracer = rt.ctx.tracer
-        states: Dict[Term, list] = {}
-        try:
-            for row in rows:
-                name = ref.pred if name_fn is None else name_fn(row)
-                state = states.get(name)
-                if state is None:
-                    relation = rt.resolve_relation(ref, name, frame)
-                    survives, strategy, source_size = self._join_state(relation, rt)
-                    state = [survives, strategy, source_size, 0, 0]
-                    states[name] = state
-                state[3] += 1
-                if state[0](row):
-                    state[4] += 1
-                    yield row
-        finally:
-            if tracer.enabled and states:
-                for name, (_s, strategy, source_size, rows_in, rows_out) in states.items():
-                    tracer.event(
-                        "join",
-                        f"{name}/{ref.arity}",
-                        rows=rows_out,
-                        strategy=strategy,
-                        bindings=rows_in,
-                        source=source_size,
-                        key=list(self.join_shape.probe_cols),
-                        est_rows=self.est_rows,
-                        actual_rows=rows_out,
-                    )
-
     def _join_state(self, relation, rt):
-        """Pick an anti-join strategy: ``(survives(row) -> bool, name, size)``."""
-        shape = self.join_shape
+        """Emit ``(row,)`` when the row has no witness, ``()`` otherwise."""
+        lit = self.lit
         counters = rt.ctx.counters
         pattern_fn = self.pattern_fn
         target = _joinable_relation(relation)
         if target is None:
             def select_absent(row):
-                patterns = pattern_fn(row)
-                return next(iter(relation.select(patterns)), None) is None
+                if next(iter(relation.select(pattern_fn(row))), None) is None:
+                    return (row,)
+                return ()
 
             return select_absent, "anti-select", None
         counters.glue_hash_joins += 1
-        key_build = shape.key_build
-        eq_checks = shape.eq_checks
-        flat = shape.extract_cols is not None  # no compound arguments
-        if shape.probe_cols:
-            if shape.covers_all:
-                def absent(row):
-                    if _probe_key(key_build, row) in target:
-                        counters.index_probe_tuples += 1
-                        return False
-                    return True
+        strategy = lit.vm_strategy
+        key_build = self.key_build
+        eq_checks = lit.eq_checks
+        if strategy == "anti-member":
 
-                return absent, "anti-member", len(target)
-            index = target.build_index(shape.probe_cols)
-            if flat:
+            def absent(row):
+                if _probe_key(key_build, row) in target:
+                    counters.index_probe_tuples += 1
+                    return ()
+                return (row,)
 
-                def anti_probe(row):
-                    hits = index.bucket(_probe_key(key_build, row))
-                    counters.index_lookups += 1
-                    counters.index_probe_tuples += len(hits)
-                    if not eq_checks:
-                        return not hits
-                    for stored in hits:
-                        if all(stored[c] == stored[c0] for c, c0 in eq_checks):
-                            return False
-                    return True
+            return absent, strategy, len(target)
+        if strategy == "anti-probe":
+            probe_hits = _candidates_fn(target, lit, key_build, counters)
 
-                return anti_probe, "anti-probe", len(target)
+            def anti_probe(row):
+                for stored in probe_hits(row):
+                    if not eq_checks or _passes_eq_checks(stored, eq_checks):
+                        return ()
+                return (row,)
 
-            def anti_probe_match(row):
-                hits = index.bucket(_probe_key(key_build, row))
-                counters.index_lookups += 1
-                counters.index_probe_tuples += len(hits)
+            return anti_probe, strategy, len(target)
+        if strategy.endswith("+match"):
+            candidates = _candidates_fn(target, lit, key_build, counters)
+
+            def anti_match(row):
                 patterns = pattern_fn(row)
-                return not any(match_tuple(patterns, s) is not None for s in hits)
+                if any(match_tuple(patterns, s) is not None for s in candidates(row)):
+                    return ()
+                return (row,)
 
-            return anti_probe_match, "anti-probe+match", len(target)
-        if shape.residual_bound:
-
-            def anti_scan(row):
-                patterns = pattern_fn(row)
-                counters.tuples_scanned += len(target)
-                return not any(
-                    match_tuple(patterns, s) is not None for s in target.rows()
-                )
-
-            return anti_scan, "anti-scan+match", len(target)
+            return anti_match, strategy, len(target)
 
         # Row-independent pattern: one existence test serves every row.
         verdict = None
@@ -506,9 +414,9 @@ class NegScanStep(Step):
                 verdict = not any(
                     match_tuple(patterns, s) is not None for s in target.rows()
                 )
-            return verdict
+            return (row,) if verdict else ()
 
-        return anti_static, "anti-static", len(target)
+        return anti_static, strategy, len(target)
 
 
 @dataclass

@@ -226,7 +226,7 @@ class TestBatchKernelTracing:
         kernels = [e for e in sink.events if e.kind == "batch_kernel"]
         assert kernels
         assert {e.attrs["kernel"] for e in kernels} <= {
-            "probe", "broadcast", "member", "anti-static", "anti-probe",
+            "probe", "broadcast", "anti-member", "anti-static", "anti-probe",
         }
         # Repeated rounds against the static edge relation reuse the
         # cached kernel state.

@@ -38,23 +38,16 @@ SHAPES = [
 ]
 
 
-def nail_plan(probe_cols, extract_cols, eq_checks):
-    return SimpleNamespace(
-        probe_cols=probe_cols,
-        extract=tuple((c, f"V{c}") for c in extract_cols),
-        eq_checks=eq_checks,
-    )
-
-
-def glue_shape(probe_cols, extract_cols, eq_checks):
+def literal_plan(probe_cols, extract_cols, eq_checks):
+    """The fields of a LiteralPlan the probe-table builders read."""
     return SimpleNamespace(
         probe_cols=probe_cols, extract_cols=extract_cols, eq_checks=eq_checks
     )
 
 
 KINDS = {
-    "nail": (ColumnarContext.probe_table, nail_plan),
-    "glue": (ColumnarContext.glue_probe_table, glue_shape),
+    "nail": (ColumnarContext.probe_table, literal_plan),
+    "glue": (ColumnarContext.glue_probe_table, literal_plan),
 }
 
 
@@ -203,7 +196,7 @@ class TestExtension:
         # The extension path still asks the relation for its index, so a
         # frozen clone (which starts without indexes) charges its build.
         ctx = ColumnarContext()
-        plan = nail_plan((0,), (1, 2), ())
+        plan = literal_plan((0,), (1, 2), ())
         relation = self.relation([(i, i, i) for i in range(10)])
         ctx.probe_table(relation.freeze(), plan)
         relation.insert(term_row((10, 10, 10)))

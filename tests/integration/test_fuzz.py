@@ -36,7 +36,10 @@ def datalog_programs(draw):
     """A small stratified program over EDB preds e0/2, e1/2.
 
     Shape: one recursive predicate (p), one derived filter predicate (q),
-    optionally a negation stratum (r).
+    optionally a negation stratum (r), and optional rules for the other
+    rows of the join-strategy menu: a constant-only key (s), a repeated
+    fresh variable (t), a fully bound positive literal (u) and a
+    right-hand ``=`` binder (v).
     """
     lines = ["p(X, Y) :- e0(X, Y)."]
     if draw(st.booleans()):
@@ -51,6 +54,14 @@ def datalog_programs(draw):
         lines.append("q(X) :- p(X, Y) & X < Y.")
     if draw(st.booleans()):
         lines.append("r(X) :- e1(X, _) & !p(X, X).")
+    if draw(st.booleans()):
+        lines.append("s(Y) :- e0(3, Y).")
+    if draw(st.booleans()):
+        lines.append("t(X) :- e0(X, X).")
+    if draw(st.booleans()):
+        lines.append("u(X, Y) :- p(X, Y) & e1(X, Y).")
+    if draw(st.booleans()):
+        lines.append("v(X, Y) :- e0(X, _) & 2 = Y.")
     return "\n".join(lines)
 
 
@@ -139,7 +150,10 @@ def test_strategies_and_optimizer_agree_random_edb(e0, e1, written_order, dedup)
 ALL_ORACLES = dict(
     nested_joins=True, row_engine=True, written_order=True, naive_fixpoint=True
 )
-ALL_PREDS = (("p", 2), ("q", 1), ("r", 1), ("out", 2), ("agg", 2), ("chain", 2))
+ALL_PREDS = (
+    ("p", 2), ("q", 1), ("r", 1), ("s", 1), ("t", 1), ("u", 2), ("v", 2),
+    ("out", 2), ("agg", 2), ("chain", 2),
+)
 
 
 @given(datalog_programs(), edb_rows, edb_rows, st.integers(0, 5))

@@ -45,6 +45,17 @@ class TestTransform:
         assert program.adornment == "ff"
         assert program.seed_row == ()
 
+    def test_anonymous_argument_is_free(self):
+        # The magic rule for q must not carry ``_`` into its head.
+        rules = rules_of("p(X, Y) :- q(X, _) & e(Y).\nq(X, Y) :- e2(X, Y).")
+        program = magic_transform(rules, Atom("p"), (Num(1), Var("Y")))
+        assert any("q@bf" in str(r.head_pred) for r in program.rules)
+        db = Database()
+        db.facts("e", [(5,)])
+        db.facts("e2", [(1, 2), (3, 4)])
+        answers, _engine = magic_query(db, rules, Atom("p"), (Num(1), Var("Y")))
+        assert sorted(map(str, answers)) == ["(Num(value=1), Num(value=5))"]
+
     def test_unknown_predicate(self):
         with pytest.raises(MagicTransformError):
             magic_transform(rules_of(PATH), Atom("nope"), (Num(1),))

@@ -42,6 +42,14 @@ class TestSafety:
     def test_binding_comparison_counts_as_bound(self):
         check_rule_safety(parse_rule("p(X, D) :- e(X) & D = X * 2."))
 
+    def test_right_hand_binding_comparison_counts_as_bound(self):
+        check_rule_safety(parse_rule("h(X) :- e(X, Y) & a = Y."))
+        check_rule_safety(parse_rule("h(Y) :- e(X) & k(a, b, Z) & Z = Y."))
+
+    def test_comparison_with_both_sides_unbound(self):
+        with pytest.raises(UnsafeRuleError, match="comparison"):
+            check_rule_safety(parse_rule("p(X) :- e(X) & Y = Z."))
+
     def test_pred_var_must_be_bound(self):
         with pytest.raises(UnsafeRuleError, match="predicate variable"):
             check_rule_safety(parse_rule("p(X) :- S(X)."))
@@ -101,3 +109,34 @@ class TestPrepareRules:
         (info,) = prepare_rules([parse_rule("p(X, f(Y)) :- e(X, Y).")])
         assert info.head_vars == {"X", "Y"}
 
+
+
+class TestRightHandBinder:
+    """``a = Y`` binds ``Y`` as ``Y = a`` does, in every NAIL! entry point."""
+
+    SOURCE = """
+    e(1, a). e(2, b). e(3, a).
+    k(a, b, 7).
+    h(X) :- e(X, Y) & a = Y.
+    g(X, Y) :- e(X, _) & k(a, b, Z) & Z = Y.
+    """
+
+    def test_rows_query_and_magic(self):
+        from repro.core.query import rows_to_python
+        from tests.conftest import make_system
+
+        system = make_system(self.SOURCE)
+        assert rows_to_python(system.rows("h", 1)) == [(1,), (3,)]
+        assert rows_to_python(system.rows("g", 2)) == [(1, 7), (2, 7), (3, 7)]
+        assert sorted(rows_to_python(list(system.query("h(X)?")))) == [(1,), (3,)]
+        assert rows_to_python(list(system.query_magic("g(2, Y)?"))) == [(2, 7)]
+
+    def test_matches_left_hand_form(self):
+        from tests.conftest import make_system
+
+        right = make_system(self.SOURCE)
+        left = make_system(self.SOURCE.replace("a = Y", "Y = a").replace(
+            "Z = Y", "Y = Z"
+        ))
+        for name, arity in (("h", 1), ("g", 2)):
+            assert right.rows(name, arity) == left.rows(name, arity)

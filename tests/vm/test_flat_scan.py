@@ -16,8 +16,7 @@ def scan_steps(system, proc_name, arity):
 def is_flat(step):
     """A flat pattern extracts positionally: no compound with variables
     (``extract_cols`` set) and no repeated fresh variable (no eq-checks)."""
-    shape = step.join_shape
-    return shape.extract_cols is not None and not shape.eq_checks
+    return step.lit.extract_cols is not None and not step.lit.eq_checks
 
 
 class TestFlatDetection:
