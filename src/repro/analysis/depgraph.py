@@ -78,14 +78,17 @@ def build_dependency_graph(rules: Iterable[RuleDecl]) -> DependencyGraph:
     for rule in rules:
         head = pred_skeleton(rule.head_pred, len(rule.head_args))
         for skeleton, negative in rule_body_dependencies(rule):
-            if skeleton[0] is None:
-                # Predicate variable: it may only range over EDB relations
-                # (checked by the engine), which are never IDB nodes, so it
-                # adds no graph edge.
-                continue
-            if graph.has_edge(head, skeleton):
-                if negative:
-                    graph[head][skeleton]["negative"] = True
-            else:
-                graph.add_edge(head, skeleton, negative=negative)
+            # A predicate variable ranges over every name (HiLog's set of
+            # names), so it reads each NAIL! predicate of its arity.
+            targets = (
+                [s for s in rules_by_head if s[2] == skeleton[2]]
+                if skeleton[0] is None
+                else [skeleton]
+            )
+            for target in targets:
+                if graph.has_edge(head, target):
+                    if negative:
+                        graph[head][target]["negative"] = True
+                else:
+                    graph.add_edge(head, target, negative=negative)
     return DependencyGraph(graph=graph, rules_by_head=rules_by_head)

@@ -10,9 +10,11 @@ runnable:
   dereferencing; experiment E8.
 * :mod:`repro.baselines.reference` -- the product's own replaced paths as
   whole configurations: the naive fixpoint (full re-derivation instead of
-  seminaive/uniondiff; experiment E6), nested-loop joins, the row engine
-  and written body order (ablation A1).  The only way to reach them: no
-  product constructor, CLI flag or REPL command selects one.
+  seminaive/uniondiff; experiment E6), the row engine (the reference for
+  counter parity with the columnar kernels) and written body order
+  (ablation A1).  The only way to reach them: no product constructor, CLI
+  flag or REPL command selects one.  Row answers are checked against an
+  independent reference instead, the sqlite3 evaluator in ``tests/oracle``.
 * :class:`repro.storage.adaptive.NeverIndexPolicy` /
   :class:`~repro.storage.adaptive.AlwaysIndexPolicy` -- the degenerate
   indexing policies around the adaptive one; experiment E5.

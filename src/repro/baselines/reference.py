@@ -1,13 +1,13 @@
 """The product's own baselines, kept as differential references.
 
-Four paths the product replaced stay runnable so tests and ablations can
-compare against them (see :mod:`repro.oracles`): nested-loop joins, the
-binding-dict row engine, written body order and the naive fixpoint.  No
+Three paths the product replaced stay runnable so tests and ablations can
+compare against them (see :mod:`repro.oracles`): the binding-dict row
+engine, written body order and the naive fixpoint.  No
 product constructor, CLI flag or REPL command selects one; these helpers
 are the only way in::
 
     reference_system(naive_fixpoint=True, written_order=True)
-    reference_engine(db, rules, nested_joins=True)
+    reference_engine(db, rules, row_engine=True)
     reference_server(row_engine=True, port=0, program=source)
 
 With every flag off each helper builds exactly the product.  Lower layers
@@ -46,7 +46,6 @@ class _ReferenceServer(GlueNailServer):
 
 def reference_system(
     *,
-    nested_joins: bool = False,
     row_engine: bool = False,
     written_order: bool = False,
     naive_fixpoint: bool = False,
@@ -54,7 +53,7 @@ def reference_system(
 ) -> GlueNailSystem:
     """A :class:`GlueNailSystem` (``system_kwargs`` as its constructor's)
     whose compiler, VM and NAIL! engine run the chosen baselines."""
-    oracles = Oracles(nested_joins, row_engine, written_order, naive_fixpoint)
+    oracles = Oracles(row_engine, written_order, naive_fixpoint)
     return _system(oracles, **system_kwargs)
 
 
@@ -62,7 +61,6 @@ def reference_engine(
     db: Database,
     rules: Sequence[RuleDecl],
     *,
-    nested_joins: bool = False,
     row_engine: bool = False,
     written_order: bool = False,
     naive_fixpoint: bool = False,
@@ -70,13 +68,12 @@ def reference_engine(
 ) -> NailEngine:
     """A :class:`NailEngine` (``engine_kwargs`` as its constructor's) that
     runs the chosen baselines."""
-    oracles = Oracles(nested_joins, row_engine, written_order, naive_fixpoint)
+    oracles = Oracles(row_engine, written_order, naive_fixpoint)
     return NailEngine(db, rules, oracles=oracles, **engine_kwargs)
 
 
 def reference_server(
     *,
-    nested_joins: bool = False,
     row_engine: bool = False,
     written_order: bool = False,
     naive_fixpoint: bool = False,
@@ -84,5 +81,5 @@ def reference_server(
 ) -> GlueNailServer:
     """A :class:`GlueNailServer` (``server_kwargs`` as its constructor's)
     whose sessions and subscription host run the chosen baselines."""
-    oracles = Oracles(nested_joins, row_engine, written_order, naive_fixpoint)
+    oracles = Oracles(row_engine, written_order, naive_fixpoint)
     return _ReferenceServer(oracles=oracles, **server_kwargs)

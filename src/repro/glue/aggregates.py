@@ -28,6 +28,26 @@ def _numeric_values(op: str, values: Sequence[Term]) -> List[float]:
     return out
 
 
+def _number(op: str, value) -> Num:
+    """A numeric aggregate's result; NaN is a runtime error, not a value."""
+    if value != value:
+        raise GlueRuntimeError(f"{op} has no numeric value (NaN)")
+    return Num(value)
+
+
+def _sum(op: str, nums: List[float]):
+    """Exact over integers; over floats correctly rounded (``math.fsum``),
+    so the answer does not depend on the order the group arrives in."""
+    if all(isinstance(n, int) for n in nums):
+        return sum(nums)
+    try:
+        return math.fsum(nums)
+    except ValueError:  # inf and -inf in one group
+        raise GlueRuntimeError(f"{op} has no numeric value (NaN)") from None
+    except OverflowError:  # finite values whose sum leaves the float range
+        return sum(nums)
+
+
 def _agg_min(values: Sequence[Term]) -> Term:
     return min(values, key=sort_key)
 
@@ -37,26 +57,26 @@ def _agg_max(values: Sequence[Term]) -> Term:
 
 
 def _agg_sum(values: Sequence[Term]) -> Term:
-    return Num(sum(_numeric_values("sum", values)))
+    return _number("sum", _sum("sum", _numeric_values("sum", values)))
 
 
 def _agg_product(values: Sequence[Term]) -> Term:
     result = 1
     for value in _numeric_values("product", values):
         result *= value
-    return Num(result)
+    return _number("product", result)
 
 
 def _agg_mean(values: Sequence[Term]) -> Term:
     nums = _numeric_values("mean", values)
-    return Num(sum(nums) / len(nums))
+    return _number("mean", _sum("mean", nums) / len(nums))
 
 
 def _agg_std_dev(values: Sequence[Term]) -> Term:
     nums = _numeric_values("std_dev", values)
-    mean = sum(nums) / len(nums)
-    variance = sum((x - mean) ** 2 for x in nums) / len(nums)
-    return Num(math.sqrt(variance))
+    mean = _sum("std_dev", nums) / len(nums)
+    variance = _sum("std_dev", [(x - mean) ** 2 for x in nums]) / len(nums)
+    return _number("std_dev", math.sqrt(variance))
 
 
 def _agg_count(values: Sequence[Term]) -> Term:

@@ -24,29 +24,33 @@ Row = Tuple[Term, ...]
 
 
 def term_arith(op: str, left: Term, right: Term) -> Term:
-    """Binary arithmetic; both operands must be numbers."""
+    """Binary arithmetic; both operands must be numbers.  A NaN result
+    (``inf - inf``, ``inf * 0``) is a runtime error: NaN is no value."""
     if not isinstance(left, Num) or not isinstance(right, Num):
         raise GlueRuntimeError(f"arithmetic '{op}' needs numbers, got {left} {op} {right}")
     a, b = left.value, right.value
     if op == "+":
-        return Num(a + b)
-    if op == "-":
-        return Num(a - b)
-    if op == "*":
-        return Num(a * b)
-    if op == "/":
+        result = a + b
+    elif op == "-":
+        result = a - b
+    elif op == "*":
+        result = a * b
+    elif op == "/":
         if b == 0:
             raise GlueRuntimeError("division by zero")
-        result = a / b
         # Exact integer division stays integral so 4/2 joins with 2.
         if isinstance(a, int) and isinstance(b, int) and a % b == 0:
             return Num(a // b)
-        return Num(result)
-    if op == "mod":
+        result = a / b
+    elif op == "mod":
         if b == 0:
             raise GlueRuntimeError("mod by zero")
-        return Num(a % b)
-    raise GlueRuntimeError(f"unknown arithmetic operator {op}")
+        result = a % b
+    else:
+        raise GlueRuntimeError(f"unknown arithmetic operator {op}")
+    if result != result:
+        raise GlueRuntimeError(f"{left} {op} {right} has no numeric value (NaN)")
+    return Num(result)
 
 
 def compare_terms(op: str, left: Term, right: Term) -> bool:

@@ -17,9 +17,9 @@ incrementally-maintained hash indexes), a seminaive
 :class:`~repro.nail.seminaive.DeltaRelation` (per-key hash maps built once
 per round), or any plain iterable (hashed on first probe).  Negation runs
 as a hash anti-join, and a fully-ground negated literal is a single
-membership test.  The pre-hash-join nested-loop evaluator and the
-binding-dict row engine stay as differential baselines, reachable only
-through :mod:`repro.baselines.reference` (see :mod:`repro.oracles`).
+membership test.  The binding-dict row engine stays as a differential
+baseline for the columnar kernels, reachable only through
+:mod:`repro.baselines.reference` (see :mod:`repro.oracles`).
 """
 
 from __future__ import annotations
@@ -369,50 +369,6 @@ def _grouped_literal(
 
 
 # ---------------------------------------------------------------------- #
-# the nested-loop baseline (pre-hash-join semantics, for differentials)
-# ---------------------------------------------------------------------- #
-
-
-def _join_literal(
-    bindings_list: List[Bindings],
-    subgoal: PredSubgoal,
-    rows_fn: RowsFn,
-) -> List[Bindings]:
-    out: List[Bindings] = []
-    arity = len(subgoal.args)
-    for b in bindings_list:
-        name = substitute(subgoal.pred, b)
-        if not is_ground(name):
-            raise GlueRuntimeError(
-                f"predicate variable in {subgoal.pred} not bound at evaluation time"
-            )
-        patterns = tuple(substitute(arg, b) for arg in subgoal.args)
-        for row in _as_source(rows_fn(name, arity)).scan():
-            extended = match_tuple(patterns, row, b)
-            if extended is not None:
-                out.append(extended)
-    return out
-
-
-def _filter_negation(
-    bindings_list: List[Bindings], subgoal: PredSubgoal, rows_fn: RowsFn
-) -> List[Bindings]:
-    out: List[Bindings] = []
-    arity = len(subgoal.args)
-    for b in bindings_list:
-        name = substitute(subgoal.pred, b)
-        patterns = tuple(substitute(arg, b) for arg in subgoal.args)
-        matched = False
-        for row in _as_source(rows_fn(name, arity)).scan():
-            if match_tuple(patterns, row, b) is not None:
-                matched = True
-                break
-        if not matched:
-            out.append(b)
-    return out
-
-
-# ---------------------------------------------------------------------- #
 # comparisons, aggregation, the body walk
 # ---------------------------------------------------------------------- #
 
@@ -698,31 +654,23 @@ def eval_rule_body_batch(
     else:
         decl = rule
         planner = JoinPlanner(decl)
-    if oracles.nested_joins:
-        planner = None
-    var_order = planner.var_order if planner is not None else ()
+    var_order = planner.var_order
 
-    # Columnar batches apply to planned (hash) bodies without aggregates;
+    # Columnar batches apply to bodies without aggregates;
     # the kernels themselves fall back per literal for HiLog names,
     # compound residue, delta probes and anti-probes -- see the fallback
     # matrix in docs/PERFORMANCE.md.
     col_ctx = None
-    if (
-        not oracles.row_engine
-        and planner is not None
-        and not (isinstance(rule, RuleInfo) and rule.has_aggregate)
-    ):
+    if not oracles.row_engine and not (isinstance(rule, RuleInfo) and rule.has_aggregate):
         col_ctx = _find_columnar_context(decl, rows_fn)
 
-    # Cost-based ordering applies to prepared, aggregate-free rules under
-    # the hash engine; everything else (aggregates -- whose group_by scope
-    # is positional -- HiLog deltas needing earlier binders, the nested
-    # baseline) falls back to program order.  See the fallback matrix in
+    # Cost-based ordering applies to prepared, aggregate-free rules;
+    # everything else (aggregates -- whose group_by scope is positional --
+    # and HiLog deltas needing earlier binders) falls back to program order.  See the fallback matrix in
     # docs/PERFORMANCE.md.
     plan: Optional[Plan] = None
     if (
         not oracles.written_order
-        and planner is not None
         and isinstance(rule, RuleInfo)
         and not rule.has_aggregate
         and not any(isinstance(s, GroupBySubgoal) for s in decl.body)
@@ -812,22 +760,16 @@ def eval_rule_body_batch(
                 if not holds:
                     return []
             elif subgoal.negated:
-                if planner is not None:
-                    bindings_list = _grouped_literal(
-                        bindings_list, index, subgoal, rows_fn, planner, tracer,
-                        est_of.get(index),
-                    )
-                else:
-                    bindings_list = _filter_negation(bindings_list, subgoal, rows_fn)
+                bindings_list = _grouped_literal(
+                    bindings_list, index, subgoal, rows_fn, planner, tracer,
+                    est_of.get(index),
+                )
             else:
                 fn = delta_rows_fn if index == delta_index else rows_fn
-                if planner is not None:
-                    bindings_list = _grouped_literal(
-                        bindings_list, index, subgoal, fn, planner, tracer,
-                        est_of.get(index),
-                    )
-                else:
-                    bindings_list = _join_literal(bindings_list, subgoal, fn)
+                bindings_list = _grouped_literal(
+                    bindings_list, index, subgoal, fn, planner, tracer,
+                    est_of.get(index),
+                )
                 live = project_of.get(index)
                 if live is not None and bindings_list:
                     bindings_list = _project_bindings(bindings_list, live)
@@ -864,9 +806,9 @@ def eval_rule_body(
     seminaive trick.  The product plans hash joins, orders the body with
     the shared ``repro.opt`` planner (with projection push-down) and runs
     the columnar batch kernels of ``repro.col``; ``oracles`` swaps in the
-    differential baselines instead -- nested-loop joins, the written order
-    plus the delta-first rotation, the dict-per-binding row engine (which
-    charges identical cost counters).
+    differential baselines instead -- the written order plus the
+    delta-first rotation, the dict-per-binding row engine (which charges
+    identical cost counters).
     ``tracer``, when given and enabled, receives one ``join`` event per
     (literal, binding group) with the strategy the engine chose and
     estimated vs. actual rows.

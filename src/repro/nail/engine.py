@@ -61,8 +61,8 @@ class NailEngine:
     iteration; rule bodies are planned hash joins over indexed sources,
     ordered by the :mod:`repro.opt` pass pipeline and executed by the
     plan-specialized batch kernels of :mod:`repro.col`.  ``oracles``
-    swaps in the differential baselines instead (naive fixpoint,
-    nested-loop joins, written order, the binding-dict row engine); only
+    swaps in the differential baselines instead (naive fixpoint, written
+    order, the binding-dict row engine); only
     :mod:`repro.baselines.reference` passes anything but the product.
     """
 

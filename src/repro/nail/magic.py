@@ -173,6 +173,12 @@ def _transform_rule(
             raise MagicTransformError("group_by is outside the magic fragment")
         assert isinstance(subgoal, PredSubgoal)
         skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
+        if skeleton[0] is None and (hilog_bases or any(a == skeleton[2] for _, a in idb)):
+            # A predicate variable may name an IDB predicate, whose rules
+            # the rewritten program would not carry: fall back to full eval.
+            raise MagicTransformError(
+                f"predicate variable {subgoal.pred} may name an IDB predicate"
+            )
         if skeleton[1] and skeleton[0] in hilog_bases:
             # The query reaches a compound-named (HiLog family) IDB
             # predicate, which magic cannot adorn: fall back to full eval.
@@ -189,7 +195,8 @@ def _transform_rule(
             new_body.append(subgoal)
             continue
         if not is_idb:
-            # EDB or predicate-variable literal: a plain join.
+            # EDB literal, or a predicate variable that can only name EDB
+            # relations: a plain join.
             new_body.append(subgoal)
             for arg in subgoal.args:
                 bound |= term_vars(arg)

@@ -134,12 +134,14 @@ DeltaStore = Dict[Tuple[Term, int], DeltaRelation]
 
 
 def _recursive_positions(info: RuleInfo, stratum: Set[Skeleton]) -> List[int]:
-    """Indexes of body literals whose skeleton is in the current stratum."""
+    """Indexes of body literals that may read the current stratum: their
+    skeleton is in it, or a predicate variable of a stratum arity."""
+    arities = {skeleton[2] for skeleton in stratum}
     positions: List[int] = []
     for index, subgoal in enumerate(info.rule.body):
         if isinstance(subgoal, PredSubgoal) and not subgoal.negated:
             skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
-            if skeleton in stratum:
+            if skeleton in stratum or (skeleton[0] is None and skeleton[2] in arities):
                 positions.append(index)
     return positions
 

@@ -44,8 +44,8 @@ class QueryStats:
 
     @property
     def glue_hash_joins(self) -> int:
-        """Glue VM scan steps this query executed as planned hash joins
-        (one per resolved source) instead of per-row nested matching."""
+        """Glue VM scan steps this query executed as planned hash joins,
+        one per resolved source."""
         return self.counters.get("glue_hash_joins", 0)
 
     @property

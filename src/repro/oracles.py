@@ -1,9 +1,9 @@
 """Which differential baselines an evaluation runs with.
 
-The product is one configuration: planned hash joins, the columnar batch
-kernels, cost-based body order and the seminaive fixpoint.  Every layer
-that can run a baseline instead takes one :class:`Oracles` value and
-defaults to :data:`PRODUCT`, all four switches off.  The baselines are
+The product is one configuration: the columnar batch kernels, cost-based
+body order and the seminaive fixpoint.  Every layer that can run a
+baseline instead takes one :class:`Oracles` value and defaults to
+:data:`PRODUCT`, all three switches off.  The baselines are
 the references tests and ablations compare against;
 :mod:`repro.baselines.reference` is the only way to switch one on.
 
@@ -19,14 +19,12 @@ from dataclasses import dataclass
 class Oracles:
     """Each flag swaps one product path for its baseline.
 
-    ``nested_joins``: nested-loop joins instead of planned hash joins.
     ``row_engine``: binding-dict rows instead of columnar batch kernels.
     ``written_order``: bodies in written order instead of the cost
     planner's.  ``naive_fixpoint``: full re-derivation every pass instead
     of seminaive (uniondiff) iteration.
     """
 
-    nested_joins: bool = False
     row_engine: bool = False
     written_order: bool = False
     naive_fixpoint: bool = False

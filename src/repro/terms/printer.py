@@ -1,8 +1,7 @@
 """Rendering terms back to Glue-Nail surface syntax.
 
 The printer and the parser are inverses: ``parse_term(term_to_str(t)) == t``
-for every ground term (NaN, which has no literal, aside), a property the test
-suite checks with hypothesis.
+for every ground term, a property the test suite checks with hypothesis.
 """
 
 from __future__ import annotations

@@ -61,6 +61,10 @@ class Num(Term):
     def __post_init__(self) -> None:
         if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
             raise TypeError(f"Num value must be int or float, got {type(self.value).__name__}")
+        if self.value != self.value:
+            # NaN equals nothing, itself included, so no relation could
+            # find it again; it also has no literal to survive a restart.
+            raise ValueError("NaN is not a Glue-Nail number")
 
     def __hash__(self) -> int:
         # hash(2) == hash(2.0), matching Num(2) == Num(2.0).

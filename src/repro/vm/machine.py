@@ -79,8 +79,7 @@ class ExecContext:
         self.inp = inp if inp is not None else sys.stdin
         self.max_loop_iterations = max_loop_iterations
         # Scan steps run planned hash joins over the cached suffix tables
-        # of repro.col; the oracles swap in the nested-loop and per-probe
-        # row baselines.
+        # of repro.col; the oracles swap in the per-probe row baseline.
         self.oracles = oracles
         self.tracer = self.db.tracer
         self.foreign: Dict[Tuple[str, int], ForeignProc] = {}

@@ -135,24 +135,6 @@ class _LiteralStep(Step):
     est_rows: Optional[float] = None  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
-        if rt.ctx.oracles.nested_joins:
-            return self._iterate_nested(rows, rt, frame)
-        return self._iterate_hash(rows, rt, frame)
-
-    def _relations(self, rows, rt, frame):
-        """``(row, relation)`` pairs for the nested oracle: a static name
-        resolves once, a dynamic one per row."""
-        ref, name_fn = self.ref, self.name_fn
-        static_rel = None
-        if name_fn is None:
-            static_rel = rt.resolve_relation(ref, ref.pred, frame)
-        for row in rows:
-            if static_rel is None:
-                yield row, rt.resolve_relation(ref, name_fn(row), frame)
-            else:
-                yield row, static_rel
-
-    def _iterate_hash(self, rows, rt, frame):
         ref = self.ref
         name_fn = self.name_fn
         # name -> [emit(row) -> output rows, strategy, source size,
@@ -185,22 +167,6 @@ class _LiteralStep(Step):
 @dataclass
 class ScanStep(_LiteralStep):
     """Join the supplementary relation with a stored/derived relation."""
-
-    def _iterate_nested(self, rows, rt, frame):
-        new_vars = self.new_vars
-        # A flat pattern (each position a constant, a bound variable, or a
-        # distinct fresh variable) matches positionally, skipping the
-        # per-row bindings dict.
-        lit = self.lit
-        extract = None if lit.eq_checks else lit.extract_cols
-        for row, relation in self._relations(rows, rt, frame):
-            patterns = self.pattern_fn(row)
-            if extract is not None and hasattr(relation, "match_rows"):
-                for stored in relation.match_rows(patterns):
-                    yield row + tuple(stored[i] for i in extract)
-                continue
-            for bindings in relation.select(patterns):
-                yield row + tuple(bindings[v] for v in new_vars)
 
     def _join_state(self, relation, rt):
         lit = self.lit
@@ -340,21 +306,6 @@ class ScanStep(_LiteralStep):
 @dataclass
 class NegScanStep(_LiteralStep):
     """Anti-join: keep rows with no matching tuple (safe negation)."""
-
-    def _iterate_nested(self, rows, rt, frame):
-        # A flat pattern (no compound with variables, no repeated fresh
-        # variable) needs no real matching: the existence check is a
-        # positional filter.
-        lit = self.lit
-        flat = lit.extract_cols is not None and not lit.eq_checks
-        for row, relation in self._relations(rows, rt, frame):
-            patterns = self.pattern_fn(row)
-            if flat and hasattr(relation, "match_rows"):
-                matched = next(iter(relation.match_rows(patterns)), None)
-            else:
-                matched = next(iter(relation.select(patterns)), None)
-            if matched is None:
-                yield row
 
     def _join_state(self, relation, rt):
         """Emit ``(row,)`` when the row has no witness, ``()`` otherwise."""

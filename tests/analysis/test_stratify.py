@@ -38,9 +38,14 @@ class TestDependencyGraph:
         dep = build_dependency_graph(rules_of("students(ID)(N) :- attends(N, ID)."))
         assert ("students", (1,), 1) in dep.idb_skeletons()
 
-    def test_predicate_variable_adds_no_edge(self):
-        dep = build_dependency_graph(rules_of("p(X) :- names(S) & S(X)."))
-        assert dep.graph.out_degree(("p", (), 1)) == 1  # only names/1
+    def test_predicate_variable_reads_idb_of_its_arity(self):
+        # S ranges over every name, so p/1 reads each NAIL! predicate of
+        # arity 1 (itself and q/1), and no NAIL! predicate of arity 2.
+        dep = build_dependency_graph(rules_of(
+            "p(X) :- names(S) & S(X).\nq(X) :- e(X).\nr(X, Y) :- e2(X, Y)."
+        ))
+        p = ("p", (), 1)
+        assert set(dep.graph.successors(p)) == {("names", (), 1), p, ("q", (), 1)}
 
 
 class TestStratify:

@@ -75,3 +75,14 @@ def make_system(source: str = "", **kwargs):
     if source:
         system.load(source)
     return system
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report how many examples the sqlite3 oracle checked in this run."""
+    differential = sys.modules.get("tests.differential")
+    if differential is not None and differential.TALLY:
+        tally = differential.TALLY
+        terminalreporter.write_line(
+            f"sqlite3 oracle: {tally['agreed']} examples agreed with the product, "
+            f"{tally['skipped']} skipped"
+        )

@@ -63,6 +63,28 @@ class TestOperators:
             with pytest.raises(GlueRuntimeError):
                 apply_aggregate(op, [Atom("x")])
 
+    def test_sum_of_inf_and_minus_inf_is_an_error(self):
+        group = nums(float("inf"), 1, float("-inf"))
+        for op in ("sum", "mean", "std_dev"):
+            with pytest.raises(GlueRuntimeError, match="NaN"):
+                apply_aggregate(op, group)
+
+    def test_infinite_sum_and_mean(self):
+        assert apply_aggregate("sum", nums(float("inf"), 1)) == Num(float("inf"))
+        assert apply_aggregate("mean", nums(float("-inf"), 1)) == Num(float("-inf"))
+        with pytest.raises(GlueRuntimeError, match="NaN"):
+            apply_aggregate("std_dev", nums(float("inf"), 1))
+
+    def test_float_sum_does_not_depend_on_group_order(self):
+        # A plain left-to-right sum gives 0.0 or 1.0 by order; the sum is
+        # correctly rounded, so every order gives 1.0.
+        for order in ((1e16, 1.0, -1e16), (1e16, -1e16, 1.0), (1.0, 1e16, -1e16)):
+            assert apply_aggregate("sum", nums(*order)) == Num(1.0)
+        assert apply_aggregate("mean", nums(-1e16, 1.0, 1e16)) == Num(1 / 3)
+
+    def test_integer_sum_is_exact(self):
+        assert apply_aggregate("sum", nums(2**60, 1, -(2**60))).value == 1
+
     def test_empty_group_rejected(self):
         with pytest.raises(GlueRuntimeError):
             apply_aggregate("min", [])

@@ -40,6 +40,23 @@ class TestArith:
         with pytest.raises(GlueRuntimeError):
             term_arith("+", Atom("a"), Num(1))
 
+    @pytest.mark.parametrize("op, left, right", [
+        ("-", float("inf"), float("inf")),
+        ("+", float("inf"), float("-inf")),
+        ("*", float("inf"), 0),
+        ("*", 0, float("-inf")),
+        ("/", float("inf"), float("inf")),
+        ("mod", float("inf"), 2),
+    ])
+    def test_nan_result_is_an_error(self, op, left, right):
+        # NaN is no value: it equals nothing, so no relation could hold it.
+        with pytest.raises(GlueRuntimeError, match="NaN"):
+            term_arith(op, Num(left), Num(right))
+
+    def test_infinity_is_a_value(self):
+        assert term_arith("+", Num(float("inf")), Num(1)) == Num(float("inf"))
+        assert term_arith("*", Num(float("-inf")), Num(2)) == Num(float("-inf"))
+
 
 class TestCompare:
     def test_equality_structural(self):

@@ -1,29 +1,40 @@
-"""Cross-engine fuzzing: random programs, four evaluators, one answer.
+"""Cross-engine fuzzing: random programs, several evaluators, one answer.
 
-Generates small random stratified Datalog programs and random EDBs, then
-checks the system-level invariants across evaluation routes:
+Generates random stratified NAIL! programs and random Glue scripts
+(``tests.differential``) plus random EDBs, and checks the system-level
+invariants across evaluation routes:
 
+* the product == the sqlite3 reference semantics (``tests.oracle``)
+* the product's own baselines (``repro.baselines.reference``) == the oracle
 * seminaive == naive (fixpoint identity)
 * pipelined == materialized (Glue strategy identity)
 * NAIL!->Glue generated code == native engine
 * magic == full evaluation restricted to the query
-* the product == every baseline at once (``repro.baselines.reference``)
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.reference import reference_engine, reference_system
-from repro.core.query import rows_to_python
 from repro.core.system import GlueNailSystem
 from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine, magic_query
 from repro.nail.nail2glue import compile_rules_to_glue
 from repro.storage.database import Database
 from repro.terms.term import Atom, Num, Var
+from tests.differential import (
+    FAILED,
+    MAX_ITERATIONS,
+    agree,
+    canon,
+    glue_program,
+    nail_program,
+    product_rows,
+    random_facts,
+)
 
 # ---------------------------------------------------------------- #
-# random-program generator
+# random-program generators
 # ---------------------------------------------------------------- #
 
 edb_rows = st.lists(
@@ -31,45 +42,26 @@ edb_rows = st.lists(
 )
 
 
+def _picker(draw):
+    return lambda lo, hi: draw(st.integers(lo, hi))
+
+
 @st.composite
-def datalog_programs(draw):
-    """A small stratified program over EDB preds e0/2, e1/2.
-
-    Shape: one recursive predicate (p), one derived filter predicate (q),
-    optionally a negation stratum (r), and optional rules for the other
-    rows of the join-strategy menu: a constant-only key (s), a repeated
-    fresh variable (t), a fully bound positive literal (u) and a
-    right-hand ``=`` binder (v).
-    """
-    lines = ["p(X, Y) :- e0(X, Y)."]
-    if draw(st.booleans()):
-        lines.append("p(X, Y) :- e1(X, Y).")
-    recursive = draw(st.sampled_from([
-        "p(X, Z) :- p(X, Y) & e0(Y, Z).",
-        "p(X, Z) :- e0(X, Y) & p(Y, Z).",
-        "p(X, Z) :- p(X, Y) & p(Y, Z).",
-    ]))
-    lines.append(recursive)
-    if draw(st.booleans()):
-        lines.append("q(X) :- p(X, Y) & X < Y.")
-    if draw(st.booleans()):
-        lines.append("r(X) :- e1(X, _) & !p(X, X).")
-    if draw(st.booleans()):
-        lines.append("s(Y) :- e0(3, Y).")
-    if draw(st.booleans()):
-        lines.append("t(X) :- e0(X, X).")
-    if draw(st.booleans()):
-        lines.append("u(X, Y) :- p(X, Y) & e1(X, Y).")
-    if draw(st.booleans()):
-        lines.append("v(X, Y) :- e0(X, _) & 2 = Y.")
-    return "\n".join(lines)
+def datalog_programs(draw, hilog: bool = True):
+    """A random stratified NAIL! program (see ``nail_program``)."""
+    return nail_program(_picker(draw), hilog=hilog)
 
 
-def load_db(e0, e1):
-    db = Database()
-    db.facts("e0", e0)
-    db.facts("e1", e1)
-    return db
+@st.composite
+def glue_scripts(draw):
+    """A random straight-line Glue script (see ``glue_program``)."""
+    return glue_program(_picker(draw))
+
+
+@st.composite
+def edbs(draw):
+    """A random EDB for both generators (see ``random_facts``)."""
+    return random_facts(_picker(draw))
 
 
 def idb_snapshot(engine: NailEngine):
@@ -80,26 +72,35 @@ def idb_snapshot(engine: NailEngine):
     return out
 
 
-@given(datalog_programs(), edb_rows, edb_rows)
+def load_edb(facts):
+    db = Database()
+    for name, rows in facts.items():
+        db.facts(name, rows)
+    return db
+
+
+@given(datalog_programs(), edbs())
 @settings(max_examples=25, deadline=None)
-def test_seminaive_equals_naive_random_programs(source, e0, e1):
+def test_seminaive_equals_naive_random_programs(source, facts):
     rules = list(parse_program(source).items)
-    left = idb_snapshot(NailEngine(load_db(e0, e1), rules))
-    right = idb_snapshot(reference_engine(load_db(e0, e1), rules, naive_fixpoint=True))
+    left = idb_snapshot(NailEngine(load_edb(facts), rules))
+    right = idb_snapshot(reference_engine(load_edb(facts), rules, naive_fixpoint=True))
     assert left == right
 
 
-@given(datalog_programs(), edb_rows, edb_rows)
+@given(datalog_programs(hilog=False), edbs())
 @settings(max_examples=15, deadline=None)
-def test_nail2glue_equals_native_random_programs(source, e0, e1):
+def test_nail2glue_equals_native_random_programs(source, facts):
+    # Predicate-variable literals stay on the native engine (nail2glue
+    # rejects them), so the generator leaves them out here.
     rules = list(parse_program(source).items)
     result = compile_rules_to_glue(rules)
     system = GlueNailSystem()
     system.load(result.source)
-    system.facts("e0", e0)
-    system.facts("e1", e1)
+    for name, rows in facts.items():
+        system.facts(name, rows)
     system.call(result.driver_proc)
-    engine = NailEngine(load_db(e0, e1), rules)
+    engine = NailEngine(load_edb(facts), rules)
     for name, arity in result.output_preds:
         generated = system.rows(name, arity)
         native = engine.materialize(Atom(name), arity).sorted_rows()
@@ -113,7 +114,7 @@ def test_magic_equals_full_random_edb(e0, e1, source_node):
         "p(X, Y) :- e0(X, Y).\np(X, Y) :- e1(X, Y).\n"
         "p(X, Z) :- p(X, Y) & e0(Y, Z)."
     ).items)
-    db = load_db(e0, e1)
+    db = load_edb({"e0": e0, "e1": e1})
     full = NailEngine(db, rules).query(Atom("p"), (Num(source_node), Var("Y")))
     magic, _ = magic_query(db, rules, Atom("p"), (Num(source_node), Var("Y")))
     assert sorted(map(str, full)) == sorted(map(str, magic))
@@ -147,31 +148,50 @@ def test_strategies_and_optimizer_agree_random_edb(e0, e1, written_order, dedup)
     assert snapshots[0] == snapshots[1]
 
 
-ALL_ORACLES = dict(
-    nested_joins=True, row_engine=True, written_order=True, naive_fixpoint=True
-)
-ALL_PREDS = (
-    ("p", 2), ("q", 1), ("r", 1), ("s", 1), ("t", 1), ("u", 2), ("v", 2),
-    ("out", 2), ("agg", 2), ("chain", 2),
-)
+ALL_BASELINES = dict(row_engine=True, written_order=True, naive_fixpoint=True)
 
 
-@given(datalog_programs(), edb_rows, edb_rows, st.integers(0, 5))
-@settings(max_examples=25, deadline=None)
-def test_product_equals_all_oracles_random_programs(source, e0, e1, node):
-    """The product against every baseline switched on at once -- nested
-    joins, the row engine, written order and the naive fixpoint -- through
-    the facade: a random NAIL! program plus the Glue statements."""
-    results = []
-    for system in (GlueNailSystem(), reference_system(**ALL_ORACLES)):
-        system.load(source + GLUE_BODY_TEMPLATE)
-        system.facts("e0", e0)
-        system.facts("e1", e1)
-        system.run_script()
-        rows = [tuple(system.rows(name, arity)) for name, arity in ALL_PREDS]
-        rows.append(sorted(map(str, system.query_magic(f"p({node}, Y)?"))))
-        results.append(rows)
-    assert results[0] == results[1]
+def _baselines(source, facts, preds):
+    system = reference_system(max_loop_iterations=MAX_ITERATIONS, **ALL_BASELINES)
+    return product_rows(source, facts, preds, system)
+
+
+@given(datalog_programs(), edbs())
+@settings(max_examples=80, deadline=None)
+def test_product_equals_all_oracles_random_programs(source, facts):
+    """A random NAIL! program: the product, and every baseline switched on
+    at once (the row engine, written order and the naive fixpoint), give
+    the sqlite3 oracle's rows; a magic query on the top predicate gives
+    the oracle's rows with that first column."""
+    expected = agree(source, facts)
+    agree(source, facts, product=_baselines)
+    if expected in (None, FAILED):
+        return
+    (name, arity), rows = max(expected.items())
+    node = rows[0][0] if rows else "0"
+    args = ", ".join([node] + ["Y"] * (arity - 1))
+    system = GlueNailSystem()
+    system.load(source)
+    for rel, rel_rows in facts.items():
+        system.facts(rel, rel_rows)
+    magic = system.query_magic(f"{name}({args})?")
+    assert sorted(tuple(map(canon, row)) for row in magic) == [
+        row for row in rows if row[0] == node
+    ]
+
+
+@given(glue_scripts(), edbs(), st.sampled_from(["pipelined", "materialized"]))
+@settings(max_examples=100, deadline=None)
+def test_glue_scripts_equal_oracle(source, facts, strategy):
+    """A random Glue script (``:=``, ``+=``, ``-=``, ``repeat ... until``,
+    aggregates, HiLog names, a NAIL! view) gives the oracle's rows under
+    either VM strategy."""
+
+    def product(source, facts, preds):
+        system = GlueNailSystem(strategy=strategy, max_loop_iterations=MAX_ITERATIONS)
+        return product_rows(source, facts, preds, system)
+
+    agree(source, facts, product=product)
 
 
 @given(edb_rows, edb_rows)

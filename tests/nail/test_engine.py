@@ -195,6 +195,27 @@ class TestHiLogFamilies:
         rows = engine.materialize(Atom("all_members"), 2)
         assert len(rows) == 2
 
+    def test_predicate_variable_reads_derived_names(self):
+        # A predicate variable ranges over NAIL! names too: ``flipped`` is
+        # derived before ``seen`` reads it, even when ``seen`` is asked
+        # for first, and ``seen`` naming itself is recursion.
+        db = Database()
+        db.facts("e", [(1, 2), (2, 3)])
+        db.facts("names", [("flipped",), ("seen",)])
+        rules = rules_of(
+            """
+            flipped(X, Y) :- e(Y, X).
+            seen(X, Y) :- names(P) & P(X, Y).
+            seen(X, Z) :- seen(X, Y) & e(Y, Z).
+            again(X, Y) :- names(P) & P(X, Y) & X < Y.
+            """
+        )
+        engine = NailEngine(db, rules)
+        again = {(a.value, b.value) for a, b in engine.materialize(Atom("again"), 2)}
+        seen = {(a.value, b.value) for a, b in engine.materialize(Atom("seen"), 2)}
+        assert seen == {(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)}
+        assert again == {(2, 3)}
+
 
 class TestDemandEvaluation:
     """Demand-driven answers for rules that need caller bindings."""

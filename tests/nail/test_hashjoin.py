@@ -1,10 +1,11 @@
 """Differential tests for the hash-join engine.
 
-Every workload is evaluated four ways -- the product (hash-join
-seminaive) and, through ``repro.baselines.reference``, the naive fixpoint,
-the nested-loop baseline and both together -- and the result sets must
-agree exactly.  A second group asserts the *point* of the
-engine: ``tuples_scanned`` collapses on indexed joins.
+Every workload is evaluated three ways -- the product (hash-join
+seminaive), the naive fixpoint (through ``repro.baselines.reference``) and
+the sqlite3 reference semantics (``tests.oracle``) -- and the result sets
+must agree exactly.  A second group asserts the *point* of the engine:
+``tuples_scanned`` collapses on indexed joins, against the charge of a
+nested-loop join computed in closed form.
 """
 
 import random
@@ -18,6 +19,7 @@ from repro.lang.parser import parse_program
 from repro.nail.engine import NailEngine, magic_query
 from repro.storage.database import Database
 from repro.terms.term import Atom, Compound, Num, Var
+from tests.differential import canon, oracle_rows
 
 PATH = """
 path(X, Y) :- edge(X, Y).
@@ -69,28 +71,24 @@ def random_edges(nodes, edges, seed):
     return sorted(out)
 
 
-def materialize_rows(edges, rules_text, pred, arity, naive, nested, fact="edge"):
+def materialize_rows(edges, rules_text, pred, arity, naive, fact="edge"):
     db = Database()
     db.facts(fact, edges)
-    engine = reference_engine(
-        db, rules_of(rules_text), naive_fixpoint=naive, nested_joins=nested
-    )
-    return set(engine.materialize(pred, arity).rows())
-
-
-# (naive fixpoint, nested joins): the product first, then every baseline.
-ALL_WAYS = [(False, False), (True, False), (False, True), (True, True)]
+    engine = reference_engine(db, rules_of(rules_text), naive_fixpoint=naive)
+    return {tuple(map(canon, row)) for row in engine.materialize(pred, arity).rows()}
 
 
 def all_ways(edges, rules_text, pred, arity, fact="edge"):
+    """The product's rows, the naive fixpoint's and the oracle's."""
+    expected = oracle_rows(rules_text, {fact: edges}, [(pred, arity)])
     return [
-        materialize_rows(edges, rules_text, pred, arity, naive, nested, fact)
-        for naive, nested in ALL_WAYS
-    ]
+        materialize_rows(edges, rules_text, pred, arity, naive, fact)
+        for naive in (False, True)
+    ] + [set(expected[pred, arity])]
 
 
 class TestDifferential:
-    """Hash-join results == naive results == nested-loop results."""
+    """Hash-join results == naive results == the oracle's results."""
 
     @pytest.mark.parametrize("n", [1, 5, 30])
     def test_chains(self, n):
@@ -131,17 +129,19 @@ class TestDifferential:
         assert all(r == results[0] for r in results)
         assert results[0]
 
-    def test_magic_agrees_across_join_modes(self):
+    def test_magic_agrees_with_oracle(self):
         edges = chain_edges(40) + [(500 + i, 501 + i) for i in range(10)]
         answers = []
-        for naive, nested in ALL_WAYS:
+        for naive in (False, True):
             db = Database()
             db.facts("edge", edges)
             rows, _ = magic_query(
                 db, rules_of(PATH), Atom("path"), (Num(7), Var("Y")),
-                oracles=Oracles(nested_joins=nested, naive_fixpoint=naive),
+                oracles=Oracles(naive_fixpoint=naive),
             )
-            answers.append(set(rows))
+            answers.append({tuple(map(canon, row)) for row in rows})
+        expected = oracle_rows(PATH, {"edge": edges}, [("path", 2)])[("path", 2)]
+        answers.append({row for row in expected if row[0] == "7"})
         assert all(a == answers[0] for a in answers)
         assert len(answers[0]) == 33
 
@@ -149,33 +149,37 @@ class TestDifferential:
         st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_hash_equals_nested(self, edges):
+    def test_property_product_equals_oracle(self, edges):
         results = all_ways(edges, PATH, Atom("path"), 2)
         assert all(r == results[0] for r in results)
 
 
 class TestCostCollapse:
-    """The hash-join engine must scan dramatically less than nested loops."""
+    """The hash-join engine must scan dramatically less than nested loops.
 
-    def _cost(self, edges, nested):
+    A nested-loop join charges ``rows in x |relation|`` per literal.  For
+    seminaive ``path`` that is ``|edge|`` for the exit rule, plus, per
+    round, ``|delta|`` for the delta literal and ``|delta| x |edge|`` for
+    the edge literal; every path tuple is in exactly one delta, so the
+    charge is ``|edge| + |path| x (1 + |edge|)``.
+    """
+
+    def _cost(self, edges):
         db = Database()
         db.facts("edge", edges)
-        engine = reference_engine(db, rules_of(PATH), nested_joins=nested)
+        engine = NailEngine(db, rules_of(PATH))
         db.counters.reset()
-        engine.materialize(Atom("path"), 2)
-        return db.counters.tuples_scanned
+        path = engine.materialize(Atom("path"), 2)
+        nested = len(edges) + len(path) * (1 + len(edges))
+        return db.counters.tuples_scanned, nested
 
     def test_random_graph_scans_drop_5x(self):
         # The acceptance workload: transitive closure of random_graph(40, 80).
-        edges = random_edges(40, 80, seed=7)
-        nested = self._cost(edges, True)
-        hashed = self._cost(edges, False)
+        hashed, nested = self._cost(random_edges(40, 80, seed=7))
         assert hashed * 5 <= nested, (hashed, nested)
 
     def test_chain_scans_drop_5x(self):
-        edges = chain_edges(60)
-        nested = self._cost(edges, True)
-        hashed = self._cost(edges, False)
+        hashed, nested = self._cost(chain_edges(60))
         assert hashed * 5 <= nested, (hashed, nested)
 
     def test_probes_replace_scans(self):

@@ -70,6 +70,17 @@ class TestTransform:
         with pytest.raises(MagicTransformError):
             magic_transform(rules, Atom("p"), (Var("M"),))
 
+    def test_predicate_variable_over_idb_arity_outside_fragment(self):
+        # P may name d/2, whose rules the magic program would not carry.
+        rules = rules_of("d(X, Y) :- e(Y, X).\nh(X, Y) :- names(P) & P(X, Y).")
+        with pytest.raises(MagicTransformError):
+            magic_transform(rules, Atom("h"), (Num(1), Var("Y")))
+        db = Database()
+        db.facts("e", [(2, 1)])
+        db.facts("names", [("d",)])
+        answers = NailEngine(db, rules).query(Atom("h"), (Num(1), Var("Y")))
+        assert answers == [(Num(1), Num(2))]
+
     def test_compound_heads_outside_fragment(self):
         rules = rules_of("students(ID)(N) :- attends(N, ID).")
         with pytest.raises(MagicTransformError):

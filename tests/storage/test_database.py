@@ -33,6 +33,13 @@ class TestCatalog:
         assert r.arity == 3
         assert db.exists("fresh", 3)
 
+    def test_facts_refuse_nan(self, db):
+        # NaN has no literal and equals nothing: it could not be found
+        # again, nor survive a restart.
+        with pytest.raises(ValueError, match="NaN"):
+            db.facts("a", [(float("nan"),)])
+        assert not db.exists("a", 1)
+
     def test_same_name_different_arity_coexist(self, db):
         r1 = db.relation("p", 1)
         r2 = db.relation("p", 2)

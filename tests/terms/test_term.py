@@ -34,6 +34,11 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Num(True)
 
+    def test_num_rejects_nan(self):
+        # NaN equals nothing, itself included, and has no literal.
+        with pytest.raises(ValueError, match="NaN"):
+            Num(float("nan"))
+
     def test_num_rejects_str(self):
         with pytest.raises(TypeError):
             Num("3")

@@ -1,16 +1,19 @@
 """Differential tests for the Glue VM's statement-level hash joins.
 
-Every workload runs twice -- the product (planned set-at-a-time probing)
-and ``reference_system(nested_joins=True)`` (the per-row baseline) -- and
-the resulting relations must agree exactly.  A second group asserts
-the *point* of the planner: ``tuples_scanned`` collapses on keyed joins,
-and ``glue_hash_joins`` records the planned scans.  A final group is the
-threaded regression test for adaptive-variant recompilation.
+Every workload runs on the product (planned set-at-a-time probing) and on
+the sqlite3 reference semantics (``tests.oracle``), and the resulting
+relations must agree exactly; procedures and ``+=[K]``, which the oracle
+does not cover, are checked against their answers in closed form.  A
+second group asserts the *point* of the planner: ``tuples_scanned``
+collapses on keyed joins, against a nested-loop charge computed in closed
+form, and ``glue_hash_joins`` records the planned scans.  A final group is
+the threaded regression test for adaptive-variant recompilation.
 """
 
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +24,11 @@ from repro.core.query import rows_to_python
 from repro.storage.adaptive import NeverIndexPolicy
 from repro.storage.database import Database
 from tests.conftest import make_system
+from tests.differential import agree, product_rows
 
 
-def build(source, facts=None, nested=False, **kwargs):
-    system = reference_system(nested_joins=nested, **kwargs)
+def build(source, facts=None, **kwargs):
+    system = reference_system(**kwargs)
     system.load(source)
     for name, rows in (facts or {}).items():
         system.facts(name, rows)
@@ -33,20 +37,15 @@ def build(source, facts=None, nested=False, **kwargs):
     return system
 
 
-def run_one(source, facts, nested, out_preds, **kwargs):
-    system = build(source, facts, nested=nested, **kwargs)
-    system.run_script()
-    return {
-        (name, arity): sorted(rows_to_python(system.rows(name, arity)))
-        for name, arity in out_preds
-    }
+def assert_agrees(source, facts, out_preds, **system_kwargs):
+    """The product (built with ``system_kwargs``) gives the oracle's rows."""
 
+    def product(source, facts, preds):
+        return product_rows(source, facts, preds, reference_system(**system_kwargs))
 
-def assert_modes_agree(source, facts, out_preds, **kwargs):
-    hash_result = run_one(source, facts, False, out_preds, **kwargs)
-    nested_result = run_one(source, facts, True, out_preds, **kwargs)
-    assert hash_result == nested_result
-    return hash_result
+    result = agree(source, facts, out_preds, product=product)
+    assert result is not None, "the oracle skipped a fixed workload"
+    return result
 
 
 def three_way_facts(n):
@@ -67,7 +66,7 @@ def random_edges(nodes, edges, seed):
 
 class TestDifferential:
     def test_two_way_join(self):
-        result = assert_modes_agree(
+        result = assert_agrees(
             "out(X, Z) := r(X, Y) & s(Y, Z).",
             {
                 "r": random_edges(20, 60, seed=1),
@@ -79,14 +78,14 @@ class TestDifferential:
 
     def test_triangle_join(self):
         edges = random_edges(12, 50, seed=3)
-        assert_modes_agree(
+        assert_agrees(
             "tri(X, Y, Z) := e1(X, Y) & e2(Y, Z) & e3(Z, X).",
             {"e1": edges, "e2": edges, "e3": edges},
             [("tri", 3)],
         )
 
     def test_negation(self):
-        result = assert_modes_agree(
+        result = assert_agrees(
             "no_link(X, Y) := node(X) & node(Y) & !edge(X, Y).",
             {
                 "node": [(i,) for i in range(10)],
@@ -99,7 +98,7 @@ class TestDifferential:
     def test_negation_with_wildcards(self):
         # The anti-join key is only the bound column; the wildcard column
         # must stay out of the probe key.
-        assert_modes_agree(
+        assert_agrees(
             "root(X) := node(X) & !edge(_, X).",
             {
                 "node": [(i,) for i in range(10)],
@@ -111,7 +110,7 @@ class TestDifferential:
     def test_repeated_fresh_variable(self):
         # edge(Y, Y): a repeated fresh variable becomes an equality check
         # on the stored row, not a probe key.
-        assert_modes_agree(
+        assert_agrees(
             "looped(X, Y) := edge(X, Y) & edge(Y, Y).",
             {"edge": random_edges(8, 30, seed=6) + [(2, 2), (5, 5)]},
             [("looped", 2)],
@@ -119,14 +118,14 @@ class TestDifferential:
 
     def test_repeated_bound_variable(self):
         # s(Y, Y) with Y bound: both positions are probe-key columns.
-        assert_modes_agree(
+        assert_agrees(
             "out(X, Y) := r(X, Y) & s(Y, Y).",
             {"r": random_edges(10, 40, seed=7), "s": random_edges(10, 40, seed=7)},
             [("out", 2)],
         )
 
     def test_constants_in_pattern(self):
-        assert_modes_agree(
+        assert_agrees(
             "picked(Y) := edge(3, Y) & edge(Y, 3).",
             {"edge": random_edges(8, 40, seed=8)},
             [("picked", 1)],
@@ -134,7 +133,7 @@ class TestDifferential:
 
     def test_fully_bound_membership(self):
         # Second scan is fully bound: degenerates to a membership test.
-        assert_modes_agree(
+        assert_agrees(
             "mutual(X, Y) := edge(X, Y) & edge(Y, X).",
             {"edge": random_edges(10, 45, seed=9)},
             [("mutual", 2)],
@@ -148,7 +147,7 @@ class TestDifferential:
             "p": [(1, "a"), (2, "b"), (3, "c")],
             "q": [(1, "x"), (4, "y")],
         }
-        result = assert_modes_agree(
+        result = assert_agrees(
             "out(P, X, V) := which(P) & P(X, V).",
             facts,
             [("out", 3)],
@@ -163,7 +162,7 @@ class TestDifferential:
         path(X, Z) :- path(X, Y) & edge(Y, Z).
         reach(X, Y) := start(X) & path(X, Y).
         """
-        assert_modes_agree(
+        assert_agrees(
             source,
             {"edge": [(i, i + 1) for i in range(15)], "start": [(0,), (7,)]},
             [("reach", 2)],
@@ -181,40 +180,51 @@ class TestDifferential:
         end
         """
         edges = [(i, i + 1) for i in range(12)]
-        results = []
-        for nested in (False, True):
-            system = build(source, {"edge": edges}, nested=nested)
-            results.append(sorted(rows_to_python(system.call("close", [(0,)]))))
-        assert results[0] == results[1]
-        assert len(results[0]) == 12
+        system = build(source, {"edge": edges})
+        rows = sorted(rows_to_python(system.call("close", [(0,)])))
+        assert rows == [(0, j) for j in range(1, 13)]
+
+    def test_join_inside_repeat(self):
+        # The procedure's loop as a top-level script, for the oracle.
+        assert_agrees(
+            """
+            step(X, Y) := start(X) & edge(X, Y).
+            repeat
+              step(X, Y) += step(X, Z) & edge(Z, Y).
+            until unchanged(step(_, _));
+            """,
+            {"edge": [(i, i + 1) for i in range(12)], "start": [(0,), (5,)]},
+            [("step", 2)],
+        )
 
     def test_keyed_assignment_agrees(self):
-        assert_modes_agree(
+        system = build(
             "m(K, V) +=[K] delta(K, V).",
             {"m": [(1, "old"), (2, "old")], "delta": [(2, "new"), (3, "new")]},
-            [("m", 2)],
         )
+        system.run_script()
+        assert rows_to_python(system.rows("m", 2)) == [(1, "old"), (2, "new"), (3, "new")]
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_join_antijoin_keyed_update_pipeline(self, n):
-        # A 3-way join feeding an anti-join, then a keyed update, with the
-        # adaptive index policy off so the nested baseline gets no help.
+        # A 3-way join feeding an anti-join, with the adaptive index policy
+        # off, against the oracle; then a keyed update, whose winner per key
+        # is the last row in result order, against its closed form.
         source = """
         joined(A, D) := r(A, B) & s(B, C) & t(C, D).
         far(A, D) := joined(A, D) & !near(A, D).
-        latest(B, A) +=[B] r(A, B).
         """
         facts = dict(three_way_facts(n), near=[(i, i) for i in range(n)])
-        out_preds = [("joined", 2), ("far", 2), ("latest", 2)]
-        hashed, nested = (
-            run_one(
-                source, facts, mode, out_preds,
-                db=Database(index_policy=NeverIndexPolicy()),
-            )
-            for mode in (False, True)
+        result = assert_agrees(
+            source, facts, [("joined", 2), ("far", 2)],
+            db=Database(index_policy=NeverIndexPolicy()),
         )
-        assert hashed == nested
-        assert hashed[("far", 2)] and len(hashed[("latest", 2)]) == 40
+        assert result[("far", 2)]
+        system = build("latest(B, A) +=[B] r(A, B).", facts)
+        system.run_script()
+        latest = rows_to_python(system.rows("latest", 2))
+        assert [b for b, _a in latest] == list(range(40))
+        assert all(a % 40 == b for b, a in latest)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -236,37 +246,28 @@ class TestDifferential:
             "mark": sorted({(m,) for m in marks}),
         }
         out_preds = [("hop", 2), ("marked_hop", 2), ("lonely", 1)]
-        assert run_one(source, facts, False, out_preds) == run_one(
-            source, facts, True, out_preds
-        )
+        assert_agrees(source, facts, out_preds)
 
 
 class TestCostCollapse:
     SOURCE = "out(A, D) := r(A, B) & s(B, C) & t(C, D)."
 
     def test_tuples_scanned_collapse(self):
-        # The adaptive *index* policy eventually rescues the nested path on
-        # its own; pinning NeverIndexPolicy isolates what the statement
+        # The adaptive *index* policy would eventually index a nested loop
+        # on its own; pinning NeverIndexPolicy isolates what the statement
         # planner contributes (explicit build_index calls are unaffected).
         n = 400
-        nested = build(
-            self.SOURCE, three_way_facts(n), nested=True,
-            db=Database(index_policy=NeverIndexPolicy()),
-        )
-        nested.run_script()
-        hashed = build(
-            self.SOURCE, three_way_facts(n),
-            db=Database(index_policy=NeverIndexPolicy()),
-        )
+        facts = three_way_facts(n)
+        hashed = build(self.SOURCE, facts, db=Database(index_policy=NeverIndexPolicy()))
         hashed.run_script()
-        rows_to_python(nested.rows("out", 2))  # sanity: both ran
-        # The nested baseline re-matches s and t per accumulated row; the
-        # planned join probes buckets, so full-relation scans collapse.
-        assert hashed.counters.tuples_scanned * 5 < nested.counters.tuples_scanned
-        assert (
-            hashed.counters.total_tuple_touches * 5
-            < nested.counters.total_tuple_touches
-        )
+        assert rows_to_python(hashed.rows("out", 2))
+        # A nested loop charges rows in x |relation| per literal: r once,
+        # s once per r row, t once per row of r joined with s.
+        s_per_key = Counter(b for b, _c in facts["s"])
+        r_join_s = sum(s_per_key[b] for _a, b in facts["r"])
+        nested = n + n * n + r_join_s * n
+        assert hashed.counters.tuples_scanned * 5 < nested
+        assert hashed.counters.total_tuple_touches * 5 < nested
 
     def test_glue_hash_joins_counted(self):
         system = build(self.SOURCE, three_way_facts(100))
@@ -274,11 +275,6 @@ class TestCostCollapse:
         # r is a broadcast source, s and t are keyed probes: every scan
         # step builds exactly one join state.
         assert system.counters.glue_hash_joins == 3
-
-    def test_nested_mode_counts_nothing(self):
-        system = build(self.SOURCE, three_way_facts(100), nested=True)
-        system.run_script()
-        assert system.counters.glue_hash_joins == 0
 
 
 class TestAdaptiveVariantRace:
