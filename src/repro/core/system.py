@@ -28,7 +28,7 @@ from repro.core.result import QueryResult
 from repro.errors import GlueNailError, GlueRuntimeError
 from repro.lang.ast import Program
 from repro.lang.parser import parse_program, parse_query
-from repro.nail.engine import NailEngine, is_flat_query, magic_query
+from repro.nail.engine import NailEngine, magic_query, matching_rows
 from repro.obs.query_stats import QueryStats
 from repro.obs.tracer import CollectingSink, TraceSink, Tracer
 from repro.oracles import PRODUCT, Oracles
@@ -449,7 +449,6 @@ class GlueNailSystem:
         :class:`QueryResult` carries rows plus :class:`QueryStats`, the
         query's own trace-event slice, and the lazily rendered plan.
         """
-        tracer = self.tracer
         collector = self._collector
         start = len(collector.events) if collector is not None else 0
         before = self.db.counters.as_tuple()
@@ -458,13 +457,10 @@ class GlueNailSystem:
             # counter delta (and hence EXPLAIN ANALYZE).
             self.db.counters.snapshot_reads += 1
         t0 = perf_counter()
-        if tracer.enabled:
-            with tracer.span(kind, label) as span:
-                rows, resolution, plan_fn = runner()
-                span.rows = len(rows)
-                span.attrs["resolution"] = resolution
-        else:
+        with self.tracer.span(kind, label) as span:
             rows, resolution, plan_fn = runner()
+            span.rows = len(rows)
+            span.attrs["resolution"] = resolution
         elapsed = perf_counter() - t0
         stats = QueryStats(
             query=label,
@@ -560,7 +556,7 @@ class GlueNailSystem:
             return rows, "nail", lambda: self._nail_plan(skeleton)
         relation = self.db.get(pred, len(args))
         if relation is not None:
-            rows = self._match_rows(relation, args)
+            rows = matching_rows(relation, args)
             return rows, "edb", lambda: f"scan {pred}/{len(args)} (EDB relation)"
         # Fall back to a procedure call with the bound prefix as input.
         if skeleton[0] is not None:
@@ -608,16 +604,6 @@ class GlueNailSystem:
         from repro.vm.explain import explain_proc
 
         return explain_proc(proc)
-
-    @staticmethod
-    def _match_rows(relation, args) -> List[Row]:
-        args = tuple(args)
-        if is_flat_query(args):
-            # Bound positions probe the relation's (adaptive) hash indexes
-            # and every scan is charged, exactly as NailEngine.query does
-            # for derived relations.
-            return list(relation.match_rows(args))
-        return [row for row in relation.rows() if match_tuple(args, row) is not None]
 
     def query_magic(self, text: str, subgoal=None) -> QueryResult:
         """Answer a NAIL! query demand-driven (magic sets).

@@ -42,6 +42,7 @@ from repro.lang.ast import (
     UnaryOp,
 )
 from repro.nail.rules import JoinPlanner, RuleInfo
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.opt import LiteralPlan, Plan, trace_join
 from repro.opt import optimize as _optimize
 from repro.oracles import PRODUCT, Oracles
@@ -577,7 +578,7 @@ def _columnar_literal(
         tracer, subgoal.pred, plan, strategy, batch.length, len(source),
         out.length, est_rows,
     )
-    if tracer is not None and tracer.enabled:
+    if tracer.enabled:
         tracer.event(
             "batch_kernel",
             f"{subgoal.pred}/{plan.arity}",
@@ -636,7 +637,7 @@ def eval_rule_body_batch(
     delta_index: Optional[int] = None,
     delta_rows_fn: Optional[RowsFn] = None,
     seeds: Optional[List[Bindings]] = None,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
 ) -> Union[List[Bindings], Batch]:
     """Evaluate a rule body; the result may still be a columnar batch.
@@ -794,7 +795,7 @@ def eval_rule_body(
     delta_index: Optional[int] = None,
     delta_rows_fn: Optional[RowsFn] = None,
     seeds: Optional[List[Bindings]] = None,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
 ) -> List[Bindings]:
     """Evaluate a rule body left to right; returns the final binding set.
@@ -809,7 +810,7 @@ def eval_rule_body(
     differential baselines instead -- the written order plus the
     delta-first rotation, the dict-per-binding row engine (which charges
     identical cost counters).
-    ``tracer``, when given and enabled, receives one ``join`` event per
+    ``tracer``, when enabled, receives one ``join`` event per
     (literal, binding group) with the strategy the engine chose and
     estimated vs. actual rows.
     """

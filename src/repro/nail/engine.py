@@ -35,6 +35,7 @@ from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.storage.uniondiff import uniondiff
+from repro.terms.matching import match_tuple
 from repro.terms.term import Term, Var, is_ground
 
 Row = Tuple[Term, ...]
@@ -52,6 +53,20 @@ def is_flat_query(args: Sequence[Term]) -> bool:
         elif not is_ground(arg):
             return False
     return len(named) == len(set(named))
+
+
+def matching_rows(relation: Relation, args: Sequence[Term]) -> List[Row]:
+    """The stored rows of ``relation`` that match the query ``args``.
+
+    Flat args route bound positions through the relation's hash indexes
+    (:meth:`~repro.storage.relation.Relation.match_rows`, which charges
+    its scans and probes); any other pattern is matched row by row over
+    ``rows()``, which charges nothing.
+    """
+    args = tuple(args)
+    if is_flat_query(args):
+        return list(relation.match_rows(args))
+    return [row for row in relation.rows() if match_tuple(args, row) is not None]
 
 
 class NailEngine:
@@ -202,23 +217,10 @@ class NailEngine:
         full materialization ("the appropriate parts of which are computed
         on demand", paper Section 2).
         """
-        from repro.terms.matching import match_tuple
-
         arity = arity if arity is not None else len(args)
-        args = tuple(args)
         if not self.can_materialize(pred, arity):
             return self.demand(pred, arity, args)
-        relation = self.materialize(pred, arity)
-        if is_flat_query(args):
-            # Bound positions route through the relation's hash indexes
-            # (match_rows -> _candidate_rows) instead of a full scan.
-            return list(relation.match_rows(args))
-        out = []
-        for row in relation.rows():
-            bindings = match_tuple(args, row)
-            if bindings is not None:
-                out.append(row)
-        return out
+        return matching_rows(self.materialize(pred, arity), args)
 
     def can_materialize(self, name: Term, arity: int) -> bool:
         """Can this predicate be fully computed bottom-up (its own stratum
@@ -239,8 +241,7 @@ class NailEngine:
         """
         from repro.errors import UnsafeRuleError
         from repro.nail.magic import MagicTransformError
-        from repro.terms.matching import match_tuple
-        from repro.terms.term import Atom, fresh_var, is_ground
+        from repro.terms.term import Atom, fresh_var
 
         self._refresh()
         patterns = tuple(patterns)
@@ -299,11 +300,7 @@ class NailEngine:
                 self.tracer.event(
                     "demand", f"{name}/{arity}", rows=len(answers), bound_positions=bound
                 )
-        if is_flat_query(patterns):
-            return list(cache_rel.match_rows(patterns))
-        return [
-            row for row in cache_rel.rows() if match_tuple(patterns, row) is not None
-        ]
+        return matching_rows(cache_rel, patterns)
 
     def view(self, name: Term, arity: int) -> "NailView":
         """A relation-like view for the Glue VM: selects materialize fully
@@ -433,7 +430,7 @@ class NailEngine:
         invalidated too.
         """
         counters = self.db.counters
-        tracer = self.tracer if self.tracer.enabled else None
+        tracer = self.tracer
         rows_fn = self._rows_fn()
         for stratum in self.strata:
             index = stratum.index
@@ -456,7 +453,7 @@ class NailEngine:
                 and not self.oracles.naive_fixpoint
                 and support.repairable(touched_grow)
             )
-            if tracer is not None:
+            if tracer.enabled:
                 tracer.event(
                     "idb_stale",
                     f"stratum {index}",
@@ -487,20 +484,14 @@ class NailEngine:
             relevant = [
                 info for info in self.rule_infos if info.head_skeleton in stratum.skeletons
             ]
-            if tracer is None:
+            with tracer.span(
+                "stratum", f"stratum {index}", mode="repair", rules=len(relevant)
+            ) as span:
                 rounds, new_rows = incremental_eval(
                     relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
-                    oracles=self.oracles,
+                    tracer=tracer, oracles=self.oracles,
                 )
-            else:
-                with tracer.span(
-                    "stratum", f"stratum {index}", mode="repair", rules=len(relevant)
-                ) as span:
-                    rounds, new_rows = incremental_eval(
-                        relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
-                        tracer=tracer, oracles=self.oracles,
-                    )
-                    span.attrs["rounds"] = rounds
+                span.attrs["rounds"] = rounds
             counters.idb_delta_repairs += 1
             counters.idb_delta_rounds += rounds
             # The stratum's growth -- seeded EDB facts plus repaired
@@ -583,34 +574,28 @@ class NailEngine:
                     "(use a demand-bound query instead)"
                 )
         rows_fn = self._rows_fn()
-        tracer = self.tracer if self.tracer.enabled else None
+        tracer = self.tracer
         for stratum in pending:
             relevant = [
                 info for info in self.rule_infos if info.head_skeleton in stratum.skeletons
             ]
-            if tracer is None:
-                self._eval_stratum(stratum, relevant, rows_fn, None)
-            else:
-                with tracer.span(
-                    "stratum", f"stratum {stratum.index}",
-                    rules=len(relevant), strategy=self.oracles.fixpoint,
-                ) as span:
-                    self._eval_stratum(stratum, relevant, rows_fn, tracer)
-                    span.attrs["rounds"] = self.rounds_run
+            with tracer.span(
+                "stratum", f"stratum {stratum.index}",
+                rules=len(relevant), strategy=self.oracles.fixpoint,
+            ) as span:
+                self._declare_heads(relevant)
+                self._seed_from_edb(stratum.skeletons)
+                if self.oracles.naive_fixpoint:
+                    self.rounds_run = naive_eval(
+                        relevant, rows_fn, self.idb, tracer=tracer, oracles=self.oracles
+                    )
+                else:
+                    self.rounds_run = seminaive_eval(
+                        relevant, set(stratum.skeletons), rows_fn, self.idb,
+                        tracer=tracer, oracles=self.oracles,
+                    )
+                span.attrs["rounds"] = self.rounds_run
             self._stratum_computed[stratum.index] = True
-
-    def _eval_stratum(self, stratum, relevant, rows_fn, tracer) -> None:
-        self._declare_heads(relevant)
-        self._seed_from_edb(stratum.skeletons)
-        if self.oracles.naive_fixpoint:
-            self.rounds_run = naive_eval(
-                relevant, rows_fn, self.idb, tracer=tracer, oracles=self.oracles
-            )
-        else:
-            self.rounds_run = seminaive_eval(
-                relevant, set(stratum.skeletons), rows_fn, self.idb,
-                tracer=tracer, oracles=self.oracles,
-            )
 
     def _seed_from_edb(self, skeletons) -> None:
         """EDB facts stored under a rule-defined name join the derived
@@ -702,7 +687,6 @@ def magic_query(
     :meth:`NailEngine.query` on the full rules.
     """
     from repro.nail.magic import magic_transform
-    from repro.terms.matching import match_tuple
 
     program = magic_transform(rules, pred, args)
     # Share the caller's counters so magic-vs-full cost comparisons also
@@ -716,21 +700,11 @@ def magic_query(
         extra_edb=seed_db,
         oracles=oracles,
     )
-    tracer = db.tracer
-    if not tracer.enabled:
+    with db.tracer.span(
+        "magic", f"{pred}/{len(args)}", rewritten_rules=len(program.rules)
+    ) as span:
         relation = engine.materialize(program.answer_pred, len(args))
-    else:
-        with tracer.span(
-            "magic", f"{pred}/{len(args)}", rewritten_rules=len(program.rules)
-        ) as span:
-            relation = engine.materialize(program.answer_pred, len(args))
-            span.rows = len(relation)
-    args = tuple(args)
-    if is_flat_query(args):
-        answers = list(relation.match_rows(args))
-    else:
-        answers = [
-            row for row in relation.rows() if match_tuple(args, row) is not None
-        ]
+        span.rows = len(relation)
+    answers = matching_rows(relation, args)
     engine.close()  # the rewritten program's relations die with this call
     return answers, engine

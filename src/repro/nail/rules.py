@@ -224,13 +224,10 @@ def order_body_for_evaluation(rule: RuleDecl) -> RuleDecl:
     )
 
 
-def prepare_rules(
-    rules: Sequence[RuleDecl], check_safety: bool = True, reorder: bool = True
-) -> List[RuleInfo]:
+def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[RuleInfo]:
     infos: List[RuleInfo] = []
     for rule in rules:
-        if reorder:
-            rule = order_body_for_evaluation(rule)
+        rule = order_body_for_evaluation(rule)
         if check_safety:
             check_rule_safety(rule)
         body_skeletons = []

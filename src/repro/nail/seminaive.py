@@ -20,6 +20,7 @@ from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import PredSubgoal
 from repro.nail.bodyeval import HeadBatch, RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.stats import CostCounters
@@ -27,6 +28,10 @@ from repro.storage.uniondiff import uniondiff, uniondiff_ids
 from repro.terms.term import Term
 
 Row = Tuple[Term, ...]
+
+# Convergence guard: a stratum still deriving new tuples after this many
+# rounds is a bug, not a workload.
+MAX_ROUNDS = 1_000_000
 
 
 class DeltaRelation:
@@ -180,10 +185,6 @@ class _Fixpoint:
     def round(self, kind: str, label: str, jobs, out: DeltaStore, **attrs) -> None:
         """Run one round's ``(rule index, rule, delta position, delta
         source)`` jobs, merging every derivation into ``out``."""
-        if self.tracer is None:
-            for job in jobs:
-                self._fire(*job, out)
-            return
         with self.tracer.span(kind, label, **attrs) as span:
             for job in jobs:
                 self._fire(*job, out)
@@ -191,15 +192,9 @@ class _Fixpoint:
 
     def _fire(self, index, info, position, delta_fn, out: DeltaStore) -> None:
         tracer = self.tracer
-        if tracer is None:
-            bindings = eval_rule_body_batch(
-                info, self.rows_fn, delta_index=position,
-                delta_rows_fn=delta_fn, oracles=self.oracles,
-            )
-            self._merge(derive_heads(info, bindings), out)
-            return
+        label = _rule_label(index, info) if tracer.enabled else ""
         attrs = {} if position is None else {"delta_pos": position}
-        with tracer.span("rule", _rule_label(index, info), **attrs) as span:
+        with tracer.span("rule", label, **attrs) as span:
             bindings = eval_rule_body_batch(
                 info, self.rows_fn, delta_index=position,
                 delta_rows_fn=delta_fn, tracer=tracer, oracles=self.oracles,
@@ -244,8 +239,7 @@ def seminaive_eval(
     stratum: Set[Skeleton],
     rows_fn: RowsFn,
     idb: Database,
-    max_rounds: int = 1_000_000,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
 ) -> int:
     """Evaluate one stratum to fixpoint with seminaive iteration.
@@ -253,8 +247,8 @@ def seminaive_eval(
     ``rule_infos`` must be exactly the rules whose heads are in
     ``stratum``; ``rows_fn`` resolves every predicate (EDB, lower strata,
     and the current stratum's accumulating relations in ``idb``).  Returns
-    the number of rounds.  ``tracer``, when given, receives one ``round``
-    span per fixpoint round with per-rule ``rule`` events inside it.
+    the number of rounds.  ``tracer`` receives one ``round`` span per
+    fixpoint round with per-rule ``rule`` spans inside it.
     ``oracles`` is forwarded to the body evaluator.
     """
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
@@ -273,7 +267,7 @@ def seminaive_eval(
         return rounds
     while delta:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise RuntimeError("seminaive evaluation did not converge")
         delta_fn = _delta_rows_fn(delta)
         new_delta: DeltaStore = {}
@@ -307,8 +301,7 @@ def incremental_eval(
     rows_fn: RowsFn,
     idb: Database,
     seed_delta: DeltaStore,
-    max_rounds: int = 1_000_000,
-    tracer=None,
+    tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
 ) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
     """Repair one *already-computed* stratum after monotone growth.
@@ -366,7 +359,7 @@ def incremental_eval(
         if not recursive:
             break
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > MAX_ROUNDS:
             raise RuntimeError("incremental evaluation did not converge")
         delta_fn = _delta_rows_fn(delta)
         new_delta: DeltaStore = {}

@@ -7,8 +7,11 @@ plan step or fixpoint round instead of one global counter blob.
 Architecture: every :class:`~repro.storage.database.Database` owns one
 :class:`Tracer` hub that is threaded through the VM, the NAIL! engine and
 the relations.  The hub is disabled (``enabled = False``) until a sink is
-installed, and every instrumentation site guards on ``tracer.enabled``
-before doing any work, so tracing is zero-cost when off.
+installed.  A unit of work runs once, inside ``with tracer.span(...)``,
+whether or not anyone traces: a disabled hub hands out the shared
+:data:`NULL_SPAN`, which drops what the site writes to it.  Instant
+events and labels that cost something to build guard on
+``tracer.enabled``, so tracing is near zero-cost when off.
 
 Event schema (deterministic in structure; wall-clock fields vary):
 
@@ -163,11 +166,32 @@ class _Span:
         return False
 
 
-class _NullSpan:
-    """Shared do-nothing span returned while tracing is disabled."""
+class _DiscardingDict(dict):
+    """An always-empty dict: item writes are accepted and dropped."""
 
-    rows = None
-    attrs: dict = {}
+    __slots__ = ()
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+class _NullSpan:
+    """Shared do-nothing span returned while tracing is disabled.
+
+    Span sites run the same code whether or not anyone traces, so this
+    span takes writes to ``rows`` and ``attrs`` and keeps none of them.
+    """
+
+    __slots__ = ()
+    attrs = _DiscardingDict()
+
+    @property
+    def rows(self) -> None:
+        return None
+
+    @rows.setter
+    def rows(self, value) -> None:
+        pass
 
     def __enter__(self) -> "_NullSpan":
         return self

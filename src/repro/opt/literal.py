@@ -173,7 +173,7 @@ def trace_join(
     """Emit the ``join`` trace event both engines write per (literal,
     resolved source): the strategy, the probe-key columns, the input
     sizes, and the planner's estimate against the actual output rows."""
-    if tracer is not None and tracer.enabled:
+    if tracer.enabled:
         tracer.event(
             "join",
             f"{name}/{plan.arity}",

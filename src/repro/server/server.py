@@ -484,6 +484,9 @@ class Session:
         self.system.disable_tracing()
         self.system.close()  # frees the engine's rows; the store is the server's
         self.server.db.tracer.set_session(None)
+        retire = getattr(self.server.db.counters, "retire", None)
+        if retire is not None:
+            retire()  # the connection thread is done counting
         self.closed = True
         self._push_event.set()  # wake the pusher so it can exit
 

@@ -46,7 +46,7 @@ class Database:
         self.index_policy = index_policy if index_policy is not None else AdaptiveIndexPolicy()
         self.counters = counters if counters is not None else CostCounters()
         # One tracing hub per database; disabled until a sink is installed.
-        self.tracer = tracer if tracer is not None else Tracer(self.counters)
+        self.tracer = tracer or Tracer(self.counters)
         # Shared columnar state (atom table + kernel caches, see repro.col).
         # Databases that evaluate against each other -- the NAIL! engine's
         # IDB over this EDB -- pass the owning database's context so ids

@@ -148,7 +148,7 @@ class Relation:
         counters: Optional[CostCounters] = None,
         index_policy: Optional[IndexPolicy] = None,
         listener: Optional[Callable[["Relation"], None]] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Tracer = NULL_TRACER,
     ):
         if arity < 0:
             raise ValueError("arity must be non-negative")
@@ -158,7 +158,7 @@ class Relation:
         self.arity = arity
         self.counters = counters if counters is not None else CostCounters()
         self.index_policy = index_policy
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         # Optional mutation journal (transactions / write-ahead logging).
         # Relations outside a durable Database never pay more than one
         # attribute read per mutation for it.

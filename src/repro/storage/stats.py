@@ -110,11 +110,17 @@ class ThreadLocalCounters:
     ``counters.inserts += 1``, ``as_tuple()``, ``snapshot()``, ``reset()``
     and ``total_tuple_touches`` all resolve against the calling thread's
     block, so instrumentation sites need no changes.
+
+    A thread that is done counting (a closed server session) calls
+    :meth:`retire`, which folds its block into one retired total: the
+    number of blocks stays bounded by the live threads, and
+    :meth:`aggregate` stays exact.
     """
 
     def __init__(self):
         object.__setattr__(self, "_tls", threading.local())
         object.__setattr__(self, "_blocks", [])
+        object.__setattr__(self, "_retired", CostCounters())
         object.__setattr__(self, "_lock", threading.Lock())
 
     def _mine(self) -> CostCounters:
@@ -134,19 +140,35 @@ class ThreadLocalCounters:
     def __setattr__(self, name, value):
         setattr(self._mine(), name, value)
 
-    def aggregate(self) -> CostCounters:
-        """The sum over every thread's block (a snapshot copy)."""
-        total = CostCounters()
+    def retire(self) -> None:
+        """Fold the calling thread's block into the retired total; the
+        thread's next count starts a fresh block."""
+        block = getattr(self._tls, "block", None)
+        if block is None:
+            return
+        self._tls.block = None
         with self._lock:
-            blocks = list(self._blocks)
+            # By identity: blocks are dataclasses, equal when their counts are.
+            blocks = [other for other in self._blocks if other is not block]
+            object.__setattr__(self, "_blocks", blocks)
+            object.__setattr__(self, "_retired", self._retired + block)
+
+    def aggregate(self) -> CostCounters:
+        """The sum over every thread's block and the retired total (a
+        snapshot copy)."""
+        with self._lock:
+            blocks = [self._retired, *self._blocks]
+        total = CostCounters()
         for block in blocks:
             total = total + block
         return total
 
     def reset_all(self) -> None:
-        """Reset every thread's block (``reset()`` is per-thread)."""
+        """Reset every thread's block and the retired total (``reset()``
+        is per-thread)."""
         with self._lock:
             blocks = list(self._blocks)
+            object.__setattr__(self, "_retired", CostCounters())
         for block in blocks:
             block.reset()
 

@@ -44,6 +44,7 @@ from repro.lang.ast import (
     UpdateSubgoal,
     WatchDecl,
 )
+from repro.opt import DEFAULT_COST_PIPELINE
 from repro.opt import optimize as plan_body
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan as OptPlan
@@ -725,9 +726,9 @@ class ProgramCompiler:
         a variant compiled once per ordering and cached on ``stmt.replan``.
         """
         replan = stmt.replan
-        ordered = self._planned_order(
+        ordered = self._plan(
             replan.body, replan.scope, self._scoped_stats(replan.scope, frame_locals)
-        )
+        ).ordered_body
         if ordered == replan.ordered:
             return stmt
         variant = replan.variants.get(ordered)
@@ -820,15 +821,20 @@ class ProgramCompiler:
         stmt: Optional[AssignStmt] = None,
         preordered: bool = False,
     ) -> Tuple[List[Step], _ColumnState, Tuple[object, ...], Optional[OptPlan]]:
+        stats = self._scoped_stats(scope)
+        annotated: Optional[OptPlan] = None
         if not preordered:
-            body = self._order_body(body, scope)
+            body, annotated = self._order_body(body, scope, stats)
         line = stmt.line if stmt is not None else 0
         try:
             analyze_bindings(body)
         except BindingError as exc:
             raise CompileError(f"line {line}: {exc}") from exc
 
-        annotated = self._annotate_body(body, scope)
+        if annotated is None and stats is not None:
+            # The planner's estimates for the body in its final order (one
+            # step per subgoal); without statistics they are unknown, not 0.
+            annotated = self._plan(body, scope, stats, pipeline=())
         state = _ColumnState()
         plan: List[Step] = []
         for pos, subgoal in enumerate(body):
@@ -838,7 +844,9 @@ class ProgramCompiler:
             plan.append(step)
         return plan, state, tuple(body), annotated
 
-    def _order_body(self, body: List[object], scope: Scope) -> List[object]:
+    def _order_body(
+        self, body: List[object], scope: Scope, stats
+    ) -> Tuple[List[object], Optional[OptPlan]]:
         """Choose the body's evaluation order.
 
         The shared :mod:`repro.opt` pass pipeline orders it; the
@@ -846,26 +854,33 @@ class ProgramCompiler:
         to the statistics-free plan (the greedy unbound-argument-ratio
         schedule) when their order does not bind-check -- some bodies only
         compile reordered, and the oracle must not reject programs that
-        the planner accepts.
+        the planner accepts.  Returns the order and, when the planner
+        chose it with statistics, its plan: the estimates of that order.
         """
+        planned = None
         if self.oracles.written_order:
             candidate = list(body)
         else:
-            candidate = list(self._planned_order(body, scope, self._scoped_stats(scope)))
+            planned = self._plan(body, scope, stats)
+            candidate = list(planned.ordered_body)
         try:
             analyze_bindings(candidate)
-            return candidate
+            return candidate, planned if stats is not None else None
         except BindingError:
             pass
-        return list(self._planned_order(body, scope, None))
+        return list(self._plan(body, scope, None).ordered_body), None
 
-    def _planned_order(self, body: Sequence[object], scope: Scope, stats) -> Tuple[object, ...]:
+    def _plan(
+        self, body: Sequence[object], scope: Scope, stats,
+        pipeline: Tuple[str, ...] = DEFAULT_COST_PIPELINE,
+    ) -> OptPlan:
         return plan_body(
             tuple(body),
             stats=stats,
+            pipeline=pipeline,
             call_fixedness=self._call_fixedness(scope),
             call_bound_arity=self._call_bound_arity(scope),
-        ).ordered_body
+        )
 
     def _scoped_stats(self, scope: Scope, frame_locals=None):
         """The statistics source, scope-aware; one resolver for compile
@@ -892,21 +907,6 @@ class ProgramCompiler:
             return stats_source(pred, arity)
 
         return source
-
-    def _annotate_body(self, body: Sequence[object], scope: Scope) -> Optional[OptPlan]:
-        """The planner's estimates for ``body`` in its final order (one
-        step per subgoal).  None without a statistics source: estimates are
-        then unknown, not zero."""
-        stats = self._scoped_stats(scope)
-        if stats is None:
-            return None
-        return plan_body(
-            tuple(body),
-            stats=stats,
-            pipeline=(),
-            call_fixedness=self._call_fixedness(scope),
-            call_bound_arity=self._call_bound_arity(scope),
-        )
 
     def _compile_subgoal(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
         colindex = state.colindex

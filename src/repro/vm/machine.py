@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.scope import PredClass, pred_skeleton
 from repro.errors import GlueRuntimeError
@@ -28,7 +28,7 @@ from repro.glue.builtins import BUILTIN_PROCS
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation
-from repro.storage.stats import COUNTER_FIELDS, CostCounters
+from repro.storage.stats import COUNTER_FIELDS, CostCounters, nonzero_delta
 from repro.terms.term import Atom, Term
 from repro.vm.plan import (
     CompiledProc,
@@ -39,6 +39,7 @@ from repro.vm.plan import (
     PredRef,
     Row,
 )
+from repro.vm.explain import step_label, stmt_label
 
 ForeignFn = Callable[["ExecContext", List[Row]], List[Row]]
 
@@ -242,37 +243,31 @@ class Machine:
 
     def call_proc(self, proc: CompiledProc, input_rows: List[Row]) -> List[Row]:
         """Invoke a compiled procedure on a set of input tuples."""
-        tracer = self.ctx.tracer
-        if not tracer.enabled:
-            return self._call_proc_impl(proc, input_rows)
-        with tracer.span(
+        with self.ctx.tracer.span(
             "proc", f"{proc.name}/{proc.arity}", module=proc.module,
             inputs=len(input_rows),
         ) as span:
-            rows = self._call_proc_impl(proc, input_rows)
+            self.ctx.counters.proc_calls += 1
+            frame = Frame(proc, self.ctx)
+            for row in input_rows:
+                if len(row) != proc.bound_arity:
+                    raise GlueRuntimeError(
+                        f"{proc.name}: input arity {len(row)} != bound arity {proc.bound_arity}"
+                    )
+                frame.in_rel.insert(row)
+            try:
+                for stmt in proc.body:
+                    self.exec_stmt(stmt, frame)
+            except _ReturnSignal:
+                pass
+            finally:
+                # The frame's relations die with it: drop their kernel tables
+                # so they never crowd the shared cache toward a wholesale clear.
+                owned = (*frame.locals.values(), frame.in_rel, frame.return_rel)
+                self.ctx.db.columnar.evict(relation.uid for relation in owned)
+            rows = frame.return_rel.copy_rows()
             span.rows = len(rows)
             return rows
-
-    def _call_proc_impl(self, proc: CompiledProc, input_rows: List[Row]) -> List[Row]:
-        self.ctx.counters.proc_calls += 1
-        frame = Frame(proc, self.ctx)
-        for row in input_rows:
-            if len(row) != proc.bound_arity:
-                raise GlueRuntimeError(
-                    f"{proc.name}: input arity {len(row)} != bound arity {proc.bound_arity}"
-                )
-            frame.in_rel.insert(row)
-        try:
-            for stmt in proc.body:
-                self.exec_stmt(stmt, frame)
-        except _ReturnSignal:
-            pass
-        finally:
-            # The frame's relations die with it: drop their kernel tables
-            # so they never crowd the shared cache toward a wholesale clear.
-            owned = (*frame.locals.values(), frame.in_rel, frame.return_rel)
-            self.ctx.db.columnar.evict(relation.uid for relation in owned)
-        return frame.return_rel.copy_rows()
 
     def run_script(self) -> None:
         """Execute the loose top-level statements of the program."""
@@ -290,24 +285,15 @@ class Machine:
             return
         assert isinstance(stmt, CompiledStmt)
         tracer = self.ctx.tracer
-        if not tracer.enabled:
-            self._exec_assign(stmt, frame)
-            return
-        from repro.vm.explain import stmt_label
-
-        with tracer.span("stmt", stmt_label(stmt)) as span:
-            self._exec_assign(stmt, frame, span)
-
-    def _exec_assign(self, stmt: CompiledStmt, frame: Frame, span=None) -> None:
-        if stmt.replan is not None:
-            # Compiled without some relation's size: plan again by the live
-            # sizes (paper Section 10).
-            stmt = self.program.compiler.replanned(stmt, frame.locals)
-        rows = self.run_plan(stmt.plan, frame)
-        head_rows = list(dict.fromkeys(tuple(fn(r) for fn in stmt.head_fns) for r in rows))
-        if span is not None:
+        with tracer.span("stmt", stmt_label(stmt) if tracer.enabled else "") as span:
+            if stmt.replan is not None:
+                # Compiled without some relation's size: plan again by the
+                # live sizes (paper Section 10).
+                stmt = self.program.compiler.replanned(stmt, frame.locals)
+            rows = self.run_plan(stmt.plan, frame)
+            head_rows = list(dict.fromkeys(tuple(fn(r) for fn in stmt.head_fns) for r in rows))
             span.rows = len(head_rows)
-        self._apply_head(stmt, rows, head_rows, frame)
+            self._apply_head(stmt, rows, head_rows, frame)
         if stmt.is_return and head_rows:
             # "Assigning to this relation also has the effect of exiting the
             # procedure" -- but an empty body stops the statement before the
@@ -364,26 +350,19 @@ class Machine:
             raise GlueRuntimeError(f"unknown assignment operator {op}")
 
     def _exec_repeat(self, stmt: CompiledRepeat, frame: Frame) -> None:
-        tracer = self.ctx.tracer
-        if not tracer.enabled:
-            self._exec_repeat_impl(stmt, frame)
-            return
-        with tracer.span("repeat", "repeat/until") as span:
-            iterations = self._exec_repeat_impl(stmt, frame)
-            span.attrs["iterations"] = iterations
-
-    def _exec_repeat_impl(self, stmt: CompiledRepeat, frame: Frame) -> int:
-        iterations = 0
-        while True:
-            for inner in stmt.body:
-                self.exec_stmt(inner, frame)
-            if self._eval_until(stmt.until_alts, frame):
-                return iterations + 1
-            iterations += 1
-            if iterations >= self.ctx.max_loop_iterations:
-                raise GlueRuntimeError(
-                    f"repeat loop exceeded {self.ctx.max_loop_iterations} iterations"
-                )
+        with self.ctx.tracer.span("repeat", "repeat/until") as span:
+            iterations = 0
+            while True:
+                for inner in stmt.body:
+                    self.exec_stmt(inner, frame)
+                iterations += 1
+                if self._eval_until(stmt.until_alts, frame):
+                    span.attrs["iterations"] = iterations
+                    return
+                if iterations >= self.ctx.max_loop_iterations:
+                    raise GlueRuntimeError(
+                        f"repeat loop exceeded {self.ctx.max_loop_iterations} iterations"
+                    )
 
     def _eval_until(self, alternatives: List[Plan], frame: Frame) -> bool:
         """A condition holds when its conjunction yields a non-empty set;
@@ -404,7 +383,8 @@ class Machine:
 
     # -- per-step instrumentation (EXPLAIN ANALYZE) -------------------- #
     #
-    # Tracing must not change what executes: the pipelined strategy stays
+    # Both executors run the same steps whether or not anyone traces; a
+    # traced run also meters each step.  The pipelined strategy stays
     # lazy, so each step's output stream is wrapped in a metering iterator
     # that accumulates rows-out, wall time and counter deltas *inclusive*
     # of its upstream chain.  Since a pipeline segment is linear, a step's
@@ -419,11 +399,13 @@ class Machine:
         return rows
 
     def _run_materialized(self, plan: Plan, frame: Frame) -> List[Row]:
-        if self.ctx.tracer.enabled:
-            return self._run_materialized_traced(plan, frame)
         counters = self.ctx.counters
+        snap = counters.as_tuple if self.ctx.tracer.enabled else None
         current: List[Row] = [()]
         for step in plan:
+            if snap is not None:
+                meter = _StepMeter(snap)
+                meter.start()
             if step.is_barrier:
                 current = step.materialize_apply(current, self, frame)
             else:
@@ -431,6 +413,9 @@ class Machine:
             counters.materializations += 1
             counters.materialized_tuples += len(current)
             current = self._dedup(current)
+            if snap is not None:
+                meter.stop(len(current))
+                self._emit_step(step, meter)
             if not current:
                 # "Execution of an assignment statement stops whenever a
                 # supplementary relation is empty."
@@ -448,67 +433,13 @@ class Machine:
         seed: Optional[List[Row]] = None,
         count_final: bool = True,
     ) -> List[Row]:
-        if self.ctx.tracer.enabled:
-            return self._run_pipelined_traced(plan, frame, seed, count_final)
         counters = self.ctx.counters
+        snap = counters.as_tuple if self.ctx.tracer.enabled else None
         stream = iter([()] if seed is None else seed)
-        for step in plan:
-            if step.is_barrier:
-                materialized = list(stream)
-                counters.pipeline_breaks += 1
-                counters.materializations += 1
-                counters.materialized_tuples += len(materialized)
-                if self.ctx.dedup_on_break:
-                    materialized = self._dedup(materialized)
-                if not materialized:
-                    return []
-                stream = iter(step.materialize_apply(materialized, self, frame))
-            else:
-                stream = step.iterate(stream, self, frame)
-        result = list(stream)
-        if count_final:
-            counters.materializations += 1
-            counters.materialized_tuples += len(result)
-        return self._dedup(result)
-
-    def _run_materialized_traced(self, plan: Plan, frame: Frame) -> List[Row]:
-        counters = self.ctx.counters
-        tracer = self.ctx.tracer
-        from repro.vm.explain import step_label
-
-        current: List[Row] = [()]
-        for step in plan:
-            c0 = counters.as_tuple()
-            t0 = perf_counter()
-            if step.is_barrier:
-                current = step.materialize_apply(current, self, frame)
-            else:
-                current = list(step.iterate(current, self, frame))
-            counters.materializations += 1
-            counters.materialized_tuples += len(current)
-            current = self._dedup(current)
-            tracer.event(
-                "step", step_label(step), rows=len(current),
-                counters=_nonzero_counter_diff(c0, counters.as_tuple()),
-                dur_s=perf_counter() - t0,
-            )
-            if not current:
-                return []
-        return current
-
-    def _run_pipelined_traced(
-        self,
-        plan: Plan,
-        frame: Frame,
-        seed: Optional[List[Row]],
-        count_final: bool,
-    ) -> List[Row]:
-        counters = self.ctx.counters
-        snap = counters.as_tuple
-        stream = iter([()] if seed is None else seed)
-        meters: List[Tuple[Step, _StepMeter, Optional[_StepMeter]]] = []
+        # (step, meter, upstream meter of its segment), filled when traced
+        meters: List[Tuple[object, _StepMeter, Optional[_StepMeter]]] = []
         base: Optional[_StepMeter] = None
-        aborted = False
+        result: Optional[List[Row]] = None
         for step in plan:
             if step.is_barrier:
                 materialized = list(stream)  # upstream meters finish here
@@ -517,103 +448,97 @@ class Machine:
                 counters.materialized_tuples += len(materialized)
                 if self.ctx.dedup_on_break:
                     materialized = self._dedup(materialized)
-                meter = _StepMeter()
-                meter.break_rows = len(materialized)
-                meters.append((step, meter, None))
+                if snap is not None:
+                    meter = _StepMeter(snap, break_rows=len(materialized))
+                    meters.append((step, meter, None))
+                    meter.start()
                 if not materialized:
-                    aborted = True
-                    result: List[Row] = []
+                    result = []
                     break
-                c0 = snap()
-                t0 = perf_counter()
                 out = step.materialize_apply(materialized, self, frame)
-                meter.dur = perf_counter() - t0
-                meter.add(c0, snap())
-                meter.rows = len(out)
+                if snap is not None:
+                    meter.stop(len(out))
                 stream = iter(out)
                 base = None  # the next lazy step starts a fresh segment
             else:
-                meter = _StepMeter()
-                meters.append((step, meter, base))
-                stream = _metered(step.iterate(stream, self, frame), meter, snap)
-                base = meter
-        if not aborted:
+                stream = step.iterate(stream, self, frame)
+                if snap is not None:
+                    meter = _StepMeter(snap)
+                    meters.append((step, meter, base))
+                    stream = _metered(stream, meter)
+                    base = meter
+        if result is None:
             result = list(stream)
             if count_final:
                 counters.materializations += 1
                 counters.materialized_tuples += len(result)
             result = self._dedup(result)
-        self._emit_step_events(meters)
+        for step, meter, base in meters:
+            self._emit_step(step, meter, base)
         return result
 
-    def _emit_step_events(
-        self, meters: List[Tuple["Step", "_StepMeter", Optional["_StepMeter"]]]
-    ) -> None:
+    def _emit_step(self, step, meter: "_StepMeter", base: Optional["_StepMeter"] = None) -> None:
+        """The ``step`` event (after a ``pipeline_break`` one at a barrier)
+        of one metered step; ``base`` is the upstream meter to subtract."""
         tracer = self.ctx.tracer
-        from repro.vm.explain import step_label
+        label = step_label(step)
+        if meter.break_rows is not None:
+            tracer.event("pipeline_break", label, rows=meter.break_rows)
+        dur = meter.dur
+        before = _NO_DELTA
+        if base is not None:
+            dur = max(dur - base.dur, 0.0)
+            before = base.delta
+        tracer.event(
+            "step", label, rows=meter.rows,
+            counters=nonzero_delta(before, meter.delta), dur_s=dur,
+        )
 
-        for step, meter, base in meters:
-            if meter.break_rows is not None:
-                tracer.event("pipeline_break", step_label(step), rows=meter.break_rows)
-            if base is None:
-                dur = meter.dur
-                delta = meter.delta
-            else:
-                dur = max(meter.dur - base.dur, 0.0)
-                delta = [a - b for a, b in zip(meter.delta, base.delta)]
-            tracer.event(
-                "step", step_label(step), rows=meter.rows,
-                counters={
-                    COUNTER_FIELDS[i]: v for i, v in enumerate(delta) if v
-                },
-                dur_s=dur,
-            )
+
+_NO_DELTA = (0,) * len(COUNTER_FIELDS)
 
 
 class _StepMeter:
     """Accumulates one plan step's rows-out, wall time and counter deltas.
 
     For lazy (non-barrier) steps the numbers are *inclusive* of the
-    upstream chain; :meth:`Machine._emit_step_events` subtracts the
-    upstream meter to get the step's own cost.  ``break_rows`` is set on
-    barrier meters to the supplementary-relation size at the break.
+    upstream chain; :meth:`Machine._emit_step` subtracts the upstream
+    meter to get the step's own cost.  ``break_rows`` is set on barrier
+    meters to the supplementary-relation size at the break.
     """
 
-    __slots__ = ("rows", "dur", "delta", "break_rows")
+    __slots__ = ("snap", "rows", "dur", "delta", "break_rows", "_c0", "_t0")
 
-    def __init__(self):
+    def __init__(self, snap, break_rows: Optional[int] = None):
+        self.snap = snap
         self.rows = 0
         self.dur = 0.0
         self.delta = [0] * len(COUNTER_FIELDS)
-        self.break_rows: Optional[int] = None
+        self.break_rows = break_rows
 
-    def add(self, before: tuple, after: tuple) -> None:
+    def start(self) -> None:
+        self._c0 = self.snap()
+        self._t0 = perf_counter()
+
+    def stop(self, rows: int) -> None:
+        """Charge the work since :meth:`start`, which produced ``rows``."""
+        self.dur += perf_counter() - self._t0
+        after = self.snap()
+        before = self._c0
         delta = self.delta
         for i in range(len(delta)):
             delta[i] += after[i] - before[i]
+        self.rows += rows
 
 
-def _metered(inner, meter: _StepMeter, snap) -> "Iterator[Row]":
+def _metered(inner, meter: _StepMeter) -> Iterator[Row]:
     """Wrap a step's output stream, charging each pull to ``meter``."""
     while True:
-        c0 = snap()
-        t0 = perf_counter()
+        meter.start()
         try:
             row = next(inner)
         except StopIteration:
-            meter.dur += perf_counter() - t0
-            meter.add(c0, snap())
+            meter.stop(0)
             return
-        meter.dur += perf_counter() - t0
-        meter.add(c0, snap())
-        meter.rows += 1
+        meter.stop(1)
         yield row
-
-
-def _nonzero_counter_diff(before: tuple, after: tuple) -> Dict[str, int]:
-    out = {}
-    for i, name in enumerate(COUNTER_FIELDS):
-        diff = after[i] - before[i]
-        if diff:
-            out[name] = diff
-    return out

@@ -2,7 +2,11 @@
 
 import io
 import json
+import random
 
+import pytest
+
+from repro.baselines.reference import reference_system
 from repro.core.system import GlueNailSystem
 from repro.obs.tracer import CollectingSink, JsonLinesSink, NULL_SPAN, Tracer
 from repro.storage.stats import CostCounters
@@ -25,6 +29,18 @@ class TestTracerCore:
         tracer = Tracer()
         assert tracer.span("query", "q") is NULL_SPAN
         assert tracer.span("stmt", "s") is NULL_SPAN
+
+    def test_null_span_drops_writes_and_stays_shared(self):
+        # Span sites run the same code traced or not, so the disabled span
+        # takes the sites' writes -- and must keep none of them.
+        tracer = Tracer()
+        with tracer.span("stratum", "s") as span:
+            span.rows = 5
+            span.attrs["rounds"] = 3
+        assert span is NULL_SPAN
+        assert NULL_SPAN.rows is None
+        assert NULL_SPAN.attrs == {}
+        assert tracer.span("rule", "r") is NULL_SPAN
 
     def test_events_only_reach_sinks_while_enabled(self):
         tracer = Tracer()
@@ -157,3 +173,84 @@ class TestSystemTracing:
         assert {"call", "proc", "stmt", "step"} <= kinds
         steps = [e for e in result.trace if e.kind == "step"]
         assert all(e.rows is not None for e in steps)
+
+
+# Every span site runs the same code with and without a sink attached: a
+# program that reaches each of them (both VM executors, procedure calls, a
+# repeat loop, full fixpoints, an incremental repair, magic sets) must give
+# the same rows and the same work counters either way.
+PARITY_PROGRAM = """
+coauthor(A, B) :- wrote(A, P) & wrote(B, P) & A != B.
+reach(P, Q) :- cites(P, Q).
+reach(P, R) :- reach(P, Q) & cites(Q, R).
+cited(Q) :- cites(_, Q).
+uncited(P) :- paper(P, _, _) & !cited(P).
+
+proc venue_report(:V, Papers, Authorships)
+rels per_venue(V, N);
+  per_venue(V, N) := paper(P, V, _) & group_by(V) & N = count(P).
+  return(:V, Papers, Authorships) :=
+    per_venue(V, Papers) & paper(P, V, _) & wrote(A, P) &
+    group_by(V, Papers) & Authorships = count(A).
+end
+
+proc hops(P : N)
+rels frontier(Q), seen(Q);
+  frontier(Q) := in(P) & cites(P, Q).
+  seen(Q) := frontier(Q).
+  repeat
+    frontier(R) := frontier(Q) & cites(Q, R) & !seen(R).
+    seen(R) += frontier(R).
+  until empty(frontier(_));
+  return(P : N) := in(P) & seen(Q) & group_by(P) & N = count(Q).
+end
+
+proc nowhere_report(:V, N)
+  return(:V, N) := paper(P, V, _) & V = nowhere & group_by(V) & N = count(P).
+end
+"""
+
+
+def _parity_run(system, traced):
+    rng = random.Random(7)
+    papers = [f"p{i}" for i in range(30)]
+    system.load(PARITY_PROGRAM)
+    system.facts("paper", [(p, f"v{i % 3}", 1990 + i % 5) for i, p in enumerate(papers)])
+    system.facts("wrote", sorted({(f"a{rng.randrange(10)}", p) for p in papers for _ in range(2)}))
+    system.facts("cites", sorted({(rng.choice(papers[:i]), p) for i, p in enumerate(papers) if i}))
+    collector = system.enable_tracing() if traced else None
+    results = [
+        system.query("reach(P, Q)?"),
+        system.query_magic("reach(p1, Q)?"),
+        system.call("venue_report"),
+        system.call("hops", [("p0",)]),
+    ]
+    # The product repairs the cached closure in place; the naive
+    # fixpoint rebuilds it.
+    system.facts("cites", [("p28", "p29"), ("p29", "p_new")])
+    results += [
+        system.query("reach(P, Q)?"),
+        system.query("uncited(P)?"),
+        system.call("nowhere_report"),  # stops at an empty pipeline break
+    ]
+    outcome = [(sorted(map(repr, r.rows)), r.stats.counters) for r in results]
+    kinds = {event.kind for event in collector.events} if traced else set()
+    return outcome, system.counters.snapshot(), kinds
+
+
+@pytest.mark.parametrize("strategy", ["pipelined", "materialized"])
+@pytest.mark.parametrize("naive", [False, True], ids=["product", "naive"])
+def test_a_sink_changes_no_rows_and_no_counters(strategy, naive):
+    def build():
+        if naive:
+            return reference_system(naive_fixpoint=True, strategy=strategy)
+        return GlueNailSystem(strategy=strategy)
+
+    plain, plain_total, _ = _parity_run(build(), traced=False)
+    traced, traced_total, kinds = _parity_run(build(), traced=True)
+    assert traced == plain
+    assert traced_total == plain_total
+    assert all(rows for rows, _counters in plain[:-1])
+    assert plain[-1][0] == []
+    fixpoint = {"pass"} if naive else {"round", "incremental_round"}
+    assert {"proc", "stmt", "step", "repeat", "stratum", "magic"} | fixpoint <= kinds

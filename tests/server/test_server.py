@@ -8,6 +8,8 @@ job); everything else here is fast enough for tier 1.
 import json
 import socket
 import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -149,6 +151,34 @@ class TestSessionIsolation:
             assert idle.get("inserts", 0) == 0
             # The server-wide aggregate still sees everything.
             assert a.stats()["server_counters"].get("inserts", 0) == 50
+
+
+class TestCounterBlocks:
+    def test_closed_sessions_fold_their_counter_blocks(self, server):
+        """Each connection thread counts into its own block; closing the
+        connection folds that block into one retired total, so the blocks
+        stay bounded by the live threads while the server-wide aggregate
+        still sums every connection's work."""
+        counters = server.db.counters
+        before = Counter(counters.aggregate().snapshot())
+        idle_threads = threading.active_count()
+        connections = 12
+        work = Counter()
+        for i in range(connections):
+            with Client(port=server.port) as c:
+                c.facts("edge", [(i, j) for j in range(5)])
+                c.query("edge(X, Y)?")
+                work.update(c.stats()["counters"])
+            deadline = time.monotonic() + 10
+            while threading.active_count() > idle_threads and time.monotonic() < deadline:
+                time.sleep(0.005)  # the handler thread releases its session
+        assert len(counters._blocks) <= threading.active_count() + 1
+        # A stats request pins its snapshot after reading its own counters.
+        work["snapshot_pins"] += connections
+        done = Counter(counters.aggregate().snapshot())
+        done.subtract(before)
+        assert +done == +work
+        assert done["inserts"] == 5 * connections
 
 
 class TestTransactionsOverTheWire:

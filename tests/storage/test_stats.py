@@ -96,6 +96,28 @@ class TestThreadLocalCounters:
         assert views == [own] * threads_n
 
 
+    def test_retire_folds_only_the_calling_threads_block(self):
+        # Two threads with equal counts: their blocks compare equal, and
+        # retiring one must not drop the other (still counting) block.
+        shared = ThreadLocalCounters()
+        shared.inserts += 1
+        retired = threading.Event()
+
+        def worker():
+            shared.inserts += 1
+            shared.retire()
+            retired.set()
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+        assert retired.is_set()
+        shared.inserts += 1
+        assert len(shared._blocks) == 1
+        assert shared.aggregate().inserts == 3
+        assert shared.inserts == 2
+
+
 class TestLedgers:
     def test_ledger_accumulates(self):
         ledger = ScanCostLedger()
