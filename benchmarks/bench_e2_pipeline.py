@@ -26,7 +26,9 @@ def make_facts(n):
 
 
 def run_chain(strategy, n):
-    system = system_with(SOURCE, make_facts(n), strategy=strategy, written_order=True)
+    system = system_with(
+        SOURCE, make_facts(n), materialized=strategy == "materialized", written_order=True
+    )
     system.run_script()
     return system
 

@@ -29,9 +29,7 @@ def make_facts(keys, fanout, big_fanout=8):
 
 
 def run(dedup, keys, fanout):
-    system = system_with(
-        SOURCE, make_facts(keys, fanout), strategy="pipelined", dedup_on_break=dedup
-    )
+    system = system_with(SOURCE, make_facts(keys, fanout), keep_duplicates=not dedup)
     system.run_script()
     return system
 

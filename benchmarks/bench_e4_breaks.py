@@ -38,9 +38,7 @@ def make_facts(n):
 
 
 def run(body, n=200):
-    system = system_with(
-        IDENTITY_PROC + "\n" + body, make_facts(n), strategy="pipelined"
-    )
+    system = system_with(IDENTITY_PROC + "\n" + body, make_facts(n))
     system.run_script()
     return system
 

@@ -17,8 +17,7 @@ row, and its penalty grows with the number of rows flowing through.
 import pytest
 
 from benchmarks._workloads import print_series
-from repro.baselines.runtime_dispatch import make_runtime_dispatch_system
-from repro.core.system import GlueNailSystem
+from repro.baselines.reference import reference_system
 from repro.terms.term import Atom
 
 SOURCE = """
@@ -32,10 +31,7 @@ end
 
 
 def build(deref: bool, rows: int):
-    if deref:
-        system = GlueNailSystem()
-    else:
-        system = make_runtime_dispatch_system()
+    system = reference_system(runtime_dispatch=not deref)
     system.load(SOURCE)
     sets = ["reds", "blues", "greens", "cyans"]
     system.facts("listing", [(s,) for s in sets])

@@ -1,15 +1,19 @@
 """The product's own baselines, kept as differential references.
 
-Three paths the product replaced stay runnable so tests and ablations can
-compare against them (see :mod:`repro.oracles`): the binding-dict row
-engine, written body order and the naive fixpoint.  No
-product constructor, CLI flag or REPL command selects one; these helpers
-are the only way in::
+The paths the product replaced stay runnable so tests and ablations can
+compare against them: one switch per field of :class:`repro.oracles.Oracles`
+(the binding-dict row engine, written body order, the naive fixpoint, the
+materialize-every-step VM, no duplicate elimination at breaks and run-time
+predicate dispatch).  No product constructor, CLI flag or REPL command
+selects one; these helpers are the only way in::
 
     reference_system(naive_fixpoint=True, written_order=True)
+    reference_system(materialized=True, keep_duplicates=True)
     reference_engine(db, rules, row_engine=True)
     reference_server(row_engine=True, port=0, program=source)
 
+Each helper passes the keywords that name an ``Oracles`` field to it and
+the rest to the constructor, so a new baseline touches only ``Oracles``.
 With every flag off each helper builds exactly the product.  Lower layers
 (``magic_query``, ``eval_rule_body``, ``seminaive_eval``, ...) take an
 ``oracles=`` value; build it with :class:`Oracles`, re-exported here.
@@ -17,8 +21,9 @@ With every flag off each helper builds exactly the product.  Lower layers
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import partial
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.core.system import GlueNailSystem
 from repro.lang.ast import RuleDecl
@@ -44,42 +49,33 @@ class _ReferenceServer(GlueNailServer):
         super().__init__(**server_kwargs)
 
 
-def reference_system(
-    *,
-    row_engine: bool = False,
-    written_order: bool = False,
-    naive_fixpoint: bool = False,
-    **system_kwargs,
-) -> GlueNailSystem:
-    """A :class:`GlueNailSystem` (``system_kwargs`` as its constructor's)
-    whose compiler, VM and NAIL! engine run the chosen baselines."""
-    oracles = Oracles(row_engine, written_order, naive_fixpoint)
+def _split(kwargs: dict) -> Tuple[Oracles, dict]:
+    """``kwargs`` split into the :class:`Oracles` fields it names and the
+    constructor arguments left over."""
+    names = {field.name for field in fields(Oracles)}
+    chosen = {name: kwargs.pop(name) for name in names & kwargs.keys()}
+    return Oracles(**chosen), kwargs
+
+
+def reference_system(**kwargs) -> GlueNailSystem:
+    """A :class:`GlueNailSystem` whose compiler, VM and NAIL! engine run the
+    baselines named by :class:`Oracles` fields in ``kwargs``; the other
+    keywords go to its constructor."""
+    oracles, system_kwargs = _split(kwargs)
     return _system(oracles, **system_kwargs)
 
 
-def reference_engine(
-    db: Database,
-    rules: Sequence[RuleDecl],
-    *,
-    row_engine: bool = False,
-    written_order: bool = False,
-    naive_fixpoint: bool = False,
-    **engine_kwargs,
-) -> NailEngine:
-    """A :class:`NailEngine` (``engine_kwargs`` as its constructor's) that
-    runs the chosen baselines."""
-    oracles = Oracles(row_engine, written_order, naive_fixpoint)
+def reference_engine(db: Database, rules: Sequence[RuleDecl], **kwargs) -> NailEngine:
+    """A :class:`NailEngine` that runs the baselines named by
+    :class:`Oracles` fields in ``kwargs``; the other keywords go to its
+    constructor."""
+    oracles, engine_kwargs = _split(kwargs)
     return NailEngine(db, rules, oracles=oracles, **engine_kwargs)
 
 
-def reference_server(
-    *,
-    row_engine: bool = False,
-    written_order: bool = False,
-    naive_fixpoint: bool = False,
-    **server_kwargs,
-) -> GlueNailServer:
-    """A :class:`GlueNailServer` (``server_kwargs`` as its constructor's)
-    whose sessions and subscription host run the chosen baselines."""
-    oracles = Oracles(row_engine, written_order, naive_fixpoint)
+def reference_server(**kwargs) -> GlueNailServer:
+    """A :class:`GlueNailServer` whose sessions and subscription host run
+    the baselines named by :class:`Oracles` fields in ``kwargs``; the other
+    keywords go to its constructor."""
+    oracles, server_kwargs = _split(kwargs)
     return _ReferenceServer(oracles=oracles, **server_kwargs)

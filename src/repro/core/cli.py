@@ -12,7 +12,6 @@ Subcommands::
 Common options: ``--edb facts.gnd`` loads an EDB dump before running,
 ``--db DIR`` opens a durable database directory (WAL + checkpoint, with
 crash recovery), ``--save facts.gnd`` persists the EDB afterwards,
-``--strategy pipelined|materialized`` picks the execution strategy,
 ``--stats`` prints the cost counters, ``--trace-json FILE`` streams the
 execution trace as JSON lines.  ``query --explain-analyze`` prints the
 plan annotated with actual rows, counter deltas and timings.
@@ -30,15 +29,10 @@ from repro.terms.printer import tuple_to_str
 
 
 def _build_system(args) -> GlueNailSystem:
-    options = dict(
-        strict=args.strict,
-        strategy=args.strategy,
-        dedup_on_break=not args.no_dedup,
-    )
     if getattr(args, "db", None):
-        system = GlueNailSystem.open(args.db, **options)
+        system = GlueNailSystem.open(args.db, strict=args.strict)
     else:
-        system = GlueNailSystem(**options)
+        system = GlueNailSystem(strict=args.strict)
     if getattr(args, "trace_json", None):
         from repro.obs.tracer import JsonLinesSink
 
@@ -278,11 +272,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--facts-dir", help="directory of .facts TSV files to load")
     parser.add_argument("--strict", action="store_true", help="require declarations")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable duplicate elimination at pipeline breaks")
-    parser.add_argument(
-        "--strategy", choices=("pipelined", "materialized"), default="pipelined"
-    )
     parser.add_argument("--stats", action="store_true", help="print cost counters")
     parser.add_argument(
         "--trace-json",

@@ -8,7 +8,7 @@ Accepts, line by line (multi-line input accumulates until a terminator):
 * procedures/modules ``proc f(X:Y) ... end``-> defined
 * queries            ``p(1, X)?``           -> answered and printed
 * commands           ``.help .rels .dump p/2 .stats .explain .magic p(1,X)?
-                       .strategy pipelined|materialized .save F .load F .quit``
+                       .save F .load F .quit``
 
 The REPL is line-oriented and stream-based (injectable input/output), so
 it is fully testable without a TTY.
@@ -43,7 +43,6 @@ Commands:
   .analyze QUERY?      run a query, print the plan with actual rows/costs
   .profile on|off      trace queries (`.last` then shows the trace tree)
   .last                stats (and trace, with .profile on) of the last query
-  .strategy NAME       pipelined | materialized
   .stats               cost counters since the last .stats
   .save FILE / .load FILE   EDB persistence
   .begin / .commit / .rollback   transaction boundaries
@@ -185,9 +184,6 @@ class Repl:
         runner = GlueNailSystem(
             db=system.db,
             strict=system.strict,
-            strategy=system.strategy,
-            dedup_on_break=system.dedup_on_break,
-            deref_at_compile_time=system.deref_at_compile_time,
             out=self.out,
             inp=system.inp,
             max_loop_iterations=system.max_loop_iterations,
@@ -232,7 +228,6 @@ class Repl:
             ".analyze": self._cmd_analyze,
             ".profile": self._cmd_profile,
             ".last": self._cmd_last,
-            ".strategy": self._cmd_strategy,
             ".stats": self._cmd_stats,
             ".save": self._cmd_save,
             ".load": self._cmd_load,
@@ -326,14 +321,6 @@ class Repl:
             self._print("(no query has run yet)")
             return
         self._print(render_profile(result.stats, result.trace))
-
-    def _cmd_strategy(self, arg: str) -> None:
-        if arg not in ("pipelined", "materialized"):
-            self._print("usage: .strategy pipelined|materialized")
-            return
-        self.system.strategy = arg
-        self.system._invalidate()
-        self._print(f"strategy = {arg}")
 
     def _cmd_stats(self, _arg: str) -> None:
         snapshot = {k: v for k, v in self.system.counters.snapshot().items() if v}

@@ -56,9 +56,6 @@ class GlueNailSystem:
         self,
         db: Optional[Database] = None,
         strict: bool = False,
-        strategy: str = "pipelined",
-        dedup_on_break: bool = True,
-        deref_at_compile_time: bool = True,
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
@@ -66,9 +63,6 @@ class GlueNailSystem:
     ):
         self.db = db if db is not None else Database()
         self.strict = strict
-        self.strategy = strategy
-        self.dedup_on_break = dedup_on_break
-        self.deref_at_compile_time = deref_at_compile_time
         self.out = out
         self.inp = inp
         self.max_loop_iterations = max_loop_iterations
@@ -175,7 +169,6 @@ class GlueNailSystem:
 
         compiler = ProgramCompiler(
             strict=self.strict,
-            deref_at_compile_time=self.deref_at_compile_time,
             foreign_sigs=[sig for sig, _ in self._foreign],
             oracles=self._oracles,
             stats_source=stats_source,
@@ -183,8 +176,6 @@ class GlueNailSystem:
         compiled = compiler.compile_program(self.program)
         ctx = ExecContext(
             db=self.db,
-            strategy=self.strategy,
-            dedup_on_break=self.dedup_on_break,
             out=self.out,
             inp=self.inp,
             max_loop_iterations=self.max_loop_iterations,

@@ -16,7 +16,7 @@ computes into a push API:
   to a scoped rebuild.  On rebuild the manager diffs the predicate's new
   extension against its last delivered snapshot -- still exact, both
   inserts and deletes -- and only when that diff would exceed
-  ``max_diff_rows`` does it emit an explicit ``resync`` event instead.
+  ``MAX_DIFF_ROWS`` does it emit an explicit ``resync`` event instead.
   Subscribers therefore never silently miss a change.
 
 * **Transaction consistency** -- delivery happens only from
@@ -59,6 +59,10 @@ PredKey = Tuple[Term, int]
 #: How many handler-triggered commit batches one flush may chain through
 #: before the manager declares the active rules divergent.
 MAX_CASCADE = 25
+
+#: The largest rebuild diff (old plus new extension rows) delivered as
+#: deltas; a larger one reaches subscribers as one ``resync`` event.
+MAX_DIFF_ROWS = 100_000
 
 
 def _lift_pattern(pattern: Sequence[object], arity: int) -> Tuple[Term, ...]:
@@ -211,10 +215,9 @@ class SubscriptionManager:
     lock covers registration against concurrent flushes.
     """
 
-    def __init__(self, system, max_diff_rows: int = 100_000):
+    def __init__(self, system):
         self.system = system
         self.db = system.db
-        self.max_diff_rows = max_diff_rows
         self._txn = system.enable_transactions()
         self._txn.add_observer(self)
         self._lock = threading.RLock()
@@ -604,7 +607,7 @@ class SubscriptionManager:
             if key in rebuilt:
                 relation = engine.idb.get(key[0], key[1])
                 new = set(relation.rows()) if relation is not None else set()
-                if len(old) + len(new) > self.max_diff_rows:
+                if len(old) + len(new) > MAX_DIFF_ROWS:
                     self._snapshots[key] = new
                     for sub in subs:
                         self.resyncs += 1

@@ -186,7 +186,6 @@ class ProgramCompiler:
     def __init__(
         self,
         strict: bool = False,
-        deref_at_compile_time: bool = True,
         foreign_sigs: Sequence[ForeignSig] = (),
         oracles: Oracles = PRODUCT,
         stats_source=None,
@@ -197,7 +196,6 @@ class ProgramCompiler:
         # (a Relation, a snapshot, a row count, or None for unknown).
         # Resolved per plan, so run-time re-planning sees live cardinalities.
         self.stats_source = stats_source
-        self.deref_at_compile_time = deref_at_compile_time
         self.foreign_sigs = {(sig.module, sig.name, sig.arity): sig for sig in foreign_sigs}
         self._fixed_procs: Set[Tuple[Optional[str], str, int]] = set()
         # While a procedure compiles: its sizable locals and the snapshot
@@ -1073,7 +1071,7 @@ class ProgramCompiler:
         any_callable = any(
             c.is_callable and c.klass is not PredClass.BUILTIN for c in candidates
         )
-        if self.deref_at_compile_time and not any_callable:
+        if not self.oracles.runtime_dispatch and not any_callable:
             # Every candidate is a stored/derived relation: go straight to
             # storage at run time (the compile-time dereferencing win).
             lit = classify_join_columns(

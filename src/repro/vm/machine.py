@@ -1,26 +1,25 @@
 """The Glue virtual machine: plan execution, procedures, repeat loops.
 
-Two execution strategies (paper Section 9):
+One executor, the paper's Section 9 strategy: the nested-join,
+tuple-at-a-time pipeline of the experimental implementation.  Fixed
+subgoals (procedure calls, aggregators, updates) force pipeline breaks:
+the supplementary relation is materialized, duplicate-eliminated, and the
+pipeline restarts after the barrier.
 
-* ``pipelined`` -- the nested-join, tuple-at-a-time strategy of the
-  experimental implementation.  Fixed subgoals (procedure calls,
-  aggregators, updates) force pipeline breaks: the supplementary relation
-  is materialized, optionally duplicate-eliminated, and the pipeline
-  restarts after the barrier.
-* ``materialized`` -- the textbook supplementary-relation strategy: each
-  sup_i is fully computed (and deduplicated) before sup_{i+1} begins.
-
-Both strategies produce identical head relations; the cost counters make
-the trade-off measurable, which is what the paper's Section 9 observations
-are about.
+The baselines the paper compares against run in the same loop, switched
+on by :class:`repro.oracles.Oracles`: ``materialized`` (the textbook
+strategy: each sup_i is stored and deduplicated before sup_{i+1} begins)
+and ``keep_duplicates`` (no elimination at breaks).  Every configuration
+produces identical head relations; the cost counters make the trade-off
+measurable, which is what the paper's Section 9 observations are about.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.scope import PredClass, pred_skeleton
 from repro.errors import GlueRuntimeError
@@ -63,24 +62,19 @@ class ExecContext:
     def __init__(
         self,
         db: Optional[Database] = None,
-        strategy: str = "pipelined",
-        dedup_on_break: bool = True,
         out=None,
         inp=None,
         max_loop_iterations: int = 1_000_000,
         oracles: Oracles = PRODUCT,
     ):
-        if strategy not in ("pipelined", "materialized"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         self.db = db if db is not None else Database()
         self.counters: CostCounters = self.db.counters
-        self.strategy = strategy
-        self.dedup_on_break = dedup_on_break
         self.out = out if out is not None else sys.stdout
         self.inp = inp if inp is not None else sys.stdin
         self.max_loop_iterations = max_loop_iterations
         # Scan steps run planned hash joins over the cached suffix tables
-        # of repro.col; the oracles swap in the per-probe row baseline.
+        # of repro.col; the oracles swap in the per-probe row baseline and
+        # the VM's own baselines (see Machine.run_plan).
         self.oracles = oracles
         self.tracer = self.db.tracer
         self.foreign: Dict[Tuple[str, int], ForeignProc] = {}
@@ -375,107 +369,95 @@ class Machine:
     # ------------------------------------------------------------------ #
     # plan execution
     # ------------------------------------------------------------------ #
-
-    def run_plan(self, plan: Plan, frame: Frame) -> List[Row]:
-        if self.ctx.strategy == "materialized":
-            return self._run_materialized(plan, frame)
-        return self._run_pipelined(plan, frame)
-
-    # -- per-step instrumentation (EXPLAIN ANALYZE) -------------------- #
     #
-    # Both executors run the same steps whether or not anyone traces; a
-    # traced run also meters each step.  The pipelined strategy stays
-    # lazy, so each step's output stream is wrapped in a metering iterator
-    # that accumulates rows-out, wall time and counter deltas *inclusive*
-    # of its upstream chain.  Since a pipeline segment is linear, a step's
-    # own (exclusive) cost is its accumulator minus its upstream step's.
-    # Barriers materialize eagerly and are measured directly; the segment
-    # baseline restarts after each barrier.
+    # Per-step instrumentation (EXPLAIN ANALYZE): the same steps run
+    # whether or not anyone traces; a traced run also meters each step.
+    # Lazy steps stay lazy, so each one's output stream is wrapped in a
+    # metering iterator that accumulates rows-out, wall time and counter
+    # deltas *inclusive* of its upstream chain.  Since a pipeline segment
+    # is linear, a step's own (exclusive) cost is its accumulator minus
+    # its upstream step's.  Barriers are measured directly; the segment
+    # restarts after each barrier and after each stored relation.
 
-    def _dedup(self, rows: List[Row]) -> List[Row]:
+    def run_plan(
+        self, plan: Plan, frame: Frame, seed: Optional[List[Row]] = None
+    ) -> List[Row]:
+        """Run ``plan`` over ``seed`` -- one empty row for a statement body,
+        the incoming rows for a disjunction alternative -- and return its
+        rows, deduplicated.
+
+        Steps stream into each other; a barrier is a pipeline break: the
+        supplementary relation so far is stored and deduplicated before
+        the barrier runs, and execution stops when it is empty.  The
+        ``materialized`` oracle stores and deduplicates after every step
+        instead, and ``keep_duplicates`` skips the deduplication at a break.
+        """
+        counters = self.ctx.counters
+        oracles = self.ctx.oracles
+        snap = counters.as_tuple if self.ctx.tracer.enabled else None
+        stream = [()] if seed is None else seed
+        # (step, meter, upstream meter of its segment), filled when traced
+        meters: List[Tuple[object, _StepMeter, Optional[_StepMeter]]] = []
+        base: Optional[_StepMeter] = None
+        for step in plan:
+            meter = _StepMeter(snap) if snap is not None else None
+            if step.is_barrier:
+                if not oracles.materialized:  # else stored after the last step
+                    stream = self._store(stream, dedup=not oracles.keep_duplicates)
+                    counters.pipeline_breaks += 1
+                    if meter is not None:
+                        meter.break_rows = len(stream)
+                if meter is not None:
+                    meters.append((step, meter, None))
+                if not stream:
+                    # "Execution of an assignment statement stops whenever
+                    # a supplementary relation is empty."
+                    break
+                if meter is not None:
+                    meter.start()
+                stream = step.materialize_apply(stream, self, frame)
+                if meter is not None:
+                    meter.stop(len(stream))
+                base = None  # the next lazy step starts a fresh segment
+            else:
+                stream = step.iterate(stream, self, frame)
+                if meter is not None:
+                    meters.append((step, meter, base))
+                    stream = _metered(stream, meter)
+                    base = meter
+            if oracles.materialized:
+                stream = self._store(stream, dedup=True)
+                base = None
+                if not stream:
+                    break
+        else:
+            if oracles.materialized:
+                pass  # the last step stored its relation
+            elif seed is None:
+                stream = self._store(stream, dedup=True)
+            else:
+                # A disjunction alternative: its rows become the union's
+                # output, which the statement stores downstream.
+                stream = self.dedup(list(stream))
+        for step, meter, base in meters:
+            self._emit_step(step, meter, base)
+        return stream
+
+    def _store(self, rows: Iterable[Row], dedup: bool) -> List[Row]:
+        """Materialize a supplementary relation, charged as one, and
+        deduplicate it if ``dedup``."""
+        rows = list(rows)
+        self.ctx.counters.materializations += 1
+        self.ctx.counters.materialized_tuples += len(rows)
+        return self.dedup(rows) if dedup else rows
+
+    def dedup(self, rows: List[Row]) -> List[Row]:
+        """``rows`` without duplicates, first occurrences in order; the
+        removed rows are charged to ``dedup_removed``."""
         before = len(rows)
         rows = list(dict.fromkeys(rows))
         self.ctx.counters.dedup_removed += before - len(rows)
         return rows
-
-    def _run_materialized(self, plan: Plan, frame: Frame) -> List[Row]:
-        counters = self.ctx.counters
-        snap = counters.as_tuple if self.ctx.tracer.enabled else None
-        current: List[Row] = [()]
-        for step in plan:
-            if snap is not None:
-                meter = _StepMeter(snap)
-                meter.start()
-            if step.is_barrier:
-                current = step.materialize_apply(current, self, frame)
-            else:
-                current = list(step.iterate(current, self, frame))
-            counters.materializations += 1
-            counters.materialized_tuples += len(current)
-            current = self._dedup(current)
-            if snap is not None:
-                meter.stop(len(current))
-                self._emit_step(step, meter)
-            if not current:
-                # "Execution of an assignment statement stops whenever a
-                # supplementary relation is empty."
-                return []
-        return current
-
-    def run_plan_seeded(self, plan: Plan, seed_rows: List[Row], frame: Frame) -> List[Row]:
-        """Run a sub-plan (a disjunction alternative) over given rows."""
-        return self._run_pipelined(plan, frame, seed=seed_rows, count_final=False)
-
-    def _run_pipelined(
-        self,
-        plan: Plan,
-        frame: Frame,
-        seed: Optional[List[Row]] = None,
-        count_final: bool = True,
-    ) -> List[Row]:
-        counters = self.ctx.counters
-        snap = counters.as_tuple if self.ctx.tracer.enabled else None
-        stream = iter([()] if seed is None else seed)
-        # (step, meter, upstream meter of its segment), filled when traced
-        meters: List[Tuple[object, _StepMeter, Optional[_StepMeter]]] = []
-        base: Optional[_StepMeter] = None
-        result: Optional[List[Row]] = None
-        for step in plan:
-            if step.is_barrier:
-                materialized = list(stream)  # upstream meters finish here
-                counters.pipeline_breaks += 1
-                counters.materializations += 1
-                counters.materialized_tuples += len(materialized)
-                if self.ctx.dedup_on_break:
-                    materialized = self._dedup(materialized)
-                if snap is not None:
-                    meter = _StepMeter(snap, break_rows=len(materialized))
-                    meters.append((step, meter, None))
-                    meter.start()
-                if not materialized:
-                    result = []
-                    break
-                out = step.materialize_apply(materialized, self, frame)
-                if snap is not None:
-                    meter.stop(len(out))
-                stream = iter(out)
-                base = None  # the next lazy step starts a fresh segment
-            else:
-                stream = step.iterate(stream, self, frame)
-                if snap is not None:
-                    meter = _StepMeter(snap)
-                    meters.append((step, meter, base))
-                    stream = _metered(stream, meter)
-                    base = meter
-        if result is None:
-            result = list(stream)
-            if count_final:
-                counters.materializations += 1
-                counters.materialized_tuples += len(result)
-            result = self._dedup(result)
-        for step, meter, base in meters:
-            self._emit_step(step, meter, base)
-        return result
 
     def _emit_step(self, step, meter: "_StepMeter", base: Optional["_StepMeter"] = None) -> None:
         """The ``step`` event (after a ``pipeline_break`` one at a barrier)

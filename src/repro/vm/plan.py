@@ -75,7 +75,7 @@ def _joinable_relation(relation):
 class Step:
     """Base class: a plan step."""
 
-    is_barrier = False  # True -> forces materialization in pipelined mode
+    is_barrier = False  # True -> a pipeline break comes before the step
 
     # Non-barrier steps implement iterate(); barrier steps implement
     # materialize_apply() over a fully materialized row list.
@@ -462,8 +462,8 @@ class AggStep(Step):
         if not rows:
             return []
         # Aggregation is over the supplementary *relation*.  The machine
-        # already deduplicated it at the break unless that is switched off.
-        if not rt.ctx.dedup_on_break:
+        # already deduplicated it at the break unless it keeps duplicates.
+        if rt.ctx.oracles.keep_duplicates:
             rows = list(dict.fromkeys(rows))
         # A group key is the row's group-column tuple, or the bare value
         # when there is one group column (itemgetter's shape).
@@ -684,9 +684,11 @@ class UnionStep(Step):
         width = len(self.columns_out) - len(self.new_vars)
         out: List[Row] = []
         for plan, extract in self.alternatives:
-            for res in rt.run_plan_seeded(plan, rows, frame):
+            for res in rt.run_plan(plan, frame, rows):
                 out.append(res[:width] + tuple(res[i] for i in extract))
-        return list(dict.fromkeys(out))
+        # Rows several alternatives derive are removed, and charged, as
+        # duplicates are at a pipeline break.
+        return out if rt.ctx.oracles.keep_duplicates else rt.dedup(out)
 
 
 Plan = List[Step]

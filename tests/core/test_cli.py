@@ -72,13 +72,6 @@ class TestRun:
         assert main(["query", program_file, "path(1, Y)?", "--edb", dump]) == 0
         assert "(1, 4)" in capsys.readouterr().out
 
-    def test_strategy_flag(self, program_file, capsys):
-        assert main(
-            ["run", program_file, "--call", "double", "--input", "2",
-             "--strategy", "materialized"]
-        ) == 0
-        assert "(2, 4)" in capsys.readouterr().out
-
 
 class TestNail2Glue:
     def test_prints_generated_module(self, program_file, capsys):

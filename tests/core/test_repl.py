@@ -68,7 +68,7 @@ class TestFactsAndQueries:
 class TestCommands:
     def test_help(self):
         out, _ = run_session(".help")
-        assert ".strategy" in out
+        assert ".profile" in out
 
     def test_quit(self):
         _, repl = run_session(".quit", "edge(1, 2).")
@@ -90,11 +90,6 @@ class TestCommands:
             ".magic path(1, Y)?",
         )
         assert "(1, 2)" in out
-
-    def test_strategy_switch(self):
-        out, _ = run_session(".strategy materialized", ".strategy bogus")
-        assert "strategy = materialized" in out
-        assert "usage" in out
 
     def test_stats(self):
         out, _ = run_session("edge(1, 2).", ".stats")
@@ -135,16 +130,17 @@ class TestStatementSettings:
 
     STMT = "p(X, Z) := edge(X, Y) & edge(Y, Z)."
 
-    def test_statement_follows_dot_strategy(self):
-        from repro.core.system import GlueNailSystem
+    def test_statement_follows_the_session_baseline(self):
+        from repro.baselines.reference import reference_system
 
-        _, repl = run_session(
-            "edge(1, 2).", "edge(2, 3).", ".strategy materialized", ".stats", self.STMT
-        )
+        out = io.StringIO()
+        repl = Repl(system=reference_system(materialized=True, out=out), out=out)
+        for line in ("edge(1, 2).", "edge(2, 3).", ".stats", self.STMT):
+            repl.feed(line + "\n")
         counters = repl.system.counters
         assert (counters.materializations, counters.materialized_tuples) == (2, 3)
         # The same numbers as a system built materialized.
-        direct = GlueNailSystem(strategy="materialized")
+        direct = reference_system(materialized=True)
         direct.facts("edge", [(1, 2), (2, 3)])
         direct.load(self.STMT)
         direct.compile()

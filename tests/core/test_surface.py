@@ -1,9 +1,10 @@
 """The product is one configuration: no entry point selects an oracle mode.
 
-Nested-loop joins, the row engine, written body order and the naive
-fixpoint are differential baselines.  They are reachable only through
-``repro.baselines.reference``; the layers below take one ``oracles``
-value instead of a string per mode.  The server has one read path (a
+Nested-loop joins, the row engine, written body order, the naive
+fixpoint and the VM's materialize-every-step, no-dedup and run-time
+dispatch strategies are differential baselines.  They are reachable only
+through ``repro.baselines.reference``; the layers below take one
+``oracles`` value instead of a string per mode.  The server has one read path (a
 published MVCC snapshot), so it has no lock-serialized read mode either.
 """
 
@@ -24,7 +25,10 @@ from repro.server.server import GlueNailServer
 from repro.vm.compiler import ProgramCompiler
 from repro.vm.machine import ExecContext
 
-RETIRED = {"join_mode", "order_mode", "batch_mode", "nail_strategy"}
+RETIRED = {
+    "join_mode", "order_mode", "batch_mode", "nail_strategy",
+    "strategy", "dedup_on_break", "deref_at_compile_time",
+}
 
 
 def parameters(fn):
@@ -47,8 +51,6 @@ def test_layers_take_one_oracles_value(layer):
     params = parameters(layer)
     assert not RETIRED & params
     assert "oracles" in params
-    if layer in (NailEngine, magic_query):
-        assert "strategy" not in params  # the fixpoint is an oracle too
 
 
 def test_server_has_no_lock_read_mode():
@@ -65,6 +67,8 @@ def test_optimize_takes_a_pipeline_not_an_order_mode():
         ["run", "PROGRAM", "--join-mode", "hash"],
         ["query", "PROGRAM", "p(X)?", "--order-mode", "program"],
         ["check", "PROGRAM", "--batch-mode", "row"],
+        ["run", "PROGRAM", "--strategy", "materialized"],
+        ["query", "PROGRAM", "p(X)?", "--no-dedup"],
         # An unusable --db: were the flag accepted, the command would fail
         # to open it instead of starting a session or a server.
         ["repl", "--batch-mode", "row", "--db", "BADDIR"],
@@ -86,3 +90,9 @@ def test_repl_answers_batch_as_an_unknown_command():
     out = io.StringIO()
     Repl(out=out).feed(".batch row\n")
     assert "unknown command .batch" in out.getvalue()
+
+
+def test_repl_answers_strategy_as_an_unknown_command():
+    out = io.StringIO()
+    Repl(out=out).feed(".strategy materialized\n")
+    assert "unknown command .strategy" in out.getvalue()

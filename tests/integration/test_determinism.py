@@ -3,6 +3,7 @@
 import os
 import sys
 
+from repro.baselines.reference import reference_system
 from repro.core.system import GlueNailSystem
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
@@ -64,10 +65,10 @@ class TestDeterminism:
         assert pretty_program(parse_program(once)) == once
 
     def test_counters_stable_across_strategies_for_reads(self):
-        # Same strategy, same program, same work: counters are exact.
+        # Same baseline, same program, same work: counters are exact.
         snapshots = []
         for _ in range(2):
-            system = GlueNailSystem(strategy="materialized")
+            system = reference_system(materialized=True)
             system.load(PROGRAM)
             system.facts("edge", FACTS)
             system.compile()

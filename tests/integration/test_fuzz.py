@@ -131,9 +131,10 @@ chain(A, D) := e0(A, B) & e0(B, C) & e0(C, D) & A != D.
 @settings(max_examples=25, deadline=None)
 def test_strategies_and_optimizer_agree_random_edb(e0, e1, written_order, dedup):
     snapshots = []
-    for strategy in ("pipelined", "materialized"):
+    for materialized in (False, True):
         system = reference_system(
-            written_order=written_order, strategy=strategy, dedup_on_break=dedup
+            written_order=written_order, materialized=materialized,
+            keep_duplicates=not dedup,
         )
         system.load(GLUE_BODY_TEMPLATE)
         system.facts("e0", e0)
@@ -180,15 +181,17 @@ def test_product_equals_all_oracles_random_programs(source, facts):
     ]
 
 
-@given(glue_scripts(), edbs(), st.sampled_from(["pipelined", "materialized"]))
+@given(glue_scripts(), edbs(), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_glue_scripts_equal_oracle(source, facts, strategy):
+def test_glue_scripts_equal_oracle(source, facts, materialized):
     """A random Glue script (``:=``, ``+=``, ``-=``, ``repeat ... until``,
-    aggregates, HiLog names, a NAIL! view) gives the oracle's rows under
-    either VM strategy."""
+    aggregates, HiLog names, a NAIL! view) gives the oracle's rows on the
+    product VM and on the materialized baseline."""
 
     def product(source, facts, preds):
-        system = GlueNailSystem(strategy=strategy, max_loop_iterations=MAX_ITERATIONS)
+        system = reference_system(
+            materialized=materialized, max_loop_iterations=MAX_ITERATIONS
+        )
         return product_rows(source, facts, preds, system)
 
     agree(source, facts, product=product)

@@ -156,7 +156,7 @@ class TestSystemTracing:
         assert "edge/2" in event.name and "[0]" in event.name
 
     def test_materialized_strategy_traces_steps_too(self):
-        system = GlueNailSystem(strategy="materialized", trace=True)
+        system = reference_system(materialized=True, trace=True)
         system.load(
             """
             module m;
@@ -242,9 +242,9 @@ def _parity_run(system, traced):
 @pytest.mark.parametrize("naive", [False, True], ids=["product", "naive"])
 def test_a_sink_changes_no_rows_and_no_counters(strategy, naive):
     def build():
-        if naive:
-            return reference_system(naive_fixpoint=True, strategy=strategy)
-        return GlueNailSystem(strategy=strategy)
+        return reference_system(
+            naive_fixpoint=naive, materialized=strategy == "materialized"
+        )
 
     plain, plain_total, _ = _parity_run(build(), traced=False)
     traced, traced_total, kinds = _parity_run(build(), traced=True)

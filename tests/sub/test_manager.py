@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueRuntimeError
+from repro.sub import manager as sub_manager
 from repro.sub.queue import OP_DELETE, OP_INSERT, OP_RESYNC
 from repro.terms.term import mk
 
@@ -163,18 +164,18 @@ class TestIdbDelivery:
         }
         assert inserts == []
 
-    def test_oversized_diff_becomes_resync(self, system):
+    def test_oversized_diff_becomes_resync(self, system, monkeypatch):
         system.load(PATH_RULES)
         system.facts("edge", [(n, n + 1) for n in range(6)])
         manager = system.subscriptions
-        manager.max_diff_rows = 3  # force the fallback
+        monkeypatch.setattr(sub_manager, "MAX_DIFF_ROWS", 3)  # force the fallback
         notes = []
         system.subscribe("path", 2, callback=collect(notes))
         system.db.relation(mk("edge"), 2).delete(lift(2, 3))
         assert [op for op, _, _ in notes] == [OP_RESYNC]
         assert manager.resyncs == 1
         # The snapshot was refreshed: the next change delivers deltas again.
-        manager.max_diff_rows = 100_000
+        monkeypatch.setattr(sub_manager, "MAX_DIFF_ROWS", 100_000)
         system.db.relation(mk("edge"), 2).delete(lift(0, 1))
         assert any(op == OP_DELETE for op, _, _ in notes)
 

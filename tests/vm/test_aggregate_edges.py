@@ -160,13 +160,13 @@ d_rows = st.lists(
 )
 e_rows = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=5)
 exec_modes = st.sampled_from(
-    [("pipelined", True), ("pipelined", False), ("materialized", True), ("materialized", False)]
+    [{}, {"keep_duplicates": True}, {"materialized": True},
+     {"materialized": True, "keep_duplicates": True}]
 )
 
 
 def _compiled_stmt(source, facts, mode):
-    strategy, dedup = mode
-    system = make_system(source, strategy=strategy, dedup_on_break=dedup)
+    system = make_system(source, **mode)
     for name, rows in facts.items():
         system.facts(name, rows)
     return system, system.compile().script[0]
@@ -207,7 +207,7 @@ class TestPerGroupCollapse:
         # collapsed rows follow the first passing member, not the group.
         body = "d(K, J, X, V) & group_by(K) & V >= max(V)"
         facts = {"d": [(0, 0, 0, 0), (1, 0, 0, 1), (0, 0, 1, 2)]}
-        system, stmt = _compiled_stmt(f"out(K) := {body}.", facts, ("pipelined", True))
+        system, stmt = _compiled_stmt(f"out(K) := {body}.", facts, {})
         assert _per_group_flags(stmt) == [True]
         got = rows_to_python(dict.fromkeys(_head_stream(system, stmt)))
         assert got == [(1,), (0,)]

@@ -3,7 +3,6 @@ dynamic heads, compile-time dereferencing vs. run-time dispatch."""
 
 import pytest
 
-from repro.baselines.runtime_dispatch import make_runtime_dispatch_system
 from repro.core.query import rows_to_python
 from repro.errors import GlueRuntimeError
 from repro.terms.term import Atom, Compound
@@ -59,7 +58,7 @@ class TestPredicateVariables:
         assert rows_to_python(rows) == [("doubled", 5)]
 
     def test_dynamic_call_to_procedure_rejected(self):
-        system = make_runtime_dispatch_system()
+        system = make_system(runtime_dispatch=True)
         system.load(
             self.SOURCE
             + """
@@ -89,13 +88,13 @@ class TestDispatchModes:
         assert isinstance(self._plan_step(system), ScanStep)
 
     def test_runtime_dispatch_emits_dynamic(self):
-        system = make_runtime_dispatch_system()
+        system = make_system(runtime_dispatch=True)
         system.load(self.SOURCE)
         assert isinstance(self._plan_step(system), DynamicStep)
 
     def test_both_modes_agree(self):
         fast = make_system(self.SOURCE)
-        slow = make_runtime_dispatch_system()
+        slow = make_system(runtime_dispatch=True)
         slow.load(self.SOURCE)
         for system in (fast, slow):
             system.facts("reds", [("apple",)])
@@ -103,7 +102,7 @@ class TestDispatchModes:
             rows_to_python(slow.call("members", [(Atom("reds"),)]))
 
     def test_dynamic_step_is_barrier(self):
-        slow = make_runtime_dispatch_system()
+        slow = make_system(runtime_dispatch=True)
         slow.load(self.SOURCE)
         slow.facts("reds", [("apple",)])
         slow.compile()

@@ -10,10 +10,6 @@ from tests.conftest import make_system
 
 
 class TestExecContext:
-    def test_strategy_validated(self):
-        with pytest.raises(ValueError):
-            ExecContext(strategy="quantum")
-
     def test_default_database_created(self):
         ctx = ExecContext()
         assert ctx.db is not None

@@ -1,7 +1,8 @@
 """Pipelined vs. materialized execution (paper Section 9).
 
-The two strategies must produce identical results; they differ only in
-costs -- pipeline breaks, materializations, duplicate-elimination work.
+The product's pipelined VM and the ``materialized`` baseline must produce
+identical results; they differ only in costs -- pipeline breaks,
+materializations, duplicate-elimination work.
 """
 
 import pytest
@@ -17,7 +18,7 @@ def run_both(source, facts, check_rel, arity, procs=()):
     results = {}
     counters = {}
     for strategy in ("pipelined", "materialized"):
-        system = make_system(source, strategy=strategy)
+        system = make_system(source, materialized=strategy == "materialized")
         for name, rows in facts.items():
             system.facts(name, rows)
         system.compile()
@@ -132,14 +133,14 @@ class TestDedupAtBreaks:
     def test_dedup_flag_preserves_results(self):
         facts = {"pairs": [(1, i) for i in range(6)] + [(2, 0)]}
         for dedup in (True, False):
-            system = make_system(self.SOURCE, dedup_on_break=dedup)
+            system = make_system(self.SOURCE, keep_duplicates=not dedup)
             system.facts("pairs", facts["pairs"])
             system.run_script()
             assert rows_to_python(system.rows("out", 1)) == [(2,)]
 
     def test_dedup_removes_duplicates_at_break(self):
         facts = [(1, i) for i in range(6)]
-        system = make_system(self.SOURCE, dedup_on_break=True)
+        system = make_system(self.SOURCE)
         system.facts("pairs", facts)
         system.compile()
         system.reset_counters()

@@ -75,8 +75,8 @@ class TestUnionSemantics:
             "a": [(i, i * 2) for i in range(5)],
             "b": [(i, i % 2) for i in range(5)],
         }
-        left = run(source, facts, strategy="pipelined")
-        right = run(source, facts, strategy="materialized")
+        left = run(source, facts)
+        right = run(source, facts, materialized=True)
         assert left.rows("out", 2) == right.rows("out", 2)
 
     def test_nested_union(self):
@@ -93,6 +93,55 @@ class TestUnionSemantics:
         )
         assert sorted(rows_to_python(system.rows("out", 1))) == [(2,), (7,)]
 
+
+
+def _costs(source, arity, facts, **kwargs):
+    """The rows of ``out`` and the counters, counted from a compiled start."""
+    system = make_system(source, **kwargs)
+    for name, rows in facts.items():
+        system.facts(name, rows)
+    system.compile()
+    system.reset_counters()
+    system.run_script()
+    return sorted(rows_to_python(system.rows("out", arity))), system.counters.snapshot()
+
+
+class TestUnionCosts:
+    """A disjunction's alternatives are supplementary relations like any
+    other: their overlap is charged where it is removed, and the VM's
+    baselines apply inside each alternative too."""
+
+    OVERLAP = "out(X) := a(X) & { b(X) | c(X) }."
+    FIVE = {name: [(i,) for i in range(5)] for name in ("a", "b", "c")}
+
+    def test_overlap_is_charged_as_dedup(self):
+        rows, counters = _costs(self.OVERLAP, 1, self.FIVE)
+        assert rows == [(i,) for i in range(5)]
+        # Both alternatives return all five rows; the union removes five.
+        assert counters["dedup_removed"] == 5
+        assert counters["materialized_tuples"] == 5 + 5
+
+    def test_keep_duplicates_keeps_the_overlap(self):
+        rows, counters = _costs(self.OVERLAP, 1, self.FIVE, keep_duplicates=True)
+        assert rows == [(i,) for i in range(5)]
+        # The ten union rows reach the statement's final relation, which
+        # removes the overlap there.
+        assert counters["materialized_tuples"] == 5 + 10
+        assert counters["dedup_removed"] == 5
+
+    def test_materialized_baseline_stores_every_alternative_step(self):
+        source = "out(X, Y) := a(X, Y) & { b(Y, Z) & c(Z, _) | c(X, Z) }."
+        facts = {
+            "a": [(1, 2), (3, 4)],
+            "b": [(2, 3), (4, 6)],
+            "c": [(3, 4), (1, 5), (6, 7)],
+        }
+        rows, counters = _costs(source, 2, facts, materialized=True)
+        assert rows == _costs(source, 2, facts)[0] == [(1, 2), (3, 4)]
+        # a and the union at the top, two steps in the first alternative,
+        # one in the second.
+        assert counters["materializations"] == 5
+        assert counters["pipeline_breaks"] == 0
 
 class TestUnionErrors:
     def test_alternatives_must_bind_same_vars(self):
