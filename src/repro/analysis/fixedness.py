@@ -16,13 +16,10 @@ from typing import Callable, Optional
 
 from repro.analysis.bindings import expr_has_agg
 from repro.lang.ast import (
-    AssignStmt,
     CompareSubgoal,
     EmptyCond,
     GroupBySubgoal,
     PredSubgoal,
-    ProcDecl,
-    RepeatStmt,
     UnchangedCond,
     UnionSubgoal,
     UpdateSubgoal,
@@ -68,27 +65,3 @@ def is_aggregating_subgoal(subgoal) -> bool:
     if isinstance(subgoal, CompareSubgoal):
         return expr_has_agg(subgoal.left) or expr_has_agg(subgoal.right)
     return isinstance(subgoal, GroupBySubgoal)
-
-
-def stmt_is_fixed(stmt, call_fixedness: CallFixedness = _never_a_call) -> bool:
-    if isinstance(stmt, AssignStmt):
-        return any(is_fixed_subgoal(s, call_fixedness) for s in stmt.body)
-    if isinstance(stmt, RepeatStmt):
-        if any(stmt_is_fixed(inner, call_fixedness) for inner in stmt.body):
-            return True
-        return any(
-            is_fixed_subgoal(s, call_fixedness)
-            for alt in stmt.until.alternatives
-            for s in alt
-        )
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def proc_is_fixed(proc: ProcDecl, call_fixedness: CallFixedness = _never_a_call) -> bool:
-    """A procedure is fixed if it contains a fixed subgoal.
-
-    Note: any assignment to a non-local relation is an EDB update, so the
-    caller's ``call_fixedness`` should be combined with a head-target check;
-    :mod:`repro.vm.compiler` does this during program compilation.
-    """
-    return any(stmt_is_fixed(stmt, call_fixedness) for stmt in proc.body)

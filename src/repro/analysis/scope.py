@@ -150,12 +150,3 @@ class Scope:
 
     def child(self, module: Optional[str] = None) -> "Scope":
         return Scope(module=module or self.module, parent=self, strict=self.strict)
-
-    def all_infos(self) -> List[PredInfo]:
-        out: Dict[Skeleton, PredInfo] = {}
-        scope: Optional[Scope] = self
-        while scope is not None:
-            for skeleton, info in scope._table.items():
-                out.setdefault(skeleton, info)
-            scope = scope.parent
-        return list(out.values())

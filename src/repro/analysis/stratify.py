@@ -30,10 +30,6 @@ class Stratum:
     index: int
     skeletons: frozenset
 
-    @property
-    def is_recursive_component(self) -> bool:
-        return len(self.skeletons) > 1
-
 
 def stratify(dep: DependencyGraph) -> List[Stratum]:
     """Split the IDB into bottom-up strata; raise if not stratified.

@@ -172,6 +172,7 @@ class GlueNailSystem:
             foreign_sigs=[sig for sig, _ in self._foreign],
             oracles=self._oracles,
             stats_source=stats_source,
+            counters=db.counters,
         )
         compiled = compiler.compile_program(self.program)
         ctx = ExecContext(
@@ -585,7 +586,7 @@ class GlueNailSystem:
         for info in self._engine.rule_infos:
             if info.head_skeleton == skeleton:
                 lines.append("  " + pretty_rule(info.rule).strip())
-                plan = getattr(info.planner, "last_plan", None)
+                plan = self._engine.rule_plan(info)
                 if plan is not None:
                     lines.extend("    " + line for line in plan.describe())
         return "\n".join(lines)

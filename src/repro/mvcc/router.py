@@ -44,10 +44,6 @@ class SnapshotRouter:
     # ------------------------------------------------------------------ #
 
     @property
-    def pinned_snapshot(self) -> Optional[Snapshot]:
-        return getattr(self._local, "snap", None)
-
-    @property
     def snapshot_active(self) -> bool:
         return getattr(self._local, "snap", None) is not None
 

@@ -43,8 +43,7 @@ from repro.lang.ast import (
 )
 from repro.nail.rules import JoinPlanner, RuleInfo
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.opt import LiteralPlan, Plan, trace_join
-from repro.opt import optimize as _optimize
+from repro.opt import LiteralPlan, Plan, PlanCache, trace_join
 from repro.oracles import PRODUCT, Oracles
 from repro.terms.matching import instantiate, match, match_tuple, substitute
 from repro.terms.term import Atom, Num, Term, Var, is_ground
@@ -590,14 +589,22 @@ def _columnar_literal(
     return out
 
 
-def _cost_plan(
-    rule: RuleInfo,
-    decl: RuleDecl,
+def cost_plan(
+    rule: Union[RuleDecl, RuleInfo],
     rows_fn: RowsFn,
-    delta_index: Optional[int],
-    seeds: Optional[List[Bindings]],
-) -> Plan:
-    """Run the shared planner over a rule body at evaluation time.
+    plans: Optional[PlanCache] = None,
+    delta_index: Optional[int] = None,
+    seeds: Optional[List[Bindings]] = None,
+    oracles: Oracles = PRODUCT,
+) -> Optional[Plan]:
+    """The shared planner's plan for a rule body at current sizes, from
+    ``plans`` (a throwaway cache when None), or None when the body runs
+    in program order.
+
+    Cost-based ordering applies to prepared, aggregate-free rules;
+    everything else (aggregates -- whose group_by scope is positional --
+    and HiLog deltas needing earlier binders) keeps program order.  See
+    the fallback matrix in docs/PERFORMANCE.md.
 
     Statistics come straight from ``rows_fn``: a resolved Relation is
     snapshotted once under its lock, a plain iterable by size, and an
@@ -607,28 +614,29 @@ def _cost_plan(
     drive the join -- and its estimate conservatively uses the full
     relation's statistics.
     """
+    if (
+        oracles.written_order
+        or not isinstance(rule, RuleInfo)
+        or rule.has_aggregate
+        or any(isinstance(s, GroupBySubgoal) for s in rule.rule.body)
+        or (delta_index is not None and not is_ground(rule.rule.body[delta_index].pred))
+    ):
+        return None
 
     def stats_source(pred, arity):
         obj = rows_fn(pred, arity)
-        if obj is None:
-            return 0
-        return obj
+        return 0 if obj is None else obj
 
-    bound: set = set()
-    if seeds:
-        bound = set(seeds[0])
-        for b in seeds[1:]:
-            bound &= set(b)
-    plan = _optimize(
-        decl.body,
+    bound = set.intersection(*map(set, seeds)) if seeds else set()
+    return (plans if plans is not None else PlanCache()).get(
+        rule.rule.body,
         stats=stats_source,
         bound=bound,
         input_size=len(seeds) if seeds is not None else 1,
         pinned_first=delta_index,
         required_vars=rule.head_vars,
         allow_projection=True,
-    )
-    return plan
+    ).plan
 
 
 def eval_rule_body_batch(
@@ -639,6 +647,7 @@ def eval_rule_body_batch(
     seeds: Optional[List[Bindings]] = None,
     tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
+    plans: Optional[PlanCache] = None,
 ) -> Union[List[Bindings], Batch]:
     """Evaluate a rule body; the result may still be a columnar batch.
 
@@ -646,8 +655,9 @@ def eval_rule_body_batch(
     ``oracles.row_engine`` is set the returned bindings may be a
     :class:`~repro.col.batch.Batch` (decode with ``to_dicts()``, or hand
     it straight to :func:`derive_heads`, which consumes batches without
-    materializing binding dicts).  Everything else matches
-    :func:`eval_rule_body`.
+    materializing binding dicts).  ``plans`` is the engine's
+    :class:`~repro.opt.cache.PlanCache`; without one the body is planned
+    afresh.  Everything else matches :func:`eval_rule_body`.
     """
     if isinstance(rule, RuleInfo):
         decl = rule.rule
@@ -665,21 +675,7 @@ def eval_rule_body_batch(
     if not oracles.row_engine and not (isinstance(rule, RuleInfo) and rule.has_aggregate):
         col_ctx = _find_columnar_context(decl, rows_fn)
 
-    # Cost-based ordering applies to prepared, aggregate-free rules;
-    # everything else (aggregates -- whose group_by scope is positional --
-    # and HiLog deltas needing earlier binders) falls back to program order.  See the fallback matrix in
-    # docs/PERFORMANCE.md.
-    plan: Optional[Plan] = None
-    if (
-        not oracles.written_order
-        and isinstance(rule, RuleInfo)
-        and not rule.has_aggregate
-        and not any(isinstance(s, GroupBySubgoal) for s in decl.body)
-        and (delta_index is None or is_ground(decl.body[delta_index].pred))
-    ):
-        plan = _cost_plan(rule, decl, rows_fn, delta_index, seeds)
-        planner.last_plan = plan
-
+    plan = cost_plan(rule, rows_fn, plans, delta_index, seeds, oracles)
     if plan is not None:
         order = list(plan.order)
         est_of = {step.index: step.est_rows for step in plan.steps}

@@ -27,10 +27,11 @@ from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.analysis.stratify import Stratum, stratify
 from repro.errors import GlueRuntimeError
 from repro.lang.ast import PredSubgoal, RuleDecl
-from repro.nail.bodyeval import RowsFn
+from repro.nail.bodyeval import RowsFn, cost_plan
 from repro.nail.naive import naive_eval
 from repro.nail.rules import RuleInfo, compute_stratum_supports, prepare_rules
 from repro.nail.seminaive import DeltaRelation, incremental_eval, seminaive_eval
+from repro.opt import Plan, PlanCache
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation
@@ -100,6 +101,8 @@ class NailEngine:
             for skeleton in stratum.skeletons:
                 self._stratum_of[skeleton] = stratum.index
         self.tracer = db.tracer
+        # Run-time plans of this engine's rule bodies, one per size bucket.
+        self.plans = PlanCache(db.counters)
         self.idb = Database(counters=db.counters, tracer=db.tracer, columnar=db.columnar)
         self._stratum_safe: Dict[int, Optional[str]] = {}  # index -> error or None
         self.rounds_run = 0  # fixpoint rounds in the last full evaluation
@@ -302,6 +305,12 @@ class NailEngine:
                 )
         return matching_rows(cache_rel, patterns)
 
+    def rule_plan(self, info: RuleInfo) -> Optional[Plan]:
+        """The plan a full evaluation of ``info``'s body gets at current
+        sizes, from this engine's plan cache (what EXPLAIN shows); None
+        for a body that runs in program order."""
+        return cost_plan(info, self._rows_fn(), self.plans, oracles=self.oracles)
+
     def view(self, name: Term, arity: int) -> "NailView":
         """A relation-like view for the Glue VM: selects materialize fully
         when possible and fall back to demand-driven evaluation."""
@@ -489,7 +498,7 @@ class NailEngine:
             ) as span:
                 rounds, new_rows = incremental_eval(
                     relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
-                    tracer=tracer, oracles=self.oracles,
+                    tracer=tracer, oracles=self.oracles, plans=self.plans,
                 )
                 span.attrs["rounds"] = rounds
             counters.idb_delta_repairs += 1
@@ -592,7 +601,7 @@ class NailEngine:
                 else:
                     self.rounds_run = seminaive_eval(
                         relevant, set(stratum.skeletons), rows_fn, self.idb,
-                        tracer=tracer, oracles=self.oracles,
+                        tracer=tracer, oracles=self.oracles, plans=self.plans,
                     )
                 span.attrs["rounds"] = self.rounds_run
             self._stratum_computed[stratum.index] = True

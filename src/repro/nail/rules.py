@@ -75,13 +75,10 @@ class JoinPlanner:
     :class:`RuleInfo` and is shared by every evaluation of that rule.
     """
 
-    __slots__ = ("rule", "var_order", "_plans", "last_plan")
+    __slots__ = ("rule", "var_order", "_plans")
 
     def __init__(self, rule: RuleDecl):
         self.rule = rule
-        # The most recent cost-mode Plan for this rule (observability:
-        # EXPLAIN renders the chosen join order and estimates from it).
-        self.last_plan = None
         order: List[str] = []
         seen: Set[str] = set()
         for subgoal in rule.body:

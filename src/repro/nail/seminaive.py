@@ -21,6 +21,7 @@ from repro.lang.ast import PredSubgoal
 from repro.nail.bodyeval import HeadBatch, RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.opt import PlanCache
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.stats import CostCounters
@@ -173,13 +174,15 @@ class _Fixpoint:
     done, so nothing per-session is parked in the shared columnar context.
     """
 
-    __slots__ = ("rows_fn", "idb", "tracer", "oracles", "seen")
+    __slots__ = ("rows_fn", "idb", "tracer", "oracles", "plans", "seen")
 
-    def __init__(self, rows_fn: RowsFn, idb: Database, tracer, oracles: Oracles):
+    def __init__(self, rows_fn: RowsFn, idb: Database, tracer, oracles: Oracles,
+                 plans: Optional[PlanCache]):
         self.rows_fn = rows_fn
         self.idb = idb
         self.tracer = tracer
         self.oracles = oracles
+        self.plans = plans
         self.seen: Dict[Tuple[Term, int], set] = {}
 
     def round(self, kind: str, label: str, jobs, out: DeltaStore, **attrs) -> None:
@@ -198,6 +201,7 @@ class _Fixpoint:
             bindings = eval_rule_body_batch(
                 info, self.rows_fn, delta_index=position,
                 delta_rows_fn=delta_fn, tracer=tracer, oracles=self.oracles,
+                plans=self.plans,
             )
             self._merge(derive_heads(info, bindings), out)
             span.rows = len(bindings)
@@ -241,6 +245,7 @@ def seminaive_eval(
     idb: Database,
     tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
+    plans: Optional[PlanCache] = None,
 ) -> int:
     """Evaluate one stratum to fixpoint with seminaive iteration.
 
@@ -249,10 +254,11 @@ def seminaive_eval(
     and the current stratum's accumulating relations in ``idb``).  Returns
     the number of rounds.  ``tracer`` receives one ``round`` span per
     fixpoint round with per-rule ``rule`` spans inside it.
-    ``oracles`` is forwarded to the body evaluator.
+    ``oracles`` and ``plans`` (the engine's plan cache) are forwarded to
+    the body evaluator.
     """
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
-    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles)
+    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles, plans)
     # Round 0: evaluate every rule in full (base facts plus anything the
     # lower strata already provide).
     delta: DeltaStore = {}
@@ -303,6 +309,7 @@ def incremental_eval(
     seed_delta: DeltaStore,
     tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
+    plans: Optional[PlanCache] = None,
 ) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
     """Repair one *already-computed* stratum after monotone growth.
 
@@ -339,7 +346,7 @@ def incremental_eval(
                 continue
             yield position
 
-    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles)
+    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles, plans)
     delta: DeltaStore = {}
     fixpoint.round(
         "incremental_round", "seed",

@@ -13,8 +13,11 @@ engines run written order only as the differential baseline
 The leaf analysis, :func:`classify_join_columns`, returns one
 :class:`LiteralPlan` per (literal, bound-variable set); both engines run
 the literal from it and name its strategy from :data:`JOIN_STRATEGIES`.
+At run time both engines plan through a :class:`PlanCache`, which plans a
+body once per size bucket.
 """
 
+from repro.opt.cache import PlanCache
 from repro.opt.literal import (
     JOIN_STRATEGIES,
     LiteralPlan,
@@ -38,6 +41,7 @@ __all__ = [
     "PASSES",
     "PassContext",
     "Plan",
+    "PlanCache",
     "PlanState",
     "PlanStep",
     "RelationSnapshot",

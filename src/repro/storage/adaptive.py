@@ -28,25 +28,17 @@ class IndexPolicy:
 class AdaptiveIndexPolicy(IndexPolicy):
     """Build once cumulative scan cost reaches the index-build cost.
 
-    The build cost is modeled as ``build_factor * relation_size``
-    tuple-touches; the cumulative scan cost is the total
-    number of tuples examined by scans that an index would have avoided.
-    With the defaults, after roughly one full scan's worth of wasted work
-    the index pays for itself -- the paper's stated crossover rule.
+    The build cost is modeled as ``relation_size`` tuple-touches; the
+    cumulative scan cost is the total number of tuples examined by scans
+    that an index would have avoided.  After roughly one full scan's worth
+    of wasted work the index pays for itself -- the paper's stated
+    crossover rule.
     """
-
-    def __init__(self, build_factor: float = 1.0):
-        if build_factor <= 0:
-            raise ValueError("build_factor must be positive")
-        self.build_factor = build_factor
-
-    def build_cost(self, relation_size: int) -> float:
-        return self.build_factor * relation_size
 
     def should_build(self, ledger: ScanCostLedger, relation_size: int) -> bool:
         if relation_size == 0:
             return False
-        return ledger.cumulative_scan_cost >= self.build_cost(relation_size)
+        return ledger.cumulative_scan_cost >= relation_size
 
 
 class NeverIndexPolicy(IndexPolicy):

@@ -42,6 +42,11 @@ def _fresh_uid() -> int:
         return _next_uid
 
 
+#: The most change-log entries a relation keeps; older ones are dropped and
+#: the log's horizon advances past them.
+MAX_CHANGELOG_ENTRIES = 1024
+
+
 class ChangeLog:
     """A bounded journal of row-level changes since a version.
 
@@ -57,17 +62,16 @@ class ChangeLog:
     check per mutation.
     """
 
-    __slots__ = ("horizon", "entries", "max_entries")
+    __slots__ = ("horizon", "entries")
 
-    def __init__(self, horizon: int, max_entries: int = 1024):
+    def __init__(self, horizon: int):
         self.horizon = horizon
         self.entries: list = []  # (version_after, kind, tuple(rows))
-        self.max_entries = max_entries
 
     def record(self, version: int, kind: str, rows) -> None:
         self.entries.append((version, kind, tuple(rows)))
-        if len(self.entries) > self.max_entries:
-            overflow = len(self.entries) - self.max_entries
+        if len(self.entries) > MAX_CHANGELOG_ENTRIES:
+            overflow = len(self.entries) - MAX_CHANGELOG_ENTRIES
             self.horizon = self.entries[overflow - 1][0]
             del self.entries[:overflow]
 
@@ -75,7 +79,7 @@ class ChangeLog:
         """An independent copy (frozen-snapshot clones take one at freeze
         time, so a reader netting changes never races writer appends or
         the overflow compaction shifting ``entries`` indices)."""
-        clone = ChangeLog(self.horizon, self.max_entries)
+        clone = ChangeLog(self.horizon)
         clone.entries = list(self.entries)
         return clone
 

@@ -56,6 +56,10 @@ class CostCounters:
     # pins taken.
     snapshot_reads: int = 0
     snapshot_pins: int = 0
+    # Run-time planning (see repro.opt.cache): bodies served from the plan
+    # cache, and bodies planned because their key was new.
+    plan_cache_hits: int = 0
+    plan_cache_misses: int = 0
 
     def reset(self) -> None:
         for f in fields(self):
@@ -162,15 +166,6 @@ class ThreadLocalCounters:
         for block in blocks:
             total = total + block
         return total
-
-    def reset_all(self) -> None:
-        """Reset every thread's block and the retired total (``reset()``
-        is per-thread)."""
-        with self._lock:
-            blocks = list(self._blocks)
-            object.__setattr__(self, "_retired", CostCounters())
-        for block in blocks:
-            block.reset()
 
 
 def counter_delta(before: tuple, after: tuple) -> dict:

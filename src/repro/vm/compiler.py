@@ -44,12 +44,12 @@ from repro.lang.ast import (
     UpdateSubgoal,
     WatchDecl,
 )
-from repro.opt import DEFAULT_COST_PIPELINE
+from repro.opt import DEFAULT_COST_PIPELINE, PlanCache
 from repro.opt import optimize as plan_body
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan as OptPlan
 from repro.oracles import PRODUCT, Oracles
-from repro.storage.stats import RelationSnapshot
+from repro.storage.stats import CostCounters, RelationSnapshot
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 from repro.vm.exprs import compile_expr, compile_pattern, compile_term_code
 from repro.vm.plan import (
@@ -189,9 +189,12 @@ class ProgramCompiler:
         foreign_sigs: Sequence[ForeignSig] = (),
         oracles: Oracles = PRODUCT,
         stats_source=None,
+        counters: Optional[CostCounters] = None,
     ):
         self.strict = strict
         self.oracles = oracles
+        # Run-time plans and variants of statements marked for re-planning.
+        self.plans = PlanCache(counters)
         # (pred, arity) -> something repro.opt.coerce_snapshot understands
         # (a Relation, a snapshot, a row count, or None for unknown).
         # Resolved per plan, so run-time re-planning sees live cardinalities.
@@ -216,9 +219,10 @@ class ProgramCompiler:
         # Pass 1a: create per-module scopes with their own declarations.
         module_scopes: Dict[str, Scope] = {}
         for module in program.modules:
-            module_scopes[module.name] = self._declare_module(module, builtin_scope)
+            scope = module_scopes[module.name] = builtin_scope.child(module=module.name)
+            self._declare_items(module.items, scope, module.name)
         global_scope = builtin_scope.child(module="__main__")
-        self._declare_loose_items(program.items, global_scope, compiled)
+        self._declare_items(program.items, global_scope, None)
 
         # Pass 1b: resolve imports (and make exports visible to scripts).
         for module in program.modules:
@@ -232,44 +236,38 @@ class ProgramCompiler:
 
         # Pass 3: compile procedures, rules and loose statements.
         for module in program.modules:
-            scope = module_scopes[module.name]
-            for item in module.items:
-                if isinstance(item, ProcDecl):
-                    proc = self._compile_proc(item, module.name, scope)
-                    proc.exported = any(
-                        sig.name == item.name and sig.arity == item.arity
-                        for sig in module.exports
-                    )
-                    compiled.procs[proc.key] = proc
-                    if proc.exported:
-                        compiled.exported[(proc.name, proc.arity)] = proc
-                elif isinstance(item, RuleDecl):
-                    compiled.rules.append(item)
-                elif isinstance(item, EdbDecl):
-                    compiled.edb_decls.append((item.name, item.arity))
-                elif isinstance(item, WatchDecl):
-                    compiled.watches.append(item)
-                elif isinstance(item, (AssignStmt, RepeatStmt)):
-                    raise CompileError(
-                        f"module {module.name}: statements must live inside procedures"
-                    )
-        for item in program.items:
+            self._compile_items(module.items, module_scopes[module.name], module, compiled)
+        self._compile_items(program.items, global_scope, None, compiled)
+        return compiled
+
+    def _compile_items(
+        self, items, scope: Scope, module: Optional[ModuleDecl], compiled: CompiledProgram
+    ) -> None:
+        """Compile a module's items, or with ``module`` None the program's
+        loose ones: every loose procedure is exported, and only loose
+        statements form the script."""
+        for item in items:
             if isinstance(item, ProcDecl):
-                proc = self._compile_proc(item, None, global_scope)
-                proc.exported = True
+                proc = self._compile_proc(item, module.name if module else None, scope)
+                proc.exported = module is None or any(
+                    sig.name == item.name and sig.arity == item.arity
+                    for sig in module.exports
+                )
                 compiled.procs[proc.key] = proc
-                compiled.exported[(proc.name, proc.arity)] = proc
+                if proc.exported:
+                    compiled.exported[(proc.name, proc.arity)] = proc
             elif isinstance(item, RuleDecl):
                 compiled.rules.append(item)
             elif isinstance(item, EdbDecl):
                 compiled.edb_decls.append((item.name, item.arity))
             elif isinstance(item, WatchDecl):
                 compiled.watches.append(item)
-            elif isinstance(item, AssignStmt):
-                compiled.script.append(self._compile_stmt(item, global_scope, None))
-            elif isinstance(item, RepeatStmt):
-                compiled.script.append(self._compile_repeat(item, global_scope, None))
-        return compiled
+            elif isinstance(item, (AssignStmt, RepeatStmt)):
+                if module is not None:
+                    raise CompileError(
+                        f"module {module.name}: statements must live inside procedures"
+                    )
+                compiled.script.append(self._compile_any_stmt(item, scope, None))
 
     # ------------------------------------------------------------------ #
     # scope construction
@@ -324,25 +322,16 @@ class ProgramCompiler:
             display=f"{skeleton[0]}/{len(rule.head_args)}",
         )
 
-    def _declare_module(self, module: ModuleDecl, parent: Scope) -> Scope:
-        scope = parent.child(module=module.name)
-        for item in module.items:
-            if isinstance(item, EdbDecl):
-                scope.declare(self._info_for_edb(item.name, item.arity, module.name))
-            elif isinstance(item, ProcDecl):
-                scope.declare(self._info_for_proc(item, module.name))
-            elif isinstance(item, RuleDecl):
-                scope.declare(self._info_for_rule_head(item, module.name), allow_override=True)
-        return scope
-
-    def _declare_loose_items(self, items, scope: Scope, compiled: CompiledProgram) -> None:
+    def _declare_items(self, items, scope: Scope, module: Optional[str]) -> None:
+        """Declare a module's (or, with ``module`` None, the program's loose)
+        relations, procedures and rule heads in ``scope``."""
         for item in items:
             if isinstance(item, EdbDecl):
-                scope.declare(self._info_for_edb(item.name, item.arity, None))
+                scope.declare(self._info_for_edb(item.name, item.arity, module))
             elif isinstance(item, ProcDecl):
-                scope.declare(self._info_for_proc(item, None))
+                scope.declare(self._info_for_proc(item, module))
             elif isinstance(item, RuleDecl):
-                scope.declare(self._info_for_rule_head(item, None), allow_override=True)
+                scope.declare(self._info_for_rule_head(item, module), allow_override=True)
 
     def _resolve_imports(
         self, module: ModuleDecl, module_scopes: Dict[str, Scope], global_scope: Scope
@@ -356,30 +345,20 @@ class ProgramCompiler:
                     info = source_scope.lookup((sig.name, (), sig.arity))
                 if info is None:
                     foreign = self.foreign_sigs.get((decl.module, sig.name, sig.arity))
-                    if foreign is not None:
-                        info = PredInfo(
-                            skeleton=(sig.name, (), sig.arity),
-                            klass=PredClass.FOREIGN,
-                            arity=sig.arity,
-                            bound_arity=foreign.bound_arity,
-                            module=decl.module,
-                            fixed=foreign.fixed,
-                            display=f"{decl.module}.{sig.name}/{sig.arity}",
-                        )
-                if info is None:
-                    if self.strict:
+                    if foreign is None and self.strict:
                         raise CompileError(
                             f"module {module.name}: cannot resolve import "
                             f"{decl.module}.{sig.name}/{sig.arity}"
                         )
-                    # Lenient: assume a fixed foreign procedure bound later.
+                    # Lenient, without a registered signature: assume a
+                    # fixed foreign procedure bound later.
                     info = PredInfo(
                         skeleton=(sig.name, (), sig.arity),
                         klass=PredClass.FOREIGN,
                         arity=sig.arity,
-                        bound_arity=len(sig.bound),
+                        bound_arity=len(sig.bound) if foreign is None else foreign.bound_arity,
                         module=decl.module,
-                        fixed=True,
+                        fixed=True if foreign is None else foreign.fixed,
                         display=f"{decl.module}.{sig.name}/{sig.arity}",
                     )
                 scope.declare(info, allow_override=True)
@@ -473,22 +452,13 @@ class ProgramCompiler:
         self, program: Program, module_scopes: Dict[str, Scope], global_scope: Scope
     ) -> None:
         """Re-declare proc infos with the final fixedness bits."""
-        for module in program.modules:
-            scope = module_scopes[module.name]
-            for item in module.items:
-                if isinstance(item, ProcDecl):
-                    key = (module.name, item.name, item.arity)
-                    scope.declare(
-                        self._info_for_proc(item, module.name, key in self._fixed_procs),
-                        allow_override=True,
-                    )
-        for item in program.items:
-            if isinstance(item, ProcDecl):
-                key = (None, item.name, item.arity)
-                global_scope.declare(
-                    self._info_for_proc(item, None, key in self._fixed_procs),
-                    allow_override=True,
-                )
+        for module_name, item in self._iter_procs(program):
+            scope = module_scopes[module_name] if module_name else global_scope
+            key = (module_name, item.name, item.arity)
+            scope.declare(
+                self._info_for_proc(item, module_name, key in self._fixed_procs),
+                allow_override=True,
+            )
         # Exports must reflect the refreshed infos too.
         for module in program.modules:
             self._export_into(module, module_scopes[module.name], global_scope)
@@ -719,31 +689,33 @@ class ProgramCompiler:
 
     def replanned(self, stmt: CompiledStmt, frame_locals) -> CompiledStmt:
         """The form of a statement marked for re-planning that suits the
-        current sizes: the statement itself when the planner, given the
-        live database and ``frame_locals``, picks its compiled order, else
-        a variant compiled once per ordering and cached on ``stmt.replan``.
+        current sizes, from the plan cache: the statement itself when the
+        planner, given the live database and ``frame_locals``, picks its
+        compiled order, else a variant compiled for the planned order.
+        The variant compile runs under the cache's lock: it mutates the
+        shared scope.
         """
         replan = stmt.replan
-        ordered = self._plan(
-            replan.body, replan.scope, self._scoped_stats(replan.scope, frame_locals)
-        ).ordered_body
-        if ordered == replan.ordered:
-            return stmt
-        variant = replan.variants.get(ordered)
-        if variant is None:
-            with replan.lock:
-                variant = replan.variants.get(ordered)
-                if variant is None:
-                    try:
-                        variant = self._compile_stmt(
-                            stmt.source, replan.scope, replan.proc, body_override=ordered
-                        )
-                    except CompileError:
-                        # The planned order does not bind-check; keep the
-                        # compiled plan rather than fail at run time.
-                        variant = stmt
-                    replan.variants[ordered] = variant
-        return variant
+
+        def build(plan: OptPlan) -> CompiledStmt:
+            if plan.ordered_body == replan.ordered:
+                return stmt
+            try:
+                return self._compile_stmt(
+                    stmt.source, replan.scope, replan.proc, body_override=plan.ordered_body
+                )
+            except CompileError:
+                # The planned order does not bind-check; keep the
+                # compiled plan rather than fail at run time.
+                return stmt
+
+        return self.plans.get(
+            replan.body,
+            self._scoped_stats(replan.scope, frame_locals),
+            build=build,
+            call_fixedness=self._call_fixedness(replan.scope),
+            call_bound_arity=self._call_bound_arity(replan.scope),
+        ).built
 
     def _compile_head_target(
         self,

@@ -281,8 +281,8 @@ class Machine:
         tracer = self.ctx.tracer
         with tracer.span("stmt", stmt_label(stmt) if tracer.enabled else "") as span:
             if stmt.replan is not None:
-                # Compiled without some relation's size: plan again by the
-                # live sizes (paper Section 10).
+                # Compiled without some relation's size: the form planned
+                # for the live sizes' buckets (paper Section 10).
                 stmt = self.program.compiler.replanned(stmt, frame.locals)
             rows = self.run_plan(stmt.plan, frame)
             head_rows = list(dict.fromkeys(tuple(fn(r) for fn in stmt.head_fns) for r in rows))

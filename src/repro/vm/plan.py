@@ -12,7 +12,6 @@ parameter below is that machine (duck-typed to avoid an import cycle).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
@@ -44,10 +43,6 @@ class PredRef:
     arity: int
     info: Optional[PredInfo] = None
     candidates: Tuple[PredInfo, ...] = ()
-
-    @property
-    def is_dynamic(self) -> bool:
-        return not is_ground(self.pred)
 
 
 def _probe_key(key_build, row: Row) -> Row:
@@ -709,10 +704,6 @@ class Replan:
     ordered: tuple  # the order compiled ahead of time
     scope: object   # the compile-time Scope
     proc: Optional[ProcDecl]  # the enclosing procedure; None for a script
-    variants: Dict[tuple, "CompiledStmt"] = field(default_factory=dict)
-    # Concurrent sessions executing one statement must not recompile the
-    # same ordering twice: the recompile mutates the shared scope.
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
 
 @dataclass

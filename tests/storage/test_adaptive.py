@@ -37,12 +37,6 @@ class TestPolicies:
         assert AlwaysIndexPolicy().should_build(ScanCostLedger(), 1)
         assert not AlwaysIndexPolicy().should_build(ScanCostLedger(), 0)
 
-    def test_build_factor_validation(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            AdaptiveIndexPolicy(build_factor=0)
-
 
 class TestAdaptiveInRelation:
     def test_index_appears_after_enough_scans(self):

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.adaptive import AdaptiveIndexPolicy, NeverIndexPolicy
+from repro.storage.adaptive import AlwaysIndexPolicy, NeverIndexPolicy
 from repro.storage.database import Database
 from repro.storage.persist import load_database, save_database
 from repro.storage.relation import Relation
@@ -56,7 +56,7 @@ def test_select_agrees_with_bruteforce(rows, key):
 def test_index_transparent(rows, key):
     """An index never changes results, only costs."""
     plain = Relation(Atom("r"), 2, index_policy=NeverIndexPolicy())
-    indexed = Relation(Atom("r"), 2, index_policy=AdaptiveIndexPolicy(build_factor=0.01))
+    indexed = Relation(Atom("r"), 2, index_policy=AlwaysIndexPolicy())
     plain.insert_many(rows)
     indexed.insert_many(rows)
     pattern = (Num(key), Var("Y"))

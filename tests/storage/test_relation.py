@@ -366,10 +366,11 @@ class TestChangeTracking:
         r.track_changes()
         assert r.changes_since(v_before) is None
 
-    def test_overflow_moves_horizon(self):
-        from repro.storage.relation import ChangeLog
+    def test_overflow_moves_horizon(self, monkeypatch):
+        from repro.storage import relation as relation_module
 
-        log = ChangeLog(horizon=0, max_entries=4)
+        monkeypatch.setattr(relation_module, "MAX_CHANGELOG_ENTRIES", 4)
+        log = relation_module.ChangeLog(horizon=0)
         for i in range(1, 8):
             log.record(i, "+", (row(i, i),))
         assert log.net_since(0) is None  # window rolled past version 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueRuntimeError
+from repro.storage import relation as relation_module
 from repro.sub import manager as sub_manager
 from repro.sub.queue import OP_DELETE, OP_INSERT, OP_RESYNC
 from repro.terms.term import mk
@@ -179,14 +180,13 @@ class TestIdbDelivery:
         system.db.relation(mk("edge"), 2).delete(lift(0, 1))
         assert any(op == OP_DELETE for op, _, _ in notes)
 
-    def test_changelog_overflow_counts_idb_resync(self, system):
+    def test_changelog_overflow_counts_idb_resync(self, system, monkeypatch):
         system.load(PATH_RULES)
         system.facts("edge", [(1, 2)])
         notes = []
         system.subscribe("path", 2, callback=collect(notes))
-        # Shrink the EDB changelog window so the next burst overflows it.
-        relation = system.db.relation(mk("edge"), 2)
-        relation._changelog.max_entries = 2
+        # Shrink the changelog window so the next burst overflows it.
+        monkeypatch.setattr(relation_module, "MAX_CHANGELOG_ENTRIES", 2)
         before = system.db.counters.idb_resyncs
         system.begin()
         system.facts("edge", [(n, n + 1) for n in range(2, 8)])

@@ -6,8 +6,10 @@
 
 The compiler marks a statement for re-planning when the cost planner
 ordered it without the size of some relation it scans: a relation not yet
-loaded, or a local it cannot size.  A marked statement is planned again by
-live sizes each time it runs, and a variant is compiled once per ordering.
+loaded, or a local it cannot size.  A marked statement is planned by live
+sizes through the compiler's plan cache (``repro.opt.cache``): once per
+size bucket, with a variant compiled when the planned order differs from
+the compiled one.
 """
 
 from repro.core.query import rows_to_python
@@ -34,6 +36,15 @@ def build(big_rows, small_rows, source=JOIN, index=True, compile_first=True, **k
     system.facts("small", small_rows)
     system.reset_counters()
     return system
+
+
+def variants(system, stmt):
+    """The compiled variants the plan cache holds for ``stmt``, by order."""
+    return {
+        entry.plan.ordered_body: entry.built
+        for entry in system.compile().compiler.plans.entries()
+        if entry.body is stmt.replan.body and entry.built is not stmt
+    }
 
 
 def work(system) -> int:
@@ -66,9 +77,11 @@ class TestAdaptiveReorder:
         system = build(BIG, SMALL)
         (stmt,) = system.compile().script
         system.run_script()
-        assert len(stmt.replan.variants) == 1
+        assert len(variants(system, stmt)) == 1
+        misses = system.counters.plan_cache_misses
         system.run_script()
-        assert len(stmt.replan.variants) == 1  # second run reuses the variant
+        assert len(variants(system, stmt)) == 1  # second run reuses the variant
+        assert system.counters.plan_cache_misses == misses
 
     def test_no_variant_when_order_already_best(self):
         # Written small-first: the blind compile keeps the written order
@@ -77,7 +90,7 @@ class TestAdaptiveReorder:
         (stmt,) = system.compile().script
         assert stmt.replan is not None
         system.run_script()
-        assert stmt.replan.variants == {}
+        assert variants(system, stmt) == {}
         assert len(system.rows("out", 2)) == 2 * (2000 // 50)
 
     def test_statements_with_unchanged_not_adapted(self):
@@ -115,12 +128,12 @@ class TestAdaptiveReorder:
         system.facts("small", SMALL)
         rows = system.call("lookup")
         assert len(rows) == 2 * (2000 // 50)
-        assert len(stmt.replan.variants) == 1
+        assert len(variants(system, stmt)) == 1
 
     def test_order_flips_when_sizes_flip(self):
         # Blind, the body compiles in its written order a, b, c.  Live
-        # sizes first favour c, then b: each new ordering gets its own
-        # variant, and the first is reused once its sizes come back.
+        # sizes first favour c, then b: the sizes move to new buckets, and
+        # each planned order gets its own variant.
         system = make_system("out(X, Y) := a(X, V) & b(V, W) & c(W, Y).")
         (stmt,) = system.compile().script
         wide = [(i, i % 40) for i in range(400)]
@@ -128,7 +141,7 @@ class TestAdaptiveReorder:
         system.facts("b", [(i % 40, i % 20) for i in range(400)])
         system.facts("c", [(3, "x")])
         system.run_script()
-        first = set(stmt.replan.variants)
+        first = set(variants(system, stmt))
         assert len(first) == 1
         assert str(next(iter(first))[0].pred) == "c"
 
@@ -137,8 +150,8 @@ class TestAdaptiveReorder:
         system.facts("b", [(5, 3)])
         system.facts("c", [(i % 20, i) for i in range(400)])
         system.run_script()
-        assert len(stmt.replan.variants) == 2
-        (second,) = set(stmt.replan.variants) - first
+        assert len(variants(system, stmt)) == 2
+        (second,) = set(variants(system, stmt)) - first
         assert str(second[0].pred) == "b"
         assert sorted(rows_to_python(system.rows("out", 2))) == sorted(
             (x, y) for x, v in wide if v == 5 for y in range(3, 400, 20)
@@ -166,12 +179,12 @@ class TestAdaptiveReorder:
             proc = system.compile().find_proc("pick", 2)
             system.reset_counters()
             rows = sorted(rows_to_python(system.call("pick")))
-            runs[mode] = (rows, work(system), proc.body[-1])
-        (cost_rows, cost_work, stmt), (program_rows, program_work, _) = (
+            runs[mode] = (rows, work(system), system, proc.body[-1])
+        (cost_rows, cost_work, system, stmt), (program_rows, program_work, _, _) = (
             runs["cost"], runs["program"],
         )
         assert cost_rows == program_rows and len(cost_rows) == 2 * (2000 // 50)
-        assert stmt.replan is not None and len(stmt.replan.variants) == 1
+        assert stmt.replan is not None and len(variants(system, stmt)) == 1
         assert cost_work * 2 < program_work
 
     def test_procedure_compiled_after_load_not_marked(self):

@@ -6,13 +6,10 @@ relations must agree exactly; procedures and ``+=[K]``, which the oracle
 does not cover, are checked against their answers in closed form.  A
 second group asserts the *point* of the planner: ``tuples_scanned``
 collapses on keyed joins, against a nested-loop charge computed in closed
-form, and ``glue_hash_joins`` records the planned scans.  A final group is
-the threaded regression test for adaptive-variant recompilation.
+form, and ``glue_hash_joins`` records the planned scans.
 """
 
 import random
-import sys
-import threading
 from collections import Counter
 
 import pytest
@@ -23,7 +20,6 @@ from repro.baselines.reference import reference_system
 from repro.core.query import rows_to_python
 from repro.storage.adaptive import NeverIndexPolicy
 from repro.storage.database import Database
-from tests.conftest import make_system
 from tests.differential import agree, product_rows
 
 
@@ -275,60 +271,6 @@ class TestCostCollapse:
         # r is a broadcast source, s and t are keyed probes: every scan
         # step builds exactly one join state.
         assert system.counters.glue_hash_joins == 3
-
-
-class TestAdaptiveVariantRace:
-    def test_concurrent_adaptation_single_variant(self):
-        # Regression: run-time re-planning used to read/populate the shared
-        # variants cache and recompile without a lock, so concurrent
-        # sessions could recompile the same ordering twice (and race on the
-        # compile-time scope).  With the per-statement lock exactly one
-        # variant per ordering may ever be published.
-        system = make_system("out(X, Y) := big(X, V) & small(V, Y).")
-        # Compile before the facts load: the compiler has no sizes, marks
-        # the statement, and the good order is found at run time.
-        compiled = system.compile()
-        (stmt,) = compiled.script
-        assert stmt.replan is not None
-        system.facts("big", [(i, i % 50) for i in range(2000)])
-        system.facts("small", [(3, "hit"), (7, "hit2")])
-        # Count the variant compiles: a lost lock compiles one ordering twice.
-        compiler = compiled.compiler
-        recompiles = []
-        compile_stmt = compiler._compile_stmt
-
-        def counting_compile(*args, **kwargs):
-            recompiles.append(kwargs.get("body_override"))
-            return compile_stmt(*args, **kwargs)
-
-        compiler._compile_stmt = counting_compile
-
-        start = threading.Barrier(8)
-        errors = []
-
-        def worker():
-            try:
-                start.wait()
-                for _ in range(5):
-                    system.run_script()
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        assert len(recompiles) == 1
-        assert len(stmt.replan.variants) == 1
-        assert sorted(rows_to_python(system.rows("out", 2)))
 
 
 class TestFrameKernelTables:
