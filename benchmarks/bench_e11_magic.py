@@ -34,7 +34,7 @@ def run_full(edges, source):
 
 def run_magic(edges, source):
     db = db_with({"edge": edges})
-    answers, _engine = magic_query(db, RULES, Atom("path"), (Num(source), Var("Y")))
+    answers = magic_query(db, RULES, Atom("path"), (Num(source), Var("Y")))
     return answers, db.counters.tuples_scanned
 
 

@@ -15,7 +15,7 @@ selects one; these helpers are the only way in::
 Each helper passes the keywords that name an ``Oracles`` field to it and
 the rest to the constructor, so a new baseline touches only ``Oracles``.
 With every flag off each helper builds exactly the product.  Lower layers
-(``magic_query``, ``eval_rule_body``, ``seminaive_eval``, ...) take an
+(``magic_query``, ``eval_rule_body_batch``, ``seminaive_eval``, ...) take an
 ``oracles=`` value; build it with :class:`Oracles`, re-exported here.
 """
 

@@ -13,7 +13,7 @@ the two are interchangeable everywhere.
 """
 
 from repro.col.atoms import AtomTable
-from repro.col.batch import Batch, encode_dicts, project_batch
+from repro.col.batch import Batch, project_batch
 from repro.col.kernels import (
     ColumnarContext,
     run_broadcast,
@@ -25,7 +25,6 @@ __all__ = [
     "AtomTable",
     "Batch",
     "ColumnarContext",
-    "encode_dicts",
     "project_batch",
     "run_broadcast",
     "run_member",

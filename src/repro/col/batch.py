@@ -63,32 +63,6 @@ class Batch:
         return [dict(zip(names, values)) for values in zip(*decoded)]
 
 
-def encode_dicts(bindings_list, atoms) -> Optional[Batch]:
-    """Encode homogeneous binding dicts into a batch; None if mixed.
-
-    ``[{}]`` seeds become the unit batch.  A heterogeneous list (several
-    bound-variable signatures, as magic seeds occasionally produce) stays
-    on the row path.
-    """
-    if not bindings_list:
-        return Batch((), (), 0, atoms)
-    first = bindings_list[0]
-    names = tuple(first)
-    for b in bindings_list:
-        if len(b) != len(names):
-            return None
-    if len(bindings_list) > 1:
-        keys = set(names)
-        for b in bindings_list:
-            if set(b) != keys:
-                return None
-    if not names:
-        return Batch((), (), len(bindings_list), atoms)
-    intern = atoms.intern
-    cols = [[intern(b[name]) for b in bindings_list] for name in names]
-    return Batch(names, cols, len(bindings_list), atoms)
-
-
 def project_batch(batch: Batch, live: Sequence[str]) -> Batch:
     """Projection push-down on a batch: drop dead columns, dedup rows.
 

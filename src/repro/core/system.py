@@ -613,7 +613,7 @@ class GlueNailSystem:
 
         def runner():
             try:
-                answers, _engine = magic_query(
+                answers = magic_query(
                     self.db, self._compiled.rules, subgoal.pred, subgoal.args,
                     oracles=self._oracles,
                 )

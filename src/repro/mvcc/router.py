@@ -151,9 +151,6 @@ class SnapshotRouter:
             return self.live.snapshot_relations()
         return list(snap.catalog.items())
 
-    def version_vector(self) -> dict:
-        return {key: rel.fingerprint for key, rel in self.snapshot_relations()}
-
     def keys(self) -> Iterator[PredKey]:
         snap = getattr(self._local, "snap", None)
         if snap is None:

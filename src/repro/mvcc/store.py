@@ -113,10 +113,6 @@ class VersionStore:
             snapshot = self._rebuild_locked()
             return snapshot
 
-    def window_open(self) -> bool:
-        with self._lock:
-            return self._window_depth > 0
-
     # ------------------------------------------------------------------ #
     # reader side
     # ------------------------------------------------------------------ #

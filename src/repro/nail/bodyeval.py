@@ -11,14 +11,14 @@ Joins are hash joins.  For each body literal the rule's
 join key, the constant positions and a flat extraction template, so
 round-time work is key build + hash probe instead of rescanning the whole
 relation once per accumulated binding (``O(|B|+|R|)`` instead of
-``O(|B| x |R|)``).  Sources are *indexed*: ``rows_fn`` may hand back a
+``O(|B| x |R|)``).  Sources are *indexed*: ``rows_fn`` hands back a
 :class:`~repro.storage.relation.Relation` (probed through its persistent,
 incrementally-maintained hash indexes), a seminaive
 :class:`~repro.nail.seminaive.DeltaRelation` (per-key hash maps built once
-per round), or any plain iterable (hashed on first probe).  Negation runs
-as a hash anti-join, and a fully-ground negated literal is a single
-membership test.  The binding-dict row engine stays as a differential
-baseline for the columnar kernels, reachable only through
+per round) or None (an absent relation).  Negation runs as a hash
+anti-join, and a fully-ground negated literal is a single membership
+test.  The binding-dict row engine stays as a differential baseline for
+the columnar kernels, reachable only through
 :mod:`repro.baselines.reference` (see :mod:`repro.oracles`).
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.bindings import expr_has_agg
-from repro.col import Batch, encode_dicts, project_batch, run_broadcast, run_member, run_probe
+from repro.col import Batch, project_batch, run_broadcast, run_member, run_probe
 from repro.errors import GlueRuntimeError
 from repro.glue.aggregates import apply_aggregate
 from repro.glue.builtins import compare_terms, eval_function, term_arith
@@ -45,6 +45,7 @@ from repro.nail.rules import JoinPlanner, RuleInfo
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.opt import LiteralPlan, Plan, PlanCache, trace_join
 from repro.oracles import PRODUCT, Oracles
+from repro.storage.relation import Relation
 from repro.terms.matching import instantiate, match, match_tuple, substitute
 from repro.terms.term import Atom, Num, Term, Var, is_ground
 
@@ -55,7 +56,7 @@ _TRUE = Atom("true")
 _FALSE = Atom("false")
 
 # rows(name, arity) -> the stored rows for that predicate instance: a
-# Relation, a DeltaRelation, any iterable of ground rows, or None.
+# Relation, a seminaive DeltaRelation, or None.
 RowsFn = Callable[[Term, int], object]
 
 
@@ -148,48 +149,13 @@ class _RelationSource:
         return ctx.broadcast_columns(relation, extract_cols)
 
 
-class _IterSource:
-    """A plain iterable of rows as a join source (tests, ad-hoc callers)."""
-
-    __slots__ = ("rows", "_tables", "_set")
-
-    def __init__(self, rows):
-        self.rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-        self._tables: dict = {}
-        self._set = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def scan(self):
-        return self.rows
-
-    def probe(self, cols: Tuple[int, ...], key: Row):
-        table = self._tables.get(cols)
-        if table is None:
-            table = {}
-            for row in self.rows:
-                table.setdefault(tuple(row[c] for c in cols), []).append(row)
-            self._tables[cols] = table
-        return table.get(key, ())
-
-    def contains(self, row: Row) -> bool:
-        if self._set is None:
-            self._set = set(self.rows)
-        return tuple(row) in self._set
-
-
 def _as_source(obj):
-    """Adapt whatever ``rows_fn`` returned to the join-source protocol."""
+    """Adapt what ``rows_fn`` returned to the join-source protocol."""
     if obj is None:
         return _EMPTY_SOURCE
-    if isinstance(obj, (list, tuple)):
-        return _IterSource(obj) if obj else _EMPTY_SOURCE
-    if hasattr(obj, "probe") and hasattr(obj, "scan"):
-        return obj  # already a join source (e.g. seminaive DeltaRelation)
-    if hasattr(obj, "build_index") and hasattr(obj, "match_rows"):
+    if isinstance(obj, Relation):
         return _RelationSource(obj)
-    return _IterSource(obj)
+    return obj  # a seminaive DeltaRelation is a join source already
 
 
 # ---------------------------------------------------------------------- #
@@ -326,45 +292,39 @@ def _grouped_literal(
     tracer,
     est_rows: Optional[float] = None,
 ) -> List[Bindings]:
-    """Join or anti-join a literal per homogeneous binding group.
+    """Join or anti-join a literal against a non-empty binding list.
 
-    Bindings are grouped by their bound-variable signature (plans depend on
-    it; lists are almost always one group) and, for HiLog literals, by the
-    value of the predicate-name variables -- so a predicate-variable
-    literal costs one name substitution and one source resolution per
-    distinct name, not one per binding.
+    Every binding in the list binds the same variables (a body starts at
+    ``[{}]`` and each step extends all bindings alike), so the literal is
+    planned once.  A HiLog literal's bindings are grouped by the value of
+    its predicate-name variables, so it costs one name substitution and
+    one source resolution per distinct name, not one per binding.
     """
+    plan = planner.plan_for(index, frozenset(bindings_list[0]))
+    by_name: Dict[tuple, List[Bindings]] = {(): bindings_list}
+    if plan.pred_vars:
+        by_name = {}
+        for b in bindings_list:
+            by_name.setdefault(tuple(b.get(v) for v in plan.pred_vars), []).append(b)
+    runner = _antijoin_group if plan.negated else _join_group
     out: List[Bindings] = []
-    groups: Dict[frozenset, List[Bindings]] = {}
-    for b in bindings_list:
-        groups.setdefault(frozenset(b), []).append(b)
-    for sig, group in groups.items():
-        plan = planner.plan_for(index, sig)
-        by_name: Dict[tuple, List[Bindings]] = {(): group}
-        if plan.pred_vars:
-            by_name = {}
-            for b in group:
-                by_name.setdefault(
-                    tuple(b.get(v) for v in plan.pred_vars), []
-                ).append(b)
-        runner = _antijoin_group if plan.negated else _join_group
-        for values, sub in by_name.items():
-            name = subgoal.pred
-            if values:
-                if all(v is not None for v in values):
-                    name = substitute(name, dict(zip(plan.pred_vars, values)))
-                if not is_ground(name):
-                    raise GlueRuntimeError(
-                        f"predicate variable in {subgoal.pred} not bound at "
-                        "evaluation time"
-                    )
-            source = _as_source(rows_fn(name, plan.arity))
-            before = len(out)
-            runner(sub, source, plan, out)
-            trace_join(
-                tracer, name, plan, plan.strategy, len(sub), len(source),
-                len(out) - before, est_rows,
-            )
+    for values, group in by_name.items():
+        name = subgoal.pred
+        if values:
+            if all(v is not None for v in values):
+                name = substitute(name, dict(zip(plan.pred_vars, values)))
+            if not is_ground(name):
+                raise GlueRuntimeError(
+                    f"predicate variable in {subgoal.pred} not bound at "
+                    "evaluation time"
+                )
+        source = _as_source(rows_fn(name, plan.arity))
+        before = len(out)
+        runner(group, source, plan, out)
+        trace_join(
+            tracer, name, plan, plan.strategy, len(group), len(source),
+            len(out) - before, est_rows,
+        )
     return out
 
 
@@ -420,21 +380,14 @@ def _dedup_bindings(
     """Deduplicate bindings using a precomputed variable order.
 
     The rule's :class:`~repro.nail.rules.JoinPlanner` supplies the order
-    (first appearance in the body), so each binding's key is a flat O(k)
-    projection -- no per-binding sort.  Variables outside the precomputed
-    order (seed-only bindings) extend it by first appearance.
+    (first appearance in the body, which names every variable a binding
+    can hold), so each binding's key is a flat O(k) projection -- no
+    per-binding sort.
     """
-    order = list(var_order)
-    known = set(order)
-    for b in bindings_list:
-        for name in b:
-            if name not in known:
-                known.add(name)
-                order.append(name)
     seen = set()
     out = []
     for b in bindings_list:
-        key = tuple(b.get(name) for name in order)
+        key = tuple(b.get(name) for name in var_order)
         if key not in seen:
             seen.add(key)
             out.append(b)
@@ -590,36 +543,35 @@ def _columnar_literal(
 
 
 def cost_plan(
-    rule: Union[RuleDecl, RuleInfo],
+    info: RuleInfo,
     rows_fn: RowsFn,
     plans: Optional[PlanCache] = None,
     delta_index: Optional[int] = None,
-    seeds: Optional[List[Bindings]] = None,
     oracles: Oracles = PRODUCT,
 ) -> Optional[Plan]:
     """The shared planner's plan for a rule body at current sizes, from
     ``plans`` (a throwaway cache when None), or None when the body runs
     in program order.
 
-    Cost-based ordering applies to prepared, aggregate-free rules;
-    everything else (aggregates -- whose group_by scope is positional --
-    and HiLog deltas needing earlier binders) keeps program order.  See
-    the fallback matrix in docs/PERFORMANCE.md.
+    Cost-based ordering applies to aggregate-free rules; aggregate rules
+    (whose group_by scope is positional) and HiLog deltas needing earlier
+    binders keep program order.  See the fallback matrix in
+    docs/PERFORMANCE.md.
 
     Statistics come straight from ``rows_fn``: a resolved Relation is
-    snapshotted once under its lock, a plain iterable by size, and an
-    absent relation counts as genuinely empty *right now* (scheduling it
-    first annihilates the body immediately).  The seminaive delta literal
-    is pinned first -- it is (almost always) the smallest source and must
+    snapshotted once under its lock, a delta by size, and an absent
+    relation counts as genuinely empty *right now* (scheduling it first
+    annihilates the body immediately).  The seminaive delta literal is
+    pinned first -- it is (almost always) the smallest source and must
     drive the join -- and its estimate conservatively uses the full
     relation's statistics.
     """
+    body = info.rule.body
     if (
         oracles.written_order
-        or not isinstance(rule, RuleInfo)
-        or rule.has_aggregate
-        or any(isinstance(s, GroupBySubgoal) for s in rule.rule.body)
-        or (delta_index is not None and not is_ground(rule.rule.body[delta_index].pred))
+        or info.has_aggregate
+        or any(isinstance(s, GroupBySubgoal) for s in body)
+        or (delta_index is not None and not is_ground(body[delta_index].pred))
     ):
         return None
 
@@ -627,44 +579,42 @@ def cost_plan(
         obj = rows_fn(pred, arity)
         return 0 if obj is None else obj
 
-    bound = set.intersection(*map(set, seeds)) if seeds else set()
     return (plans if plans is not None else PlanCache()).get(
-        rule.rule.body,
+        body,
         stats=stats_source,
-        bound=bound,
-        input_size=len(seeds) if seeds is not None else 1,
         pinned_first=delta_index,
-        required_vars=rule.head_vars,
+        required_vars=info.head_vars,
         allow_projection=True,
     ).plan
 
 
 def eval_rule_body_batch(
-    rule: Union[RuleDecl, RuleInfo],
+    info: RuleInfo,
     rows_fn: RowsFn,
     delta_index: Optional[int] = None,
     delta_rows_fn: Optional[RowsFn] = None,
-    seeds: Optional[List[Bindings]] = None,
     tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
     plans: Optional[PlanCache] = None,
 ) -> Union[List[Bindings], Batch]:
-    """Evaluate a rule body; the result may still be a columnar batch.
+    """Evaluate a prepared rule's body; returns the final binding set.
 
-    The engine-facing variant of :func:`eval_rule_body`: unless
-    ``oracles.row_engine`` is set the returned bindings may be a
-    :class:`~repro.col.batch.Batch` (decode with ``to_dicts()``, or hand
-    it straight to :func:`derive_heads`, which consumes batches without
-    materializing binding dicts).  ``plans`` is the engine's
-    :class:`~repro.opt.cache.PlanCache`; without one the body is planned
-    afresh.  Everything else matches :func:`eval_rule_body`.
+    ``delta_index`` (an index into the body) redirects that single
+    positive literal to ``delta_rows_fn`` -- the seminaive trick.  The
+    product orders the body with the shared ``repro.opt`` planner (with
+    projection push-down; ``plans`` is the engine's
+    :class:`~repro.opt.cache.PlanCache`, a throwaway one when None) and
+    runs the columnar batch kernels of ``repro.col``, so the result may
+    be a :class:`~repro.col.batch.Batch` (decode with ``to_dicts()``, or
+    hand it straight to :func:`derive_heads`).  ``oracles`` swaps in the
+    differential baselines instead: the written order plus the
+    delta-first rotation, and the dict-per-binding row engine (which
+    charges identical cost counters).  ``tracer``, when enabled, receives
+    one ``join`` event per (literal, binding group) with the strategy the
+    engine chose and estimated vs. actual rows.
     """
-    if isinstance(rule, RuleInfo):
-        decl = rule.rule
-        planner = rule.planner if rule.planner is not None else JoinPlanner(decl)
-    else:
-        decl = rule
-        planner = JoinPlanner(decl)
+    decl = info.rule
+    planner = info.planner
     var_order = planner.var_order
 
     # Columnar batches apply to bodies without aggregates;
@@ -672,10 +622,10 @@ def eval_rule_body_batch(
     # compound residue, delta probes and anti-probes -- see the fallback
     # matrix in docs/PERFORMANCE.md.
     col_ctx = None
-    if not oracles.row_engine and not (isinstance(rule, RuleInfo) and rule.has_aggregate):
+    if not oracles.row_engine and not info.has_aggregate:
         col_ctx = _find_columnar_context(decl, rows_fn)
 
-    plan = cost_plan(rule, rows_fn, plans, delta_index, seeds, oracles)
+    plan = cost_plan(info, rows_fn, plans, delta_index, oracles)
     if plan is not None:
         order = list(plan.order)
         est_of = {step.index: step.est_rows for step in plan.steps}
@@ -687,8 +637,7 @@ def eval_rule_body_batch(
         if (
             delta_index is not None
             and delta_index != 0
-            and isinstance(rule, RuleInfo)
-            and not rule.has_aggregate
+            and not info.has_aggregate
             and is_ground(decl.body[delta_index].pred)
         ):
             # Seminaive delta-first rotation: the delta is (almost always)
@@ -703,29 +652,22 @@ def eval_rule_body_batch(
             order.insert(0, delta_index)
 
     bindings_list: Union[List[Bindings], Batch] = (
-        seeds if seeds is not None else [{}]
+        [{}] if col_ctx is None else Batch.unit(col_ctx.atoms)
     )
-    if col_ctx is not None:
-        encoded = encode_dicts(bindings_list, col_ctx.atoms)
-        if encoded is not None:
-            bindings_list = encoded
     group_vars: List[str] = []
     for index in order:
         subgoal = decl.body[index]
         if not bindings_list:
             return []
+        if (
+            isinstance(subgoal, PredSubgoal)
+            and not subgoal.args
+            and subgoal.pred in (_TRUE, _FALSE)
+        ):
+            if (subgoal.pred == _TRUE) == subgoal.negated:
+                return []
+            continue
         if isinstance(bindings_list, Batch):
-            if (
-                isinstance(subgoal, PredSubgoal)
-                and not subgoal.args
-                and subgoal.pred in (_TRUE, _FALSE)
-            ):
-                holds = subgoal.pred == _TRUE
-                if subgoal.negated:
-                    holds = not holds
-                if not holds:
-                    return []
-                continue
             stepped = None
             if isinstance(subgoal, PredSubgoal):
                 fn = (
@@ -747,29 +689,15 @@ def eval_rule_body_batch(
             # Per-literal fallback: decode once and continue on the row
             # engine (comparisons, aggregates, residual literals).
             bindings_list = bindings_list.to_dicts(col_ctx.atoms)
-            if not bindings_list:
-                return []
         if isinstance(subgoal, PredSubgoal):
-            if not subgoal.args and subgoal.pred in (_TRUE, _FALSE):
-                holds = subgoal.pred == _TRUE
-                if subgoal.negated:
-                    holds = not holds
-                if not holds:
-                    return []
-            elif subgoal.negated:
-                bindings_list = _grouped_literal(
-                    bindings_list, index, subgoal, rows_fn, planner, tracer,
-                    est_of.get(index),
-                )
-            else:
-                fn = delta_rows_fn if index == delta_index else rows_fn
-                bindings_list = _grouped_literal(
-                    bindings_list, index, subgoal, fn, planner, tracer,
-                    est_of.get(index),
-                )
-                live = project_of.get(index)
-                if live is not None and bindings_list:
-                    bindings_list = _project_bindings(bindings_list, live)
+            fn = delta_rows_fn if index == delta_index and not subgoal.negated else rows_fn
+            bindings_list = _grouped_literal(
+                bindings_list, index, subgoal, fn, planner, tracer,
+                est_of.get(index),
+            )
+            live = project_of.get(index)
+            if live is not None and bindings_list and not subgoal.negated:
+                bindings_list = _project_bindings(bindings_list, live)
         elif isinstance(subgoal, CompareSubgoal):
             bindings_list = _apply_compare(bindings_list, subgoal, group_vars, var_order)
         elif isinstance(subgoal, GroupBySubgoal):
@@ -783,45 +711,6 @@ def eval_rule_body_batch(
                 f"NAIL! rule bodies may not contain {type(subgoal).__name__}"
             )
     return bindings_list
-
-
-def eval_rule_body(
-    rule: Union[RuleDecl, RuleInfo],
-    rows_fn: RowsFn,
-    delta_index: Optional[int] = None,
-    delta_rows_fn: Optional[RowsFn] = None,
-    seeds: Optional[List[Bindings]] = None,
-    tracer: Tracer = NULL_TRACER,
-    oracles: Oracles = PRODUCT,
-) -> List[Bindings]:
-    """Evaluate a rule body left to right; returns the final binding set.
-
-    ``rule`` may be a bare :class:`RuleDecl` or a prepared
-    :class:`~repro.nail.rules.RuleInfo` (whose cached join planner is then
-    reused across calls).  ``delta_index`` (an index into the body)
-    redirects that single positive literal to ``delta_rows_fn`` -- the
-    seminaive trick.  The product plans hash joins, orders the body with
-    the shared ``repro.opt`` planner (with projection push-down) and runs
-    the columnar batch kernels of ``repro.col``; ``oracles`` swaps in the
-    differential baselines instead -- the written order plus the
-    delta-first rotation, the dict-per-binding row engine (which charges
-    identical cost counters).
-    ``tracer``, when enabled, receives one ``join`` event per
-    (literal, binding group) with the strategy the engine chose and
-    estimated vs. actual rows.
-    """
-    out = eval_rule_body_batch(
-        rule,
-        rows_fn,
-        delta_index=delta_index,
-        delta_rows_fn=delta_rows_fn,
-        seeds=seeds,
-        tracer=tracer,
-        oracles=oracles,
-    )
-    if isinstance(out, Batch):
-        return out.to_dicts()
-    return out
 
 
 class HeadBatch:
@@ -877,12 +766,12 @@ def _derive_heads_batch(decl: RuleDecl, batch: Batch) -> Optional[HeadBatch]:
 
 
 def derive_heads(
-    rule: Union[RuleDecl, RuleInfo], bindings_list: Union[List[Bindings], Batch]
+    info: RuleInfo, bindings_list: Union[List[Bindings], Batch]
 ) -> Union[List[Tuple[Term, Row]], HeadBatch]:
     """Instantiate the rule head for each binding: (relation name, row)
     pairs, or -- for a columnar batch and a flat ground-named head -- a
     :class:`HeadBatch` that iterates as such pairs."""
-    decl = rule.rule if isinstance(rule, RuleInfo) else rule
+    decl = info.rule
     if isinstance(bindings_list, Batch):
         derived = _derive_heads_batch(decl, bindings_list)
         if derived is not None:

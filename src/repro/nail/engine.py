@@ -11,8 +11,8 @@ engine caches derived relations per stratum and keeps them consistent with
   every demand-cache entry -- untouched;
 * pure *inserts* into a supporting relation are read back from the
   relation's change journal and propagated as a seminaive delta seeded
-  from just the new tuples (:func:`~repro.nail.seminaive.incremental_eval`),
-  repairing the cached fixpoint in place;
+  from just the new tuples (:func:`~repro.nail.seminaive.seminaive_eval`
+  with a seed), repairing the cached fixpoint in place;
 * deletions, overflowed journals, and growth under negation or aggregation
   conservatively invalidate -- but only the affected strata and the strata
   depending on them, which are recomputed from scratch on next demand.
@@ -30,7 +30,7 @@ from repro.lang.ast import PredSubgoal, RuleDecl
 from repro.nail.bodyeval import RowsFn, cost_plan
 from repro.nail.naive import naive_eval
 from repro.nail.rules import RuleInfo, compute_stratum_supports, prepare_rules
-from repro.nail.seminaive import DeltaRelation, incremental_eval, seminaive_eval
+from repro.nail.seminaive import DeltaRelation, seminaive_eval
 from repro.opt import Plan, PlanCache
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
@@ -276,7 +276,7 @@ class NailEngine:
                     p if is_ground(p) else fresh_var("Demand") for p in patterns
                 )
                 try:
-                    answers, _engine = magic_query(
+                    answers = magic_query(
                         self.db,
                         [info.rule for info in self.rule_infos],
                         name,
@@ -496,7 +496,7 @@ class NailEngine:
             with tracer.span(
                 "stratum", f"stratum {index}", mode="repair", rules=len(relevant)
             ) as span:
-                rounds, new_rows = incremental_eval(
+                rounds, new_rows = seminaive_eval(
                     relevant, set(stratum.skeletons), rows_fn, self.idb, seed,
                     tracer=tracer, oracles=self.oracles, plans=self.plans,
                 )
@@ -599,7 +599,7 @@ class NailEngine:
                         relevant, rows_fn, self.idb, tracer=tracer, oracles=self.oracles
                     )
                 else:
-                    self.rounds_run = seminaive_eval(
+                    self.rounds_run, _ = seminaive_eval(
                         relevant, set(stratum.skeletons), rows_fn, self.idb,
                         tracer=tracer, oracles=self.oracles, plans=self.plans,
                     )
@@ -686,13 +686,14 @@ def magic_query(
     pred: Term,
     args: Sequence[Term],
     oracles: Oracles = PRODUCT,
-) -> Tuple[List[Row], "NailEngine"]:
+) -> List[Row]:
     """Answer ``pred(args)`` demand-driven via the magic-sets rewrite.
 
-    Returns the matching rows and the engine that evaluated the rewritten
-    program (exposed so benchmarks can read its cost counters).  Falls back
-    with :class:`~repro.nail.magic.MagicTransformError` when the rule slice
-    is outside the transformable fragment; callers then use
+    Returns the matching rows; the work is charged to ``db``'s counters,
+    and the engine that evaluated the rewritten program is closed before
+    this returns.  Falls back with
+    :class:`~repro.nail.magic.MagicTransformError` when the rule slice is
+    outside the transformable fragment; callers then use
     :meth:`NailEngine.query` on the full rules.
     """
     from repro.nail.magic import magic_transform
@@ -716,4 +717,4 @@ def magic_query(
         span.rows = len(relation)
     answers = matching_rows(relation, args)
     engine.close()  # the rewritten program's relations die with this call
-    return answers, engine
+    return answers

@@ -12,7 +12,7 @@ work in the evaluator is then key build + hash probe instead of a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.analysis.bindings import (
     BindingError,
@@ -68,11 +68,11 @@ def _expr_var_occurrences(expr) -> List[str]:
 class JoinPlanner:
     """Per-rule cache of literal join plans, keyed by bound-variable set.
 
-    Plans depend on which variables are bound *before* a literal, which the
-    evaluator only knows at run time (seeds and binding comparisons can
-    change it), so plans are compiled lazily and memoized per
-    ``(literal index, bound-set)``.  One planner lives on each
-    :class:`RuleInfo` and is shared by every evaluation of that rule.
+    Plans depend on which variables are bound *before* a literal, which
+    depends on the order the evaluator picks at run time, so plans are
+    compiled lazily and memoized per ``(literal index, bound-set)``.  One
+    planner lives on each :class:`RuleInfo` and is shared by every
+    evaluation of that rule.
     """
 
     __slots__ = ("rule", "var_order", "_plans")
@@ -125,9 +125,8 @@ class RuleInfo:
     rule: RuleDecl
     head_skeleton: Skeleton
     body_skeletons: Tuple[Skeleton, ...]  # positive literals only, in order
-    has_negation: bool
     has_aggregate: bool
-    planner: Optional[JoinPlanner] = field(default=None, compare=False, repr=False)
+    planner: JoinPlanner = field(compare=False, repr=False)
     neg_skeletons: Tuple[Skeleton, ...] = ()  # negated literals, in order
 
     @property
@@ -229,12 +228,10 @@ def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[
             check_rule_safety(rule)
         body_skeletons = []
         neg_skeletons = []
-        has_neg = False
         has_agg = False
         for subgoal in rule.body:
             if isinstance(subgoal, PredSubgoal):
                 if subgoal.negated:
-                    has_neg = True
                     neg_skeletons.append(pred_skeleton(subgoal.pred, len(subgoal.args)))
                 else:
                     body_skeletons.append(pred_skeleton(subgoal.pred, len(subgoal.args)))
@@ -246,7 +243,6 @@ def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[
                 rule=rule,
                 head_skeleton=pred_skeleton(rule.head_pred, len(rule.head_args)),
                 body_skeletons=tuple(body_skeletons),
-                has_negation=has_neg,
                 has_aggregate=has_agg,
                 planner=JoinPlanner(rule),
                 neg_skeletons=tuple(neg_skeletons),

@@ -243,47 +243,94 @@ def seminaive_eval(
     stratum: Set[Skeleton],
     rows_fn: RowsFn,
     idb: Database,
+    seed: Optional[DeltaStore] = None,
     tracer: Tracer = NULL_TRACER,
     oracles: Oracles = PRODUCT,
     plans: Optional[PlanCache] = None,
-) -> int:
-    """Evaluate one stratum to fixpoint with seminaive iteration.
+) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
+    """Run one stratum to fixpoint with seminaive iteration.
 
     ``rule_infos`` must be exactly the rules whose heads are in
     ``stratum``; ``rows_fn`` resolves every predicate (EDB, lower strata,
-    and the current stratum's accumulating relations in ``idb``).  Returns
-    the number of rounds.  ``tracer`` receives one ``round`` span per
-    fixpoint round with per-rule ``rule`` spans inside it.
-    ``oracles`` and ``plans`` (the engine's plan cache) are forwarded to
-    the body evaluator.
+    and the current stratum's accumulating relations in ``idb``).  Only
+    round 0 depends on ``seed``:
+
+    * without one it is a full evaluation: round 0 fires every rule in
+      full (base facts plus anything the lower strata already provide);
+    * with one it *repairs* an already-computed stratum after monotone
+      growth.  ``seed`` holds just the newly inserted tuples, per
+      predicate -- EDB inserts, new tuples from repaired lower strata and
+      EDB facts seeded into this stratum's own predicates -- and round 0
+      fires each rule once per body occurrence of a changed predicate
+      (delta there, current values everywhere else).  The caller checks
+      that the stratum is monotone in that growth
+      (:class:`~repro.nail.rules.StratumSupport`).
+
+    Either way the genuinely new head tuples -- found by ``uniondiff``
+    against the accumulated relations -- then iterate through the
+    stratum's recursive positions until no round adds one.  Returns
+    ``(rounds, new_rows)``; a repair's ``new_rows`` maps each of this
+    stratum's predicates to the rows it added (the seed for repairing the
+    strata above), and a full evaluation's is empty.  ``tracer`` receives
+    one ``round`` (a repair: ``incremental_round``) span per round, with
+    per-rule ``rule`` spans inside it.  ``oracles`` and ``plans`` (the
+    engine's plan cache) are forwarded to the body evaluator.
     """
     relevant = [info for info in rule_infos if info.head_skeleton in stratum]
     fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles, plans)
-    # Round 0: evaluate every rule in full (base facts plus anything the
-    # lower strata already provide).
     delta: DeltaStore = {}
-    fixpoint.round(
-        "round", "round 0",
-        [(i, info, None, None) for i, info in enumerate(relevant)],
-        delta, rules=len(relevant),
-    )
+    if seed is None:
+        kind = "round"
+        fixpoint.round(
+            kind, "round 0",
+            [(i, info, None, None) for i, info in enumerate(relevant)],
+            delta, rules=len(relevant),
+        )
+    else:
+        kind = "incremental_round"
+        seed_fn = _delta_rows_fn(seed)
+        seed_skels = {pred_skeleton(name, arity) for name, arity in seed}
+        fixpoint.round(
+            kind, "seed",
+            [
+                (i, info, position, seed_fn)
+                for i, info in enumerate(relevant)
+                for position in _seed_positions(info, seed_skels)
+            ],
+            delta, delta_in=_delta_size(seed),
+        )
     rounds = 1
+    new_rows: Dict[Tuple[Term, int], List[Row]] = {}
     recursive = _recursive_jobs(relevant, stratum)
-    if not recursive:
-        return rounds
     while delta:
+        if seed is not None:
+            for key, store in delta.items():
+                new_rows.setdefault(key, []).extend(store.rows)
+        if not recursive:
+            break
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise RuntimeError("seminaive evaluation did not converge")
         delta_fn = _delta_rows_fn(delta)
         new_delta: DeltaStore = {}
         fixpoint.round(
-            "round", f"round {rounds - 1}",
+            kind, f"round {rounds - 1}",
             [(i, info, position, delta_fn) for i, info, position in recursive],
             new_delta, delta_in=_delta_size(delta),
         )
         delta = new_delta
-    return rounds
+    return rounds, new_rows
+
+
+def _seed_positions(info: RuleInfo, seed_skels: Set[Skeleton]):
+    """Body positions of positive literals that may read a seeded
+    predicate.  A predicate-variable literal (base None) may resolve to
+    any changed relation; a concrete one must match a seed key."""
+    for position, subgoal in enumerate(info.rule.body):
+        if isinstance(subgoal, PredSubgoal) and not subgoal.negated:
+            skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
+            if skeleton[0] is None or skeleton in seed_skels:
+                yield position
 
 
 def _recursive_jobs(relevant: Sequence[RuleInfo], stratum: Set[Skeleton]):
@@ -299,84 +346,6 @@ def _recursive_jobs(relevant: Sequence[RuleInfo], stratum: Set[Skeleton]):
         for i, (info, positions) in enumerate(recursive)
         for position in positions
     ]
-
-
-def incremental_eval(
-    rule_infos: Sequence[RuleInfo],
-    stratum: Set[Skeleton],
-    rows_fn: RowsFn,
-    idb: Database,
-    seed_delta: DeltaStore,
-    tracer: Tracer = NULL_TRACER,
-    oracles: Oracles = PRODUCT,
-    plans: Optional[PlanCache] = None,
-) -> Tuple[int, Dict[Tuple[Term, int], List[Row]]]:
-    """Repair one *already-computed* stratum after monotone growth.
-
-    ``seed_delta`` holds just the newly inserted tuples, per predicate --
-    EDB inserts, new tuples from repaired lower strata, and EDB facts
-    seeded into this stratum's own predicates.  The pass is the seminaive
-    delta trick run from that seed instead of from an empty IDB: round 0
-    joins each rule once per body occurrence of a changed predicate (delta
-    there, current values everywhere else), and the genuinely new head
-    tuples -- found by ``uniondiff`` against the existing relations --
-    iterate through the stratum's recursive positions exactly like an
-    ordinary seminaive fixpoint.
-
-    Only valid for growth the stratum is monotone in (the caller checks
-    :class:`~repro.nail.rules.StratumSupport`): no negated or aggregated
-    dependency on a changed predicate.  Returns ``(rounds, new_rows)``
-    where ``new_rows`` maps each of this stratum's predicates to the rows
-    added -- the seed delta for repairing the strata above.
-    """
-    relevant = [info for info in rule_infos if info.head_skeleton in stratum]
-    seed_skels = {
-        pred_skeleton(name, arity) for (name, arity) in seed_delta
-    }
-    seed_fn = _delta_rows_fn(seed_delta)
-
-    def _seed_positions(info: RuleInfo):
-        for position, subgoal in enumerate(info.rule.body):
-            if not isinstance(subgoal, PredSubgoal) or subgoal.negated:
-                continue
-            skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
-            # A predicate-variable literal (base None) may resolve to any
-            # changed relation; concrete literals must match a seed key.
-            if skeleton[0] is not None and skeleton not in seed_skels:
-                continue
-            yield position
-
-    fixpoint = _Fixpoint(rows_fn, idb, tracer, oracles, plans)
-    delta: DeltaStore = {}
-    fixpoint.round(
-        "incremental_round", "seed",
-        [
-            (i, info, position, seed_fn)
-            for i, info in enumerate(relevant)
-            for position in _seed_positions(info)
-        ],
-        delta, delta_in=_delta_size(seed_delta),
-    )
-    rounds = 1
-    new_rows: Dict[Tuple[Term, int], List[Row]] = {}
-    recursive = _recursive_jobs(relevant, stratum)
-    while delta:
-        for key, store in delta.items():
-            new_rows.setdefault(key, []).extend(store.rows)
-        if not recursive:
-            break
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            raise RuntimeError("incremental evaluation did not converge")
-        delta_fn = _delta_rows_fn(delta)
-        new_delta: DeltaStore = {}
-        fixpoint.round(
-            "incremental_round", f"round {rounds - 1}",
-            [(i, info, position, delta_fn) for i, info, position in recursive],
-            new_delta, delta_in=_delta_size(delta),
-        )
-        delta = new_delta
-    return rounds, new_rows
 
 
 def _rule_label(index: int, info: RuleInfo) -> str:

@@ -93,13 +93,6 @@ class Plan:
     def ordered_body(self) -> Tuple:
         return tuple(step.subgoal for step in self.steps)
 
-    def step_at(self, index: int) -> Optional[PlanStep]:
-        """The step scheduled for source-body position ``index``."""
-        for step in self.steps:
-            if step.index == index:
-                return step
-        return None
-
     def describe(self) -> List[str]:
         """EXPLAIN lines, one per step in execution order."""
         lines: List[str] = []

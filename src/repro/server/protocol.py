@@ -48,6 +48,30 @@ class ProtocolError(ValueError):
     """A malformed request line (or result payload)."""
 
 
+_EXPECTED = {str: "a string", int: "an integer", list: "an array"}
+
+
+def request_field(request: dict, name: str, kind: type, default: Any) -> Any:
+    """``request[name]``, or ``default`` when absent, checked to be a
+    ``kind`` (``str``, ``int`` or ``list``; a JSON boolean is not an
+    integer).  A field whose default is None is optional and may be null.
+    Any other value is a :class:`ProtocolError` that names the field."""
+    value = request.get(name, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ProtocolError(f"field {name!r} must be {_EXPECTED[kind]}")
+    return value
+
+
+def request_rows(request: dict, name: str, default: list) -> List[tuple]:
+    """A field holding rows: an array of arrays, as tuples."""
+    rows = request_field(request, name, list, default)
+    if not all(isinstance(row, list) for row in rows):
+        raise ProtocolError(f"field {name!r} must be an array of arrays")
+    return [tuple(row) for row in rows]
+
+
 def encode(payload: dict) -> str:
     """One response (or request) as a single JSON line."""
     return json.dumps(payload, separators=(",", ":"), default=str)

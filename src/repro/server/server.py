@@ -46,6 +46,8 @@ from repro.server.protocol import (
     error_response,
     notification_frame,
     ok_response,
+    request_field,
+    request_rows,
     rows_payload,
 )
 from repro.server.rwlock import RWLock
@@ -196,6 +198,8 @@ class Session:
             return error_response(f"unknown op {op!r}", request_id, kind="protocol")
         try:
             fields = handler(request)
+        except ProtocolError as exc:
+            return error_response(str(exc), request_id, kind="protocol")
         except GlueNailError as exc:
             return error_response(str(exc), request_id, kind=type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 - the server must not die
@@ -211,7 +215,7 @@ class Session:
         return {"pong": True, "session": self.name}
 
     def op_query(self, request: dict) -> dict:
-        text = request.get("q", "")
+        text = request_field(request, "q", str, "")
         entry = self.system.query_magic if request.get("magic") else self.system.query
         # Parsed once per request: the classifier (which may run up to
         # three times around the pin) and the entry point share the subgoal.
@@ -226,8 +230,8 @@ class Session:
         return payload
 
     def op_rows(self, request: dict) -> dict:
-        name = request.get("name", "")
-        arity = int(request.get("arity", 0))
+        name = request_field(request, "name", str, "")
+        arity = request_field(request, "arity", int, 0)
         with self._read_context():
             result = self.system.rows(name, arity)
         return rows_payload(result)
@@ -286,24 +290,24 @@ class Session:
     # -------------------------------------------------------------- #
 
     def op_facts(self, request: dict) -> dict:
-        name = request.get("name", "")
-        rows = request.get("rows", [])
+        name = request_field(request, "name", str, "")
+        rows = request_rows(request, "rows", [])
         with self._write_window():
-            inserted = self.system.facts(name, [tuple(row) for row in rows])
+            inserted = self.system.facts(name, rows)
         return {"inserted": inserted}
 
     def op_load(self, request: dict) -> dict:
-        source = request.get("source", "")
+        source = request_field(request, "source", str, "")
         with self._write_window():
             self.system.load(source)
             self.system.compile()
         return {"loaded": True}
 
     def op_call(self, request: dict) -> dict:
-        name = request.get("name", "")
-        inputs = [tuple(row) for row in request.get("inputs", [[]])]
-        module = request.get("module")
-        arity = request.get("arity")
+        name = request_field(request, "name", str, "")
+        inputs = request_rows(request, "inputs", [[]])
+        module = request_field(request, "module", str, None)
+        arity = request_field(request, "arity", int, None)
         with self._write_window():
             result = self.system.call(name, inputs, module=module, arity=arity)
         return rows_payload(result)
@@ -318,12 +322,12 @@ class Session:
     # -------------------------------------------------------------- #
 
     def op_subscribe(self, request: dict) -> dict:
-        name = request.get("name", "")
-        arity = int(request.get("arity", 0))
-        pattern = request.get("pattern")
-        capacity = int(request.get("capacity", 1024))
+        name = request_field(request, "name", str, "")
+        arity = request_field(request, "arity", int, 0)
+        pattern = request_field(request, "pattern", list, None)
+        capacity = request_field(request, "capacity", int, 1024)
         snapshot = bool(request.get("snapshot"))
-        source = request.get("source")
+        source = request_field(request, "source", str, None)
         # Under the write lock: registration must not interleave with a
         # commit flush, and `source` mutates the shared subscription
         # system's program (IDB watches evaluate there, not on this
@@ -349,7 +353,7 @@ class Session:
         return fields
 
     def op_unsubscribe(self, request: dict) -> dict:
-        sub_id = int(request.get("sub", 0))
+        sub_id = request_field(request, "sub", int, 0)
         sub = self._subs.pop(sub_id, None)
         if sub is None:
             raise GlueNailError(f"no subscription {sub_id} in this session")
@@ -629,10 +633,6 @@ class GlueNailServer:
             self.close_window()
 
     # -------------------------------------------------------------- #
-
-    @property
-    def address(self) -> tuple:
-        return (self.host, self.port)
 
     def serve_forever(self) -> None:
         """Block serving requests (the CLI entry point)."""

@@ -79,11 +79,6 @@ class Database:
         with self._catalog_lock:
             return list(self._relations.items())
 
-    def version_vector(self) -> dict:
-        """``{(name, arity): (uid, version)}`` for every relation -- the
-        per-relation replacement for the single global counter."""
-        return {key: rel.fingerprint for key, rel in self.snapshot_relations()}
-
     # ------------------------------------------------------------------ #
     # journal (transactions / write-ahead logging)
     # ------------------------------------------------------------------ #

@@ -681,9 +681,6 @@ class Relation:
             if extended is not None:
                 yield extended
 
-    def count_matching(self, patterns: Iterable[Term], bindings: Optional[Mapping] = None) -> int:
-        return sum(1 for _ in self.select(patterns, bindings))
-
     def match_rows(self, patterns: Row) -> Iterator[Row]:
         """Stored rows matching a *flat* pattern: every position is either a
         ground term (equality test) or an unconstrained variable.

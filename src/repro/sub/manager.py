@@ -12,7 +12,8 @@ computes into a push API:
 * **IDB predicates** -- the manager registers as a delta listener on the
   NAIL! engine.  When a commit touches a watched predicate's support, the
   engine either *repairs* the stratum (exact per-predicate insert deltas
-  flow straight through ``incremental_eval``'s ``new_rows``) or falls back
+  flow straight through the repair's ``new_rows``, returned by
+  ``seminaive_eval`` run from a seed) or falls back
   to a scoped rebuild.  On rebuild the manager diffs the predicate's new
   extension against its last delivered snapshot -- still exact, both
   inserts and deletes -- and only when that diff would exceed
@@ -470,7 +471,8 @@ class SubscriptionManager:
     # ------------------------------------------------------------------ #
 
     def on_idb_delta(self, key: PredKey, rows: List[Row]) -> None:
-        """Exact repair inserts from ``incremental_eval`` (via the engine)."""
+        """Exact repair inserts from a seeded ``seminaive_eval`` (via the
+        engine)."""
         with self._lock:
             if key in self._snapshots and key not in self._rebuilt:
                 self._staged.setdefault(key, []).extend(rows)

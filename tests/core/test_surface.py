@@ -16,10 +16,10 @@ import pytest
 from repro.core.cli import main
 from repro.core.repl import Repl
 from repro.core.system import GlueNailSystem
-from repro.nail.bodyeval import eval_rule_body, eval_rule_body_batch
+from repro.nail.bodyeval import eval_rule_body_batch
 from repro.nail.engine import NailEngine, magic_query
 from repro.nail.naive import naive_eval
-from repro.nail.seminaive import incremental_eval, seminaive_eval
+from repro.nail.seminaive import seminaive_eval
 from repro.opt import optimize
 from repro.server.server import GlueNailServer
 from repro.vm.compiler import ProgramCompiler
@@ -43,8 +43,8 @@ def test_product_constructors_take_no_oracle_mode(entry):
 @pytest.mark.parametrize(
     "layer",
     [
-        NailEngine, magic_query, seminaive_eval, incremental_eval, naive_eval,
-        eval_rule_body, eval_rule_body_batch, ExecContext, ProgramCompiler,
+        NailEngine, magic_query, seminaive_eval, naive_eval,
+        eval_rule_body_batch, ExecContext, ProgramCompiler,
     ],
 )
 def test_layers_take_one_oracles_value(layer):

@@ -68,7 +68,7 @@ class TestSpecializedEvaluation:
         db = Database()
         db.facts("edge", [(1, 2), (2, 3), (3, 4)])
         rules = rules_of("tc(E, X, X).\ntc(E, X, Z) :- tc(E, X, Y) & E(Y, Z).")
-        magic_answers, _ = magic_query(
+        magic_answers = magic_query(
             db, rules, Atom("tc"), (Atom("edge"), Num(1), Var("Z"))
         )
         special = specialize_rules(rules_of(UNIVERSAL_TC), {"E": "edge"})

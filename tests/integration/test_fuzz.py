@@ -116,7 +116,7 @@ def test_magic_equals_full_random_edb(e0, e1, source_node):
     ).items)
     db = load_edb({"e0": e0, "e1": e1})
     full = NailEngine(db, rules).query(Atom("p"), (Num(source_node), Var("Y")))
-    magic, _ = magic_query(db, rules, Atom("p"), (Num(source_node), Var("Y")))
+    magic = magic_query(db, rules, Atom("p"), (Num(source_node), Var("Y")))
     assert sorted(map(str, full)) == sorted(map(str, magic))
 
 

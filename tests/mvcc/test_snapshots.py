@@ -120,9 +120,9 @@ class TestVersionStore:
         store.begin_window()
         store.begin_window()
         store.publish()
-        assert store.window_open()
+        assert store.stats()["window_open"]
         store.publish()
-        assert not store.window_open()
+        assert not store.stats()["window_open"]
 
     def test_stats_shape(self):
         store = VersionStore(self.system().db)

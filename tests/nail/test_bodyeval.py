@@ -2,31 +2,38 @@
 
 import pytest
 
+from repro.col import Batch
 from repro.errors import GlueRuntimeError
 from repro.lang.parser import parse_rule
-from repro.nail.bodyeval import (
-    derive_heads,
-    eval_expr_bindings,
-    eval_rule_body,
-)
+from repro.nail.bodyeval import derive_heads, eval_expr_bindings, eval_rule_body_batch
+from repro.nail.rules import prepare_rules
+from repro.nail.seminaive import DeltaRelation
+from repro.storage.database import Database
 from repro.terms.term import Atom, Compound, Num
 
-EDB = {
-    ("edge", 2): [(Num(1), Num(2)), (Num(2), Num(3)), (Num(3), Num(3))],
-    ("score", 2): [(Atom("a"), Num(10)), (Atom("b"), Num(20)), (Atom("c"), Num(20))],
-    ("blocked", 1): [(Num(3),)],
-}
+EDB = Database()
+EDB.facts("edge", [(1, 2), (2, 3), (3, 3)])
+EDB.facts("score", [(Atom("a"), 10), (Atom("b"), 20), (Atom("c"), 20)])
+EDB.facts("blocked", [(3,)])
 
 
 def rows_fn(name, arity):
-    if isinstance(name, Atom):
-        return EDB.get((name.name, arity), ())
-    return ()
+    return EDB.get(name, arity)
+
+
+def prepared(rule_text):
+    (info,) = prepare_rules([parse_rule(rule_text)], check_safety=False)
+    return info
+
+
+def evaluate(info, **kwargs):
+    out = eval_rule_body_batch(info, rows_fn, **kwargs)
+    return out.to_dicts() if isinstance(out, Batch) else out
 
 
 def run(rule_text, **kwargs):
-    rule = parse_rule(rule_text)
-    return rule, eval_rule_body(rule, rows_fn, **kwargs)
+    info = prepared(rule_text)
+    return info, evaluate(info, **kwargs)
 
 
 class TestJoins:
@@ -62,20 +69,16 @@ class TestJoins:
         assert bindings == []
 
     def test_delta_override(self):
-        rule = parse_rule("p(X, Z) :- edge(X, Y) & edge(Y, Z).")
-        delta = {("edge", 2): [(Num(1), Num(2))]}
+        info = prepared("p(X, Z) :- edge(X, Y) & edge(Y, Z).")
+        delta = DeltaRelation()
+        delta.extend([(Num(1), Num(2))])
 
         def delta_fn(name, arity):
-            return delta.get((name.name, arity), ())
+            return delta
 
-        bindings = eval_rule_body(rule, rows_fn, delta_index=0, delta_rows_fn=delta_fn)
+        bindings = evaluate(info, delta_index=0, delta_rows_fn=delta_fn)
         # Only the delta tuple is used at position 0; position 1 is full.
         assert {(b["X"].value, b["Z"].value) for b in bindings} == {(1, 3)}
-
-    def test_seeds(self):
-        rule = parse_rule("p(X, Y) :- edge(X, Y).")
-        bindings = eval_rule_body(rule, rows_fn, seeds=[{"X": Num(1)}])
-        assert len(bindings) == 1 and bindings[0]["Y"] == Num(2)
 
 
 class TestAggregation:
@@ -121,9 +124,8 @@ class TestDeriveHeads:
 
 class TestErrors:
     def test_unbound_predicate_variable(self):
-        rule = parse_rule("p(X) :- S(X).")
         with pytest.raises(GlueRuntimeError):
-            eval_rule_body(rule, rows_fn)
+            evaluate(prepared("p(X) :- S(X)."))
 
     def test_unbound_expression_variable(self):
         with pytest.raises(GlueRuntimeError):

@@ -135,7 +135,7 @@ class TestDifferential:
         for naive in (False, True):
             db = Database()
             db.facts("edge", edges)
-            rows, _ = magic_query(
+            rows = magic_query(
                 db, rules_of(PATH), Atom("path"), (Num(7), Var("Y")),
                 oracles=Oracles(naive_fixpoint=naive),
             )

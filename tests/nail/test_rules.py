@@ -94,8 +94,8 @@ class TestPrepareRules:
         infos = prepare_rules(
             [parse_rule("p(X) :- e(X) & !q(X)."), parse_rule("m(V) :- s(T) & V = max(T).")]
         )
-        assert infos[0].has_negation and not infos[0].has_aggregate
-        assert infos[1].has_aggregate and not infos[1].has_negation
+        assert infos[0].neg_skeletons == (("q", (), 1),) and not infos[0].has_aggregate
+        assert infos[1].has_aggregate and not infos[1].neg_skeletons
         assert infos[0].body_skeletons == (("e", (), 1),)
 
     def test_safety_check_optional(self):

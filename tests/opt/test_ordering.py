@@ -68,7 +68,7 @@ class TestOptimizeFacade:
         plan = optimize(body, stats=lambda pred, arity: stats.get(str(pred)))
         # a scans first (10 rows), then b is probed on its col-0 key:
         # 10 bindings * 100/5 matches per binding.
-        step_b = plan.step_at(1)
+        (step_b,) = [step for step in plan.steps if step.index == 1]
         assert step_b.probe_cols == (0,)
         assert step_b.est_rows == pytest.approx(10 * 100 / 5)
         assert "est~" in plan.describe()[0]

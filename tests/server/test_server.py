@@ -58,6 +58,28 @@ class TestBasicOps:
             client.request("frobnicate")
         assert info.value.kind == "protocol"
 
+    MALFORMED = [
+        ({"op": "rows", "name": "edge", "arity": "x"}, "arity"),
+        ({"op": "rows", "name": "edge", "arity": None}, "arity"),
+        ({"op": "subscribe", "name": "edge", "arity": "x"}, "arity"),
+        ({"op": "subscribe", "name": "edge", "arity": None}, "arity"),
+        ({"op": "facts", "name": "edge", "rows": 5}, "rows"),
+        ({"op": "call", "name": "p", "inputs": 3}, "inputs"),
+        ({"op": "unsubscribe", "sub": "a"}, "sub"),
+        ({"op": "query", "q": 5}, "q"),
+        ({"op": "load", "source": 7}, "source"),
+    ]
+
+    @pytest.mark.parametrize(
+        "request_, field", MALFORMED,
+        ids=[f"{r['op']}-{field}={r[field]!r}" for r, field in MALFORMED],
+    )
+    def test_malformed_field_is_protocol_error(self, server, request_, field):
+        reply = server._new_session().dispatch(dict(request_, id=1))
+        assert reply["ok"] is False and reply["id"] == 1
+        assert reply["kind"] == "protocol"
+        assert repr(field) in reply["error"]
+
     def test_base_program_preloaded(self):
         with GlueNailServer(port=0, program=PATH_RULES).start() as srv:
             with Client(port=srv.port) as c:

@@ -1,0 +1,101 @@
+"""The prose describes the code that exists.
+
+Over ``docs/*.md``, README.md, DESIGN.md and EXPERIMENTS.md:
+
+* every backticked ``repro.…`` dotted name resolves to a module or an
+  attribute;
+* every ``gluenail`` command-line flag and every ``CostCounters`` field
+  is named in some doc;
+* the source tree in DESIGN.md section 4 lists exactly the packages and
+  modules under ``src/repro``.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+import repro.core.cli
+from repro.storage.stats import CostCounters
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
+DOCS = sorted(ROOT.glob("docs/*.md")) + [ROOT / name for name in
+                                         ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+TEXT = {path.relative_to(ROOT).as_posix(): path.read_text() for path in DOCS}
+ALL_TEXT = "\n".join(TEXT.values())
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def test_backticked_repro_names_resolve():
+    missing = sorted(
+        f"{doc}: {name}"
+        for doc, text in TEXT.items()
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for name in re.findall(r"\brepro(?:\.\w+)+", span)
+        if not _resolves(name)
+    )
+    assert not missing
+
+
+def _named(word: str) -> bool:
+    return re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", ALL_TEXT) is not None
+
+
+CLI_FLAGS = sorted(set(re.findall(r'"(--[a-z][a-z-]*)"', inspect.getsource(repro.core.cli))))
+
+
+@pytest.mark.parametrize("flag", CLI_FLAGS)
+def test_every_cli_flag_is_documented(flag):
+    assert _named(flag)
+
+
+@pytest.mark.parametrize("counter", [field.name for field in dataclasses.fields(CostCounters)])
+def test_every_cost_counter_is_documented(counter):
+    assert _named(counter)
+
+
+def _design_tree() -> dict:
+    """DESIGN.md section 4's tree: ``{package dir or "": [module files]}``."""
+    section = TEXT["DESIGN.md"].split("## 4. Architecture", 1)[1]
+    block = section.split("```", 2)[1]
+    tree: dict = {}
+    package = ""
+    for line in block.splitlines()[1:]:
+        head = re.match(r"\s{2}(\w+)/", line)
+        if head:
+            package = head.group(1)
+            tree.setdefault(package, [])
+        elif re.match(r"\s{2}\w+\.py", line):
+            package = ""
+        tree.setdefault(package, []).extend(re.findall(r"\b\w+\.py\b", line))
+    return tree
+
+
+def test_design_tree_matches_the_source():
+    listed = {
+        (package, module) for package, modules in _design_tree().items() for module in modules
+    }
+    actual = {
+        (path.parent.name if path.parent != SRC else "", path.name)
+        for path in SRC.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert listed == actual
