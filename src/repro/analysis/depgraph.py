@@ -18,6 +18,17 @@ from repro.analysis.bindings import expr_has_agg
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import CompareSubgoal, PredSubgoal, RuleDecl
 
+# networkx caches these views on a graph the first time they are read, and
+# each one points back at the graph: a cycle that only the cycle collector
+# frees.  They are dropped after use, so a graph dies by reference count.
+_BACK_POINTING_VIEWS = ("edges", "out_edges", "in_edges", "degree", "in_degree",
+                        "out_degree")
+
+
+def _drop_views(graph: nx.DiGraph) -> None:
+    for name in _BACK_POINTING_VIEWS:
+        graph.__dict__.pop(name, None)
+
 
 @dataclass
 class DependencyGraph:
@@ -29,6 +40,8 @@ class DependencyGraph:
         earlier components do not depend on later ones."""
         condensation = nx.condensation(self.graph)
         order = list(nx.topological_sort(condensation))
+        _drop_views(self.graph)
+        _drop_views(condensation)
         # condensation edges point from a node to its dependencies (we add
         # head -> body edges), so dependencies come *later* in a forward
         # topological order; reverse to evaluate bottom-up.
@@ -38,7 +51,8 @@ class DependencyGraph:
     def negative_edges(self) -> List[Tuple[Skeleton, Skeleton]]:
         return [
             (u, v)
-            for u, v, data in self.graph.edges(data=True)
+            for u, targets in self.graph.adjacency()
+            for v, data in targets.items()
             if data.get("negative", False)
         ]
 

@@ -145,8 +145,9 @@ def cmd_repl(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.server.server import GlueNailServer
+    from repro.server import GlueNailServer, set_gc_policy
 
+    set_gc_policy()
     program = None
     if args.program:
         with open(args.program, "r", encoding="utf-8") as handle:

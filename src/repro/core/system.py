@@ -380,8 +380,6 @@ class GlueNailSystem:
             self._subscriptions.close()
         self._subscriptions = None
         self._invalidate()
-        # The last result's lazy plan closes over this system: a cycle
-        # that would keep its rows until the collector's next pass.
         self.last_result = None
         if self.store is not None and self._owns_store:
             self.store.close()
@@ -510,9 +508,7 @@ class GlueNailSystem:
         label = f"{proc.module + '.' if proc.module else ''}{name}/{arity}"
 
         def runner():
-            return self._machine.call_proc(proc, lifted), "procedure", (
-                lambda: self._proc_plan(proc)
-            )
+            return self._machine.call_proc(proc, lifted), "procedure", self._proc_plan(proc)
 
         return self._instrumented_entry("call", label, runner)
 
@@ -545,7 +541,7 @@ class GlueNailSystem:
         skeleton = pred_skeleton(pred, len(args))
         if self._engine.defines(skeleton):
             rows = self._engine.query(pred, args)
-            return rows, "nail", lambda: self._nail_plan(skeleton)
+            return rows, "nail", self._nail_plan(skeleton)
         relation = self.db.get(pred, len(args))
         if relation is not None:
             rows = matching_rows(relation, args)
@@ -570,32 +566,42 @@ class GlueNailSystem:
                     )
                 rows = self._machine.call_proc(proc, [tuple(bound)])
                 filtered = [row for row in rows if match_tuple(args, row) is not None]
-                return filtered, "procedure", lambda: self._proc_plan(proc)
+                return filtered, "procedure", self._proc_plan(proc)
         return [], "none", None
 
-    def _nail_plan(self, skeleton) -> str:
-        """The NAIL! 'plan': the defining rules plus their stratum."""
-        from repro.lang.pretty import pretty_rule
+    def _nail_plan(self, skeleton) -> Callable[[], str]:
+        """The NAIL! 'plan' renderer: the defining rules plus their stratum.
+        It holds the engine, not the system, so a result kept in
+        ``last_result`` forms no reference cycle with the system."""
+        engine, fixpoint = self._engine, self._oracles.fixpoint
 
-        lines = []
-        index = self._engine._stratum_of.get(skeleton)
-        head = f"{skeleton[0]}/{skeleton[-1]}"
-        if index is not None:
-            lines.append(f"NAIL! predicate {head} (stratum {index}, "
-                         f"{self._oracles.fixpoint} evaluation)")
-        for info in self._engine.rule_infos:
-            if info.head_skeleton == skeleton:
-                lines.append("  " + pretty_rule(info.rule).strip())
-                plan = self._engine.rule_plan(info)
-                if plan is not None:
-                    lines.extend("    " + line for line in plan.describe())
-        return "\n".join(lines)
+        def render() -> str:
+            from repro.lang.pretty import pretty_rule
+
+            lines = []
+            index = engine._stratum_of.get(skeleton)
+            head = f"{skeleton[0]}/{skeleton[-1]}"
+            if index is not None:
+                lines.append(f"NAIL! predicate {head} (stratum {index}, "
+                             f"{fixpoint} evaluation)")
+            for info in engine.rule_infos:
+                if info.head_skeleton == skeleton:
+                    lines.append("  " + pretty_rule(info.rule).strip())
+                    plan = engine.rule_plan(info)
+                    if plan is not None:
+                        lines.extend("    " + line for line in plan.describe())
+            return "\n".join(lines)
+
+        return render
 
     @staticmethod
-    def _proc_plan(proc: CompiledProc) -> str:
-        from repro.vm.explain import explain_proc
+    def _proc_plan(proc: CompiledProc) -> Callable[[], str]:
+        def render() -> str:
+            from repro.vm.explain import explain_proc
 
-        return explain_proc(proc)
+            return explain_proc(proc)
+
+        return render
 
     def query_magic(self, text: str, subgoal=None) -> QueryResult:
         """Answer a NAIL! query demand-driven (magic sets).
@@ -620,7 +626,7 @@ class GlueNailSystem:
             except MagicTransformError:
                 return self._resolve_query(subgoal)
             skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
-            return answers, "magic", lambda: self._nail_plan(skeleton)
+            return answers, "magic", self._nail_plan(skeleton)
 
         return self._instrumented_entry("query_magic", text.strip(), runner)
 
@@ -666,7 +672,7 @@ class GlueNailSystem:
         def runner():
             if self._engine.defines(skeleton):
                 out = self._engine.materialize(name_term, arity).sorted_rows()
-                return out, "nail", lambda: self._nail_plan(skeleton)
+                return out, "nail", self._nail_plan(skeleton)
             relation = self.db.get(name_term, arity)
             if relation is None:
                 return [], "none", None

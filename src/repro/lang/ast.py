@@ -199,6 +199,15 @@ class RepeatStmt:
 Statement = object  # AssignStmt | RepeatStmt
 
 
+def walk_statements(stmts, top: bool = True):
+    """Yield ``(stmt, top)`` for every statement of a body, each ``repeat``
+    before its own body; ``top`` is False inside a loop."""
+    for stmt in stmts:
+        yield stmt, top
+        if isinstance(stmt, RepeatStmt):
+            yield from walk_statements(stmt.body, False)
+
+
 # --------------------------------------------------------------------- #
 # declarations
 # --------------------------------------------------------------------- #
@@ -340,13 +349,9 @@ class Program:
         paper's 'two statements per Mips-second' compile-speed figure."""
 
         def count_stmts(stmts) -> int:
-            total = 0
-            for stmt in stmts:
-                if isinstance(stmt, RepeatStmt):
-                    total += count_stmts(stmt.body)
-                else:
-                    total += 1
-            return total
+            return sum(
+                not isinstance(stmt, RepeatStmt) for stmt, _ in walk_statements(stmts)
+            )
 
         total = 0
         for module in self.modules:

@@ -38,6 +38,7 @@ from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_query
 from repro.mvcc import VersionStore
+from repro.server.gcpolicy import gc_stats
 from repro.server.protocol import (
     ProtocolError,
     columns_payload,
@@ -270,6 +271,7 @@ class Session:
             payload["wal_commits"] = self.server.store.wal.commits
             payload["wal_fsyncs"] = self.server.store.wal.fsyncs
         payload["subscriptions"] = self.server.subscriptions.stats()
+        payload["gc"] = gc_stats()
         # Constant: bench/workloads.py connect() reads ["parallel"]["workers"].
         payload["parallel"] = {"mode": "serial", "workers": 1}
         return payload

@@ -31,6 +31,20 @@ def pred_key(name, arity: int) -> PredKey:
     return (name, arity)
 
 
+class _VersionClock:
+    """A database's version counter, ticked by its relations on every
+    change.  It holds no reference back to the database, so a database and
+    its relations form no cycle and are freed by reference counting."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = 0
+
+    def __call__(self, _relation: Relation) -> None:
+        self.value += 1
+
+
 class Database:
     """A main-memory EDB: relations keyed by (ground name term, arity)."""
 
@@ -53,7 +67,7 @@ class Database:
         # stay comparable across join keys.
         self.columnar = columnar if columnar is not None else ColumnarContext()
         self._relations: dict = {}  # PredKey -> Relation
-        self._version = 0
+        self._clock = _VersionClock()
         self._journal = None
         # Guards catalog mutation (declare/drop): the server lets read-only
         # queries run concurrently, and their compile step declares EDB
@@ -63,10 +77,7 @@ class Database:
     @property
     def version(self) -> int:
         """Bumped whenever any relation in the database changes."""
-        return self._version
-
-    def _bump(self, _relation: Relation) -> None:
-        self._version += 1
+        return self._clock.value
 
     def snapshot_relations(self) -> list:
         """A stable ``[(key, relation), ...]`` snapshot of the catalog.
@@ -118,13 +129,13 @@ class Database:
                         arity,
                         counters=self.counters,
                         index_policy=self.index_policy,
-                        listener=self._bump,
+                        listener=self._clock,
                         tracer=self.tracer,
                     )
                     relation.journal = self._journal
                     relation.columnar = self.columnar
                     self._relations[key] = relation
-                    self._version += 1
+                    self._clock.value += 1
                     if self._journal is not None:
                         self._journal.record_declare(key[0], arity)
         if relation.arity != arity:
@@ -154,7 +165,7 @@ class Database:
             if self._journal is not None:
                 self._journal.record_drop(key[0], arity, relation.copy_rows())
             del self._relations[key]
-            self._version += 1
+            self._clock.value += 1
             return True
 
     def keys(self) -> Iterator[PredKey]:

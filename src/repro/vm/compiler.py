@@ -43,6 +43,7 @@ from repro.lang.ast import (
     UnionSubgoal,
     UpdateSubgoal,
     WatchDecl,
+    walk_statements,
 )
 from repro.opt import DEFAULT_COST_PIPELINE, PlanCache
 from repro.opt import optimize as plan_body
@@ -149,19 +150,15 @@ def _sizable_locals(decl: ProcDecl) -> Set[Tuple[str, int]]:
         elif isinstance(pred, Atom) and not sizable:
             unsizable.add((pred.name, arity))
 
-    def walk(stmts, top: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, RepeatStmt):
-                walk(stmt.body, False)
-                subgoals = [s for alt in stmt.until.alternatives for s in alt]
-            else:
-                written(stmt.head_pred, len(stmt.head_args), top and stmt.op == ":=")
-                subgoals = stmt.body
-            for subgoal in subgoals:
-                if isinstance(subgoal, UpdateSubgoal):
-                    written(subgoal.pred, len(subgoal.args), False)
-
-    walk(decl.body, True)
+    for stmt, top in walk_statements(decl.body):
+        if isinstance(stmt, RepeatStmt):
+            subgoals = [s for alt in stmt.until.alternatives for s in alt]
+        else:
+            written(stmt.head_pred, len(stmt.head_args), top and stmt.op == ":=")
+            subgoals = stmt.body
+        for subgoal in subgoals:
+            if isinstance(subgoal, UpdateSubgoal):
+                written(subgoal.pred, len(subgoal.args), False)
     return {
         (d.name, d.arity)
         for d in decl.locals
@@ -415,9 +412,7 @@ class ProgramCompiler:
             return info.fixed
 
         def stmt_fixed(stmt) -> bool:
-            if isinstance(stmt, RepeatStmt):
-                if any(stmt_fixed(inner) for inner in stmt.body):
-                    return True
+            if isinstance(stmt, RepeatStmt):  # its body is walked separately
                 return any(
                     is_fixed_subgoal(s, call_fixedness)
                     for alt in stmt.until.alternatives
@@ -440,7 +435,7 @@ class ProgramCompiler:
                 return False
             return True
 
-        return any(stmt_fixed(stmt) for stmt in decl.body)
+        return any(stmt_fixed(stmt) for stmt, _ in walk_statements(decl.body))
 
     def _try_resolve(self, pred: Term, arity: int, scope: Scope) -> Optional[PredInfo]:
         try:

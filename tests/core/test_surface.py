@@ -10,6 +10,7 @@ published MVCC snapshot), so it has no lock-serialized read mode either.
 
 import inspect
 import io
+import re
 
 import pytest
 
@@ -84,6 +85,16 @@ def test_cli_mode_flags_are_argparse_errors(argv, tmp_path, capsys):
         main([paths.get(arg, arg) for arg in argv])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_serve_options_are_unchanged(capsys):
+    """The serve process's collector policy is set in code: no flag and no
+    server parameter selects it."""
+    with pytest.raises(SystemExit):
+        main(["serve", "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--db", "--program", "--edb", "--host", "--port", "--no-sync"}
+    assert parameters(GlueNailServer) == {"db_dir", "program", "host", "port", "sync", "db"}
 
 
 def test_repl_answers_batch_as_an_unknown_command():

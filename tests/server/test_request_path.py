@@ -80,7 +80,12 @@ class TestParseOnce:
 class TestClosedSessions:
     @pytest.fixture
     def server(self):
-        program = PATH_RULES + "sink(X) :- edge(X, _) & !path(X, 0)."
+        program = PATH_RULES + """
+        sink(X) :- edge(X, _) & !path(X, 0).
+        proc next_of(X:Y)
+          return(X:Y) := in(X) & edge(X, Y).
+        end
+        """
         with GlueNailServer(program=program).start() as server:
             first = server._new_session()
             first.dispatch(
@@ -97,6 +102,8 @@ class TestClosedSessions:
             assert session.dispatch({"op": "query", "q": q})["ok"]
         magic = session.dispatch({"op": "query", "q": "path(3, X)?", "magic": True})
         assert magic["ok"]
+        call = session.dispatch({"op": "call", "name": "next_of", "inputs": [[3]]})
+        assert decode_values(call) == [(3, 4)]
         session.release()
 
     def test_cycles_leave_context_and_collector_flat(self, server):
@@ -109,19 +116,27 @@ class TestClosedSessions:
         baseline = cache_sizes()
         gc.collect()
         gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             for _ in range(5):
                 self.cycle(server)
-            unreachable = gc.collect()
+            gc.collect()
+            unreachable = list(gc.garbage)
         finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
         # Only tables of live (EDB) relations remain, however many
-        # sessions and magic evaluations came and went ...
+        # sessions, magic evaluations and procedure calls came and went ...
         assert cache_sizes() == baseline
-        # ... and what the cycle collector finds is the sessions' compiled
-        # programs (a few hundred objects each), not their derived rows:
-        # path/2 alone is 820 row tuples per session.
-        assert unreachable < 5 * 600
+        # ... and reference counting freed all of them: no session, system,
+        # compiler, engine or magic database waits in a reference cycle
+        # for the cycle collector.
+        cyclic = sorted({
+            type(obj).__qualname__ for obj in unreachable
+            if type(obj).__module__.startswith("repro.")
+        })
+        assert cyclic == []
 
     def test_release_keeps_the_shared_store_open(self, tmp_path):
         with GlueNailServer(db_dir=str(tmp_path), program=PATH_RULES).start() as server:

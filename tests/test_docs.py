@@ -6,6 +6,8 @@ Over ``docs/*.md``, README.md, DESIGN.md and EXPERIMENTS.md:
   attribute;
 * every ``gluenail`` command-line flag and every ``CostCounters`` field
   is named in some doc;
+* every top-level key of a live server's ``stats`` reply is backticked in
+  some doc;
 * the source tree in DESIGN.md section 4 lists exactly the packages and
   modules under ``src/repro``.
 """
@@ -99,3 +101,20 @@ def test_design_tree_matches_the_source():
         if path.name != "__init__.py"
     }
     assert listed == actual
+
+
+def _live_stats_keys(tmp_path) -> set:
+    """Top-level keys of a `stats` reply from a durable server whose
+    session has compiled rules, so every optional block is present."""
+    from repro.server import Client, GlueNailServer
+
+    with GlueNailServer(db_dir=str(tmp_path), program="p(X) :- q(X).").start() as server:
+        with Client(port=server.port, timeout=30) as client:
+            client.facts("q", [(1,)])
+            client.query("p(X)?")
+            return set(client.stats())
+
+
+def test_every_stats_block_is_documented(tmp_path):
+    missing = sorted(key for key in _live_stats_keys(tmp_path) if f"`{key}`" not in ALL_TEXT)
+    assert not missing
