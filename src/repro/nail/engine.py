@@ -61,12 +61,13 @@ def matching_rows(relation: Relation, args: Sequence[Term]) -> List[Row]:
 
     Flat args route bound positions through the relation's hash indexes
     (:meth:`~repro.storage.relation.Relation.match_rows`, which charges
-    its scans and probes); any other pattern is matched row by row over
-    ``rows()``, which charges nothing.
+    its scans and probes and returns a fresh list); any other pattern is
+    matched row by row over ``rows()``, charged as one full scan.
     """
     args = tuple(args)
     if is_flat_query(args):
-        return list(relation.match_rows(args))
+        return relation.match_rows(args)
+    relation.counters.tuples_scanned += len(relation)
     return [row for row in relation.rows() if match_tuple(args, row) is not None]
 
 

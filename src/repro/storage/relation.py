@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.adaptive import IndexPolicy
@@ -681,13 +681,13 @@ class Relation:
             if extended is not None:
                 yield extended
 
-    def match_rows(self, patterns: Row) -> Iterator[Row]:
+    def match_rows(self, patterns: Row) -> List[Row]:
         """Stored rows matching a *flat* pattern: every position is either a
         ground term (equality test) or an unconstrained variable.
 
-        The fast path behind simple scans: no per-row bindings dict is
-        built.  Callers (the compiler) guarantee flatness -- variables
-        distinct and not nested inside compounds.
+        The fast path behind simple scans: one list, no per-row bindings
+        dict and no per-row frame.  Callers (the compiler) guarantee
+        flatness -- variables distinct and not nested inside compounds.
         """
         if len(patterns) != self.arity:
             raise ValueError(
@@ -701,47 +701,44 @@ class Relation:
         if len(checks) == self.arity:
             if patterns in self._rows:
                 self.counters.index_probe_tuples += 1
-                yield patterns
-            return
+                return [patterns]
+            return []
         candidates = self._candidate_rows(tuple(patterns))
+        if not checks:
+            return candidates
         if len(checks) == 1:
             # The point-lookup shape; on a learning scan of a large
             # relation the plain comparison is ~4x the generic test below.
             ((i, value),) = checks
-            yield from [row for row in candidates if row[i] == value]
-            return
-        for row in candidates:
-            if all(row[i] == value for i, value in checks):
-                yield row
+            return [row for row in candidates if row[i] == value]
+        return [row for row in candidates if all(row[i] == value for i, value in checks)]
 
-    def _candidate_rows(self, patterns: Row) -> Iterator[Row]:
-        """Rows that could match fully-substituted ``patterns``."""
+    def _candidate_rows(self, patterns: Row) -> List[Row]:
+        """Rows that could match fully-substituted ``patterns``: a copy of
+        the whole relation, or the hits of one index probe."""
         bound = self._bound_positions(patterns)
-        if not bound:
+        index = None
+        if bound:
+            with self._index_lock:
+                index = self._usable_index(bound)
+                if index is None and self.index_policy is not None:
+                    ledger = self.stats.ledger(bound)
+                    if ledger.earned_index or self.index_policy.should_build(
+                        ledger, len(self._rows)
+                    ):
+                        ledger.earned_index = True
+                        index = self.build_index(bound)
+                if index is None:
+                    # Fall back to a scan; charge it to the adaptive ledger.
+                    self.stats.ledger(bound).record_scan(len(self._rows))
+        if index is None:
             self.counters.tuples_scanned += len(self._rows)
-            yield from list(self._rows)
-            return
-        with self._index_lock:
-            index = self._usable_index(bound)
-            if index is None and self.index_policy is not None:
-                ledger = self.stats.ledger(bound)
-                if ledger.earned_index or self.index_policy.should_build(
-                    ledger, len(self._rows)
-                ):
-                    ledger.earned_index = True
-                    index = self.build_index(bound)
-            if index is None:
-                # Fall back to a scan; charge it to the adaptive ledger.
-                self.stats.ledger(bound).record_scan(len(self._rows))
-        if index is not None:
-            key = tuple(patterns[c] for c in index.columns)
-            self.counters.index_lookups += 1
-            hits = list(index.probe(key))
-            self.counters.index_probe_tuples += len(hits)
-            yield from hits
-            return
-        self.counters.tuples_scanned += len(self._rows)
-        yield from list(self._rows)
+            return list(self._rows)
+        key = tuple(patterns[c] for c in index.columns)
+        self.counters.index_lookups += 1
+        hits = list(index.probe(key))
+        self.counters.index_probe_tuples += len(hits)
+        return hits
 
     def _usable_index(self, bound: Tuple[int, ...]) -> Optional[HashIndex]:
         """An index is usable when its columns are a subset of the bound ones.

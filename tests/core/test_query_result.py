@@ -160,3 +160,33 @@ class TestCallModuleFilter:
     def test_unknown_module_reports_module(self):
         with pytest.raises(GlueRuntimeError, match="module z"):
             self._system().call("pick", module="z")
+
+
+class TestNonFlatQueryCharges:
+    """A repeated variable or a compound pattern is matched row by row; the
+    read is charged as one full scan, like a flat one."""
+
+    @staticmethod
+    def _system():
+        system = GlueNailSystem()
+        system.load("p(X, Y) :- e(X, Y).\nq(X, Y) :- f(X, Y).")
+        system.facts("e", [(1, 1), (1, 2), (2, 2), (3, 4)])
+        system.facts("f", [(("g", 1), 2), (("g", 3), 4), (("h", 1), 5)])
+        system.query("p(X, Y)?")  # materialize both predicates first
+        system.query("q(X, Y)?")
+        return system
+
+    @pytest.mark.parametrize(
+        "text, resolution, rows, scanned",
+        [
+            ("e(X, X)?", "edb", [(1, 1), (2, 2)], 4),
+            ("p(X, X)?", "nail", [(1, 1), (2, 2)], 4),
+            ("f(g(X), Y)?", "edb", [(("g", 1), 2), (("g", 3), 4)], 3),
+            ("q(g(X), Y)?", "nail", [(("g", 1), 2), (("g", 3), 4)], 3),
+        ],
+    )
+    def test_scan_is_charged(self, text, resolution, rows, scanned):
+        result = self._system().query(text)
+        assert result.resolution == resolution
+        assert result.to_python() == rows
+        assert result.stats.counters["tuples_scanned"] == scanned

@@ -6,6 +6,8 @@ Over ``docs/*.md``, README.md, DESIGN.md and EXPERIMENTS.md:
   attribute;
 * every ``gluenail`` command-line flag and every ``CostCounters`` field
   is named in some doc;
+* every backticked ``--flag`` is an option of ``gluenail`` or of
+  ``bench/run.py``;
 * every top-level key of a live server's ``stats`` reply is backticked in
   some doc;
 * the source tree in DESIGN.md section 4 lists exactly the packages and
@@ -67,6 +69,21 @@ CLI_FLAGS = sorted(set(re.findall(r'"(--[a-z][a-z-]*)"', inspect.getsource(repro
 @pytest.mark.parametrize("flag", CLI_FLAGS)
 def test_every_cli_flag_is_documented(flag):
     assert _named(flag)
+
+
+def test_backticked_flags_exist():
+    known = set(CLI_FLAGS) | set(
+        re.findall(r'"(--[a-z][a-z-]*)"', (ROOT / "bench" / "run.py").read_text())
+    )
+    # ``--p(args)`` is a Glue delete subgoal, not a flag.
+    unknown = sorted(
+        f"{doc}: {flag}"
+        for doc, text in TEXT.items()
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*(?![\w(-])", span)
+        if flag not in known
+    )
+    assert not unknown
 
 
 @pytest.mark.parametrize("counter", [field.name for field in dataclasses.fields(CostCounters)])
