@@ -102,13 +102,8 @@ def expr_has_agg(expr) -> bool:
     return False
 
 
-def subgoal_binds(subgoal, bound: Set[str], callable_sigs=None) -> Set[str]:
-    """Variables the subgoal adds to the bound set, given those already bound.
-
-    ``callable_sigs`` maps a PredSubgoal (by identity) to its bound arity
-    when the subgoal is a procedure call; positional: the first
-    ``bound_arity`` arguments are inputs, the rest outputs.
-    """
+def subgoal_binds(subgoal, bound: Set[str]) -> Set[str]:
+    """Variables the subgoal adds to the bound set, given those already bound."""
     if isinstance(subgoal, PredSubgoal):
         if subgoal.negated:
             return set()
@@ -198,9 +193,7 @@ def check_subgoal_safety(subgoal, bound: Set[str]) -> None:
     raise TypeError(f"not a subgoal: {subgoal!r}")
 
 
-def analyze_bindings(
-    body: Iterable[object], initially_bound: Set[str] = frozenset()
-) -> List[Tuple[Set[str], Set[str]]]:
+def analyze_bindings(body: Iterable[object]) -> List[Tuple[Set[str], Set[str]]]:
     """For each subgoal, the (bound-before, newly-bound) variable sets.
 
     Raises :class:`BindingError` on the first safety violation.  This is
@@ -208,7 +201,7 @@ def analyze_bindings(
     the columns of sup_i are the columns of sup_{i-1} plus the variables of
     subgoal i.
     """
-    bound: Set[str] = set(initially_bound)
+    bound: Set[str] = set()
     out: List[Tuple[Set[str], Set[str]]] = []
     for subgoal in body:
         check_subgoal_safety(subgoal, bound)

@@ -380,9 +380,8 @@ def _dedup_bindings(
     """Deduplicate bindings using a precomputed variable order.
 
     The rule's :class:`~repro.nail.rules.JoinPlanner` supplies the order
-    (first appearance in the body, which names every variable a binding
-    can hold), so each binding's key is a flat O(k) projection -- no
-    per-binding sort.
+    (every variable a binding can hold), so each binding's key is a flat
+    O(k) projection -- no per-binding sort.
     """
     seen = set()
     out = []

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.depgraph import build_dependency_graph
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.analysis.stratify import Stratum, stratify
-from repro.errors import GlueRuntimeError
+from repro.errors import GlueRuntimeError, UnsafeRuleError
 from repro.lang.ast import PredSubgoal, RuleDecl
 from repro.nail.bodyeval import RowsFn, cost_plan
 from repro.nail.naive import naive_eval
@@ -105,7 +105,11 @@ class NailEngine:
         # Run-time plans of this engine's rule bodies, one per size bucket.
         self.plans = PlanCache(db.counters)
         self.idb = Database(counters=db.counters, tracer=db.tracer, columnar=db.columnar)
-        self._stratum_safe: Dict[int, Optional[str]] = {}  # index -> error or None
+        # Per stratum, the first unsafe rule's verdict, or None.
+        self._stratum_unsafe: List[Optional[str]] = [None] * len(self.strata)
+        for info in self.rule_infos:
+            index = self._stratum_of[info.head_skeleton]
+            self._stratum_unsafe[index] = self._stratum_unsafe[index] or info.unsafe
         self.rounds_run = 0  # fixpoint rounds in the last full evaluation
         # --- incremental maintenance state ----------------------------- #
         self.supports = compute_stratum_supports(self.rule_infos, self.strata)
@@ -233,9 +237,7 @@ class NailEngine:
         stratum_index = self._stratum_of.get(skeleton)
         if stratum_index is None:
             return False
-        return all(
-            self._stratum_safety(i) is None for i in self._needs[stratum_index]
-        )
+        return not any(self._stratum_unsafe[i] for i in self._needs[stratum_index])
 
     def demand(self, name: Term, arity: int, patterns: Sequence[Term]) -> List[Row]:
         """All tuples matching ``patterns``, computed demand-driven.
@@ -243,7 +245,6 @@ class NailEngine:
         Ground argument positions become magic-seed bindings; results are
         cached per (predicate, ground-signature) until the EDB changes.
         """
-        from repro.errors import UnsafeRuleError
         from repro.nail.magic import MagicTransformError
         from repro.terms.term import Atom, fresh_var
 
@@ -543,27 +544,6 @@ class NailEngine:
 
         return rows
 
-    def _stratum_safety(self, index: int) -> Optional[str]:
-        """None when every rule in the stratum is range-restricted,
-        otherwise the first safety error message (cached)."""
-        from repro.errors import UnsafeRuleError
-        from repro.nail.rules import check_rule_safety
-
-        cached = self._stratum_safe.get(index)
-        if cached is None and index not in self._stratum_safe:
-            error: Optional[str] = None
-            skeletons = self.strata[index].skeletons
-            for info in self.rule_infos:
-                if info.head_skeleton in skeletons:
-                    try:
-                        check_rule_safety(info.rule)
-                    except UnsafeRuleError as exc:
-                        error = str(exc)
-                        break
-            self._stratum_safe[index] = error
-            return error
-        return cached
-
     def _compute(self, indexes: Iterable[int]) -> None:
         """Evaluate the not-yet-computed strata among ``indexes`` (ascending:
         dependencies first)."""
@@ -574,10 +554,8 @@ class NailEngine:
         ]
         if not pending:
             return
-        from repro.errors import UnsafeRuleError
-
         for stratum in pending:
-            error = self._stratum_safety(stratum.index)
+            error = self._stratum_unsafe[stratum.index]
             if error is not None:
                 raise UnsafeRuleError(
                     f"cannot fully materialize stratum {stratum.index}: {error} "

@@ -59,7 +59,6 @@ class Nail2GlueResult:
 
     program: Program
     source: str
-    module_name: str
     driver_proc: str
     stratum_procs: Tuple[str, ...]
     output_preds: Tuple[Tuple[str, int], ...]
@@ -100,9 +99,7 @@ def _check_fragment(rules: Sequence[RuleDecl]) -> None:
                     )
 
 
-def compile_rules_to_glue(
-    rules: Sequence[RuleDecl], module_name: str = "nail_generated"
-) -> Nail2GlueResult:
+def compile_rules_to_glue(rules: Sequence[RuleDecl]) -> Nail2GlueResult:
     """Compile a stratified NAIL! rule set into an equivalent Glue module."""
     rules = list(rules)
     _check_fragment(rules)
@@ -133,12 +130,11 @@ def compile_rules_to_glue(
         items.append(EdbDecl(name=name, attrs=tuple(f"A{i}" for i in range(arity))))
     items.extend(procs)
 
-    module = ModuleDecl(name=module_name, items=tuple(items))
+    module = ModuleDecl(name="nail_generated", items=tuple(items))
     program = Program(modules=(module,), items=())
     return Nail2GlueResult(
         program=program,
         source=pretty_program(program),
-        module_name=module_name,
         driver_proc=driver.name,
         stratum_procs=tuple(stratum_proc_names),
         output_preds=tuple(output_preds),

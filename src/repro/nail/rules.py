@@ -12,29 +12,20 @@ work in the evaluator is then key build + hash probe instead of a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bindings import (
     BindingError,
-    check_subgoal_safety,
+    analyze_bindings,
     expr_has_agg,
-    subgoal_binds,
+    subgoal_vars,
     term_vars,
+    terms_vars,
 )
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.errors import UnsafeRuleError
-from repro.lang.ast import (
-    AggCall,
-    BinOp,
-    CompareSubgoal,
-    FunCall,
-    GroupBySubgoal,
-    PredSubgoal,
-    RuleDecl,
-    UnaryOp,
-)
+from repro.lang.ast import CompareSubgoal, GroupBySubgoal, PredSubgoal, RuleDecl
 from repro.opt.literal import LiteralPlan, classify_join_columns
-from repro.terms.term import Term, Var, variables
 
 __all__ = [
     "JoinPlanner",
@@ -44,25 +35,7 @@ __all__ = [
     "compute_stratum_supports",
     "order_body_for_evaluation",
     "prepare_rules",
-    "terms_free",
 ]
-
-
-def _expr_var_occurrences(expr) -> List[str]:
-    """Named variables in an expression, first-appearance order."""
-    if isinstance(expr, Term):
-        return [v.name for v in variables(expr) if not v.is_anonymous]
-    if isinstance(expr, BinOp):
-        return _expr_var_occurrences(expr.left) + _expr_var_occurrences(expr.right)
-    if isinstance(expr, UnaryOp):
-        return _expr_var_occurrences(expr.operand)
-    if isinstance(expr, (FunCall, AggCall)):
-        out: List[str] = []
-        args = expr.args if isinstance(expr, FunCall) else (expr.arg,)
-        for arg in args:
-            out.extend(_expr_var_occurrences(arg))
-        return out
-    return []
 
 
 class JoinPlanner:
@@ -79,31 +52,11 @@ class JoinPlanner:
 
     def __init__(self, rule: RuleDecl):
         self.rule = rule
-        order: List[str] = []
-        seen: Set[str] = set()
-        for subgoal in rule.body:
-            if isinstance(subgoal, PredSubgoal):
-                names = [
-                    v.name
-                    for t in (subgoal.pred, *subgoal.args)
-                    for v in variables(t)
-                    if not v.is_anonymous
-                ]
-            elif isinstance(subgoal, CompareSubgoal):
-                names = _expr_var_occurrences(subgoal.left) + _expr_var_occurrences(
-                    subgoal.right
-                )
-            elif isinstance(subgoal, GroupBySubgoal):
-                names = [t.name for t in subgoal.terms if isinstance(t, Var)]
-            else:
-                names = []
-            for name in names:
-                if name not in seen:
-                    seen.add(name)
-                    order.append(name)
-        # A precomputed dedup key order for the whole rule (satellite: no
-        # per-binding sort in _dedup_bindings).
-        self.var_order: Tuple[str, ...] = tuple(order)
+        # Every variable a binding can hold, in a fixed order: the dedup
+        # key of ``_dedup_bindings`` (no per-binding sort).
+        self.var_order: Tuple[str, ...] = tuple(
+            sorted(set().union(*map(subgoal_vars, rule.body)))
+        )
         self._plans: Dict[Tuple[int, FrozenSet[str]], LiteralPlan] = {}
 
     def plan_for(self, index: int, bound: FrozenSet[str]) -> LiteralPlan:
@@ -128,74 +81,34 @@ class RuleInfo:
     has_aggregate: bool
     planner: JoinPlanner = field(compare=False, repr=False)
     neg_skeletons: Tuple[Skeleton, ...] = ()  # negated literals, in order
+    unsafe: Optional[str] = None  # why check_rule_safety rejects it, if it does
 
     @property
     def head_vars(self) -> Set[str]:
-        out = term_vars(self.rule.head_pred)
-        for arg in self.rule.head_args:
-            out |= term_vars(arg)
-        return out
+        return term_vars(self.rule.head_pred) | terms_vars(self.rule.head_args)
 
 
-def _allowed_subgoal(subgoal) -> bool:
-    return isinstance(subgoal, (PredSubgoal, CompareSubgoal, GroupBySubgoal))
-
-
-def check_rule_safety(rule: RuleDecl, demand_bound: Set[str] = frozenset()) -> None:
-    """Check range restriction: every variable in the head (and every
-    variable used by negation, comparison filters or aggregates) must be
-    bound by a positive body literal.
-
-    ``demand_bound`` names variables bound externally (by a magic
-    predicate); plain bottom-up evaluation passes the empty set.
-    """
-    bound: Set[str] = set(demand_bound)
+def check_rule_safety(rule: RuleDecl) -> None:
+    """Raise :class:`UnsafeRuleError` unless the rule is safe: its body
+    holds only NAIL! subgoals, passes the binding-time analysis every Glue
+    body passes (:func:`repro.analysis.bindings.analyze_bindings`), and
+    binds every head variable (range restriction)."""
     for subgoal in rule.body:
-        if not _allowed_subgoal(subgoal):
+        if not isinstance(subgoal, (PredSubgoal, CompareSubgoal, GroupBySubgoal)):
             raise UnsafeRuleError(
                 f"NAIL! rules may not contain {type(subgoal).__name__} subgoals"
             )
-        if isinstance(subgoal, PredSubgoal):
-            pred_free = term_vars(subgoal.pred) - bound
-            if pred_free:
-                raise UnsafeRuleError(
-                    f"predicate variable(s) {sorted(pred_free)} unbound when "
-                    f"evaluating {subgoal.pred}"
-                )
-            if subgoal.negated:
-                free = terms_free(subgoal.args, bound)
-                if free:
-                    raise UnsafeRuleError(
-                        f"negated literal uses unbound variables {sorted(free)}"
-                    )
-            else:
-                for arg in subgoal.args:
-                    bound |= term_vars(arg)
-        elif isinstance(subgoal, CompareSubgoal):
-            # The same rule the planner schedules by: ``=`` binds a fresh
-            # variable on either side.
-            try:
-                check_subgoal_safety(subgoal, bound)
-            except BindingError as exc:
-                raise UnsafeRuleError(str(exc)) from exc
-            bound |= subgoal_binds(subgoal, bound)
-        elif isinstance(subgoal, GroupBySubgoal):
-            free = terms_free(subgoal.terms, bound)
-            if free:
-                raise UnsafeRuleError(f"group_by over unbound variables {sorted(free)}")
-    head_free = (term_vars(rule.head_pred) | terms_free(rule.head_args, set())) - bound
+    try:
+        steps = analyze_bindings(rule.body)
+    except BindingError as exc:
+        raise UnsafeRuleError(str(exc)) from exc
+    bound = set().union(*(new for _before, new in steps))
+    head_free = (term_vars(rule.head_pred) | terms_vars(rule.head_args)) - bound
     if head_free:
         raise UnsafeRuleError(
             f"rule for {rule.head_pred} is not range-restricted: head variables "
             f"{sorted(head_free)} are not bound by the body"
         )
-
-
-def terms_free(terms: Sequence, bound: Set[str]) -> Set[str]:
-    free: Set[str] = set()
-    for term in terms:
-        free |= term_vars(term) - bound
-    return free
 
 
 def order_body_for_evaluation(rule: RuleDecl) -> RuleDecl:
@@ -221,11 +134,22 @@ def order_body_for_evaluation(rule: RuleDecl) -> RuleDecl:
 
 
 def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[RuleInfo]:
+    """Order each rule's body and precompute its structure.
+
+    Each rule's safety verdict is taken once, on its evaluation order, and
+    kept as :attr:`RuleInfo.unsafe`; ``check_safety`` raises the first
+    unsafe rule's :class:`UnsafeRuleError` instead.
+    """
     infos: List[RuleInfo] = []
     for rule in rules:
         rule = order_body_for_evaluation(rule)
-        if check_safety:
+        unsafe = None
+        try:
             check_rule_safety(rule)
+        except UnsafeRuleError as exc:
+            if check_safety:
+                raise
+            unsafe = str(exc)
         body_skeletons = []
         neg_skeletons = []
         has_agg = False
@@ -246,6 +170,7 @@ def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[
                 has_aggregate=has_agg,
                 planner=JoinPlanner(rule),
                 neg_skeletons=tuple(neg_skeletons),
+                unsafe=unsafe,
             )
         )
     return infos

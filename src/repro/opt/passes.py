@@ -289,15 +289,6 @@ PASSES: Dict[str, Callable[[PlanState, PassContext], None]] = {
 # ---------------------------------------------------------------------- #
 
 
-def _compare_binds(subgoal: CompareSubgoal, bound: Set[str]) -> bool:
-    if subgoal.op != "=":
-        return False
-    for side in (subgoal.left, subgoal.right):
-        if isinstance(side, Var) and not side.is_anonymous and side.name not in bound:
-            return True
-    return False
-
-
 def _annotate(
     state: PlanState, ctx: PassContext
 ) -> Tuple[Tuple[PlanStep, ...], Dict[str, float]]:
@@ -365,7 +356,7 @@ def _annotate(
                 else:
                     est = None
         elif isinstance(subgoal, CompareSubgoal):
-            if _compare_binds(subgoal, bound):
+            if subgoal_binds(subgoal, bound):
                 kind = "bind"
             else:
                 kind = "filter"

@@ -48,14 +48,15 @@ class ProtocolError(ValueError):
     """A malformed request line (or result payload)."""
 
 
-_EXPECTED = {str: "a string", int: "an integer", list: "an array"}
+_EXPECTED = {str: "a string", int: "an integer", list: "an array", bool: "a boolean"}
 
 
 def request_field(request: dict, name: str, kind: type, default: Any) -> Any:
     """``request[name]``, or ``default`` when absent, checked to be a
-    ``kind`` (``str``, ``int`` or ``list``; a JSON boolean is not an
-    integer).  A field whose default is None is optional and may be null.
-    Any other value is a :class:`ProtocolError` that names the field."""
+    ``kind`` (``str``, ``int``, ``list`` or ``bool``; a JSON boolean is
+    not an integer).  A field whose default is None is optional and may be
+    null.  Any other value is a :class:`ProtocolError` that names the
+    field."""
     value = request.get(name, default)
     if value is None and default is None:
         return None

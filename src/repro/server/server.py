@@ -217,7 +217,8 @@ class Session:
 
     def op_query(self, request: dict) -> dict:
         text = request_field(request, "q", str, "")
-        entry = self.system.query_magic if request.get("magic") else self.system.query
+        magic = request_field(request, "magic", bool, False)
+        entry = self.system.query_magic if magic else self.system.query
         # Parsed once per request: the classifier (which may run up to
         # three times around the pin) and the entry point share the subgoal.
         subgoal = parse_query(text)
@@ -277,7 +278,7 @@ class Session:
         return payload
 
     def op_trace(self, request: dict) -> dict:
-        if request.get("on", True):
+        if request_field(request, "on", bool, True):
             self.system.enable_tracing(local=True)
             return {"tracing": True}
         self.system.disable_tracing()
@@ -328,7 +329,7 @@ class Session:
         arity = request_field(request, "arity", int, 0)
         pattern = request_field(request, "pattern", list, None)
         capacity = request_field(request, "capacity", int, 1024)
-        snapshot = bool(request.get("snapshot"))
+        snapshot = request_field(request, "snapshot", bool, False)
         source = request_field(request, "source", str, None)
         # Under the write lock: registration must not interleave with a
         # commit flush, and `source` mutates the shared subscription
@@ -448,7 +449,7 @@ class Session:
         return self._repl
 
     def op_repl(self, request: dict) -> dict:
-        line = request.get("line", "")
+        line = request_field(request, "line", str, "")
         stripped = line.strip()
         repl = self._ensure_repl()
         # Transaction boundaries must go through the session's lock

@@ -42,11 +42,6 @@ class TestAnalyze:
         assert steps[1] == ({"X", "A", "B"}, {"C"})
         assert steps[2] == ({"X", "A", "B", "C"}, {"W"})
 
-    def test_initially_bound(self):
-        body = body_of("p(X) := q(X, Y).")
-        steps = analyze_bindings(body, initially_bound={"X"})
-        assert steps[0] == ({"X"}, {"Y"})
-
     def test_binding_comparison_binds(self):
         body = body_of("p(D) := q(X) & D = X + 1 & D < 10.")
         steps = analyze_bindings(body)

@@ -6,20 +6,28 @@ dispatch strategies are differential baselines.  They are reachable only
 through ``repro.baselines.reference``; the layers below take one
 ``oracles`` value instead of a string per mode.  The server has one read path (a
 published MVCC snapshot), so it has no lock-serialized read mode either.
+Parameters no caller sets are gone too, and every ``__all__`` name
+resolves (ruff's F822, checked without ruff).
 """
 
+import importlib
 import inspect
 import io
+import pkgutil
 import re
 
 import pytest
 
+import repro
+from repro.analysis.bindings import analyze_bindings, subgoal_binds
 from repro.core.cli import main
 from repro.core.repl import Repl
 from repro.core.system import GlueNailSystem
 from repro.nail.bodyeval import eval_rule_body_batch
 from repro.nail.engine import NailEngine, magic_query
 from repro.nail.naive import naive_eval
+from repro.nail.nail2glue import compile_rules_to_glue
+from repro.nail.rules import check_rule_safety
 from repro.nail.seminaive import seminaive_eval
 from repro.opt import optimize
 from repro.server.server import GlueNailServer
@@ -52,6 +60,31 @@ def test_layers_take_one_oracles_value(layer):
     params = parameters(layer)
     assert not RETIRED & params
     assert "oracles" in params
+
+
+@pytest.mark.parametrize(
+    "fn, name",
+    [
+        (check_rule_safety, "demand_bound"),
+        (analyze_bindings, "initially_bound"),
+        (subgoal_binds, "callable_sigs"),
+        (compile_rules_to_glue, "module_name"),
+    ],
+)
+def test_unset_parameters_are_gone(fn, name):
+    assert name not in parameters(fn)
+
+
+def test_every_all_name_resolves():
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        missing += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert not missing
 
 
 def test_server_has_no_lock_read_mode():

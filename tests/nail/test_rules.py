@@ -1,15 +1,108 @@
 """Unit tests for rule preparation: safety and evaluation ordering."""
 
+import re
+
 import pytest
 
 from repro.errors import UnsafeRuleError
 from repro.lang.ast import PredSubgoal
 from repro.lang.parser import parse_rule
+from repro.nail.nail2glue import Nail2GlueError, compile_rules_to_glue
 from repro.nail.rules import (
     check_rule_safety,
     order_body_for_evaluation,
     prepare_rules,
 )
+
+SAFE, UNSAFE = "safe", "unsafe"
+
+# One rule per subgoal kind, with the verdict prepare_rules gives it.
+VERDICTS = [
+    # head and predicate variables
+    ("p(X, Y) :- e(X, Y).", SAFE),
+    ("p(X, Y) :- e(X).", UNSAFE),
+    ("p(X) :- S(X).", UNSAFE),
+    ("p(S, X) :- names(S) & S(X).", SAFE),
+    ("S(X) :- e(X).", UNSAFE),
+    # negation
+    ("p(X) :- e(X) & !q(X).", SAFE),
+    ("p(X) :- e(X) & !q(Y).", UNSAFE),
+    ("p(X) :- e(X) & !q(X, _).", SAFE),
+    ("p(X) :- e(X) & !S(X).", UNSAFE),
+    ("p(X) :- names(S) & e(X) & !S(X).", SAFE),
+    # comparisons: binding on either side, or filtering
+    ("p(X) :- e(X) & X < 3.", SAFE),
+    ("p(X) :- e(X) & 3 > X.", SAFE),
+    ("p(X) :- e(X) & X < Y.", UNSAFE),
+    ("p(X, D) :- e(X) & D = X * 2.", SAFE),
+    ("p(X, D) :- e(X) & X * 2 = D.", SAFE),
+    ("h(Y) :- e(X) & k(a, b, Z) & Z = Y.", SAFE),
+    ("p(X) :- e(X) & Y = Z.", UNSAFE),
+    ("p(X) :- e(X) & X = f(Y).", UNSAFE),
+    ("p(X) :- e(X) & _ = X.", SAFE),
+    # aggregates and group_by
+    ("p(X, N) :- e(X, Y) & group_by(X) & N = count(Y).", SAFE),
+    ("p(N) :- e(X, Y) & N = count(Y).", SAFE),
+    ("p(X, N) :- e(X, Y) & group_by(Z) & N = count(Y).", UNSAFE),
+    ("p(X, N) :- e(X) & N = count(Y).", UNSAFE),
+    # unit clauses
+    ("edge(1, 2).", SAFE),
+    ("tc(E, X, X).", UNSAFE),
+    # compound and HiLog-family heads
+    ("p(f(X), Y) :- e(X, Y).", SAFE),
+    ("p(f(X, Z)) :- e(X).", UNSAFE),
+    ("f(X)(Y) :- e(X, Y).", SAFE),
+    ("f(Z)(X) :- e(X).", UNSAFE),
+    # not NAIL! subgoals
+    ("p(X) :- e(X) & ++q(X).", UNSAFE),
+]
+
+# Unsafe as written; safe once prepare_rules orders the body.
+REORDERED = [
+    "tc(G)(X, Z) :- tc(G)(X, Y) & e(G, Y, Z).",
+    "p(X) :- !q(X) & e(X).",
+    "p(X, D) :- D = X + 1 & e(X).",
+    "p(X) :- X > 1 & e(X).",
+]
+
+
+@pytest.mark.parametrize("text, verdict", VERDICTS, ids=[t for t, _ in VERDICTS])
+def test_safety_verdict(text, verdict):
+    rule = parse_rule(text)
+    if verdict == SAFE:
+        prepare_rules([rule], check_safety=True)
+    else:
+        with pytest.raises(UnsafeRuleError):
+            prepare_rules([rule], check_safety=True)
+
+
+@pytest.mark.parametrize("text, verdict", VERDICTS, ids=[t for t, _ in VERDICTS])
+def test_prepared_rule_keeps_its_verdict(text, verdict):
+    rule = parse_rule(text)
+    (info,) = prepare_rules([rule], check_safety=False)
+    if verdict == SAFE:
+        assert info.unsafe is None
+    else:
+        with pytest.raises(UnsafeRuleError, match=re.escape(info.unsafe)):
+            prepare_rules([rule], check_safety=True)
+
+
+@pytest.mark.parametrize("text", REORDERED)
+def test_safe_only_in_evaluation_order(text):
+    rule = parse_rule(text)
+    with pytest.raises(UnsafeRuleError):
+        check_rule_safety(rule)
+    prepare_rules([rule], check_safety=True)
+
+
+def test_group_by_takes_variables_only():
+    # Once accepted here and failing only at evaluation; now rejected when
+    # the rule is prepared, as Glue's binding-time analysis rejects it.
+    rule = parse_rule("p(X, N) :- e(X, Y) & group_by(f(X)) & N = count(Y).")
+    with pytest.raises(UnsafeRuleError, match="group_by arguments must be variables"):
+        prepare_rules([rule], check_safety=True)
+    with pytest.raises(Nail2GlueError, match="group_by"):
+        compile_rules_to_glue([rule])
 
 
 class TestSafety:
@@ -26,10 +119,6 @@ class TestSafety:
 
     def test_ground_unit_clause_safe(self):
         check_rule_safety(parse_rule("edge(1, 2)."))
-
-    def test_demand_bindings_rescue(self):
-        # The magic seed binds E and X, making the unit clause safe.
-        check_rule_safety(parse_rule("tc(E, X, X)."), demand_bound={"E", "X"})
 
     def test_negation_over_unbound(self):
         with pytest.raises(UnsafeRuleError, match="negated"):

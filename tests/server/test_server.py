@@ -68,6 +68,10 @@ class TestBasicOps:
         ({"op": "unsubscribe", "sub": "a"}, "sub"),
         ({"op": "query", "q": 5}, "q"),
         ({"op": "load", "source": 7}, "source"),
+        ({"op": "repl", "line": 5}, "line"),
+        ({"op": "query", "q": "edge(X, Y)?", "magic": "no"}, "magic"),
+        ({"op": "subscribe", "name": "edge", "arity": 2, "snapshot": "no"}, "snapshot"),
+        ({"op": "trace", "on": "no"}, "on"),
     ]
 
     @pytest.mark.parametrize(

@@ -10,10 +10,12 @@ Over ``docs/*.md``, README.md, DESIGN.md and EXPERIMENTS.md:
   ``bench/run.py``;
 * every top-level key of a live server's ``stats`` reply is backticked in
   some doc;
+* every trace event kind the source emits is backticked in some doc;
 * the source tree in DESIGN.md section 4 lists exactly the packages and
   modules under ``src/repro``.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -134,4 +136,30 @@ def _live_stats_keys(tmp_path) -> set:
 
 def test_every_stats_block_is_documented(tmp_path):
     missing = sorted(key for key in _live_stats_keys(tmp_path) if f"`{key}`" not in ALL_TEXT)
+    assert not missing
+
+
+TRACE_CALLS = {"event", "span", "_instrumented_entry"}
+
+
+def _trace_kinds() -> set:
+    """The string-literal first argument of every ``.event(...)``,
+    ``.span(...)`` and ``_instrumented_entry(...)`` call under
+    ``src/repro``, plus the two round kinds seminaive passes as a variable."""
+    kinds = {"round", "incremental_round"}
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in TRACE_CALLS
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                kinds.add(node.args[0].value)
+    return kinds
+
+
+def test_every_trace_kind_is_documented():
+    missing = sorted(kind for kind in _trace_kinds() if f"`{kind}`" not in ALL_TEXT)
     assert not missing
