@@ -10,50 +10,70 @@ LDL and CORAL also make, paper Section 8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.analysis.bindings import expr_has_agg
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import CompareSubgoal, PredSubgoal, RuleDecl
 
-# networkx caches these views on a graph the first time they are read, and
-# each one points back at the graph: a cycle that only the cycle collector
-# frees.  They are dropped after use, so a graph dies by reference count.
-_BACK_POINTING_VIEWS = ("edges", "out_edges", "in_edges", "degree", "in_degree",
-                        "out_degree")
-
-
-def _drop_views(graph: nx.DiGraph) -> None:
-    for name in _BACK_POINTING_VIEWS:
-        graph.__dict__.pop(name, None)
-
 
 @dataclass
 class DependencyGraph:
-    graph: nx.DiGraph
+    # head skeleton -> {body skeleton: negative?}; every node is a key
+    edges: Dict[Skeleton, Dict[Skeleton, bool]]
     rules_by_head: Dict[Skeleton, List[RuleDecl]] = field(default_factory=dict)
 
     def sccs(self) -> List[Set[Skeleton]]:
         """Strongly connected components in dependency (topological) order:
-        earlier components do not depend on later ones."""
-        condensation = nx.condensation(self.graph)
-        order = list(nx.topological_sort(condensation))
-        _drop_views(self.graph)
-        _drop_views(condensation)
-        # condensation edges point from a node to its dependencies (we add
-        # head -> body edges), so dependencies come *later* in a forward
-        # topological order; reverse to evaluate bottom-up.
-        order.reverse()
-        return [set(condensation.nodes[c]["members"]) for c in order]
+        earlier components do not depend on later ones.
+
+        Tarjan's algorithm with an explicit stack.  Edges point from a head
+        to what it reads, so a component is finished only after every
+        component it reads: they come out bottom-up.  Roots are visited in
+        insertion order, so the order is deterministic.
+        """
+        index: Dict[Skeleton, int] = {}
+        low: Dict[Skeleton, int] = {}
+        stack: List[Skeleton] = []
+        work: List[Tuple[Skeleton, Iterator[Skeleton]]] = []
+        out: List[Set[Skeleton]] = []
+        finished = len(self.edges)  # the index of a node already in a component
+
+        def enter(node: Skeleton) -> None:
+            index[node] = low[node] = len(index)
+            stack.append(node)
+            work.append((node, iter(self.edges[node])))
+
+        for root in self.edges:
+            if root not in index:
+                enter(root)
+            while work:
+                node, successors = work[-1]
+                for succ in successors:
+                    if succ not in index:
+                        enter(succ)
+                        break
+                    low[node] = min(low[node], index[succ])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        component: Set[Skeleton] = set()
+                        while node not in component:
+                            member = stack.pop()
+                            index[member] = finished
+                            component.add(member)
+                        out.append(component)
+        return out
 
     def negative_edges(self) -> List[Tuple[Skeleton, Skeleton]]:
         return [
             (u, v)
-            for u, targets in self.graph.adjacency()
-            for v, data in targets.items()
-            if data.get("negative", False)
+            for u, targets in self.edges.items()
+            for v, negative in targets.items()
+            if negative
         ]
 
     def idb_skeletons(self) -> Set[Skeleton]:
@@ -82,13 +102,13 @@ def rule_body_dependencies(rule: RuleDecl) -> List[Tuple[Skeleton, bool]]:
 
 
 def build_dependency_graph(rules: Iterable[RuleDecl]) -> DependencyGraph:
-    graph = nx.DiGraph()
+    edges: Dict[Skeleton, Dict[Skeleton, bool]] = {}
     rules_by_head: Dict[Skeleton, List[RuleDecl]] = {}
     rules = list(rules)
     for rule in rules:
         head = pred_skeleton(rule.head_pred, len(rule.head_args))
         rules_by_head.setdefault(head, []).append(rule)
-        graph.add_node(head)
+        edges.setdefault(head, {})
     for rule in rules:
         head = pred_skeleton(rule.head_pred, len(rule.head_args))
         for skeleton, negative in rule_body_dependencies(rule):
@@ -100,9 +120,6 @@ def build_dependency_graph(rules: Iterable[RuleDecl]) -> DependencyGraph:
                 else [skeleton]
             )
             for target in targets:
-                if graph.has_edge(head, target):
-                    if negative:
-                        graph[head][target]["negative"] = True
-                else:
-                    graph.add_edge(head, target, negative=negative)
-    return DependencyGraph(graph=graph, rules_by_head=rules_by_head)
+                edges.setdefault(target, {})
+                edges[head][target] = edges[head].get(target, False) or negative
+    return DependencyGraph(edges=edges, rules_by_head=rules_by_head)

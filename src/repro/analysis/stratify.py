@@ -69,4 +69,4 @@ def component_is_recursive(dep: DependencyGraph, skeletons: Sequence[Skeleton]) 
     if len(members) > 1:
         return True
     (only,) = members
-    return dep.graph.has_edge(only, only)
+    return only in dep.edges[only]

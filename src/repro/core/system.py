@@ -94,8 +94,9 @@ class GlueNailSystem:
         :mod:`repro.txn`); opening replays the committed WAL suffix over
         the last checkpoint, so the system always starts from exactly the
         committed state.  EDB mutations made through the returned system
-        are autocommitted to the WAL; :meth:`begin`/:meth:`commit`/
-        :meth:`rollback` group them, and :meth:`checkpoint` compacts.
+        are autocommitted to the WAL (a :meth:`facts` call as one batch);
+        :meth:`begin`/:meth:`commit`/:meth:`rollback` group them, and
+        :meth:`checkpoint` compacts.
         """
         from repro.txn.store import DurableStore
 
@@ -654,7 +655,14 @@ class GlueNailSystem:
         return self.db.fact(name, *values)
 
     def facts(self, name, rows) -> int:
-        return self.db.facts(name, rows)
+        """Insert many facts as one batch: outside a transaction the call is
+        one implicit transaction (all rows or none, one WAL commit, one
+        commit notification); inside one it joins the caller's."""
+        manager = self.txn
+        if manager is None or manager.in_transaction:
+            return self.db.facts(name, rows)
+        with manager.transaction():
+            return self.db.facts(name, rows)
 
     def rows(self, name, arity: int) -> QueryResult:
         """All rows of ``name/arity`` in canonical (sorted) order.

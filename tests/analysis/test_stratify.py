@@ -1,8 +1,15 @@
 """Tests for the dependency graph and stratification."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.analysis.depgraph import build_dependency_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.stratify import StratificationError, component_is_recursive, stratify
 from repro.lang.parser import parse_program
 
@@ -19,8 +26,8 @@ def strata_of(text):
 class TestDependencyGraph:
     def test_simple_edges(self):
         dep = build_dependency_graph(rules_of("p(X) :- q(X) & r(X)."))
-        assert dep.graph.has_edge(("p", (), 1), ("q", (), 1))
-        assert dep.graph.has_edge(("p", (), 1), ("r", (), 1))
+        assert ("q", (), 1) in dep.edges[("p", (), 1)]
+        assert ("r", (), 1) in dep.edges[("p", (), 1)]
 
     def test_negative_edge_marked(self):
         dep = build_dependency_graph(rules_of("p(X) :- q(X) & !r(X)."))
@@ -45,7 +52,7 @@ class TestDependencyGraph:
             "p(X) :- names(S) & S(X).\nq(X) :- e(X).\nr(X, Y) :- e2(X, Y)."
         ))
         p = ("p", (), 1)
-        assert set(dep.graph.successors(p)) == {("names", (), 1), p, ("q", (), 1)}
+        assert set(dep.edges[p]) == {("names", (), 1), p, ("q", (), 1)}
 
 
 class TestStratify:
@@ -119,3 +126,68 @@ class TestStratify:
             for skel in stratum.skeletons:
                 index_of[skel[0]] = stratum.index
         assert index_of["a"] < index_of["c"] < index_of["b"]
+
+
+def reachable(edges, start):
+    seen, todo = set(), [start]
+    while todo:
+        for succ in edges[todo.pop()]:
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return seen
+
+
+@st.composite
+def digraphs(draw):
+    size = draw(st.integers(min_value=1, max_value=12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))))
+    edges = {node: {} for node in draw(st.permutations(range(size)))}
+    for u, v in pairs:
+        edges[u][v] = False
+    return edges
+
+
+class TestSccs:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_components_are_mutual_reachability_bottom_up(self, edges):
+        components = DependencyGraph(edges=edges).sccs()
+        reach = {node: reachable(edges, node) | {node} for node in edges}
+        expected = {frozenset(v for v in edges if v in reach[u] and u in reach[v])
+                    for u in edges}
+        assert sorted(map(sorted, components)) == sorted(map(sorted, expected))
+        position = {node: i for i, members in enumerate(components) for node in members}
+        for u, targets in edges.items():
+            for v in targets:
+                assert position[v] <= position[u]
+
+    def test_long_chain_needs_no_recursion(self):
+        count = 5000
+        assert count > sys.getrecursionlimit()
+        text = "p0(X) :- e(X).\n" + "".join(
+            f"p{i}(X) :- p{i - 1}(X).\n" for i in range(1, count))
+        _, strata = strata_of(text)
+        assert [next(iter(s.skeletons))[0] for s in strata] == [f"p{i}" for i in range(count)]
+
+    def test_order_does_not_depend_on_the_hash_seed(self):
+        root = Path(__file__).resolve().parents[2]
+        script = (
+            "from repro.analysis.depgraph import build_dependency_graph\n"
+            "from repro.analysis.stratify import stratify\n"
+            "from repro.lang.ast import RuleDecl\n"
+            "from repro.lang.parser import parse_program\n"
+            "text = open(%r).read()\n"
+            "rules = [i for i in parse_program(text).items if isinstance(i, RuleDecl)]\n"
+            "print([sorted(s.skeletons) for s in stratify(build_dependency_graph(rules))])\n"
+        ) % str(root / "bench" / "program.glue")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "coauthor" in outputs[0]

@@ -7,14 +7,19 @@ through ``repro.baselines.reference``; the layers below take one
 ``oracles`` value instead of a string per mode.  The server has one read path (a
 published MVCC snapshot), so it has no lock-serialized read mode either.
 Parameters no caller sets are gone too, and every ``__all__`` name
-resolves (ruff's F822, checked without ruff).
+resolves (ruff's F822, checked without ruff), and the product imports
+nothing beyond the standard library.
 """
 
 import importlib
 import inspect
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,26 @@ def test_every_all_name_resolves():
             if not hasattr(module, name)
         ]
     assert not missing
+
+
+STDLIB_ONLY = """
+import importlib, pkgutil, sys
+before = set(sys.modules)
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - {"repro"} - set(sys.stdlib_module_names)))
+"""
+
+
+def test_product_imports_only_the_standard_library():
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_server_has_no_lock_read_mode():

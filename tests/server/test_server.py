@@ -49,6 +49,12 @@ class TestBasicOps:
         assert client.rows("edge", 2).values == [(1, 2)]
         assert {"name": "edge", "arity": 2, "rows": 1} in client.rels()
 
+    def test_facts_batch_is_all_or_nothing(self, client):
+        with pytest.raises(RemoteError):
+            client.request("facts", name="p", rows=[[1], [None]])
+        assert client.rows("p", 1).values == []
+        assert client.facts("p", [(1,), (2,)]) == 2
+
     def test_error_comes_back_as_remote_error(self, client):
         with pytest.raises(RemoteError):
             client.query("edge(")  # parse error crosses the wire intact

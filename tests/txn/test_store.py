@@ -39,6 +39,38 @@ class TestAutocommit:
         fresh.close()
 
 
+class TestFactsBatch:
+    """One ``facts`` call outside a transaction is one implicit transaction."""
+
+    def test_failing_row_leaves_nothing(self, tmp_path):
+        from repro.core.system import GlueNailSystem
+
+        system = GlueNailSystem.open(str(tmp_path))
+        with pytest.raises(TypeError):
+            system.facts("p", [[1], [None]])
+        assert system.rows("p", 1).rows == []
+        system.close()
+        fresh = GlueNailSystem.open(str(tmp_path))
+        assert fresh.rows("p", 1).rows == []
+        fresh.close()
+
+    def test_one_wal_commit_and_one_notification(self, tmp_path):
+        from repro.core.system import GlueNailSystem
+
+        system = GlueNailSystem.open(str(tmp_path))
+        seen = []
+        system.subscribe("edge", 2, callback=seen.append)
+        commits, fsyncs = system.store.wal.commits, system.store.wal.fsyncs
+        assert system.facts("edge", [(i, i + 1) for i in range(250)]) == 250
+        assert system.store.wal.commits == commits + 1
+        assert system.store.wal.fsyncs == fsyncs + 1
+        assert len(seen) == 1
+        system.close()
+        fresh = GlueNailSystem.open(str(tmp_path))
+        assert len(fresh.rows("edge", 2).rows) == 250
+        fresh.close()
+
+
 class TestTransactions:
     def test_committed_survives_uncommitted_does_not(self, tmp_path):
         store = DurableStore(str(tmp_path))
