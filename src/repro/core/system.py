@@ -78,11 +78,9 @@ class GlueNailSystem:
         self._collector_local = False
         self._subscriptions = None  # lazy SubscriptionManager (repro.sub)
         self.last_result: Optional[QueryResult] = None
-        # Durable store / transaction manager (see repro.txn); attached by
-        # GlueNailSystem.open() or enable_transactions().
+        # Durable store (see repro.txn); attached by GlueNailSystem.open().
         self.store = None
         self._owns_store = False  # a server's sessions share its store
-        self._txn = None
         if trace:
             self.enable_tracing(trace if isinstance(trace, TraceSink) else None)
 
@@ -264,24 +262,13 @@ class GlueNailSystem:
     @property
     def txn(self):
         """The transaction manager, or None until transactions are enabled."""
-        if self.store is not None:
-            return self.store.txn
-        return self._txn
+        return self.db.journal
 
     def enable_transactions(self):
-        """Attach an (in-memory) transaction manager to the database.
-
-        Systems created by :meth:`open` already have a durable one; this
-        gives the embedded, non-durable case begin/commit/rollback too.
-        """
-        if self.store is not None:
-            return self.store.txn
-        if self._txn is None:
-            from repro.txn.manager import TransactionManager
-
-            self._txn = TransactionManager(self.db)
-            self.db.attach_journal(self._txn)
-        return self._txn
+        """Attach the database's transaction manager (see
+        :meth:`Database.transactions`); systems created by :meth:`open`
+        already have a durable one."""
+        return self.db.transactions()
 
     def begin(self) -> None:
         """Start a transaction (enabling the subsystem on first use)."""
@@ -655,14 +642,8 @@ class GlueNailSystem:
         return self.db.fact(name, *values)
 
     def facts(self, name, rows) -> int:
-        """Insert many facts as one batch: outside a transaction the call is
-        one implicit transaction (all rows or none, one WAL commit, one
-        commit notification); inside one it joins the caller's."""
-        manager = self.txn
-        if manager is None or manager.in_transaction:
-            return self.db.facts(name, rows)
-        with manager.transaction():
-            return self.db.facts(name, rows)
+        """Insert many facts as one batch (see :meth:`Database.facts`)."""
+        return self.db.facts(name, rows)
 
     def rows(self, name, arity: int) -> QueryResult:
         """All rows of ``name/arity`` in canonical (sorted) order.

@@ -85,13 +85,6 @@ class SnapshotRouter:
     def columnar(self):
         return self.live.columnar
 
-    @property
-    def journal(self):
-        return self.live.journal
-
-    def attach_journal(self, journal) -> None:
-        self.live.attach_journal(journal)
-
     def __getattr__(self, name):
         # Anything not explicitly routed (private helpers, future surface)
         # behaves exactly like the live database.

@@ -81,7 +81,7 @@ class VersionStore:
     def __init__(self, db: Database):
         self.db = db
         self._lock = threading.Lock()
-        self._window_depth = 0
+        self._window_open = False
         self.publishes = 0
         self._published: Optional[Snapshot] = None
         self._rebuild_locked()  # readers always find a snapshot to pin
@@ -92,26 +92,22 @@ class VersionStore:
 
     def begin_window(self) -> None:
         """Open a write window: the caller (holding the database's write
-        lock) is about to mutate.  Re-entrant for nested brackets -- an
-        explicit transaction's window spans ``begin`` .. ``commit`` while
-        each op inside brackets itself."""
+        lock) is about to mutate.  Windows never nest: an explicit
+        transaction's window spans ``begin`` .. ``commit``, and the ops
+        inside it bracket nothing else."""
         with self._lock:
-            self._window_depth += 1
+            self._window_open = True
 
     def publish(self) -> Snapshot:
-        """Close the window; on the outermost close, publish the current
-        database state as the new read snapshot (when it actually moved).
+        """Close the window and publish the current database state as the
+        new read snapshot (when it actually moved).
 
         Returns the snapshot now visible to readers.  Emits a ``publish``
         trace event carrying the published version.
         """
         with self._lock:
-            if self._window_depth > 0:
-                self._window_depth -= 1
-            if self._window_depth > 0:
-                return self._published
-            snapshot = self._rebuild_locked()
-            return snapshot
+            self._window_open = False
+            return self._rebuild_locked()
 
     # ------------------------------------------------------------------ #
     # reader side
@@ -121,7 +117,7 @@ class VersionStore:
         """The newest published snapshot."""
         with self._lock:
             snapshot = self._published
-            if self._window_depth == 0 and snapshot.db_version != self.db.version:
+            if not self._window_open and snapshot.db_version != self.db.version:
                 # The database moved outside any window (embedded use, or
                 # reader compiles declaring relations): publish on demand.
                 # No window can open mid-build -- that path also needs
@@ -144,7 +140,7 @@ class VersionStore:
                 "published_version": snapshot.db_version,
                 "published_relations": len(snapshot),
                 "publishes": self.publishes,
-                "window_open": self._window_depth > 0,
+                "window_open": self._window_open,
             }
 
     # ------------------------------------------------------------------ #

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import socketserver
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from io import StringIO
 from typing import Optional
 
@@ -54,7 +54,6 @@ from repro.server.protocol import (
 from repro.server.rwlock import RWLock
 from repro.storage.database import Database
 from repro.storage.stats import ThreadLocalCounters
-from repro.txn.manager import TransactionManager
 
 DEFAULT_PORT = 7411
 
@@ -63,19 +62,6 @@ _READONLY_DOT = {
     ".help", ".rels", ".dump", ".explain", ".analyze",
     ".profile", ".last", ".stats", ".quit", ".exit",
 }
-
-
-class _NullLock:
-    """Stands in for a bracket the session's open transaction already holds."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_LOCK = _NullLock()
 
 
 class Session:
@@ -89,7 +75,6 @@ class Session:
         self._holds_write = False
         self.system = server.system_factory(db=server.db)
         self.system.store = server.store
-        self.system._txn = server.txn
         # One subscription manager per server: the program's `watch`
         # declarations run once per commit on the server's subscription
         # system, not once per session.
@@ -119,12 +104,12 @@ class Session:
     def _write_window(self):
         """The write-side bracket: the server's write window, or nothing
         when this session's open transaction already holds it."""
-        return _NULL_LOCK if self._holds_write else self.server.write_window()
+        return nullcontext() if self._holds_write else self.server.write_window()
 
     def _read_context(self):
         """The read-side bracket: a pinned published snapshot, no lock."""
         if self._holds_write:
-            return _NULL_LOCK
+            return nullcontext()
         return self.system.db.pinned(self.server.mvcc_store.pin())
 
     def _run_classified(self, classify_write, run):
@@ -568,11 +553,9 @@ class GlueNailServer:
             from repro.txn.store import DurableStore
 
             self.store = DurableStore(db_dir, db=self.db, sync=sync)
-            self.txn = self.store.txn
         else:
             self.store = None
-            self.txn = TransactionManager(self.db)
-            self.db.attach_journal(self.txn)
+            self.db.transactions()  # in-memory, but still transactional
         self.lock = RWLock()
         # Test injection point: called (with the session) after a request
         # is classified read-only, before it pins -- the window a
@@ -586,7 +569,6 @@ class GlueNailServer:
         # never two.
         self.sub_system = self.system_factory(db=self.db)
         self.sub_system.store = self.store
-        self.sub_system._txn = self.txn
         if self.base_program:
             self.sub_system.load(self.base_program)
             try:

@@ -112,6 +112,19 @@ class Database:
             for relation in self._relations.values():
                 relation.journal = journal
 
+    def transactions(self):
+        """This database's transaction manager, attached on first call.
+
+        Lazy on purpose: derived-relation databases (the NAIL! engine's
+        IDB, magic seeds) never call it, so their rows are never journaled.
+        """
+        from repro.txn.manager import TransactionManager
+
+        with self._catalog_lock:
+            if self._journal is None:
+                self.attach_journal(TransactionManager(self))
+            return self._journal
+
     # ------------------------------------------------------------------ #
     # catalog
     # ------------------------------------------------------------------ #
@@ -199,12 +212,21 @@ class Database:
         return self.relation(name, len(row)).insert(row)
 
     def facts(self, name, rows) -> int:
-        """Insert many facts at once; returns the number genuinely new."""
+        """Insert many facts as one batch; returns the number genuinely new.
+
+        Every row is lifted before any is stored.  With a journal attached
+        and no transaction open, the call is one implicit transaction (all
+        rows or none, one WAL commit, one commit notification); inside an
+        open one it joins it.
+        """
         from repro.terms.term import mk
 
-        inserted = 0
-        for row in rows:
-            values = tuple(mk(v) for v in row)
-            if self.relation(name, len(values)).insert(values):
-                inserted += 1
-        return inserted
+        lifted = [tuple(mk(v) for v in row) for row in rows]
+        journal = self._journal
+        if journal is None or journal.in_transaction:
+            return self._insert_all(name, lifted)
+        with journal.transaction():
+            return self._insert_all(name, lifted)
+
+    def _insert_all(self, name, rows) -> int:
+        return sum(1 for row in rows if self.relation(name, len(row)).insert(row))

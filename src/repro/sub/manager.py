@@ -219,8 +219,8 @@ class SubscriptionManager:
     def __init__(self, system):
         self.system = system
         self.db = system.db
-        self._txn = system.enable_transactions()
-        self._txn.add_observer(self)
+        self._transactions = system.enable_transactions()
+        self._transactions.add_observer(self)
         self._lock = threading.RLock()
         self._subs: Dict[int, Subscription] = {}
         self._by_key: Dict[PredKey, List[Subscription]] = {}
@@ -396,7 +396,7 @@ class SubscriptionManager:
 
     def close(self) -> None:
         """Detach from the transaction manager and the engine."""
-        self._txn.remove_observer(self)
+        self._transactions.remove_observer(self)
         if self._engine is not None:
             self._engine.remove_delta_listener(self)
             self._engine = None

@@ -7,14 +7,17 @@ reads its own writes) but become *permanent* only at commit, and roll back
 exactly on abort.
 
 The :class:`TransactionManager` is the mutation journal a
-:class:`~repro.storage.database.Database` dispatches to
-(``db.attach_journal(manager)``):
+:class:`~repro.storage.database.Database` dispatches to (created and
+attached by ``db.transactions()``):
 
 * outside a transaction, every mutation is **autocommitted**: forwarded
   straight to the write-ahead log as a single-op batch;
 * inside a transaction, mutations accumulate an in-memory **undo log**
   (applied in reverse on rollback) and a **redo batch** that reaches the
   WAL -- in one durable append -- only on commit.
+
+A commit the WAL cannot make durable is rolled back before its error
+propagates, autocommits included: a failed commit leaves no state behind.
 
 The manager is single-writer by design: the query server serializes
 writers behind a write lock, and the embedded single-user case has no
@@ -110,40 +113,33 @@ class TransactionManager:
     # ------------------------------------------------------------------ #
 
     def record_insert(self, relation, row) -> None:
-        if self._suspended:
-            return
         self._record(("insert", relation.name, row))
 
     def record_delete(self, relation, row) -> None:
-        if self._suspended:
-            return
         self._record(("delete", relation.name, row))
 
     def record_declare(self, name, arity: int) -> None:
-        if self._suspended:
-            return
         self._record(("declare", name, arity))
 
     def record_drop(self, name, arity: int, rows) -> None:
+        self._record(("drop", name, arity), undo=("drop", name, arity, rows))
+
+    def _record(self, op: Op, undo: Optional[tuple] = None) -> None:
         if self._suspended:
             return
         if self._owns_open_txn():
-            self._undo.append(("drop", name, arity, list(rows)))
-        self._emit(("drop", name, arity))
-
-    def _record(self, op: Op) -> None:
-        if self._owns_open_txn():
-            self._undo.append(op)
-        self._emit(op)
-
-    def _emit(self, op: Op) -> None:
-        if self._owns_open_txn():
+            self._undo.append(undo or op)
             self._redo.append(op)
-        else:
-            # Autocommit: each standalone mutation is its own batch.
-            if self.wal is not None:
+            return
+        # Autocommit: each standalone mutation is its own batch, and one
+        # the log cannot take is undone as a rollback would undo it.
+        if self.wal is not None:
+            try:
                 self.wal.append_commit([op])
-            self._notify([op])
+            except BaseException:
+                self._undo_all([undo or op])
+                raise
+        self._notify([op])
 
     # ------------------------------------------------------------------ #
     # transaction boundaries
@@ -166,7 +162,11 @@ class TransactionManager:
         if not self._active:
             raise TransactionError("no transaction is active")
         if self.wal is not None and self._redo:
-            self.wal.append_commit(self._redo)
+            try:
+                self.wal.append_commit(self._redo)
+            except BaseException:
+                self.rollback()  # a commit that is not durable leaves nothing
+                raise
         batch = self._redo
         self._active = False
         self._owner = None
@@ -180,17 +180,22 @@ class TransactionManager:
         """Undo the open transaction's mutations, newest first."""
         if not self._active:
             raise TransactionError("no transaction is active")
-        self._suspended = True
         try:
-            for op in reversed(self._undo):
-                self._apply_undo(op)
+            self._undo_all(self._undo)
         finally:
-            self._suspended = False
             self._active = False
             self._owner = None
             self._undo = []
             self._redo = []
             self.rollbacks += 1
+
+    def _undo_all(self, ops: List[tuple]) -> None:
+        self._suspended = True
+        try:
+            for op in reversed(ops):
+                self._apply_undo(op)
+        finally:
+            self._suspended = False
 
     def _apply_undo(self, op) -> None:
         """Reverse one journaled op through the normal mutation paths.

@@ -21,7 +21,6 @@ from typing import Optional
 from repro.errors import GlueRuntimeError
 from repro.storage.database import Database
 from repro.storage.persist import load_database, save_database
-from repro.txn.manager import TransactionManager
 from repro.txn.wal import WriteAheadLog, replay_wal
 
 CHECKPOINT_FILE = "checkpoint.gnd"
@@ -35,7 +34,7 @@ class DurableStore:
 
         store = DurableStore("state/")       # recovers if needed
         store.db.fact("edge", 1, 2)          # autocommitted to the WAL
-        with store.transaction():
+        with store.txn.transaction():
             store.db.fact("edge", 2, 3)      # atomic as a unit
         store.checkpoint()                   # compact WAL into the dump
         store.close()
@@ -57,28 +56,8 @@ class DurableStore:
             self.recovered_txns, self.recovered_ops = replay_wal(self.wal_path, self.db)
 
         self.wal = WriteAheadLog(self.wal_path, sync=sync)
-        self.txn = TransactionManager(self.db, self.wal)
-        self.db.attach_journal(self.txn)
-
-    # ------------------------------------------------------------------ #
-    # transaction passthrough
-    # ------------------------------------------------------------------ #
-
-    def begin(self) -> None:
-        self.txn.begin()
-
-    def commit(self) -> None:
-        self.txn.commit()
-
-    def rollback(self) -> None:
-        self.txn.rollback()
-
-    def transaction(self):
-        return self.txn.transaction()
-
-    @property
-    def in_transaction(self) -> bool:
-        return self.txn.in_transaction
+        self.txn = self.db.transactions()
+        self.txn.wal = self.wal
 
     # ------------------------------------------------------------------ #
     # checkpointing

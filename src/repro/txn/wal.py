@@ -73,22 +73,14 @@ class WriteAheadLog:
     durability point; ``sync=False`` trades that for speed (data still
     survives a process crash, but not an OS crash).
 
-    Appends are internally serialized by a mutex, so the log stays
-    consistent (no interleaved batches, no racing tids) regardless of the
-    caller's own locking -- e.g. a write-lock holder's commit overlapping
-    an autocommitted catalog declare from a reader thread.
+    Commits are serial: each one writes and fsyncs its batch under the
+    log's mutex, so batches never interleave and tids never race, whatever
+    the caller's own locking (a write-lock holder's commit overlapping an
+    autocommitted catalog declare from a reader thread, say).
 
     Transaction ids are monotone: reopening an existing log continues past
     the highest tid already on disk instead of restarting at 1, so a tid
     stays a unique identifier for tooling across restarts.
-
-    Commits *group* their fsyncs: a committing thread appends its batch
-    under the mutex (buffered write + flush only), then waits for the log
-    to be synced past its own append.  The first waiter becomes the group
-    leader, issues one fsync covering every batch appended so far, and
-    wakes the rest -- so N sessions committing concurrently pay ~1 fsync,
-    not N, while each still returns only once its own batch is durable.
-    The serial case degenerates to exactly one fsync per commit.
     """
 
     def __init__(self, path: str, sync: bool = True):
@@ -99,22 +91,15 @@ class WriteAheadLog:
         fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
         self._next_tid = 1 if fresh else _last_tid(self.path) + 1
         self._lock = threading.Lock()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        # Unbuffered: a failed append leaves no bytes behind in Python.
+        self._handle = open(self.path, "ab", buffering=0)
         self.commits = 0
-        # Group-commit state: appends are numbered (``_write_seq``);
-        # ``_synced_seq`` trails it, advanced by whichever committer is
-        # elected sync leader under ``_sync_cond``.
         self.fsyncs = 0
-        self._write_seq = 0
-        self._synced_seq = 0
-        self._syncing = False
-        self._sync_cond = threading.Condition(threading.Lock())
         if fresh:
-            self._handle.write(WAL_HEADER + "\n")
-            self._flush()
+            self._handle.write((WAL_HEADER + "\n").encode("utf-8"))
+            self._sync()
 
-    def _flush(self) -> None:
-        self._handle.flush()
+    def _sync(self) -> None:
         if self.sync:
             os.fsync(self._handle.fileno())
             self.fsyncs += 1
@@ -122,9 +107,10 @@ class WriteAheadLog:
     def append_commit(self, ops: List[Op]) -> Optional[int]:
         """Durably append one committed batch; returns its txn id.
 
-        Returns once the batch is on disk (``sync=True``); the fsync may
-        have been issued by a concurrently committing thread's group
-        leader rather than this one.
+        Returns once the batch is on disk (``sync=True``).  If the write
+        or the fsync fails, the log is cut back to where the batch began
+        before the error propagates, so replay never applies a commit its
+        caller saw fail.
         """
         if not ops:
             return None
@@ -136,47 +122,17 @@ class WriteAheadLog:
             lines = [f"% txn {tid}"]
             lines.extend(format_op(op) for op in ops)
             lines.append(f"% commit {tid}")
-            self._handle.write("\n".join(lines) + "\n")
-            self._handle.flush()
-            self._write_seq += 1
-            my_seq = self._write_seq
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            start = self._handle.seek(0, os.SEEK_END)
+            try:
+                if self._handle.write(data) != len(data):
+                    raise OSError("short write to the write-ahead log")
+                self._sync()
+            except BaseException:
+                self._handle.truncate(start)
+                raise
             self.commits += 1
-        if self.sync:
-            self._sync_to(my_seq)
         return tid
-
-    def _sync_to(self, seq: int) -> None:
-        """Block until the log is fsynced at least past append ``seq``.
-
-        Leader-follower group commit: one waiter at a time holds the sync
-        baton, captures the current append high-water mark, fsyncs once
-        outside both locks, and publishes the new synced mark -- covering
-        every follower whose append landed before the capture.
-        """
-        with self._sync_cond:
-            while True:
-                if self._synced_seq >= seq:
-                    return
-                if not self._syncing:
-                    self._syncing = True
-                    break
-                self._sync_cond.wait()
-        try:
-            with self._lock:
-                handle = self._handle
-                target = self._write_seq
-                fd = handle.fileno() if handle is not None else None
-            if fd is not None:
-                os.fsync(fd)
-        finally:
-            with self._sync_cond:
-                self._syncing = False
-                if fd is not None:
-                    self.fsyncs += 1
-                # A closed handle (fd None) can't be synced any further;
-                # advance the mark anyway so waiters don't spin forever.
-                self._synced_seq = max(self._synced_seq, target)
-                self._sync_cond.notify_all()
 
     def reset(self) -> None:
         """Truncate to an empty log (after a checkpoint), atomically.
@@ -195,7 +151,7 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)
             fsync_directory(os.path.dirname(self.path))
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle = open(self.path, "ab", buffering=0)
 
     def close(self) -> None:
         with self._lock:

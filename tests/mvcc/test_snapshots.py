@@ -114,16 +114,6 @@ class TestVersionStore:
         store.publish()
         assert len(store.pin().get("edge", 2)) == 3
 
-    def test_windows_nest(self):
-        system = self.system()
-        store = VersionStore(system.db)
-        store.begin_window()
-        store.begin_window()
-        store.publish()
-        assert store.stats()["window_open"]
-        store.publish()
-        assert not store.stats()["window_open"]
-
     def test_stats_shape(self):
         store = VersionStore(self.system().db)
         store.pin()

@@ -6,6 +6,7 @@ job); everything else here is fast enough for tier 1.
 """
 
 import json
+import os
 import socket
 import threading
 import time
@@ -307,6 +308,81 @@ class TestDurableServer:
         with GlueNailServer(db_dir=str(tmp_path), port=0).start() as srv:
             with Client(port=srv.port) as c:
                 assert len(c.rows("edge", 2)) == 3
+
+
+    def test_failed_commit_frees_the_writer_and_publishes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        with GlueNailServer(db_dir=str(tmp_path), port=0).start() as srv:
+            with Client(port=srv.port) as a, Client(port=srv.port) as b:
+                a.facts("edge", [(1, 2)])
+                a.begin()
+                a.facts("edge", [(9, 9)])
+                real_fsync = os.fsync
+
+                def failing_fsync(fd):
+                    monkeypatch.setattr(os, "fsync", real_fsync)
+                    raise OSError("injected fsync failure")
+
+                monkeypatch.setattr(os, "fsync", failing_fsync)
+                with pytest.raises(RemoteError, match="injected"):
+                    a.commit()
+                assert b.rows("edge", 2).values == [(1, 2)]
+                b.begin()
+                b.facts("edge", [(2, 3)])
+                b.commit()
+                assert sorted(a.rows("edge", 2).values) == [(1, 2), (2, 3)]
+        with GlueNailServer(db_dir=str(tmp_path), port=0).start() as srv:
+            with Client(port=srv.port) as c:
+                assert sorted(c.rows("edge", 2).values) == [(1, 2), (2, 3)]
+
+    def test_one_committer_at_a_time(self, tmp_path, monkeypatch):
+        """The write window admits one writer, so WAL appends never
+        overlap and every commit pays exactly one fsync."""
+        from repro.txn.wal import WriteAheadLog
+
+        guard = threading.Lock()
+        active, peak = [0], [0]
+        real_append = WriteAheadLog.append_commit
+
+        def counting_append(wal, ops):
+            with guard:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            try:
+                return real_append(wal, ops)
+            finally:
+                with guard:
+                    active[0] -= 1
+
+        monkeypatch.setattr(WriteAheadLog, "append_commit", counting_append)
+        with GlueNailServer(db_dir=str(tmp_path), port=0).start() as srv:
+            srv.db.declare("w", 2)  # no thread autocommits a declare later
+            wal = srv.store.wal
+            commits, fsyncs = wal.commits, wal.fsyncs
+            errors = []
+
+            def writer(t):
+                try:
+                    with Client(port=srv.port) as c:
+                        for i in range(5):
+                            c.facts("w", [(t, i)])
+                            c.begin()
+                            c.facts("w", [(t, i + 100)])
+                            c.commit()
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert wal.commits - commits == 40
+            assert wal.fsyncs - fsyncs == wal.commits - commits
+            assert peak[0] == 1
 
 
 @pytest.mark.stress

@@ -277,7 +277,7 @@ class TestBaseProgramWatches:
             for session in sessions:  # each compiles the base program
                 reply = session.dispatch({"op": "query", "q": "edge_log(O, X, Y)?"})
                 assert reply["ok"], reply
-            assert len(server.txn._observers) == 1
+            assert len(server.db.journal._observers) == 1
             counters = server.db.counters  # this thread's block
             before = counters.notifications_pushed
             assert sessions[0].dispatch(
@@ -288,4 +288,4 @@ class TestBaseProgramWatches:
             assert decode_values(reply) == [("insert", 1, 2)]
             for session in sessions:
                 session.release()
-            assert len(server.txn._observers) == 1
+            assert len(server.db.journal._observers) == 1

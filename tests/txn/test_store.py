@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,44 +40,117 @@ class TestAutocommit:
         fresh.close()
 
 
+def _system(directory, durable=True):
+    from repro.core.system import GlueNailSystem
+
+    system = GlueNailSystem.open(directory) if durable else GlueNailSystem()
+    return system.facts, system.db, system.store, system.close
+
+
+def _store(directory):
+    store = DurableStore(directory)
+    return store.db.facts, store.db, store, store.close
+
+
+# Each opener returns (facts, db, durable store or None, close).
+FACTS_ENTRY_POINTS = {
+    "system_open": _system,
+    "embedded_system": lambda directory: _system(directory, durable=False),
+    "durable_store": _store,
+}
+
+
+def rows_of(db, name, arity):
+    relation = db.get(name, arity)
+    return [] if relation is None else relation.sorted_rows()
+
+
 class TestFactsBatch:
-    """One ``facts`` call outside a transaction is one implicit transaction."""
+    """One ``facts`` call outside a transaction is one batch, whichever
+    way it comes in."""
 
-    def test_failing_row_leaves_nothing(self, tmp_path):
-        from repro.core.system import GlueNailSystem
+    @pytest.fixture(params=sorted(FACTS_ENTRY_POINTS))
+    def open_entry(self, request, tmp_path):
+        return lambda: FACTS_ENTRY_POINTS[request.param](str(tmp_path))
 
-        system = GlueNailSystem.open(str(tmp_path))
+    def test_failing_row_leaves_nothing(self, open_entry):
+        facts, db, store, close = open_entry()
         with pytest.raises(TypeError):
-            system.facts("p", [[1], [None]])
-        assert system.rows("p", 1).rows == []
-        system.close()
-        fresh = GlueNailSystem.open(str(tmp_path))
-        assert fresh.rows("p", 1).rows == []
-        fresh.close()
+            facts("p", [[1], [None]])
+        assert rows_of(db, "p", 1) == []
+        close()
+        if store is not None:
+            _, fresh, _, close = open_entry()
+            assert rows_of(fresh, "p", 1) == []
+            close()
 
-    def test_one_wal_commit_and_one_notification(self, tmp_path):
-        from repro.core.system import GlueNailSystem
-
-        system = GlueNailSystem.open(str(tmp_path))
+    def test_one_wal_commit_and_one_notification(self, open_entry):
+        facts, db, store, close = open_entry()
         seen = []
-        system.subscribe("edge", 2, callback=seen.append)
-        commits, fsyncs = system.store.wal.commits, system.store.wal.fsyncs
-        assert system.facts("edge", [(i, i + 1) for i in range(250)]) == 250
-        assert system.store.wal.commits == commits + 1
-        assert system.store.wal.fsyncs == fsyncs + 1
-        assert len(seen) == 1
-        system.close()
-        fresh = GlueNailSystem.open(str(tmp_path))
-        assert len(fresh.rows("edge", 2).rows) == 250
+        if store is not None:
+            store.txn.add_observer(SimpleNamespace(on_commit=lambda tid, ops: seen.append(ops)))
+            commits, fsyncs = store.wal.commits, store.wal.fsyncs
+        assert facts("edge", [(i, i + 1) for i in range(250)]) == 250
+        assert len(rows_of(db, "edge", 2)) == 250
+        if store is not None:
+            assert store.wal.commits == commits + 1
+            assert store.wal.fsyncs == fsyncs + 1
+            assert len(seen) == 1
+        close()
+        if store is not None:
+            _, fresh, _, close = open_entry()
+            assert len(rows_of(fresh, "edge", 2)) == 250
+            close()
+
+
+class TestFailedCommit:
+    """A commit the WAL cannot make durable ends its transaction and
+    leaves nothing behind, in memory or on disk."""
+
+    @pytest.fixture
+    def fail_next_fsync(self, monkeypatch):
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            raise OSError("injected fsync failure")
+
+        return lambda: monkeypatch.setattr(os, "fsync", failing_fsync)
+
+    def assert_nothing_left(self, store, directory):
+        assert not store.txn.in_transaction
+        assert rows_of(store.db, "edge", 2) == []
+        store.txn.begin()
+        store.txn.rollback()
+        store.close()
+        fresh = reopen(directory)
+        assert rows_of(fresh.db, "edge", 2) == []
         fresh.close()
+
+    def test_transaction_commit(self, tmp_path, fail_next_fsync):
+        store = DurableStore(str(tmp_path))
+        store.txn.begin()
+        store.db.fact("edge", 1, 2)
+        fail_next_fsync()
+        with pytest.raises(OSError, match="injected"):
+            store.txn.commit()
+        self.assert_nothing_left(store, tmp_path)
+
+    def test_autocommit_fact(self, tmp_path, fail_next_fsync):
+        store = DurableStore(str(tmp_path))
+        store.db.declare("edge", 2)
+        fail_next_fsync()
+        with pytest.raises(OSError, match="injected"):
+            store.db.fact("edge", 1, 2)
+        self.assert_nothing_left(store, tmp_path)
 
 
 class TestTransactions:
     def test_committed_survives_uncommitted_does_not(self, tmp_path):
         store = DurableStore(str(tmp_path))
-        with store.transaction():
+        with store.txn.transaction():
             store.db.fact("edge", 1, 2)
-        store.begin()
+        store.txn.begin()
         store.db.fact("edge", 9, 9)
         # Crash: never committed, never closed cleanly.
         store.wal.close()
@@ -86,9 +160,9 @@ class TestTransactions:
 
     def test_rollback_leaves_no_trace_in_wal(self, tmp_path):
         store = DurableStore(str(tmp_path))
-        store.begin()
+        store.txn.begin()
         store.db.fact("edge", 9, 9)
-        store.rollback()
+        store.txn.rollback()
         store.close()
         with open(os.path.join(str(tmp_path), "wal.log")) as handle:
             assert "9" not in handle.read()
@@ -115,10 +189,10 @@ class TestCheckpoint:
         from repro.errors import GlueRuntimeError
 
         store = DurableStore(str(tmp_path))
-        store.begin()
+        store.txn.begin()
         with pytest.raises(GlueRuntimeError):
             store.checkpoint()
-        store.rollback()
+        store.txn.rollback()
         store.close()
 
     def test_clean_close_with_checkpoint(self, tmp_path):
@@ -143,10 +217,10 @@ class TestCrashRecovery:
 
             store = DurableStore(sys.argv[1])
             store.db.fact("edge", 1, 2)                  # autocommitted
-            with store.transaction():
+            with store.txn.transaction():
                 store.db.fact("edge", 2, 3)              # committed batch
                 store.db.fact("edge", 3, 4)
-            store.begin()
+            store.txn.begin()
             store.db.fact("edge", 66, 66)                # never committed
             os._exit(1)                                  # die before commit/checkpoint
             """
@@ -199,7 +273,7 @@ class TestCrashRecovery:
         transaction unreadable, so recovery dropped it."""
         store = DurableStore(str(tmp_path))
         rows = [(Num(float("inf")),), (Num(float("-inf")),), (Num(2.5),)]
-        with store.transaction():
+        with store.txn.transaction():
             store.db.relation("m", 1).insert_many(rows)
         if checkpoint:
             store.checkpoint()

@@ -228,7 +228,7 @@ class TestTidContinuity:
         assert tid == 2
 
 
-class TestGroupCommit:
+class TestCommitDurability:
     def insert(self, i):
         return [("insert", Atom("edge"), (Num(i), Num(i + 1)))]
 
@@ -247,10 +247,9 @@ class TestGroupCommit:
         assert wal.fsyncs == 0
         wal.close()
 
-    def test_concurrent_commits_share_fsyncs_and_all_survive(self, wal_path):
-        """Group commit: concurrent committers ride one leader's fsync.
-        Every batch must still replay -- durability is amortized, not
-        dropped."""
+    def test_concurrent_commits_each_fsync_and_all_survive(self, wal_path):
+        """Commits are serial: concurrent committers each pay their own
+        fsync, and every batch replays."""
         import threading
 
         wal = WriteAheadLog(wal_path)
@@ -272,11 +271,30 @@ class TestGroupCommit:
             t.join()
         total = threads_n * per_thread
         assert wal.commits == total
-        # Every committer returned only after its batch was covered by an
-        # fsync; the leader protocol never needs more syncs than commits.
-        assert 1 <= wal.fsyncs - header_syncs <= total
+        assert wal.fsyncs - header_syncs == total
         wal.close()
         db = Database()
         txns, ops = replay_wal(wal_path, db)
         assert (txns, ops) == (total, total)
         assert len(db.get("edge", 2)) == total
+
+    def test_failed_fsync_cuts_the_batch_off(self, wal_path, monkeypatch):
+        wal = WriteAheadLog(wal_path)
+        wal.append_commit(self.insert(1))
+        size = os.path.getsize(wal_path)
+        real_fsync = os.fsync
+
+        def failing_fsync(fd):
+            monkeypatch.setattr(os, "fsync", real_fsync)
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="injected"):
+            wal.append_commit(self.insert(2))
+        assert os.path.getsize(wal_path) == size
+        assert wal.commits == 1
+        wal.append_commit(self.insert(3))
+        wal.close()
+        db = Database()
+        assert replay_wal(wal_path, db) == (2, 2)
+        assert db.get("edge", 2).sorted_rows() == [(Num(1), Num(2)), (Num(3), Num(4))]
