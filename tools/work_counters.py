@@ -1,0 +1,132 @@
+"""Deterministic work counters of fixed phases on the benchmark program.
+
+Runs ``bench/program.glue`` over ``bench/gen.py``'s ``Dataset(7, "smoke")``
+in process, on one durable store, and records per phase every
+``CostCounters`` field plus the write-ahead log's ``wal.commits`` and
+``wal.fsyncs``.  The phases are the ``reach`` closure, ``venue_report``,
+``coauthor``, ``uncited``, three magic ``reach`` queries, a 250-row
+``facts`` batch, a Glue ``+=`` call and a checkpoint followed by a reopen.
+
+``tests/integration/test_work_counters.py`` compares a run with the
+committed baseline ``tests/integration/work_counters.json``.  Re-baseline
+only by hand, after checking that every change is intended::
+
+    PYTHONPATH=src python tools/work_counters.py           # print a run
+    PYTHONPATH=src python tools/work_counters.py --write   # re-baseline
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict
+
+from repro.core.system import GlueNailSystem
+
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "tests" / "integration" / "work_counters.json"
+
+COPY_PROC = """
+proc copy_tags(:)
+  seen(N, T) += tag(N, T).
+  return(:) := true.
+end
+"""
+TAGS = [(n, f"t{n % 7}") for n in range(250)]
+
+
+def _dataset():
+    spec = importlib.util.spec_from_file_location("_bench_gen", ROOT / "bench" / "gen.py")
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.Dataset(7, "smoke")
+
+
+def _measure(system: GlueNailSystem, action=None) -> Dict[str, int]:
+    """The counters ``action`` adds; without one, all since ``open``."""
+    wal = system.store.wal
+    commits, fsyncs = wal.commits, wal.fsyncs
+    if action is not None:
+        system.reset_counters()
+        action()
+    else:
+        commits = fsyncs = 0
+    counts = system.counters.snapshot()
+    counts["wal.commits"] = wal.commits - commits
+    counts["wal.fsyncs"] = wal.fsyncs - fsyncs
+    return counts
+
+
+def run_phases() -> Dict[str, Dict[str, int]]:
+    """Run every phase once; returns ``{phase: {field: count}}``."""
+    data = _dataset()
+    program = (ROOT / "bench" / "program.glue").read_text() + COPY_PROC
+    phases: Dict[str, Dict[str, int]] = {}
+    with tempfile.TemporaryDirectory() as directory:
+        system = GlueNailSystem.open(directory)
+        system.load(program)
+        for name, rows in data.relations():
+            system.facts(name, rows)
+        reads = {
+            "reach": lambda: system.query("reach(P, Q)?"),
+            "venue_report": lambda: system.call("venue_report"),
+            "coauthor": lambda: system.query("coauthor(A, B)?"),
+            "uncited": lambda: system.query("uncited(P)?"),
+        }
+        for index, source in enumerate(data.sources[:3]):
+            reads[f"magic_{index}"] = (
+                lambda s=source: system.query_magic(f"reach({s}, Q)?")
+            )
+        reads["facts_250"] = lambda: system.facts("tag", TAGS)
+        reads["glue_insert_call"] = lambda: system.call("copy_tags")
+        reads["checkpoint"] = system.checkpoint
+        for phase, action in reads.items():
+            phases[phase] = _measure(system, action)
+        system.close()
+        reopened = GlueNailSystem.open(directory)
+        phases["reopen"] = _measure(reopened)
+        reopened.close()
+    return phases
+
+
+def load_baseline() -> Dict[str, Dict[str, int]]:
+    return json.loads(BASELINE.read_text())
+
+
+def mismatch_table(baseline, now) -> str:
+    """The differing (phase, field) pairs as a table, or '' when equal."""
+    rows = []
+    for phase in sorted(set(baseline) | set(now)):
+        old, new = baseline.get(phase, {}), now.get(phase, {})
+        for field in sorted(set(old) | set(new)):
+            if old.get(field) != new.get(field):
+                rows.append((f"{phase}.{field}", str(old.get(field)), str(new.get(field))))
+    if not rows:
+        return ""
+    width = max(len(row[0]) for row in rows)
+    lines = [f"{'field':<{width}}  {'baseline':>10}  {'now':>10}"]
+    lines += [f"{f:<{width}}  {b:>10}  {n:>10}" for f, b, n in rows]
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--write", action="store_true",
+                        help="overwrite the committed baseline with this run")
+    args = parser.parse_args(argv)
+    phases = run_phases()
+    if args.write:
+        BASELINE.write_text(json.dumps(phases, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {BASELINE.relative_to(ROOT)}")
+        return 0
+    table = mismatch_table(load_baseline(), phases)
+    print(table or "identical to the baseline")
+    return 1 if table else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
