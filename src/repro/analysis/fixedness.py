@@ -59,6 +59,20 @@ def is_fixed_subgoal(subgoal, call_fixedness: CallFixedness = _never_a_call) -> 
     return False
 
 
+def is_updating_subgoal(subgoal, call_writes: CallFixedness = _never_a_call) -> bool:
+    """Does this subgoal change the EDB: an update (``++``/``--``), a call
+    of a writing procedure, or a union with such an alternative?"""
+    if isinstance(subgoal, UnionSubgoal):
+        return any(
+            is_updating_subgoal(inner, call_writes)
+            for alt in subgoal.alternatives
+            for inner in alt
+        )
+    if isinstance(subgoal, PredSubgoal):
+        return bool(call_writes(subgoal))
+    return isinstance(subgoal, UpdateSubgoal)
+
+
 def is_aggregating_subgoal(subgoal) -> bool:
     """Aggregators are a hard barrier: subgoals cannot move past them in
     *either* direction (they change the meaning of the supplementary set)."""

@@ -20,13 +20,15 @@ engine's version check).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from itertools import chain
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.scope import pred_skeleton
 from repro.core.result import QueryResult
 from repro.errors import GlueNailError, GlueRuntimeError
-from repro.lang.ast import Program
+from repro.lang.ast import EdbDecl, Program
 from repro.lang.parser import parse_program, parse_query
 from repro.nail.engine import NailEngine, magic_query, matching_rows
 from repro.obs.query_stats import QueryStats
@@ -110,8 +112,14 @@ class GlueNailSystem:
     # ------------------------------------------------------------------ #
 
     def load(self, source: str) -> "GlueNailSystem":
-        """Parse and stage Glue-Nail source; returns self for chaining."""
-        self._programs.append(parse_program(source))
+        """Parse and stage Glue-Nail source, declaring its ``edb``
+        relations; returns self for chaining.  Compiling declares nothing,
+        so only loading touches the catalog."""
+        program = parse_program(source)
+        for item in chain(*(module.items for module in program.modules), program.items):
+            if isinstance(item, EdbDecl):
+                self.db.declare(item.name, item.arity)
+        self._programs.append(program)
         self._invalidate()
         return self
 
@@ -190,8 +198,6 @@ class GlueNailSystem:
             self.db, compiled.rules, check_safety=False, oracles=self._oracles
         )
         ctx.nail_engine = engine
-        for name, arity in compiled.edb_decls:
-            self.db.declare(name, arity)
         self._compiled = compiled
         self._ctx = ctx
         self._engine = engine
@@ -458,21 +464,11 @@ class GlueNailSystem:
     # execution
     # ------------------------------------------------------------------ #
 
-    def call(
-        self,
-        name: str,
-        inputs: Sequence[Sequence[object]] = ((),),
-        module: Optional[str] = None,
-        arity: Optional[int] = None,
-    ) -> QueryResult:
-        """Call a Glue procedure once on a set of input tuples.
-
-        ``inputs`` is a sequence of tuples matching the procedure's bound
-        arity; plain Python values are lifted to terms.  Returns the
-        procedure's return relation as a :class:`QueryResult`.
-        """
+    def procedure(
+        self, name: str, module: Optional[str] = None, arity: Optional[int] = None
+    ) -> CompiledProc:
+        """The compiled procedure :meth:`call` would run for these arguments."""
         self.compile()
-        lifted = [tuple(mk(v) for v in row) for row in inputs]
         if arity is None:
             # Only procedures visible under the requested module count as
             # arity candidates; without the filter an unrelated same-name
@@ -492,13 +488,36 @@ class GlueNailSystem:
                     f"procedure {name} has several arities {candidates}; pass arity="
                 )
             arity = candidates[0]
-        proc = self._compiled.find_proc(name, arity, module=module)
-        label = f"{proc.module + '.' if proc.module else ''}{name}/{arity}"
+        return self._compiled.find_proc(name, arity, module=module)
+
+    def call(
+        self,
+        name: str,
+        inputs: Sequence[Sequence[object]] = ((),),
+        module: Optional[str] = None,
+        arity: Optional[int] = None,
+    ) -> QueryResult:
+        """Call a Glue procedure once on a set of input tuples.
+
+        ``inputs`` is a sequence of tuples matching the procedure's bound
+        arity; plain Python values are lifted to terms.  Returns the
+        procedure's return relation as a :class:`QueryResult`.
+        """
+        proc = self.procedure(name, module, arity)
+        lifted = [tuple(mk(v) for v in row) for row in inputs]
+        label = f"{proc.module + '.' if proc.module else ''}{name}/{proc.arity}"
 
         def runner():
-            return self._machine.call_proc(proc, lifted), "procedure", self._proc_plan(proc)
+            return self._call_proc(proc, lifted), "procedure", self._proc_plan(proc)
 
         return self._instrumented_entry("call", label, runner)
+
+    def _call_proc(self, proc: CompiledProc, inputs: List[Row]) -> List[Row]:
+        """Run a procedure; one that writes is one implicit transaction
+        (see :meth:`Database.atomically`), one that does not never touches
+        the transaction manager."""
+        with self.db.atomically() if proc.writes else nullcontext():
+            return self._machine.call_proc(proc, inputs)
 
     def run_script(self) -> None:
         """Execute the loose top-level statements of the loaded program."""
@@ -535,27 +554,37 @@ class GlueNailSystem:
             rows = matching_rows(relation, args)
             return rows, "edb", lambda: f"scan {pred}/{len(args)} (EDB relation)"
         # Fall back to a procedure call with the bound prefix as input.
-        if skeleton[0] is not None:
-            key = (skeleton[0], len(args))
-            proc = self._compiled.exported.get(key)
-            if proc is None:
-                matches = [
-                    p
-                    for pkey, p in self._compiled.procs.items()
-                    if pkey[1] == skeleton[0] and pkey[2] == len(args)
-                ]
-                proc = matches[0] if len(matches) == 1 else None
-            if proc is not None:
-                bound = args[: proc.bound_arity]
-                if not all(is_ground(a) for a in bound):
-                    raise GlueNailError(
-                        f"procedure query {skeleton[0]} needs its first "
-                        f"{proc.bound_arity} argument(s) bound"
-                    )
-                rows = self._machine.call_proc(proc, [tuple(bound)])
-                filtered = [row for row in rows if match_tuple(args, row) is not None]
-                return filtered, "procedure", self._proc_plan(proc)
-        return [], "none", None
+        proc = self._fallback_proc(subgoal)
+        if proc is None:
+            return [], "none", None
+        bound = args[: proc.bound_arity]
+        if not all(is_ground(a) for a in bound):
+            raise GlueNailError(
+                f"procedure query {skeleton[0]} needs its first "
+                f"{proc.bound_arity} argument(s) bound"
+            )
+        rows = self._call_proc(proc, [tuple(bound)])
+        filtered = [row for row in rows if match_tuple(args, row) is not None]
+        return filtered, "procedure", self._proc_plan(proc)
+
+    def _fallback_proc(self, subgoal) -> Optional[CompiledProc]:
+        """The procedure a query falls back to when neither NAIL! nor the
+        EDB answers it: the exported one of its name and arity, else the
+        only one."""
+        arity = len(subgoal.args)
+        name = pred_skeleton(subgoal.pred, arity)[0]
+        matches = [p for key, p in self._compiled.procs.items() if key[1:] == (name, arity)]
+        return self._compiled.exported.get((name, arity)) or (
+            matches[0] if len(matches) == 1 else None
+        )
+
+    def query_writes(self, subgoal) -> bool:
+        """Could answering this parsed query write?  True exactly when the
+        procedure it would fall back to writes -- a property of the
+        compiled program, not of the catalog."""
+        self.compile()
+        proc = self._fallback_proc(subgoal)
+        return proc is not None and proc.writes
 
     def _nail_plan(self, skeleton) -> Callable[[], str]:
         """The NAIL! 'plan' renderer: the defining rules plus their stratum.

@@ -8,8 +8,9 @@ snapshot-capable without touching them: while a thread holds a pin
 ``get``/``keys``/``items``/``version``/``snapshot_relations``/... --
 resolves against the snapshot's frozen relations, so evaluation, adaptive
 index builds and fingerprint-keyed caches all run against one immutable
-published version.  Everything else (declares from the compile step,
-writes, journal attachment) goes to the live database.
+published version; a relation the snapshot lacks reads as empty.
+Everything else (declares, writes, journal attachment) goes to the live
+database, and only a write window makes those.
 
 The pin is thread-local: the server pins per request thread, so one
 session's reader never changes what a concurrently flushing subscription
@@ -126,10 +127,8 @@ class SnapshotRouter:
         relation = snap.catalog.get(key)
         if relation is not None:
             return relation
-        # Create-on-reference still declares on the live catalog (so the
-        # compile's schema bookkeeping works) but hands the pinned reader
-        # the snapshot's empty view of it.
-        self.live.relation(name, arity)
+        # A pinned reader never declares: a relation the snapshot lacks is
+        # the snapshot's empty, immutable view of it.
         return snap.placeholder(key)
 
     def exists(self, name, arity: int) -> bool:

@@ -9,10 +9,12 @@ embedded engine into a multi-client service:
   (program, compiler, NAIL! engine) over the *shared*
   :class:`~repro.storage.database.Database`, so loaded rules are private
   while the EDB is common;
-* read-only requests pin the latest published MVCC snapshot (see
-  :mod:`repro.mvcc`) and take no lock; mutations (fact loads, procedure
-  calls, transactions) serialize on the write side of a lock and publish
-  a new snapshot when they finish;
+* the compiled program says which requests write: a ``call`` or query
+  whose procedure updates nothing, and every other read, pins the latest
+  published MVCC snapshot (see :mod:`repro.mvcc`) and takes no lock;
+  writes (fact loads, program loads, writing procedures, transactions)
+  serialize on the write side of a lock and publish a new snapshot when
+  they finish.  Only a write window declares, mutates or journals;
 * per-session stats ride on thread-local cost counters
   (:class:`~repro.storage.stats.ThreadLocalCounters`) and session-tagged
   trace events, so concurrent queries never corrupt each other's deltas;
@@ -33,7 +35,6 @@ from contextlib import contextmanager, nullcontext
 from io import StringIO
 from typing import Optional
 
-from repro.analysis.scope import pred_skeleton
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_query
@@ -59,9 +60,11 @@ DEFAULT_PORT = 7411
 
 # REPL dot-commands that never mutate the shared EDB.
 _READONLY_DOT = {
-    ".help", ".rels", ".dump", ".explain", ".analyze",
+    ".help", ".rels", ".dump", ".explain",
     ".profile", ".last", ".stats", ".quit", ".exit",
 }
+# ... and those that run their argument as a query.
+_QUERY_DOT = {".magic", ".analyze"}
 
 
 class Session:
@@ -112,49 +115,15 @@ class Session:
             return nullcontext()
         return self.system.db.pinned(self.server.mvcc_store.pin())
 
-    def _run_classified(self, classify_write, run):
-        """Classify a request, then run it read-side or write-side.
+    def _bracket(self, writes: bool):
+        """The write window for a request that writes, else a pin."""
+        return self._write_window() if writes else self._read_context()
 
-        Classification takes no lock: compile-time declares are safe
-        against concurrent writers (the catalog lock serializes them, and
-        the transaction manager autocommits foreign-thread mutations
-        instead of journaling them into another session's open
-        transaction).  A read verdict pins a published snapshot and
-        *re-validates* under the pin -- the classifier looked at the live
-        catalog, and a concurrent drop can flip a read-only query onto the
-        mutating procedure-fallback path, which must never run outside the
-        write lock.  A write verdict (or a flipped one) runs inside a write
-        window; the classifier is re-run there so it observes the
-        post-upgrade catalog rather than whatever it compiled against
-        before the gap.
-        """
-        if self._holds_write:
-            return run()
-        if not classify_write():
-            hook = self.server._classify_hook
-            if hook is not None:
-                hook(self)  # test injection point: the classify->pin gap
-            with self._read_context():
-                if not classify_write():
-                    return run()
-            # The verdict flipped under the pinned catalog; fall through
-            # to the write path.
-        with self.server.write_window():
-            classify_write()  # re-validate against the post-upgrade catalog
-            return run()
-
-    def _query_is_readonly(self, query) -> bool:
-        """True unless the query (text, or an already parsed subgoal) could
-        fall back to a (mutating) procedure."""
+    def _query_writes(self, text: str) -> bool:
         try:
-            subgoal = parse_query(query) if isinstance(query, str) else query
-            self.system.compile()
-            skeleton = pred_skeleton(subgoal.pred, len(subgoal.args))
-            if self.system._engine.defines(skeleton):
-                return True
-            return self.system.db.get(subgoal.pred, len(subgoal.args)) is not None
-        except Exception:
-            return True  # let the entry point raise the real error
+            return self.system.query_writes(parse_query(text))
+        except GlueNailError:
+            return False  # the REPL prints the error when it runs the line
 
     def _repl_is_write(self, line: str) -> bool:
         stripped = line.strip()
@@ -163,13 +132,12 @@ class Session:
         if self._repl is not None and self._repl._pending:
             return True  # mid-definition: resolves to a load
         if stripped.startswith("."):
-            command = stripped.split(None, 1)[0]
-            if command == ".magic":
-                arg = stripped.split(None, 1)[1] if " " in stripped else ""
-                return not self._query_is_readonly(arg) if arg else False
+            command, _, arg = stripped.partition(" ")
+            if command in _QUERY_DOT:
+                return bool(arg.strip()) and self._query_writes(arg)
             return command not in _READONLY_DOT
         if stripped.endswith("?"):
-            return not self._query_is_readonly(stripped)
+            return self._query_writes(stripped)
         return True
 
     # -------------------------------------------------------------- #
@@ -204,13 +172,9 @@ class Session:
         text = request_field(request, "q", str, "")
         magic = request_field(request, "magic", bool, False)
         entry = self.system.query_magic if magic else self.system.query
-        # Parsed once per request: the classifier (which may run up to
-        # three times around the pin) and the entry point share the subgoal.
         subgoal = parse_query(text)
-        result = self._run_classified(
-            lambda: not self._query_is_readonly(subgoal),
-            lambda: entry(text, subgoal),
-        )
+        with self._bracket(self.system.query_writes(subgoal)):
+            result = entry(text, subgoal)
         payload = rows_payload(result)
         if result.trace:
             payload["trace"] = [event.to_dict() for event in result.trace]
@@ -296,7 +260,8 @@ class Session:
         inputs = request_rows(request, "inputs", [[]])
         module = request_field(request, "module", str, None)
         arity = request_field(request, "arity", int, None)
-        with self._write_window():
+        proc = self.system.procedure(name, module, arity)
+        with self._bracket(proc.writes):
             result = self.system.call(name, inputs, module=module, arity=arity)
         return rows_payload(result)
 
@@ -442,10 +407,8 @@ class Session:
         if stripped in (".begin", ".commit", ".rollback"):
             fields = getattr(self, f"op_{stripped[1:]}")(request)
             return {"out": f"transaction {fields['transaction']}\n", "done": False}
-        self._run_classified(
-            lambda: self._repl_is_write(line),
-            lambda: repl.feed(line if line.endswith("\n") else line + "\n"),
-        )
+        with self._bracket(self._repl_is_write(line)):
+            repl.feed(line if line.endswith("\n") else line + "\n")
         out = self._repl_out.getvalue()
         self._repl_out.seek(0)
         self._repl_out.truncate(0)
@@ -557,10 +520,6 @@ class GlueNailServer:
             self.store = None
             self.db.transactions()  # in-memory, but still transactional
         self.lock = RWLock()
-        # Test injection point: called (with the session) after a request
-        # is classified read-only, before it pins -- the window a
-        # conflicting DDL/write can race into (see tests/server).
-        self._classify_hook = None
         self.base_program = program or ""
         # One shared system hosts the subscriptions: IDB watches evaluate
         # on it (sessions' private rule sets never leak into each other),

@@ -8,7 +8,7 @@ IDB caches can be invalidated when any EDB relation changes.
 
 from __future__ import annotations
 
-import threading
+from contextlib import nullcontext
 from typing import Iterator, Optional, Tuple
 
 from repro.obs.tracer import Tracer
@@ -69,10 +69,6 @@ class Database:
         self._relations: dict = {}  # PredKey -> Relation
         self._clock = _VersionClock()
         self._journal = None
-        # Guards catalog mutation (declare/drop): the server lets read-only
-        # queries run concurrently, and their compile step declares EDB
-        # relations on first reference.
-        self._catalog_lock = threading.RLock()
 
     @property
     def version(self) -> int:
@@ -80,15 +76,10 @@ class Database:
         return self._clock.value
 
     def snapshot_relations(self) -> list:
-        """A stable ``[(key, relation), ...]`` snapshot of the catalog.
-
-        Taken under the catalog lock so concurrent declares (a reader
-        session's compile) cannot resize the dict mid-iteration; callers
-        (the NAIL! engine's per-relation freshness check) then fingerprint
-        each relation without holding any lock.
-        """
-        with self._catalog_lock:
-            return list(self._relations.items())
+        """A ``[(key, relation), ...]`` copy of the catalog, for callers
+        (the NAIL! engine's per-relation freshness check) that fingerprint
+        each relation while the catalog may change."""
+        return list(self._relations.items())
 
     # ------------------------------------------------------------------ #
     # journal (transactions / write-ahead logging)
@@ -107,10 +98,9 @@ class Database:
         subsystem (``repro.txn``) uses this to undo-log open transactions
         and to redo-log committed ones into the write-ahead log.
         """
-        with self._catalog_lock:
-            self._journal = journal
-            for relation in self._relations.values():
-                relation.journal = journal
+        self._journal = journal
+        for relation in self._relations.values():
+            relation.journal = journal
 
     def transactions(self):
         """This database's transaction manager, attached on first call.
@@ -120,10 +110,22 @@ class Database:
         """
         from repro.txn.manager import TransactionManager
 
-        with self._catalog_lock:
-            if self._journal is None:
-                self.attach_journal(TransactionManager(self))
-            return self._journal
+        if self._journal is None:
+            self.attach_journal(TransactionManager(self))
+        return self._journal
+
+    def atomically(self):
+        """A context in which mutations are one implicit transaction.
+
+        With a journal attached and no transaction open, the block runs as
+        one transaction (all of it or none, one WAL commit, one commit
+        notification); inside an open one, or with no journal, it simply
+        joins what is there.
+        """
+        journal = self._journal
+        if journal is None or journal.in_transaction:
+            return nullcontext()
+        return journal.transaction()
 
     # ------------------------------------------------------------------ #
     # catalog
@@ -134,23 +136,20 @@ class Database:
         key = pred_key(name, arity)
         relation = self._relations.get(key)
         if relation is None:
-            with self._catalog_lock:
-                relation = self._relations.get(key)
-                if relation is None:
-                    relation = Relation(
-                        key[0],
-                        arity,
-                        counters=self.counters,
-                        index_policy=self.index_policy,
-                        listener=self._clock,
-                        tracer=self.tracer,
-                    )
-                    relation.journal = self._journal
-                    relation.columnar = self.columnar
-                    self._relations[key] = relation
-                    self._clock.value += 1
-                    if self._journal is not None:
-                        self._journal.record_declare(key[0], arity)
+            relation = Relation(
+                key[0],
+                arity,
+                counters=self.counters,
+                index_policy=self.index_policy,
+                listener=self._clock,
+                tracer=self.tracer,
+            )
+            relation.journal = self._journal
+            relation.columnar = self.columnar
+            self._relations[key] = relation
+            self._clock.value += 1
+            if self._journal is not None:
+                self._journal.record_declare(key[0], arity)
         if relation.arity != arity:
             raise ValueError(f"relation {key[0]} exists with arity {relation.arity}")
         return relation
@@ -171,15 +170,14 @@ class Database:
 
     def drop(self, name, arity: int) -> bool:
         key = pred_key(name, arity)
-        with self._catalog_lock:
-            relation = self._relations.get(key)
-            if relation is None:
-                return False
-            if self._journal is not None:
-                self._journal.record_drop(key[0], arity, relation.copy_rows())
-            del self._relations[key]
-            self._clock.value += 1
-            return True
+        relation = self._relations.get(key)
+        if relation is None:
+            return False
+        if self._journal is not None:
+            self._journal.record_drop(key[0], arity, relation.copy_rows())
+        del self._relations[key]
+        self._clock.value += 1
+        return True
 
     def keys(self) -> Iterator[PredKey]:
         return iter(self._relations)
@@ -214,19 +212,11 @@ class Database:
     def facts(self, name, rows) -> int:
         """Insert many facts as one batch; returns the number genuinely new.
 
-        Every row is lifted before any is stored.  With a journal attached
-        and no transaction open, the call is one implicit transaction (all
-        rows or none, one WAL commit, one commit notification); inside an
-        open one it joins it.
+        Every row is lifted before any is stored, and the rows are stored
+        as one implicit transaction (see :meth:`atomically`).
         """
         from repro.terms.term import mk
 
         lifted = [tuple(mk(v) for v in row) for row in rows]
-        journal = self._journal
-        if journal is None or journal.in_transaction:
-            return self._insert_all(name, lifted)
-        with journal.transaction():
-            return self._insert_all(name, lifted)
-
-    def _insert_all(self, name, rows) -> int:
-        return sum(1 for row in rows if self.relation(name, len(row)).insert(row))
+        with self.atomically():
+            return sum(1 for row in lifted if self.relation(name, len(row)).insert(row))

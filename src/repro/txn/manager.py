@@ -19,16 +19,11 @@ attached by ``db.transactions()``):
 A commit the WAL cannot make durable is rolled back before its error
 propagates, autocommits included: a failed commit leaves no state behind.
 
-The manager is single-writer by design: the query server serializes
-writers behind a write lock, and the embedded single-user case has no
-concurrency at all.  ``begin`` while a transaction is open is an error
-(no nesting), matching the flat transaction model of the era.
-
-A transaction belongs to the thread that began it.  Mutations arriving
-from any *other* thread (a reader session's compile declaring a relation
-on the shared catalog, say) are autocommitted instead of joining the open
-transaction -- otherwise a foreign rollback would silently undo them, and
-the undo/redo lists would be mutated across threads without a lock.
+The manager is single-writer by design: the query server makes every
+mutation inside its write window, and the embedded single-user case has
+no concurrency at all, so any mutation while a transaction is open
+belongs to it.  ``begin`` while a transaction is open is an error (no
+nesting), matching the flat transaction model of the era.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ class TransactionManager:
         self.db = db
         self.wal = wal
         self._active = False
-        self._owner: Optional[int] = None  # thread ident of the begin() caller
         self._undo: List[Op] = []
         self._redo: List[Op] = []
         self._suspended = False
@@ -89,9 +83,9 @@ class TransactionManager:
     def _notify(self, ops: List[Op]) -> None:
         """Deliver a committed batch to observers with a fresh monotone id.
 
-        Catalog ``declare`` ops carry no subscriber-visible data (they can
-        arrive from reader threads during compile) and are filtered out; a
-        batch that nets to nothing relevant is not delivered at all.
+        Catalog ``declare`` ops carry no subscriber-visible data and are
+        filtered out; a batch that nets to nothing relevant is not
+        delivered at all.
         """
         if not self._observers:
             return
@@ -103,10 +97,6 @@ class TransactionManager:
             txn_id = self.last_txn_id
         for observer in list(self._observers):
             observer.on_commit(txn_id, data_ops)
-
-    def _owns_open_txn(self) -> bool:
-        """True when the calling thread's mutations belong to the open txn."""
-        return self._active and threading.get_ident() == self._owner
 
     # ------------------------------------------------------------------ #
     # journal interface (called from Relation/Database mutation paths)
@@ -127,7 +117,7 @@ class TransactionManager:
     def _record(self, op: Op, undo: Optional[tuple] = None) -> None:
         if self._suspended:
             return
-        if self._owns_open_txn():
+        if self._active:
             self._undo.append(undo or op)
             self._redo.append(op)
             return
@@ -152,7 +142,6 @@ class TransactionManager:
     def begin(self) -> None:
         if self._active:
             raise TransactionError("a transaction is already active")
-        self._owner = threading.get_ident()
         self._active = True
         self._undo = []
         self._redo = []
@@ -169,7 +158,6 @@ class TransactionManager:
                 raise
         batch = self._redo
         self._active = False
-        self._owner = None
         self._undo = []
         self._redo = []
         self.commits += 1
@@ -184,7 +172,6 @@ class TransactionManager:
             self._undo_all(self._undo)
         finally:
             self._active = False
-            self._owner = None
             self._undo = []
             self._redo = []
             self.rollbacks += 1

@@ -75,8 +75,7 @@ class WriteAheadLog:
 
     Commits are serial: each one writes and fsyncs its batch under the
     log's mutex, so batches never interleave and tids never race, whatever
-    the caller's own locking (a write-lock holder's commit overlapping an
-    autocommitted catalog declare from a reader thread, say).
+    the caller's own locking.
 
     Transaction ids are monotone: reopening an existing log continues past
     the highest tid already on disk instead of restarting at 1, so a tid

@@ -22,7 +22,7 @@ from repro.analysis.bindings import (
     term_vars,
     terms_vars,
 )
-from repro.analysis.fixedness import is_fixed_subgoal
+from repro.analysis.fixedness import is_fixed_subgoal, is_updating_subgoal
 from repro.analysis.scope import PredClass, PredInfo, Scope, ScopeError, pred_skeleton
 from repro.errors import CompileError
 from repro.glue.builtins import BUILTIN_PROCS
@@ -166,6 +166,15 @@ def _sizable_locals(decl: ProcDecl) -> Set[Tuple[str, int]]:
     }
 
 
+def _callee_fixed(info: PredInfo) -> bool:
+    return info.fixed
+
+
+def _callee_writes(info: PredInfo) -> bool:
+    """Builtins do only I/O; a foreign procedure may write anything."""
+    return info.klass is PredClass.FOREIGN
+
+
 def _ordered_new_vars(terms: Sequence[Term], known: Set[str]) -> List[str]:
     """First-occurrence order of named variables not already bound."""
     out: List[str] = []
@@ -198,6 +207,7 @@ class ProgramCompiler:
         self.stats_source = stats_source
         self.foreign_sigs = {(sig.module, sig.name, sig.arity): sig for sig in foreign_sigs}
         self._fixed_procs: Set[Tuple[Optional[str], str, int]] = set()
+        self._writing_procs: Set[Tuple[Optional[str], str, int]] = set()
         # While a procedure compiles: its sizable locals and the snapshot
         # of each one's latest procedure-level ``:=`` (see _record_local_size).
         self._sizable_locals: Set[Tuple[str, int]] = set()
@@ -227,8 +237,13 @@ class ProgramCompiler:
         for module in program.modules:
             self._export_into(module, module_scopes[module.name], global_scope)
 
-        # Pass 2: fixedness fixpoint across all procedures.
-        self._fixed_procs = self._fixedness_fixpoint(program, module_scopes, global_scope)
+        # Pass 2: the fixed and writing procedures, across all procedures.
+        procs = [
+            (name, decl, module_scopes[name] if name else global_scope)
+            for name, decl in self._iter_procs(program)
+        ]
+        self._fixed_procs = self._proc_fixpoint(procs, is_fixed_subgoal, _callee_fixed)
+        self._writing_procs = self._proc_fixpoint(procs, is_updating_subgoal, _callee_writes)
         self._refresh_proc_infos(program, module_scopes, global_scope)
 
         # Pass 3: compile procedures, rules and loose statements.
@@ -255,8 +270,6 @@ class ProgramCompiler:
                     compiled.exported[(proc.name, proc.arity)] = proc
             elif isinstance(item, RuleDecl):
                 compiled.rules.append(item)
-            elif isinstance(item, EdbDecl):
-                compiled.edb_decls.append((item.name, item.arity))
             elif isinstance(item, WatchDecl):
                 compiled.watches.append(item)
             elif isinstance(item, (AssignStmt, RepeatStmt)):
@@ -382,60 +395,60 @@ class ProgramCompiler:
             if isinstance(item, ProcDecl):
                 yield None, item
 
-    def _fixedness_fixpoint(
-        self, program: Program, module_scopes: Dict[str, Scope], global_scope: Scope
-    ) -> Set[Tuple[Optional[str], str, int]]:
-        fixed: Set[Tuple[Optional[str], str, int]] = set()
-        procs = list(self._iter_procs(program))
+    def _proc_fixpoint(self, procs, leaf, callee_bit) -> Set[Tuple[Optional[str], str, int]]:
+        """The procedures that carry a bit, closed under calls.
+
+        A procedure carries it if one of its statements assigns to an EDB
+        or dynamic head, or if ``leaf(subgoal, call_bit)`` holds for one of
+        its subgoals.  ``call_bit`` answers for a called procedure from the
+        set found so far and for any other callable from ``callee_bit``.
+        Fixedness and writing are this one fixpoint with different leaves.
+        """
+        marked: Set[Tuple[Optional[str], str, int]] = set()
         changed = True
         while changed:
             changed = False
-            for module_name, decl in procs:
+            for module_name, decl, scope in procs:
                 key = (module_name, decl.name, decl.arity)
-                if key in fixed:
-                    continue
-                scope = module_scopes[module_name] if module_name else global_scope
-                if self._proc_contains_fixed(decl, scope, fixed):
-                    fixed.add(key)
+                if key not in marked and self._proc_has(decl, scope, marked, leaf, callee_bit):
+                    marked.add(key)
                     changed = True
-        return fixed
+        return marked
 
-    def _proc_contains_fixed(self, decl: ProcDecl, scope: Scope, fixed: Set) -> bool:
+    def _proc_has(self, decl: ProcDecl, scope: Scope, marked: Set, leaf, callee_bit) -> bool:
         local_names = {(d.name, d.arity) for d in decl.locals}
 
-        def call_fixedness(subgoal: PredSubgoal) -> Optional[bool]:
+        def call_bit(subgoal: PredSubgoal) -> Optional[bool]:
             info = self._try_resolve(subgoal.pred, len(subgoal.args), scope)
             if info is None or not info.is_callable:
                 return None
             if info.klass is PredClass.PROC:
-                return (info.module, info.skeleton[0], info.arity) in fixed
-            return info.fixed
+                return (info.module, info.skeleton[0], info.arity) in marked
+            return callee_bit(info)
 
-        def stmt_fixed(stmt) -> bool:
+        for stmt, _ in walk_statements(decl.body):
             if isinstance(stmt, RepeatStmt):  # its body is walked separately
-                return any(
-                    is_fixed_subgoal(s, call_fixedness)
-                    for alt in stmt.until.alternatives
-                    for s in alt
-                )
-            assert isinstance(stmt, AssignStmt)
-            if any(is_fixed_subgoal(s, call_fixedness) for s in stmt.body):
+                subgoals = [s for alt in stmt.until.alternatives for s in alt]
+            elif self._assigns_edb(stmt, scope, local_names):
                 return True
-            # Assignments to EDB relations are updates, hence fixed; local
-            # relations and the return relation are not.
-            head_skel = pred_skeleton(stmt.head_pred, len(stmt.head_args))
-            if head_skel[0] in ("return",) and not head_skel[1]:
-                return False
-            if (head_skel[0], head_skel[2]) in local_names and not head_skel[1]:
-                return False
-            if head_skel[0] is None:
-                return True  # dynamic head -> assume EDB update
-            info = self._try_resolve(stmt.head_pred, len(stmt.head_args), scope)
-            if info is not None and info.klass in (PredClass.LOCAL, PredClass.SPECIAL):
-                return False
-            return True
+            else:
+                subgoals = stmt.body
+            if any(leaf(s, call_bit) for s in subgoals):
+                return True
+        return False
 
-        return any(stmt_fixed(stmt) for stmt, _ in walk_statements(decl.body))
+    def _assigns_edb(self, stmt: AssignStmt, scope: Scope, local_names) -> bool:
+        """Does the statement assign to an EDB relation?  Local relations
+        and the return relation are not EDB; a dynamic head may be."""
+        head_skel = pred_skeleton(stmt.head_pred, len(stmt.head_args))
+        if head_skel[0] == "return" and not head_skel[1]:
+            return False
+        if (head_skel[0], head_skel[2]) in local_names and not head_skel[1]:
+            return False
+        if head_skel[0] is None:
+            return True  # dynamic head -> assume EDB update
+        info = self._try_resolve(stmt.head_pred, len(stmt.head_args), scope)
+        return info is None or info.klass not in (PredClass.LOCAL, PredClass.SPECIAL)
 
     def _try_resolve(self, pred: Term, arity: int, scope: Scope) -> Optional[PredInfo]:
         try:
@@ -508,6 +521,7 @@ class ProgramCompiler:
             locals=tuple((d.name, d.arity) for d in decl.locals),
             body=body,
             fixed=key in self._fixed_procs,
+            writes=key in self._writing_procs,
             decl=decl,
         )
 

@@ -744,6 +744,10 @@ class CompiledProc:
     locals: Tuple[Tuple[str, int], ...]
     body: List[object]
     fixed: bool = False
+    # Updates the EDB: an EDB or dynamic head, a ++/-- subgoal, or a call
+    # of a writing or foreign procedure.  Unlike fixedness, aggregates and
+    # builtin I/O do not make a procedure write.
+    writes: bool = False
     exported: bool = False
     decl: Optional[ProcDecl] = None
 
@@ -768,7 +772,6 @@ class CompiledProgram:
     exported: Dict[Tuple[str, int], CompiledProc] = field(default_factory=dict)
     rules: List[RuleDecl] = field(default_factory=list)
     script: List[object] = field(default_factory=list)  # loose compiled stmts
-    edb_decls: List[Tuple[str, int]] = field(default_factory=list)
     #: ``watch`` declarations (active rules); the system facade registers
     #: them with its SubscriptionManager after compilation.
     watches: List[object] = field(default_factory=list)

@@ -1,8 +1,7 @@
-"""Server-side MVCC: snapshot routing of read requests, the
-classify-then-pin upgrade race, stats surfacing, and notification
-version stamping.  Uses in-process sessions (``server._new_session()``)
-so the races are deterministic, plus real sockets where the wire format
-matters."""
+"""Server-side MVCC: snapshot routing of read requests, stats surfacing,
+and notification version stamping.  Uses in-process sessions
+(``server._new_session()``) so schedules are deterministic, plus real
+sockets where the wire format matters."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +10,6 @@ from hypothesis import strategies as st
 from repro.server.client import Client
 from repro.server.protocol import decode_values
 from repro.server.server import GlueNailServer
-
-PROC_PROGRAM = """
-module m;
-export q(X:);
-proc q(X:)
-  return(X:) := in(X) & aux(X).
-end
-end
-"""
 
 
 @pytest.fixture
@@ -119,64 +109,6 @@ class TestReadersSeeOnlyCommittedStates:
                     reply = readers[arg].dispatch(dict(READS[op]))
                     assert reply["ok"], reply
                     assert set(decode_values(reply)) == committed
-
-
-class TestClassifyUpgradeRace:
-    """Regression: a query classified read-only against the live catalog
-    can be flipped by a concurrent drop onto the mutating
-    procedure-fallback path.  The re-validation under the pin must route
-    it back through the write lock -- never run it pinned and unlocked."""
-
-    def race_drop_into_gap(self, server, session):
-        """Install a classify hook that drops ``q/1`` (and publishes) in
-        the classify->pin window, then starts counting write-lock
-        acquisitions."""
-        state = {"write_acquires": 0, "fired": False}
-
-        def hook(_session):
-            if state["fired"]:
-                return
-            state["fired"] = True
-            with server.write_window():
-                server.db.drop("q", 1)
-            original = server.lock.acquire_write
-
-            def counting():
-                state["write_acquires"] += 1
-                original()
-
-            server.lock.acquire_write = counting
-
-        server._classify_hook = hook
-        return state
-
-    def test_flipped_verdict_reruns_under_the_write_lock(self, server):
-        session = server._new_session()
-        session.dispatch({"op": "facts", "name": "q", "rows": [[1], [7]]})
-        session.dispatch({"op": "facts", "name": "aux", "rows": [[1], [2]]})
-        session.dispatch({"op": "load", "source": PROC_PROGRAM})
-        state = self.race_drop_into_gap(server, session)
-
-        reply = session.dispatch({"op": "query", "q": "q(1)?"})
-
-        assert state["fired"], "the classify hook never ran"
-        assert reply["resolution"] == "procedure"
-        assert decode_values(reply) == [(1,)]
-        assert state["write_acquires"] >= 1, (
-            "a mutating fallback ran outside the write lock"
-        )
-
-    def test_flip_to_nothing_resolves_none_not_crash(self, server):
-        # Same race, but with no procedure to fall back to: the re-run
-        # under the write window answers "none" instead of crashing or
-        # serving the dropped relation.
-        session = server._new_session()
-        session.dispatch({"op": "facts", "name": "q", "rows": [[1]]})
-        state = self.race_drop_into_gap(server, session)
-        reply = session.dispatch({"op": "query", "q": "q(1)?"})
-        assert state["fired"]
-        assert reply["resolution"] == "none"
-        assert decode_values(reply) == []
 
 
 class TestNotificationVersions:

@@ -134,9 +134,9 @@ class TestIdbDelivery:
         assert set(rows) == {lift(2, 3), lift(1, 3)}
 
     def test_autocommitted_bulk_insert_notifies_every_derived_row(self, system):
-        """A Glue ``+=`` outside a transaction autocommits row by row from
-        one bulk insert; the path/2 subscriber must get all of it then, not
-        at some later, unrelated commit."""
+        """A writing Glue call outside a transaction is one implicit
+        transaction; the path/2 subscriber must get all of it at that
+        commit, not at some later, unrelated one."""
         system.load(PATH_RULES + """
             proc grow(:)
               edge(X, Y) += seed(X, Y).

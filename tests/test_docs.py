@@ -12,7 +12,8 @@ Over ``docs/*.md``, README.md, DESIGN.md and EXPERIMENTS.md:
   some doc;
 * every trace event kind the source emits is backticked in some doc;
 * the source tree in DESIGN.md section 4 lists exactly the packages and
-  modules under ``src/repro``.
+  modules under ``src/repro``;
+* the prose stays under a committed line ceiling.
 """
 
 import ast
@@ -33,6 +34,10 @@ DOCS = sorted(ROOT.glob("docs/*.md")) + [ROOT / name for name in
                                          ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
 TEXT = {path.relative_to(ROOT).as_posix(): path.read_text() for path in DOCS}
 ALL_TEXT = "\n".join(TEXT.values())
+# The lines of DOCS, counted as CI's "Prose lines" step counts them
+# (``cat ... | wc -l``).  A change that cuts prose lowers the ceiling with
+# it; one that raises the ceiling says so in CHANGES.md.
+PROSE_CEILING = 2730
 
 
 def _resolves(dotted: str) -> bool:
@@ -163,3 +168,8 @@ def _trace_kinds() -> set:
 def test_every_trace_kind_is_documented():
     missing = sorted(kind for kind in _trace_kinds() if f"`{kind}`" not in ALL_TEXT)
     assert not missing
+
+
+def test_prose_stays_under_its_ceiling():
+    total = sum(text.count("\n") for text in TEXT.values())
+    assert total <= PROSE_CEILING, f"{total} prose lines, ceiling {PROSE_CEILING}"

@@ -173,51 +173,3 @@ class TestSystemFacade:
         assert "transaction rolled back" in text
         assert "(2, 3)" not in text
         assert "error:" in text  # .commit with no open transaction
-
-
-class TestThreadOwnership:
-    """A transaction belongs to the thread that began it (REVIEW: foreign
-    threads must autocommit, not join the open undo/redo logs)."""
-
-    def test_foreign_thread_mutation_survives_rollback(self, txn_db):
-        import threading
-
-        db, manager = txn_db
-        manager.begin()
-        db.fact("mine", 1)
-
-        worker = threading.Thread(target=lambda: db.fact("theirs", 7))
-        worker.start()
-        worker.join()
-
-        manager.rollback()
-        # The owner's insert (and its declare) rolled back; the foreign
-        # thread's did not get swept into the undo log.
-        assert db.get("mine", 1) is None
-        assert (Num(7),) in db.get("theirs", 1)
-
-    def test_foreign_thread_op_is_its_own_wal_batch(self, tmp_path):
-        import threading
-
-        from repro.txn.wal import WriteAheadLog, replay_wal
-
-        wal = WriteAheadLog(str(tmp_path / "wal.log"))
-        db = Database()
-        manager = TransactionManager(db, wal)
-        db.attach_journal(manager)
-
-        manager.begin()
-        db.fact("mine", 1)
-        worker = threading.Thread(target=lambda: db.fact("theirs", 7))
-        worker.start()
-        worker.join()
-        manager.rollback()
-        wal.close()
-
-        replayed = Database()
-        txns, _ = replay_wal(wal.path, replayed)
-        # Exactly the foreign autocommits reached the log: the declare of
-        # theirs/1 and the insert; nothing from the rolled-back owner.
-        assert txns == 2
-        assert (Num(7),) in replayed.get("theirs", 1)
-        assert replayed.get("mine", 1) is None

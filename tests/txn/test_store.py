@@ -20,6 +20,17 @@ def reopen(directory):
     return DurableStore(str(directory))
 
 
+@pytest.fixture
+def fail_next_fsync(monkeypatch):
+    real_fsync = os.fsync
+
+    def failing_fsync(fd):
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        raise OSError("injected fsync failure")
+
+    return lambda: monkeypatch.setattr(os, "fsync", failing_fsync)
+
+
 class TestAutocommit:
     def test_mutations_survive_reopen(self, tmp_path):
         store = DurableStore(str(tmp_path))
@@ -107,16 +118,6 @@ class TestFailedCommit:
     """A commit the WAL cannot make durable ends its transaction and
     leaves nothing behind, in memory or on disk."""
 
-    @pytest.fixture
-    def fail_next_fsync(self, monkeypatch):
-        real_fsync = os.fsync
-
-        def failing_fsync(fd):
-            monkeypatch.setattr(os, "fsync", real_fsync)
-            raise OSError("injected fsync failure")
-
-        return lambda: monkeypatch.setattr(os, "fsync", failing_fsync)
-
     def assert_nothing_left(self, store, directory):
         assert not store.txn.in_transaction
         assert rows_of(store.db, "edge", 2) == []
@@ -143,6 +144,47 @@ class TestFailedCommit:
         with pytest.raises(OSError, match="injected"):
             store.db.fact("edge", 1, 2)
         self.assert_nothing_left(store, tmp_path)
+
+
+class TestWritingCall:
+    """A Glue call that writes is one implicit transaction: one WAL
+    commit, and all of its rows or none."""
+
+    PROGRAM = """
+        proc copy(:)
+          p(A, B) += e(A, B).
+          return(:) := true.
+        end
+    """
+
+    def open_system(self, directory):
+        from repro.core.system import GlueNailSystem
+
+        system = GlueNailSystem.open(str(directory))
+        system.load(self.PROGRAM)
+        system.facts("e", [(n, n + 1) for n in range(50)])
+        return system
+
+    def test_fifty_rows_are_one_commit_and_one_fsync(self, tmp_path):
+        system = self.open_system(tmp_path)
+        wal = system.store.wal
+        commits, fsyncs = wal.commits, wal.fsyncs
+        system.call("copy")
+        assert (wal.commits - commits, wal.fsyncs - fsyncs) == (1, 1)
+        assert len(rows_of(system.db, "p", 2)) == 50
+        system.close()
+
+    def test_a_failed_fsync_leaves_no_row_live_or_logged(self, tmp_path, fail_next_fsync):
+        system = self.open_system(tmp_path)
+        fail_next_fsync()
+        with pytest.raises(OSError, match="injected"):
+            system.call("copy")
+        assert not system.txn.in_transaction
+        assert rows_of(system.db, "p", 2) == []
+        system.close()
+        fresh = reopen(tmp_path)
+        assert rows_of(fresh.db, "p", 2) == []
+        fresh.close()
 
 
 class TestTransactions:
