@@ -520,9 +520,11 @@ class GlueNailSystem:
             return self._machine.call_proc(proc, inputs)
 
     def run_script(self) -> None:
-        """Execute the loose top-level statements of the loaded program."""
+        """Execute the loose top-level statements of the loaded program, as
+        one implicit transaction (see :meth:`Database.atomically`)."""
         self.compile()
-        self._machine.run_script()
+        with self.db.atomically():
+            self._machine.run_script()
 
     def query(self, text: str, subgoal=None) -> QueryResult:
         """Answer an ad-hoc query ``p(args)?`` against NAIL!, the EDB, or a

@@ -39,7 +39,7 @@ from typing import Any, List, Optional
 
 from repro.core.query import term_to_python
 from repro.obs.query_stats import QueryStats
-from repro.terms.term import Atom, Num
+from repro.terms.term import SCALAR_TYPES
 
 MAX_LINE = 16 * 1024 * 1024  # defensive bound on one request/response line
 
@@ -126,9 +126,10 @@ def stats_payload(stats: Optional[QueryStats]) -> Optional[dict]:
 
 
 def columns_payload(rows) -> dict:
-    """Term rows as ``{"count": n, "columns": [...]}``, each column lowered
-    in one pass (atoms and numbers inline, anything else through
-    :func:`term_to_python`).  A row whose length differs from the first
+    """Term rows as ``{"count": n, "columns": [...]}``.  Atoms and numbers
+    are ``str`` / ``int`` / ``float`` values and go to JSON as they are; only
+    a column that holds some other term is lowered, through
+    :func:`term_to_python`.  A row whose length differs from the first
     row's is a bug upstream; refuse it rather than let a column come out
     short."""
     if not rows:
@@ -140,13 +141,10 @@ def columns_payload(rows) -> dict:
             f"ragged result: row {bad} has {len(rows[bad])} values, "
             f"row 0 has {arity}"
         )
-    columns = [
-        [
-            v.name if type(v) is Atom else v.value if type(v) is Num else term_to_python(v)
-            for v in map(itemgetter(i), rows)
-        ]
-        for i in range(arity)
-    ]
+    columns = [list(map(itemgetter(i), rows)) for i in range(arity)]
+    for i, column in enumerate(columns):
+        if not set(map(type, column)) <= SCALAR_TYPES:
+            columns[i] = list(map(term_to_python, column))
     return {"count": len(rows), "columns": columns}
 
 

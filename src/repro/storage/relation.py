@@ -24,7 +24,7 @@ from repro.storage.stats import (
     RelationStats,
 )
 from repro.terms.matching import Bindings, match_tuple, substitute
-from repro.terms.term import Atom, Num, Term, Var, is_ground, sort_key
+from repro.terms.term import SCALAR_TYPES, Term, Var, is_ground, sort_key
 
 Row = Tuple[Term, ...]
 
@@ -329,8 +329,7 @@ class Relation:
                 f"arity mismatch for {self.name}: expected {self.arity}, got {len(row)}"
             )
         for value in row:
-            cls = value.__class__
-            if cls is Num or cls is Atom:
+            if value.__class__ in SCALAR_TYPES:
                 continue  # ground by construction; skip the general walk
             if not isinstance(value, Term):
                 raise TypeError(f"relation values must be Terms, got {type(value).__name__}")

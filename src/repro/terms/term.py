@@ -4,13 +4,19 @@ All terms are immutable and hashable so they can be stored directly in the
 hash-based relation storage.  A total, deterministic ordering over ground
 terms is provided by :func:`sort_key` so relation dumps and benchmark output
 are reproducible run-to-run.
+
+Ground atoms and numbers are native values: an :class:`Atom` is a ``str``
+and a :class:`Num` an ``int`` or a ``float``, so joins, sets and index
+probes hash and compare them in C.  Equality is the C one, so
+``Atom("a") == "a"`` and ``Num(2) == 2``, with equal hashes: never key one
+dict or set by both raw Python values and terms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Union
+from dataclasses import dataclass, field
+from typing import Iterator
 
 
 class Term:
@@ -33,42 +39,75 @@ class Term:
         return term_to_str(self)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom(Term):
-    """An atom.  Atoms and strings are the same data type (paper Section 2).
+class Atom(Term, str):
+    """An atom.  Atoms and strings are the same data type (paper Section 2),
+    so an atom *is* a ``str``: it hashes and compares in C, and
+    ``Atom("a") == "a"`` with equal hashes.  ``str(atom)`` is still the
+    printer's quoted text; ``.name`` is the plain text as an exact ``str``.
 
     The empty atom ``Atom("")`` is legal: it is the empty string.
     """
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise TypeError(f"Atom name must be str, got {type(self.name).__name__}")
+    def __new__(cls, name):
+        if type(name) is cls:
+            return name
+        if not isinstance(name, str):
+            raise TypeError(f"Atom name must be str, got {type(name).__name__}")
+        # str.__str__, not str(): str() of an atom is the printer's text.
+        return str.__new__(cls, str.__str__(name))
 
-    def __hash__(self) -> int:
-        # Hash the field directly: CPython caches str hashes, so this is a
-        # slot read on the hot storage paths instead of a tuple build.
-        return hash(self.name)
+    name = property(str.__str__)
+
+    def __repr__(self) -> str:
+        return f"Atom(name={str.__repr__(self)})"
+
+    def __reduce__(self):
+        # Pickle protocols 0 and 1 would otherwise save str(self).
+        return (type(self), (self.name,))
 
 
-@dataclass(frozen=True, slots=True)
 class Num(Term):
-    """A number (integer or float)."""
+    """A number (integer or float).
 
-    value: Union[int, float]
+    ``Num(v)`` returns an instance of a private ``int`` or ``float``
+    subclass, so numbers hash and compare in C: ``Num(2) == Num(2.0) == 2``
+    with equal hashes.  ``.value`` is the exact ``int`` or ``float``.
+    """
 
-    def __post_init__(self) -> None:
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            raise TypeError(f"Num value must be int or float, got {type(self.value).__name__}")
-        if self.value != self.value:
+    __slots__ = ()
+
+    def __new__(cls, value):
+        if isinstance(value, Num):
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"Num value must be int or float, got {type(value).__name__}")
+        if isinstance(value, int):
+            return int.__new__(_IntNum, value)
+        if value != value:
             # NaN equals nothing, itself included, so no relation could
             # find it again; it also has no literal to survive a restart.
             raise ValueError("NaN is not a Glue-Nail number")
+        return float.__new__(_FloatNum, value)
 
-    def __hash__(self) -> int:
-        # hash(2) == hash(2.0), matching Num(2) == Num(2.0).
-        return hash(self.value)
+    def __repr__(self) -> str:
+        return f"Num(value={self.value!r})"
+
+
+class _IntNum(Num, int):
+    __slots__ = ()
+    value = property(int.__int__)
+
+
+class _FloatNum(Num, float):
+    __slots__ = ()
+    value = property(float.__float__)
+
+
+# The exact classes of ground atoms and numbers: a value of one of these
+# types needs no groundness walk and lowers to JSON as itself.
+SCALAR_TYPES = frozenset({Atom, _IntNum, _FloatNum})
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +137,7 @@ class Compound(Term):
 
     functor: Term
     args: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.functor, Term):
@@ -107,6 +147,14 @@ class Compound(Term):
         for arg in self.args:
             if not isinstance(arg, Term):
                 raise TypeError("Compound args must all be Terms")
+        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: rebuild the hash on unpickling.
+        return (Compound, (self.functor, self.args))
 
     @property
     def arity(self) -> int:
@@ -194,9 +242,9 @@ def sort_key(term: Term) -> tuple:
     hold one of them.
     """
     if isinstance(term, Num):
-        return (_RANK_NUM, term.value)
+        return (_RANK_NUM, term)
     if isinstance(term, Atom):
-        return (_RANK_ATOM, term.name)
+        return (_RANK_ATOM, term)
     if isinstance(term, Compound):
         return (
             _RANK_COMPOUND,

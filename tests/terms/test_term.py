@@ -1,5 +1,9 @@
 """Unit tests for the term model."""
 
+import copy
+import json
+import pickle
+
 import pytest
 
 from repro.terms.term import (
@@ -82,6 +86,75 @@ class TestEqualityAndHashing:
 
     def test_different_functor_not_equal(self):
         assert Compound(Atom("f"), (Num(1),)) != Compound(Atom("g"), (Num(1),))
+
+    def test_compound_hash_and_equality_agree_across_int_and_float(self):
+        two, two_f = Compound(Atom("f"), (Num(2),)), Compound(Atom("f"), (Num(2.0),))
+        assert two == two_f
+        assert hash(two) == hash(two_f)
+        assert len({two, two_f}) == 1
+
+
+class TestNativeValues:
+    """Atoms are ``str`` and numbers ``int`` / ``float``: C hashing and C
+    equality, with the term model's construction rules and repr kept."""
+
+    def test_relifting_an_atom_keeps_its_text_unquoted(self):
+        # str() of an atom is the printer's quoted text; re-lifting must
+        # not go through it (magic predicate names once came back quoted).
+        atom = Atom(Atom("magic@p@bf"))
+        assert atom.name == "magic@p@bf"
+        assert str(atom) == "'magic@p@bf'"
+
+    def test_atom_equals_its_string(self):
+        assert Atom("a") == "a"
+        assert hash(Atom("a")) == hash("a")
+
+    def test_num_equals_its_number(self):
+        assert Num(2) == 2
+        assert hash(Num(2.5)) == hash(2.5)
+
+    def test_int_and_float_nums_are_one_value(self):
+        assert Num(2) == Num(2.0)
+        assert hash(Num(2)) == hash(Num(2.0))
+        assert sort_key(Num(2)) == sort_key(Num(2.0))
+
+    @pytest.mark.parametrize(
+        "build", [lambda: Num(True), lambda: Num(float("nan")), lambda: Atom(1)]
+    )
+    def test_rejected_values(self, build):
+        with pytest.raises((TypeError, ValueError)):
+            build()
+
+    def test_repr_is_unchanged(self):
+        assert repr(Atom("it's")) == """Atom(name="it's")"""
+        assert repr(Num(1)) == "Num(value=1)"
+        assert repr(Num(-0.0)) == "Num(value=-0.0)"
+        assert repr(Compound(Atom("f"), (Num(2.5),))) == (
+            "Compound(functor=Atom(name='f'), args=(Num(value=2.5),))"
+        )
+
+    def test_name_and_value_are_exact_builtins(self):
+        assert type(Atom("a").name) is str
+        assert type(Num(1).value) is int
+        assert type(Num(1.5).value) is float
+
+    @pytest.mark.parametrize(
+        "term",
+        [Atom("a"), Num(10**30), Num(-0.0), Compound(Atom("f"), (Num(2), Atom("x")))],
+    )
+    def test_pickle_and_copy_round_trip(self, term):
+        pickled = [
+            pickle.loads(pickle.dumps(term, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in [*pickled, copy.copy(term), copy.deepcopy(term)]:
+            assert clone == term and type(clone) is type(term)
+            assert hash(clone) == hash(term)
+
+    def test_json_writes_the_base_values(self):
+        terms = [Atom("a"), Num(float("inf")), Num(-0.0), Num(10**30)]
+        raw = ["a", float("inf"), -0.0, 10**30]
+        assert json.dumps(terms) == json.dumps(raw)
 
 
 class TestVariables:

@@ -187,6 +187,26 @@ class TestWritingCall:
         fresh.close()
 
 
+class TestImplicitScriptTransaction:
+    """The loose statements of a script are one implicit transaction too."""
+
+    def test_twenty_rows_are_one_commit_and_one_fsync(self, tmp_path):
+        from repro.core.system import GlueNailSystem
+
+        system = GlueNailSystem.open(str(tmp_path))
+        system.facts("e", [(n,) for n in range(20)])
+        system.load("p(X) += e(X).")
+        wal = system.store.wal
+        commits, fsyncs = wal.commits, wal.fsyncs
+        system.run_script()
+        assert (wal.commits - commits, wal.fsyncs - fsyncs) == (1, 1)
+        assert len(rows_of(system.db, "p", 1)) == 20
+        system.close()
+        fresh = reopen(tmp_path)
+        assert len(rows_of(fresh.db, "p", 1)) == 20
+        fresh.close()
+
+
 class TestTransactions:
     def test_committed_survives_uncommitted_does_not(self, tmp_path):
         store = DurableStore(str(tmp_path))
