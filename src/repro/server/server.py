@@ -15,9 +15,10 @@ embedded engine into a multi-client service:
   writes (fact loads, program loads, writing procedures, transactions)
   serialize on the write side of a lock and publish a new snapshot when
   they finish.  Only a write window declares, mutates or journals;
-* per-session stats ride on thread-local cost counters
-  (:class:`~repro.storage.stats.ThreadLocalCounters`) and session-tagged
-  trace events, so concurrent queries never corrupt each other's deltas;
+* per-session stats ride on cost counters kept per connection thread
+  (:class:`~repro.storage.stats.ThreadLocalCounters`, a ``threading.local``
+  whose ``+=`` runs no Python frame) and session-tagged trace events, so
+  concurrent queries never corrupt each other's deltas;
 * with a durable store attached (``gluenail serve --db DIR``), committed
   mutations reach the write-ahead log and survive crashes.
 

@@ -353,7 +353,7 @@ class Relation:
         if self._changelog is not None:
             self._changelog.record(self._version, "+", (row,))
         if self.journal is not None:
-            self.journal.record_insert(self, row)
+            self.journal.record_inserts(self, (row,))
         return True
 
     def _profile_add(self, rows, column_values=None) -> None:
@@ -395,9 +395,10 @@ class Relation:
         """Bulk-load: insert many rows, returning the genuinely new ones.
 
         Equivalent to calling :meth:`insert` per row (rows validated,
-        duplicates skipped, indexes maintained, journal notified per row)
-        but with one version bump and one listener notification per batch.
-        The whole batch is validated before anything is stored.
+        duplicates skipped, indexes maintained) but with one version bump,
+        one listener notification and one journal call per batch, so
+        outside a transaction the batch is one implicit transaction.  The
+        whole batch is validated before anything is stored.
         """
         check = self._check_row
         return self.insert_trusted([check(row) for row in rows])
@@ -412,7 +413,7 @@ class Relation:
         first-occurrence order, indexes maintained per new row, then one
         version bump, one listener notification, one profile update (see
         :meth:`_profile_add` for ``column_values``) and one change-log entry
-        for the batch, and last the journal, per new row.
+        for the batch, and last one journal call with the new rows.
         """
         self._cow()
         new: list = []
@@ -440,13 +441,11 @@ class Relation:
             self._profile_add(new, column_values)
             if self._changelog is not None:
                 self._changelog.record(self._version, "+", new)
-            # Journal last, as insert() does: an autocommitted row reaches
-            # commit observers only once the batch's version and change-log
-            # entry exist, so their caches see the rows as a change.
-            journal = self.journal
-            if journal is not None:
-                for row in new:
-                    journal.record_insert(self, row)
+            # Journal last, as insert() does: an autocommitted batch reaches
+            # commit observers only once its version and change-log entry
+            # exist, so their caches see the rows as a change.
+            if self.journal is not None:
+                self.journal.record_inserts(self, new)
         return new
 
     def delete(self, row: Row) -> bool:
@@ -463,7 +462,7 @@ class Relation:
         if self._changelog is not None:
             self._changelog.record(self._version, "-", (row,))
         if self.journal is not None:
-            self.journal.record_delete(self, row)
+            self.journal.record_deletes(self, (row,))
         return True
 
     def delete_many(self, rows: Iterable[Row]) -> int:
@@ -485,8 +484,7 @@ class Relation:
         if self._changelog is not None:
             self._changelog.record(self._version, "-", dropped)
         if self.journal is not None:
-            for row in dropped:
-                self.journal.record_delete(self, row)
+            self.journal.record_deletes(self, dropped)
 
     def replace(self, rows: Iterable[Row]) -> None:
         """Clearing assignment ``:=``: overwrite the contents.

@@ -98,74 +98,78 @@ class CostCounters:
 COUNTER_FIELDS: tuple = tuple(f.name for f in fields(CostCounters))
 
 
-class ThreadLocalCounters:
-    """A :class:`CostCounters` facade that isolates counting per thread.
+class ThreadLocalCounters(threading.local, CostCounters):
+    """A :class:`CostCounters` whose fields are private to each thread.
 
     The query server shares one :class:`~repro.storage.database.Database`
     between concurrent sessions; with a single counter block, two
     overlapping queries corrupt each other's before/after deltas (and lose
     increments outright on the read-modify-write).  Installing this object
     as ``Database(counters=...)`` gives every thread -- hence every server
-    session, which is pinned to its connection thread -- a private
-    :class:`CostCounters`, while :meth:`aggregate` still answers
-    whole-server questions.
+    session, which is pinned to its connection thread -- its own fields,
+    while :meth:`aggregate` still answers whole-server questions.
 
-    The facade is attribute-compatible with :class:`CostCounters`:
-    ``counters.inserts += 1``, ``as_tuple()``, ``snapshot()``, ``reset()``
-    and ``total_tuple_touches`` all resolve against the calling thread's
-    block, so instrumentation sites need no changes.
+    As a :class:`threading.local`, each thread's fields are plain
+    attributes of its own ``__dict__`` (its *block*), so
+    ``counters.inserts += 1`` is C attribute access with no Python frame,
+    and ``as_tuple()``, ``snapshot()``, ``reset()`` and
+    ``total_tuple_touches`` read the calling thread's block only.
+    ``threading.local`` runs ``__init__`` again on each thread's first
+    touch; the registry it fills lives in slots, which every thread shares,
+    so ``__new__`` builds it once.
 
     A thread that is done counting (a closed server session) calls
-    :meth:`retire`, which folds its block into one retired total: the
-    number of blocks stays bounded by the live threads, and
-    :meth:`aggregate` stays exact.
+    :meth:`retire`, which folds its counts into one retired total.  A
+    count it makes later still reaches :meth:`aggregate`, and the blocks
+    of threads that have ended are folded in too, so the blocks kept stay
+    bounded by the live threads and :meth:`aggregate` stays exact.
     """
 
+    __slots__ = ("_lock", "_blocks", "_late", "_retired")
+
+    def __new__(cls):
+        self = super().__new__(cls)
+        self._lock = threading.Lock()
+        self._blocks = {}  # thread -> its block, until it retires
+        self._late = {}  # retired thread still alive -> its block
+        self._retired = CostCounters()
+        return self
+
     def __init__(self):
-        object.__setattr__(self, "_tls", threading.local())
-        object.__setattr__(self, "_blocks", [])
-        object.__setattr__(self, "_retired", CostCounters())
-        object.__setattr__(self, "_lock", threading.Lock())
+        CostCounters.__init__(self)
+        with self._lock:
+            self._fold_ended()
+            self._blocks[threading.current_thread()] = self.__dict__
 
-    def _mine(self) -> CostCounters:
-        block = getattr(self._tls, "block", None)
-        if block is None:
-            block = CostCounters()
-            self._tls.block = block
-            with self._lock:
-                self._blocks.append(block)
-        return block
-
-    def __getattr__(self, name):
-        # Only reached for names not defined on the class: counter fields,
-        # CostCounters methods and properties.
-        return getattr(self._mine(), name)
-
-    def __setattr__(self, name, value):
-        setattr(self._mine(), name, value)
+    def _fold_ended(self) -> None:
+        """Fold the blocks of threads that have ended into the retired total
+        (the caller holds the lock)."""
+        for blocks in (self._blocks, self._late):
+            for thread in [thread for thread in blocks if not thread.is_alive()]:
+                self._retired = self._retired + CostCounters(**blocks.pop(thread))
 
     def retire(self) -> None:
-        """Fold the calling thread's block into the retired total; the
-        thread's next count starts a fresh block."""
-        block = getattr(self._tls, "block", None)
-        if block is None:
-            return
-        self._tls.block = None
+        """Fold the calling thread's counts into the retired total; its
+        block, now zero, still collects what the thread counts later."""
+        block = self.__dict__  # registers the thread on its first touch
+        thread = threading.current_thread()
         with self._lock:
-            # By identity: blocks are dataclasses, equal when their counts are.
-            blocks = [other for other in self._blocks if other is not block]
-            object.__setattr__(self, "_blocks", blocks)
-            object.__setattr__(self, "_retired", self._retired + block)
+            self._retired = self._retired + CostCounters(**block)
+            self.reset()
+            self._blocks.pop(thread, None)
+            self._late[thread] = block
+            self._fold_ended()
 
     def aggregate(self) -> CostCounters:
         """The sum over every thread's block and the retired total (a
         snapshot copy)."""
         with self._lock:
-            blocks = [self._retired, *self._blocks]
-        total = CostCounters()
-        for block in blocks:
-            total = total + block
-        return total
+            self._fold_ended()
+            blocks = [*self._blocks.values(), *self._late.values()]
+            return CostCounters(*(
+                getattr(self._retired, name) + sum(block[name] for block in blocks)
+                for name in COUNTER_FIELDS
+            ))
 
 
 def counter_delta(before: tuple, after: tuple) -> dict:

@@ -10,8 +10,9 @@ The :class:`TransactionManager` is the mutation journal a
 :class:`~repro.storage.database.Database` dispatches to (created and
 attached by ``db.transactions()``):
 
-* outside a transaction, every mutation is **autocommitted**: forwarded
-  straight to the write-ahead log as a single-op batch;
+* outside a transaction, each journal call -- one row, or all the rows of
+  one bulk insert or ``clear`` -- is **autocommitted** as one implicit
+  transaction: forwarded straight to the write-ahead log as one batch;
 * inside a transaction, mutations accumulate an in-memory **undo log**
   (applied in reverse on rollback) and a **redo batch** that reaches the
   WAL -- in one durable append -- only on commit.
@@ -102,34 +103,37 @@ class TransactionManager:
     # journal interface (called from Relation/Database mutation paths)
     # ------------------------------------------------------------------ #
 
-    def record_insert(self, relation, row) -> None:
-        self._record(("insert", relation.name, row))
+    def record_inserts(self, relation, rows) -> None:
+        name = relation.name
+        self._record([("insert", name, row) for row in rows])
 
-    def record_delete(self, relation, row) -> None:
-        self._record(("delete", relation.name, row))
+    def record_deletes(self, relation, rows) -> None:
+        name = relation.name
+        self._record([("delete", name, row) for row in rows])
 
     def record_declare(self, name, arity: int) -> None:
-        self._record(("declare", name, arity))
+        self._record([("declare", name, arity)])
 
     def record_drop(self, name, arity: int, rows) -> None:
-        self._record(("drop", name, arity), undo=("drop", name, arity, rows))
+        self._record([("drop", name, arity)], undo=[("drop", name, arity, rows)])
 
-    def _record(self, op: Op, undo: Optional[tuple] = None) -> None:
+    def _record(self, ops: List[Op], undo: Optional[list] = None) -> None:
         if self._suspended:
             return
+        undo = undo or ops
         if self._active:
-            self._undo.append(undo or op)
-            self._redo.append(op)
+            self._undo.extend(undo)
+            self._redo.extend(ops)
             return
-        # Autocommit: each standalone mutation is its own batch, and one
-        # the log cannot take is undone as a rollback would undo it.
+        # Autocommit: the ops are one implicit transaction, and a batch the
+        # log cannot take is undone as a rollback would undo it.
         if self.wal is not None:
             try:
-                self.wal.append_commit([op])
+                self.wal.append_commit(ops)
             except BaseException:
-                self._undo_all([undo or op])
+                self._undo_all(undo)
                 raise
-        self._notify([op])
+        self._notify(ops)
 
     # ------------------------------------------------------------------ #
     # transaction boundaries

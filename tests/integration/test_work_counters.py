@@ -5,10 +5,17 @@ Fixed phases of the benchmark program on the smoke dataset (see
 every ``CostCounters`` field, zeros included, plus WAL commits and fsyncs.
 A change that moves a counter on purpose re-baselines by hand with
 ``tools/work_counters.py --write`` and says which fields moved.
+
+The read phases are also run as requests of an in-process query-server
+session, which counts through ``ThreadLocalCounters``: they must charge
+the same baseline plus the one snapshot each read pins.
 """
 
 import importlib.util
 from pathlib import Path
+
+from repro.server.server import GlueNailServer
+from repro.storage.stats import COUNTER_FIELDS
 
 ROOT = Path(__file__).resolve().parents[2]
 _spec = importlib.util.spec_from_file_location(
@@ -33,3 +40,29 @@ def test_a_mismatch_prints_field_baseline_and_now():
         "field            baseline         now",
         "reach.inserts           3           4",
     ]
+
+
+def test_a_server_session_charges_the_baseline_for_each_read():
+    data = work_counters.smoke_dataset()
+    baseline = work_counters.load_baseline()
+    with GlueNailServer(program=work_counters.program_text()) as server:
+        session = server._new_session()
+        for name, rows in data.relations():
+            session.dispatch({"op": "facts", "name": name, "rows": [list(row) for row in rows]})
+        # The session's block, which the stats op reports; the op itself
+        # pins a snapshot, so reading it here keeps that pin out of a phase.
+        block = session.system.counters
+        for phase, request in work_counters.read_requests(data).items():
+            before = block.snapshot()
+            assert session.dispatch(request)["ok"], phase
+            after = block.snapshot()
+            delta = {name: after[name] - before[name] for name in COUNTER_FIELDS}
+            expected = {name: baseline[phase][name] for name in COUNTER_FIELDS}
+            # A server read runs on one pinned published snapshot.
+            expected["snapshot_reads"] += 1
+            expected["snapshot_pins"] += 1
+            assert delta == expected, phase
+        counted = {name: count for name, count in block.snapshot().items() if count}
+        stats = session.dispatch({"op": "stats"})
+        # One thread did all the counting, so the server total is its block.
+        assert stats["counters"] == stats["server_counters"] == counted

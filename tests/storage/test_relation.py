@@ -132,14 +132,15 @@ class TestVersioning:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_journal_sees_each_insert_after_the_version_moved(self, bulk):
-        """An autocommitting journal hands each row to commit observers at
-        once; by then the relation's version must already count it."""
+        """An autocommitting journal hands each batch to commit observers at
+        once; by then the relation's version must already count its rows."""
         r = rel()
         seen = []
 
         class Journal:
-            def record_insert(self, relation, inserted):
-                seen.append((inserted, relation.version, inserted in relation))
+            def record_inserts(self, relation, rows):
+                for inserted in rows:
+                    seen.append((inserted, relation.version, inserted in relation))
 
         r.journal = Journal()
         rows = [row(1, 2), row(2, 3)]
@@ -476,8 +477,8 @@ class TestTrustedBulkInsert:
         def __init__(self):
             self.inserted = []
 
-        def record_insert(self, relation, row):
-            self.inserted.append(row)
+        def record_inserts(self, relation, rows):
+            self.inserted.extend(rows)
 
     def test_matches_insert_new_on_rows_order_and_counters(self):
         batch = [row(3, 4), row(1, 2), row(3, 4), row(5, 6), row(1, 2)]

@@ -117,6 +117,66 @@ class TestThreadLocalCounters:
         assert shared.aggregate().inserts == 3
         assert shared.inserts == 2
 
+    def test_a_count_after_retire_still_reaches_the_aggregate(self):
+        shared = ThreadLocalCounters()
+
+        def worker():
+            shared.inserts += 1
+            shared.retire()
+            shared.inserts += 10  # e.g. a connection's last teardown work
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert shared.aggregate().inserts == 11
+        shared.retire()  # the main thread never counted: nothing to fold
+        assert shared.aggregate().inserts == 11
+
+    def test_short_lived_threads_leave_no_blocks_behind(self):
+        shared = ThreadLocalCounters()
+        shared.deletes += 1
+
+        def worker(n):
+            shared.inserts += n
+            shared.retire()
+
+        for n in range(50):
+            thread = threading.Thread(target=worker, args=(n,))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(shared._blocks) <= threading.active_count() + 1
+        total = shared.aggregate()
+        assert (total.inserts, total.deletes) == (sum(range(50)), 1)
+        assert len(shared._blocks) + len(shared._late) <= threading.active_count()
+
+    def test_is_a_cost_counter_block_of_the_calling_thread(self):
+        shared = ThreadLocalCounters()
+        assert isinstance(shared, CostCounters)
+        shared.inserts += 2
+        seen = {}
+
+        def worker():
+            seen["fresh"] = (shared.as_tuple(), shared.snapshot())
+            shared.tuples_scanned += 5
+            shared.reset()
+            seen["reset"] = shared.as_tuple()
+            shared.deletes += 1
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        zero = CostCounters()
+        assert seen == {"fresh": (zero.as_tuple(), zero.snapshot()), "reset": zero.as_tuple()}
+        assert shared.snapshot() == CostCounters(inserts=2).snapshot()
+        assert shared.total_tuple_touches == 2
+        assert (shared.aggregate().inserts, shared.aggregate().deletes) == (2, 1)
+        shared.reset()
+        assert shared.as_tuple() == zero.as_tuple()
+        assert shared.aggregate().deletes == 1
+
 
 class TestLedgers:
     def test_ledger_accumulates(self):

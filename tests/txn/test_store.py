@@ -50,6 +50,17 @@ class TestAutocommit:
         assert fresh.db.get("edge", 2).sorted_rows() == [(Num(2), Num(3))]
         fresh.close()
 
+    def test_bulk_insert_is_one_commit_and_one_fsync(self, tmp_path):
+        store = DurableStore(str(tmp_path))
+        edge = store.db.declare("edge", 2)
+        commits, fsyncs = store.wal.commits, store.wal.fsyncs
+        assert len(edge.insert_new([(Num(n), Num(n + 1)) for n in range(4)])) == 4
+        assert (store.wal.commits - commits, store.wal.fsyncs - fsyncs) == (1, 1)
+        store.close()
+        fresh = reopen(tmp_path)
+        assert len(fresh.db.get("edge", 2)) == 4
+        fresh.close()
+
 
 def _system(directory, durable=True):
     from repro.core.system import GlueNailSystem
@@ -143,6 +154,14 @@ class TestFailedCommit:
         fail_next_fsync()
         with pytest.raises(OSError, match="injected"):
             store.db.fact("edge", 1, 2)
+        self.assert_nothing_left(store, tmp_path)
+
+    def test_autocommit_bulk_insert(self, tmp_path, fail_next_fsync):
+        store = DurableStore(str(tmp_path))
+        edge = store.db.declare("edge", 2)
+        fail_next_fsync()
+        with pytest.raises(OSError, match="injected"):
+            edge.insert_new([(Num(n), Num(n + 1)) for n in range(4)])
         self.assert_nothing_left(store, tmp_path)
 
 

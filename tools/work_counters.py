@@ -8,8 +8,10 @@ in process, on one durable store, and records per phase every
 ``facts`` batch, a Glue ``+=`` call and a checkpoint followed by a reopen.
 
 ``tests/integration/test_work_counters.py`` compares a run with the
-committed baseline ``tests/integration/work_counters.json``.  Re-baseline
-only by hand, after checking that every change is intended::
+committed baseline ``tests/integration/work_counters.json``.  It also sends
+the read phases (:func:`read_requests`) to an in-process query-server
+session, which must charge the same plus the one snapshot each read pins.
+Re-baseline only by hand, after checking that every change is intended::
 
     PYTHONPATH=src python tools/work_counters.py           # print a run
     PYTHONPATH=src python tools/work_counters.py --write   # re-baseline
@@ -46,6 +48,30 @@ def smoke_dataset():
     return gen.Dataset(7, "smoke")
 
 
+def program_text() -> str:
+    return (ROOT / "bench" / "program.glue").read_text() + COPY_PROC
+
+
+def read_requests(data) -> Dict[str, dict]:
+    """The read phases, in run order, as query-server requests."""
+    requests = {
+        "reach": {"op": "query", "q": "reach(P, Q)?"},
+        "venue_report": {"op": "call", "name": "venue_report"},
+        "coauthor": {"op": "query", "q": "coauthor(A, B)?"},
+        "uncited": {"op": "query", "q": "uncited(P)?"},
+    }
+    for index, source in enumerate(data.sources[:3]):
+        requests[f"magic_{index}"] = {"op": "query", "q": f"reach({source}, Q)?", "magic": True}
+    return requests
+
+
+def _run_read(system: GlueNailSystem, request: dict):
+    """One of :func:`read_requests` run on an embedded system."""
+    if request["op"] == "call":
+        return system.call(request["name"])
+    return (system.query_magic if request.get("magic") else system.query)(request["q"])
+
+
 def _measure(system: GlueNailSystem, action=None) -> Dict[str, int]:
     """The counters ``action`` adds; without one, all since ``open``."""
     wal = system.store.wal
@@ -68,23 +94,16 @@ def run_phases(observe=None) -> Dict[str, Dict[str, int]]:
     phase but ``reopen`` with what the phase returned and the store's
     directory, before the next phase runs."""
     data = smoke_dataset()
-    program = (ROOT / "bench" / "program.glue").read_text() + COPY_PROC
     phases: Dict[str, Dict[str, int]] = {}
     with tempfile.TemporaryDirectory() as directory:
         system = GlueNailSystem.open(directory)
-        system.load(program)
+        system.load(program_text())
         for name, rows in data.relations():
             system.facts(name, rows)
         reads = {
-            "reach": lambda: system.query("reach(P, Q)?"),
-            "venue_report": lambda: system.call("venue_report"),
-            "coauthor": lambda: system.query("coauthor(A, B)?"),
-            "uncited": lambda: system.query("uncited(P)?"),
+            phase: lambda r=request: _run_read(system, r)
+            for phase, request in read_requests(data).items()
         }
-        for index, source in enumerate(data.sources[:3]):
-            reads[f"magic_{index}"] = (
-                lambda s=source: system.query_magic(f"reach({s}, Q)?")
-            )
         reads["facts_250"] = lambda: system.facts("tag", TAGS)
         reads["glue_insert_call"] = lambda: system.call("copy_tags")
         reads["checkpoint"] = system.checkpoint
