@@ -4,10 +4,10 @@
 (paper abstract); "NAIL! code is compiled into Glue procedures; the Glue
 optimizer runs over all the code" (Section 11).  This module turns a
 stratified NAIL! rule set into a Glue module: one procedure per stratum,
-each running the seminaive fixpoint with Glue's own repeat/until,
-``unchanged`` termination tests, delta relations held in procedure-local
-relations, and negation-as-difference -- plus a driver procedure that runs
-the strata bottom-up.
+each a uniondiff loop in Glue's own repeat/until -- a round ``:=``-assigns
+the next delta (a procedure local; negation-as-difference drops known
+tuples) and ``+=``-adds it to the relation, until every delta is
+``empty`` -- plus a driver procedure that runs the strata bottom-up.
 
 The generated program is ordinary Glue source: it parses, compiles and
 optimizes through the standard pipeline, which is exactly the paper's
@@ -32,6 +32,8 @@ from repro.lang.ast import (
     AssignStmt,
     CondDisjunction,
     EdbDecl,
+    EmptyCond,
+    ExportDecl,
     ModuleDecl,
     PredSig,
     PredSubgoal,
@@ -39,7 +41,6 @@ from repro.lang.ast import (
     Program,
     RepeatStmt,
     RuleDecl,
-    UnchangedCond,
 )
 from repro.lang.pretty import pretty_program
 from repro.nail.rules import check_rule_safety
@@ -123,9 +124,7 @@ def compile_rules_to_glue(rules: Sequence[RuleDecl]) -> Nail2GlueResult:
 
     items: List[object] = []
     # Export the driver so callers can invoke it by name.
-    items.append(
-        _export([PredSig(name=driver.name, bound=(), free=())])
-    )
+    items.append(ExportDecl(sigs=(PredSig(name=driver.name, bound=(), free=()),)))
     for name, arity in output_preds:
         items.append(EdbDecl(name=name, attrs=tuple(f"A{i}" for i in range(arity))))
     items.extend(procs)
@@ -141,10 +140,27 @@ def compile_rules_to_glue(rules: Sequence[RuleDecl]) -> Nail2GlueResult:
     )
 
 
-def _export(sigs: Sequence[PredSig]):
-    from repro.lang.ast import ExportDecl
+def _assign(pred: Term, args: Sequence[Term], op: str, body, line: int = 0) -> AssignStmt:
+    return AssignStmt(
+        head_pred=Atom(pred), head_args=tuple(args), op=op, body=tuple(body), line=line
+    )
 
-    return ExportDecl(sigs=tuple(sigs))
+
+def _copy(target: str, source: str, arity: int, op: str) -> AssignStmt:
+    """``target(V0, ..) op source(V0, ..).``"""
+    args = _fresh_args(arity)
+    return _assign(target, args, op, (PredSubgoal(pred=Atom(source), args=args),))
+
+
+def _return_true() -> AssignStmt:
+    # Signal success so the driver's conjunction keeps flowing.
+    return AssignStmt(
+        head_pred=Atom("return"),
+        head_args=(),
+        op=":=",
+        body=(PredSubgoal(pred=Atom("true"), args=()),),
+        head_bound=0,
+    )
 
 
 def _compile_stratum(
@@ -153,142 +169,67 @@ def _compile_stratum(
     rules_by_head: Dict[Skeleton, List[RuleDecl]],
 ) -> ProcDecl:
     preds: List[Tuple[str, int]] = sorted({(_head_name(s), s[2]) for s in skeletons})
-    stratum_rules: List[RuleDecl] = []
-    for skeleton in skeletons:
-        stratum_rules.extend(rules_by_head.get(skeleton, ()))
-    stratum_rules.sort(key=lambda r: (str(r.head_pred), r.line))
-
-    same_stratum_names = {(name, arity) for name, arity in preds}
-
-    def recursive_positions(rule: RuleDecl) -> List[int]:
-        positions = []
-        for i, subgoal in enumerate(rule.body):
-            if isinstance(subgoal, PredSubgoal) and not subgoal.negated:
-                skel = pred_skeleton(subgoal.pred, len(subgoal.args))
-                if skel[0] is not None and (skel[0], skel[2]) in same_stratum_names:
-                    positions.append(i)
-        return positions
-
-    base_rules = [r for r in stratum_rules if not recursive_positions(r)]
-    rec_rules = [(r, recursive_positions(r)) for r in stratum_rules if recursive_positions(r)]
+    rules = sorted(
+        (rule for skeleton in skeletons for rule in rules_by_head.get(skeleton, ())),
+        key=lambda r: (str(r.head_pred), r.line),
+    )
+    body: List[object] = []
+    # One seminaive statement per (rule, recursive position): the body with
+    # that literal read from its delta, minus what is already known
+    # (negation = set difference).  Base rules fill the relations directly.
+    steps: List[Tuple[Tuple[str, int], RuleDecl, tuple]] = []
+    for rule in rules:
+        positions = [
+            i
+            for i, subgoal in enumerate(rule.body)
+            if isinstance(subgoal, PredSubgoal)
+            and not subgoal.negated
+            and pred_skeleton(subgoal.pred, len(subgoal.args)) in skeletons
+        ]
+        if not positions:
+            body.append(_assign(rule.head_pred, rule.head_args, "+=", rule.body, rule.line))
+            continue
+        head = (_head_name(pred_skeleton(rule.head_pred, len(rule.head_args))), len(rule.head_args))
+        for position in positions:
+            literal = rule.body[position]
+            name, _chain, arity = pred_skeleton(literal.pred, len(literal.args))
+            delta = PredSubgoal(pred=Atom(_delta_name(name, arity)), args=literal.args)
+            negation = PredSubgoal(pred=Atom(head[0]), args=rule.head_args, negated=True)
+            step_body = rule.body[:position] + (delta,) + rule.body[position + 1 :]
+            steps.append((head, rule, step_body + (negation,)))
 
     locals_: List[EdbDecl] = []
-    for name, arity in preds:
-        attrs = tuple(f"A{i}" for i in range(arity))
-        locals_.append(EdbDecl(name=_delta_name(name, arity), attrs=attrs))
-        locals_.append(EdbDecl(name=_new_name(name, arity), attrs=attrs))
-
-    body: List[object] = []
-    # Base rules populate the output relations directly.
-    for rule in base_rules:
-        body.append(
-            AssignStmt(
-                head_pred=rule.head_pred,
-                head_args=rule.head_args,
-                op="+=",
-                body=rule.body,
-                line=rule.line,
-            )
-        )
-
-    if rec_rules:
-        # Seed the deltas with everything derived so far.
+    if steps:
+        # The uniondiff loop.  With one step, each round overwrites the
+        # delta and adds it to the relation.  With more, a later step must
+        # not read a delta an earlier one overwrote, so the steps write
+        # staging relations that become the next deltas after the round.
+        staged = len(steps) > 1
         for name, arity in preds:
-            args = _fresh_args(arity)
-            body.append(
-                AssignStmt(
-                    head_pred=Atom(_delta_name(name, arity)),
-                    head_args=args,
-                    op=":=",
-                    body=(PredSubgoal(pred=Atom(name), args=args),),
-                )
-            )
-        loop_body: List[object] = []
-        # Clear the per-round "new" relations (X -= X empties a relation
-        # while keeping the head variables bound by the body).
+            attrs = tuple(f"A{i}" for i in range(arity))
+            locals_.append(EdbDecl(name=_delta_name(name, arity), attrs=attrs))
+            if staged:
+                locals_.append(EdbDecl(name=_new_name(name, arity), attrs=attrs))
+            body.append(_copy(_delta_name(name, arity), name, arity, ":="))
+        loop: List[object] = []
+        written: Set[Tuple[str, int]] = set()
+        for head, rule, step_body in steps:
+            target = (_new_name if staged else _delta_name)(*head)
+            op = "+=" if head in written else ":="
+            written.add(head)
+            loop.append(_assign(target, rule.head_args, op, step_body, rule.line))
         for name, arity in preds:
-            args = _fresh_args(arity)
-            new = Atom(_new_name(name, arity))
-            loop_body.append(
-                AssignStmt(
-                    head_pred=new,
-                    head_args=args,
-                    op="-=",
-                    body=(PredSubgoal(pred=new, args=args),),
-                )
-            )
-        # One statement per (rule, recursive position): the seminaive join
-        # with the delta, minus what is already known (negation = set diff).
-        for rule, positions in rec_rules:
-            head_skel = pred_skeleton(rule.head_pred, len(rule.head_args))
-            head_name = _head_name(head_skel)
-            for position in positions:
-                new_body: List[object] = []
-                for i, subgoal in enumerate(rule.body):
-                    if i == position:
-                        assert isinstance(subgoal, PredSubgoal)
-                        skel = pred_skeleton(subgoal.pred, len(subgoal.args))
-                        new_body.append(
-                            PredSubgoal(
-                                pred=Atom(_delta_name(skel[0], skel[2])),
-                                args=subgoal.args,
-                            )
-                        )
-                    else:
-                        new_body.append(subgoal)
-                new_body.append(
-                    PredSubgoal(
-                        pred=Atom(head_name), args=rule.head_args, negated=True
-                    )
-                )
-                loop_body.append(
-                    AssignStmt(
-                        head_pred=Atom(_new_name(head_name, len(rule.head_args))),
-                        head_args=rule.head_args,
-                        op="+=",
-                        body=tuple(new_body),
-                        line=rule.line,
-                    )
-                )
-        # Merge the new tuples and roll the deltas.
-        for name, arity in preds:
-            args = _fresh_args(arity)
-            new = Atom(_new_name(name, arity))
-            loop_body.append(
-                AssignStmt(
-                    head_pred=Atom(name),
-                    head_args=args,
-                    op="+=",
-                    body=(PredSubgoal(pred=new, args=args),),
-                )
-            )
-            loop_body.append(
-                AssignStmt(
-                    head_pred=Atom(_delta_name(name, arity)),
-                    head_args=args,
-                    op=":=",
-                    body=(PredSubgoal(pred=new, args=args),),
-                )
-            )
-        until = CondDisjunction(
-            alternatives=(
-                tuple(
-                    UnchangedCond(pred=Atom(name), arity=arity) for name, arity in preds
-                ),
-            )
+            delta = _delta_name(name, arity)
+            if staged:
+                loop.append(_copy(delta, _new_name(name, arity), arity, ":="))
+            loop.append(_copy(name, delta, arity, "+="))
+        empty = tuple(
+            EmptyCond(pred=Atom(_delta_name(name, arity)), args=(Var("_"),) * arity)
+            for name, arity in preds
         )
-        body.append(RepeatStmt(body=tuple(loop_body), until=until))
+        body.append(RepeatStmt(body=tuple(loop), until=CondDisjunction(alternatives=(empty,))))
 
-    # Signal success so the driver's conjunction keeps flowing.
-    body.append(
-        AssignStmt(
-            head_pred=Atom("return"),
-            head_args=(),
-            op=":=",
-            body=(PredSubgoal(pred=Atom("true"), args=()),),
-            head_bound=0,
-        )
-    )
+    body.append(_return_true())
     return ProcDecl(
         name=f"nail_stratum_{index}",
         bound_params=(),
@@ -302,23 +243,8 @@ def _compile_driver(stratum_procs: Sequence[str]) -> ProcDecl:
     body: List[object] = []
     if stratum_procs:
         subgoals = tuple(PredSubgoal(pred=Atom(name), args=()) for name in stratum_procs)
-        body.append(
-            AssignStmt(
-                head_pred=Atom("done__"),
-                head_args=(),
-                op=":=",
-                body=subgoals,
-            )
-        )
-    body.append(
-        AssignStmt(
-            head_pred=Atom("return"),
-            head_args=(),
-            op=":=",
-            body=(PredSubgoal(pred=Atom("true"), args=()),),
-            head_bound=0,
-        )
-    )
+        body.append(_assign("done__", (), ":=", subgoals))
+    body.append(_return_true())
     return ProcDecl(
         name="nail_eval_all",
         bound_params=(),

@@ -8,12 +8,11 @@ IDB caches can be invalidated when any EDB relation changes.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterator, Optional, Tuple
 
 from repro.obs.tracer import Tracer
 from repro.storage.adaptive import AdaptiveIndexPolicy, IndexPolicy
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, atomically
 from repro.storage.stats import CostCounters
 from repro.terms.term import Atom, Term, is_ground, sort_key
 
@@ -115,17 +114,9 @@ class Database:
         return self._journal
 
     def atomically(self):
-        """A context in which mutations are one implicit transaction.
-
-        With a journal attached and no transaction open, the block runs as
-        one transaction (all of it or none, one WAL commit, one commit
-        notification); inside an open one, or with no journal, it simply
-        joins what is there.
-        """
-        journal = self._journal
-        if journal is None or journal.in_transaction:
-            return nullcontext()
-        return journal.transaction()
+        """A context in which mutations are one implicit transaction (see
+        :func:`repro.storage.relation.atomically`)."""
+        return atomically(self._journal)
 
     # ------------------------------------------------------------------ #
     # catalog

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from contextlib import nullcontext
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -135,6 +136,19 @@ class ChangeLog:
         # column profile) pays for its delta, not the whole window.
         entries = self.entries
         return entries[bisect_right(entries, version, key=itemgetter(0)):]
+
+
+def atomically(journal):
+    """A context in which a journal's mutations are one implicit transaction.
+
+    With a journal and no transaction open, the block runs as one
+    transaction (all of it or none, one WAL commit, one commit
+    notification); inside an open one, or with no journal, it simply joins
+    what is there.
+    """
+    if journal is None or journal.in_transaction:
+        return nullcontext()
+    return journal.transaction()
 
 
 class Relation:
@@ -498,8 +512,9 @@ class Relation:
         new_set = dict.fromkeys(new_rows)
         if new_set.keys() == self._rows.keys():
             return
-        self.clear()
-        self.insert_trusted(new_set)  # validated above
+        with atomically(self.journal):
+            self.clear()
+            self.insert_trusted(new_set)  # validated above
 
     def __contains__(self, row: Row) -> bool:
         return tuple(row) in self._rows

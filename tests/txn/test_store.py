@@ -22,13 +22,20 @@ def reopen(directory):
 
 @pytest.fixture
 def fail_next_fsync(monkeypatch):
+    """Arm a one-shot fsync failure: the next fsync made while ``when()``
+    holds raises (by default the very next one)."""
     real_fsync = os.fsync
 
-    def failing_fsync(fd):
+    def failing_fsync(fd, when):
+        if not when():
+            return real_fsync(fd)
         monkeypatch.setattr(os, "fsync", real_fsync)
         raise OSError("injected fsync failure")
 
-    return lambda: monkeypatch.setattr(os, "fsync", failing_fsync)
+    def arm(when=lambda: True):
+        monkeypatch.setattr(os, "fsync", lambda fd: failing_fsync(fd, when))
+
+    return arm
 
 
 class TestAutocommit:
@@ -163,6 +170,43 @@ class TestFailedCommit:
         with pytest.raises(OSError, match="injected"):
             edge.insert_new([(Num(n), Num(n + 1)) for n in range(4)])
         self.assert_nothing_left(store, tmp_path)
+
+
+class TestReplace:
+    """``Relation.replace`` outside a transaction clears and refills as one
+    implicit transaction: one WAL commit, and the old rows or the new."""
+
+    OLD = [(Num(1), Num(2)), (Num(2), Num(3))]
+    NEW = (Num(7), Num(8))
+
+    def open_store(self, directory):
+        store = DurableStore(str(directory))
+        edge = store.db.declare("edge", 2)
+        edge.insert_new(self.OLD)
+        return store, edge
+
+    def test_one_commit_and_one_fsync(self, tmp_path):
+        store, edge = self.open_store(tmp_path)
+        commits, fsyncs = store.wal.commits, store.wal.fsyncs
+        edge.replace([self.NEW])
+        assert (store.wal.commits - commits, store.wal.fsyncs - fsyncs) == (1, 1)
+        store.close()
+        fresh = reopen(tmp_path)
+        assert rows_of(fresh.db, "edge", 2) == [self.NEW]
+        fresh.close()
+
+    def test_a_failed_fsync_keeps_the_old_rows(self, tmp_path, fail_next_fsync):
+        store, edge = self.open_store(tmp_path)
+        # Fail the fsync that would make the new row durable; were the clear
+        # its own commit, this would be the second fsync of the replace.
+        fail_next_fsync(when=lambda: self.NEW in edge)
+        with pytest.raises(OSError, match="injected"):
+            edge.replace([self.NEW])
+        assert rows_of(store.db, "edge", 2) == self.OLD
+        store.close()
+        fresh = reopen(tmp_path)
+        assert rows_of(fresh.db, "edge", 2) == self.OLD
+        fresh.close()
 
 
 class TestWritingCall:
