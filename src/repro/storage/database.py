@@ -8,6 +8,7 @@ IDB caches can be invalidated when any EDB relation changes.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterator, Optional, Tuple
 
 from repro.obs.tracer import Tracer
@@ -203,11 +204,13 @@ class Database:
     def facts(self, name, rows) -> int:
         """Insert many facts as one batch; returns the number genuinely new.
 
-        Every row is lifted before any is stored, and the rows are stored
-        as one implicit transaction (see :meth:`atomically`).
+        Every row is lifted before any is stored; each run of same-arity
+        rows is one bulk insert, and all of them are one implicit
+        transaction (see :meth:`atomically`).
         """
         from repro.terms.term import mk
 
         lifted = [tuple(mk(v) for v in row) for row in rows]
         with self.atomically():
-            return sum(1 for row in lifted if self.relation(name, len(row)).insert(row))
+            runs = groupby(lifted, key=len)
+            return sum(len(self.relation(name, n).insert_new(run)) for n, run in runs)

@@ -36,17 +36,20 @@ class HashIndex:
     def add(self, row: Row) -> None:
         self._buckets.setdefault(self.key_of(row), []).append(row)
 
-    def remove(self, row: Row) -> None:
-        key = self.key_of(row)
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return
-        try:
-            bucket.remove(row)
-        except ValueError:
-            return
-        if not bucket:
-            del self._buckets[key]
+    def remove_many(self, rows: Iterable[Row]) -> None:
+        """Remove a batch of rows, each bucket filtered in one pass; absent
+        rows are ignored."""
+        doomed: dict = {}
+        for row in rows:
+            doomed.setdefault(self.key_of(row), set()).add(row)
+        buckets = self._buckets
+        for key, gone in doomed.items():
+            bucket = buckets.get(key)
+            if bucket is None:
+                continue
+            bucket[:] = [row for row in bucket if row not in gone]
+            if not bucket:
+                del buckets[key]
 
     def probe(self, key: Row) -> Iterator[Row]:
         """Yield rows whose projection equals ``key``."""

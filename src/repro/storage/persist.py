@@ -11,13 +11,17 @@ round-trips exactly.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.storage.database import Database
 from repro.terms.printer import term_to_str
 from repro.terms.term import Term
 
 _HEADER = "% Glue-Nail EDB dump (format 1)"
+
+# Journal op tuples: ("insert", name, row) | ("delete", name, row)
+#                  | ("declare", name, arity) | ("drop", name, arity)
+Op = tuple
 
 
 def fact_to_line(name: Term, row: tuple) -> str:
@@ -80,47 +84,27 @@ def save_database(db: Database, path: str) -> int:
     return count
 
 
-class InsertBatches:
-    """Rows held back per relation, then inserted as one batch each.
-
-    Rows are ground Term tuples.  Each goes to the relation of its name and
-    length, declared on first sight, so the catalog order and each
-    relation's row order are those of inserting the rows one at a time.
-    """
-
-    def __init__(self, db: Database):
-        self.db = db
-        self._held: dict = {}  # (name, arity) -> (relation, rows)
-
-    def add(self, name: Term, row: tuple) -> None:
-        batch = self._held.get((name, len(row)))
-        if batch is None:
-            batch = self._held[name, len(row)] = (self.db.relation(name, len(row)), [])
-        batch[1].append(row)
-
-    def flush(self, key=None) -> None:
-        """Insert the rows held for ``key`` = ``(name, arity)``, or for every
-        relation when ``key`` is None."""
-        for each in list(self._held) if key is None else [key]:
-            batch = self._held.pop(each, None)
-            if batch is not None:
-                batch[0].insert_trusted(batch[1])
-
-
 def load_database(path: str, db: Optional[Database] = None) -> Database:
     """Load a dump produced by :func:`save_database` into ``db`` (or a new one).
 
-    Fact lines are read by one :class:`~repro.lang.facts.FactScanner`, and
-    each relation receives its rows as one batch once the whole file has
-    been read, so a bad line raises before any row is inserted.
+    Fact lines are read by one :class:`~repro.lang.facts.FactScanner` and
+    applied by :func:`apply_ops`.  A dump's ``% rel`` line
+    comes before its relation's rows, so each relation receives its rows as
+    one batch once the whole file has been read, and a bad line raises
+    before any row is inserted.
     """
+    if db is None:
+        db = Database()
+    apply_ops(db, _dump_ops(path))
+    return db
+
+
+def _dump_ops(path: str) -> Iterator[Op]:
+    """The declare and insert ops of a dump, in file order."""
     from repro.lang.facts import FactScanner
     from repro.lang.parser import parse_directive_rel
 
-    if db is None:
-        db = Database()
     scan = FactScanner().scan
-    batches = InsertBatches(db)
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -129,13 +113,65 @@ def load_database(path: str, db: Optional[Database] = None) -> Database:
             if line.startswith("%"):
                 declared = parse_directive_rel(line)
                 if declared is not None:
-                    name, arity = declared
-                    db.declare(name, arity)
+                    yield ("declare", *declared)
                 continue
             try:
                 name, row = scan(line)
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: bad fact line: {line!r}") from exc
-            batches.add(name, row)
-    batches.flush()
-    return db
+            yield ("insert", name, row)
+
+
+def apply_op(db: Database, op: Op) -> None:
+    """Apply one journal op to ``db``; every case is idempotent."""
+    kind = op[0]
+    if kind == "insert":
+        db.relation(op[1], len(op[2])).insert(op[2])
+    elif kind == "delete":
+        relation = db.get(op[1], len(op[2]))
+        if relation is not None:
+            relation.delete(op[2])
+    elif kind == "declare":
+        db.declare(op[1], op[2])
+    elif kind == "drop":
+        db.drop(op[1], op[2])
+    else:  # pragma: no cover - the WAL parser and the journal share the vocabulary
+        raise ValueError(f"unknown journal op {kind!r}")
+
+
+def apply_ops(db: Database, ops: Iterable[Op]) -> None:
+    """Apply journal ops to ``db`` in order, with the result of
+    :func:`apply_op` on each in turn.
+
+    Row ops are held back per relation, and each run of same-kind ones is
+    one bulk call (``Relation.insert_trusted`` / ``delete_many``): a
+    relation's held run goes in before any other op touches that relation,
+    and every run at the end.  WAL replay, checkpoint load and rollback all
+    apply their ops through here.
+    """
+    held: dict = {}  # (name, arity) -> (kind, relation or None, rows)
+
+    def flush(key) -> None:
+        kind, relation, rows = held.pop(key, (None, None, None))
+        if relation is None:
+            return  # nothing held, or deletes from an absent relation
+        if kind == "insert":
+            relation.insert_trusted(rows)
+        else:
+            relation.delete_many(rows)
+
+    for op in ops:
+        kind, name, detail = op
+        if kind == "insert" or kind == "delete":
+            key = (name, len(detail))
+            run = held.get(key)
+            if run is None or run[0] != kind:
+                flush(key)
+                relation = db.relation(*key) if kind == "insert" else db.get(*key)
+                run = held[key] = (kind, relation, [])
+            run[2].append(detail)
+        else:
+            flush((name, detail))
+            apply_op(db, op)
+    for key in list(held):
+        flush(key)

@@ -197,9 +197,9 @@ class Relation:
         # Database.declare; None for free-standing relations, which the
         # batch kernels then leave to the row engine.
         self.columnar = None
-        # MVCC snapshot state (see repro.mvcc): while ``_rows_shared`` a
-        # frozen clone aliases ``_rows``, so the next mutation copies the
-        # dict first; ``_frozen`` caches the clone for the current version;
+        # MVCC snapshot state (see repro.mvcc): ``_rows_shared`` marks a
+        # ``_rows`` that a frozen clone and its live relation may both hold,
+        # so the next change copies it first; ``_frozen`` caches the clone;
         # ``_immutable`` marks the clone itself (mutations are an error).
         self._rows_shared = False
         self._frozen: Optional["Relation"] = None
@@ -261,21 +261,25 @@ class Relation:
     # immutable snapshots (MVCC read path, see repro.mvcc)
     # ------------------------------------------------------------------ #
 
-    def _cow(self) -> None:
-        """Copy-on-write barrier: detach from any frozen clone's rows.
-
-        Called at the top of every mutation path.  A dict copy is one
-        C-level pass over row pointers, paid once per written relation per
-        frozen generation; unwritten relations never pay it.  The live
-        indexes keep working unchanged -- they hold row tuples, not dict
-        references -- while the clone (which starts with no indexes)
-        builds its own lazily over the shared, now-immutable dict.
-        """
+    def _writable(self) -> None:
         if self._immutable:
             raise ValueError(
                 f"relation {self.name}/{self.arity} is a frozen snapshot; "
                 "mutate the live relation instead"
             )
+
+    def _cow(self) -> None:
+        """Copy-on-write barrier: detach from any frozen clone's rows.
+
+        Called by the two mutation paths once a row actually changes, so a
+        batch of duplicates or absent rows leaves the dict shared.  A dict
+        copy is one C-level pass over row pointers, paid once per written
+        relation per frozen generation.  The live indexes keep working
+        unchanged -- they hold row tuples, not dict references -- while the
+        clone (which starts with no indexes) builds its own lazily over the
+        shared, now-immutable dict.
+        """
+        self._writable()
         if self._rows_shared:
             self._rows = dict(self._rows)
             self._rows_shared = False
@@ -329,7 +333,7 @@ class Relation:
         clone.uid = self.uid
         clone._changelog = self._changelog.copy()
         clone.columnar = self.columnar
-        clone._rows_shared = False
+        clone._rows_shared = True
         clone._frozen = None
         clone._immutable = True
         self._rows_shared = True
@@ -353,22 +357,7 @@ class Relation:
 
     def insert(self, row: Row) -> bool:
         """Insert a tuple; returns True when it was genuinely new."""
-        row = self._check_row(row)
-        if row in self._rows:
-            self.counters.duplicate_inserts += 1
-            return False
-        self._cow()
-        self._rows[row] = None
-        self.counters.inserts += 1
-        for index in self._indexes.values():
-            index.add(row)
-        self._changed()
-        self._profile_add((row,))
-        if self._changelog is not None:
-            self._changelog.record(self._version, "+", (row,))
-        if self.journal is not None:
-            self.journal.record_inserts(self, (row,))
-        return True
+        return bool(self.insert_trusted((self._check_row(row),)))
 
     def _profile_add(self, rows, column_values=None) -> None:
         """Keep a live column profile current across an insert.
@@ -418,21 +407,28 @@ class Relation:
         return self.insert_trusted([check(row) for row in rows])
 
     def insert_trusted(self, rows: Iterable[Row], column_values=None) -> list:
-        """:meth:`insert_new` without the per-value re-check.
+        """:meth:`insert_new` without the per-value re-check: the one path
+        that stores rows.
 
         The caller guarantees every row is a tuple of ground Terms of this
         relation's arity -- rows decoded from interned ids (the seminaive
-        merge, ``uniondiff``) or already validated.  Everything else is
-        the bulk path: one copy-on-write barrier, duplicates skipped in
-        first-occurrence order, indexes maintained per new row, then one
-        version bump, one listener notification, one profile update (see
-        :meth:`_profile_add` for ``column_values``) and one change-log entry
-        for the batch, and last one journal call with the new rows.
+        merge, ``uniondiff``) or already validated.  Duplicates are skipped
+        in first-occurrence order and indexes maintained per new row; then,
+        once per batch and only if a row is new, the copy-on-write barrier,
+        one version bump, one listener notification, one profile update
+        (see :meth:`_profile_add` for ``column_values``) and one change-log
+        entry, and last one journal call with the new rows.
         """
-        self._cow()
+        stored = self._rows
+        if self._rows_shared:
+            rows = list(rows)
+            if all(row in stored for row in rows):
+                self.counters.duplicate_inserts += len(rows)
+                return []
+            self._cow()
+            stored = self._rows
         new: list = []
         append = new.append
-        stored = self._rows
         size = len(stored)
         total = 0
         for row in rows:
@@ -455,50 +451,62 @@ class Relation:
             self._profile_add(new, column_values)
             if self._changelog is not None:
                 self._changelog.record(self._version, "+", new)
-            # Journal last, as insert() does: an autocommitted batch reaches
-            # commit observers only once its version and change-log entry
-            # exist, so their caches see the rows as a change.
+            # Journal last: an autocommitted batch reaches commit observers
+            # only once its version and change-log entry exist, so their
+            # caches see the rows as a change.
             if self.journal is not None:
                 self.journal.record_inserts(self, new)
         return new
 
     def delete(self, row: Row) -> bool:
-        row = tuple(row)
-        if row not in self._rows:
-            return False
-        self._cow()
-        del self._rows[row]
-        self.counters.deletes += 1
-        for index in self._indexes.values():
-            index.remove(row)
-        self.stats.profile = None  # distinct counts cannot shrink in place
-        self._changed()
-        if self._changelog is not None:
-            self._changelog.record(self._version, "-", (row,))
-        if self.journal is not None:
-            self.journal.record_deletes(self, (row,))
-        return True
+        return self.delete_many((row,)) == 1
 
     def delete_many(self, rows: Iterable[Row]) -> int:
-        # Materialize first: callers may pass iterators over this relation.
-        return sum(1 for row in list(rows) if self.delete(row))
+        """Delete many rows; returns how many were present: the one path
+        that removes rows.
 
-    def clear(self) -> None:
-        if not self._rows:
-            return
-        self._cow()
-        watched = self.journal is not None or self._changelog is not None
-        dropped = list(self._rows) if watched else None
-        self.counters.deletes += len(self._rows)
-        self._rows.clear()
-        for index in self._indexes.values():
-            index.clear()
+        Like :meth:`insert_trusted`, the bookkeeping is once per batch and
+        only if a row goes: the copy-on-write barrier, one version bump and
+        listener notification, the column profile dropped (distinct counts
+        cannot shrink in place), one change-log entry, and last one journal
+        call, so outside a transaction the batch is one implicit one.
+        """
+        stored = self._rows
+        if rows is stored:  # clear(): every row goes, none needs a test
+            count = len(stored)
+            watched = self._changelog is not None or self.journal is not None
+            gone = list(stored) if watched else None
+        else:
+            # Materialize first: callers may pass iterators over this relation.
+            gone = [row for row in dict.fromkeys(map(tuple, rows)) if row in stored]
+            count = len(gone)
+        if not count:
+            return 0
+        if count == len(stored):
+            # Every row goes: a fresh dict, so no frozen clone's is copied.
+            self._writable()
+            self._rows = {}
+            self._rows_shared = False
+            for index in list(self._indexes.values()):
+                index.clear()
+        else:
+            self._cow()
+            stored = self._rows
+            for row in gone:
+                del stored[row]
+            for index in list(self._indexes.values()):
+                index.remove_many(gone)
+        self.counters.deletes += count
         self.stats.profile = None
         self._changed()
         if self._changelog is not None:
-            self._changelog.record(self._version, "-", dropped)
+            self._changelog.record(self._version, "-", gone)
         if self.journal is not None:
-            self.journal.record_deletes(self, dropped)
+            self.journal.record_deletes(self, gone)
+        return count
+
+    def clear(self) -> None:
+        self.delete_many(self._rows)
 
     def replace(self, rows: Iterable[Row]) -> None:
         """Clearing assignment ``:=``: overwrite the contents.

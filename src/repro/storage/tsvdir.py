@@ -67,7 +67,8 @@ def save_tsv_dir(db: Database, directory: str) -> int:
 
 
 def load_tsv_dir(directory: str, db: Optional[Database] = None) -> Database:
-    """Load every ``*.facts`` file in ``directory`` into ``db`` (or a new DB)."""
+    """Load every ``*.facts`` file in ``directory`` into ``db`` (or a new DB),
+    one bulk insert per file."""
     from repro.lang.parser import parse_term
 
     if db is None:
@@ -79,6 +80,7 @@ def load_tsv_dir(directory: str, db: Optional[Database] = None) -> Database:
         name, arity = _decode_stem(stem)
         relation = db.relation(name, arity)
         path = os.path.join(directory, filename)
+        rows = []
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
@@ -90,8 +92,8 @@ def load_tsv_dir(directory: str, db: Optional[Database] = None) -> Database:
                         f"{path}:{lineno}: expected {arity} fields, got {len(fields)}"
                     )
                 try:
-                    row = tuple(parse_term(field) for field in fields)
+                    rows.append(tuple(parse_term(field) for field in fields))
                 except Exception as exc:
                     raise ValueError(f"{path}:{lineno}: bad term: {exc}") from exc
-                relation.insert(row)
+        relation.insert_new(rows)
     return db

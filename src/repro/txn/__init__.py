@@ -16,9 +16,10 @@ durable, transactional store:
   compaction.
 """
 
+from repro.storage.persist import apply_op
 from repro.txn.manager import TransactionError, TransactionManager
 from repro.txn.store import CHECKPOINT_FILE, WAL_FILE, DurableStore
-from repro.txn.wal import WAL_HEADER, WriteAheadLog, apply_op, format_op, replay_wal
+from repro.txn.wal import WAL_HEADER, WriteAheadLog, format_op, replay_wal
 
 __all__ = [
     "CHECKPOINT_FILE",

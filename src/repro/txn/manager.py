@@ -10,15 +10,19 @@ The :class:`TransactionManager` is the mutation journal a
 :class:`~repro.storage.database.Database` dispatches to (created and
 attached by ``db.transactions()``):
 
-* outside a transaction, each journal call -- one row, or all the rows of
-  one bulk insert or ``clear`` -- is **autocommitted** as one implicit
-  transaction: forwarded straight to the write-ahead log as one batch;
-* inside a transaction, mutations accumulate an in-memory **undo log**
-  (applied in reverse on rollback) and a **redo batch** that reaches the
-  WAL -- in one durable append -- only on commit.
+* outside a transaction, each journal call -- a declare, a drop, or the
+  rows of one bulk insert or delete -- is **autocommitted** as one
+  implicit transaction: forwarded straight to the write-ahead log as one
+  batch;
+* inside a transaction, mutations accumulate an in-memory **undo log** and
+  a **redo batch** that reaches the WAL -- in one durable append -- only
+  on commit.
 
-A commit the WAL cannot make durable is rolled back before its error
-propagates, autocommits included: a failed commit leaves no state behind.
+Rollback inverts the undo log, newest first, and applies it through
+:func:`~repro.storage.persist.apply_ops`, the applier of WAL replay and
+checkpoint load: one bulk call per run of same-kind ops.  A commit the WAL cannot
+make durable is rolled back the same way before its error propagates,
+autocommits included: a failed commit leaves no state behind.
 
 The manager is single-writer by design: the query server makes every
 mutation inside its write window, and the embedded single-user case has
@@ -31,11 +35,12 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import GlueRuntimeError
 from repro.storage.database import Database
-from repro.txn.wal import Op, WriteAheadLog
+from repro.storage.persist import Op, apply_ops
+from repro.txn.wal import WriteAheadLog
 
 
 class TransactionError(GlueRuntimeError):
@@ -181,37 +186,20 @@ class TransactionManager:
             self.rollbacks += 1
 
     def _undo_all(self, ops: List[tuple]) -> None:
+        """Reverse journaled ops, newest first, through :func:`apply_ops`.
+
+        Going through the relations' own bulk paths (not raw row storage)
+        matters for cache coherence: each relation's version and change log
+        record the compensation, so the NAIL! engine's incremental
+        maintenance sees the insert/delete pairs cancel and keeps every
+        derived relation cached across a rollback.  A run of same-kind ops
+        is one change-log entry, so this holds whatever the row count.
+        """
         self._suspended = True
         try:
-            for op in reversed(ops):
-                self._apply_undo(op)
+            apply_ops(self.db, _inverse(ops))
         finally:
             self._suspended = False
-
-    def _apply_undo(self, op) -> None:
-        """Reverse one journaled op through the normal mutation paths.
-
-        Going through ``Relation.insert``/``delete`` (not raw row storage)
-        matters for cache coherence: the relation's version and row-level
-        change journal record the compensation, so the NAIL! engine's
-        incremental maintenance sees the insert/delete pairs cancel and
-        keeps every derived relation cached across a rollback.
-        """
-        kind = op[0]
-        if kind == "insert":
-            relation = self.db.get(op[1], len(op[2]))
-            if relation is not None:
-                relation.delete(op[2])
-        elif kind == "delete":
-            self.db.relation(op[1], len(op[2])).insert(op[2])
-        elif kind == "declare":
-            self.db.drop(op[1], op[2])
-        elif kind == "drop":
-            # Bulk restore: one version bump and one change-journal batch
-            # for the whole extension instead of one per row.
-            self.db.declare(op[1], op[2]).insert_new(op[3])
-        else:  # pragma: no cover - vocabulary is closed
-            raise ValueError(f"unknown undo op {kind!r}")
 
     @contextmanager
     def transaction(self):
@@ -225,3 +213,18 @@ class TransactionManager:
             raise
         else:
             self.commit()
+
+
+_INVERSE = {"insert": "delete", "delete": "insert", "declare": "drop"}
+
+
+def _inverse(ops: List[tuple]) -> Iterator[Op]:
+    """The ops that undo ``ops``, newest first: insert and delete swap, a
+    declare is dropped, and a drop is redeclared with its rows reinserted."""
+    for op in reversed(ops):
+        if op[0] == "drop":
+            yield ("declare", op[1], op[2])
+            for row in op[3]:
+                yield ("insert", op[1], row)
+        else:
+            yield (_INVERSE[op[0]], op[1], op[2])

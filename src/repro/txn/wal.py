@@ -35,17 +35,13 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.storage.database import Database
-from repro.storage.persist import InsertBatches, fact_to_line, fsync_directory
+from repro.storage.persist import Op, apply_ops, fact_to_line, fsync_directory
 from repro.terms.printer import term_to_str
 
 WAL_HEADER = "% Glue-Nail WAL (format 1)"
-
-# Op tuples: ("insert", name, row) | ("delete", name, row)
-#          | ("declare", name, arity) | ("drop", name, arity)
-Op = tuple
 
 _TXN_RE = re.compile(r"%\s*txn\s+(\d+)\s*\Z")
 _COMMIT_RE = re.compile(r"%\s*commit\s+(\d+)\s*\Z")
@@ -202,35 +198,6 @@ def _parse_op(line: str, scan) -> Optional[Op]:
     return None
 
 
-def apply_op(db: Database, op: Op) -> None:
-    """Apply one redo op to ``db``; every case is idempotent."""
-    kind = op[0]
-    if kind == "insert":
-        db.relation(op[1], len(op[2])).insert(op[2])
-    elif kind == "delete":
-        relation = db.get(op[1], len(op[2]))
-        if relation is not None:
-            relation.delete(op[2])
-    elif kind == "declare":
-        db.declare(op[1], op[2])
-    elif kind == "drop":
-        db.drop(op[1], op[2])
-    else:  # pragma: no cover - format_op and _parse_op share the vocabulary
-        raise ValueError(f"unknown journal op {kind!r}")
-
-
-def _redo(db: Database, batches: InsertBatches, ops: List[Op]) -> None:
-    """Apply one committed batch, holding its inserts back in ``batches``."""
-    for op in ops:
-        kind, name, detail = op
-        if kind == "insert":
-            batches.add(name, detail)
-        else:
-            # Held rows go in before anything else touches their relation.
-            batches.flush((name, len(detail) if kind == "delete" else detail))
-            apply_op(db, op)
-
-
 def replay_wal(path: str, db: Database) -> Tuple[int, int]:
     """Replay every *complete* committed batch of ``path`` into ``db``.
 
@@ -240,54 +207,57 @@ def replay_wal(path: str, db: Database) -> Tuple[int, int]:
     allowed to lose.  Any journal attached to ``db`` is suspended for the
     duration so recovery does not re-log itself.
 
-    Fact lines are read by one :class:`~repro.lang.facts.FactScanner`.
-    Committed inserts are held back per relation until another op touches
-    that relation or the log ends, so a run of inserts costs one bulk
-    insert per relation; the result is that of applying each op in turn.
+    Fact lines are read by one :class:`~repro.lang.facts.FactScanner`, and
+    the committed ops of the whole log go through
+    :func:`~repro.storage.persist.apply_ops`, so a
+    run of inserts (or deletes) costs one bulk call per relation.
     """
     from repro.lang.facts import FactScanner
 
     scan = FactScanner().scan
-    batches = InsertBatches(db)
+    txns = ops_applied = 0
+
+    def committed_ops(handle) -> Iterator[Op]:
+        nonlocal txns, ops_applied
+        pending_tid: Optional[int] = None
+        pending_ops: List[Op] = []
+        for raw in handle:
+            line = raw.strip()
+            if not line or line == WAL_HEADER:
+                continue
+            started = _TXN_RE.match(line)
+            if started:
+                pending_tid = int(started.group(1))
+                pending_ops = []
+                continue
+            committed = _COMMIT_RE.match(line)
+            if committed:
+                if pending_tid is not None and int(committed.group(1)) == pending_tid:
+                    txns += 1
+                    ops_applied += len(pending_ops)
+                    yield from pending_ops
+                pending_tid = None
+                pending_ops = []
+                continue
+            if pending_tid is None:
+                continue  # op outside any batch: stale tail, skip
+            try:
+                op = _parse_op(line, scan)
+            except Exception:
+                # A torn line can only be the crash-interrupted tail; its
+                # batch has no commit marker, so drop it.
+                pending_tid = None
+                pending_ops = []
+                continue
+            if op is not None:
+                pending_ops.append(op)
+
     journal = db.journal
     if journal is not None:
         db.attach_journal(None)
-    txns = ops_applied = 0
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            pending_tid: Optional[int] = None
-            pending_ops: List[Op] = []
-            for raw in handle:
-                line = raw.strip()
-                if not line or line == WAL_HEADER:
-                    continue
-                started = _TXN_RE.match(line)
-                if started:
-                    pending_tid = int(started.group(1))
-                    pending_ops = []
-                    continue
-                committed = _COMMIT_RE.match(line)
-                if committed:
-                    if pending_tid is not None and int(committed.group(1)) == pending_tid:
-                        _redo(db, batches, pending_ops)
-                        txns += 1
-                        ops_applied += len(pending_ops)
-                    pending_tid = None
-                    pending_ops = []
-                    continue
-                if pending_tid is None:
-                    continue  # op outside any batch: stale tail, skip
-                try:
-                    op = _parse_op(line, scan)
-                except Exception:
-                    # A torn line can only be the crash-interrupted tail;
-                    # its batch has no commit marker, so drop it.
-                    pending_tid = None
-                    pending_ops = []
-                    continue
-                if op is not None:
-                    pending_ops.append(op)
-        batches.flush()
+            apply_ops(db, committed_ops(handle))
     finally:
         if journal is not None:
             db.attach_journal(journal)

@@ -248,7 +248,7 @@ class Machine:
                     raise GlueRuntimeError(
                         f"{proc.name}: input arity {len(row)} != bound arity {proc.bound_arity}"
                     )
-                frame.in_rel.insert(row)
+            frame.in_rel.insert_new(input_rows)
             try:
                 for stmt in proc.body:
                     self.exec_stmt(stmt, frame)

@@ -32,16 +32,26 @@ class TestHashIndex:
     def test_remove(self):
         index = HashIndex((0,))
         index.add(row(1, "a"))
-        index.remove(row(1, "a"))
+        index.remove_many([row(1, "a")])
         assert index.probe_count((Num(1),)) == 0
-        index.remove(row(1, "a"))  # absent: no error
+        index.remove_many([row(1, "a")])  # absent: no error
 
     def test_remove_keeps_other_rows_in_bucket(self):
         index = HashIndex((0,))
         index.add(row(1, "a"))
         index.add(row(1, "b"))
-        index.remove(row(1, "a"))
+        index.remove_many([row(1, "a")])
         assert index.probe_count((Num(1),)) == 1
+
+    @pytest.mark.parametrize("doomed", [3, 12])
+    def test_remove_many_keeps_the_rest_in_order(self, doomed):
+        index = HashIndex((0,))
+        index.bulk_load([row(1, n) for n in range(20)] + [row(2, 0)])
+        index.remove_many([row(1, n) for n in range(0, 2 * doomed, 2)]
+                          + [row(1, 99), row(3, 0), row(2, 0)])
+        kept = [row(1, n) for n in range(20) if n % 2 or n >= 2 * doomed]
+        assert list(index.probe((Num(1),))) == kept
+        assert index.probe_count((Num(2),)) == 0 and (Num(2),) not in index.buckets_view()
 
     def test_bulk_load_returns_count(self):
         index = HashIndex((1,))

@@ -544,3 +544,57 @@ class TestTrustedBulkInsert:
         with pytest.raises(ValueError):
             r.insert_new([row(1, 2), (Num(1), Var("X"))])
         assert len(r) == 0 and r.version == 0
+
+
+class TestBulkDelete:
+    """``delete_many`` is the one path that removes rows: one batch, like
+    ``insert_trusted``, whatever calls it."""
+
+    class Journal:
+        def __init__(self):
+            self.deleted = []
+
+        def record_deletes(self, relation, rows):
+            self.deleted.append(list(rows))
+
+    def test_one_version_bump_listener_call_changelog_entry_and_journal_call(self):
+        calls = []
+        r = rel(listener=calls.append)
+        r.insert_new([row(i, i + 1) for i in range(5)])
+        r.track_changes()
+        r.journal = self.Journal()
+        v = r.version
+        assert r.delete_many([row(1, 2), row(3, 4), row(1, 2), row(9, 9)]) == 2
+        assert r.version == v + 1
+        assert calls == [r, r]
+        assert len(r._changelog.entries) == 1
+        assert r.changes_since(v) == ([], [row(1, 2), row(3, 4)])
+        assert r.journal.deleted == [[row(1, 2), row(3, 4)]]
+        assert r.counters.deletes == 2
+        assert list(r.rows()) == [row(0, 1), row(2, 3), row(4, 5)]
+
+    def test_indexes_follow_a_partial_and_a_total_delete(self):
+        r = rel()
+        r.insert_new([row(1, 2), row(1, 3), row(2, 3), row(1, 4)])
+        index = r.build_index((0,))
+        r.delete_many([row(1, 3), row(2, 3)])
+        assert index.bucket((Num(1),)) == [row(1, 2), row(1, 4)]
+        assert index.bucket((Num(2),)) == ()
+        r.clear()
+        assert len(r) == 0 and len(index) == 0
+
+    def test_copy_on_write_only_when_a_row_changes(self):
+        r = rel()
+        r.insert_new([row(1, 2), row(2, 3)])
+        frozen = r.freeze()
+        r.insert(row(1, 2))
+        r.insert_new([row(2, 3), row(1, 2)])
+        r.delete(row(9, 9))
+        r.delete_many([row(8, 8), row(9, 9)])
+        assert r._rows is frozen._rows
+        assert r.version == frozen.version
+        r.clear()  # every row goes: nothing to copy, the clone keeps its rows
+        assert list(frozen.rows()) == [row(1, 2), row(2, 3)]
+        assert len(r) == 0
+        with pytest.raises(ValueError):
+            frozen.delete_many([row(1, 2)])

@@ -185,11 +185,13 @@ class TestIdbDelivery:
         system.facts("edge", [(1, 2)])
         notes = []
         system.subscribe("path", 2, callback=collect(notes))
-        # Shrink the changelog window so the next burst overflows it.
+        # Shrink the changelog window so the next burst of batches (one
+        # entry each, whatever their row count) overflows it.
         monkeypatch.setattr(relation_module, "MAX_CHANGELOG_ENTRIES", 2)
         before = system.db.counters.idb_resyncs
         system.begin()
-        system.facts("edge", [(n, n + 1) for n in range(2, 8)])
+        for n in range(2, 8):
+            system.fact("edge", n, n + 1)
         system.commit()
         assert system.db.counters.idb_resyncs > before
         # Delivery stayed exact: the rebuild path diffs snapshots.

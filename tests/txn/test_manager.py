@@ -3,6 +3,7 @@
 import pytest
 
 from repro.storage.database import Database
+from repro.storage.relation import MAX_CHANGELOG_ENTRIES
 from repro.terms.term import Atom, Num
 from repro.txn.manager import TransactionError, TransactionManager
 
@@ -173,3 +174,58 @@ class TestSystemFacade:
         assert "transaction rolled back" in text
         assert "(2, 3)" not in text
         assert "error:" in text  # .commit with no open transaction
+
+
+class TestBigBatchesKeepTheIdbCache:
+    """A batch is one change-log entry whatever its row count, so a batch
+    of more rows than the log keeps entries still repairs (or, rolled back,
+    keeps) the cached IDB instead of rebuilding it."""
+
+    PROGRAM = """
+    edb cites(A, B);
+    edb retracted(A, B);
+    reach(X, Y) :- cites(X, Y).
+    reach(X, Z) :- reach(X, Y) & cites(Y, Z).
+    proc retract(:X, Y)
+      cites(X, Y) -= retracted(X, Y).
+      return(:X, Y) := retracted(X, Y).
+    end
+    """
+    BIG = [(1000 + i, 9000 + i) for i in range(2 * MAX_CHANGELOG_ENTRIES)]
+
+    def system(self):
+        from repro.core.system import GlueNailSystem
+
+        system = GlueNailSystem().load(self.PROGRAM)
+        system.facts("cites", [(i, i + 1) for i in range(20)])
+        assert len(system.query("reach(X, Y)?").rows) == 210
+        return system
+
+    def idb_work(self, system):
+        counters = system.counters
+        return (counters.idb_delta_repairs, counters.idb_resyncs,
+                counters.idb_invalidations)
+
+    def test_a_big_facts_batch_is_one_repair(self):
+        system = self.system()
+        system.facts("cites", self.BIG)
+        assert len(system.query("reach(X, Y)?").rows) == 210 + len(self.BIG)
+        assert self.idb_work(system) == (1, 0, 0)
+
+    def test_rolling_a_big_batch_back_does_no_idb_work(self):
+        system = self.system()
+        system.begin()
+        system.facts("cites", self.BIG)
+        system.rollback()
+        assert len(system.query("reach(X, Y)?").rows) == 210
+        assert self.idb_work(system) == (0, 0, 0)
+
+    def test_a_big_glue_delete_needs_no_resync(self):
+        system = self.system()
+        system.facts("cites", self.BIG)
+        system.facts("retracted", self.BIG)
+        system.query("reach(X, Y)?")
+        resyncs = system.counters.idb_resyncs
+        system.call("retract")
+        assert len(system.query("reach(X, Y)?").rows) == 210
+        assert system.counters.idb_resyncs == resyncs

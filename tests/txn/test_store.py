@@ -171,6 +171,25 @@ class TestFailedCommit:
             edge.insert_new([(Num(n), Num(n + 1)) for n in range(4)])
         self.assert_nothing_left(store, tmp_path)
 
+    def test_autocommit_bulk_delete(self, tmp_path, fail_next_fsync):
+        rows = [(Num(n), Num(n + 1)) for n in range(4)]
+        store = DurableStore(str(tmp_path))
+        edge = store.db.declare("edge", 2)
+        edge.insert_new(rows)
+        # Fail the fsync made once row 1 is gone; were each row its own
+        # commit, this would be the second fsync of the delete.
+        fail_next_fsync(when=lambda: rows[1] not in edge)
+        with pytest.raises(OSError, match="injected"):
+            edge.delete_many(rows)
+        assert rows_of(store.db, "edge", 2) == rows
+        store.close()
+        store = reopen(tmp_path)
+        assert rows_of(store.db, "edge", 2) == rows
+        commits, fsyncs = store.wal.commits, store.wal.fsyncs
+        assert store.db.get("edge", 2).delete_many(rows) == 4
+        assert (store.wal.commits - commits, store.wal.fsyncs - fsyncs) == (1, 1)
+        self.assert_nothing_left(store, tmp_path)
+
 
 class TestReplace:
     """``Relation.replace`` outside a transaction clears and refills as one

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.database import Database
+from repro.storage.persist import apply_op
 from repro.terms.term import Atom, Num
-from repro.txn.wal import WAL_HEADER, WriteAheadLog, apply_op, format_op, replay_wal
+from repro.txn.wal import WAL_HEADER, WriteAheadLog, format_op, replay_wal
 
 
 @pytest.fixture
@@ -203,6 +204,33 @@ class TestBatchedReplay:
         db = Database()
         assert replay_wal(wal_path, db) == (5, 10)
         assert db.get("edge", 2).version == db.get("node", 1).version == 1
+
+
+class TestBatchedRollback:
+    @given(st.lists(_ops(), max_size=8), st.lists(_ops(), max_size=16))
+    @settings(max_examples=200, deadline=None)
+    def test_rollback_restores_the_state_before_begin(self, setup, ops):
+        """Batched undo leaves the catalog and every relation's rows as they
+        were before ``begin``, and each relation still in the catalog nets
+        to no change since then, so caches keyed on it stay valid."""
+        db = Database()
+        for op in setup:
+            apply_op(db, op)
+        manager = db.transactions()
+        before = {}
+        for key, relation in db.items():
+            relation.track_changes()
+            before[key] = (relation, relation.version, set(relation.rows()))
+        manager.begin()
+        for op in ops:
+            apply_op(db, op)
+        manager.rollback()
+        assert set(db.keys()) == set(before)
+        for key, (relation, version, rows) in before.items():
+            now = db.get(*key)
+            assert set(now.rows()) == rows
+            if now is relation:  # not dropped and restored as a new object
+                assert relation.changes_since(version) == ([], [])
 
 
 class TestTidContinuity:
