@@ -29,33 +29,37 @@ Durable, multi-client use (see :mod:`repro.txn` and :mod:`repro.server`)::
     # gluenail serve --db state/   +   gluenail connect   on the CLI
 """
 
-from repro import obs
-from repro.core.query import rows_to_python, term_to_python
-from repro.core.result import QueryResult
-from repro.core.system import GlueNailSystem
-from repro.errors import CompileError, GlueNailError, GlueRuntimeError, UnsafeRuleError
-from repro.obs.query_stats import QueryStats
-from repro.storage.database import Database
-from repro.terms.term import Atom, Compound, Num, Term, Var, mk
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Atom",
-    "CompileError",
-    "Compound",
-    "Database",
-    "GlueNailError",
-    "GlueNailSystem",
-    "GlueRuntimeError",
-    "Num",
-    "QueryResult",
-    "QueryStats",
-    "Term",
-    "UnsafeRuleError",
-    "Var",
-    "mk",
-    "obs",
-    "rows_to_python",
-    "term_to_python",
-]
+# The quick-start names, each resolved from its defining module on first
+# access (PEP 562), so that ``import repro`` loads no submodule.
+_HOMES = {
+    "Atom": "repro.terms.term",
+    "CompileError": "repro.errors",
+    "Compound": "repro.terms.term",
+    "Database": "repro.storage.database",
+    "GlueNailError": "repro.errors",
+    "GlueNailSystem": "repro.core.system",
+    "GlueRuntimeError": "repro.errors",
+    "Num": "repro.terms.term",
+    "QueryResult": "repro.core.result",
+    "QueryStats": "repro.obs.query_stats",
+    "Term": "repro.terms.term",
+    "UnsafeRuleError": "repro.errors",
+    "Var": "repro.terms.term",
+    "mk": "repro.terms.term",
+    "rows_to_python": "repro.core.query",
+    "term_to_python": "repro.core.query",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(home), name)
+    return value

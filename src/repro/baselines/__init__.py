@@ -19,35 +19,3 @@ runnable:
   :class:`~repro.storage.adaptive.AlwaysIndexPolicy` -- the degenerate
   indexing policies around the adaptive one; experiment E5.
 """
-
-from repro.baselines.extensional_sets import (
-    ExtensionalSetError,
-    flatten_set_of_sets,
-    ldl_group,
-    make_set,
-    set_member,
-    set_union,
-    set_unify,
-    sets_equal_extensional,
-)
-from repro.baselines.reference import (
-    Oracles,
-    reference_engine,
-    reference_server,
-    reference_system,
-)
-
-__all__ = [
-    "ExtensionalSetError",
-    "Oracles",
-    "flatten_set_of_sets",
-    "ldl_group",
-    "make_set",
-    "reference_engine",
-    "reference_server",
-    "reference_system",
-    "set_member",
-    "set_union",
-    "set_unify",
-    "sets_equal_extensional",
-]

@@ -11,22 +11,3 @@ baseline (``reference_system(row_engine=True)`` in
 cost counters (see :mod:`repro.col.kernels` for the parity contract), so
 the two are interchangeable everywhere.
 """
-
-from repro.col.atoms import AtomTable
-from repro.col.batch import Batch, project_batch
-from repro.col.kernels import (
-    ColumnarContext,
-    run_broadcast,
-    run_member,
-    run_probe,
-)
-
-__all__ = [
-    "AtomTable",
-    "Batch",
-    "ColumnarContext",
-    "project_batch",
-    "run_broadcast",
-    "run_member",
-    "run_probe",
-]

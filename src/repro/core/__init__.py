@@ -1,6 +1,1 @@
 """The public Glue-Nail API: the system facade, query helpers, and CLI."""
-
-from repro.core.system import GlueNailSystem
-from repro.core.query import rows_to_python, term_to_python
-
-__all__ = ["GlueNailSystem", "rows_to_python", "term_to_python"]

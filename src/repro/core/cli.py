@@ -145,7 +145,8 @@ def cmd_repl(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.server import GlueNailServer, set_gc_policy
+    from repro.server.gcpolicy import set_gc_policy
+    from repro.server.server import GlueNailServer
 
     set_gc_policy()
     program = None

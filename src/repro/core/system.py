@@ -303,7 +303,7 @@ class GlueNailSystem:
     def enable_snapshots(self, store=None):
         """Give this system an MVCC snapshot read path; returns the store.
 
-        Wraps ``self.db`` in a :class:`~repro.mvcc.SnapshotRouter` (a
+        Wraps ``self.db`` in a :class:`~repro.mvcc.router.SnapshotRouter` (a
         ``Database``-shaped facade), so every layer that reaches storage
         through the system's database handle -- the NAIL! engine, the Glue
         VM, the optimizer, the columnar kernels -- evaluates against a
@@ -312,7 +312,7 @@ class GlueNailSystem:
         systems over the same database (the query server does this so all
         sessions pin the same published versions).  Idempotent.
         """
-        from repro.mvcc import SnapshotRouter
+        from repro.mvcc.router import SnapshotRouter
 
         if isinstance(self.db, SnapshotRouter):
             return self.db.store

@@ -1,21 +1,2 @@
 """Glue run-time semantics: aggregate operators, built-in procedures and
 scalar functions (paper Sections 2, 3.3, 4)."""
-
-from repro.glue.aggregates import AGGREGATES, apply_aggregate
-from repro.glue.builtins import (
-    BUILTIN_PROCS,
-    BuiltinProc,
-    compare_terms,
-    eval_function,
-    term_arith,
-)
-
-__all__ = [
-    "AGGREGATES",
-    "BUILTIN_PROCS",
-    "BuiltinProc",
-    "apply_aggregate",
-    "compare_terms",
-    "eval_function",
-    "term_arith",
-]

@@ -6,22 +6,3 @@ set attributes are equal when their names match -- a string comparison --
 and member-level equality is an explicit operation (the paper's ``set_eq``
 procedure), which this package also provides as a library function.
 """
-
-from repro.hilog.sets import (
-    SET_EQ_GLUE_SOURCE,
-    member_rows,
-    set_eq,
-    set_insert,
-    set_name,
-)
-from repro.hilog.params import specialize_rule, specialize_rules
-
-__all__ = [
-    "SET_EQ_GLUE_SOURCE",
-    "member_rows",
-    "set_eq",
-    "set_insert",
-    "set_name",
-    "specialize_rule",
-    "specialize_rules",
-]

@@ -6,80 +6,3 @@ procedures and NAIL! rules, thus allowing the programmer to group predicates
 by function, rather than by type").  Glue assignment statements use the
 operators ``:=``, ``+=``, ``-=`` and ``+=[keys]``; NAIL! rules use ``:-``.
 """
-
-from repro.lang.ast import (
-    AggCall,
-    AssignStmt,
-    BinOp,
-    CompareSubgoal,
-    CondDisjunction,
-    EdbDecl,
-    EmptyCond,
-    ExportDecl,
-    FunCall,
-    GroupBySubgoal,
-    ImportDecl,
-    ModuleDecl,
-    PredSig,
-    PredSubgoal,
-    ProcDecl,
-    Program,
-    RepeatStmt,
-    RuleDecl,
-    UnaryOp,
-    UnchangedCond,
-    UnionSubgoal,
-    UpdateSubgoal,
-)
-from repro.lang.lexer import LexError, tokenize
-from repro.lang.parser import (
-    ParseError,
-    parse_directive_rel,
-    parse_ground_fact,
-    parse_module,
-    parse_program,
-    parse_query,
-    parse_rule,
-    parse_statement,
-    parse_term,
-)
-from repro.lang.pretty import pretty_program, pretty_statement, pretty_subgoal
-
-__all__ = [
-    "AggCall",
-    "AssignStmt",
-    "BinOp",
-    "CompareSubgoal",
-    "CondDisjunction",
-    "EdbDecl",
-    "EmptyCond",
-    "ExportDecl",
-    "FunCall",
-    "GroupBySubgoal",
-    "ImportDecl",
-    "LexError",
-    "ModuleDecl",
-    "ParseError",
-    "PredSig",
-    "PredSubgoal",
-    "ProcDecl",
-    "Program",
-    "RepeatStmt",
-    "RuleDecl",
-    "UnaryOp",
-    "UnchangedCond",
-    "UnionSubgoal",
-    "UpdateSubgoal",
-    "parse_directive_rel",
-    "parse_ground_fact",
-    "parse_module",
-    "parse_program",
-    "parse_query",
-    "parse_rule",
-    "parse_statement",
-    "parse_term",
-    "pretty_program",
-    "pretty_statement",
-    "pretty_subgoal",
-    "tokenize",
-]

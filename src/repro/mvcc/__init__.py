@@ -15,8 +15,3 @@ serializes writers only.  It is the server's only read path.
   through the pinned snapshot (per thread) and routes everything else to
   the live database
 """
-
-from repro.mvcc.router import SnapshotRouter
-from repro.mvcc.store import Snapshot, VersionStore
-
-__all__ = ["Snapshot", "SnapshotRouter", "VersionStore"]

@@ -9,23 +9,3 @@ NAIL!-to-Glue compiler (:mod:`repro.nail.nail2glue`) emits equivalent Glue
 code, which is the paper's headline integration ("NAIL! code is compiled
 into Glue code").
 """
-
-from repro.nail.rules import RuleInfo, check_rule_safety, prepare_rules
-from repro.nail.engine import NailEngine
-from repro.nail.naive import naive_eval
-from repro.nail.seminaive import seminaive_eval
-from repro.nail.magic import MagicTransformError, magic_transform
-from repro.nail.nail2glue import Nail2GlueError, compile_rules_to_glue
-
-__all__ = [
-    "MagicTransformError",
-    "Nail2GlueError",
-    "NailEngine",
-    "RuleInfo",
-    "check_rule_safety",
-    "compile_rules_to_glue",
-    "magic_transform",
-    "naive_eval",
-    "prepare_rules",
-    "seminaive_eval",
-]

@@ -27,7 +27,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.bindings import expr_has_agg
-from repro.col import Batch, project_batch, run_broadcast, run_member, run_probe
+from repro.col.batch import Batch, project_batch
+from repro.col.kernels import run_broadcast, run_member, run_probe
 from repro.errors import GlueRuntimeError
 from repro.glue.aggregates import apply_aggregate
 from repro.glue.builtins import compare_terms, eval_function, term_arith
@@ -43,7 +44,9 @@ from repro.lang.ast import (
 )
 from repro.nail.rules import JoinPlanner, RuleInfo
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.opt import LiteralPlan, Plan, PlanCache, trace_join
+from repro.opt.cache import PlanCache
+from repro.opt.literal import LiteralPlan, trace_join
+from repro.opt.plan import Plan
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.relation import Relation
 from repro.terms.matching import instantiate, match, match_tuple, substitute
@@ -717,7 +720,7 @@ class HeadBatch:
     interned id columns (one per head argument; there is at least one).
 
     What :func:`derive_heads` returns for a columnar batch, so the
-    seminaive merge can dedup on ids (``repro.storage.uniondiff_ids``)
+    seminaive merge can dedup on ids (``repro.storage.uniondiff.uniondiff_ids``)
     and build Terms for new rows only.  Iterating decodes to the
     ``(name, row)`` pairs every other head shape derives to.
     """

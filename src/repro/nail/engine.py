@@ -31,7 +31,8 @@ from repro.nail.bodyeval import RowsFn, cost_plan
 from repro.nail.naive import naive_eval
 from repro.nail.rules import RuleInfo, compute_stratum_supports, prepare_rules
 from repro.nail.seminaive import DeltaRelation, seminaive_eval
-from repro.opt import Plan, PlanCache
+from repro.opt.cache import PlanCache
+from repro.opt.plan import Plan
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.relation import Relation

@@ -120,7 +120,7 @@ def order_body_for_evaluation(rule: RuleDecl) -> RuleDecl:
     e.g. in ``tc(G)(X, Z) :- tc(G)(X, Y) & e(G, Y, Z)`` the EDB literal
     runs first to bind the family parameter ``G``.
     """
-    from repro.opt import optimize
+    from repro.opt.passes import optimize
 
     ordered = optimize(rule.body).ordered_body
     if ordered == rule.body:

@@ -21,7 +21,7 @@ from repro.lang.ast import PredSubgoal
 from repro.nail.bodyeval import HeadBatch, RowsFn, derive_heads, eval_rule_body_batch
 from repro.nail.rules import RuleInfo
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.opt import PlanCache
+from repro.opt.cache import PlanCache
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.stats import CostCounters

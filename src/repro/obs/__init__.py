@@ -12,35 +12,3 @@ The subsystem has three parts:
 * :mod:`repro.obs.report` -- renderers for EXPLAIN ANALYZE reports and
   REPL profiles.
 """
-
-from repro.obs.query_stats import QueryStats
-from repro.obs.report import (
-    format_event,
-    format_event_tree,
-    render_batch_kernel_table,
-    render_explain_analyze,
-    render_profile,
-)
-from repro.obs.tracer import (
-    NULL_TRACER,
-    CollectingSink,
-    JsonLinesSink,
-    TraceEvent,
-    Tracer,
-    TraceSink,
-)
-
-__all__ = [
-    "CollectingSink",
-    "JsonLinesSink",
-    "NULL_TRACER",
-    "QueryStats",
-    "TraceEvent",
-    "TraceSink",
-    "Tracer",
-    "format_event",
-    "format_event_tree",
-    "render_batch_kernel_table",
-    "render_explain_analyze",
-    "render_profile",
-]

@@ -10,33 +10,3 @@ readers-writer lock (:mod:`repro.server.rwlock`), the wire protocol
 policy (:mod:`repro.server.gcpolicy`).  ``gluenail serve`` / ``gluenail
 connect`` are the CLI entry points.
 """
-
-from repro.server.client import (
-    Client,
-    ClientNotification,
-    ClientSubscription,
-    ConnectionClosed,
-    RemoteError,
-    RemoteResult,
-)
-from repro.server.gcpolicy import set_gc_policy
-from repro.server.protocol import ProtocolError, decode, encode
-from repro.server.rwlock import RWLock
-from repro.server.server import DEFAULT_PORT, GlueNailServer, Session
-
-__all__ = [
-    "Client",
-    "ClientNotification",
-    "ClientSubscription",
-    "ConnectionClosed",
-    "DEFAULT_PORT",
-    "GlueNailServer",
-    "ProtocolError",
-    "RWLock",
-    "RemoteError",
-    "RemoteResult",
-    "Session",
-    "decode",
-    "encode",
-    "set_gc_policy",
-]

@@ -39,7 +39,7 @@ from typing import Optional
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_query
-from repro.mvcc import VersionStore
+from repro.mvcc.store import VersionStore
 from repro.server.gcpolicy import gc_stats
 from repro.server.protocol import (
     ProtocolError,

@@ -8,30 +8,3 @@ support compiled recursive queries, and adaptive run-time index creation
 selection by scanning the relation reaches the cost of creating the
 index").
 """
-
-from repro.storage.stats import CostCounters, ThreadLocalCounters
-from repro.storage.index import HashIndex
-from repro.storage.adaptive import AdaptiveIndexPolicy, AlwaysIndexPolicy, NeverIndexPolicy
-from repro.storage.relation import Relation
-from repro.storage.uniondiff import uniondiff
-from repro.storage.database import Database, PredKey, pred_key
-from repro.storage.persist import load_database, save_database
-from repro.storage.tsvdir import load_tsv_dir, save_tsv_dir
-
-__all__ = [
-    "AdaptiveIndexPolicy",
-    "AlwaysIndexPolicy",
-    "CostCounters",
-    "Database",
-    "HashIndex",
-    "NeverIndexPolicy",
-    "PredKey",
-    "Relation",
-    "ThreadLocalCounters",
-    "load_database",
-    "load_tsv_dir",
-    "pred_key",
-    "save_database",
-    "save_tsv_dir",
-    "uniondiff",
-]

@@ -3,23 +3,3 @@
 See :mod:`repro.sub.manager` for the design and ``docs/SUBSCRIPTIONS.md``
 for the user-facing guarantees.
 """
-
-from repro.sub.manager import MAX_CASCADE, Subscription, SubscriptionManager
-from repro.sub.queue import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_RESYNC,
-    DeliveryQueue,
-    Notification,
-)
-
-__all__ = [
-    "DeliveryQueue",
-    "MAX_CASCADE",
-    "Notification",
-    "OP_DELETE",
-    "OP_INSERT",
-    "OP_RESYNC",
-    "Subscription",
-    "SubscriptionManager",
-]

@@ -8,46 +8,3 @@ not just an atom.  Variables appear only in programs, never inside stored
 relations: relations hold completely ground tuples, so the engine uses
 *matching*, not full unification.
 """
-
-from repro.terms.term import (
-    Atom,
-    Compound,
-    Num,
-    Term,
-    Var,
-    fresh_var,
-    is_ground,
-    mk,
-    sort_key,
-    variables,
-)
-from repro.terms.matching import (
-    MatchError,
-    instantiate,
-    match,
-    match_tuple,
-    rename_apart,
-    substitute,
-)
-from repro.terms.printer import term_to_str, tuple_to_str
-
-__all__ = [
-    "Atom",
-    "Compound",
-    "MatchError",
-    "Num",
-    "Term",
-    "Var",
-    "fresh_var",
-    "instantiate",
-    "is_ground",
-    "match",
-    "match_tuple",
-    "mk",
-    "rename_apart",
-    "sort_key",
-    "substitute",
-    "term_to_str",
-    "tuple_to_str",
-    "variables",
-]

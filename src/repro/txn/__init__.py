@@ -15,21 +15,3 @@ durable, transactional store:
   (checkpoint dump + WAL) with open-time recovery and checkpoint
   compaction.
 """
-
-from repro.storage.persist import apply_op
-from repro.txn.manager import TransactionError, TransactionManager
-from repro.txn.store import CHECKPOINT_FILE, WAL_FILE, DurableStore
-from repro.txn.wal import WAL_HEADER, WriteAheadLog, format_op, replay_wal
-
-__all__ = [
-    "CHECKPOINT_FILE",
-    "DurableStore",
-    "TransactionError",
-    "TransactionManager",
-    "WAL_FILE",
-    "WAL_HEADER",
-    "WriteAheadLog",
-    "apply_op",
-    "format_op",
-    "replay_wal",
-]

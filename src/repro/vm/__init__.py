@@ -11,50 +11,3 @@ break is visible in the cost counters.  The set-at-a-time strategy the
 paper compares against is the ``materialized`` baseline of
 :class:`repro.oracles.Oracles`.
 """
-
-from repro.vm.plan import (
-    AggStep,
-    BindStep,
-    CallStep,
-    CompareStep,
-    CompiledProc,
-    CompiledProgram,
-    CompiledRepeat,
-    CompiledStmt,
-    DynamicStep,
-    EmptyStep,
-    GroupByStep,
-    NegScanStep,
-    PredRef,
-    ScanStep,
-    TruthStep,
-    UnchangedStep,
-    UpdateStep,
-)
-from repro.vm.compiler import ProgramCompiler, compile_program
-from repro.vm.machine import ExecContext, Frame, Machine
-
-__all__ = [
-    "AggStep",
-    "BindStep",
-    "CallStep",
-    "CompareStep",
-    "CompiledProc",
-    "CompiledProgram",
-    "CompiledRepeat",
-    "CompiledStmt",
-    "DynamicStep",
-    "EmptyStep",
-    "ExecContext",
-    "Frame",
-    "GroupByStep",
-    "Machine",
-    "NegScanStep",
-    "PredRef",
-    "ProgramCompiler",
-    "ScanStep",
-    "TruthStep",
-    "UnchangedStep",
-    "UpdateStep",
-    "compile_program",
-]

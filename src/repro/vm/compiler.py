@@ -45,8 +45,8 @@ from repro.lang.ast import (
     WatchDecl,
     walk_statements,
 )
-from repro.opt import DEFAULT_COST_PIPELINE, PlanCache
-from repro.opt import optimize as plan_body
+from repro.opt.cache import PlanCache
+from repro.opt.passes import DEFAULT_COST_PIPELINE, optimize as plan_body
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan as OptPlan
 from repro.oracles import PRODUCT, Oracles
@@ -201,7 +201,7 @@ class ProgramCompiler:
         self.oracles = oracles
         # Run-time plans and variants of statements marked for re-planning.
         self.plans = PlanCache(counters)
-        # (pred, arity) -> something repro.opt.coerce_snapshot understands
+        # (pred, arity) -> something repro.opt.stats.coerce_snapshot understands
         # (a Relation, a snapshot, a row count, or None for unknown).
         # Resolved per plan, so run-time re-planning sees live cardinalities.
         self.stats_source = stats_source

@@ -575,7 +575,9 @@ class UpdateStep(Step):
     """An EDB-updating body subgoal ``++p``/``--p`` (barrier).
 
     Inserts are ground per-row instantiations; deletes accept anonymous
-    variables as wildcards and remove all matching tuples.
+    variables as wildcards and remove all matching tuples.  Each relation
+    the subgoal touches gets one batch: one ``insert_new`` or one
+    ``delete_many``, so one version bump and one change-log entry.
     """
 
     op: str  # "++" or "--"
@@ -587,30 +589,29 @@ class UpdateStep(Step):
     is_barrier = True
 
     def materialize_apply(self, rows, rt, frame):
-        if not rows:
-            return []
-        # Apply each distinct instantiation once.
-        seen = {}
+        # Each distinct instantiation once, grouped by predicate name.
+        batches: Dict[Term, Dict[Row, None]] = {}
         for row in rows:
             name = self.name_fn(row) if self.name_fn is not None else self.ref.pred
-            seen[(name, self.pattern_fn(row))] = None
-        for name, patterns in seen:
+            batches.setdefault(name, {})[self.pattern_fn(row)] = None
+        for name, batch in batches.items():
             relation = rt.resolve_relation(self.ref, name, frame, for_update=True)
+            ground, wild = [], []
+            for patterns in batch:
+                (ground if all(map(is_ground, patterns)) else wild).append(patterns)
             if self.op == "++":
-                if not all(is_ground(p) for p in patterns):
+                if wild:
                     raise GlueRuntimeError(f"++{name}: insert needs ground arguments")
-                relation.insert(patterns)
-            else:
-                # Delete all tuples matching the (possibly wildcard) pattern.
-                matches = [row_ for row_ in relation.rows() if _matches(patterns, row_)]
-                relation.delete_many(matches)
+                relation.insert_new(ground)
+                continue
+            # A ground pattern is a row; only wildcard patterns need a scan.
+            if wild:
+                ground += [
+                    row for row in relation.rows()
+                    if any(match_tuple(patterns, row) is not None for patterns in wild)
+                ]
+            relation.delete_many(ground)
         return rows
-
-
-def _matches(patterns: Tuple[Term, ...], row: Row) -> bool:
-    from repro.terms.matching import match_tuple
-
-    return match_tuple(patterns, row) is not None
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Tests for fixedness analysis, and that reordering never changes results.
 
-The ordering rules themselves are tested against ``repro.opt.optimize`` in
+The ordering rules themselves are tested against ``repro.opt.passes.optimize`` in
 tests/opt/test_ordering.py."""
 
 from repro.analysis.fixedness import is_aggregating_subgoal, is_fixed_subgoal

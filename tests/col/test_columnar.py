@@ -213,7 +213,7 @@ class TestGlueDifferential:
 
 class TestBatchKernelTracing:
     def test_batch_kernel_events_fire(self):
-        from repro.obs import CollectingSink
+        from repro.obs.tracer import CollectingSink
 
         system = make_system(PATH)
         system.facts("edge", [(i, i + 1) for i in range(20)])
@@ -233,7 +233,7 @@ class TestBatchKernelTracing:
         assert any(e.attrs.get("cache") == "hit" for e in kernels)
 
     def test_row_mode_emits_no_kernel_events(self):
-        from repro.obs import CollectingSink
+        from repro.obs.tracer import CollectingSink
 
         system = make_system(PATH, row_engine=True)
         system.facts("edge", [(i, i + 1) for i in range(20)])
@@ -252,7 +252,7 @@ class TestBatchKernelTracing:
         assert "Batch kernels (columnar execution)" in report
 
     def test_glue_probe_kernel_event(self):
-        from repro.obs import CollectingSink
+        from repro.obs.tracer import CollectingSink
 
         system = make_system()
         system.facts("r", random_edges(10, 30, seed=2))

@@ -8,9 +8,11 @@ through ``repro.baselines.reference``; the layers below take one
 published MVCC snapshot), so it has no lock-serialized read mode either.
 Parameters no caller sets are gone too, and every ``__all__`` name
 resolves (ruff's F822, checked without ruff), and the product imports
-nothing beyond the standard library.
+nothing beyond the standard library.  Package ``__init__`` files import
+nothing, so an import loads only the modules it names and theirs.
 """
 
+import ast
 import importlib
 import inspect
 import io
@@ -34,7 +36,7 @@ from repro.nail.naive import naive_eval
 from repro.nail.nail2glue import compile_rules_to_glue
 from repro.nail.rules import check_rule_safety
 from repro.nail.seminaive import seminaive_eval
-from repro.opt import optimize
+from repro.opt.passes import optimize
 from repro.server.server import GlueNailServer
 from repro.vm.compiler import ProgramCompiler
 from repro.vm.machine import ExecContext
@@ -103,13 +105,64 @@ print(sorted(loaded - {"repro"} - set(sys.stdlib_module_names)))
 """
 
 
-def test_product_imports_only_the_standard_library():
+def _python(script: str, *args: str) -> str:
+    """What ``script`` prints in a fresh interpreter that imports from src/."""
     src = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_product_imports_only_the_standard_library():
+    assert _python(STDLIB_ONLY).strip() == "[]"
+
+
+LOADED = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(" ".join(name for name in sys.modules if name.startswith("repro")))
+"""
+
+
+def _loaded_by(module: str) -> set:
+    """The ``repro`` modules a fresh interpreter holds after one import."""
+    return set(_python(LOADED, module).split())
+
+
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # The client speaks JSON: it needs no engine.
+        ("repro.server.client",
+         ("repro.nail", "repro.vm", "repro.lang", "repro.storage", "repro.core.system")),
+        # Modules that one command needs load when that command runs.
+        ("repro.core.cli",
+         ("repro.lang.pretty", "repro.nail.nail2glue", "repro.obs.report",
+          "repro.server.client", "repro.core.repl", "repro.baselines")),
+    ],
+    ids=["client", "cli"],
+)
+def test_an_import_loads_only_what_it_uses(module, unloaded):
+    loaded = _loaded_by(module)
+    assert module in loaded
+    assert not sorted(
+        name for name in loaded
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in unloaded)
+    )
+
+
+def test_package_init_files_import_nothing():
+    packages = Path(repro.__file__).parent.glob("*/__init__.py")
+    importing = sorted(
+        init.parent.name
+        for init in packages
+        if any(isinstance(node, (ast.Import, ast.ImportFrom))
+               for node in ast.walk(ast.parse(init.read_text())))
+    )
+    assert not importing
+    assert _loaded_by("repro") == {"repro"}
 
 
 def test_server_has_no_lock_read_mode():

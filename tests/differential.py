@@ -15,7 +15,8 @@ from collections import Counter
 
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
-from repro.lang import AssignStmt, RepeatStmt, RuleDecl, parse_program
+from repro.lang.ast import AssignStmt, RepeatStmt, RuleDecl
+from repro.lang.parser import parse_program
 from repro.terms.term import mk
 from tests.oracle.evaluator import Oracle, OracleError, Outside, canon
 

@@ -3,7 +3,7 @@
 Each body runs once as a NAIL! rule (``d(D)`` supplies the bound
 variable) and once as a Glue statement ``return(...) := in(D) & body``.
 The rows must be equal, every ``join`` strategy label must come from
-:data:`repro.opt.JOIN_STRATEGIES`, and the labels the two engines give
+:data:`repro.opt.literal.JOIN_STRATEGIES`, and the labels the two engines give
 the literal under test must match -- except for the two choices only the
 Glue VM makes (constant-only keys probe per row; a fully bound positive
 literal is a ``member`` test), which are pinned here as documented.
@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.query import rows_to_python
 from repro.lang.parser import parse_term
-from repro.obs import CollectingSink
-from repro.opt import JOIN_STRATEGIES
+from repro.obs.tracer import CollectingSink
+from repro.opt.literal import JOIN_STRATEGIES
 from tests.conftest import make_system
 
 FACTS = {

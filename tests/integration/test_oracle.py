@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.lang import parse_term
+from repro.lang.parser import parse_term
 from tests.differential import (
     FAILED,
     TALLY,

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import GlueNailSystem
-from repro.mvcc import SnapshotRouter, VersionStore
+from repro.mvcc.router import SnapshotRouter
+from repro.mvcc.store import VersionStore
 from repro.storage.relation import Relation
 from repro.storage.stats import COUNTER_FIELDS
 from repro.terms.term import mk

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.col import Batch
+from repro.col.batch import Batch
 from repro.errors import GlueRuntimeError
 from repro.lang.parser import parse_rule
 from repro.nail.bodyeval import derive_heads, eval_expr_bindings, eval_rule_body_batch

@@ -19,7 +19,9 @@ from repro.baselines.reference import reference_system
 from repro.lang.ast import UpdateSubgoal
 from repro.lang.parser import parse_program, parse_statement
 from repro.lang.pretty import pretty_subgoal
-from repro.opt import Plan, RelationSnapshot, optimize
+from repro.opt.passes import optimize
+from repro.opt.plan import Plan
+from repro.opt.stats import RelationSnapshot
 from repro.storage.relation import Relation
 from repro.terms.term import Atom, Num
 from repro.vm.plan import ScanStep

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import sys
 import threading
+import traceback
 
 from repro.core.query import rows_to_python
 from repro.core.system import GlueNailSystem
 from repro.lang.parser import parse_program
-from repro.opt import PlanCache
+from repro.opt.cache import PlanCache
 from tests.conftest import make_system
 from tests.differential import agree, product_rows
 from tests.oracle.evaluator import canon
@@ -165,7 +166,7 @@ class TestVariantRace:
                 for _ in range(5):
                     system.run_script()
             except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+                errors.append("".join(traceback.format_exception(exc)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -178,7 +179,7 @@ class TestVariantRace:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert not errors
+        assert not errors, "\n".join(errors)
         (entry,) = compiler.plans.entries()
         assert len(recompiles) == 1 and entry.built is not stmt
         assert str(entry.plan.ordered_body[0].pred) == "small"

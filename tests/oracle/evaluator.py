@@ -46,11 +46,11 @@ import operator
 import re
 import sqlite3
 
-from repro.lang import (
+from repro.lang.ast import (
     AggCall, AssignStmt, BinOp, CompareSubgoal, EdbDecl, EmptyCond, GroupBySubgoal,
-    PredSubgoal, RepeatStmt, RuleDecl, UnaryOp, UnchangedCond, parse_program,
+    PredSubgoal, RepeatStmt, RuleDecl, UnaryOp, UnchangedCond, Var,
 )
-from repro.lang.ast import Var
+from repro.lang.parser import parse_program
 from repro.terms.printer import term_to_str
 
 ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -130,7 +130,8 @@ def test_design_tree_matches_the_source():
 def _live_stats_keys(tmp_path) -> set:
     """Top-level keys of a `stats` reply from a durable server whose
     session has compiled rules, so every optional block is present."""
-    from repro.server import Client, GlueNailServer
+    from repro.server.client import Client
+    from repro.server.server import GlueNailServer
 
     with GlueNailServer(db_dir=str(tmp_path), program="p(X) :- q(X).").start() as server:
         with Client(port=server.port, timeout=30) as client:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.query import rows_to_python
 from repro.errors import CompileError
+from repro.storage.relation import MAX_CHANGELOG_ENTRIES
 from tests.conftest import make_system
 
 
@@ -217,6 +218,36 @@ class TestBodies:
             facts={"target": [(1,)], "data": [(1, "a"), (1, "b"), (2, "c")]},
         )
         assert rel(system, "data", 2) == [(2, "c")]
+
+
+class TestUpdateSubgoalBatches:
+    """An update subgoal applies its instantiations to a relation as one
+    batch: one version bump, so a materialized NAIL! view over a change
+    bigger than the change log repairs from one delta, not a resync."""
+
+    ROWS = MAX_CHANGELOG_ENTRIES + 1
+
+    @pytest.mark.parametrize(
+        "subgoal, left",
+        [("++p(X, nil)", 2 * ROWS), ("--p(X, X)", 0), ("--p(X, _)", 0)],
+    )
+    def test_one_version_bump_per_subgoal(self, subgoal, left):
+        system = run(
+            f"reach(X) :- p(X, _).\ndone(X) := src(X) & {subgoal}.",
+            facts={"src": [(i,) for i in range(self.ROWS)],
+                   "p": [(i, i) for i in range(self.ROWS)]},
+            script=False,
+        )
+        assert len(system.query("reach(X)?").rows) == self.ROWS
+        p = system.db.relation("p", 2)
+        version = p.version
+        system.run_script()
+        assert p.version == version + 1
+        assert len(p) == left
+        assert len(system.query("reach(X)?").rows) == (self.ROWS if left else 0)
+        if subgoal.startswith("++"):
+            assert system.counters.idb_delta_repairs == 1
+            assert system.counters.idb_resyncs == 0
 
 
 class TestAggregates:
