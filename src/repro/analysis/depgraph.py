@@ -9,19 +9,21 @@ LDL and CORAL also make, paper Section 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.bindings import expr_has_agg
 from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.lang.ast import CompareSubgoal, PredSubgoal, RuleDecl
 
 
-@dataclass
 class DependencyGraph:
-    # head skeleton -> {body skeleton: negative?}; every node is a key
-    edges: Dict[Skeleton, Dict[Skeleton, bool]]
-    rules_by_head: Dict[Skeleton, List[RuleDecl]] = field(default_factory=dict)
+    __slots__ = ("edges", "rules_by_head")
+
+    def __init__(self, edges: Dict[Skeleton, Dict[Skeleton, bool]],
+                 rules_by_head: Optional[Dict[Skeleton, List[RuleDecl]]] = None) -> None:
+        # head skeleton -> {body skeleton: negative?}; every node is a key
+        self.edges = edges
+        self.rules_by_head = {} if rules_by_head is None else rules_by_head
 
     def sccs(self) -> List[Set[Skeleton]]:
         """Strongly connected components in dependency (topological) order:

@@ -11,10 +11,10 @@ calls."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Dict, List, Optional, Tuple
 
+from repro.record import Record
 from repro.terms.term import Atom, Compound, Term, Var
 
 
@@ -62,17 +62,21 @@ def pred_skeleton(pred: Term, arity: int) -> Skeleton:
     raise ScopeError(f"bad predicate name: {pred}")
 
 
-@dataclass(frozen=True)
-class PredInfo:
+class PredInfo(Record):
     """Everything the compiler knows about one predicate."""
 
-    skeleton: Skeleton
-    klass: PredClass
-    arity: int
-    bound_arity: int = 0           # for PROC/BUILTIN/FOREIGN: input arity
-    module: Optional[str] = None   # defining module
-    fixed: bool = False            # has side effects / aggregation
-    display: str = ""              # human-readable name for messages
+    __slots__ = ("skeleton", "klass", "arity", "bound_arity", "module", "fixed", "display")
+
+    def __init__(self, skeleton: Skeleton, klass: PredClass, arity: int, bound_arity: int = 0,
+                 module: Optional[str] = None, fixed: bool = False, display: str = "") -> None:
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "klass", klass)
+        object.__setattr__(self, "arity", arity)
+        # for PROC/BUILTIN/FOREIGN: input arity
+        object.__setattr__(self, "bound_arity", bound_arity)
+        object.__setattr__(self, "module", module)  # defining module
+        object.__setattr__(self, "fixed", fixed)  # has side effects / aggregation
+        object.__setattr__(self, "display", display)  # human-readable name for messages
 
     @property
     def is_callable(self) -> bool:
@@ -83,7 +87,6 @@ class PredInfo:
         return self.klass in (PredClass.EDB, PredClass.LOCAL, PredClass.SPECIAL)
 
 
-@dataclass
 class Scope:
     """A lexical scope: module level, with one child level per procedure.
 
@@ -92,10 +95,14 @@ class Scope:
     chain with innermost-first lookup.
     """
 
-    module: Optional[str] = None
-    parent: Optional["Scope"] = None
-    strict: bool = False
-    _table: Dict[Skeleton, PredInfo] = field(default_factory=dict)
+    __slots__ = ("module", "parent", "strict", "_table")
+
+    def __init__(self, module: Optional[str] = None, parent: Optional["Scope"] = None,
+                 strict: bool = False) -> None:
+        self.module = module
+        self.parent = parent
+        self.strict = strict
+        self._table: Dict[Skeleton, PredInfo] = {}
 
     def declare(self, info: PredInfo, allow_override: bool = False) -> PredInfo:
         existing = self._table.get(info.skeleton)

@@ -9,26 +9,26 @@ topological order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Set
 
 from repro.analysis.depgraph import DependencyGraph
 from repro.analysis.scope import Skeleton
-
-
 from repro.errors import CompileError
+from repro.record import Record
 
 
 class StratificationError(CompileError):
     """The rule set has a negative (or aggregate) dependency inside a cycle."""
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Record):
     """One evaluation unit: a set of mutually recursive IDB predicates."""
 
-    index: int
-    skeletons: frozenset
+    __slots__ = ("index", "skeletons")
+
+    def __init__(self, index: int, skeletons: frozenset) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "skeletons", skeletons)
 
 
 def stratify(dep: DependencyGraph) -> List[Stratum]:

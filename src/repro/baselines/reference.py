@@ -21,7 +21,6 @@ With every flag off each helper builds exactly the product.  Lower layers
 
 from __future__ import annotations
 
-from dataclasses import fields
 from functools import partial
 from typing import Sequence, Tuple
 
@@ -52,8 +51,7 @@ class _ReferenceServer(GlueNailServer):
 def _split(kwargs: dict) -> Tuple[Oracles, dict]:
     """``kwargs`` split into the :class:`Oracles` fields it names and the
     constructor arguments left over."""
-    names = {field.name for field in fields(Oracles)}
-    chosen = {name: kwargs.pop(name) for name in names & kwargs.keys()}
+    chosen = {name: kwargs.pop(name) for name in kwargs.keys() & Oracles.__slots__}
     return Oracles(**chosen), kwargs
 
 

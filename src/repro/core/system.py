@@ -30,16 +30,17 @@ from repro.core.result import QueryResult
 from repro.errors import GlueNailError, GlueRuntimeError
 from repro.lang.ast import EdbDecl, Program
 from repro.lang.parser import parse_program, parse_query
-from repro.nail.engine import NailEngine, magic_query, matching_rows
+from repro.nail.engine import NailEngine, magic_query
 from repro.obs.query_stats import QueryStats
 from repro.obs.tracer import CollectingSink, TraceSink, Tracer
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
 from repro.storage.persist import load_database, save_database
+from repro.storage.relation import matching_rows
 from repro.storage.stats import CostCounters, counter_delta
 from repro.terms.matching import match_tuple
 from repro.terms.term import Term, is_ground, mk
-from repro.vm.compiler import ForeignSig, ProgramCompiler
+from repro.vm.compiler import ProgramCompiler
 from repro.vm.machine import ExecContext, ForeignProc, Machine
 from repro.vm.plan import CompiledProc, CompiledProgram
 
@@ -70,7 +71,7 @@ class GlueNailSystem:
         self.max_loop_iterations = max_loop_iterations
 
         self._programs: List[Program] = []
-        self._foreign: List[Tuple[ForeignSig, ForeignProc]] = []
+        self._foreign: List[ForeignProc] = []
         self._compiled: Optional[CompiledProgram] = None
         self._machine: Optional[Machine] = None
         self._ctx: Optional[ExecContext] = None
@@ -139,11 +140,8 @@ class GlueNailSystem:
         """Register a Python function as a Glue procedure (the foreign
         interface of paper Section 10).  Must happen before compilation so
         import resolution sees the signature."""
-        sig = ForeignSig(module=module, name=name, arity=arity, bound_arity=bound_arity,
-                         fixed=fixed)
-        proc = ForeignProc(module=module, name=name, arity=arity, bound_arity=bound_arity,
-                           fn=fn, fixed=fixed)
-        self._foreign.append((sig, proc))
+        self._foreign.append(ForeignProc(module=module, name=name, arity=arity,
+                                         bound_arity=bound_arity, fn=fn, fixed=fixed))
         self._invalidate()
         return self
 
@@ -176,7 +174,7 @@ class GlueNailSystem:
 
         compiler = ProgramCompiler(
             strict=self.strict,
-            foreign_sigs=[sig for sig, _ in self._foreign],
+            foreign_sigs=self._foreign,
             oracles=self._oracles,
             stats_source=stats_source,
             counters=db.counters,
@@ -189,7 +187,7 @@ class GlueNailSystem:
             max_loop_iterations=self.max_loop_iterations,
             oracles=self._oracles,
         )
-        for _, proc in self._foreign:
+        for proc in self._foreign:
             ctx.register_foreign(proc)
         # Safety is checked lazily per stratum: rules that need demand
         # bindings (magic evaluation) are legal until someone asks for

@@ -8,10 +8,10 @@ once on the whole set of input bindings, not once per tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import GlueRuntimeError
+from repro.record import Record
 from repro.terms.printer import term_to_str
 from repro.terms.term import Atom, Num, Term, sort_key
 
@@ -178,8 +178,7 @@ def eval_function(name: str, args: Sequence[Term]) -> Term:
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class BuiltinProc:
+class BuiltinProc(Record):
     """A built-in procedure callable as a subgoal.
 
     ``fn(ctx, rows)`` receives the execution context and the full set of
@@ -187,11 +186,15 @@ class BuiltinProc:
     output rows (arity = ``arity``).
     """
 
-    name: str
-    arity: int
-    bound_arity: int
-    fixed: bool
-    fn: Callable[[object, List[Row]], List[Row]]
+    __slots__ = ("name", "arity", "bound_arity", "fixed", "fn")
+
+    def __init__(self, name: str, arity: int, bound_arity: int, fixed: bool,
+                 fn: Callable[[object, List[Row]], List[Row]]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "bound_arity", bound_arity)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "fn", fn)
 
 
 def _write_rows(ctx, rows: List[Row], newline: bool) -> List[Row]:

@@ -1,7 +1,9 @@
 """Abstract syntax for Glue-Nail programs.
 
-All nodes are frozen dataclasses so ASTs are hashable and structurally
-comparable; the parser/pretty-printer round-trip test relies on this.
+All nodes are immutable :class:`~repro.record.Record` classes, so ASTs
+are hashable and structurally comparable; the parser/pretty-printer
+round-trip test relies on this.  A statement's source ``line`` takes no
+part in equality.
 
 Expressions (the right-hand sides of comparison subgoals) are trees over
 ``Term`` leaves with :class:`BinOp` / :class:`UnaryOp` / :class:`FunCall`
@@ -11,9 +13,9 @@ operators of paper Section 3.3) as interior nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.record import Record
 from repro.terms.term import Term, Var
 
 # --------------------------------------------------------------------- #
@@ -21,29 +23,34 @@ from repro.terms.term import Term, Var
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str  # one of + - * / mod
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object) -> None:
+        object.__setattr__(self, "op", op)  # one of + - * / mod
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class UnaryOp:
-    op: str  # -
-    operand: object
+class UnaryOp(Record):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: object) -> None:
+        object.__setattr__(self, "op", op)  # -
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class FunCall:
+class FunCall(Record):
     """A built-in function application inside an expression."""
 
-    name: str
-    args: Tuple[object, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[object, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class AggCall:
+class AggCall(Record):
     """An aggregate operator application, e.g. ``min(T)``.
 
     The argument is an expression over variables bound earlier in the body;
@@ -51,8 +58,11 @@ class AggCall:
     relation (per group once ``group_by`` has partitioned it).
     """
 
-    op: str  # min max mean sum product arbitrary std_dev count
-    arg: object
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: object) -> None:
+        object.__setattr__(self, "op", op)  # min max mean sum product arbitrary std_dev count
+        object.__setattr__(self, "arg", arg)
 
 
 Expr = object  # Term | BinOp | UnaryOp | FunCall | AggCall
@@ -63,8 +73,7 @@ Expr = object  # Term | BinOp | UnaryOp | FunCall | AggCall
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class PredSubgoal:
+class PredSubgoal(Record):
     """An ordinary subgoal ``p(args)``.
 
     ``pred`` is a term: an atom for a plain predicate, a variable for a
@@ -72,67 +81,79 @@ class PredSubgoal:
     for a parameterized predicate (``students(ID)(Name)``).
     """
 
-    pred: Term
-    args: Tuple[Term, ...]
-    negated: bool = False
+    __slots__ = ("pred", "args", "negated")
+
+    def __init__(self, pred: Term, args: Tuple[Term, ...], negated: bool = False) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "negated", negated)
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
-@dataclass(frozen=True, slots=True)
-class CompareSubgoal:
+class CompareSubgoal(Record):
     """``left op right`` with op in = != < > <= >=.
 
     ``Var = expr`` acts as a binding when the variable is unbound and as a
     filter when it is bound; other comparisons are filters.
     """
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
-class UpdateSubgoal:
+class UpdateSubgoal(Record):
     """An EDB-updating subgoal in a body: ``++p(args)`` inserts the current
     binding's instantiation, ``--p(args)`` deletes all matching tuples.
     Update subgoals are *fixed* (paper Section 3.1) and force a pipeline
     break (Section 9)."""
 
-    op: str  # "++" or "--"
-    pred: Term
-    args: Tuple[Term, ...]
+    __slots__ = ("op", "pred", "args")
+
+    def __init__(self, op: str, pred: Term, args: Tuple[Term, ...]) -> None:
+        object.__setattr__(self, "op", op)  # "++" or "--"
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupBySubgoal:
+class GroupBySubgoal(Record):
     """``group_by(T1, ..., Tk)``: partitions the supplementary relation into
     maximal groups agreeing on the argument terms; cascades."""
 
-    terms: Tuple[Term, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Term, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True, slots=True)
-class UnchangedCond:
+class UnchangedCond(Record):
     """``unchanged(p(...))``: true when p has not changed since the last time
     this syntactic occurrence was evaluated; always false on first use."""
 
-    pred: Term
-    arity: int
+    __slots__ = ("pred", "arity")
+
+    def __init__(self, pred: Term, arity: int) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "arity", arity)
 
 
-@dataclass(frozen=True, slots=True)
-class EmptyCond:
+class EmptyCond(Record):
     """``empty(p(args))``: true when no tuple of p matches the args."""
 
-    pred: Term
-    args: Tuple[Term, ...]
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: Term, args: Tuple[Term, ...]) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True, slots=True)
-class UnionSubgoal:
+class UnionSubgoal(Record):
     """A body disjunction ``{ c1 | c2 | ... }``.
 
     The paper's footnote 5 notes that bodies "may contain control
@@ -143,18 +164,23 @@ class UnionSubgoal:
     ambiguous).
     """
 
-    alternatives: Tuple[Tuple[object, ...], ...]
+    __slots__ = ("alternatives",)
+
+    def __init__(self, alternatives: Tuple[Tuple[object, ...], ...]) -> None:
+        object.__setattr__(self, "alternatives", alternatives)
 
 
 Subgoal = object  # one of the subgoal classes above
 
 
-@dataclass(frozen=True, slots=True)
-class CondDisjunction:
+class CondDisjunction(Record):
     """An until-condition: ``{ c1 | c2 | ... }`` -- true when any alternative
     holds; each alternative is a conjunction of condition subgoals."""
 
-    alternatives: Tuple[Tuple[Subgoal, ...], ...]
+    __slots__ = ("alternatives",)
+
+    def __init__(self, alternatives: Tuple[Tuple[Subgoal, ...], ...]) -> None:
+        object.__setattr__(self, "alternatives", alternatives)
 
 
 # --------------------------------------------------------------------- #
@@ -162,8 +188,7 @@ class CondDisjunction:
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class AssignStmt:
+class AssignStmt(Record, uncompared=("line",)):
     """A Glue assignment statement (paper Section 3).
 
     ``head_bound`` carries the position of the ``:`` in a ``return(X:Y)``
@@ -172,13 +197,18 @@ class AssignStmt:
     assignment ``+=[Z1,...]`` and is empty otherwise.
     """
 
-    head_pred: Term
-    head_args: Tuple[Term, ...]
-    op: str  # ":=", "+=", "-=", "modify"
-    body: Tuple[Subgoal, ...]
-    keys: Tuple[Var, ...] = ()
-    head_bound: Optional[int] = None
-    line: int = field(default=0, compare=False)
+    __slots__ = ("head_pred", "head_args", "op", "body", "keys", "head_bound", "line")
+
+    def __init__(self, head_pred: Term, head_args: Tuple[Term, ...], op: str,
+                 body: Tuple[Subgoal, ...], keys: Tuple[Var, ...] = (),
+                 head_bound: Optional[int] = None, line: int = 0) -> None:
+        object.__setattr__(self, "head_pred", head_pred)
+        object.__setattr__(self, "head_args", head_args)
+        object.__setattr__(self, "op", op)  # ":=", "+=", "-=", "modify"
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "head_bound", head_bound)
+        object.__setattr__(self, "line", line)
 
     @property
     def is_return(self) -> bool:
@@ -187,13 +217,15 @@ class AssignStmt:
         return self.head_pred == Atom("return")
 
 
-@dataclass(frozen=True, slots=True)
-class RepeatStmt:
+class RepeatStmt(Record, uncompared=("line",)):
     """``repeat <statements> until <condition>;``"""
 
-    body: Tuple[object, ...]
-    until: CondDisjunction
-    line: int = field(default=0, compare=False)
+    __slots__ = ("body", "until", "line")
+
+    def __init__(self, body: Tuple[object, ...], until: CondDisjunction, line: int = 0) -> None:
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "until", until)
+        object.__setattr__(self, "line", line)
 
 
 Statement = object  # AssignStmt | RepeatStmt
@@ -213,34 +245,37 @@ def walk_statements(stmts, top: bool = True):
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True, slots=True)
-class PredSig:
+class PredSig(Record):
     """A predicate signature with a binding pattern: ``tc_e(X:Y)`` has one
     bound and one free argument; ``select(:Key)`` has zero bound."""
 
-    name: str
-    bound: Tuple[str, ...]
-    free: Tuple[str, ...]
+    __slots__ = ("name", "bound", "free")
+
+    def __init__(self, name: str, bound: Tuple[str, ...], free: Tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "free", free)
 
     @property
     def arity(self) -> int:
         return len(self.bound) + len(self.free)
 
 
-@dataclass(frozen=True, slots=True)
-class EdbDecl:
+class EdbDecl(Record):
     """``edb element(Key, Origin, ...)``: declares an EDB relation."""
 
-    name: str
-    attrs: Tuple[str, ...]
+    __slots__ = ("name", "attrs")
+
+    def __init__(self, name: str, attrs: Tuple[str, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "attrs", attrs)
 
     @property
     def arity(self) -> int:
         return len(self.attrs)
 
 
-@dataclass(frozen=True, slots=True)
-class WatchDecl:
+class WatchDecl(Record, uncompared=("line",)):
     """``watch path(X, Y) call handler;`` -- a Glue-level active rule.
 
     Runs procedure ``proc`` on every committed delta of ``pred``/len(args)
@@ -249,48 +284,62 @@ class WatchDecl:
     are wildcards.  ``module`` qualifies the handler (``call m.p``).
     """
 
-    pred: Term
-    args: Tuple[Term, ...]
-    proc: str
-    module: Optional[str] = None
-    line: int = field(default=0, compare=False)
+    __slots__ = ("pred", "args", "proc", "module", "line")
+
+    def __init__(self, pred: Term, args: Tuple[Term, ...], proc: str, module: Optional[str] = None,
+                 line: int = 0) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "proc", proc)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "line", line)
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
 
-@dataclass(frozen=True, slots=True)
-class ImportDecl:
-    module: str
-    sigs: Tuple[PredSig, ...]
+class ImportDecl(Record):
+    __slots__ = ("module", "sigs")
+
+    def __init__(self, module: str, sigs: Tuple[PredSig, ...]) -> None:
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "sigs", sigs)
 
 
-@dataclass(frozen=True, slots=True)
-class ExportDecl:
-    sigs: Tuple[PredSig, ...]
+class ExportDecl(Record):
+    __slots__ = ("sigs",)
+
+    def __init__(self, sigs: Tuple[PredSig, ...]) -> None:
+        object.__setattr__(self, "sigs", sigs)
 
 
-@dataclass(frozen=True, slots=True)
-class RuleDecl:
+class RuleDecl(Record, uncompared=("line",)):
     """A NAIL! rule ``head :- body.`` -- purely declarative, no side effects."""
 
-    head_pred: Term
-    head_args: Tuple[Term, ...]
-    body: Tuple[Subgoal, ...]
-    line: int = field(default=0, compare=False)
+    __slots__ = ("head_pred", "head_args", "body", "line")
+
+    def __init__(self, head_pred: Term, head_args: Tuple[Term, ...], body: Tuple[Subgoal, ...],
+                 line: int = 0) -> None:
+        object.__setattr__(self, "head_pred", head_pred)
+        object.__setattr__(self, "head_args", head_args)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
-class ProcDecl:
+class ProcDecl(Record, uncompared=("line",)):
     """A Glue procedure (paper Section 4)."""
 
-    name: str
-    bound_params: Tuple[Var, ...]
-    free_params: Tuple[Var, ...]
-    locals: Tuple[EdbDecl, ...]  # local relations: name + attribute names
-    body: Tuple[Statement, ...]
-    line: int = field(default=0, compare=False)
+    __slots__ = ("name", "bound_params", "free_params", "locals", "body", "line")
+
+    def __init__(self, name: str, bound_params: Tuple[Var, ...], free_params: Tuple[Var, ...],
+                 locals: Tuple[EdbDecl, ...], body: Tuple[Statement, ...], line: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bound_params", bound_params)
+        object.__setattr__(self, "free_params", free_params)
+        object.__setattr__(self, "locals", locals)  # local relations: name + attribute names
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "line", line)
 
     @property
     def arity(self) -> int:
@@ -304,12 +353,14 @@ class ProcDecl:
 ModuleItem = object  # ExportDecl | ImportDecl | EdbDecl-list | ProcDecl | RuleDecl
 
 
-@dataclass(frozen=True, slots=True)
-class ModuleDecl:
+class ModuleDecl(Record):
     """A compile-time module (paper Section 6)."""
 
-    name: str
-    items: Tuple[ModuleItem, ...]
+    __slots__ = ("name", "items")
+
+    def __init__(self, name: str, items: Tuple[ModuleItem, ...]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "items", items)
 
     @property
     def exports(self) -> Tuple[PredSig, ...]:
@@ -336,13 +387,16 @@ class ModuleDecl:
         return tuple(item for item in self.items if isinstance(item, RuleDecl))
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(Record):
     """A parsed compilation unit: modules plus loose top-level items (rules,
     procedures and declarations outside any module, for scripts/tests)."""
 
-    modules: Tuple[ModuleDecl, ...] = ()
-    items: Tuple[ModuleItem, ...] = field(default=())
+    __slots__ = ("modules", "items")
+
+    def __init__(self, modules: Tuple[ModuleDecl, ...] = (),
+                 items: Tuple[ModuleItem, ...] = ()) -> None:
+        object.__setattr__(self, "modules", modules)
+        object.__setattr__(self, "items", items)
 
     def statement_count(self) -> int:
         """Number of Glue statements and NAIL! rules -- the unit of the

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+
+from repro.record import Record
 
 
 class TokenKind(Enum):
@@ -81,13 +82,16 @@ BUILTIN_FUNCTIONS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: TokenKind
-    value: object
-    line: int
-    column: int
-    quoted: bool = False  # a quoted atom never acts as a keyword/function
+class Token(Record):
+    __slots__ = ("kind", "value", "line", "column", "quoted")
+
+    def __init__(self, kind: TokenKind, value: object, line: int, column: int,
+                 quoted: bool = False) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "quoted", quoted)  # a quoted atom never acts as a keyword/function
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == text

@@ -35,41 +35,12 @@ from repro.opt.cache import PlanCache
 from repro.opt.plan import Plan
 from repro.oracles import PRODUCT, Oracles
 from repro.storage.database import Database
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, matching_rows
 from repro.storage.uniondiff import uniondiff
 from repro.terms.matching import match_tuple
-from repro.terms.term import Term, Var, is_ground
+from repro.terms.term import Term, is_ground
 
 Row = Tuple[Term, ...]
-
-
-def is_flat_query(args: Sequence[Term]) -> bool:
-    """Flat pattern: every position is ground or a plain variable and the
-    named variables are distinct -- the precondition of
-    :meth:`~repro.storage.relation.Relation.match_rows`."""
-    named = []
-    for arg in args:
-        if isinstance(arg, Var):
-            if not arg.is_anonymous:
-                named.append(arg.name)
-        elif not is_ground(arg):
-            return False
-    return len(named) == len(set(named))
-
-
-def matching_rows(relation: Relation, args: Sequence[Term]) -> List[Row]:
-    """The stored rows of ``relation`` that match the query ``args``.
-
-    Flat args route bound positions through the relation's hash indexes
-    (:meth:`~repro.storage.relation.Relation.match_rows`, which charges
-    its scans and probes and returns a fresh list); any other pattern is
-    matched row by row over ``rows()``, charged as one full scan.
-    """
-    args = tuple(args)
-    if is_flat_query(args):
-        return relation.match_rows(args)
-    relation.counters.tuples_scanned += len(relation)
-    return [row for row in relation.rows() if match_tuple(args, row) is not None]
 
 
 class NailEngine:

@@ -21,12 +21,12 @@ per-round cost tracks the demanded subgraph rather than the full EDB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.bindings import expr_has_agg, expr_vars, term_vars
 from repro.analysis.scope import pred_skeleton
 from repro.lang.ast import CompareSubgoal, GroupBySubgoal, PredSubgoal, RuleDecl
+from repro.record import Record
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 
 Adornment = str  # e.g. "bbf"
@@ -40,15 +40,18 @@ class MagicTransformError(GlueNailError):
     IDB predicates, aggregates, or compound-named heads)."""
 
 
-@dataclass(frozen=True)
-class MagicProgram:
+class MagicProgram(Record):
     """The output of the transformation."""
 
-    rules: Tuple[RuleDecl, ...]
-    answer_pred: Term
-    seed_pred: Term
-    seed_row: Tuple[Term, ...]
-    adornment: Adornment
+    __slots__ = ("rules", "answer_pred", "seed_pred", "seed_row", "adornment")
+
+    def __init__(self, rules: Tuple[RuleDecl, ...], answer_pred: Term, seed_pred: Term,
+                 seed_row: Tuple[Term, ...], adornment: Adornment) -> None:
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "answer_pred", answer_pred)
+        object.__setattr__(self, "seed_pred", seed_pred)
+        object.__setattr__(self, "seed_row", seed_row)
+        object.__setattr__(self, "adornment", adornment)
 
     @property
     def seed_arity(self) -> int:

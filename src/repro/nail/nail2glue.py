@@ -21,7 +21,6 @@ generated module needs static relation names for its deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.depgraph import build_dependency_graph
@@ -44,6 +43,7 @@ from repro.lang.ast import (
 )
 from repro.lang.pretty import pretty_program
 from repro.nail.rules import check_rule_safety
+from repro.record import Record
 from repro.terms.term import Atom, Term, Var, variables
 
 
@@ -54,15 +54,18 @@ class Nail2GlueError(_GlueNailError):
     """The rule set is outside the compilable fragment."""
 
 
-@dataclass(frozen=True)
-class Nail2GlueResult:
+class Nail2GlueResult(Record):
     """The generated Glue program plus everything needed to run it."""
 
-    program: Program
-    source: str
-    driver_proc: str
-    stratum_procs: Tuple[str, ...]
-    output_preds: Tuple[Tuple[str, int], ...]
+    __slots__ = ("program", "source", "driver_proc", "stratum_procs", "output_preds")
+
+    def __init__(self, program: Program, source: str, driver_proc: str,
+                 stratum_procs: Tuple[str, ...], output_preds: Tuple[Tuple[str, int], ...]) -> None:
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "driver_proc", driver_proc)
+        object.__setattr__(self, "stratum_procs", stratum_procs)
+        object.__setattr__(self, "output_preds", output_preds)
 
 
 def _head_name(skeleton: Skeleton) -> str:

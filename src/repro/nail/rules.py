@@ -11,7 +11,6 @@ work in the evaluator is then key build + hash probe instead of a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bindings import (
@@ -26,6 +25,7 @@ from repro.analysis.scope import Skeleton, pred_skeleton
 from repro.errors import UnsafeRuleError
 from repro.lang.ast import CompareSubgoal, GroupBySubgoal, PredSubgoal, RuleDecl
 from repro.opt.literal import LiteralPlan, classify_join_columns
+from repro.record import Record
 
 __all__ = [
     "JoinPlanner",
@@ -71,17 +71,23 @@ class JoinPlanner:
         return plan
 
 
-@dataclass(frozen=True)
-class RuleInfo:
+class RuleInfo(Record, uncompared=("planner",)):
     """A NAIL! rule plus its precomputed structure."""
 
-    rule: RuleDecl
-    head_skeleton: Skeleton
-    body_skeletons: Tuple[Skeleton, ...]  # positive literals only, in order
-    has_aggregate: bool
-    planner: JoinPlanner = field(compare=False, repr=False)
-    neg_skeletons: Tuple[Skeleton, ...] = ()  # negated literals, in order
-    unsafe: Optional[str] = None  # why check_rule_safety rejects it, if it does
+    __slots__ = ("rule", "head_skeleton", "body_skeletons", "has_aggregate", "planner",
+                 "neg_skeletons", "unsafe")
+
+    def __init__(self, rule: RuleDecl, head_skeleton: Skeleton,
+                 body_skeletons: Tuple[Skeleton, ...], has_aggregate: bool, planner: JoinPlanner,
+                 neg_skeletons: Tuple[Skeleton, ...] = (), unsafe: Optional[str] = None) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "head_skeleton", head_skeleton)
+        # positive literals only, in order
+        object.__setattr__(self, "body_skeletons", body_skeletons)
+        object.__setattr__(self, "has_aggregate", has_aggregate)
+        object.__setattr__(self, "planner", planner)
+        object.__setattr__(self, "neg_skeletons", neg_skeletons)  # negated literals, in order
+        object.__setattr__(self, "unsafe", unsafe)  # why check_rule_safety rejects it, if it does
 
     @property
     def head_vars(self) -> Set[str]:
@@ -181,8 +187,7 @@ def prepare_rules(rules: Sequence[RuleDecl], check_safety: bool = True) -> List[
 # ---------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class StratumSupport:
+class StratumSupport(Record):
     """What one stratum's cached extension depends on.
 
     ``direct`` are the skeletons its rules read in the body (positive and
@@ -200,11 +205,15 @@ class StratumSupport:
     predicate-variable literal, whose inputs are unknowable statically).
     """
 
-    direct: FrozenSet[Skeleton]
-    blocking: FrozenSet[Skeleton]
-    transitive: FrozenSet[Skeleton]
-    universal: bool
-    blocks_all: bool
+    __slots__ = ("direct", "blocking", "transitive", "universal", "blocks_all")
+
+    def __init__(self, direct: FrozenSet[Skeleton], blocking: FrozenSet[Skeleton],
+                 transitive: FrozenSet[Skeleton], universal: bool, blocks_all: bool) -> None:
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "blocking", blocking)
+        object.__setattr__(self, "transitive", transitive)
+        object.__setattr__(self, "universal", universal)
+        object.__setattr__(self, "blocks_all", blocks_all)
 
     def touches(self, changed: Set[Skeleton]) -> bool:
         return self.universal or bool(self.transitive & changed)

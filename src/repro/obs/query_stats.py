@@ -8,12 +8,12 @@ read without resetting the global counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
+
+from repro.record import Record
 
 
-@dataclass(frozen=True)
-class QueryStats:
+class QueryStats(Record):
     """What one entry-point invocation cost.
 
     ``counters`` is the full per-counter delta (all fields, zeros
@@ -21,11 +21,16 @@ class QueryStats:
     ``nonzero`` narrows it to the counters that moved.
     """
 
-    query: str
-    resolution: str  # "nail" | "magic" | "edb" | "procedure" | "none"
-    rows: int
-    elapsed_s: float
-    counters: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = ("query", "resolution", "rows", "elapsed_s", "counters")
+
+    def __init__(self, query: str, resolution: str, rows: int, elapsed_s: float,
+                 counters: Optional[Mapping[str, int]] = None) -> None:
+        object.__setattr__(self, "query", query)
+        # "nail" | "magic" | "edb" | "procedure" | "none"
+        object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "elapsed_s", elapsed_s)
+        object.__setattr__(self, "counters", {} if counters is None else counters)
 
     @property
     def nonzero(self) -> Dict[str, int]:

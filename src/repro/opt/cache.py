@@ -27,13 +27,13 @@ directly, once per compile.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.lang.ast import PredSubgoal
 from repro.opt import passes
 from repro.opt.plan import Plan
 from repro.opt.stats import StatsContext
+from repro.record import Record
 from repro.storage.stats import CostCounters
 from repro.terms.term import is_ground
 
@@ -43,15 +43,17 @@ def _size_bucket(size: Optional[float]) -> Optional[int]:
     return None if size is None else int(size).bit_length()
 
 
-@dataclass(frozen=True)
-class CachedPlan:
+class CachedPlan(Record):
     """One cache entry: the plan, and what the engine built from it (the
     VM's compiled statement variant; None for NAIL!).  ``body`` keeps the
     keyed body alive, so its identity is not reused while the entry lives."""
 
-    body: Sequence
-    plan: Plan
-    built: object = None
+    __slots__ = ("body", "plan", "built")
+
+    def __init__(self, body: Sequence, plan: Plan, built: object = None) -> None:
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "built", built)
 
 
 class PlanCache:

@@ -12,11 +12,10 @@ anti-join steps its compiler builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.bindings import term_vars
+from repro.record import Record
 from repro.terms.term import Term, Var, is_ground, variables
 
 #: Every ``strategy`` a ``join`` trace event can carry, in both engines.
@@ -29,8 +28,7 @@ JOIN_STRATEGIES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class LiteralPlan:
+class LiteralPlan(Record, uncompared=("strategy", "vm_strategy")):
     """The compiled join shape of one body literal for one bound-var set.
 
     ``key_cols`` are the probe-key positions, sorted by column: each entry
@@ -45,20 +43,44 @@ class LiteralPlan:
     order), or None when the literal has compound residue.  ``eq_checks``
     pins a repeated new variable to its first occurrence; ``complex_cols``
     holds argument patterns (compounds containing variables) that still
-    need general matching per candidate row.
+    need general matching per candidate row; ``complex_has_bound`` is true
+    when one of them mentions a bound variable.  ``pred_vars`` are the
+    variables of the predicate name in first-appearance order, and
+    ``patterns`` the literal's original argument terms.
+
+    ``strategy`` is how the literal runs against one group of bindings (a
+    label in :data:`JOIN_STRATEGIES`); the NAIL! evaluator dispatches on
+    it.  ``vm_strategy`` is the Glue VM's label: ``strategy`` except for
+    two VM-only choices -- constant-only keys probe once per row (NAIL!
+    probes once per group and broadcasts), and a fully bound positive
+    literal is a ``member`` test (NAIL! ``probe``s it).  Both are derived
+    from the fields, so they take no part in equality.
     """
 
-    pred: Term
-    pred_vars: Tuple[str, ...]  # vars in the predicate name, first-appearance
-    arity: int
-    key_cols: Tuple[Tuple[int, str, object], ...]
-    probe_cols: Tuple[int, ...]
-    extract: Tuple[Tuple[int, str], ...]
-    eq_checks: Tuple[Tuple[int, int], ...]
-    complex_cols: Tuple[Tuple[int, Term], ...]
-    complex_has_bound: bool  # some complex pattern mentions a bound var
-    patterns: Tuple[Term, ...]  # the literal's original argument terms
-    negated: bool
+    __slots__ = ("pred", "pred_vars", "arity", "key_cols", "probe_cols", "extract", "eq_checks",
+                 "complex_cols", "complex_has_bound", "patterns", "negated", "strategy",
+                 "vm_strategy")
+
+    def __init__(self, pred: Term, pred_vars: Tuple[str, ...], arity: int,
+                 key_cols: Tuple[Tuple[int, str, object], ...], probe_cols: Tuple[int, ...],
+                 extract: Tuple[Tuple[int, str], ...], eq_checks: Tuple[Tuple[int, int], ...],
+                 complex_cols: Tuple[Tuple[int, Term], ...], complex_has_bound: bool,
+                 patterns: Tuple[Term, ...], negated: bool) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "pred_vars", pred_vars)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "key_cols", key_cols)
+        object.__setattr__(self, "probe_cols", probe_cols)
+        object.__setattr__(self, "extract", extract)
+        object.__setattr__(self, "eq_checks", eq_checks)
+        object.__setattr__(self, "complex_cols", complex_cols)
+        object.__setattr__(self, "complex_has_bound", complex_has_bound)
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "negated", negated)
+        strategy = self._strategy(keyed=self.has_var_keys, positive_member=False)
+        object.__setattr__(self, "strategy", strategy)
+        vm_strategy = self._strategy(keyed=bool(key_cols), positive_member=True)
+        object.__setattr__(self, "vm_strategy", vm_strategy)
 
     @property
     def extract_cols(self) -> Optional[Tuple[int, ...]]:
@@ -87,20 +109,6 @@ class LiteralPlan:
             (None, value) if kind == "const" else (colindex[value], None)
             for _col, kind, value in self.key_cols
         )
-
-    @cached_property
-    def strategy(self) -> str:
-        """How the literal runs against one group of bindings (a label in
-        :data:`JOIN_STRATEGIES`).  The NAIL! evaluator dispatches on it."""
-        return self._strategy(keyed=self.has_var_keys, positive_member=False)
-
-    @cached_property
-    def vm_strategy(self) -> str:
-        """The Glue VM's label: :attr:`strategy` except for two VM-only
-        choices -- constant-only keys probe once per row (NAIL! probes
-        once per group and broadcasts), and a fully bound positive
-        literal is a ``member`` test (NAIL! ``probe``s it)."""
-        return self._strategy(keyed=bool(self.key_cols), positive_member=True)
 
     def _strategy(self, keyed: bool, positive_member: bool) -> str:
         anti = "anti-" if self.negated else ""

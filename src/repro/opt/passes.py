@@ -30,7 +30,6 @@ Glue compiler falls back to when a planned order does not bind-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.bindings import (
@@ -60,27 +59,36 @@ def _no_call_info(_subgoal: PredSubgoal):
     return None
 
 
-@dataclass
 class PassContext:
     """Shared state for one ``optimize()`` call."""
 
-    stats: StatsContext
-    bound: Set[str] = field(default_factory=set)
-    input_size: Optional[float] = 1.0
-    call_fixedness: CallFixedness = _no_call_info
-    call_bound_arity: CallBoundArity = _no_call_info
-    pinned_first: Optional[int] = None  # seminaive delta literal, if any
-    required_vars: Optional[Set[str]] = None  # head vars (projection target)
-    allow_projection: bool = False
+    __slots__ = ("stats", "bound", "input_size", "call_fixedness", "call_bound_arity",
+                 "pinned_first", "required_vars", "allow_projection")
+
+    def __init__(self, stats: StatsContext, bound: Optional[Set[str]] = None,
+                 input_size: Optional[float] = 1.0, call_fixedness: CallFixedness = _no_call_info,
+                 call_bound_arity: CallBoundArity = _no_call_info,
+                 pinned_first: Optional[int] = None, required_vars: Optional[Set[str]] = None,
+                 allow_projection: bool = False) -> None:
+        self.stats = stats
+        self.bound = set() if bound is None else bound
+        self.input_size = input_size
+        self.call_fixedness = call_fixedness
+        self.call_bound_arity = call_bound_arity
+        self.pinned_first = pinned_first  # seminaive delta literal, if any
+        self.required_vars = required_vars  # head vars (projection target)
+        self.allow_projection = allow_projection
 
 
-@dataclass
 class PlanState:
     """The mutable plan the passes rewrite: a schedule over the body."""
 
-    body: Tuple
-    order: List[int]
-    project: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ("body", "order", "project")
+
+    def __init__(self, body: Tuple, order: List[int]) -> None:
+        self.body = body
+        self.order = order
+        self.project: Dict[int, Tuple[str, ...]] = {}
 
 
 def _admissible(subgoal, bound: Set[str], ctx: PassContext) -> bool:

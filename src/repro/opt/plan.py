@@ -12,8 +12,9 @@ side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
+
+from repro.record import Record
 
 #: Selectivity assumed for a filter comparison when nothing better is
 #: known: ``=`` keeps ~1 in 10 bindings, any other operator ~1 in 2.
@@ -49,8 +50,7 @@ def subgoal_label(subgoal) -> str:
     return type(subgoal).__name__
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Record):
     """One scheduled subgoal.
 
     ``index`` is the subgoal's position in the *source* body; ``kind`` is
@@ -61,28 +61,38 @@ class PlanStep:
     variables to keep after the step when projection push-down fired.
     """
 
-    index: int
-    subgoal: object
-    kind: str
-    est_in: Optional[float] = None
-    est_rows: Optional[float] = None
-    source_rows: Optional[int] = None
-    probe_cols: Tuple[int, ...] = ()
-    project: Optional[Tuple[str, ...]] = None
+    __slots__ = ("index", "subgoal", "kind", "est_in", "est_rows", "source_rows", "probe_cols",
+                 "project")
+
+    def __init__(self, index: int, subgoal: object, kind: str, est_in: Optional[float] = None,
+                 est_rows: Optional[float] = None, source_rows: Optional[int] = None,
+                 probe_cols: Tuple[int, ...] = (),
+                 project: Optional[Tuple[str, ...]] = None) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "subgoal", subgoal)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "est_in", est_in)
+        object.__setattr__(self, "est_rows", est_rows)
+        object.__setattr__(self, "source_rows", source_rows)
+        object.__setattr__(self, "probe_cols", probe_cols)
+        object.__setattr__(self, "project", project)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Record, uncompared=("distinct",)):
     """A scheduled body: steps in execution order plus the passes that ran.
 
     ``distinct`` maps each variable the body binds from a relation with
     known statistics to its estimated number of distinct values.
     """
 
-    body: Tuple
-    steps: Tuple[PlanStep, ...]
-    passes: Tuple[str, ...]
-    distinct: Mapping[str, float] = field(default_factory=dict, compare=False)
+    __slots__ = ("body", "steps", "passes", "distinct")
+
+    def __init__(self, body: Tuple, steps: Tuple[PlanStep, ...], passes: Tuple[str, ...],
+                 distinct: Optional[Mapping[str, float]] = None) -> None:
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "distinct", {} if distinct is None else distinct)
 
     @property
     def order(self) -> Tuple[int, ...]:

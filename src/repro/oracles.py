@@ -14,11 +14,10 @@ A leaf module: it imports nothing that imports the engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.record import Record
 
 
-@dataclass(frozen=True)
-class Oracles:
+class Oracles(Record):
     """Each flag swaps one product path for its baseline.
 
     ``row_engine``: binding-dict rows instead of columnar batch kernels.
@@ -33,12 +32,18 @@ class Oracles:
     at compile time (experiment E8).
     """
 
-    row_engine: bool = False
-    written_order: bool = False
-    naive_fixpoint: bool = False
-    materialized: bool = False
-    keep_duplicates: bool = False
-    runtime_dispatch: bool = False
+    __slots__ = ("row_engine", "written_order", "naive_fixpoint", "materialized", "keep_duplicates",
+                 "runtime_dispatch")
+
+    def __init__(self, row_engine: bool = False, written_order: bool = False,
+                 naive_fixpoint: bool = False, materialized: bool = False,
+                 keep_duplicates: bool = False, runtime_dispatch: bool = False) -> None:
+        object.__setattr__(self, "row_engine", row_engine)
+        object.__setattr__(self, "written_order", written_order)
+        object.__setattr__(self, "naive_fixpoint", naive_fixpoint)
+        object.__setattr__(self, "materialized", materialized)
+        object.__setattr__(self, "keep_duplicates", keep_duplicates)
+        object.__setattr__(self, "runtime_dispatch", runtime_dispatch)
 
     @property
     def fixpoint(self) -> str:

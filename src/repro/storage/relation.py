@@ -13,7 +13,7 @@ import threading
 from bisect import bisect_right
 from contextlib import nullcontext
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.storage.adaptive import IndexPolicy
@@ -648,29 +648,16 @@ class Relation:
 
     def stats_snapshot(self) -> RelationSnapshot:
         """Everything the cost-based planner consults in one consistent
-        read -- cardinality, distinct counts, scan-cost ledgers and
-        available indexes.  The profile is refreshed first (a full rebuild,
-        when one is due, runs outside ``_index_lock``); the remaining
-        fields are then read in a single lock acquisition, so they describe
-        one instant even while concurrent reads trigger adaptive index
-        builds.  ``distincts`` may lag the reported ``version`` by whatever
+        read -- cardinality, version and distinct counts.  The profile is
+        refreshed first (a full rebuild, when one is due, runs outside
+        ``_index_lock``); the size and version are then read in a single
+        lock acquisition.  ``distincts`` may lag the reported ``version`` by whatever
         mutations landed during an unlocked rebuild -- an estimate-grade
         discrepancy the planner tolerates by design."""
         distincts = self.column_profile()
         with self._index_lock:
-            scan_costs = {
-                cols: (ledger.cumulative_scan_cost, ledger.scans)
-                for cols, ledger in self.stats.ledgers.items()
-            }
-            return RelationSnapshot(
-                name=self.name,
-                arity=self.arity,
-                rows=len(self._rows),
-                version=self._version,
-                distincts=distincts,
-                indexed=frozenset(self._indexes),
-                scan_costs=scan_costs,
-            )
+            return RelationSnapshot(name=self.name, arity=self.arity, rows=len(self._rows),
+                                    version=self._version, distincts=distincts)
 
     def _bound_positions(self, patterns: Row) -> Tuple[int, ...]:
         return tuple(i for i, pat in enumerate(patterns) if is_ground(pat))
@@ -781,3 +768,32 @@ class Relation:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Relation {self.name}/{self.arity} rows={len(self._rows)}>"
+
+
+def is_flat_query(args: Sequence[Term]) -> bool:
+    """Flat pattern: every position is ground or a plain variable and the
+    named variables are distinct -- the precondition of
+    :meth:`Relation.match_rows`."""
+    named = []
+    for arg in args:
+        if isinstance(arg, Var):
+            if not arg.is_anonymous:
+                named.append(arg.name)
+        elif not is_ground(arg):
+            return False
+    return len(named) == len(set(named))
+
+
+def matching_rows(relation: Relation, args: Sequence[Term]) -> List[Row]:
+    """The stored rows of ``relation`` that match the query ``args``.
+
+    Flat args route bound positions through the relation's hash indexes
+    (:meth:`Relation.match_rows`, which charges
+    its scans and probes and returns a fresh list); any other pattern is
+    matched row by row over ``rows()``, charged as one full scan.
+    """
+    args = tuple(args)
+    if is_flat_query(args):
+        return relation.match_rows(args)
+    relation.counters.tuples_scanned += len(relation)
+    return [row for row in relation.rows() if match_tuple(args, row) is not None]

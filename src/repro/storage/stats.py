@@ -10,63 +10,76 @@ paper's qualitative tables.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import Optional, Tuple
+
+from repro.record import Record
 
 
-@dataclass
 class CostCounters:
-    """Abstract work counters (not wall-clock): deterministic across runs."""
+    """Abstract work counters (not wall-clock): deterministic across runs.
 
-    tuples_scanned: int = 0
-    index_lookups: int = 0
-    index_probe_tuples: int = 0
-    index_builds: int = 0
-    index_build_tuples: int = 0
-    inserts: int = 0
-    duplicate_inserts: int = 0
-    deletes: int = 0
-    materializations: int = 0
-    materialized_tuples: int = 0
-    pipeline_breaks: int = 0
-    dedup_removed: int = 0
-    proc_calls: int = 0
-    dynamic_dispatches: int = 0  # per-row run-time predicate-class checks
+    Each counter is a plain instance attribute, so ``counters.inserts += 1``
+    is C attribute access.  The class has no ``__slots__``:
+    :class:`ThreadLocalCounters` keeps each thread's counters in its own
+    ``__dict__``.  The annotations below are the counters, in
+    ``COUNTER_FIELDS`` order.
+    """
+
+    tuples_scanned: int
+    index_lookups: int
+    index_probe_tuples: int
+    index_builds: int
+    index_build_tuples: int
+    inserts: int
+    duplicate_inserts: int
+    deletes: int
+    materializations: int
+    materialized_tuples: int
+    pipeline_breaks: int
+    dedup_removed: int
+    proc_calls: int
+    dynamic_dispatches: int  # per-row run-time predicate-class checks
     # Glue VM statement bodies executed as planned hash joins: one count
     # per (scan step, resolved source) that probed a hash table instead of
     # matching per accumulated row (see repro.vm.plan).
-    glue_hash_joins: int = 0
+    glue_hash_joins: int
     # IDB cache maintenance (see repro.nail.engine): strata served from
     # cache, strata repaired by delta propagation (with the seminaive
     # rounds that took), and strata discarded for full recomputation.
-    idb_cache_hits: int = 0
-    idb_delta_repairs: int = 0
-    idb_delta_rounds: int = 0
-    idb_invalidations: int = 0
+    idb_cache_hits: int
+    idb_delta_repairs: int
+    idb_delta_rounds: int
+    idb_invalidations: int
     # Delta-precision losses: an EDB change log overflowed (or the
     # relation was dropped) so exact per-row deltas were unavailable and
     # dependent strata had to be rebuilt from scratch.  Subscribers over
     # those predicates fall back to snapshot diffing or a resync event.
-    idb_resyncs: int = 0
+    idb_resyncs: int
     # Push-based subscriptions (see repro.sub): notifications delivered to
     # subscriber sinks/queues, including resync markers.
-    notifications_pushed: int = 0
+    notifications_pushed: int
     # MVCC snapshot reads (see repro.mvcc): read-only requests served from
     # a pinned published version (no read-lock acquisition), and catalog
     # pins taken.
-    snapshot_reads: int = 0
-    snapshot_pins: int = 0
+    snapshot_reads: int
+    snapshot_pins: int
     # Run-time planning (see repro.opt.cache): bodies served from the plan
     # cache, and bodies planned because their key was new.
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
+    plan_cache_hits: int
+    plan_cache_misses: int
+
+    def __init__(self, **counts: int) -> None:
+        """Every counter at 0, except those given by name."""
+        unknown = counts.keys() - COUNTER_FIELDS
+        if unknown:
+            raise TypeError(f"unknown counters: {sorted(unknown)}")
+        self.__dict__.update(dict.fromkeys(COUNTER_FIELDS, 0), **counts)
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        self.__dict__.update(dict.fromkeys(COUNTER_FIELDS, 0))
 
     def snapshot(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     def as_tuple(self) -> tuple:
         """A cheap positional snapshot (field order of ``COUNTER_FIELDS``).
@@ -77,10 +90,9 @@ class CostCounters:
         return tuple(getattr(self, name) for name in COUNTER_FIELDS)
 
     def __add__(self, other: "CostCounters") -> "CostCounters":
-        merged = CostCounters()
-        for f in fields(self):
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return merged
+        return CostCounters(**{
+            name: getattr(self, name) + getattr(other, name) for name in COUNTER_FIELDS
+        })
 
     @property
     def total_tuple_touches(self) -> int:
@@ -95,7 +107,7 @@ class CostCounters:
         )
 
 
-COUNTER_FIELDS: tuple = tuple(f.name for f in fields(CostCounters))
+COUNTER_FIELDS: tuple = tuple(CostCounters.__annotations__)
 
 
 class ThreadLocalCounters(threading.local, CostCounters):
@@ -166,10 +178,10 @@ class ThreadLocalCounters(threading.local, CostCounters):
         with self._lock:
             self._fold_ended()
             blocks = [*self._blocks.values(), *self._late.values()]
-            return CostCounters(*(
-                getattr(self._retired, name) + sum(block[name] for block in blocks)
+            return CostCounters(**{
+                name: getattr(self._retired, name) + sum(block[name] for block in blocks)
                 for name in COUNTER_FIELDS
-            ))
+            })
 
 
 def counter_delta(before: tuple, after: tuple) -> dict:
@@ -187,7 +199,6 @@ def nonzero_delta(before: tuple, after: tuple) -> dict:
     return out
 
 
-@dataclass
 class ScanCostLedger:
     """Per-(relation, column-set) record of cumulative scanning cost.
 
@@ -196,21 +207,24 @@ class ScanCostLedger:
     cost of building an index on those columns.
     """
 
-    cumulative_scan_cost: float = 0.0
-    scans: int = 0
-    # The policy has already decided these columns earn an index.  Frozen
-    # MVCC clones share their relation's ledgers but start without
-    # indexes: the verdict lets each new generation build at its first
-    # lookup instead of re-learning it by scanning (the relation may have
-    # outgrown the accumulated cost by then).
-    earned_index: bool = False
+    __slots__ = ("cumulative_scan_cost", "scans", "earned_index")
+
+    def __init__(self, cumulative_scan_cost: float = 0.0, scans: int = 0,
+                 earned_index: bool = False) -> None:
+        self.cumulative_scan_cost = cumulative_scan_cost
+        self.scans = scans
+        # The policy has already decided these columns earn an index.  Frozen
+        # MVCC clones share their relation's ledgers but start without
+        # indexes: the verdict lets each new generation build at its first
+        # lookup instead of re-learning it by scanning (the relation may have
+        # outgrown the accumulated cost by then).
+        self.earned_index = earned_index
 
     def record_scan(self, tuples: int) -> None:
         self.cumulative_scan_cost += tuples
         self.scans += 1
 
 
-@dataclass
 class CardinalityProfile:
     """Per-column distinct-value sets backing the planner's selectivity
     estimates.
@@ -225,9 +239,13 @@ class CardinalityProfile:
     distinct counts its live relation had at freeze time.
     """
 
-    version: int = -1
-    column_values: Optional[list] = None  # one set of values per column
-    counts: Optional[Tuple[int, ...]] = None
+    __slots__ = ("version", "column_values", "counts")
+
+    def __init__(self, version: int = -1, column_values: Optional[list] = None,
+                 counts: Optional[Tuple[int, ...]] = None) -> None:
+        self.version = version
+        self.column_values = column_values  # one set of values per column
+        self.counts = counts
 
     def distincts(self) -> Tuple[int, ...]:
         if self.counts is not None:
@@ -235,12 +253,15 @@ class CardinalityProfile:
         return tuple(len(values) for values in self.column_values or ())
 
 
-@dataclass
 class RelationStats:
     """Per-relation bookkeeping used by adaptive optimization."""
 
-    ledgers: dict = field(default_factory=dict)  # tuple[int, ...] -> ScanCostLedger
-    profile: Optional[CardinalityProfile] = None
+    __slots__ = ("ledgers", "profile")
+
+    def __init__(self, ledgers: Optional[dict] = None,
+                 profile: Optional[CardinalityProfile] = None) -> None:
+        self.ledgers = {} if ledgers is None else ledgers  # tuple[int, ...] -> ScanCostLedger
+        self.profile = profile
 
     def ledger(self, columns: tuple) -> ScanCostLedger:
         entry = self.ledgers.get(columns)
@@ -250,26 +271,23 @@ class RelationStats:
         return entry
 
 
-@dataclass(frozen=True)
-class RelationSnapshot:
+class RelationSnapshot(Record):
     """One consistent, planner-facing read of a relation's statistics.
 
     Built by :meth:`~repro.storage.relation.Relation.stats_snapshot` in a
-    single acquisition of the relation's index lock, so the cardinality,
-    distinct counts, scan-cost ledgers and available indexes all describe
-    the same instant.  (The planner previously consulted these fields one
-    by one while adaptive index builds were mutating them from concurrent
-    read paths.)  ``scan_costs`` maps a column set to its ledger reading
-    ``(cumulative_scan_cost, scans)``.
+    single acquisition of the relation's index lock, so the cardinality
+    and version describe the same instant.
     """
 
-    name: object
-    arity: int
-    rows: int
-    version: int = -1
-    distincts: Optional[Tuple[Optional[int], ...]] = None
-    indexed: FrozenSet[Tuple[int, ...]] = frozenset()
-    scan_costs: Mapping = field(default_factory=dict)
+    __slots__ = ("name", "arity", "rows", "version", "distincts")
+
+    def __init__(self, name: object, arity: int, rows: int, version: int = -1,
+                 distincts: Optional[Tuple[Optional[int], ...]] = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "distincts", distincts)
 
     def distinct(self, col: int) -> Optional[int]:
         if self.distincts is None or not 0 <= col < len(self.distincts):

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
+from repro.record import Record
 from repro.terms.term import Term
 
 Row = Tuple[Term, ...]
@@ -31,24 +31,26 @@ OP_DELETE = "delete"
 OP_RESYNC = "resync"
 
 
-@dataclass(frozen=True)
-class Notification:
+class Notification(Record):
     """One unit of pushed change for one subscription."""
 
-    sub_id: int
-    seq: int
-    predicate: str  # "name/arity"
-    op: str  # OP_INSERT | OP_DELETE | OP_RESYNC
-    rows: Tuple[Row, ...] = ()
-    txn_id: int = 0
-    #: The database version the producing commit published (see
-    #: repro.mvcc): a subscriber and a snapshot reader pinned at the same
-    #: version agree exactly on what this notification's deltas apply to.
-    version: int = 0
-    #: For resync markers produced by queue overflow: how many buffered
-    #: notifications were discarded to make room.
-    dropped: int = 0
-    extra: dict = field(default_factory=dict, compare=False)
+    __slots__ = ("sub_id", "seq", "predicate", "op", "rows", "txn_id", "version", "dropped")
+
+    def __init__(self, sub_id: int, seq: int, predicate: str, op: str, rows: Tuple[Row, ...] = (),
+                 txn_id: int = 0, version: int = 0, dropped: int = 0) -> None:
+        object.__setattr__(self, "sub_id", sub_id)
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "predicate", predicate)  # "name/arity"
+        object.__setattr__(self, "op", op)  # OP_INSERT | OP_DELETE | OP_RESYNC
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "txn_id", txn_id)
+        #: The database version the producing commit published (see
+        #: repro.mvcc): a subscriber and a snapshot reader pinned at the same
+        #: version agree exactly on what this notification's deltas apply to.
+        object.__setattr__(self, "version", version)
+        #: For resync markers produced by queue overflow: how many buffered
+        #: notifications were discarded to make room.
+        object.__setattr__(self, "dropped", dropped)
 
     def payload(self) -> dict:
         """The JSON-able wire shape, rows left out (the server adds them as

@@ -15,8 +15,9 @@ dict or set by both raw Python values and terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator
+
+from repro.record import Record
 
 
 class Term:
@@ -68,12 +69,19 @@ class Atom(Term, str):
         return (type(self), (self.name,))
 
 
+# Every integer of at most this magnitude is exactly a float.
+_EXACT_INTS = 2**53
+
+
 class Num(Term):
     """A number (integer or float).
 
     ``Num(v)`` returns an instance of a private ``int`` or ``float``
     subclass, so numbers hash and compare in C: ``Num(2) == Num(2.0) == 2``
     with equal hashes.  ``.value`` is the exact ``int`` or ``float``.
+    An integral float within +-2**53 (where every integer is exact) is
+    stored as the ``int``: ``Num(2.0).value`` is ``2`` and ``Num(-0.0)``
+    is ``Num(0)``.
     """
 
     __slots__ = ()
@@ -89,6 +97,10 @@ class Num(Term):
             # NaN equals nothing, itself included, so no relation could
             # find it again; it also has no literal to survive a restart.
             raise ValueError("NaN is not a Glue-Nail number")
+        if value.is_integer() and -_EXACT_INTS <= value <= _EXACT_INTS:
+            # One representative per number: 2.0 is stored as 2, so what a
+            # relation holds does not depend on which arrived first.
+            return int.__new__(_IntNum, int(value))
         return float.__new__(_FloatNum, value)
 
     def __repr__(self) -> str:
@@ -110,16 +122,16 @@ class _FloatNum(Num, float):
 SCALAR_TYPES = frozenset({Atom, _IntNum, _FloatNum})
 
 
-@dataclass(frozen=True, slots=True)
-class Var(Term):
+class Var(Record, Term):
     """A logic variable.  Named ``_`` variables are anonymous (each use is
     distinct; the parser renames them apart)."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str) -> None:
+        if not name:
             raise TypeError("Var name must be a non-empty string")
+        object.__setattr__(self, "name", name)
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -129,25 +141,24 @@ class Var(Term):
         return self.name.startswith("_")
 
 
-@dataclass(frozen=True, slots=True)
-class Compound(Term):
+class Compound(Record, Term, uncompared=("_hash",)):
     """A compound term.  HiLog-style: the functor may be any term, so
     ``students(cs99)`` is a legal *predicate name* and ``E(X, Y)`` (variable
     functor) is a legal subgoal pattern."""
 
-    functor: Term
-    args: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("functor", "args", "_hash")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.functor, Term):
+    def __init__(self, functor: Term, args: tuple) -> None:
+        if not isinstance(functor, Term):
             raise TypeError("Compound functor must be a Term")
-        if not isinstance(self.args, tuple) or not self.args:
+        if not isinstance(args, tuple) or not args:
             raise TypeError("Compound args must be a non-empty tuple of Terms")
-        for arg in self.args:
+        for arg in args:
             if not isinstance(arg, Term):
                 raise TypeError("Compound args must all be Terms")
-        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash((functor, args)))
 
     def __hash__(self) -> int:
         return self._hash

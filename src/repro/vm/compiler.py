@@ -11,7 +11,6 @@ their heads are declared so Glue code can reference them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bindings import (
@@ -53,6 +52,7 @@ from repro.oracles import PRODUCT, Oracles
 from repro.storage.stats import CostCounters, RelationSnapshot
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 from repro.vm.exprs import compile_expr, compile_pattern, compile_term_code
+from repro.vm.machine import ForeignProc
 from repro.vm.plan import (
     AggStep,
     BindStep,
@@ -79,23 +79,15 @@ from repro.vm.plan import (
 _RELOP_FLIP = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-@dataclass
-class ForeignSig:
-    """Compile-time signature of a foreign (Python) procedure."""
-
-    module: str
-    name: str
-    arity: int
-    bound_arity: int
-    fixed: bool = True
-
-
-@dataclass
 class _ColumnState:
     """Mutable compile state for one statement body."""
 
-    columns: List[str] = field(default_factory=list)
-    group_cols: List[str] = field(default_factory=list)
+    __slots__ = ("columns", "group_cols")
+
+    def __init__(self, columns: Optional[List[str]] = None,
+                 group_cols: Optional[List[str]] = None) -> None:
+        self.columns = [] if columns is None else columns
+        self.group_cols = [] if group_cols is None else group_cols
 
     @property
     def colindex(self) -> Dict[str, int]:
@@ -192,7 +184,7 @@ class ProgramCompiler:
     def __init__(
         self,
         strict: bool = False,
-        foreign_sigs: Sequence[ForeignSig] = (),
+        foreign_sigs: Sequence[ForeignProc] = (),
         oracles: Oracles = PRODUCT,
         stats_source=None,
         counters: Optional[CostCounters] = None,
@@ -522,7 +514,6 @@ class ProgramCompiler:
             body=body,
             fixed=key in self._fixed_procs,
             writes=key in self._writing_procs,
-            decl=decl,
         )
 
     def _compile_any_stmt(self, stmt, scope: Scope, proc: Optional[ProcDecl]):
@@ -634,7 +625,6 @@ class ProgramCompiler:
             head_name_fn=head_name_fn,
             is_return=is_return,
             fixed=fixed,
-            columns_final=tuple(state.columns),
             source=stmt,
             replan=replan,
         )
@@ -888,6 +878,11 @@ class ProgramCompiler:
         return source
 
     def _compile_subgoal(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
+        step = self._subgoal_step(subgoal, scope, state, line)
+        step.columns_out = tuple(state.columns)
+        return step
+
+    def _subgoal_step(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
         colindex = state.colindex
         known = set(state.columns)
 
@@ -906,29 +901,25 @@ class ProgramCompiler:
                 ref=ref,
                 pattern_fn=compile_pattern(subgoal.args, colindex),
                 name_fn=name_fn,
-                columns_out=tuple(state.columns),
             )
         if isinstance(subgoal, GroupBySubgoal):
             names = [t.name for t in subgoal.terms]  # safety checked these are Vars
             for name in names:
                 if name not in state.group_cols:
                     state.group_cols.append(name)
-            return GroupByStep(
-                group_cols=tuple(state.group_cols), columns_out=tuple(state.columns)
-            )
+            return GroupByStep(group_cols=tuple(state.group_cols))
         if isinstance(subgoal, EmptyCond):
             ref, name_fn = self._relation_ref(subgoal.pred, len(subgoal.args), scope, colindex)
             return EmptyStep(
                 ref=ref,
                 pattern_fn=compile_pattern(subgoal.args, colindex),
                 name_fn=name_fn,
-                columns_out=tuple(state.columns),
             )
         if isinstance(subgoal, UnchangedCond):
             ref, name_fn = self._relation_ref(subgoal.pred, subgoal.arity, scope, colindex)
             if name_fn is not None:
                 raise CompileError(f"line {line}: unchanged() needs a static predicate")
-            return UnchangedStep(ref=ref, columns_out=tuple(state.columns))
+            return UnchangedStep(ref=ref)
         if isinstance(subgoal, UnionSubgoal):
             return self._compile_union(subgoal, scope, state, line)
         raise CompileError(f"line {line}: cannot compile subgoal {subgoal!r}")
@@ -969,7 +960,6 @@ class ProgramCompiler:
         return UnionStep(
             alternatives=compiled,
             new_vars=tuple(canonical),
-            columns_out=tuple(state.columns),
         )
 
     def _relation_ref(
@@ -994,13 +984,7 @@ class ProgramCompiler:
 
         # Literal truth values.
         if isinstance(subgoal.pred, Atom) and arity == 0 and subgoal.pred.name in ("true", "false"):
-            if subgoal.negated:
-                return TruthStep(
-                    value=subgoal.pred.name == "false", columns_out=tuple(state.columns)
-                )
-            return TruthStep(
-                value=subgoal.pred.name == "true", columns_out=tuple(state.columns)
-            )
+            return TruthStep(value=(subgoal.pred.name == "true") != subgoal.negated)
 
         if subgoal.negated:
             ref, name_fn = self._relation_ref(subgoal.pred, arity, scope, colindex)
@@ -1015,7 +999,6 @@ class ProgramCompiler:
                 lit=lit,
                 key_build=lit.key_build(colindex),
                 name_fn=name_fn,
-                columns_out=tuple(state.columns),
             )
 
         if is_ground(subgoal.pred):
@@ -1038,7 +1021,6 @@ class ProgramCompiler:
                 lit=lit,
                 key_build=lit.key_build(colindex),
                 new_vars=tuple(new_vars),
-                columns_out=tuple(state.columns),
             )
 
         # Predicate-variable (HiLog) subgoal: name instantiated per row.
@@ -1065,14 +1047,12 @@ class ProgramCompiler:
                 key_build=lit.key_build(colindex),
                 new_vars=tuple(new_vars),
                 name_fn=name_fn,
-                columns_out=tuple(state.columns),
             )
         return DynamicStep(
             ref=ref,
             name_fn=name_fn,
             pattern_fn=compile_pattern(subgoal.args, colindex),
             new_vars=tuple(new_vars),
-            columns_out=tuple(state.columns),
         )
 
     def _compile_call(
@@ -1099,7 +1079,6 @@ class ProgramCompiler:
             input_fns=tuple(input_fns),
             free_pattern_fn=compile_pattern(outputs, colindex),
             new_vars=tuple(new_vars),
-            columns_out=tuple(state.columns),
             fixed=info.fixed,
         )
 
@@ -1139,7 +1118,6 @@ class ProgramCompiler:
                     arg_fn=arg_fn,
                     binds=True,
                     group_positions=group_positions,
-                    columns_out=tuple(state.columns),
                 )
             left_fn = compile_expr(left, colindex)
             return AggStep(
@@ -1149,23 +1127,20 @@ class ProgramCompiler:
                 compare_op=op,
                 left_fn=left_fn,
                 group_positions=group_positions,
-                columns_out=tuple(state.columns),
             )
         # No aggregates: a binding or a filter.
         if op == "=":
             if isinstance(left, Var) and not left.is_anonymous and left.name not in colindex:
                 fn = compile_expr(right, colindex)
                 state.add([left.name])
-                return BindStep(var=left.name, fn=fn, columns_out=tuple(state.columns))
+                return BindStep(var=left.name, fn=fn)
             if isinstance(right, Var) and not right.is_anonymous and right.name not in colindex:
                 fn = compile_expr(left, colindex)
                 state.add([right.name])
-                return BindStep(var=right.name, fn=fn, columns_out=tuple(state.columns))
+                return BindStep(var=right.name, fn=fn)
         left_fn = compile_expr(left, colindex)
         right_fn = compile_expr(right, colindex)
-        return CompareStep(
-            op=op, left_fn=left_fn, right_fn=right_fn, columns_out=tuple(state.columns)
-        )
+        return CompareStep(op=op, left_fn=left_fn, right_fn=right_fn)
 
 
 def compile_program(program: Program, **kwargs) -> CompiledProgram:

@@ -17,7 +17,6 @@ measurable, which is what the paper's Section 9 observations are about.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -43,17 +42,20 @@ from repro.vm.explain import step_label, stmt_label
 ForeignFn = Callable[["ExecContext", List[Row]], List[Row]]
 
 
-@dataclass
 class ForeignProc:
     """A Python function registered as a Glue procedure (the foreign
     language interface of paper Section 10, realised in Python)."""
 
-    module: str
-    name: str
-    arity: int
-    bound_arity: int
-    fn: ForeignFn
-    fixed: bool = True
+    __slots__ = ("module", "name", "arity", "bound_arity", "fn", "fixed")
+
+    def __init__(self, module: str, name: str, arity: int, bound_arity: int, fn: ForeignFn,
+                 fixed: bool = True) -> None:
+        self.module = module
+        self.name = name
+        self.arity = arity
+        self.bound_arity = bound_arity
+        self.fn = fn
+        self.fixed = fixed
 
 
 class ExecContext:

@@ -12,7 +12,6 @@ parameter below is that machine (duck-typed to avoid an import cycle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -22,6 +21,8 @@ from repro.errors import GlueRuntimeError
 from repro.glue.builtins import compare_terms
 from repro.lang.ast import AssignStmt, ProcDecl, RuleDecl
 from repro.opt.literal import LiteralPlan, trace_join
+from repro.record import Record
+from repro.storage.relation import matching_rows
 from repro.terms.matching import match_tuple
 from repro.terms.term import Term, is_ground
 
@@ -30,8 +31,7 @@ RowFn = Callable[[Row], Term]
 PatternFn = Callable[[Row], Tuple[Term, ...]]
 
 
-@dataclass(frozen=True)
-class PredRef:
+class PredRef(Record):
     """A (possibly dynamic) reference to a predicate.
 
     ``pred`` may contain variables -- a HiLog predicate-variable subgoal --
@@ -39,10 +39,14 @@ class PredRef:
     compile-time narrowed candidate set.
     """
 
-    pred: Term
-    arity: int
-    info: Optional[PredInfo] = None
-    candidates: Tuple[PredInfo, ...] = ()
+    __slots__ = ("pred", "arity", "info", "candidates")
+
+    def __init__(self, pred: Term, arity: int, info: Optional[PredInfo] = None,
+                 candidates: Tuple[PredInfo, ...] = ()) -> None:
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "info", info)
+        object.__setattr__(self, "candidates", candidates)
 
 
 def _probe_key(key_build, row: Row) -> Row:
@@ -68,8 +72,10 @@ def _joinable_relation(relation):
 
 
 class Step:
-    """Base class: a plan step."""
+    """Base class: a plan step.  ``columns_out`` names the columns of the
+    rows it emits; the compiler sets it after building the step."""
 
+    __slots__ = ("columns_out",)
     is_barrier = False  # True -> a pipeline break comes before the step
 
     # Non-barrier steps implement iterate(); barrier steps implement
@@ -107,7 +113,6 @@ def _passes_eq_checks(stored: Row, eq_checks) -> bool:
     return all(stored[c] == stored[c0] for c, c0 in eq_checks)
 
 
-@dataclass
 class _LiteralStep(Step):
     """A scan or anti-join over one stored/derived relation.
 
@@ -120,14 +125,19 @@ class _LiteralStep(Step):
     not a relation-wide match.
     """
 
-    ref: PredRef
-    pattern_fn: PatternFn
-    lit: LiteralPlan
-    key_build: Tuple[Tuple[Optional[int], Optional[Term]], ...]
-    new_vars: Tuple[str, ...] = ()
-    name_fn: Optional[RowFn] = None  # dynamic predicate-name instantiation
-    columns_out: Tuple[str, ...] = ()
-    est_rows: Optional[float] = None  # planner's output-size estimate
+    __slots__ = ("ref", "pattern_fn", "lit", "key_build", "new_vars", "name_fn", "est_rows")
+
+    def __init__(self, ref: PredRef, pattern_fn: PatternFn, lit: LiteralPlan,
+                 key_build: Tuple[Tuple[Optional[int], Optional[Term]], ...],
+                 new_vars: Tuple[str, ...] = (), name_fn: Optional[RowFn] = None,
+                 est_rows: Optional[float] = None) -> None:
+        self.ref = ref
+        self.pattern_fn = pattern_fn
+        self.lit = lit
+        self.key_build = key_build
+        self.new_vars = new_vars
+        self.name_fn = name_fn  # dynamic predicate-name instantiation
+        self.est_rows = est_rows  # planner's output-size estimate
 
     def iterate(self, rows, rt, frame):
         ref = self.ref
@@ -159,9 +169,10 @@ class _LiteralStep(Step):
         raise NotImplementedError
 
 
-@dataclass
 class ScanStep(_LiteralStep):
     """Join the supplementary relation with a stored/derived relation."""
+
+    __slots__ = ()
 
     def _join_state(self, relation, rt):
         lit = self.lit
@@ -298,9 +309,10 @@ class ScanStep(_LiteralStep):
         return probe_keyed
 
 
-@dataclass
 class NegScanStep(_LiteralStep):
     """Anti-join: keep rows with no matching tuple (safe negation)."""
+
+    __slots__ = ()
 
     def _join_state(self, relation, rt):
         """Emit ``(row,)`` when the row has no witness, ``()`` otherwise."""
@@ -365,14 +377,15 @@ class NegScanStep(_LiteralStep):
         return anti_static, strategy, len(target)
 
 
-@dataclass
 class CompareStep(Step):
     """A comparison filter: ``left op right`` over bound expressions."""
 
-    op: str
-    left_fn: RowFn
-    right_fn: RowFn
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("op", "left_fn", "right_fn")
+
+    def __init__(self, op: str, left_fn: RowFn, right_fn: RowFn) -> None:
+        self.op = op
+        self.left_fn = left_fn
+        self.right_fn = right_fn
 
     def iterate(self, rows, rt, frame):
         op, left_fn, right_fn = self.op, self.left_fn, self.right_fn
@@ -381,13 +394,14 @@ class CompareStep(Step):
                 yield row
 
 
-@dataclass
 class BindStep(Step):
     """``Var = expr`` with Var unbound: extend each row with the value."""
 
-    var: str
-    fn: RowFn
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("var", "fn")
+
+    def __init__(self, var: str, fn: RowFn) -> None:
+        self.var = var
+        self.fn = fn
 
     def iterate(self, rows, rt, frame):
         fn = self.fn
@@ -395,18 +409,18 @@ class BindStep(Step):
             yield row + (fn(row),)
 
 
-@dataclass
 class TruthStep(Step):
     """The literal ``true`` (identity) or ``false`` (annihilator)."""
 
-    value: bool
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
     def iterate(self, rows, rt, frame):
         return iter(rows) if self.value else iter(())
 
 
-@dataclass
 class GroupByStep(Step):
     """``group_by(...)``: a compile-time partition marker.
 
@@ -415,14 +429,15 @@ class GroupByStep(Step):
     and explanations show where the partition happens.
     """
 
-    group_cols: Tuple[str, ...] = ()
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("group_cols",)
+
+    def __init__(self, group_cols: Tuple[str, ...] = ()) -> None:
+        self.group_cols = group_cols
 
     def iterate(self, rows, rt, frame):
         return iter(rows)
 
 
-@dataclass
 class AggStep(Step):
     """An aggregation subgoal (barrier; paper Sections 3.3 and 9).
 
@@ -440,14 +455,19 @@ class AggStep(Step):
     still ranges over every input tuple.
     """
 
-    agg_op: str
-    arg_fn: RowFn
-    binds: bool
-    compare_op: str = "="
-    left_fn: Optional[RowFn] = None
-    group_positions: Tuple[int, ...] = ()
-    columns_out: Tuple[str, ...] = ()
-    per_group: bool = False
+    __slots__ = ("agg_op", "arg_fn", "binds", "compare_op", "left_fn", "group_positions",
+                 "per_group")
+
+    def __init__(self, agg_op: str, arg_fn: RowFn, binds: bool, compare_op: str = "=",
+                 left_fn: Optional[RowFn] = None, group_positions: Tuple[int, ...] = (),
+                 per_group: bool = False) -> None:
+        self.agg_op = agg_op
+        self.arg_fn = arg_fn
+        self.binds = binds
+        self.compare_op = compare_op
+        self.left_fn = left_fn
+        self.group_positions = group_positions
+        self.per_group = per_group
 
     is_barrier = True
 
@@ -499,7 +519,6 @@ class AggStep(Step):
         ]
 
 
-@dataclass
 class CallStep(Step):
     """A call to a Glue procedure, builtin or foreign procedure (barrier).
 
@@ -509,12 +528,15 @@ class CallStep(Step):
     procedure once, and joins the result back.
     """
 
-    ref: PredRef
-    input_fns: Tuple[RowFn, ...]
-    free_pattern_fn: PatternFn  # patterns for the output (free) arguments
-    new_vars: Tuple[str, ...]
-    columns_out: Tuple[str, ...] = ()
-    fixed: bool = True
+    __slots__ = ("ref", "input_fns", "free_pattern_fn", "new_vars", "fixed")
+
+    def __init__(self, ref: PredRef, input_fns: Tuple[RowFn, ...], free_pattern_fn: PatternFn,
+                 new_vars: Tuple[str, ...], fixed: bool = True) -> None:
+        self.ref = ref
+        self.input_fns = input_fns
+        self.free_pattern_fn = free_pattern_fn  # patterns for the output (free) arguments
+        self.new_vars = new_vars
+        self.fixed = fixed
 
     is_barrier = True
 
@@ -544,18 +566,20 @@ class CallStep(Step):
         return out
 
 
-@dataclass
 class DynamicStep(Step):
     """A predicate-variable subgoal whose candidates include callables, so
     the class dispatch happens at run time (the un-optimized path; the
     compile-time dereferencing of paper Section 9 avoids this step whenever
     the candidate set contains only stored relations)."""
 
-    ref: PredRef
-    name_fn: RowFn
-    pattern_fn: PatternFn
-    new_vars: Tuple[str, ...]
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("ref", "name_fn", "pattern_fn", "new_vars")
+
+    def __init__(self, ref: PredRef, name_fn: RowFn, pattern_fn: PatternFn,
+                 new_vars: Tuple[str, ...]) -> None:
+        self.ref = ref
+        self.name_fn = name_fn
+        self.pattern_fn = pattern_fn
+        self.new_vars = new_vars
 
     is_barrier = True
 
@@ -570,21 +594,24 @@ class DynamicStep(Step):
         return out
 
 
-@dataclass
 class UpdateStep(Step):
     """An EDB-updating body subgoal ``++p``/``--p`` (barrier).
 
     Inserts are ground per-row instantiations; deletes accept anonymous
-    variables as wildcards and remove all matching tuples.  Each relation
+    variables as wildcards and remove all matching tuples
+    (:func:`~repro.storage.relation.matching_rows`).  Each relation
     the subgoal touches gets one batch: one ``insert_new`` or one
     ``delete_many``, so one version bump and one change-log entry.
     """
 
-    op: str  # "++" or "--"
-    ref: PredRef
-    pattern_fn: PatternFn
-    name_fn: Optional[RowFn] = None
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("op", "ref", "pattern_fn", "name_fn")
+
+    def __init__(self, op: str, ref: PredRef, pattern_fn: PatternFn,
+                 name_fn: Optional[RowFn] = None) -> None:
+        self.op = op  # "++" or "--"
+        self.ref = ref
+        self.pattern_fn = pattern_fn
+        self.name_fn = name_fn
 
     is_barrier = True
 
@@ -604,24 +631,25 @@ class UpdateStep(Step):
                     raise GlueRuntimeError(f"++{name}: insert needs ground arguments")
                 relation.insert_new(ground)
                 continue
-            # A ground pattern is a row; only wildcard patterns need a scan.
-            if wild:
-                ground += [
-                    row for row in relation.rows()
-                    if any(match_tuple(patterns, row) is not None for patterns in wild)
-                ]
+            # A ground pattern is a row; a wildcard pattern is matched like
+            # a query: a flat one through the indexes, any other by one
+            # charged scan.
+            for patterns in wild:
+                ground += matching_rows(relation, patterns)
             relation.delete_many(ground)
         return rows
 
 
-@dataclass
 class EmptyStep(Step):
     """``empty(p(args))``: keep rows for which no tuple matches."""
 
-    ref: PredRef
-    pattern_fn: PatternFn
-    name_fn: Optional[RowFn] = None
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("ref", "pattern_fn", "name_fn")
+
+    def __init__(self, ref: PredRef, pattern_fn: PatternFn,
+                 name_fn: Optional[RowFn] = None) -> None:
+        self.ref = ref
+        self.pattern_fn = pattern_fn
+        self.name_fn = name_fn
 
     def iterate(self, rows, rt, frame):
         static_rel = None
@@ -636,7 +664,6 @@ class EmptyStep(Step):
                 yield row
 
 
-@dataclass
 class UnchangedStep(Step):
     """``unchanged(p(...))`` (barrier: its evaluation must happen exactly
     once per statement execution, and its answer depends on history).
@@ -645,8 +672,10 @@ class UnchangedStep(Step):
     time *this occurrence* ran in *this frame*; always false on first run.
     """
 
-    ref: PredRef
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("ref",)
+
+    def __init__(self, ref: PredRef) -> None:
+        self.ref = ref
 
     is_barrier = True
 
@@ -661,7 +690,6 @@ class UnchangedStep(Step):
         return []
 
 
-@dataclass
 class UnionStep(Step):
     """A body disjunction ``{ c1 | c2 }`` (the footnote-5 extension).
 
@@ -670,9 +698,12 @@ class UnionStep(Step):
     layout onto the canonical new-variable order.
     """
 
-    alternatives: List[Tuple[List[Step], Tuple[int, ...]]]
-    new_vars: Tuple[str, ...] = ()
-    columns_out: Tuple[str, ...] = ()
+    __slots__ = ("alternatives", "new_vars")
+
+    def __init__(self, alternatives: List[Tuple[List[Step], Tuple[int, ...]]],
+                 new_vars: Tuple[str, ...] = ()) -> None:
+        self.alternatives = alternatives
+        self.new_vars = new_vars
 
     is_barrier = True
 
@@ -695,62 +726,77 @@ Plan = List[Step]
 # --------------------------------------------------------------------- #
 
 
-@dataclass
 class Replan:
     """What a statement compiled without some relation's size keeps so it
     can be re-planned by live sizes at run time (paper Section 10; see
     :meth:`repro.vm.compiler.ProgramCompiler.replanned`)."""
 
-    body: tuple     # the body after the implicit-in prepend, unordered
-    ordered: tuple  # the order compiled ahead of time
-    scope: object   # the compile-time Scope
-    proc: Optional[ProcDecl]  # the enclosing procedure; None for a script
+    __slots__ = ("body", "ordered", "scope", "proc")
+
+    def __init__(self, body: tuple, ordered: tuple, scope: object,
+                 proc: Optional[ProcDecl]) -> None:
+        self.body = body  # the body after the implicit-in prepend, unordered
+        self.ordered = ordered  # the order compiled ahead of time
+        self.scope = scope  # the compile-time Scope
+        self.proc = proc  # the enclosing procedure; None for a script
 
 
-@dataclass
 class CompiledStmt:
     """One compiled assignment statement.  ``replan`` is set only on
     statements the compiler marked for run-time re-planning."""
 
-    plan: Plan
-    head_ref: PredRef
-    head_fns: Tuple[RowFn, ...]
-    op: str  # ":=", "+=", "-=", "modify"
-    key_positions: Tuple[int, ...] = ()
-    head_name_fn: Optional[RowFn] = None
-    is_return: bool = False
-    fixed: bool = False
-    columns_final: Tuple[str, ...] = ()
-    source: Optional[AssignStmt] = None
-    replan: Optional[Replan] = None
+    __slots__ = ("plan", "head_ref", "head_fns", "op", "key_positions", "head_name_fn", "is_return",
+                 "fixed", "source", "replan")
+
+    def __init__(self, plan: Plan, head_ref: PredRef, head_fns: Tuple[RowFn, ...], op: str,
+                 key_positions: Tuple[int, ...] = (), head_name_fn: Optional[RowFn] = None,
+                 is_return: bool = False, fixed: bool = False,
+                 source: Optional[AssignStmt] = None, replan: Optional[Replan] = None) -> None:
+        self.plan = plan
+        self.head_ref = head_ref
+        self.head_fns = head_fns
+        self.op = op  # ":=", "+=", "-=", "modify"
+        self.key_positions = key_positions
+        self.head_name_fn = head_name_fn
+        self.is_return = is_return
+        self.fixed = fixed
+        self.source = source
+        self.replan = replan
 
 
-@dataclass
 class CompiledRepeat:
     """A compiled repeat/until loop."""
 
-    body: List[object]  # CompiledStmt | CompiledRepeat
-    until_alts: List[Plan]
-    source: object = None
+    __slots__ = ("body", "until_alts", "source")
+
+    def __init__(self, body: List[object], until_alts: List[Plan], source: object = None) -> None:
+        self.body = body  # CompiledStmt | CompiledRepeat
+        self.until_alts = until_alts
+        self.source = source
 
 
-@dataclass
 class CompiledProc:
     """A compiled Glue procedure."""
 
-    module: Optional[str]
-    name: str
-    bound_params: Tuple[str, ...]
-    free_params: Tuple[str, ...]
-    locals: Tuple[Tuple[str, int], ...]
-    body: List[object]
-    fixed: bool = False
-    # Updates the EDB: an EDB or dynamic head, a ++/-- subgoal, or a call
-    # of a writing or foreign procedure.  Unlike fixedness, aggregates and
-    # builtin I/O do not make a procedure write.
-    writes: bool = False
-    exported: bool = False
-    decl: Optional[ProcDecl] = None
+    __slots__ = ("module", "name", "bound_params", "free_params", "locals", "body", "fixed",
+                 "writes", "exported")
+
+    def __init__(self, module: Optional[str], name: str, bound_params: Tuple[str, ...],
+                 free_params: Tuple[str, ...], locals: Tuple[Tuple[str, int], ...],
+                 body: List[object], fixed: bool = False, writes: bool = False,
+                 exported: bool = False) -> None:
+        self.module = module
+        self.name = name
+        self.bound_params = bound_params
+        self.free_params = free_params
+        self.locals = locals
+        self.body = body
+        self.fixed = fixed
+        # Updates the EDB: an EDB or dynamic head, a ++/-- subgoal, or a call
+        # of a writing or foreign procedure.  Unlike fixedness, aggregates and
+        # builtin I/O do not make a procedure write.
+        self.writes = writes
+        self.exported = exported
 
     @property
     def arity(self) -> int:
@@ -765,19 +811,21 @@ class CompiledProc:
         return (self.module, self.name, self.arity)
 
 
-@dataclass
 class CompiledProgram:
     """A fully compiled Glue-Nail program."""
 
-    procs: Dict[Tuple[Optional[str], str, int], CompiledProc] = field(default_factory=dict)
-    exported: Dict[Tuple[str, int], CompiledProc] = field(default_factory=dict)
-    rules: List[RuleDecl] = field(default_factory=list)
-    script: List[object] = field(default_factory=list)  # loose compiled stmts
-    #: ``watch`` declarations (active rules); the system facade registers
-    #: them with its SubscriptionManager after compilation.
-    watches: List[object] = field(default_factory=list)
-    statement_count: int = 0
-    compiler: object = None  # the ProgramCompiler, for run-time variants
+    __slots__ = ("procs", "exported", "rules", "script", "watches", "statement_count", "compiler")
+
+    def __init__(self, statement_count: int = 0, compiler: object = None) -> None:
+        self.procs: Dict[Tuple[Optional[str], str, int], CompiledProc] = {}
+        self.exported: Dict[Tuple[str, int], CompiledProc] = {}
+        self.rules: List[RuleDecl] = []
+        self.script: List[object] = []  # loose compiled stmts
+        #: ``watch`` declarations (active rules); the system facade registers
+        #: them with its SubscriptionManager after compilation.
+        self.watches: List[object] = []
+        self.statement_count = statement_count
+        self.compiler = compiler  # the ProgramCompiler, for run-time variants
 
     def find_proc(self, name: str, arity: int, module: Optional[str] = None) -> CompiledProc:
         if module is not None:

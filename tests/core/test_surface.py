@@ -165,6 +165,31 @@ def test_package_init_files_import_nothing():
     assert _loaded_by("repro") == {"repro"}
 
 
+def test_no_module_imports_dataclasses():
+    # A dataclass's methods are generated by exec at every import; product
+    # classes are plain __slots__ classes (repro.record for value classes).
+    importing = sorted(
+        str(path.relative_to(Path(repro.__file__).parent))
+        for path in Path(repro.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    )
+    assert not importing
+
+
+SERVE_LOADS = """
+import sys
+before = set(sys.modules)
+import repro.core.cli, repro.server.server, repro.txn.store, repro.server.gcpolicy
+print(" ".join(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_a_server_start_loads_no_code_generators():
+    assert _python(SERVE_LOADS).split() == []
+
+
 def test_server_has_no_lock_read_mode():
     assert "mvcc" not in parameters(GlueNailServer)
 

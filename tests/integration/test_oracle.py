@@ -112,10 +112,6 @@ def test_nan_is_an_error_in_both(source):
     assert agree(source, {"a": [(float("inf"),), (float("-inf"),)]}) == FAILED
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a relation stores whichever of 2 and 2.0 arrived first, and the product "
-    "of integers past 2**53 then depends on which"
-))
 def test_integer_product_does_not_depend_on_the_stored_representative():
     agree("p(N) :- v(X) & N = product(X).", {"v": [(2.0,)] + [(3 + i,) for i in range(40)]})
 

@@ -120,11 +120,12 @@ class TestColumns:
         rows = [(Atom("it's"), Num(1.0), Compound(set_name, (Atom("wilson"),))),
                 (Atom(""), Num(-7), Compound(Atom("f"), (Num(2.5), Atom("New York"))))]
         result = RemoteResult(over_the_wire(rows_payload(rows)))
+        # Num(1.0) is the integer 1: one representative per number.
         assert result.facts == [
-            "('it\\'s', 1.0, students(cs99)(wilson))",
+            "('it\\'s', 1, students(cs99)(wilson))",
             "('', -7, f(2.5, 'New York'))",
         ]
-        assert result[0][1] == 1.0 and isinstance(result[0][1], float)
+        assert result[0][1] == 1 and isinstance(result[0][1], int)
         assert result[1][2] == ("f", 2.5, "New York")
 
     @pytest.mark.parametrize("query, values", [

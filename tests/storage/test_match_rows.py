@@ -8,7 +8,7 @@ relation runs no Python frame per row.
 import gc
 import sys
 
-from repro.nail.engine import matching_rows
+from repro.storage.relation import matching_rows
 from repro.storage.adaptive import AdaptiveIndexPolicy
 from repro.storage.relation import Relation
 from repro.storage.stats import CostCounters

@@ -118,6 +118,17 @@ class TestNativeValues:
         assert hash(Num(2)) == hash(Num(2.0))
         assert sort_key(Num(2)) == sort_key(Num(2.0))
 
+    @pytest.mark.parametrize("value, stored", [
+        (2.0, 2), (-0.0, 0), (-(2.0**53), -(2**53)), (2.0**53, 2**53),
+        (2.0**53 + 2, 2.0**53 + 2), (1e300, 1e300), (float("-inf"), float("-inf")), (2.5, 2.5),
+    ])
+    def test_one_representative_per_number(self, value, stored):
+        # An integral float within +-2**53 is stored as the int; past
+        # that, or with a fraction, the float stays.
+        num = Num(value)
+        assert type(num.value) is type(stored) and num.value == stored
+        assert repr(num) == f"Num(value={stored!r})"
+
     @pytest.mark.parametrize(
         "build", [lambda: Num(True), lambda: Num(float("nan")), lambda: Atom(1)]
     )
@@ -128,7 +139,7 @@ class TestNativeValues:
     def test_repr_is_unchanged(self):
         assert repr(Atom("it's")) == """Atom(name="it's")"""
         assert repr(Num(1)) == "Num(value=1)"
-        assert repr(Num(-0.0)) == "Num(value=-0.0)"
+        assert repr(Num(-0.5)) == "Num(value=-0.5)"
         assert repr(Compound(Atom("f"), (Num(2.5),))) == (
             "Compound(functor=Atom(name='f'), args=(Num(value=2.5),))"
         )
@@ -140,7 +151,9 @@ class TestNativeValues:
 
     @pytest.mark.parametrize(
         "term",
-        [Atom("a"), Num(10**30), Num(-0.0), Compound(Atom("f"), (Num(2), Atom("x")))],
+        # Num(-0.0) is the int 0 (one representative per number); -0.5 keeps a float.
+        [Atom("a"), Num(10**30), pytest.param(Num(-0.0), id="-0.0"),
+         Compound(Atom("f"), (Num(2), Atom("x"))), Num(-0.5)],
     )
     def test_pickle_and_copy_round_trip(self, term):
         pickled = [
@@ -152,8 +165,8 @@ class TestNativeValues:
             assert hash(clone) == hash(term)
 
     def test_json_writes_the_base_values(self):
-        terms = [Atom("a"), Num(float("inf")), Num(-0.0), Num(10**30)]
-        raw = ["a", float("inf"), -0.0, 10**30]
+        terms = [Atom("a"), Num(float("inf")), Num(-0.5), Num(10**30)]
+        raw = ["a", float("inf"), -0.5, 10**30]
         assert json.dumps(terms) == json.dumps(raw)
 
 

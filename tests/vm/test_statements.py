@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.query import rows_to_python
 from repro.errors import CompileError
-from repro.storage.relation import MAX_CHANGELOG_ENTRIES
+from repro.storage.relation import MAX_CHANGELOG_ENTRIES, Relation, matching_rows
+from repro.storage.stats import CostCounters
+from repro.terms.term import Atom, Num, Var
 from tests.conftest import make_system
 
 
@@ -248,6 +250,37 @@ class TestUpdateSubgoalBatches:
         if subgoal.startswith("++"):
             assert system.counters.idb_delta_repairs == 1
             assert system.counters.idb_resyncs == 0
+
+    def test_wildcard_delete_is_charged_as_matching_rows(self):
+        """Each wildcard ``--`` pattern is matched as a query is: through
+        the adaptive indexes, with every scan and probe charged."""
+        n = 2000
+        facts = {"src": [(i,) for i in range(n)], "q": [(i, "a") for i in range(n)]}
+        charged = ("tuples_scanned", "index_lookups", "index_probe_tuples",
+                   "index_builds", "index_build_tuples")
+
+        def cost(update):
+            system = run(f"proc wipe(N:)\n  return(N:) := in(N) & src(X){update}.\nend",
+                         facts=facts, script=False)
+            before = system.counters.snapshot()
+            system.call("wipe", [(1,)])
+            after = system.counters.snapshot()
+            return system, {name: after[name] - before[name] for name in (*charged, "deletes")}
+
+        system, with_delete = cost(" & --q(X, _)")
+        _, body_only = cost("")
+        assert len(system.db.relation("q", 2)) == 0
+        assert with_delete["deletes"] == n
+
+        twin = Relation(Atom("q"), 2, counters=CostCounters(),
+                        index_policy=system.db.index_policy)
+        twin.insert_many(tuple(map(Num, row[:1])) + (Atom("a"),) for row in facts["q"])
+        twin.counters.reset()
+        for x in range(n):
+            assert matching_rows(twin, (Num(x), Var("_"))) == [(Num(x), Atom("a"))]
+        expected = {name: getattr(twin.counters, name) for name in charged}
+        assert expected["index_lookups"] > 0  # the indexes served the patterns
+        assert {name: with_delete[name] - body_only[name] for name in charged} == expected
 
 
 class TestAggregates:
