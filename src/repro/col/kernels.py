@@ -1,4 +1,4 @@
-"""Plan-specialized batch kernels and their per-database cache.
+"""Plan-specialized batch kernels and the tables they probe.
 
 The kernel generator specializes the generic join interpreter against the
 :class:`~repro.opt.literal.LiteralPlan` both engines run a literal from
@@ -25,41 +25,30 @@ from typing import Tuple
 from repro.col.atoms import AtomTable
 from repro.col.batch import Batch
 
-# Bounds keeping the per-database caches from growing without limit on
-# pathological plan churn; real programs have a few dozen shapes.
-_MAX_TABLES = 1024
-_MAX_GLUE_TABLES = 256
-
 
 class ColumnarContext:
-    """Shared per-database columnar state: the atom table + kernel caches.
+    """Shared per-database columnar state: the atom table and cache counts.
 
     One context is shared by a database and every database evaluating
     against it (the NAIL! engine's IDB adopts its EDB's context), because
-    ids from different relations meet in join keys.  Cached state is keyed
-    by the relation's ``(uid, version)`` fingerprint -- ``uid`` is globally
-    unique, so frame-local Glue relations cache safely too.  After a version
-    bump, probe tables follow the relation's change log when every change
-    since was an insert (only the touched buckets are re-encoded) and are
-    re-encoded in full otherwise; row sets and broadcast columns always
-    re-encode.
+    ids from different relations meet in join keys.  The tables the
+    kernels probe live on the relation they encode, as its hash indexes
+    do: ``Relation.kernel_tables`` maps ``(context, kind, shape)`` to
+    ``(version, table)``, and a frozen clone shares its live relation's
+    dict.  So a table lives exactly as long as its relation, and a reader
+    pinned at an older version still hits the tables built at it.  Two
+    readers that miss at once both build a table and the last store
+    wins: each is tagged with its version, and nothing iterates the dict.
+    After a version bump, probe tables follow the relation's change log
+    when every change since was an insert (only the touched buckets are
+    re-encoded) and are re-encoded in full otherwise; row sets and
+    broadcast columns always re-encode.
     """
 
-    __slots__ = (
-        "atoms", "_tables", "_rowsets", "_glue_tables", "_bcast",
-        "hits", "misses", "extends",
-    )
+    __slots__ = ("atoms", "hits", "misses", "extends")
 
     def __init__(self):
         self.atoms = AtomTable()
-        # (uid, probe_cols, extract_cols, eq_checks) -> (version, table)
-        self._tables: dict = {}
-        # uid -> (version, frozenset of id-rows)
-        self._rowsets: dict = {}
-        # (uid, probe_cols, extract_cols, eq_checks) -> (version, table)
-        self._glue_tables: dict = {}
-        # (uid, extract_cols) -> (version, interned broadcast columns)
-        self._bcast: dict = {}
         self.hits = 0
         self.misses = 0
         # Probe tables brought up to date from the change log; an extension
@@ -69,29 +58,19 @@ class ColumnarContext:
     def stats(self) -> dict:
         return {
             "atoms": len(self.atoms),
-            "tables": len(self._tables) + len(self._glue_tables),
-            "rowsets": len(self._rowsets),
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_extends": self.extends,
         }
 
-    def evict(self, uids) -> None:
-        """Forget every cached table of the given relation uids.
-
-        Called when their owner (a session's engine, a magic evaluation)
-        is done with them: a dead relation's entries can never hit again,
-        and left behind they push the caches toward the wholesale
-        ``clear()`` that also throws the hot EDB tables away.
-        """
-        uids = set(uids)
-        if not uids:
-            return
-        for uid in uids:
-            self._rowsets.pop(uid, None)
-        for cache in (self._tables, self._glue_tables, self._bcast):
-            for key in [key for key in cache if key[0] in uids]:
-                del cache[key]
+    def _cached(self, relation, key):
+        """The relation's table under ``key`` if built at its version."""
+        entry = relation.kernel_tables.get(key)
+        if entry is not None and entry[0] == relation.version:
+            self.hits += 1
+            return entry[1]
+        self.misses += 1
+        return None
 
     # ------------------------------------------------------------------ #
     # NAIL! kernel state
@@ -126,12 +105,10 @@ class ColumnarContext:
             k = intern(bucket_key[0]) if scalar else intern_row(bucket_key)
             return k, (len(rows), matched, new_cols)
 
-        key = (relation.uid, plan.probe_cols, extract_cols, eq_checks)
-        return self._probe_state(
-            self._tables, _MAX_TABLES, key, relation, plan.probe_cols, encode
-        )
+        key = (self, "probe", plan.probe_cols, extract_cols, eq_checks)
+        return self._probe_state(key, relation, plan.probe_cols, encode)
 
-    def _probe_state(self, cache, limit, key, relation, probe_cols, encode):
+    def _probe_state(self, key, relation, probe_cols, encode):
         """Look up, extend or build one cached probe table.
 
         ``encode(bucket_key, rows)`` turns one index bucket into a
@@ -149,8 +126,9 @@ class ColumnarContext:
         ``relation.build_index`` runs on every extend and miss, as the row
         engine's probe would call it, so counters match in either mode.
         """
-        version = relation.fingerprint[1]
-        entry = cache.get(key)
+        version = relation.version
+        tables = relation.kernel_tables
+        entry = tables.get(key)
         if entry is not None and entry[0] == version:
             self.hits += 1
             return entry[1], "hit"
@@ -173,9 +151,7 @@ class ColumnarContext:
             for bucket_key in dict.fromkeys(map(index.key_of, added)):
                 k, value = encode(bucket_key, bucket(bucket_key))
                 table[k] = value
-        if len(cache) > limit:
-            cache.clear()
-        cache[key] = (version, table)
+        tables[key] = (version, table)
         return table, status
 
     def rowset(self, relation) -> Tuple[set, str]:
@@ -184,42 +160,33 @@ class ColumnarContext:
         Building charges nothing, mirroring the row engine's ``contains``
         path (a plain set-membership test over the stored row dict).
         """
-        version = relation.fingerprint[1]
-        entry = self._rowsets.get(relation.uid)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1], "hit"
-        self.misses += 1
+        key = (self, "rows")
+        rows = self._cached(relation, key)
+        if rows is not None:
+            return rows, "hit"
         intern_row = self.atoms.intern_row
         rows = frozenset(intern_row(row) for row in relation.rows())
-        if len(self._rowsets) > _MAX_TABLES:
-            self._rowsets.clear()
-        self._rowsets[relation.uid] = (version, rows)
+        relation.kernel_tables[key] = (relation.version, rows)
         return rows, "miss"
 
     def broadcast_columns(self, relation, extract_cols: Tuple[int, ...]):
         """Interned id-columns for a full-relation broadcast.
 
-        Keyed by ``(uid, extract_cols)`` and version-checked like the
-        probe tables, so a relation that seminaive rounds broadcast
-        repeatedly without changing -- the accumulated IDB, a static EDB
-        side -- is encoded once per version instead of once per round per
-        rule.  Charges nothing itself: the caller charges the scan, which
-        the row engine pays every round regardless (counter parity).
+        Keyed by ``extract_cols`` and version-checked like the probe
+        tables, so a relation that seminaive rounds broadcast repeatedly
+        without changing -- the accumulated IDB, a static EDB side -- is
+        encoded once per version instead of once per round per rule.
+        Charges nothing itself: the caller charges the scan, which the row
+        engine pays every round regardless (counter parity).
         """
-        version = relation.fingerprint[1]
-        key = (relation.uid, extract_cols)
-        entry = self._bcast.get(key)
-        if entry is not None and entry[0] == version:
-            self.hits += 1
-            return entry[1]
-        self.misses += 1
+        key = (self, "broadcast", extract_cols)
+        cols = self._cached(relation, key)
+        if cols is not None:
+            return cols
         intern_column = self.atoms.intern_column
         rows = list(relation.rows())  # rows() is a one-pass iterator
         cols = tuple(intern_column(rows, c) for c in extract_cols)
-        if len(self._bcast) > _MAX_TABLES:
-            self._bcast.clear()
-        self._bcast[key] = (version, cols)
+        relation.kernel_tables[key] = (relation.version, cols)
         return cols
 
     # ------------------------------------------------------------------ #
@@ -252,10 +219,8 @@ class ColumnarContext:
                 suffixes = [tuple(row[c] for c in extract) for row in rows]
             return (bucket_key[0] if scalar else bucket_key), (len(rows), suffixes)
 
-        key = (target.uid, plan.probe_cols, extract, eq_checks)
-        return self._probe_state(
-            self._glue_tables, _MAX_GLUE_TABLES, key, target, plan.probe_cols, encode
-        )
+        key = (self, "glue", plan.probe_cols, extract, eq_checks)
+        return self._probe_state(key, target, plan.probe_cols, encode)
 
 
 # ---------------------------------------------------------------------- #
@@ -320,8 +285,7 @@ def run_broadcast(batch: Batch, plan, source, atoms: AtomTable, ctx=None) -> Bat
 
     The common seminaive shape -- full scan, no eq-checks -- takes a
     cached-encode fast path when the source offers ``broadcast_columns``
-    (relations cache per ``(uid, version)`` in ``ctx``, deltas on
-    themselves), so an unchanged source broadcast by several rules and
+    (relations and deltas both cache on themselves), so an unchanged source broadcast by several rules and
     rounds is interned once instead of every time.  The source still
     charges the scan, keeping counters identical to the uncached path.
     """

@@ -143,19 +143,21 @@ class Repl:
 
         # Ground unit clauses become EDB facts directly; everything else
         # loads into the program (rules, procs, modules) or runs (scripts).
+        # The facts and statements of one line are one implicit transaction.
         immediate = []
         to_load_items = []
-        for item in program.items:
-            if is_ground_fact(item):
-                self.system.db.relation(item.head_pred, len(item.head_args)).insert(
-                    item.head_args
-                )
-                immediate.append("fact")
-            elif isinstance(item, (AssignStmt, RepeatStmt)):
-                self._run_statement(item)
-                immediate.append("ran")
-            else:
-                to_load_items.append(item)
+        with self.system.db.atomically():
+            for item in program.items:
+                if is_ground_fact(item):
+                    self.system.db.relation(item.head_pred, len(item.head_args)).insert(
+                        item.head_args
+                    )
+                    immediate.append("fact")
+                elif isinstance(item, (AssignStmt, RepeatStmt)):
+                    self._run_statement(item)
+                    immediate.append("ran")
+                else:
+                    to_load_items.append(item)
         if to_load_items or program.modules:
             from repro.lang.ast import Program
 

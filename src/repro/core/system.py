@@ -114,12 +114,13 @@ class GlueNailSystem:
 
     def load(self, source: str) -> "GlueNailSystem":
         """Parse and stage Glue-Nail source, declaring its ``edb``
-        relations; returns self for chaining.  Compiling declares nothing,
-        so only loading touches the catalog."""
+        relations (one implicit transaction); returns self for chaining.
+        Compiling declares nothing, so only loading touches the catalog."""
         program = parse_program(source)
-        for item in chain(*(module.items for module in program.modules), program.items):
-            if isinstance(item, EdbDecl):
-                self.db.declare(item.name, item.arity)
+        with self.db.atomically():
+            for item in chain(*(module.items for module in program.modules), program.items):
+                if isinstance(item, EdbDecl):
+                    self.db.declare(item.name, item.arity)
         self._programs.append(program)
         self._invalidate()
         return self

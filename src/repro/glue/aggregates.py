@@ -48,6 +48,25 @@ def _sum(op: str, nums: List[float]):
         return sum(nums)
 
 
+def _product(nums: List[float]):
+    """Exact over integers; over finite floats the exact product rounded
+    once (``int / int`` rounds correctly), so, as for :func:`_sum`, the
+    answer does not depend on the order the group arrives in."""
+    if all(isinstance(n, int) for n in nums) or not all(
+        isinstance(n, int) or math.isfinite(n) for n in nums
+    ):
+        return math.prod(nums)
+    num = den = 1
+    for n in nums:
+        top, bottom = n.as_integer_ratio()
+        num *= top
+        den *= bottom
+    try:
+        return num / den
+    except OverflowError:  # finite values whose product leaves the float range
+        return math.inf if num > 0 else -math.inf
+
+
 def _agg_min(values: Sequence[Term]) -> Term:
     return min(values, key=sort_key)
 
@@ -61,10 +80,7 @@ def _agg_sum(values: Sequence[Term]) -> Term:
 
 
 def _agg_product(values: Sequence[Term]) -> Term:
-    result = 1
-    for value in _numeric_values("product", values):
-        result *= value
-    return _number("product", result)
+    return _number("product", _product(_numeric_values("product", values)))
 
 
 def _agg_mean(values: Sequence[Term]) -> Term:

@@ -6,10 +6,10 @@ mutations in a *write window* (``begin_window`` .. ``publish``); readers
 relations (``Relation.freeze``) that share row storage with the live
 relations until the next mutation copies-on-write.  Because frozen clones
 keep the live relation's ``(uid, version)`` fingerprint, everything keyed
-by fingerprints -- the NAIL! engine's incremental-IDB cache, the columnar
-kernel caches -- treats a snapshot exactly like the live relation at the
-published version, so cached derived relations stay correct across
-concurrent repair.
+by fingerprints or versions -- the NAIL! engine's incremental-IDB cache,
+the columnar kernel tables a clone shares with its relation -- treats a
+snapshot exactly like the live relation at the published version, so
+cached derived relations stay correct across concurrent repair.
 
 Threading contract: ``begin_window``/``publish`` are called by the single
 thread holding the server's write lock; ``pin`` may be called from any

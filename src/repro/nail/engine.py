@@ -136,15 +136,10 @@ class NailEngine:
             self.delta_listeners.remove(listener)
 
     def close(self) -> None:
-        """Drop every derived relation and forget them in the shared
-        columnar context (the engine's private ``extra_edb`` overlay
-        included).  The engine stays usable -- the next query recomputes
-        -- but a closed one holds no rows, so its owner's memory goes back
-        at once instead of waiting for the cycle collector."""
-        dead = [relation for _key, relation in self.idb.items()]
-        if self.extra_edb is not None:
-            dead.extend(relation for _key, relation in self.extra_edb.items())
-        self.db.columnar.evict(relation.uid for relation in dead)
+        """Drop every derived relation, and with them their kernel tables.
+        The engine stays usable -- the next query recomputes -- but a
+        closed one holds no rows, so its owner's memory goes back at once
+        instead of waiting for the cycle collector."""
         for name, arity in list(self.idb.keys()):
             self.idb.drop(name, arity)
         self._demand_cache.clear()

@@ -87,7 +87,7 @@ def render_batch_kernel_table(events: Sequence[TraceEvent]) -> List[str]:
     Shows which specialized kernel ran each literal (probe / broadcast /
     anti-member / anti-static), the batch width it consumed, the rows it
     produced, and whether the kernel's hash state came out of the
-    per-database cache (``hit``), was brought forward from an older
+    relation's table cache (``hit``), was brought forward from an older
     version by appending inserted rows (``extend``), or was rebuilt
     (``miss``; ``-`` for stateless kernels).
     """

@@ -61,7 +61,7 @@ class Database:
         self.counters = counters if counters is not None else CostCounters()
         # One tracing hub per database; disabled until a sink is installed.
         self.tracer = tracer or Tracer(self.counters)
-        # Shared columnar state (atom table + kernel caches, see repro.col).
+        # Shared columnar state (the atom table, see repro.col).
         # Databases that evaluate against each other -- the NAIL! engine's
         # IDB over this EDB -- pass the owning database's context so ids
         # stay comparable across join keys.

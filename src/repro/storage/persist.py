@@ -91,11 +91,12 @@ def load_database(path: str, db: Optional[Database] = None) -> Database:
     applied by :func:`apply_ops`.  A dump's ``% rel`` line
     comes before its relation's rows, so each relation receives its rows as
     one batch once the whole file has been read, and a bad line raises
-    before any row is inserted.
+    before any row is inserted.  The load is one implicit transaction.
     """
     if db is None:
         db = Database()
-    apply_ops(db, _dump_ops(path))
+    with db.atomically():
+        apply_ops(db, _dump_ops(path))
     return db
 
 

@@ -197,6 +197,10 @@ class Relation:
         # Database.declare; None for free-standing relations, which the
         # batch kernels then leave to the row engine.
         self.columnar = None
+        # Columnar kernel tables built over this relation (repro.col):
+        # (context, kind, shape) -> (version, table).  Frozen clones share
+        # the dict, so the tables live exactly as long as the relation.
+        self.kernel_tables: dict = {}
         # MVCC snapshot state (see repro.mvcc): ``_rows_shared`` marks a
         # ``_rows`` that a frozen clone and its live relation may both hold,
         # so the next change copies it first; ``_frozen`` caches the clone;
@@ -333,6 +337,7 @@ class Relation:
         clone.uid = self.uid
         clone._changelog = self._changelog.copy()
         clone.columnar = self.columnar
+        clone.kernel_tables = self.kernel_tables
         clone._rows_shared = True
         clone._frozen = None
         clone._immutable = True

@@ -68,32 +68,33 @@ def save_tsv_dir(db: Database, directory: str) -> int:
 
 def load_tsv_dir(directory: str, db: Optional[Database] = None) -> Database:
     """Load every ``*.facts`` file in ``directory`` into ``db`` (or a new DB),
-    one bulk insert per file."""
+    one bulk insert per file, all in one implicit transaction."""
     from repro.lang.parser import parse_term
 
     if db is None:
         db = Database()
-    for filename in sorted(os.listdir(directory)):
-        if not filename.endswith(".facts"):
-            continue
-        stem = filename[: -len(".facts")]
-        name, arity = _decode_stem(stem)
-        relation = db.relation(name, arity)
-        path = os.path.join(directory, filename)
-        rows = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line and arity > 0:
-                    continue
-                fields = line.split("\t") if arity > 0 else []
-                if len(fields) != arity:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {arity} fields, got {len(fields)}"
-                    )
-                try:
-                    rows.append(tuple(parse_term(field) for field in fields))
-                except Exception as exc:
-                    raise ValueError(f"{path}:{lineno}: bad term: {exc}") from exc
-        relation.insert_new(rows)
+    with db.atomically():
+        for filename in sorted(os.listdir(directory)):
+            if not filename.endswith(".facts"):
+                continue
+            stem = filename[: -len(".facts")]
+            name, arity = _decode_stem(stem)
+            relation = db.relation(name, arity)
+            path = os.path.join(directory, filename)
+            rows = []
+            with open(path, "r", encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    line = line.rstrip("\n")
+                    if not line and arity > 0:
+                        continue
+                    fields = line.split("\t") if arity > 0 else []
+                    if len(fields) != arity:
+                        raise ValueError(
+                            f"{path}:{lineno}: expected {arity} fields, got {len(fields)}"
+                        )
+                    try:
+                        rows.append(tuple(parse_term(field) for field in fields))
+                    except Exception as exc:
+                        raise ValueError(f"{path}:{lineno}: bad term: {exc}") from exc
+            relation.insert_new(rows)
     return db

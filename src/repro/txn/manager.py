@@ -10,19 +10,18 @@ The :class:`TransactionManager` is the mutation journal a
 :class:`~repro.storage.database.Database` dispatches to (created and
 attached by ``db.transactions()``):
 
-* outside a transaction, each journal call -- a declare, a drop, or the
-  rows of one bulk insert or delete -- is **autocommitted** as one
-  implicit transaction: forwarded straight to the write-ahead log as one
-  batch;
 * inside a transaction, mutations accumulate an in-memory **undo log** and
   a **redo batch** that reaches the WAL -- in one durable append -- only
-  on commit.
+  on commit;
+* outside one, each journal call -- a declare, a drop, or the rows of one
+  bulk insert or delete -- is **autocommitted**: it runs as one implicit
+  transaction through the same commit path.
 
 Rollback inverts the undo log, newest first, and applies it through
 :func:`~repro.storage.persist.apply_ops`, the applier of WAL replay and
-checkpoint load: one bulk call per run of same-kind ops.  A commit the WAL cannot
-make durable is rolled back the same way before its error propagates,
-autocommits included: a failed commit leaves no state behind.
+checkpoint load: one bulk call per run of same-kind ops.  A commit the WAL
+cannot make durable is rolled back before its error propagates: a failed
+commit leaves no state behind.
 
 The manager is single-writer by design: the query server makes every
 mutation inside its write window, and the embedded single-user case has
@@ -62,8 +61,6 @@ class TransactionManager:
         self._undo: List[Op] = []
         self._redo: List[Op] = []
         self._suspended = False
-        self.commits = 0
-        self.rollbacks = 0
         # Commit observers (subscription managers).  Each observer gets
         # ``on_commit(txn_id, ops)`` with the committed batch -- after the
         # transaction state is torn down, so an observer may itself mutate
@@ -125,20 +122,13 @@ class TransactionManager:
     def _record(self, ops: List[Op], undo: Optional[list] = None) -> None:
         if self._suspended:
             return
-        undo = undo or ops
-        if self._active:
-            self._undo.extend(undo)
-            self._redo.extend(ops)
+        if not self._active:
+            # A loose journal call is one implicit transaction.
+            with self.transaction():
+                self._record(ops, undo)
             return
-        # Autocommit: the ops are one implicit transaction, and a batch the
-        # log cannot take is undone as a rollback would undo it.
-        if self.wal is not None:
-            try:
-                self.wal.append_commit(ops)
-            except BaseException:
-                self._undo_all(undo)
-                raise
-        self._notify(ops)
+        self._undo.extend(undo or ops)
+        self._redo.extend(ops)
 
     # ------------------------------------------------------------------ #
     # transaction boundaries
@@ -169,24 +159,12 @@ class TransactionManager:
         self._active = False
         self._undo = []
         self._redo = []
-        self.commits += 1
         if batch:
             self._notify(batch)
 
     def rollback(self) -> None:
-        """Undo the open transaction's mutations, newest first."""
-        if not self._active:
-            raise TransactionError("no transaction is active")
-        try:
-            self._undo_all(self._undo)
-        finally:
-            self._active = False
-            self._undo = []
-            self._redo = []
-            self.rollbacks += 1
-
-    def _undo_all(self, ops: List[tuple]) -> None:
-        """Reverse journaled ops, newest first, through :func:`apply_ops`.
+        """Undo the open transaction's mutations, newest first, through
+        :func:`apply_ops`.
 
         Going through the relations' own bulk paths (not raw row storage)
         matters for cache coherence: each relation's version and change log
@@ -195,11 +173,16 @@ class TransactionManager:
         derived relation cached across a rollback.  A run of same-kind ops
         is one change-log entry, so this holds whatever the row count.
         """
+        if not self._active:
+            raise TransactionError("no transaction is active")
         self._suspended = True
         try:
-            apply_ops(self.db, _inverse(ops))
+            apply_ops(self.db, _inverse(self._undo))
         finally:
             self._suspended = False
+            self._active = False
+            self._undo = []
+            self._redo = []
 
     @contextmanager
     def transaction(self):

@@ -256,11 +256,6 @@ class Machine:
                     self.exec_stmt(stmt, frame)
             except _ReturnSignal:
                 pass
-            finally:
-                # The frame's relations die with it: drop their kernel tables
-                # so they never crowd the shared cache toward a wholesale clear.
-                owned = (*frame.locals.values(), frame.in_rel, frame.return_rel)
-                self.ctx.db.columnar.evict(relation.uid for relation in owned)
             rows = frame.return_rel.copy_rows()
             span.rows = len(rows)
             return rows

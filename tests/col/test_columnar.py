@@ -274,8 +274,9 @@ class TestBatchKernelTracing:
 
 class TestBroadcastEncodeCache:
     """Seminaive broadcast kernels keep their encoded id-columns alive
-    across rounds (per ``(uid, cols)``/version) instead of re-interning the
-    same relation every delta round -- with zero counter drift."""
+    across rounds (on the relation, per cols and version) instead of
+    re-interning the same relation every delta round -- with zero counter
+    drift."""
 
     SOURCE = """
 reach(X) :- seed(X).
@@ -296,7 +297,10 @@ pairs(X, Y) :- reach(X) & label(Y).
         # The cartesian literal's operand columns were encoded once and
         # reused across the 20+ delta rounds.
         ctx = system.db.columnar
-        assert ctx._bcast, "broadcast encode cache never populated"
+        label = system.db.get("label", 1)
+        assert (ctx, "broadcast", (0,)) in label.kernel_tables, (
+            "broadcast encode cache never populated"
+        )
         assert ctx.hits > 0
 
     def test_cache_survives_incremental_requery(self):

@@ -168,9 +168,7 @@ class _Draw:
 
     def aggregate(self, bound: list, arity: int) -> tuple:
         """``(body tail, head args)`` for an aggregate over ``bound``."""
-        # Not ``product``: past 2**53 its answer depends on whether a
-        # relation stored 2 or 2.0 (see test_oracle.py).
-        op = self.choice(["count", "sum", "min", "max", "mean"])
+        op = self.choice(["count", "sum", "product", "min", "max", "mean"])
         tail = [f"N = {op}({self.choice(bound)})"]
         if arity == 1:
             return tail, ["N"]

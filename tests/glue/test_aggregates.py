@@ -1,6 +1,8 @@
 """Unit tests for the aggregate operators (paper Section 3.3)."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +83,19 @@ class TestOperators:
         for order in ((1e16, 1.0, -1e16), (1e16, -1e16, 1.0), (1.0, 1e16, -1e16)):
             assert apply_aggregate("sum", nums(*order)) == Num(1.0)
         assert apply_aggregate("mean", nums(-1e16, 1.0, 1e16)) == Num(1 / 3)
+
+    def test_float_product_does_not_depend_on_group_order(self):
+        # Left to right, these orders end one ulp apart; the product is
+        # the exact one rounded once, so every order gives the same float.
+        values = (5 / 3, -2 / 3, 4 / 3, 0.1)
+        answers = {
+            apply_aggregate("product", nums(*order)).value
+            for order in itertools.permutations(values)
+        }
+        assert answers == {float(math.prod(map(Fraction, values)))}
+        # An intermediate overflow does not decide the answer either.
+        for order in itertools.permutations((1e200, 1e200, 1e-300)):
+            assert apply_aggregate("product", nums(*order)) == Num(1e100)
 
     def test_integer_sum_is_exact(self):
         assert apply_aggregate("sum", nums(2**60, 1, -(2**60))).value == 1

@@ -116,6 +116,16 @@ def test_integer_product_does_not_depend_on_the_stored_representative():
     agree("p(N) :- v(X) & N = product(X).", {"v": [(2.0,)] + [(3 + i,) for i in range(40)]})
 
 
+def test_float_product_does_not_depend_on_the_binding_order():
+    # Drawn by the random NAIL! generator: left to right in the order each
+    # side met the bindings, the two ended one ulp apart.
+    agree(
+        "d1(N) :- e1(Y, X) & W = X / 3 & N = product(W).",
+        {"e1": [(-1, -2), (2, 5), (-1, 5), (-2, 2), (2, 4), (-2, 4), (0, 2), (0, -2),
+                (3, 2), (5, 5), (3, -1)]},
+    )
+
+
 def test_hilog_names_read_derived_relations():
     # P ranges over every name, NAIL! predicates (h itself) included.
     rows = agree(

@@ -1,11 +1,14 @@
 """Seminaive vs. naive evaluation and the uniondiff integration."""
 
+import gc
 import random
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.reference import reference_engine
+from repro.col.kernels import ColumnarContext
 from repro.core.system import GlueNailSystem
 from repro.errors import GlueNailError
 from repro.lang.parser import parse_program
@@ -229,10 +232,19 @@ class TestIdSpaceRounds:
         engine = NailEngine(db, rules_of(PATH))
         engine.materialize(Atom("path"), 2)
         path = engine.idb.get(Atom("path"), 2)
-        ctx = db.columnar
-        assert path.uid not in ctx._rowsets
-        engine.close()
-        assert not any(key[0] == path.uid for key in ctx._bcast)
+        # The fixpoint's tables live on the relations they encode; the
+        # shared context holds only the atom table and its counts.
+        assert path.kernel_tables
+        assert db.get(Atom("edge"), 2).kernel_tables
+        assert ColumnarContext.__slots__ == ("atoms", "hits", "misses", "extends")
+        dead = weakref.ref(path)
+        del path
+        gc.disable()
+        try:
+            engine.close()
+            assert dead() is None  # freed by reference counting
+        finally:
+            gc.enable()
         assert len(engine.idb) == 0
 
 

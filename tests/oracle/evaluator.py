@@ -45,6 +45,7 @@ import math
 import operator
 import re
 import sqlite3
+from fractions import Fraction
 
 from repro.lang.ast import (
     AggCall, AssignStmt, BinOp, CompareSubgoal, EdbDecl, EmptyCond, GroupBySubgoal,
@@ -135,10 +136,14 @@ def exact_sum(values):
 
 
 def _product(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
+    """Exact; a product with a finite float factor is rounded once
+    (``Fraction`` to ``float`` rounds correctly), whatever the order."""
+    values = list(values)
+    if all(isinstance(v, int) for v in values) or not all(
+        isinstance(v, int) or math.isfinite(v) for v in values
+    ):
+        return math.prod(values)
+    return float(math.prod(map(Fraction, values)))
 
 
 AGGREGATES = {

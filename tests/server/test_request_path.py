@@ -3,12 +3,17 @@ session leaves behind: EDB lookups probe instead of walking, a query is
 parsed once, and a released session's memory goes back at once."""
 
 import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
 from repro.core.system import GlueNailSystem
+from repro.server.client import Client, RemoteError
 from repro.server.protocol import decode_values
 from repro.server.server import GlueNailServer
+from repro.storage.relation import Relation
 
 PATH_RULES = "path(X, Y) :- edge(X, Y). path(X, Z) :- path(X, Y) & edge(Y, Z)."
 
@@ -106,32 +111,46 @@ class TestClosedSessions:
         assert decode_values(call) == [(3, 4)]
         session.release()
 
-    def test_cycles_leave_context_and_collector_flat(self, server):
-        ctx = server.db.columnar
-
-        def cache_sizes():
-            return (len(ctx._tables), len(ctx._rowsets), len(ctx._bcast))
+    def test_cycles_leave_context_and_collector_flat(self, server, monkeypatch):
+        def edb_tables():
+            return {
+                (key, shape): entry
+                for key, relation in server.db.items()
+                for shape, entry in relation.kernel_tables.items()
+            }
 
         self.cycle(server)
-        baseline = cache_sizes()
+        baseline = edb_tables()
+        assert baseline
+        created = []
+        init = Relation.__init__
+
+        def recording_init(relation, *args, **kwargs):
+            init(relation, *args, **kwargs)
+            created.append(weakref.ref(relation))
+
+        monkeypatch.setattr(Relation, "__init__", recording_init)
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             for _ in range(5):
                 self.cycle(server)
+            # Every IDB, magic and frame relation the sessions made is gone
+            # by reference counting, and its kernel tables with it ...
+            assert created and all(ref() is None for ref in created)
             gc.collect()
             unreachable = list(gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
-        # Only tables of live (EDB) relations remain, however many
-        # sessions, magic evaluations and procedure calls came and went ...
-        assert cache_sizes() == baseline
-        # ... and reference counting freed all of them: no session, system,
-        # compiler, engine or magic database waits in a reference cycle
-        # for the cycle collector.
+        # ... while the EDB keeps the very tables the first cycle built ...
+        after = edb_tables()
+        assert after.keys() == baseline.keys()
+        assert all(after[key] is entry for key, entry in baseline.items())
+        # ... and no session, system, compiler, engine or magic database
+        # waits in a reference cycle for the cycle collector.
         cyclic = sorted({
             type(obj).__qualname__ for obj in unreachable
             if type(obj).__module__.startswith("repro.")
@@ -149,3 +168,50 @@ class TestClosedSessions:
             reply = again.dispatch({"op": "query", "q": "path(1, X)?"})
             assert sorted(decode_values(reply)) == [(1, 2), (1, 3)]
             again.release()
+
+
+LOCAL_PROBE = """
+proc pick(:X, Y, Z)
+rels t(X, Y);
+  t(X, Y) := big(X, Y).
+  return(:X, Y, Z) := small(X) & t(X, Y) & label(Y, Z).
+end
+"""
+
+
+@pytest.mark.stress
+def test_concurrent_calls_with_local_relations_get_no_error_reply():
+    """Six clients call a read-only procedure whose frame probes a local
+    relation, all at once: every call builds and drops a kernel table on
+    its own frame while the others do the same, and no reply is an error."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with GlueNailServer(port=0, program=LOCAL_PROBE).start() as server:
+            with Client(port=server.port) as loader:
+                loader.facts("big", [(i % 5, i) for i in range(40)])
+                loader.facts("small", [(1,), (3,)])
+                loader.facts("label", [(i, f"l{i}") for i in range(40)])
+            errors, replies = [], [0] * 6
+
+            def call_loop(n):
+                with Client(port=server.port, timeout=30) as client:
+                    for _ in range(300):
+                        try:
+                            rows = client.call("pick")
+                        except RemoteError as exc:
+                            errors.append(str(exc))
+                            continue
+                        assert len(rows) == 16
+                        replies[n] += 1
+
+            threads = [threading.Thread(target=call_loop, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert replies == [300] * 6

@@ -39,7 +39,7 @@ class TestBoundaries:
         db.fact("edge", 1, 2)
         manager.commit()
         assert (Num(1), Num(2)) in db.get("edge", 2)
-        assert manager.commits == 1
+        assert not manager.in_transaction
 
 
 class TestRollback:
@@ -136,7 +136,7 @@ class TestContextManager:
                 db.fact("edge", 2, 3)
                 raise RuntimeError("boom")
         assert len(db.get("edge", 2)) == 1
-        assert manager.rollbacks == 1
+        assert not manager.in_transaction
 
 
 class TestSystemFacade:

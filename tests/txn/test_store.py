@@ -289,6 +289,88 @@ class TestImplicitScriptTransaction:
         fresh.close()
 
 
+def _load_program(system, tmp_path):
+    system.load("edb e(X, Y); edb f(X); edb g(X);")
+
+
+def _loaded():
+    from repro.core.system import GlueNailSystem
+
+    source = GlueNailSystem()
+    for name, rows in LOADED.items():
+        source.facts(name, rows)
+    return source
+
+
+def _load_edb(system, tmp_path):
+    path = str(tmp_path / "dump.gnd")
+    _loaded().save_edb(path)
+    system.load_edb(path)
+
+
+def _load_facts_dir(system, tmp_path):
+    directory = str(tmp_path / "facts")
+    _loaded().save_facts_dir(directory)
+    system.load_facts_dir(directory)
+
+
+def _repl_line(system, tmp_path):
+    import io
+
+    from repro.core.repl import Repl
+
+    Repl(system, out=io.StringIO()).feed("e(1, 2). e(2, 3). f(9).\n")
+
+
+LOADED = {"e": [(1, 2), (2, 3)], "f": [(9,)], "g": [(4,)]}
+
+# Each user action writes several relations (declares and rows).
+LOAD_ACTIONS = {
+    "load": _load_program,
+    "load_edb": _load_edb,
+    "load_facts_dir": _load_facts_dir,
+    "repl_line": _repl_line,
+}
+
+
+class TestOneActionOneCommit:
+    """A load or a REPL line of facts is one implicit transaction: one WAL
+    commit, and all of its declares and rows or none."""
+
+    @pytest.fixture(params=sorted(LOAD_ACTIONS))
+    def action(self, request):
+        return LOAD_ACTIONS[request.param]
+
+    @staticmethod
+    def open_system(directory):
+        from repro.core.system import GlueNailSystem
+
+        return GlueNailSystem.open(str(directory / "db"))
+
+    def test_one_commit_and_one_fsync(self, tmp_path, action):
+        system = self.open_system(tmp_path)
+        wal = system.store.wal
+        commits, fsyncs = wal.commits, wal.fsyncs
+        action(system, tmp_path)
+        assert (wal.commits - commits, wal.fsyncs - fsyncs) == (1, 1)
+        assert system.db.get("e", 2) is not None
+        system.close()
+
+    def test_a_failed_fsync_leaves_nothing(self, tmp_path, action, fail_next_fsync):
+        system = self.open_system(tmp_path)
+        # Fail the fsync made once f/1 exists; were each declare or insert
+        # its own commit, e/2 would already be durable by then.
+        fail_next_fsync(when=lambda: system.db.get("f", 1) is not None)
+        with pytest.raises(OSError, match="injected"):
+            action(system, tmp_path)
+        assert not system.txn.in_transaction
+        assert len(system.db) == 0
+        system.close()
+        fresh = reopen(tmp_path / "db")
+        assert len(fresh.db) == 0
+        fresh.close()
+
+
 class TestTransactions:
     def test_committed_survives_uncommitted_does_not(self, tmp_path):
         store = DurableStore(str(tmp_path))

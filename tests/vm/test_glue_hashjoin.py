@@ -9,7 +9,9 @@ collapses on keyed joins, against a nested-loop charge computed in closed
 form, and ``glue_hash_joins`` records the planned scans.
 """
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from repro.baselines.reference import reference_system
 from repro.core.query import rows_to_python
 from repro.storage.adaptive import NeverIndexPolicy
 from repro.storage.database import Database
+from repro.vm.machine import Frame
 from tests.differential import agree, product_rows
 
 
@@ -275,8 +278,8 @@ class TestCostCollapse:
 
 class TestFrameKernelTables:
     """Every call gets fresh local/in/return relations; a probe table built
-    over one of them must leave the shared kernel cache with the frame,
-    or 256 calls later the cache's wholesale clear drops the EDB tables."""
+    over one of them lives on that relation and dies with the frame, while
+    the EDB relations keep theirs across calls."""
 
     SOURCE = """
     proc pick(:X, Y, Z)
@@ -291,18 +294,39 @@ class TestFrameKernelTables:
         "label": [(i, f"l{i}") for i in range(40)],
     }
 
-    def test_frame_tables_are_evicted_per_call(self):
+    def test_frame_tables_die_with_the_frame(self, monkeypatch):
         system = build(self.SOURCE, self.FACTS)
         columnar = system.db.columnar
         expected = sorted(rows_to_python(system.call("pick").rows))
         assert len(expected) == 16
-        edb_tables = dict(columnar._glue_tables)
-        assert edb_tables, "the EDB side was not probed through a kernel table"
+        edb_tables = {
+            key: dict(relation.kernel_tables) for key, relation in system.db.items()
+        }
+        assert any(edb_tables.values()), "the EDB side was not probed through a kernel table"
+
+        frames = []
+        init = Frame.__init__
+
+        def recording_init(frame, proc, ctx):
+            init(frame, proc, ctx)
+            owned = (*frame.locals.values(), frame.in_rel, frame.return_rel)
+            frames.extend(weakref.ref(relation) for relation in owned)
+
+        monkeypatch.setattr(Frame, "__init__", recording_init)
         misses = columnar.misses
-        for _ in range(299):
-            assert sorted(rows_to_python(system.call("pick").rows)) == expected
-        assert len(columnar._glue_tables) == len(edb_tables)
-        for key, entry in edb_tables.items():
-            assert columnar._glue_tables[key] is entry  # never rebuilt
+        gc.disable()
+        try:
+            for _ in range(299):
+                assert sorted(rows_to_python(system.call("pick").rows)) == expected
+            # Reference counting alone freed every frame's relations, and
+            # their kernel tables with them.
+            assert len(frames) == 299 * 3
+            assert all(ref() is None for ref in frames)
+        finally:
+            gc.enable()
+        for key, relation in system.db.items():
+            assert relation.kernel_tables.keys() == edb_tables[key].keys()
+            for shape, entry in edb_tables[key].items():
+                assert relation.kernel_tables[shape] is entry  # never rebuilt
         # The only miss per call is the frame's own fresh local t/2.
         assert columnar.misses - misses == 299
