@@ -51,11 +51,16 @@ def _sum(op: str, nums: List[float]):
 def _product(nums: List[float]):
     """Exact over integers; over finite floats the exact product rounded
     once (``int / int`` rounds correctly), so, as for :func:`_sum`, the
-    answer does not depend on the order the group arrives in."""
-    if all(isinstance(n, int) for n in nums) or not all(
-        isinstance(n, int) or math.isfinite(n) for n in nums
-    ):
+    answer does not depend on the order the group arrives in.  With an
+    infinite factor it is NaN if a factor is zero (or NaN), else infinite
+    with the sign of the parity of the negative factors: a running product
+    could underflow to zero first and give NaN in some orders only."""
+    if all(isinstance(n, int) for n in nums):
         return math.prod(nums)
+    if not all(isinstance(n, int) or math.isfinite(n) for n in nums):
+        if 0 in nums or any(n != n for n in nums):
+            return math.nan
+        return -math.inf if sum(n < 0 for n in nums) % 2 else math.inf
     num = den = 1
     for n in nums:
         top, bottom = n.as_integer_ratio()

@@ -1,17 +1,22 @@
-"""Hand-written lexer for the Glue-Nail surface language.
+"""Lexer for the Glue-Nail surface language: one compiled master regex.
 
 Comment syntax: ``%`` to end of line (the Prolog tradition the paper's
 examples follow) and ``/* ... */`` block comments.
+
+``tokenize`` walks ``_TOKEN.finditer`` over the text, one match per
+token or run of layout, and dispatches on the name of the alternative
+that matched (the standard Python tokenizer idiom).  Line and column
+come from newline offsets: only layout and quoted atoms can hold a
+newline, so the line moves only after those.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
-from repro.lang.tokens import OPERATORS, Token, TokenKind
-
-
 from repro.errors import CompileError
+from repro.lang.tokens import Token, TokenKind
 
 
 class LexError(CompileError):
@@ -21,155 +26,75 @@ class LexError(CompileError):
         self.column = column
 
 
-def _is_name_start(ch: str) -> bool:
-    return ch.isalpha() and ch.islower()
+# Alternatives in priority order.  A block comment is tried before the
+# ``/`` operator, a number before a word; operators are longest first.
+# ``\d`` and ``\w`` are Unicode-aware, like ``str.isdecimal`` and
+# ``str.isalnum``; a word's first character decides NAME or VARIABLE.
+_TOKEN = re.compile(r"""
+    (?P<SKIP>[ \t\r\n]+ | %[^\n]* | /\*(?s:.*?)\*/)
+  | (?P<QUOTED>'[^'\\\n]*(?:\\(?s:.)[^'\\\n]*)*')
+  | (?P<NUMBER>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+  | (?P<WORD>\w+)
+  | (?P<UNCLOSED>/\*|')
+  | (?P<PUNCT>:= | \+= | -= | :- | != | <= | >= | \+\+ | --
+             | [(),.;:&|!{}\[\]=<>+\-*/?])
+  | (?P<ERROR>(?s:.))
+""", re.VERBOSE)
+
+NAME, VARIABLE, NUMBER, PUNCT, EOF = (TokenKind.NAME, TokenKind.VARIABLE, TokenKind.NUMBER,
+                                     TokenKind.PUNCT, TokenKind.EOF)
+# ``tuple.__new__`` with all five fields in order builds a Token without
+# the frame of its keyword-argument ``__new__``.
+_new = tuple.__new__
+
+_ESCAPE = re.compile(r"\\(?s:(.))")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r"}
 
 
-def _is_var_start(ch: str) -> bool:
-    return ch == "_" or (ch.isalpha() and ch.isupper())
-
-
-def _is_ident(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _unescape(match: re.Match) -> str:
+    char = match.group(1)
+    return _ESCAPES.get(char, char)
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; raises :class:`LexError` on bad input."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
-    col = 1
-    size = len(text)
-
-    def advance(n: int) -> None:
-        nonlocal pos, line, col
-        for _ in range(n):
-            if pos < size and text[pos] == "\n":
-                line += 1
-                col = 1
+    line_start = 0  # offset of the current line's first character
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        start = match.start()
+        column = start - line_start + 1
+        if kind == "PUNCT":
+            append(_new(Token, (PUNCT, value, line, column, False)))
+        elif kind == "WORD":
+            first = value[0]
+            if first.isalpha() and first.islower():
+                append(_new(Token, (NAME, value, line, column, False)))
+            elif first == "_" or (first.isalpha() and first.isupper()):
+                append(_new(Token, (VARIABLE, value, line, column, False)))
             else:
-                col += 1
-            pos += 1
-
-    while pos < size:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "%":
-            while pos < size and text[pos] != "\n":
-                advance(1)
-            continue
-        if text.startswith("/*", pos):
-            start_line, start_col = line, col
-            advance(2)
-            while pos < size and not text.startswith("*/", pos):
-                advance(1)
-            if pos >= size:
-                raise LexError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        if ch == "'":
-            tokens.append(_lex_quoted(text, pos, line, col))
-            advance(_quoted_length(text, pos, line, col))
-            continue
-        if ch.isdigit():
-            token, length = _lex_number(text, pos, line, col)
-            tokens.append(token)
-            advance(length)
-            continue
-        if _is_name_start(ch):
-            end = pos
-            while end < size and _is_ident(text[end]):
-                end += 1
-            tokens.append(Token(TokenKind.NAME, text[pos:end], line, col))
-            advance(end - pos)
-            continue
-        if _is_var_start(ch):
-            end = pos
-            while end < size and _is_ident(text[end]):
-                end += 1
-            tokens.append(Token(TokenKind.VARIABLE, text[pos:end], line, col))
-            advance(end - pos)
-            continue
-        matched = None
-        for op in OPERATORS:
-            if text.startswith(op, pos):
-                matched = op
-                break
-        if matched is not None:
-            tokens.append(Token(TokenKind.PUNCT, matched, line, col))
-            advance(len(matched))
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token(TokenKind.EOF, None, line, col))
+                raise LexError(f"unexpected character {first!r}", line, column)
+        elif kind == "SKIP":
+            pass
+        elif kind == "NUMBER":
+            try:
+                number = int(value) if value.isdecimal() else float(value)
+            except ValueError:  # more digits than ``int`` converts
+                raise LexError(f"number too long: {value[:20]}...", line, column) from None
+            append(_new(Token, (NUMBER, number, line, column, False)))
+        elif kind == "QUOTED":
+            atom = _ESCAPE.sub(_unescape, value[1:-1]) if "\\" in value else value[1:-1]
+            append(_new(Token, (NAME, atom, line, column, True)))
+        elif kind == "UNCLOSED":
+            what = "block comment" if value == "/*" else "quoted atom"
+            raise LexError(f"unterminated {what}", line, column)
+        else:
+            raise LexError(f"unexpected character {value!r}", line, column)
+        if "\n" in value:  # layout, or a quoted atom with an escaped newline
+            line += value.count("\n")
+            line_start = start + value.rindex("\n") + 1
+    append(Token(EOF, None, line, len(text) - line_start + 1))
     return tokens
-
-
-def _quoted_length(text: str, pos: int, line: int, col: int) -> int:
-    """Length in source characters of the quoted atom starting at ``pos``."""
-    i = pos + 1
-    size = len(text)
-    while i < size:
-        ch = text[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == "'":
-            return i - pos + 1
-        if ch == "\n":
-            break
-        i += 1
-    raise LexError("unterminated quoted atom", line, col)
-
-
-def _lex_quoted(text: str, pos: int, line: int, col: int) -> Token:
-    length = _quoted_length(text, pos, line, col)
-    raw = text[pos + 1 : pos + length - 1]
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt == "t":
-                out.append("\t")
-            elif nxt == "r":
-                out.append("\r")
-            else:
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return Token(TokenKind.NAME, "".join(out), line, col, quoted=True)
-
-
-def _lex_number(text: str, pos: int, line: int, col: int):
-    size = len(text)
-    end = pos
-    while end < size and text[end].isdigit():
-        end += 1
-    is_float = False
-    # A float needs a digit after the dot; otherwise the dot is the
-    # statement terminator (``matrix(X, 2).``).
-    if end < size and text[end] == "." and end + 1 < size and text[end + 1].isdigit():
-        is_float = True
-        end += 1
-        while end < size and text[end].isdigit():
-            end += 1
-    if end < size and text[end] in "eE":
-        exp = end + 1
-        if exp < size and text[exp] in "+-":
-            exp += 1
-        if exp < size and text[exp].isdigit():
-            is_float = True
-            end = exp
-            while end < size and text[end].isdigit():
-                end += 1
-    literal = text[pos:end]
-    value = float(literal) if is_float else int(literal)
-    return Token(TokenKind.NUMBER, value, line, col), end - pos

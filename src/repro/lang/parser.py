@@ -100,14 +100,14 @@ class _Parser:
         return token
 
     def expect_punct(self, text: str) -> Token:
-        token = self.current
-        if not token.is_punct(text):
+        if not self.accept_punct(text):
+            token = self.current
             raise ParseError(f"expected {text!r}, found {token.describe()}", token)
-        return self.advance()
 
     def accept_punct(self, text: str) -> bool:
-        if self.current.is_punct(text):
-            self.advance()
+        token = self.tokens[self.pos]
+        if token.kind is TokenKind.PUNCT and token.value == text:
+            self.pos += 1  # a PUNCT token is never the final EOF
             return True
         return False
 
@@ -564,7 +564,19 @@ class _Parser:
     # ------------------------------------------------------------------ #
 
     def _parse_data_term(self) -> Term:
-        """A data term: no arithmetic, no aggregators (argument position)."""
+        """A data term: no arithmetic, no aggregators (argument position).
+
+        A lone variable, atom or number followed by ``,`` or ``)`` is
+        taken directly; anything else climbs the expression ladder."""
+        token = self.tokens[self.pos]
+        kind = token.kind
+        make = (Var if kind is TokenKind.VARIABLE else Atom if kind is TokenKind.NAME
+                else Num if kind is TokenKind.NUMBER else None)
+        if make is not None:  # a literal is never the final EOF: a follower exists
+            follower = self.tokens[self.pos + 1]
+            if follower.kind is TokenKind.PUNCT and follower.value in (",", ")"):
+                self.pos += 1
+                return make(token.value)
         expr = self._parse_applied_or_expr()
         if isinstance(expr, _Apply):
             return expr.to_term()
@@ -579,29 +591,29 @@ class _Parser:
 
     def _parse_additive(self):
         left = self._parse_multiplicative()
-        while self.current.is_punct("+") or self.current.is_punct("-"):
-            op = self.current.value
-            self.advance()
+        while (op := self._accept_operator(("+", "-"))) is not None:
             right = self._parse_multiplicative()
             left = BinOp(op=op, left=_expr_of(left), right=_expr_of(right))
         return left
 
     def _parse_multiplicative(self):
         left = self._parse_unary()
-        while (
-            self.current.is_punct("*")
-            or self.current.is_punct("/")
-            or self.current.is_name("mod")
-        ):
-            op = "mod" if self.current.is_name("mod") else self.current.value
-            self.advance()
+        while (op := self._accept_operator(("*", "/", "mod"))) is not None:
             right = self._parse_unary()
             left = BinOp(op=op, left=_expr_of(left), right=_expr_of(right))
         return left
 
+    def _accept_operator(self, ops: Tuple[str, ...]) -> Optional[str]:
+        """Consume and return the current token's text if it is one of the
+        binary operators ``ops`` (``mod`` is a name, the rest punctuation)."""
+        token = self.tokens[self.pos]
+        if token.value in ops and (token.kind is TokenKind.PUNCT or token.is_name("mod")):
+            self.pos += 1
+            return token.value
+        return None
+
     def _parse_unary(self):
-        if self.current.is_punct("-"):
-            self.advance()
+        if self.accept_punct("-"):
             if self.current.kind is TokenKind.NUMBER:
                 # A negative literal; it may be a (HiLog) functor: -1(a).
                 value = self.current.value
@@ -655,14 +667,13 @@ class _Parser:
     def _parse_applications(self, base: Term):
         """Parse zero or more application suffixes ``(args)`` after a term."""
         result: object = base
-        while self.current.is_punct("("):
-            self.advance()
+        while self.accept_punct("("):
             args: List[Term] = []
-            if not self.current.is_punct(")"):
+            if not self.accept_punct(")"):
                 args.append(self._parse_data_term())
                 while self.accept_punct(","):
                     args.append(self._parse_data_term())
-            self.expect_punct(")")
+                self.expect_punct(")")
             prev_base = result.to_term() if isinstance(result, _Apply) else result
             result = _Apply(base=prev_base, args=tuple(args))
         return result

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum, auto
-
-from repro.record import Record
 
 
 class TokenKind(Enum):
@@ -14,40 +13,6 @@ class TokenKind(Enum):
     PUNCT = auto()      # one of the punctuation / operator strings
     EOF = auto()
 
-
-# Multi-character operators, longest first so the lexer matches greedily.
-OPERATORS = (
-    ":=",
-    "+=",
-    "-=",
-    ":-",
-    "!=",
-    "<=",
-    ">=",
-    "++",
-    "--",
-    "(",
-    ")",
-    ",",
-    ".",
-    ";",
-    ":",
-    "&",
-    "|",
-    "!",
-    "{",
-    "}",
-    "[",
-    "]",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "?",
-)
 
 # Structural keywords.  They are *contextual*: the parser recognises them by
 # value at statement positions, so user predicates may still reuse the names
@@ -82,16 +47,14 @@ BUILTIN_FUNCTIONS = frozenset(
 )
 
 
-class Token(Record):
-    __slots__ = ("kind", "value", "line", "column", "quoted")
+class Token(namedtuple("Token", ("kind", "value", "line", "column", "quoted"),
+                        defaults=(False,))):
+    """One lexeme: an immutable tuple with named fields, as the standard
+    library's ``tokenize.TokenInfo`` is, so building one allocates one
+    tuple.  ``quoted`` marks a quoted atom, which never acts as a keyword
+    or a function name."""
 
-    def __init__(self, kind: TokenKind, value: object, line: int, column: int,
-                 quoted: bool = False) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "quoted", quoted)  # a quoted atom never acts as a keyword/function
+    __slots__ = ()
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.value == text

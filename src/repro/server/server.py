@@ -66,6 +66,8 @@ _READONLY_DOT = {
 }
 # ... and those that run their argument as a query.
 _QUERY_DOT = {".magic", ".analyze"}
+# ... and those a server refuses: they name files on the server's disk.
+_FILE_DOT = {".save", ".load"}
 
 
 class Session:
@@ -403,6 +405,10 @@ class Session:
         line = request_field(request, "line", str, "")
         stripped = line.strip()
         repl = self._ensure_repl()
+        command = stripped.split(None, 1)[0] if stripped else ""
+        if command in _FILE_DOT and not repl._pending:
+            # They would read and write files with the server's rights.
+            raise GlueNailError(f"{command} is not available over a connection")
         # Transaction boundaries must go through the session's lock
         # handover, not straight into the system.
         if stripped in (".begin", ".commit", ".rollback"):

@@ -97,6 +97,19 @@ class TestOperators:
         for order in itertools.permutations((1e200, 1e200, 1e-300)):
             assert apply_aggregate("product", nums(*order)) == Num(1e100)
 
+    def test_product_with_an_infinite_factor_does_not_depend_on_group_order(self):
+        # Left to right, inf * 1e-300 * 1e-300 is inf, but 1e-300 * 1e-300
+        # underflows to 0.0 first and 0.0 * inf is NaN.
+        for values, answer in (((math.inf, 1e-300, 1e-300), math.inf),
+                               ((-math.inf, 1e-300, -1e-300), math.inf),
+                               ((math.inf, -1e-300, 3), -math.inf)):
+            for order in itertools.permutations(values):
+                assert apply_aggregate("product", nums(*order)) == Num(answer)
+        for values in ((math.inf, 0.0, 1e-300), (-math.inf, 0, 2)):
+            for order in itertools.permutations(values):
+                with pytest.raises(GlueRuntimeError, match="NaN"):
+                    apply_aggregate("product", nums(*order))
+
     def test_integer_sum_is_exact(self):
         assert apply_aggregate("sum", nums(2**60, 1, -(2**60))).value == 1
 

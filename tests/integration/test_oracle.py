@@ -8,6 +8,8 @@ written tables (canonical numbers, mixed ordering, NaN) against the
 product.
 """
 
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -24,7 +26,7 @@ from tests.differential import (
     product_rows,
     random_facts,
 )
-from tests.oracle.evaluator import Outside
+from tests.oracle.evaluator import Outside, _product, num_text
 
 CLOSURE = """
 path(X, Y) :- edge(X, Y).
@@ -124,6 +126,22 @@ def test_float_product_does_not_depend_on_the_binding_order():
         {"e1": [(-1, -2), (2, 5), (-1, 5), (-2, 2), (2, 4), (-2, 4), (0, 2), (0, -2),
                 (3, 2), (5, 5), (3, -1)]},
     )
+
+
+@pytest.mark.parametrize("values,answer", [
+    ((float("inf"), 1e-300, 1e-300), "1e999"),
+    ((float("-inf"), 1e-300, 3), "-1e999"),
+    ((float("inf"), 0.0, 1e-300), FAILED),
+])
+def test_product_with_an_infinite_factor_does_not_depend_on_the_order(values, answer):
+    # A running product in the order 1e-300, 1e-300, inf underflows to 0.0
+    # and ends NaN; the other orders end at inf.
+    for order in itertools.permutations(values):
+        assert math.isnan(_product(order)) if answer is FAILED else (
+            num_text(_product(order)) == answer)
+        facts = {"v": [(i, value) for i, value in enumerate(order)]}
+        rows = agree("p(N) :- v(I, X) & N = product(X).", facts)
+        assert rows == FAILED if answer is FAILED else rows[("p", 1)] == [(answer,)]
 
 
 def test_hilog_names_read_derived_relations():

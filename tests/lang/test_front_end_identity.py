@@ -6,7 +6,8 @@ with the digests below, so a rewrite of the lexer or the parser that
 changes any token, position or AST node fails here.  The corpus is
 ``bench/program.glue``, the Glue program texts in ``examples/*.py``,
 E1's synthetic programs of 10, 50 and 200 statements, and the three
-query shapes of a ``point_reads`` page.
+query shapes of a ``point_reads`` page.  A property test adds that any
+text either tokenizes and parses or raises a ``CompileError``.
 
 Print the current digests with
 ``PYTHONPATH=src:. python tests/lang/test_front_end_identity.py``.
@@ -19,8 +20,11 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchmarks._workloads import generate_program
+from repro.errors import CompileError
 from repro.lang.lexer import tokenize
 from repro.lang.parser import parse_program, parse_query
 
@@ -85,6 +89,22 @@ def test_front_end_digests(name):
 def test_corpus_covers_every_example():
     assert set(EXPECTED) == set(CORPUS)
     assert sum(name.startswith("examples/") for name in CORPUS) >= 6
+
+
+_GLUE_ALPHABET = st.sampled_from(
+    list("abpqXYZ_019 \t\n'\\%/*.,;:()[]{}&|!=<>+-?eE\"$é²½ⅰ中")
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(_GLUE_ALPHABET, max_size=40) | st.text(max_size=20))
+def test_any_text_compiles_or_raises_a_compile_error(text):
+    # '²' passes str.isdigit but not int(): it once escaped as a ValueError.
+    for front in (tokenize, parse_query):
+        try:
+            front(text)
+        except CompileError:
+            pass
 
 
 if __name__ == "__main__":

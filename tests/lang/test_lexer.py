@@ -64,6 +64,22 @@ class TestBasics:
         with pytest.raises(LexError):
             tokenize("a $ b")
 
+    def test_non_decimal_digits_are_lex_errors(self):
+        # '²' passes str.isdigit but int() refuses it.
+        for text in ("²", "1²", "p(X²) :- ²."):
+            with pytest.raises(LexError):
+                tokenize(text)
+
+    def test_a_literal_too_long_for_int_is_a_lex_error(self):
+        text = "1" * 5000
+        try:
+            expected = [int(text)]
+        except ValueError:  # the interpreter's limit on digits converted
+            with pytest.raises(LexError, match="too long"):
+                tokenize(text)
+        else:
+            assert values(text) == expected
+
     def test_positions(self):
         tokens = tokenize("a\n  b")
         assert (tokens[0].line, tokens[0].column) == (1, 1)

@@ -137,12 +137,16 @@ def exact_sum(values):
 
 def _product(values):
     """Exact; a product with a finite float factor is rounded once
-    (``Fraction`` to ``float`` rounds correctly), whatever the order."""
+    (``Fraction`` to ``float`` rounds correctly), whatever the order.  An
+    infinite factor gives NaN beside a zero, else an infinity signed by
+    the product of the factors' signs."""
     values = list(values)
-    if all(isinstance(v, int) for v in values) or not all(
-        isinstance(v, int) or math.isfinite(v) for v in values
-    ):
+    if all(isinstance(v, int) for v in values):
         return math.prod(values)
+    if not all(isinstance(v, int) or math.isfinite(v) for v in values):
+        if 0 in values:
+            return math.nan
+        return math.copysign(math.inf, math.prod(math.copysign(1, v) for v in values))
     return float(math.prod(map(Fraction, values)))
 
 

@@ -297,6 +297,23 @@ class TestReplProxy:
         assert "(1, 2)" in out and "(1, 3)" in out
 
 
+    def test_repl_refuses_server_file_commands(self, client, tmp_path):
+        # `.save` and `.load` would write and read files with the server's
+        # rights: a connection gets an error reply and the file is untouched.
+        client.repl("edge(1, 2).")
+        target = tmp_path / "saved.facts"
+        with pytest.raises(RemoteError, match="not available over a connection"):
+            client.repl(f".save {target}")
+        assert not target.exists()
+        secret = tmp_path / "secret.txt"
+        secret.write_text("s3cr3t-first-line\nedge(7, 7).\n")
+        with pytest.raises(RemoteError) as excinfo:
+            client.repl(f"  .load   {secret}")
+        assert "s3cr3t" not in str(excinfo.value)
+        out = client.repl("edge(X, Y)?")
+        assert "(1, 2)" in out and "(7, 7)" not in out and "s3cr3t" not in out
+
+
 class TestDurableServer:
     def test_commits_survive_server_restart(self, tmp_path):
         with GlueNailServer(db_dir=str(tmp_path), port=0).start() as srv:
