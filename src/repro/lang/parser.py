@@ -99,7 +99,7 @@ class _Parser:
             self.pos += 1
         return token
 
-    def expect_punct(self, text: str) -> Token:
+    def expect_punct(self, text: str) -> None:
         if not self.accept_punct(text):
             token = self.current
             raise ParseError(f"expected {text!r}, found {token.describe()}", token)

@@ -66,7 +66,7 @@ _READONLY_DOT = {
 }
 # ... and those that run their argument as a query.
 _QUERY_DOT = {".magic", ".analyze"}
-# ... and those a server refuses: they name files on the server's disk.
+# ... and those a server refuses: they read and write files with its rights.
 _FILE_DOT = {".save", ".load"}
 
 
@@ -406,8 +406,7 @@ class Session:
         stripped = line.strip()
         repl = self._ensure_repl()
         command = stripped.split(None, 1)[0] if stripped else ""
-        if command in _FILE_DOT and not repl._pending:
-            # They would read and write files with the server's rights.
+        if command in _FILE_DOT:
             raise GlueNailError(f"{command} is not available over a connection")
         # Transaction boundaries must go through the session's lock
         # handover, not straight into the system.

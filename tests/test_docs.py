@@ -36,7 +36,7 @@ ALL_TEXT = "\n".join(TEXT.values())
 # The lines of DOCS, counted as CI's "Prose lines" step counts them
 # (``cat ... | wc -l``).  A change that cuts prose lowers the ceiling with
 # it; one that raises the ceiling says so in CHANGES.md.
-PROSE_CEILING = 2721
+PROSE_CEILING = 2719
 
 
 def _resolves(dotted: str) -> bool:
