@@ -11,7 +11,7 @@
 The adaptive-index policy (E5) covers access methods; this ablation covers
 *join order*.  The compiler marks a statement for re-planning only when the
 cost planner had no size for some relation it scans; the machine then
-plans it by live sizes through the compiler's plan cache, once per size
+plans it by live sizes through the program's plan cache, once per size
 bucket, and compiles a variant when the planned order differs.
 Two shapes the compiler cannot see, each body written big-first:
 
@@ -49,7 +49,7 @@ def variants(system, stmt):
     """The compiled variants the plan cache holds for ``stmt``."""
     return [
         entry.built
-        for entry in system.compile().compiler.plans.entries()
+        for entry in system.compile().plans.entries()
         if entry.body is stmt.replan.body and entry.built is not stmt
     ]
 

@@ -165,22 +165,15 @@ class GlueNailSystem:
         """(Re)compile everything loaded; idempotent until the next load."""
         if self._compiled is not None:
             return self._compiled
-        db = self.db
-
-        def stats_source(pred, arity):
-            # Live EDB statistics for the planner; resolved at plan time so
-            # statements compiled before their relations loaded re-plan by
-            # current cardinalities.
-            return db.get(pred, arity)
-
-        compiler = ProgramCompiler(
+        # The EDB's statistics plan the compile; a statement compiled
+        # without some relation's size re-plans by the sizes of the
+        # database that runs it.
+        compiled = ProgramCompiler(
             strict=self.strict,
             foreign_sigs=self._foreign,
             oracles=self._oracles,
-            stats_source=stats_source,
-            counters=db.counters,
-        )
-        compiled = compiler.compile_program(self.program)
+            stats_source=self.db.get,
+        ).compile_program(self.program)
         ctx = ExecContext(
             db=self.db,
             out=self.out,

@@ -60,7 +60,7 @@ class PlanCache:
     """Plans per (body, bound set, pinned position, size buckets).
 
     One lives on each :class:`~repro.nail.engine.NailEngine` and on each
-    :class:`~repro.vm.compiler.ProgramCompiler`.  Lookups take no lock; a
+    :class:`~repro.vm.plan.CompiledProgram`.  Lookups take no lock; a
     miss plans, and builds, under the cache's one lock, so concurrent
     sessions never plan or build one key twice.
     """
@@ -85,6 +85,7 @@ class PlanCache:
         input_size: float = 1,
         pinned_first: Optional[int] = None,
         build: Optional[Callable[[Plan], object]] = None,
+        counters: Optional[CostCounters] = None,
         **options,
     ) -> CachedPlan:
         """The entry for ``body`` at the sizes ``stats`` reports now.
@@ -93,8 +94,10 @@ class PlanCache:
         for :func:`~repro.opt.passes.optimize`, and ``options`` are its
         remaining keywords; they must not vary for one body.  On a miss,
         ``build(plan)`` runs under the lock and its result is kept next
-        to the plan.
+        to the plan.  The hit or miss is charged to ``counters``, by
+        default the cache's own.
         """
+        counters = self.counters if counters is None else counters
         ctx = stats if isinstance(stats, StatsContext) else StatsContext(stats)
         key = (
             id(body),
@@ -120,7 +123,7 @@ class PlanCache:
                     )
                     entry = CachedPlan(body, plan, build(plan) if build else None)
                     self._entries[key] = entry
-                    self.counters.plan_cache_misses += 1
+                    counters.plan_cache_misses += 1
                     return entry
-        self.counters.plan_cache_hits += 1
+        counters.plan_cache_hits += 1
         return entry

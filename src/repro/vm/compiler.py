@@ -11,7 +11,7 @@ their heads are declared so Glue code can reference them.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.bindings import (
     BindingError,
@@ -44,15 +44,13 @@ from repro.lang.ast import (
     WatchDecl,
     walk_statements,
 )
-from repro.opt.cache import PlanCache
 from repro.opt.passes import DEFAULT_COST_PIPELINE, optimize as plan_body
 from repro.opt.literal import classify_join_columns
 from repro.opt.plan import Plan as OptPlan
 from repro.oracles import PRODUCT, Oracles
-from repro.storage.stats import CostCounters, RelationSnapshot
+from repro.storage.stats import RelationSnapshot
 from repro.terms.term import Atom, Term, Var, is_ground, variables
 from repro.vm.exprs import compile_expr, compile_pattern, compile_term_code
-from repro.vm.machine import ForeignProc
 from repro.vm.plan import (
     AggStep,
     BindStep,
@@ -75,6 +73,9 @@ from repro.vm.plan import (
     UnionStep,
     UpdateStep,
 )
+
+if TYPE_CHECKING:
+    from repro.vm.machine import ForeignProc
 
 _RELOP_FLIP = {"=": "=", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
@@ -167,6 +168,117 @@ def _callee_writes(info: PredInfo) -> bool:
     return info.klass is PredClass.FOREIGN
 
 
+def _try_resolve(pred: Term, arity: int, scope: Scope) -> Optional[PredInfo]:
+    try:
+        return scope.resolve(pred, arity)
+    except ScopeError:
+        return None
+
+
+def _call_info(scope: Scope, field: str):
+    """The planner's ``call_fixedness`` (``field`` "fixed") or
+    ``call_bound_arity`` ("bound_arity"): the field of a callable
+    subgoal's info in ``scope``, None for any other subgoal."""
+
+    def call_info(subgoal: PredSubgoal):
+        info = _try_resolve(subgoal.pred, len(subgoal.args), scope)
+        return getattr(info, field) if info is not None and info.is_callable else None
+
+    return call_info
+
+
+def scoped_stats(scope: Scope, local_sizes, stats_source):
+    """The statistics source for bodies in ``scope``; one resolver for
+    compile time and run time, None without ``stats_source``.
+
+    SPECIAL relations (``in``/``return``) are sized at one tuple -- the
+    unit-seed default for per-invocation relations -- so an unknowable
+    input does not turn every downstream estimate unknown.  A LOCAL
+    relation is looked up in ``local_sizes``: at compile time the sizes
+    the procedure-level ``:=`` statements compiled so far give
+    (:meth:`ProgramCompiler._record_local_size`), at run time the live
+    frame's relations.  Everything else goes to ``stats_source``."""
+    if stats_source is None:
+        return None
+
+    def source(pred, arity):
+        info = _try_resolve(pred, arity, scope)
+        if info is not None and info.klass is PredClass.SPECIAL:
+            return 1
+        if info is not None and info.klass is PredClass.LOCAL:
+            return local_sizes.get((info.skeleton[0], arity))
+        return stats_source(pred, arity)
+
+    return source
+
+
+def _check_bindings(body: Sequence[object], line: int) -> None:
+    try:
+        analyze_bindings(body)
+    except BindingError as exc:
+        raise CompileError(f"line {line}: {exc}") from exc
+
+
+def _assemble(
+    source: AssignStmt, plan: List[Step], state: _ColumnState, ordered: Sequence[object],
+    head_ref: PredRef, is_return: bool,
+) -> CompiledStmt:
+    """A statement from its compiled body and resolved head: the head
+    functions for the body's column layout, ``+=[K]`` key positions,
+    per-group aggregates and fixedness."""
+    colindex = state.colindex
+    head_fns = []
+    for arg in source.head_args:
+        try:
+            head_fns.append(compile_term_code(arg, colindex))
+        except CompileError as exc:
+            raise CompileError(f"line {source.line}: head argument {arg}: {exc}") from exc
+    head_name_fn = None
+    if not is_ground(source.head_pred):
+        free = term_vars(source.head_pred) - set(colindex)
+        if free:
+            raise CompileError(
+                f"line {source.line}: head predicate variables {sorted(free)} unbound"
+            )
+        head_name_fn = compile_term_code(source.head_pred, colindex)
+
+    key_positions: Tuple[int, ...] = ()
+    if source.op == "modify":
+        positions = []
+        key_names = {v.name for v in source.keys}
+        found = set()
+        for i, arg in enumerate(source.head_args):
+            if isinstance(arg, Var) and arg.name in key_names:
+                positions.append(i)
+                found.add(arg.name)
+        missing = key_names - found
+        if missing:
+            raise CompileError(
+                f"modify keys {sorted(missing)} do not appear in the head"
+            )
+        key_positions = tuple(positions)
+
+    # ``+=[K]`` keys are head arguments (checked above), so the head
+    # covers them.
+    _mark_per_group_aggregates(
+        plan, ordered, term_vars(source.head_pred) | terms_vars(source.head_args)
+    )
+    fixed = any(step.is_barrier or isinstance(step, UpdateStep) for step in plan)
+    if head_ref.info is None or head_ref.info.klass is PredClass.EDB:
+        fixed = True
+    return CompiledStmt(
+        plan=plan,
+        head_ref=head_ref,
+        head_fns=tuple(head_fns),
+        op=source.op,
+        key_positions=key_positions,
+        head_name_fn=head_name_fn,
+        is_return=is_return,
+        fixed=fixed,
+        source=source,
+    )
+
+
 def _ordered_new_vars(terms: Sequence[Term], known: Set[str]) -> List[str]:
     """First-occurrence order of named variables not already bound."""
     out: List[str] = []
@@ -187,32 +299,23 @@ class ProgramCompiler:
         foreign_sigs: Sequence[ForeignProc] = (),
         oracles: Oracles = PRODUCT,
         stats_source=None,
-        counters: Optional[CostCounters] = None,
     ):
         self.strict = strict
         self.oracles = oracles
-        # Run-time plans and variants of statements marked for re-planning.
-        self.plans = PlanCache(counters)
         # (pred, arity) -> something repro.opt.stats.coerce_snapshot understands
-        # (a Relation, a snapshot, a row count, or None for unknown).
-        # Resolved per plan, so run-time re-planning sees live cardinalities.
+        # (a Relation, a snapshot, a row count, or None for unknown): the
+        # sizes the compile plans with.
         self.stats_source = stats_source
         self.foreign_sigs = {(sig.module, sig.name, sig.arity): sig for sig in foreign_sigs}
         self._fixed_procs: Set[Tuple[Optional[str], str, int]] = set()
         self._writing_procs: Set[Tuple[Optional[str], str, int]] = set()
-        # While a procedure compiles: its sizable locals and the snapshot
-        # of each one's latest procedure-level ``:=`` (see _record_local_size).
-        self._sizable_locals: Set[Tuple[str, int]] = set()
-        self._local_sizes: Dict[Tuple[str, int], RelationSnapshot] = {}
 
     # ------------------------------------------------------------------ #
     # entry point
     # ------------------------------------------------------------------ #
 
     def compile_program(self, program: Program) -> CompiledProgram:
-        compiled = CompiledProgram(
-            statement_count=program.statement_count(), compiler=self
-        )
+        compiled = CompiledProgram(statement_count=program.statement_count())
         builtin_scope = self._builtin_scope()
 
         # Pass 1a: create per-module scopes with their own declarations.
@@ -269,7 +372,7 @@ class ProgramCompiler:
                     raise CompileError(
                         f"module {module.name}: statements must live inside procedures"
                     )
-                compiled.script.append(self._compile_any_stmt(item, scope, None))
+                compiled.script.append(self._compile_any_stmt(item, scope, None, {}))
 
     # ------------------------------------------------------------------ #
     # scope construction
@@ -411,7 +514,7 @@ class ProgramCompiler:
         local_names = {(d.name, d.arity) for d in decl.locals}
 
         def call_bit(subgoal: PredSubgoal) -> Optional[bool]:
-            info = self._try_resolve(subgoal.pred, len(subgoal.args), scope)
+            info = _try_resolve(subgoal.pred, len(subgoal.args), scope)
             if info is None or not info.is_callable:
                 return None
             if info.klass is PredClass.PROC:
@@ -439,14 +542,8 @@ class ProgramCompiler:
             return False
         if head_skel[0] is None:
             return True  # dynamic head -> assume EDB update
-        info = self._try_resolve(stmt.head_pred, len(stmt.head_args), scope)
+        info = _try_resolve(stmt.head_pred, len(stmt.head_args), scope)
         return info is None or info.klass not in (PredClass.LOCAL, PredClass.SPECIAL)
-
-    def _try_resolve(self, pred: Term, arity: int, scope: Scope) -> Optional[PredInfo]:
-        try:
-            return scope.resolve(pred, arity)
-        except ScopeError:
-            return None
 
     def _refresh_proc_infos(
         self, program: Program, module_scopes: Dict[str, Scope], global_scope: Scope
@@ -480,30 +577,20 @@ class ProgramCompiler:
                 ),
                 allow_override=True,
             )
-        proc_scope.declare(
-            PredInfo(
-                skeleton=("in", (), decl.bound_arity),
-                klass=PredClass.SPECIAL,
-                arity=decl.bound_arity,
-                display="in",
-            ),
-            allow_override=True,
-        )
-        proc_scope.declare(
-            PredInfo(
-                skeleton=("return", (), decl.arity),
-                klass=PredClass.SPECIAL,
-                arity=decl.arity,
-                display="return",
-            ),
-            allow_override=True,
-        )
-        self._sizable_locals = _sizable_locals(decl)
-        try:
-            body = [self._compile_any_stmt(stmt, proc_scope, decl) for stmt in decl.body]
-        finally:
-            self._sizable_locals = set()
-            self._local_sizes = {}
+        for name, arity in (("in", decl.bound_arity), ("return", decl.arity)):
+            proc_scope.declare(
+                PredInfo(
+                    skeleton=(name, (), arity),
+                    klass=PredClass.SPECIAL,
+                    arity=arity,
+                    display=name,
+                ),
+                allow_override=True,
+            )
+        # Each sizable local, with the size of its latest procedure-level
+        # ``:=`` so far (see _record_local_size); None while unknown.
+        local_sizes = dict.fromkeys(_sizable_locals(decl))
+        body = [self._compile_any_stmt(stmt, proc_scope, decl, local_sizes) for stmt in decl.body]
         key = (module, decl.name, decl.arity)
         return CompiledProc(
             module=module,
@@ -516,15 +603,15 @@ class ProgramCompiler:
             writes=key in self._writing_procs,
         )
 
-    def _compile_any_stmt(self, stmt, scope: Scope, proc: Optional[ProcDecl]):
+    def _compile_any_stmt(self, stmt, scope: Scope, proc: Optional[ProcDecl], local_sizes):
         if isinstance(stmt, RepeatStmt):
-            return self._compile_repeat(stmt, scope, proc)
-        return self._compile_stmt(stmt, scope, proc)
+            return self._compile_repeat(stmt, scope, proc, local_sizes)
+        return self._compile_stmt(stmt, scope, proc, local_sizes)
 
-    def _compile_repeat(self, stmt: RepeatStmt, scope: Scope, proc) -> CompiledRepeat:
-        body = [self._compile_any_stmt(inner, scope, proc) for inner in stmt.body]
+    def _compile_repeat(self, stmt: RepeatStmt, scope: Scope, proc, local_sizes) -> CompiledRepeat:
+        body = [self._compile_any_stmt(inner, scope, proc, local_sizes) for inner in stmt.body]
         until_alts = [
-            self._compile_body(list(alt), scope, proc, context="until")[0]
+            self._compile_body(list(alt), scope, local_sizes, 0)[0]
             for alt in stmt.until.alternatives
         ]
         return CompiledRepeat(body=body, until_alts=until_alts, source=stmt)
@@ -533,13 +620,7 @@ class ProgramCompiler:
     # statements
     # ------------------------------------------------------------------ #
 
-    def _compile_stmt(
-        self,
-        stmt: AssignStmt,
-        scope: Scope,
-        proc,
-        body_override: Optional[Tuple[object, ...]] = None,
-    ) -> CompiledStmt:
+    def _compile_stmt(self, stmt: AssignStmt, scope: Scope, proc, local_sizes) -> CompiledStmt:
         body = list(stmt.body)
         is_return = False
         head_pred = stmt.head_pred
@@ -564,73 +645,20 @@ class ProgramCompiler:
         elif stmt.head_bound is not None:
             raise CompileError("':' in a head is only meaningful for return")
 
-        unordered = tuple(body)
-        if body_override is not None:
-            body = list(body_override)
-        plan, state, ordered_body, annotated = self._compile_body(
-            body, scope, proc, context="body", stmt=stmt,
-            preordered=body_override is not None,
-        )
-
-        colindex = state.colindex
-        head_fns = []
-        for arg in head_args:
-            try:
-                head_fns.append(compile_term_code(arg, colindex))
-            except CompileError as exc:
-                raise CompileError(f"line {stmt.line}: head argument {arg}: {exc}") from exc
-
-        head_ref, head_name_fn = self._compile_head_target(
-            head_pred, len(head_args), scope, colindex, stmt, is_return
-        )
-
-        key_positions: Tuple[int, ...] = ()
-        if stmt.op == "modify":
-            positions = []
-            key_names = {v.name for v in stmt.keys}
-            found = set()
-            for i, arg in enumerate(head_args):
-                if isinstance(arg, Var) and arg.name in key_names:
-                    positions.append(i)
-                    found.add(arg.name)
-            missing = key_names - found
-            if missing:
-                raise CompileError(
-                    f"modify keys {sorted(missing)} do not appear in the head"
-                )
-            key_positions = tuple(positions)
-
-        # ``+=[K]`` keys are head arguments (checked above), so the head
-        # covers them.
-        _mark_per_group_aggregates(
-            plan, ordered_body, term_vars(head_pred) | terms_vars(head_args)
-        )
-
-        fixed = any(step.is_barrier or isinstance(step, UpdateStep) for step in plan)
-        if head_ref.info is None or head_ref.info.klass is PredClass.EDB:
-            fixed = True
-
-        replan = None
-        if body_override is None:
-            self._record_local_size(stmt, head_ref, state.group_cols, annotated)
-            if self._compiled_blind(plan, annotated):
-                replan = Replan(body=unordered, ordered=ordered_body, scope=scope, proc=proc)
-
-        return CompiledStmt(
-            plan=plan,
-            head_ref=head_ref,
-            head_fns=tuple(head_fns),
-            op=stmt.op,
-            key_positions=key_positions,
-            head_name_fn=head_name_fn,
-            is_return=is_return,
-            fixed=fixed,
-            source=stmt,
-            replan=replan,
-        )
+        plan, state, ordered, annotated = self._compile_body(body, scope, local_sizes, stmt.line)
+        head_ref = self._head_ref(head_pred, len(head_args), scope, stmt, is_return)
+        compiled = _assemble(stmt, plan, state, ordered, head_ref, is_return)
+        self._record_local_size(stmt, head_ref, state.group_cols, annotated, local_sizes)
+        if self._compiled_blind(plan, annotated):
+            compiled.replan = Replan(
+                body=tuple(body), ordered=ordered, scope=scope, oracles=self.oracles,
+                call_fixedness=_call_info(scope, "fixed"),
+                call_bound_arity=_call_info(scope, "bound_arity"),
+            )
+        return compiled
 
     def _record_local_size(
-        self, stmt: AssignStmt, head_ref: PredRef, group_cols, annotated
+        self, stmt: AssignStmt, head_ref: PredRef, group_cols, annotated, local_sizes
     ) -> None:
         """Size a local from the ``:=`` statement that just compiled, so
         later statements of the procedure plan against it.
@@ -644,11 +672,11 @@ class ProgramCompiler:
         if info is None or info.klass is not PredClass.LOCAL or stmt.op != ":=":
             return
         key = (info.skeleton[0], info.arity)
-        if key not in self._sizable_locals:
+        if key not in local_sizes:
             return
         rows = annotated.steps[-1].est_rows if annotated and annotated.steps else None
         if rows is None:
-            self._local_sizes.pop(key, None)
+            local_sizes[key] = None
             return
         rows = math.ceil(rows)
         distincts = tuple(
@@ -659,7 +687,7 @@ class ProgramCompiler:
             else None
             for arg in stmt.head_args
         )
-        self._local_sizes[key] = RelationSnapshot(
+        local_sizes[key] = RelationSnapshot(
             name=head_ref.pred, arity=info.arity, rows=rows, distincts=distincts
         )
 
@@ -686,56 +714,12 @@ class ProgramCompiler:
             for step, planned in zip(plan, annotated.steps)
         )
 
-    def replanned(self, stmt: CompiledStmt, frame_locals) -> CompiledStmt:
-        """The form of a statement marked for re-planning that suits the
-        current sizes, from the plan cache: the statement itself when the
-        planner, given the live database and ``frame_locals``, picks its
-        compiled order, else a variant compiled for the planned order.
-        The variant compile runs under the cache's lock: it mutates the
-        shared scope.
-        """
-        replan = stmt.replan
-
-        def build(plan: OptPlan) -> CompiledStmt:
-            if plan.ordered_body == replan.ordered:
-                return stmt
-            try:
-                return self._compile_stmt(
-                    stmt.source, replan.scope, replan.proc, body_override=plan.ordered_body
-                )
-            except CompileError:
-                # The planned order does not bind-check; keep the
-                # compiled plan rather than fail at run time.
-                return stmt
-
-        return self.plans.get(
-            replan.body,
-            self._scoped_stats(replan.scope, frame_locals),
-            build=build,
-            call_fixedness=self._call_fixedness(replan.scope),
-            call_bound_arity=self._call_bound_arity(replan.scope),
-        ).built
-
-    def _compile_head_target(
-        self,
-        head_pred: Term,
-        arity: int,
-        scope: Scope,
-        colindex: Dict[str, int],
-        stmt: AssignStmt,
-        is_return: bool,
-    ):
-        head_name_fn = None
+    def _head_ref(
+        self, head_pred: Term, arity: int, scope: Scope, stmt: AssignStmt, is_return: bool
+    ) -> PredRef:
         if not is_ground(head_pred):
-            free = term_vars(head_pred) - set(colindex)
-            if free:
-                raise CompileError(
-                    f"line {stmt.line}: head predicate variables {sorted(free)} unbound"
-                )
-            head_name_fn = compile_term_code(head_pred, colindex)
-            return PredRef(pred=head_pred, arity=arity, info=None), head_name_fn
-
-        info = self._try_resolve(head_pred, arity, scope)
+            return PredRef(pred=head_pred, arity=arity, info=None)
+        info = _try_resolve(head_pred, arity, scope)
         if info is None and self.strict and not is_return:
             raise CompileError(f"line {stmt.line}: undeclared head relation {head_pred}/{arity}")
         if info is not None:
@@ -757,53 +741,30 @@ class ProgramCompiler:
                 display=f"{head_pred}/{arity}",
             )
             scope.declare(info, allow_override=True)
-        return PredRef(pred=head_pred, arity=arity, info=info), head_name_fn
+        return PredRef(pred=head_pred, arity=arity, info=info)
 
     # ------------------------------------------------------------------ #
     # bodies
     # ------------------------------------------------------------------ #
 
-    def _call_fixedness(self, scope: Scope):
-        def call_fixedness(subgoal: PredSubgoal) -> Optional[bool]:
-            info = self._try_resolve(subgoal.pred, len(subgoal.args), scope)
-            if info is None or not info.is_callable:
-                return None
-            return info.fixed
-
-        return call_fixedness
-
-    def _call_bound_arity(self, scope: Scope):
-        def call_bound_arity(subgoal: PredSubgoal) -> Optional[int]:
-            info = self._try_resolve(subgoal.pred, len(subgoal.args), scope)
-            if info is None or not info.is_callable:
-                return None
-            return info.bound_arity
-
-        return call_bound_arity
-
     def _compile_body(
-        self,
-        body: List[object],
-        scope: Scope,
-        proc,
-        context: str = "body",
-        stmt: Optional[AssignStmt] = None,
-        preordered: bool = False,
+        self, body: List[object], scope: Scope, local_sizes, line: int
     ) -> Tuple[List[Step], _ColumnState, Tuple[object, ...], Optional[OptPlan]]:
-        stats = self._scoped_stats(scope)
-        annotated: Optional[OptPlan] = None
-        if not preordered:
-            body, annotated = self._order_body(body, scope, stats)
-        line = stmt.line if stmt is not None else 0
-        try:
-            analyze_bindings(body)
-        except BindingError as exc:
-            raise CompileError(f"line {line}: {exc}") from exc
-
+        stats = scoped_stats(scope, local_sizes, self.stats_source)
+        body, annotated = self._order_body(body, scope, stats)
+        _check_bindings(body, line)
         if annotated is None and stats is not None:
             # The planner's estimates for the body in its final order (one
             # step per subgoal); without statistics they are unknown, not 0.
             annotated = self._plan(body, scope, stats, pipeline=())
+        plan, state = self._compile_ordered(body, scope, line, annotated)
+        return plan, state, tuple(body), annotated
+
+    def _compile_ordered(
+        self, body: Sequence[object], scope: Scope, line: int, annotated: Optional[OptPlan]
+    ) -> Tuple[List[Step], _ColumnState]:
+        """Compile a body in its given order; ``annotated`` holds the
+        planner's steps for that order, whose estimates the scans show."""
         state = _ColumnState()
         plan: List[Step] = []
         for pos, subgoal in enumerate(body):
@@ -811,7 +772,7 @@ class ProgramCompiler:
             if annotated is not None and isinstance(step, (ScanStep, NegScanStep)):
                 step.est_rows = annotated.steps[pos].est_rows
             plan.append(step)
-        return plan, state, tuple(body), annotated
+        return plan, state
 
     def _order_body(
         self, body: List[object], scope: Scope, stats
@@ -847,35 +808,9 @@ class ProgramCompiler:
             tuple(body),
             stats=stats,
             pipeline=pipeline,
-            call_fixedness=self._call_fixedness(scope),
-            call_bound_arity=self._call_bound_arity(scope),
+            call_fixedness=_call_info(scope, "fixed"),
+            call_bound_arity=_call_info(scope, "bound_arity"),
         )
-
-    def _scoped_stats(self, scope: Scope, frame_locals=None):
-        """The statistics source, scope-aware; one resolver for compile
-        time and run time.
-
-        SPECIAL relations (``in``/``return``) are sized at one tuple -- the
-        unit-seed default for per-invocation relations -- so an unknowable
-        input does not turn every downstream estimate unknown.  A LOCAL
-        relation is read from ``frame_locals`` (a live frame's relations)
-        when given, else sized by the procedure-level ``:=`` that last
-        assigned it (:meth:`_record_local_size`), and unknown otherwise.
-        Everything else goes to the statistics source."""
-        if self.stats_source is None:
-            return None
-        stats_source = self.stats_source
-        local_sizes = self._local_sizes if frame_locals is None else frame_locals
-
-        def source(pred, arity):
-            info = self._try_resolve(pred, arity, scope)
-            if info is not None and info.klass is PredClass.SPECIAL:
-                return 1
-            if info is not None and info.klass is PredClass.LOCAL:
-                return local_sizes.get((info.skeleton[0], arity))
-            return stats_source(pred, arity)
-
-        return source
 
     def _compile_subgoal(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
         step = self._subgoal_step(subgoal, scope, state, line)
@@ -884,8 +819,6 @@ class ProgramCompiler:
 
     def _subgoal_step(self, subgoal, scope: Scope, state: _ColumnState, line: int) -> Step:
         colindex = state.colindex
-        known = set(state.columns)
-
         if isinstance(subgoal, PredSubgoal):
             return self._compile_pred_subgoal(subgoal, scope, state, line)
         if isinstance(subgoal, CompareSubgoal):
@@ -929,7 +862,7 @@ class ProgramCompiler:
     ) -> Step:
         """Compile a body disjunction: one sub-plan per alternative, all
         binding the same new variables (checked by safety analysis)."""
-        call_fix = self._call_fixedness(scope)
+        call_fix = _call_info(scope, "fixed")
         for alt in subgoal.alternatives:
             for inner in alt:
                 if is_fixed_subgoal(inner, call_fix):
@@ -967,8 +900,8 @@ class ProgramCompiler:
     ) -> Tuple[PredRef, Optional[object]]:
         """Resolve a predicate reference used as a relation (scan/update)."""
         if is_ground(pred):
-            info = self._try_resolve(pred, arity, scope)
-            if info is None and self.strict:
+            info = _try_resolve(pred, arity, scope)
+            if info is None and scope.strict:
                 raise CompileError(f"undeclared predicate {pred}/{arity} (strict mode)")
             return PredRef(pred=pred, arity=arity, info=info), None
         candidates = tuple(scope.candidates(arity))
@@ -1001,58 +934,50 @@ class ProgramCompiler:
                 name_fn=name_fn,
             )
 
+        name_fn = None
         if is_ground(subgoal.pred):
-            info = self._try_resolve(subgoal.pred, arity, scope)
+            info = _try_resolve(subgoal.pred, arity, scope)
             if info is not None and info.is_callable:
                 return self._compile_call(subgoal, info, state, line)
-            if info is None and self.strict:
+            if info is None and scope.strict:
                 raise CompileError(
                     f"line {line}: undeclared predicate {subgoal.pred}/{arity} (strict mode)"
                 )
             ref = PredRef(pred=subgoal.pred, arity=arity, info=info)
-            new_vars = _ordered_new_vars(subgoal.args, known)
-            state.add(new_vars)
-            lit = classify_join_columns(
-                subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
-            )
-            return ScanStep(
-                ref=ref,
-                pattern_fn=compile_pattern(subgoal.args, colindex),
-                lit=lit,
-                key_build=lit.key_build(colindex),
-                new_vars=tuple(new_vars),
-            )
-
-        # Predicate-variable (HiLog) subgoal: name instantiated per row.
-        candidates = tuple(scope.candidates(arity))
-        name_fn = compile_term_code(subgoal.pred, colindex)
-        ref = PredRef(pred=subgoal.pred, arity=arity, info=None, candidates=candidates)
+        else:
+            # Predicate-variable (HiLog) subgoal: name instantiated per row.
+            candidates = tuple(scope.candidates(arity))
+            name_fn = compile_term_code(subgoal.pred, colindex)
+            ref = PredRef(pred=subgoal.pred, arity=arity, info=None, candidates=candidates)
         new_vars = _ordered_new_vars(subgoal.args, known)
         state.add(new_vars)
-        # Builtins are a closed vocabulary that set-valued attributes never
-        # name, so only user procedures/foreigns force run-time dispatch.
-        any_callable = any(
-            c.is_callable and c.klass is not PredClass.BUILTIN for c in candidates
+        if name_fn is not None:
+            # Builtins are a closed vocabulary that set-valued attributes
+            # never name, so only user procedures/foreigns force run-time
+            # dispatch.
+            any_callable = any(
+                c.is_callable and c.klass is not PredClass.BUILTIN for c in candidates
+            )
+            if self.oracles.runtime_dispatch or any_callable:
+                return DynamicStep(
+                    ref=ref,
+                    name_fn=name_fn,
+                    pattern_fn=compile_pattern(subgoal.args, colindex),
+                    new_vars=tuple(new_vars),
+                )
+        # A stored or derived relation, or a HiLog subgoal whose every
+        # candidate is one: go straight to storage at run time (for HiLog,
+        # the compile-time dereferencing win).
+        lit = classify_join_columns(
+            subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
         )
-        if not self.oracles.runtime_dispatch and not any_callable:
-            # Every candidate is a stored/derived relation: go straight to
-            # storage at run time (the compile-time dereferencing win).
-            lit = classify_join_columns(
-                subgoal.pred, subgoal.args, frozenset(known), subgoal.negated
-            )
-            return ScanStep(
-                ref=ref,
-                pattern_fn=compile_pattern(subgoal.args, colindex),
-                lit=lit,
-                key_build=lit.key_build(colindex),
-                new_vars=tuple(new_vars),
-                name_fn=name_fn,
-            )
-        return DynamicStep(
+        return ScanStep(
             ref=ref,
-            name_fn=name_fn,
             pattern_fn=compile_pattern(subgoal.args, colindex),
+            lit=lit,
+            key_build=lit.key_build(colindex),
             new_vars=tuple(new_vars),
+            name_fn=name_fn,
         )
 
     def _compile_call(
@@ -1143,6 +1068,25 @@ class ProgramCompiler:
         return CompareStep(op=op, left_fn=left_fn, right_fn=right_fn)
 
 
-def compile_program(program: Program, **kwargs) -> CompiledProgram:
-    """Convenience wrapper: compile with default settings."""
-    return ProgramCompiler(**kwargs).compile_program(program)
+def compile_variant(stmt: CompiledStmt, planned: OptPlan) -> CompiledStmt:
+    """A statement marked for re-planning, compiled for the order the plan
+    cache chose at run time, with that plan's estimates.
+
+    Only the body, in the planned order, and the head functions compile
+    again; the head stays the one the compile resolved, so the scope is
+    only read.  ``stmt`` itself comes back when the order is its compiled
+    one, or when the order does not bind-check: the compiled plan runs
+    rather than fail at run time.
+    """
+    replan = stmt.replan
+    ordered = planned.ordered_body
+    if ordered == replan.ordered:
+        return stmt
+    line = stmt.source.line
+    try:
+        _check_bindings(ordered, line)
+        compiler = ProgramCompiler(oracles=replan.oracles)
+        plan, state = compiler._compile_ordered(ordered, replan.scope, line, planned)
+        return _assemble(stmt.source, plan, state, ordered, stmt.head_ref, stmt.is_return)
+    except CompileError:
+        return stmt

@@ -17,6 +17,7 @@ measurable, which is what the paper's Section 9 observations are about.
 from __future__ import annotations
 
 import sys
+from functools import partial
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -28,6 +29,7 @@ from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.storage.stats import COUNTER_FIELDS, CostCounters, nonzero_delta
 from repro.terms.term import Atom, Term
+from repro.vm.compiler import compile_variant, scoped_stats
 from repro.vm.plan import (
     CompiledProc,
     CompiledProgram,
@@ -278,9 +280,7 @@ class Machine:
         tracer = self.ctx.tracer
         with tracer.span("stmt", stmt_label(stmt) if tracer.enabled else "") as span:
             if stmt.replan is not None:
-                # Compiled without some relation's size: the form planned
-                # for the live sizes' buckets (paper Section 10).
-                stmt = self.program.compiler.replanned(stmt, frame.locals)
+                stmt = self._replanned(stmt, frame)
             rows = self.run_plan(stmt.plan, frame)
             head_rows = list(dict.fromkeys(tuple(fn(r) for fn in stmt.head_fns) for r in rows))
             span.rows = len(head_rows)
@@ -290,6 +290,21 @@ class Machine:
             # procedure" -- but an empty body stops the statement before the
             # assignment happens, so control falls through to the next one.
             raise _ReturnSignal()
+
+    def _replanned(self, stmt: CompiledStmt, frame: Frame) -> CompiledStmt:
+        """A statement compiled without some relation's size, in the form
+        its program's plan cache holds for the size buckets of this
+        context's database and ``frame``'s locals (paper Section 10): the
+        statement itself, or a variant compiled for the planned order."""
+        replan = stmt.replan
+        return self.program.plans.get(
+            replan.body,
+            scoped_stats(replan.scope, frame.locals, self.ctx.db.get),
+            build=partial(compile_variant, stmt),
+            counters=self.ctx.counters,
+            call_fixedness=replan.call_fixedness,
+            call_bound_arity=replan.call_bound_arity,
+        ).built
 
     def _apply_head(self, stmt: CompiledStmt, rows, head_rows, frame: Frame) -> None:
         if stmt.head_name_fn is None:

@@ -19,7 +19,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.analysis.scope import PredInfo
 from repro.errors import GlueRuntimeError
 from repro.glue.builtins import compare_terms
-from repro.lang.ast import AssignStmt, ProcDecl, RuleDecl
+from repro.lang.ast import AssignStmt, RuleDecl
+from repro.opt.cache import PlanCache
 from repro.opt.literal import LiteralPlan, trace_join
 from repro.record import Record
 from repro.storage.relation import matching_rows
@@ -727,18 +728,23 @@ Plan = List[Step]
 
 
 class Replan:
-    """What a statement compiled without some relation's size keeps so it
-    can be re-planned by live sizes at run time (paper Section 10; see
-    :meth:`repro.vm.compiler.ProgramCompiler.replanned`)."""
+    """What a statement compiled without some relation's size keeps so that
+    any machine running it can plan it by live sizes (paper Section 10):
+    the program's plan cache plans ``body`` and compiles a variant with
+    :func:`repro.vm.compiler.compile_variant`.  The variant reuses the
+    statement's resolved head, so ``scope`` is only read."""
 
-    __slots__ = ("body", "ordered", "scope", "proc")
+    __slots__ = ("body", "ordered", "scope", "oracles", "call_fixedness", "call_bound_arity")
 
-    def __init__(self, body: tuple, ordered: tuple, scope: object,
-                 proc: Optional[ProcDecl]) -> None:
+    def __init__(self, body: tuple, ordered: tuple, scope: object, oracles: object,
+                 call_fixedness: Callable, call_bound_arity: Callable) -> None:
         self.body = body  # the body after the implicit-in prepend, unordered
         self.ordered = ordered  # the order compiled ahead of time
         self.scope = scope  # the compile-time Scope
-        self.proc = proc  # the enclosing procedure; None for a script
+        self.oracles = oracles  # the compile's Oracles
+        # The planner's call information for ``scope``.
+        self.call_fixedness = call_fixedness
+        self.call_bound_arity = call_bound_arity
 
 
 class CompiledStmt:
@@ -812,11 +818,13 @@ class CompiledProc:
 
 
 class CompiledProgram:
-    """A fully compiled Glue-Nail program."""
+    """A fully compiled Glue-Nail program: a value any number of machines
+    may run at once.  ``plans`` caches the run-time plans and variants of
+    its statements marked for re-planning."""
 
-    __slots__ = ("procs", "exported", "rules", "script", "watches", "statement_count", "compiler")
+    __slots__ = ("procs", "exported", "rules", "script", "watches", "statement_count", "plans")
 
-    def __init__(self, statement_count: int = 0, compiler: object = None) -> None:
+    def __init__(self, statement_count: int = 0) -> None:
         self.procs: Dict[Tuple[Optional[str], str, int], CompiledProc] = {}
         self.exported: Dict[Tuple[str, int], CompiledProc] = {}
         self.rules: List[RuleDecl] = []
@@ -825,7 +833,7 @@ class CompiledProgram:
         #: them with its SubscriptionManager after compilation.
         self.watches: List[object] = []
         self.statement_count = statement_count
-        self.compiler = compiler  # the ProgramCompiler, for run-time variants
+        self.plans = PlanCache()
 
     def find_proc(self, name: str, arity: int, module: Optional[str] = None) -> CompiledProc:
         if module is not None:

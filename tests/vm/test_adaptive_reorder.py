@@ -7,7 +7,7 @@
 The compiler marks a statement for re-planning when the cost planner
 ordered it without the size of some relation it scans: a relation not yet
 loaded, or a local it cannot size.  A marked statement is planned by live
-sizes through the compiler's plan cache (``repro.opt.cache``): once per
+sizes through the program's plan cache (``repro.opt.cache``): once per
 size bucket, with a variant compiled when the planned order differs from
 the compiled one.
 """
@@ -42,7 +42,7 @@ def variants(system, stmt):
     """The compiled variants the plan cache holds for ``stmt``, by order."""
     return {
         entry.plan.ordered_body: entry.built
-        for entry in system.compile().compiler.plans.entries()
+        for entry in system.compile().plans.entries()
         if entry.body is stmt.replan.body and entry.built is not stmt
     }
 
